@@ -16,13 +16,12 @@
 //    config against the fastest packed config;
 //  * the lane-compatible single-cell universe (SAF/TF/WDF + read
 //    logic, 9n faults, every one packable), where the packed path's
-//    64-faults-per-sweep gain is undiluted;
-//  * a measured-scaling grid: the same lane-compatible universe over
-//    thread counts {1, 2, 4, 8} x packed lane widths {64, 256} on the
-//    work-stealing batch scheduler, every cell parity-checked — the
-//    curves CI records per run (with per-config steal counts and the
-//    widest lane word used) to show the multicore and wide-lane gains
-//    on real cores;
+//    512-faults-per-sweep gain is undiluted;
+//  * a measured-scaling sweep: the same lane-compatible universe over
+//    thread counts {1, 2, 4, 8} on the work-stealing batch scheduler,
+//    every cell parity-checked — the curve CI records per run (with
+//    per-config steal counts) to show the multicore gain on real
+//    cores;
 //  * a March campaign over the classical universe (March C-), where
 //    the same lanes drive march::run_march_packed via
 //    analysis::MarchCampaign — now with the abort-aware scalar
@@ -31,7 +30,7 @@
 //  * a word-oriented (WOM, m = 4) single-cell universe with the
 //    extended GF(16) scheme — the packed path now carries one bit
 //    plane per field bit and feeds back through the transcript's
-//    compiled tap matrices, so the 64-lane configs apply here too;
+//    compiled tap matrices, so the packed configs apply here too;
 //  * a static-NPSF grid universe, where every lane evaluates its
 //    4-cell neighbourhood trigger bit-parallel over the neighbour
 //    lane words;
@@ -47,13 +46,12 @@
 // configs additionally against each other's op counts), so the ratios
 // stay apples-to-apples and a model divergence aborts the bench.  Each
 // section also reports packed_fraction — the share of faults the
-// fastest dispatch routed onto the 64-lane path; with universal
+// fastest dispatch routed onto the packed lanes; with universal
 // packing this is 1.0 for every universe family the bench runs, and
 // scripts/check_bench_baseline.py --packed-full enforces exactly that.
 //
 // Flags: --quick caps every universe for smoke runs; --threads N pins
 // the worker count (equivalent to PRT_THREADS=N in the environment).
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -74,7 +72,6 @@
 #include "march/march_library.hpp"
 #include "mem/fault_injector.hpp"
 #include "mem/fault_universe.hpp"
-#include "mem/lane_word.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -161,11 +158,8 @@ struct ConfigTiming {
   std::uint64_t ops = 0;
   double coverage = 0;
   /// Scheduler telemetry of the run (CampaignResult::sched): batches
-  /// executed by a worker other than their home worker, faults that
-  /// rode a wider-than-64 lane word, and the widest lane word used.
+  /// executed by a worker other than their home worker.
   std::uint64_t steals = 0;
-  std::uint64_t wide_faults = 0;
-  unsigned max_lanes = 0;
 };
 
 struct SectionReport {
@@ -186,8 +180,8 @@ struct SectionReport {
   /// engines (each compiling its own golden artifacts, the pre-suite
   /// sweep cost) over the one CampaignSuite call; 0 elsewhere.
   double suite_vs_sequential = 0;
-  /// Share of this section's faults that rode a 64-lane packed batch
-  /// in the most-packed configuration (max over configs of
+  /// Share of this section's faults that rode a packed lane batch in
+  /// the most-packed configuration (max over configs of
   /// packed_faults / total).  1.0 means zero scalar fallbacks.
   double packed_fraction = 0;
   [[nodiscard]] double speedup_vs_baseline(std::size_t idx) const {
@@ -244,9 +238,8 @@ class SectionRunner {
         report_.packed_fraction = fraction;
       }
     }
-    report_.configs.push_back({name, secs, r.ops, r.overall.percent(),
-                               r.sched.steals, r.sched.wide_faults,
-                               r.sched.max_lanes});
+    report_.configs.push_back(
+        {name, secs, r.ops, r.overall.percent(), r.sched.steals});
     std::printf("  %-30s %8.3f s   %12llu ops   %6.2f %% coverage\n",
                 name.c_str(), secs,
                 static_cast<unsigned long long>(r.ops), r.overall.percent());
@@ -335,7 +328,7 @@ SectionReport bench_classical(mem::Addr n, std::size_t fault_cap) {
 }
 
 /// Lane-compatible universe: every fault is packable, so the packed
-/// config shows the undiluted 64-faults-per-sweep gain over the PR 1
+/// config shows the undiluted lane-packing gain over the scalar
 /// oracle+parallel path.
 SectionReport bench_lane_compatible(mem::Addr n, const core::PrtScheme& scheme,
                                     std::size_t fault_cap) {
@@ -560,13 +553,12 @@ SectionReport bench_multiport(mem::Addr n, unsigned ports,
 }
 
 /// Measured multicore scaling: the same lane-compatible universe swept
-/// over thread counts {1, 2, 4, 8} x packed lane widths {64, 256} on
-/// the work-stealing batch scheduler.  Every cell is parity-checked
-/// against the first (w64/t1), so the whole grid demonstrates the
-/// tentpole determinism claim — bit-identical output at any (threads,
-/// width) — while the timings show how much of it the hardware turns
-/// into throughput (the speedup curves are only meaningful on a
-/// multi-core runner; CI's bench smoke records them per run).
+/// over thread counts {1, 2, 4, 8} on the work-stealing batch
+/// scheduler.  Every cell is parity-checked against the first (t1), so
+/// the sweep demonstrates bit-identical output at any thread count
+/// while the timings show how much of it the hardware turns into
+/// throughput (the speedup curve is only meaningful on a multi-core
+/// runner; CI's bench smoke records it per run).
 SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
   const auto universe = cap_universe(
       mem::single_cell_universe(n, 1, /*read_logic=*/true), fault_cap);
@@ -575,51 +567,21 @@ SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
   opt.n = n;
 
   SectionReport report;
-  report.universe = "scaling (threads x lane width)";
+  report.universe = "scaling (threads)";
   report.scheme = scheme.name;
   report.n = n;
   report.faults = universe.size();
   SectionRunner run(report, universe, opt);
-  for (const unsigned lane_width : {64u, 256u}) {
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      analysis::EngineOptions eng;
-      eng.threads = threads;
-      eng.parallel = true;
-      eng.packed = true;
-      eng.lane_width = lane_width;
-      char name[32];
-      std::snprintf(name, sizeof name, "w%u/t%u", lane_width, threads);
-      run.record(name, [&] {
-        return analysis::run_prt_campaign(universe, scheme, opt, eng);
-      });
-    }
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    analysis::EngineOptions eng;
+    eng.threads = threads;
+    char name[8];
+    std::snprintf(name, sizeof name, "t%u", threads);
+    run.record(name, [&] {
+      return analysis::run_prt_campaign(universe, scheme, opt, eng);
+    });
   }
   run.finish();
-  // The two headline curves: thread scaling at each width, and the
-  // wide-lane gain at each thread count.
-  auto seconds_of = [&](unsigned width, unsigned threads) {
-    char name[32];
-    std::snprintf(name, sizeof name, "w%u/t%u", width, threads);
-    for (const ConfigTiming& c : report.configs) {
-      if (c.name == name) return c.seconds;
-    }
-    return 0.0;
-  };
-  for (const unsigned width : {64u, 256u}) {
-    const double t1 = seconds_of(width, 1);
-    if (t1 <= 0) continue;
-    std::printf("  scaling w%-3u:", width);
-    for (const unsigned threads : {2u, 4u, 8u}) {
-      const double tn = seconds_of(width, threads);
-      std::printf("  %ut %.2fx", threads, tn > 0 ? t1 / tn : 0.0);
-    }
-    std::printf("\n");
-  }
-  const double w64t1 = seconds_of(64, 1);
-  const double w256t1 = seconds_of(256, 1);
-  if (w64t1 > 0 && w256t1 > 0) {
-    std::printf("  wide lanes (w256 vs w64, 1t): %.2fx\n\n", w64t1 / w256t1);
-  }
   return report;
 }
 
@@ -635,8 +597,8 @@ SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
 ///     transcript, nine compiles for the nine points);
 ///   * "engines sequential (cached)" — the same engines sharing the
 ///     process-wide OracleCache (three compiles, sequential runs);
-///   * "suite (one call)" — one CampaignSuite::run over the grid: one
-///     pool, (config x shard) tasks flattened, three compiles.
+///   * "suite (one call)" — one CampaignSuite::run over the grid:
+///     (config x batch) tasks flattened, three compiles.
 ///
 /// The headline suite_vs_sequential ratio is cold-engines over suite —
 /// the cost a sweep paid before this subsystem existed vs. one call.
@@ -675,8 +637,6 @@ SectionReport bench_suite(std::size_t fault_cap) {
     std::uint64_t ops = 0;
     std::uint64_t packed_faults = 0;
     std::uint64_t steals = 0;
-    std::uint64_t wide_faults = 0;
-    unsigned max_lanes = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (!reference.empty() && !(results[i] == reference[i])) {
         std::fprintf(stderr,
@@ -689,8 +649,6 @@ SectionReport bench_suite(std::size_t fault_cap) {
       ops += results[i].ops;
       packed_faults += results[i].packed_faults;
       steals += results[i].sched.steals;
-      wide_faults += results[i].sched.wide_faults;
-      max_lanes = std::max(max_lanes, results[i].sched.max_lanes);
     }
     if (overall.total > 0) {
       const double fraction = static_cast<double>(packed_faults) /
@@ -699,8 +657,7 @@ SectionReport bench_suite(std::size_t fault_cap) {
         report.packed_fraction = fraction;
       }
     }
-    report.configs.push_back({name, secs, ops, overall.percent(), steals,
-                              wide_faults, max_lanes});
+    report.configs.push_back({name, secs, ops, overall.percent(), steals});
     std::printf("  %-30s %8.3f s   %12llu ops   %6.2f %% coverage\n",
                 name.c_str(), secs, static_cast<unsigned long long>(ops),
                 overall.percent());
@@ -764,8 +721,7 @@ void write_report(std::ostream& out, const std::vector<SectionReport>& reports,
       << "\"utc\": \"" << utc << "\"," << sp << nl << indent(1)
       << "\"hardware_concurrency\": " << hardware_threads << "," << sp << nl
       << indent(1) << "\"threads\": " << workers << "," << sp << nl
-      << indent(1) << "\"lane_width\": " << mem::default_lane_width() << ","
-      << sp << nl << indent(1) << "\"sections\": [" << nl;
+      << indent(1) << "\"sections\": [" << nl;
   for (std::size_t s = 0; s < reports.size(); ++s) {
     const SectionReport& r = reports[s];
     out << indent(2) << "{" << nl << indent(3) << "\"universe\": \""
@@ -785,9 +741,7 @@ void write_report(std::ostream& out, const std::vector<SectionReport>& reports,
           << "\", \"seconds\": " << t.seconds << ", \"ops\": " << t.ops
           << ", \"coverage\": " << t.coverage
           << ", \"speedup_vs_baseline\": " << r.speedup_vs_baseline(c)
-          << ", \"steals\": " << t.steals
-          << ", \"wide_faults\": " << t.wide_faults
-          << ", \"max_lanes\": " << t.max_lanes << "}"
+          << ", \"steals\": " << t.steals << "}"
           << (c + 1 < r.configs.size() ? "," : "") << nl;
     }
     out << indent(3) << "]" << nl << indent(2) << "}"

@@ -13,7 +13,6 @@ report against the baseline generated with the same flags
 
 Usage: check_bench_baseline.py FRESH.json BASELINE.json
            [--expect UNIVERSE ...] [--packed-full UNIVERSE ...]
-           [--require-scaling]
 
 --expect pins the universe names the fresh report must contain.  The
 section diff below only sees sections present in at least one file, so
@@ -24,19 +23,11 @@ universe the quick sweep is supposed to produce.
 
 --packed-full pins universal packing: the named sections of the fresh
 report must have packed_fraction == 1.0, i.e. every fault of that
-universe rode a 64-lane batch and zero fell back to the scalar
+universe rode a packed lane batch and zero fell back to the scalar
 per-fault path.  A lane-compatibility regression (a fault family
 silently dropping off the packed path) changes no op count and no
 coverage number, so only this fraction catches it.  packed_fraction is
 also diffed fresh-vs-baseline for every section, like ops/coverage.
-
---require-scaling pins the measured-scaling grid: the fresh report
-must contain a section whose universe starts with "scaling", covering
-every threads {1, 2, 4, 8} x lane width {64, 256} cell (config names
-"wW/tT"), with per-config steals / wide_faults / max_lanes telemetry
-present and max_lanes matching the config's lane width.  The timings
-themselves are machine-dependent and not checked — presence and
-completeness of the grid are.
 
 Exit status 0 when everything matches, 1 with a diff report otherwise,
 2 on malformed input.
@@ -84,15 +75,8 @@ def main():
         default=[],
         metavar="UNIVERSE",
         help="universe names whose fresh sections must report "
-        "packed_fraction == 1.0 (every fault on the 64-lane path, "
+        "packed_fraction == 1.0 (every fault on the packed path, "
         "zero scalar fallbacks)",
-    )
-    parser.add_argument(
-        "--require-scaling",
-        action="store_true",
-        help="fail unless the fresh report has a complete scaling "
-        "section (threads {1,2,4,8} x lane width {64,256} with "
-        "scheduler telemetry per config)",
     )
     args = parser.parse_args()
 
@@ -138,48 +122,6 @@ def main():
                     f"{fraction} != 1.0 (scalar fallbacks on a "
                     "universe that must pack fully)"
                 )
-
-    # Scaling-grid pin: the threads x lane-width sweep must be present
-    # and complete, with the scheduler telemetry the wide-SIMD PR
-    # promises per config.
-    if args.require_scaling:
-        scaling = [
-            s for s in fresh if str(s.get("universe", "")).startswith("scaling")
-        ]
-        if not scaling:
-            errors.append(
-                "--require-scaling: no 'scaling' section in fresh report"
-            )
-        for s in scaling:
-            configs = {c.get("name"): c for c in s.get("configs", [])}
-            for width in (64, 256):
-                for threads in (1, 2, 4, 8):
-                    name = f"w{width}/t{threads}"
-                    c = configs.get(name)
-                    if c is None:
-                        errors.append(
-                            f"scaling section {section_key(s)}: missing "
-                            f"grid cell '{name}'"
-                        )
-                        continue
-                    for field in ("steals", "wide_faults", "max_lanes"):
-                        if field not in c:
-                            errors.append(
-                                f"scaling config '{name}': missing "
-                                f"'{field}' telemetry"
-                            )
-                    if c.get("max_lanes") not in (width, 64):
-                        errors.append(
-                            f"scaling config '{name}': max_lanes "
-                            f"{c.get('max_lanes')} matches neither the "
-                            f"requested width {width} nor the narrow "
-                            "fallback 64"
-                        )
-                    if width == 64 and c.get("wide_faults", 0) != 0:
-                        errors.append(
-                            f"scaling config '{name}': wide_faults "
-                            f"{c.get('wide_faults')} != 0 at width 64"
-                        )
 
     fresh_sections = {section_key(s): s for s in fresh}
     baseline_sections = {section_key(s): s for s in baseline}

@@ -29,7 +29,7 @@ Two layers (DESIGN.md §12):
          std::countr_zero, ~0ULL, ...) in the packed fault-path files
          (packed_fault_ram.*, prt_packed.*, march_runner.*) outside
          src/mem/lane_word.hpp — those files are generic over the lane
-         word (64/256/512 lanes) and must use the width-generic
+         word (64/512 lanes) and must use the width-generic
          helpers, or the WideWord instantiations silently break.
 
 Exit status is non-zero when any layer reports a finding.
@@ -244,7 +244,7 @@ def lint_raw_lane_arith(rel_path: str, clean: str) -> list[str]:
             findings.append(
                 f"{rel_path}:{lineno}: raw uint64 lane arithmetic "
                 f"'{m.group(0).strip()}' in a packed fault-path file — this "
-                f"code is generic over the lane word (64/256/512 lanes); use "
+                f"code is generic over the lane word (64/512 lanes); use "
                 f"the width-generic helpers in mem/lane_word.hpp "
                 f"(lane_bit/lane_test/lane_broadcast/lane_popcount/"
                 f"for_each_set_lane) instead")

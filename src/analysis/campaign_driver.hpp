@@ -3,23 +3,23 @@
 //
 // CampaignEngine (PRT schemes) and MarchCampaign (March tests) used to
 // each own a copy of the same machinery: option plumbing, oracle /
-// transcript construction, a lazily spun-up worker pool, the
-// scalar-vs-lane-batched shard loop and the packed-enabled predicate.
-// This header collapses that shape into one core:
+// transcript construction, the scalar-vs-lane-batched shard loop and
+// the packed-enabled predicate.  This header collapses that shape into
+// one core:
 //
-//   CampaignDriver<Workload>  — options validation, the lazy pool, the
-//     sharded run() and the per-shard scalar/packed dispatch, written
-//     once over the campaign_shard.hpp loops;
+//   CampaignDriver<Workload>  — the sharded run() over the shared pool
+//     and the per-shard scalar/packed dispatch with its lane-width
+//     rule, written once over the campaign_shard.hpp loops;
 //   PrtWorkload / MarchWorkload — the only parts that differ: how the
 //     golden artifacts are fetched from the analysis::OracleCache, how
-//     one fault runs scalar, how one 64-lane batch runs packed, and
+//     one fault runs scalar, how one lane batch runs packed, and
 //     whether the workload is lane-packable at all.
 //
 // The public classes in campaign_engine.hpp / march_campaign.hpp are
 // thin facades over a driver instance; their results are bit-identical
 // to what the pre-unification engines produced (the parity suites in
 // tests/ pin this).  CampaignSuite (campaign_suite.hpp) drives the
-// same workloads shard-by-shard on its own flattened schedule.
+// same workloads batch-by-batch on its own flattened schedule.
 //
 // Header is internal to analysis/ (included by the campaign .cpp files
 // only); the public surfaces are campaign_engine.hpp,
@@ -65,15 +65,12 @@ struct DriverOptions {
   /// abort-aware scalar reference cost (packed lanes retire with
   /// analytic per-lane op accounting).
   bool early_abort = false;
-  /// Packed lane width: 64, 256, 512, or 0 for
-  /// mem::default_lane_width().  Per shard the driver dispatches the
-  /// widest word the shard's fault range can fill at least half of,
-  /// falling back to 64 otherwise; every width produces bit-identical
-  /// results (the instantiations share one templated replay), so this
-  /// knob moves only throughput and sched telemetry.  Validated by the
-  /// driver constructor.
-  unsigned lane_width = 0;
 };
+
+/// Fewest faults a shard range needs to run on the 512-lane word; a
+/// thinner range runs the 64-lane word, where a wide sweep would burn
+/// whole-word XORs on mostly empty lanes.
+inline constexpr std::size_t kWideMinFaults = 256;
 
 /// PRT-scheme workload: golden artifacts from OracleCache::prt, scalar
 /// runs over the transcript replay (GF(2)) or the live oracle path,
@@ -97,22 +94,19 @@ class PrtWorkload {
   }
 
   /// Per-shard mutable state: one rewindable FaultyRam and the packed
-  /// replay scratches (one per lane width the dispatch may pick; the
-  /// unused ones never allocate — PackedScratchT vectors grow on first
-  /// use), owned by exactly one worker at a time.
+  /// replay scratches (one per lane width; the unused one never
+  /// allocates — PackedScratchT vectors grow on first use), owned by
+  /// exactly one worker at a time.
   struct ShardState {
     explicit ShardState(const CampaignOptions& opt)
         : ram(opt.n, opt.m, opt.ports) {}
     mem::FaultyRam ram;
     core::PackedScratchT<mem::LaneWord> scratch64;
-    core::PackedScratchT<mem::WideWord<4>> scratch256;
     core::PackedScratchT<mem::WideWord<8>> scratch512;
     template <typename W>
     core::PackedScratchT<W>& scratch() {
       if constexpr (std::is_same_v<W, mem::WideWord<8>>) {
         return scratch512;
-      } else if constexpr (std::is_same_v<W, mem::WideWord<4>>) {
-        return scratch256;
       } else {
         return scratch64;
       }
@@ -254,26 +248,17 @@ class MarchWorkload {
   bool bit_oriented_;
 };
 
-/// The generic driver: validated options, lazy pool, sharded fan-out
-/// with the order-deterministic merge, per-shard scalar/packed
-/// dispatch.  Workload supplies the four campaign-type-specific hooks
-/// (ShardState, packable, run_fault, run_batch).
+/// The generic driver: fixed-batch fan-out over the shared pool with
+/// the order-deterministic merge, per-shard scalar/packed dispatch.
+/// Workload supplies the four campaign-type-specific hooks
+/// (ShardState, packable, run_fault, run_batch).  Holds no mutable
+/// state, so concurrent runs on one driver are independent.
 template <typename Workload>
 class CampaignDriver {
  public:
-  /// Throws std::invalid_argument when drv.lane_width is not one of
-  /// {0, 64, 256, 512} — before any worker or memory is constructed,
-  /// like validate_campaign_options.
   CampaignDriver(Workload workload, const CampaignOptions& opt,
                  const DriverOptions& drv)
-      : workload_(std::move(workload)), opt_(opt), drv_(drv) {
-    if (drv.lane_width != 0 && drv.lane_width != 64 &&
-        drv.lane_width != 256 && drv.lane_width != 512) {
-      throw std::invalid_argument(
-          "CampaignDriver: lane_width must be 0, 64, 256 or 512, got " +
-          std::to_string(drv.lane_width));
-    }
-  }
+      : workload_(std::move(workload)), opt_(opt), drv_(drv) {}
 
   CampaignDriver(const CampaignDriver&) = delete;
   CampaignDriver& operator=(const CampaignDriver&) = delete;
@@ -284,14 +269,6 @@ class CampaignDriver {
     return drv_.packed && workload_.packable();
   }
 
-  /// The lane width runs request: the explicit option, else
-  /// mem::default_lane_width().  Shards still fall back to 64 when
-  /// their fault range cannot fill half the wide lanes (run_shard).
-  [[nodiscard]] unsigned effective_lane_width() const {
-    return drv_.lane_width != 0 ? drv_.lane_width
-                                : mem::default_lane_width();
-  }
-
   /// Fills one shard over universe indices [begin, end).  Stateless
   /// across calls (fresh ShardState per shard), so any contiguous
   /// ascending partition merges — in shard order — to the same
@@ -299,35 +276,25 @@ class CampaignDriver {
   /// directly on their own schedules.  Polls `stop` per fault; returns
   /// false (discard `out`, it is partial) once a stop is observed.
   ///
-  /// Width dispatch: the widest requested lane word the range can fill
-  /// at least half of — a 512-lane sweep needs >= 256 faults in the
-  /// range, a 256-lane sweep >= 128 — else the 64-lane word (wide
-  /// words on a thin batch would burn whole-word XORs on mostly-empty
-  /// lanes).  The choice is per shard and verdict-neutral: all
-  /// instantiations share one templated replay, so `out` is
-  /// bit-identical whichever word runs.
+  /// Width rule: a range of at least kWideMinFaults faults runs the
+  /// 512-lane WideWord<8>, a thinner one the 64-lane LaneWord.  The
+  /// choice is verdict-neutral: both instantiations share one
+  /// templated replay, so `out` is bit-identical whichever word runs.
   bool run_shard(std::span<const mem::Fault> universe, std::size_t begin,
                  std::size_t end, CampaignResult& out,
                  const util::StopToken& stop = {}) const {
-    if (packed_enabled()) {
-      const std::size_t range = end - begin;
-      const unsigned width = effective_lane_width();
-      if (width >= 512 && range >= 256) {
-        return run_shard_impl<mem::WideWord<8>>(universe, begin, end, out,
-                                                stop);
-      }
-      if (width >= 256 && range >= 128) {
-        return run_shard_impl<mem::WideWord<4>>(universe, begin, end, out,
-                                                stop);
-      }
+    if (packed_enabled() && end - begin >= kWideMinFaults) {
+      return run_shard_impl<mem::WideWord<8>>(universe, begin, end, out,
+                                              stop);
     }
     return run_shard_impl<mem::LaneWord>(universe, begin, end, out, stop);
   }
 
   /// Simulates every fault of the universe; identical CampaignResult
-  /// regardless of thread count.  Not safe to call concurrently on one
-  /// driver (workers share its pool); distinct drivers are
-  /// independent.
+  /// regardless of thread count.  Concurrent calls share the
+  /// process-wide pool for the worker count, each waiting only for its
+  /// own batches.  Must not be called from a task already running on a
+  /// campaign pool: the nested wait could hold every worker.
   [[nodiscard]] CampaignResult run(
       std::span<const mem::Fault> universe) const {
     // A default token never stops, so the outcome is always complete
@@ -344,17 +311,8 @@ class CampaignDriver {
       const util::StopToken& stop) const {
     const unsigned workers =
         drv_.threads != 0 ? drv_.threads : util::default_worker_count();
-    // Steal-queue batch = 4 lane sweeps at the requested width: big
-    // enough that per-batch ShardState construction amortizes, small
-    // enough (vs universe/workers chunks) that idle workers find
-    // batches to steal — and every batch above the fallback threshold
-    // fills its wide lanes.  Boundaries depend only on universe size
-    // and this constant, so results stay bit-identical at any thread
-    // count.
-    const std::size_t batch =
-        static_cast<std::size_t>(effective_lane_width()) * 4;
     return run_sharded(
-        universe.size(), workers, drv_.parallel, batch, pool_,
+        universe.size(), workers, drv_.parallel,
         [&](std::size_t begin, std::size_t end, CampaignResult& out) {
           return run_shard(universe, begin, end, out, stop);
         },
@@ -389,9 +347,6 @@ class CampaignDriver {
   Workload workload_;
   CampaignOptions opt_;
   DriverOptions drv_;
-  /// Worker pool, spun up on the first parallel run() and reused —
-  /// repeated campaigns pay thread spawn/join once, not per call.
-  mutable std::unique_ptr<util::ThreadPool> pool_;
 };
 
 using PrtDriver = CampaignDriver<PrtWorkload>;
@@ -406,8 +361,7 @@ using MarchDriver = CampaignDriver<MarchWorkload>;
   return {.threads = engine.threads,
           .parallel = engine.parallel,
           .packed = engine.packed,
-          .early_abort = engine.early_abort,
-          .lane_width = engine.lane_width};
+          .early_abort = engine.early_abort};
 }
 
 [[nodiscard]] inline DriverOptions to_driver_options(
@@ -415,8 +369,7 @@ using MarchDriver = CampaignDriver<MarchWorkload>;
   return {.threads = engine.threads,
           .parallel = engine.parallel,
           .packed = engine.packed,
-          .early_abort = engine.early_abort,
-          .lane_width = engine.lane_width};
+          .early_abort = engine.early_abort};
 }
 
 [[nodiscard]] inline std::unique_ptr<PrtDriver> make_driver(

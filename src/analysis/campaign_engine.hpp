@@ -15,17 +15,19 @@
 //    OpTranscript — is fetched from the process-wide, thread-safe
 //    analysis::OracleCache, built exactly once per (scheme, n) and
 //    shared read-only by every fault, every worker and every engine;
-//  * the fault universe is sharded over a worker pool in contiguous
-//    index ranges and merged in shard order, so the output is
-//    bit-identical to the serial reference at any thread count;
+//  * the fault universe is cut into fixed 2048-fault batches that run
+//    on the process-wide worker pool for the thread count and merge in
+//    batch order, so the output is bit-identical to the serial
+//    reference at any thread count;
 //  * each worker owns one FaultyRam and rewinds it with reset(fault) —
 //    no allocation, no LFSR re-derivation in the per-fault loop;
 //  * for GF(2) bit-oriented campaigns every hot loop is a tight replay
 //    of the cached transcript: the scalar fallback runs
 //    core::run_prt_transcript (devirtualized FaultyRam) and
-//    lane-compatible faults are batched 64 per sweep onto a bit-packed
-//    mem::PackedFaultRam via run_prt_packed, with early abort
-//    composing through per-lane mismatch retirement.
+//    lane-compatible faults are batched 512 per sweep (64 on a shard
+//    thinner than 256 faults) onto a bit-packed mem::PackedFaultRamT
+//    via run_prt_packed, with early abort composing through per-lane
+//    mismatch retirement.
 //
 // See DESIGN.md §7/§8/§9/§10 and bench/bench_campaign.cpp.
 #pragma once
@@ -66,26 +68,17 @@ struct EngineOptions {
   /// Evaluate lane-compatible faults (single-bit SAF/TF/WDF, the
   /// read-logic kinds, the two-cell CFin/CFid/CFst/bridge kinds, the
   /// decoder kinds, static NPSF neighbourhoods and retention faults)
-  /// 64 per sweep on a bit-packed mem::PackedFaultRam
-  /// (core/prt_packed).  Applies whenever the campaign word width
-  /// equals the scheme's field degree — GF(2) bit-oriented and
-  /// GF(2^m) word-oriented schemes alike (the word path rides m bit
-  /// planes per cell).  Results stay bit-identical to the all-scalar
-  /// reference; the rare residue (e.g. degenerate CFst trigger
-  /// states, victim bits beyond the word width) falls back per fault.
+  /// 512 per sweep (64 on a shard thinner than 256 faults) on a
+  /// bit-packed mem::PackedFaultRamT (core/prt_packed).  Applies
+  /// whenever the campaign word width equals the scheme's field
+  /// degree — GF(2) bit-oriented and GF(2^m) word-oriented schemes
+  /// alike (the word path rides m bit planes per cell).  Results stay
+  /// bit-identical to the all-scalar reference; the rare residue (e.g.
+  /// degenerate CFst trigger states, victim bits beyond the word
+  /// width) falls back per fault.
   /// Ignored (everything scalar) when the scheme is not packable or
   /// use_oracle is off.
   bool packed = true;
-  /// Lane width of the packed sweeps: 64 (one std::uint64_t lane
-  /// word), 256 or 512 (SIMD-wide mem::WideWord lanes — profitable
-  /// when the build vectorizes them, see the PRT_SIMD CMake option),
-  /// or 0 to defer to mem::default_lane_width() (the PRT_LANES
-  /// environment override, else 256 on PRT_SIMD builds, else 64).
-  /// Per-batch the driver falls back to 64 whenever a batch cannot
-  /// fill at least half the wide lanes.  Verdicts, coverage, escapes
-  /// and op accounting are bit-identical at every width — only
-  /// throughput and the CampaignResult::sched telemetry change.
-  unsigned lane_width = 0;
 };
 
 class CampaignEngine {
@@ -106,9 +99,10 @@ class CampaignEngine {
 
   /// Simulates every fault of the universe.  Identical CampaignResult
   /// to run_campaign(universe, prt_algorithm(scheme), opt) regardless
-  /// of thread count.  Not safe to call concurrently on one engine
-  /// (workers share the engine's pool); distinct engines are
-  /// independent.
+  /// of thread count.  Campaigns with the same thread count share one
+  /// process-wide pool, and concurrent runs each wait only for their
+  /// own batches.  Must not be called from a task already running on a
+  /// campaign pool.
   [[nodiscard]] CampaignResult run(std::span<const mem::Fault> universe) const;
 
   /// Cancellable run: shard loops poll `stop` per fault, interrupted

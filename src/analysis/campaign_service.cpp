@@ -488,7 +488,6 @@ struct CampaignService::Impl {
   /// result (CampaignResult::packed_faults / scalar_faults).
   std::atomic<std::uint64_t> packed_faults{0};
   std::atomic<std::uint64_t> scalar_faults{0};
-  std::atomic<std::uint64_t> wide_faults{0};
   std::atomic<std::uint64_t> shard_retries{0};
   std::atomic<std::uint64_t> shard_stalls{0};
   std::atomic<std::uint64_t> checkpoint_writes{0};
@@ -666,7 +665,6 @@ struct CampaignService::Impl {
     out.result = merge_results(merged);
     packed_faults += out.result.packed_faults;
     scalar_faults += out.result.scalar_faults;
-    wide_faults += out.result.sched.wide_faults;
     switch (out.status) {
       case RequestStatus::kComplete:
         ++completed;
@@ -1051,7 +1049,6 @@ CampaignService::Stats CampaignService::stats() const {
   s.shard_stalls = impl_->shard_stalls.load();
   s.packed_faults = impl_->packed_faults.load();
   s.scalar_faults = impl_->scalar_faults.load();
-  s.wide_faults = impl_->wide_faults.load();
   s.checkpoint_writes = impl_->checkpoint_writes.load();
   s.checkpoint_failures = impl_->checkpoint_failures.load();
   s.checkpoint_salvaged = impl_->checkpoint_salvaged.load();

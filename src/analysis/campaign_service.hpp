@@ -226,12 +226,9 @@ class CampaignService {
     std::uint64_t shard_stalls = 0;
     /// Dispatch tallies rolled up over every resolved request: faults
     /// that rode a packed lane batch vs the scalar per-fault path
-    /// (CampaignResult::packed_faults / scalar_faults), plus the
-    /// packed subset that rode a wider-than-64 SIMD lane word
-    /// (CampaignResult::sched.wide_faults).
+    /// (CampaignResult::packed_faults / scalar_faults).
     std::uint64_t packed_faults = 0;
     std::uint64_t scalar_faults = 0;
-    std::uint64_t wide_faults = 0;
     std::uint64_t checkpoint_writes = 0;
     std::uint64_t checkpoint_failures = 0;
     /// Resume loads that had to salvage a torn/corrupt checkpoint.

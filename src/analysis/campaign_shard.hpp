@@ -1,9 +1,10 @@
 // Internal shard-loop scaffolding under the generic campaign driver
-// (campaign_driver.hpp): per-fault tallying, the 64-lane batching loop
-// with its escape re-sort, and the pool fan-out with the
-// order-deterministic merge.  Keeping every campaign type on one copy
-// of this machinery is what keeps their bit-identical-to-serial
-// guarantees in lockstep — fix it here, all paths get it.
+// (campaign_driver.hpp): per-fault tallying, the lane batching loop
+// with its escape re-sort, and the fixed-batch fan-out over the shared
+// pool with the order-deterministic merge.  Keeping every campaign
+// type on one copy of this machinery is what keeps their
+// bit-identical-to-serial guarantees in lockstep — fix it here, all
+// paths get it.
 //
 // Header is internal to analysis/ (included via campaign_driver.hpp
 // by the campaign .cpp files only); the public surfaces are
@@ -13,7 +14,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -59,15 +59,14 @@ bool scalar_shard(std::span<const mem::Fault> universe, std::size_t begin,
 }
 
 /// Lane-batched shard loop: compatible faults ride the packed ram
-/// kLanes at a time (64 for the LaneWord instantiation, 256/512 for
-/// the wide words), the rest run scalar in place.  run_batch(packed)
-/// runs one flushed batch and returns {detected lane word, ops to
-/// charge for the whole batch}; run_scalar(i) -> detected as above.
-/// Escapes are gathered out of order and sorted once — counts and op
-/// sums are order-independent, so the shard output is bit-identical to
-/// the all-scalar loop *and* to itself at any other lane width (the
-/// per-lane verdicts are width-invariant; only the sched telemetry
-/// records which width ran).  Polls `stop` per fault, same contract as
+/// kLanes at a time (64 for LaneWord, 512 for WideWord<8>), the rest
+/// run scalar in place.  run_batch(packed) runs one flushed batch and
+/// returns {detected lane word, ops to charge for the whole batch};
+/// run_scalar(i) -> detected as above.  Escapes are gathered out of
+/// order and sorted once — counts and op sums are order-independent,
+/// so the shard output is bit-identical to the all-scalar loop *and*
+/// to itself at the other lane width (the per-lane verdicts are
+/// width-invariant).  Polls `stop` per fault, same contract as
 /// scalar_shard (false = shard abandoned, discard `out`).
 template <typename W, typename RunBatch, typename RunScalar>
 bool lane_batched_shard(std::span<const mem::Fault> universe,
@@ -83,8 +82,6 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
     const auto [detected, ops] = run_batch(packed);
     out.ops += ops;
     out.packed_faults += lanes;
-    if constexpr (mem::is_wide_lane_word_v<W>) out.sched.wide_faults += lanes;
-    out.sched.max_lanes = std::max(out.sched.max_lanes, kLanes);
     for (unsigned lane = 0; lane < lanes; ++lane) {
       tally_fault(out, universe, batch_index[lane],
                   mem::lane_test(detected, lane));
@@ -106,29 +103,32 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
   return true;
 }
 
-/// Pool fan-out with the order-deterministic merge: splits
-/// [0, universe_size) into fixed-size batches of `batch_size` faults,
-/// fans them out over `pool` (created lazily, `workers` wide) with the
-/// work-stealing scheduler (util::ThreadPool::parallel_for_batches),
-/// and merges per-batch results in batch-index order.  Falls back to
-/// one inline shard when parallelism is off or pointless.
-/// run_shard(begin, end, out) -> bool fills one shard (false = the
-/// shard observed `stop` and abandoned; its partial output is
-/// discarded).  Shards that completed before the stop still count:
-/// their ranges ascend even when non-contiguous, so the partial merge
-/// is an exact tally over exactly the covered faults.
+/// Faults per scheduler batch: the unit the pool fan-outs steal and
+/// the shard results merge over.  Four 512-lane sweeps — big enough
+/// that per-batch ShardState construction amortizes, small enough that
+/// idle workers find batches to steal.  Batch boundaries depend only
+/// on the universe size and this constant, never on the worker count.
+inline constexpr std::size_t kSchedulerBatch = 2048;
+
+/// Fixed-batch fan-out with the order-deterministic merge: splits
+/// [0, universe_size) into kSchedulerBatch-fault batches, runs them on
+/// the process-wide `workers`-thread pool with the work-stealing
+/// scheduler (util::ThreadPool::parallel_for_batches), and merges
+/// per-batch results in batch-index order.  Runs one inline shard when
+/// parallelism is off or pointless.  run_shard(begin, end, out) -> bool
+/// fills one shard (false = the shard observed `stop` and abandoned;
+/// its partial output is discarded).  Shards that completed before the
+/// stop still count: their ranges ascend even when non-contiguous, so
+/// the partial merge is an exact tally over exactly the covered faults.
+/// A batch that throws, or a pool task that was lost, rethrows here —
+/// a run never reports kComplete with batches missing.
 ///
-/// Determinism: batch boundaries depend only on (universe_size,
-/// batch_size) — never on the worker count or who stole what — and
-/// the merge folds them in index order, so the merged CampaignResult
-/// is bit-identical at any thread count.  The scheduler's stolen-batch
-/// telemetry lands in result.sched (batches = completed batches,
-/// steals from the pool's counters), which equality ignores.
+/// Determinism: the merged CampaignResult is bit-identical at any
+/// thread count.  The scheduler's stolen-batch telemetry lands in
+/// result.sched, which equality ignores.
 template <typename RunShard>
 CampaignOutcome run_sharded(std::size_t universe_size, unsigned workers,
-                            bool parallel, std::size_t batch_size,
-                            std::unique_ptr<util::ThreadPool>& pool,
-                            RunShard&& run_shard,
+                            bool parallel, RunShard&& run_shard,
                             const util::StopToken& stop = {}) {
   CampaignOutcome out;
   if (!parallel || workers == 1 || universe_size < 2) {
@@ -140,21 +140,20 @@ CampaignOutcome run_sharded(std::size_t universe_size, unsigned workers,
       out.shards_done = 1;
     }
   } else {
-    if (!pool) pool = std::make_unique<util::ThreadPool>(workers);
-    if (batch_size == 0) batch_size = 1;
     const std::size_t nbatches =
-        (universe_size + batch_size - 1) / batch_size;
+        (universe_size + kSchedulerBatch - 1) / kSchedulerBatch;
     out.shards_total = nbatches;
     std::vector<CampaignResult> shards(nbatches);
     // Completion flags are unsigned char, not vector<bool>: each batch
     // writes only its own slot, which bit-packing would turn into a
     // data race on the shared byte.
     std::vector<unsigned char> done(nbatches, 0);
-    const util::StealCounters counters = pool->parallel_for_batches(
-        universe_size, batch_size,
-        [&](std::size_t batch, std::size_t begin, std::size_t end) {
-          done[batch] = run_shard(begin, end, shards[batch]) ? 1 : 0;
-        });
+    const util::StealCounters counters =
+        util::shared_pool(workers).parallel_for_batches(
+            universe_size, kSchedulerBatch,
+            [&](std::size_t batch, std::size_t begin, std::size_t end) {
+              done[batch] = run_shard(begin, end, shards[batch]) ? 1 : 0;
+            });
     std::vector<CampaignResult> completed;
     completed.reserve(nbatches);
     for (std::size_t s = 0; s < nbatches; ++s) {

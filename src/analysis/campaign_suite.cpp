@@ -52,9 +52,6 @@ struct CampaignSuite::Impl {
   std::optional<march::MarchTest> march_test;
   EngineOptions prt_engine;
   MarchEngineOptions march_engine;
-  /// The one pool every configuration's shards flatten onto; spun up
-  /// on the first parallel run() and reused across runs.
-  mutable std::unique_ptr<util::ThreadPool> pool;
 
   [[nodiscard]] unsigned threads() const {
     return march_test ? march_engine.threads : prt_engine.threads;
@@ -116,79 +113,56 @@ SuiteResult CampaignSuite::run(std::span<const CampaignOptions> configs,
   for (const CampaignOptions& opt : configs) validate_campaign_options(opt);
 
   const std::size_t count = configs.size();
-  std::vector<Prepared> prepared(count);
-  /// Per-configuration shard slots, merged in shard order — the same
-  /// contiguous-ascending-ranges merge the standalone engines use, so
-  /// each configuration's result is bit-identical to its standalone
-  /// run no matter how the flattened schedule interleaved the work.
-  std::vector<std::vector<CampaignResult>> shards(count);
-  /// Per-shard completion flags (unsigned char, not vector<bool>: each
-  /// task writes only its own slot, which bit-packing would turn into
-  /// a data race) plus a per-configuration "universe was generated"
-  /// flag — a stop can pre-empt a configuration before prepare().
-  std::vector<std::vector<unsigned char>> done(count);
-  std::vector<unsigned char> generated(count, 0);
-
   const unsigned workers = impl_->threads() != 0
                                ? impl_->threads()
                                : util::default_worker_count();
-  if (!impl_->parallel() || workers == 1) {
-    for (std::size_t c = 0; c < count; ++c) {
-      if (stop.stop_requested()) break;
-      prepared[c] = impl_->prepare(configs[c], c, universe);
-      generated[c] = 1;
-      shards[c].resize(1);
-      done[c].assign(1, 0);
-      done[c][0] = prepared[c].run_shard(prepared[c].universe, 0,
-                                         prepared[c].universe.size(),
-                                         shards[c][0], stop)
-                       ? 1
-                       : 0;
+  const bool parallel = impl_->parallel() && workers > 1;
+  // Calls fn(i) for every i in [0, total): inline, or one index per
+  // batch on the shared pool, rethrowing the first worker failure.
+  auto for_each_index = [&](std::size_t total, auto&& fn) {
+    if (!parallel) {
+      for (std::size_t i = 0; i < total; ++i) fn(i);
+      return;
     }
-  } else {
-    if (!impl_->pool) impl_->pool = std::make_unique<util::ThreadPool>(workers);
-    util::ThreadPool& pool = *impl_->pool;
-    // Worker exceptions (universe generator, scheme factory, malformed
-    // faults) are captured and rethrown on the caller after the whole
-    // schedule drained — same contract as ThreadPool::
-    // parallel_for_chunks.
-    util::ErrorCollector errors;
-    for (std::size_t c = 0; c < count; ++c) {
-      // One prepare task per configuration; each fans its own shard
-      // tasks out onto the same pool as soon as it is ready, so small
-      // configurations interleave with big ones instead of waiting
-      // for them.  The shard partition is util::for_each_chunk — the
-      // same contiguous-ascending splitter parallel_for_chunks uses,
-      // which the bit-identical shard-order merge relies on.
-      pool.submit([&, c] {
-        errors.guard([&] {
-          if (stop.stop_requested()) return;
-          prepared[c] = impl_->prepare(configs[c], c, universe);
-          generated[c] = 1;
-          const std::size_t total = prepared[c].universe.size();
-          if (total == 0) return;
-          const auto shard_count = std::min<std::size_t>(workers, total);
-          shards[c].resize(shard_count);
-          done[c].assign(shard_count, 0);
-          util::for_each_chunk(
-              total, workers,
-              [&, c](unsigned s, std::size_t begin, std::size_t end) {
-                pool.submit([&, c, s, begin, end] {
-                  errors.guard([&] {
-                    done[c][s] =
-                        prepared[c].run_shard(prepared[c].universe, begin,
-                                              end, shards[c][s], stop)
-                            ? 1
-                            : 0;
-                  });
-                });
-              });
-        });
-      });
-    }
-    pool.wait_idle();
-    errors.rethrow_if_any();
+    (void)util::shared_pool(workers).parallel_for_batches(
+        total, 1, [&](std::size_t i, std::size_t, std::size_t) { fn(i); });
+  };
+
+  // Fan-out 1: generate every universe and build every driver.  A
+  // configuration the stop pre-empts here reports 0 batches.
+  std::vector<Prepared> prepared(count);
+  std::vector<unsigned char> generated(count, 0);
+  for_each_index(count, [&](std::size_t c) {
+    if (stop.stop_requested()) return;
+    prepared[c] = impl_->prepare(configs[c], c, universe);
+    generated[c] = 1;
+  });
+
+  // Fan-out 2: every configuration's fixed kSchedulerBatch batches,
+  // flattened into one index space — small configurations interleave
+  // with big ones instead of waiting for them.  first[c] is the first
+  // flattened batch of configuration c.  Batch results merge per
+  // configuration in batch order, the same merge the standalone
+  // engines use, so each result is bit-identical to a standalone run.
+  std::vector<std::size_t> first(count + 1, 0);
+  for (std::size_t c = 0; c < count; ++c) {
+    const std::size_t faults = prepared[c].universe.size();
+    first[c + 1] = first[c] + (faults + detail::kSchedulerBatch - 1) /
+                                  detail::kSchedulerBatch;
   }
+  std::vector<CampaignResult> shards(first[count]);
+  // unsigned char, not vector<bool>: each batch writes only its own
+  // slot, which bit-packing would turn into a data race.
+  std::vector<unsigned char> done(first[count], 0);
+  for_each_index(first[count], [&](std::size_t b) {
+    const auto c = static_cast<std::size_t>(
+        std::upper_bound(first.begin(), first.end(), b) - first.begin() - 1);
+    const Prepared& p = prepared[c];
+    const std::size_t begin = (b - first[c]) * detail::kSchedulerBatch;
+    const std::size_t end =
+        std::min(begin + detail::kSchedulerBatch, p.universe.size());
+    done[b] = p.run_shard(p.universe, begin, end, shards[b], stop) ? 1 : 0;
+  });
 
   SuiteResult out;
   out.configs.reserve(count);
@@ -198,11 +172,11 @@ SuiteResult CampaignSuite::run(std::span<const CampaignOptions> configs,
     entry.options = configs[c];
     entry.workload = prepared[c].name;
     entry.faults = prepared[c].universe.size();
-    entry.shards_total = shards[c].size();
+    entry.shards_total = first[c + 1] - first[c];
     std::vector<CampaignResult> completed;
-    completed.reserve(shards[c].size());
-    for (std::size_t s = 0; s < shards[c].size(); ++s) {
-      if (done[c][s] != 0) completed.push_back(std::move(shards[c][s]));
+    completed.reserve(entry.shards_total);
+    for (std::size_t b = first[c]; b < first[c + 1]; ++b) {
+      if (done[b] != 0) completed.push_back(std::move(shards[b]));
     }
     entry.shards_done = completed.size();
     entry.result = merge_results(completed);

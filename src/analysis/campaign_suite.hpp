@@ -9,14 +9,14 @@
 //  * one workload (a PRT scheme *factory*, since schemes are sized per
 //    n, or one March test) plus a list of CampaignOptions and a
 //    universe *generator* called once per configuration;
-//  * every configuration's universe is generated, its golden
+//  * every configuration's universe is generated and its golden
 //    artifacts fetched from the shared analysis::OracleCache (so a
 //    port sweep at one n compiles its oracle once, and repeated
-//    sweeps recompile nothing), and its fault shards flattened with
-//    every other configuration's onto ONE worker pool — small
-//    configurations never serialize behind big ones and the pool is
-//    spawned once per suite, not once per point;
-//  * per-configuration shard results are merged in shard order, so
+//    sweeps recompile nothing) in one fan-out; a second fan-out runs
+//    every configuration's fixed fault batches, flattened into one
+//    index space on the process-wide pool for the thread count, so
+//    small configurations never serialize behind big ones;
+//  * per-configuration batch results are merged in batch order, so
 //    each configuration's CampaignResult is bit-identical to a
 //    standalone CampaignEngine / MarchCampaign run over the same
 //    universe, at any thread count (pinned by
@@ -68,11 +68,11 @@ struct SuiteConfigResult {
   std::size_t faults = 0;
   /// Bit-identical to a standalone engine run over the same universe.
   /// On a stopped run this is the exact tally over the configuration's
-  /// completed shards only (interrupted shards are discarded whole).
+  /// completed batches only (interrupted batches are discarded whole).
   CampaignResult result;
-  /// kComplete when every shard of this configuration finished; the
+  /// kComplete when every batch of this configuration finished; the
   /// stop cause otherwise.  A configuration the stop pre-empted before
-  /// its universe was even generated reports 0 shards.
+  /// its universe was even generated reports 0 batches.
   RunStatus status = RunStatus::kComplete;
   std::size_t shards_done = 0;
   std::size_t shards_total = 0;
@@ -103,7 +103,7 @@ class CampaignSuite {
  public:
   /// PRT suite: `factory` is invoked once per configuration to size
   /// the scheme.  Engine options apply to every configuration
-  /// (threads sizes the one shared pool).
+  /// (threads picks the shared pool).
   CampaignSuite(SchemeFactory factory, const EngineOptions& engine = {});
   /// March suite: one test drives every configuration.
   CampaignSuite(march::MarchTest test, const MarchEngineOptions& engine = {});
@@ -111,18 +111,21 @@ class CampaignSuite {
   CampaignSuite(const CampaignSuite&) = delete;
   CampaignSuite& operator=(const CampaignSuite&) = delete;
 
-  /// Runs every configuration's campaign, flattening (configuration x
-  /// shard) tasks onto one pool.  Throws std::invalid_argument on any
-  /// malformed configuration (validate_campaign_options, checked
-  /// up-front for every configuration before any work is scheduled).
-  /// Not safe to call concurrently on one suite; distinct suites are
-  /// independent.
+  /// Runs every configuration's campaign: one fan-out prepares every
+  /// configuration, a second runs every (configuration x batch) pair.
+  /// Throws std::invalid_argument on any malformed configuration
+  /// (validate_campaign_options, checked up-front for every
+  /// configuration before any work is scheduled); a failure on a
+  /// worker is rethrown here.  Same pool contract as
+  /// CampaignEngine::run: the pool is shared per thread count, and
+  /// run() must not be called from a task already running on a
+  /// campaign pool.
   [[nodiscard]] SuiteResult run(std::span<const CampaignOptions> configs,
                                 const UniverseGenerator& universe) const;
 
-  /// Cancellable suite run: every shard task polls `stop`, interrupted
-  /// shards are discarded whole, and each configuration's result is
-  /// the exact merge of its completed shards (statuses on the config
+  /// Cancellable suite run: every batch polls `stop`, interrupted
+  /// batches are discarded whole, and each configuration's result is
+  /// the exact merge of its completed batches (statuses on the config
   /// entries and the SuiteResult say what was cut short).  With a
   /// never-stopping token the result is bit-identical to run().
   [[nodiscard]] SuiteResult run(std::span<const CampaignOptions> configs,

@@ -1,6 +1,5 @@
 #include "analysis/fault_sim.hpp"
 
-#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -41,9 +40,6 @@ CampaignResult merge_results(std::span<const CampaignResult> shards) {
     merged.scalar_faults += shard.scalar_faults;
     merged.sched.batches += shard.sched.batches;
     merged.sched.steals += shard.sched.steals;
-    merged.sched.wide_faults += shard.sched.wide_faults;
-    merged.sched.max_lanes = std::max(merged.sched.max_lanes,
-                                      shard.sched.max_lanes);
     merged.escapes.insert(merged.escapes.end(), shard.escapes.begin(),
                           shard.escapes.end());
   }

@@ -34,12 +34,12 @@ struct ClassCoverage {
   bool operator==(const ClassCoverage&) const = default;
 };
 
-/// Scheduling/width telemetry of one campaign run — how the work was
+/// Scheduling telemetry of one campaign run — how the work was
 /// *executed*, never what it computed.  Unlike the dispatch tallies
 /// below, these fields depend on the partition, the thread count and
 /// timing (steals), so they are excluded from CampaignResult's
-/// equality: the parity suites compare whole results across widths and
-/// thread counts, and the guarantee is that everything *else* is
+/// equality: the parity suites compare whole results across thread
+/// counts, and the guarantee is that everything *else* is
 /// bit-identical.
 struct SchedTelemetry {
   /// Scheduler batches that completed (1 for an inline run).
@@ -47,13 +47,6 @@ struct SchedTelemetry {
   /// Batches executed by a worker outside its home range
   /// (util::StealCounters::steals); 0 for inline runs.
   std::uint64_t steals = 0;
-  /// Packed faults that rode a wider-than-64 lane word.  <=
-  /// packed_faults; 0 when wide dispatch never engaged (narrow build,
-  /// lane_width = 64, or every batch fell back).
-  std::uint64_t wide_faults = 0;
-  /// Widest lane word any batch of the run used (64 when packing never
-  /// went wide; 0 when nothing ran packed).
-  unsigned max_lanes = 0;
 };
 
 struct CampaignResult {
@@ -75,12 +68,12 @@ struct CampaignResult {
   /// of packing is that the split never changes the result.
   std::uint64_t packed_faults = 0;
   std::uint64_t scalar_faults = 0;
-  /// Execution telemetry (batches, steals, lane widths) — NOT part of
-  /// equality, see SchedTelemetry.
+  /// Execution telemetry (batches, steals) — NOT part of equality, see
+  /// SchedTelemetry.
   SchedTelemetry sched;
 
   /// Everything except `sched`: the fields the bit-identical-at-any-
-  /// thread-count-and-lane-width guarantee covers.
+  /// thread-count guarantee covers.
   bool operator==(const CampaignResult& o) const {
     return by_class == o.by_class && overall == o.overall &&
            escapes == o.escapes && ops == o.ops &&

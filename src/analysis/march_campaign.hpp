@@ -4,7 +4,7 @@
 // FaultyRam run per fault; this campaign is the fast path for March
 // coverage tables.  Since PR 5 it is a thin facade over the generic
 // analysis::CampaignDriver (campaign_driver.hpp) instantiated with the
-// March workload — the same driver, pool, shard loops and
+// March workload — the same driver, shared pool, shard loops and
 // order-deterministic merge CampaignEngine runs on:
 //
 //  * for bit-oriented (m = 1) campaigns the golden March run is
@@ -12,17 +12,18 @@
 //    core::OpTranscript, cached in the process-wide
 //    analysis::OracleCache and shared by every campaign over the same
 //    test; lane-compatible faults (decoder kinds included) are batched
-//    64 per sweep through the transcript march::run_march_packed, the
-//    remaining (retention, NPSF) faults run the scalar
-//    march::run_march_transcript (devirtualized FaultyRam), and the
-//    merged CampaignResult — coverage, per-class counts, escapes and
-//    op totals — is bit-identical to run_campaign(universe,
-//    march_algorithm(test), opt).  Early abort composes with packing:
+//    512 per sweep (64 on a shard thinner than 256 faults) through the
+//    transcript march::run_march_packed, the remaining (retention,
+//    NPSF) faults run the scalar march::run_march_transcript
+//    (devirtualized FaultyRam), and the merged CampaignResult —
+//    coverage, per-class counts, escapes and op totals — is
+//    bit-identical to run_campaign(universe, march_algorithm(test),
+//    opt).  Early abort composes with packing:
 //    lanes retire at their first mismatching read with analytic
 //    per-lane op accounting identical to the abort-aware scalar
 //    run_march reference;
 //  * word-oriented (m > 1) campaigns run entirely scalar over the
-//    standard data backgrounds, still sharded over the pool.
+//    standard data backgrounds, still batched over the pool.
 //
 // See DESIGN.md §8/§9/§10 and bench/bench_campaign.cpp's March
 // section.
@@ -49,9 +50,10 @@ struct MarchEngineOptions {
   /// Fan the universe out over the pool.  Off = one shard, inline on
   /// the calling thread.
   bool parallel = true;
-  /// Batch lane-compatible faults 64 per March sweep on a bit-packed
-  /// mem::PackedFaultRam when m = 1.  Results stay bit-identical to
-  /// the all-scalar reference.
+  /// Batch lane-compatible faults 512 per March sweep (64 on a shard
+  /// thinner than 256 faults) on a bit-packed mem::PackedFaultRamT
+  /// when m = 1.  Results stay bit-identical to the all-scalar
+  /// reference.
   bool packed = true;
   /// Stop each fault's run at its first mismatching read (and skip the
   /// remaining backgrounds after a failing run).  Verdicts, coverage
@@ -60,12 +62,6 @@ struct MarchEngineOptions {
   /// retire as their mismatch latches, with per-lane op accounting
   /// bit-identical to the scalar abort path (march/march_runner).
   bool early_abort = false;
-  /// Lane width of the packed sweeps: 64, 256, 512, or 0 to defer to
-  /// mem::default_lane_width().  Same contract as
-  /// EngineOptions::lane_width — per-batch 64-lane fallback when a
-  /// batch cannot fill half the wide lanes, bit-identical results at
-  /// every width.
-  unsigned lane_width = 0;
 };
 
 class MarchCampaign {
@@ -84,8 +80,9 @@ class MarchCampaign {
 
   /// Simulates every fault of the universe.  Identical CampaignResult
   /// to run_campaign(universe, march_algorithm(test), opt) regardless
-  /// of thread count.  Not safe to call concurrently on one campaign
-  /// (workers share its pool); distinct campaigns are independent.
+  /// of thread count.  Same pool contract as CampaignEngine::run: the
+  /// pool is shared per thread count, and run() must not be called
+  /// from a task already running on a campaign pool.
   [[nodiscard]] CampaignResult run(std::span<const mem::Fault> universe) const;
 
   /// Cancellable run: shard loops poll `stop` per fault, interrupted

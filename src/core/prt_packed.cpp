@@ -302,9 +302,6 @@ PackedVerdictT<W> run_prt_packed(mem::PackedFaultRamT<W>& ram,
 template PackedVerdictT<mem::LaneWord> run_prt_packed(
     mem::PackedFaultRamT<mem::LaneWord>&, const OpTranscript&,
     const PackedRunOptions&, PackedScratchT<mem::LaneWord>&);
-template PackedVerdictT<mem::WideWord<4>> run_prt_packed(
-    mem::PackedFaultRamT<mem::WideWord<4>>&, const OpTranscript&,
-    const PackedRunOptions&, PackedScratchT<mem::WideWord<4>>&);
 template PackedVerdictT<mem::WideWord<8>> run_prt_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const OpTranscript&,
     const PackedRunOptions&, PackedScratchT<mem::WideWord<8>>&);

@@ -19,8 +19,8 @@
 // returning the per-lane detected mask.
 //
 // The whole replay is generic over the lane word W
-// (mem/lane_word.hpp): the 64-lane std::uint64_t and the SIMD-width
-// WideWord<4>/WideWord<8> share one definition, and a lane's verdict
+// (mem/lane_word.hpp): the 64-lane std::uint64_t and the 512-lane
+// WideWord<8> share one definition, and a lane's verdict
 // is identical at every width — the hot loop is pure lane-wise
 // AND/OR/XOR, so widening the word only changes how many faults ride
 // one sweep.
@@ -126,9 +126,6 @@ template <typename W>
 extern template PackedVerdictT<mem::LaneWord> run_prt_packed(
     mem::PackedFaultRamT<mem::LaneWord>&, const OpTranscript&,
     const PackedRunOptions&, PackedScratchT<mem::LaneWord>&);
-extern template PackedVerdictT<mem::WideWord<4>> run_prt_packed(
-    mem::PackedFaultRamT<mem::WideWord<4>>&, const OpTranscript&,
-    const PackedRunOptions&, PackedScratchT<mem::WideWord<4>>&);
 extern template PackedVerdictT<mem::WideWord<8>> run_prt_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const OpTranscript&,
     const PackedRunOptions&, PackedScratchT<mem::WideWord<8>>&);

@@ -185,9 +185,6 @@ MarchPackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
 template MarchPackedVerdictT<mem::LaneWord> run_march_packed(
     mem::PackedFaultRamT<mem::LaneWord>&, const core::OpTranscript&,
     const MarchRunOptions&);
-template MarchPackedVerdictT<mem::WideWord<4>> run_march_packed(
-    mem::PackedFaultRamT<mem::WideWord<4>>&, const core::OpTranscript&,
-    const MarchRunOptions&);
 template MarchPackedVerdictT<mem::WideWord<8>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const core::OpTranscript&,
     const MarchRunOptions&);

@@ -124,9 +124,6 @@ template <typename W>
 extern template MarchPackedVerdictT<mem::LaneWord> run_march_packed(
     mem::PackedFaultRamT<mem::LaneWord>&, const core::OpTranscript&,
     const MarchRunOptions&);
-extern template MarchPackedVerdictT<mem::WideWord<4>> run_march_packed(
-    mem::PackedFaultRamT<mem::WideWord<4>>&, const core::OpTranscript&,
-    const MarchRunOptions&);
 extern template MarchPackedVerdictT<mem::WideWord<8>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const core::OpTranscript&,
     const MarchRunOptions&);

@@ -6,14 +6,15 @@
 // evaluate one fault per lane with plain bitwise ops.  Two families
 // model it:
 //
-//  * LaneWord (std::uint64_t) — the status-quo 64-lane word; every
-//    lane op is one ALU instruction;
+//  * LaneWord (std::uint64_t) — the 64-lane word; every lane op is
+//    one ALU instruction;
 //  * WideWord<K> (std::array<std::uint64_t, K>) — 64*K lanes.  All its
 //    operators are straight-line per-limb folds with no carries and no
-//    cross-limb flow, exactly the shape the autovectorizer lowers to
-//    one AVX2 (K = 4) or AVX-512 (K = 8) instruction per op when the
-//    build enables those ISAs (the PRT_SIMD CMake option adds -mavx2;
-//    plain builds still vectorize the folds at SSE2 width).
+//    cross-limb flow, the shape the autovectorizer lowers to full-width
+//    vector instructions.  The campaigns run WideWord<8> (512 lanes)
+//    on every shard of at least 256 faults and LaneWord on thinner
+//    ones (analysis/campaign_driver.hpp); on the plain build that pair
+//    measured fastest, so no ISA flag or width knob selects another.
 //
 // Everything that touches raw lane-word bit twiddling — single-lane
 // masks, broadcasts, popcounts, set-lane iteration — lives in the
@@ -33,13 +34,12 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <type_traits>
 
 namespace prt::mem {
 
-/// One bit per lane across the 64 packed memories — the narrow (and
-/// default) lane word.
+/// One bit per lane across the 64 packed memories — the narrow lane
+/// word.
 using LaneWord = std::uint64_t;
 
 /// 64*K lanes as K carry-less uint64 limbs.  Bitwise ops are per-limb
@@ -221,27 +221,6 @@ inline void for_each_set_lane(const WideWord<K>& m, Fn&& fn) {
       l &= l - 1;
     }
   }
-}
-
-/// Default lane width for campaign dispatch: the PRT_LANES environment
-/// override when set to 64, 256 or 512 (benches and CI pin it), else
-/// 256 when the build compiled the SIMD path in (the PRT_SIMD CMake
-/// option), else the status-quo 64.  Campaigns fall back to 64 per
-/// batch anyway when a batch cannot fill half the wide lanes
-/// (analysis/campaign_driver.hpp).
-[[nodiscard]] inline unsigned default_lane_width() {
-  if (const char* env = std::getenv("PRT_LANES")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && (v == 64 || v == 256 || v == 512)) {
-      return static_cast<unsigned>(v);
-    }
-  }
-#if defined(PRT_SIMD)
-  return 256;
-#else
-  return 64;
-#endif
 }
 
 }  // namespace prt::mem

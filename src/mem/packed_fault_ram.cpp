@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace prt::mem {
 
@@ -59,16 +60,19 @@ bool lane_compatible(const Fault& fault, unsigned width) {
 
 template <typename W>
 PackedFaultRamT<W>::PackedFaultRamT(Addr cells, unsigned width)
-    : size_(cells),
-      width_(width),
-      data_(static_cast<std::size_t>(cells) * width, W{}),
-      slot_of_site_(static_cast<std::size_t>(cells) * width, -1) {
+    : size_(cells), width_(width) {
   if (cells < 1) {
-    throw std::invalid_argument("PackedFaultRam: cells must be >= 1");
+    throw std::invalid_argument("PackedFaultRam: cells must be >= 1 (got " +
+                                std::to_string(cells) + ")");
   }
   if (width < 1 || width > kMaxWidth) {
-    throw std::invalid_argument("PackedFaultRam: width must be in [1, 32]");
+    throw std::invalid_argument(
+        "PackedFaultRam: width must be in [1, 32] (got " +
+        std::to_string(width) + ")");
   }
+  const std::size_t sites = static_cast<std::size_t>(cells) * width;
+  data_.assign(sites, W{});
+  slot_of_site_.assign(sites, -1);
   // A typical mixed batch touches a handful of sites per lane; the
   // wide instantiations cap the reserve so one batch ram stays a few
   // hundred KB and grows amortized past it instead.
@@ -553,7 +557,6 @@ void PackedFaultRamT<W>::apply_coupling(std::size_t site, const W& old,
 }
 
 template class PackedFaultRamT<LaneWord>;
-template class PackedFaultRamT<WideWord<4>>;
 template class PackedFaultRamT<WideWord<8>>;
 
 }  // namespace prt::mem

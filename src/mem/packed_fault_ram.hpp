@@ -48,9 +48,9 @@
 // scalar model's cascade machinery (a victim flip re-triggering other
 // faults) degenerates to a single direct effect per lane.
 //
-// Results are bit-identical per lane across every instantiation: the
-// campaign layer picks the width per batch (wide only when the batch
-// can fill at least half the lanes) without changing any verdict, op
+// Results are bit-identical per lane across both instantiations: the
+// campaign layer picks the width per shard (512 lanes when the shard
+// holds at least 256 faults, else 64) without changing any verdict, op
 // count or escape list (analysis/campaign_driver.hpp).
 #pragma once
 
@@ -84,8 +84,9 @@ class PackedFaultRamT {
   static constexpr unsigned kMaxWidth = 32;
 
   /// A packed array of `cells` `width`-bit cells, all lanes
-  /// zero-filled, no faults.  Throws std::invalid_argument when cells
-  /// < 1 or width is outside [1, 32].
+  /// zero-filled, no faults.  Throws std::invalid_argument naming the
+  /// value when cells < 1 or width is outside [1, 32], before any
+  /// storage is allocated.
   explicit PackedFaultRamT(Addr cells, unsigned width = 1);
 
   [[nodiscard]] Addr size() const { return size_; }
@@ -303,15 +304,14 @@ class PackedFaultRamT {
   std::uint64_t idle_ticks_ = 0;
 };
 
-/// The status-quo 64-lane instantiation — the name the whole campaign
-/// layer and test suite grew up on.
+/// The 64-lane instantiation — the name the test suite and the
+/// one-shot replay helpers use.
 using PackedFaultRam = PackedFaultRamT<LaneWord>;
 
 // The packed member definitions live in packed_fault_ram.cpp with
 // explicit instantiations for the supported lane words; only the
 // per-access hot path is inline here.
 extern template class PackedFaultRamT<LaneWord>;
-extern template class PackedFaultRamT<WideWord<4>>;
 extern template class PackedFaultRamT<WideWord<8>>;
 
 template <typename W>

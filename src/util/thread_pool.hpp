@@ -1,22 +1,26 @@
 // Small fixed-size worker pool for fan-out/fan-in workloads.
 //
-// The fault-simulation campaigns (analysis/campaign_engine) shard a
-// fault universe over a hardware-concurrency-sized pool and merge the
-// per-worker partial results in shard order, so parallel output is
+// The fault-simulation campaigns (analysis/campaign_engine) cut a
+// fault universe into fixed batches, run them on a pool and merge the
+// per-batch partial results in batch order, so parallel output is
 // bit-identical to the serial path.  The pool is deliberately minimal:
-// fixed worker count, a mutex-guarded task queue, and two blocking
-// fan-out helpers — `parallel_for_chunks` (N items as W contiguous
-// chunks, one per worker) and `parallel_for_batches` (N items as
-// fixed-size batches idle workers *steal* from each other's home
-// ranges, for workloads whose per-item cost varies enough that a
-// static split leaves cores idle).  Determinism is the caller's merge
-// discipline, not the schedule: both helpers hand out dense index
-// ranges, so folding per-index results in index order is bit-identical
-// at any worker count regardless of which worker ran what.
+// fixed worker count, a mutex-guarded task queue, raw submit() /
+// wait_idle(), and one blocking fan-out, `parallel_for_batches` (N
+// items as fixed-size batches idle workers *steal* from each other's
+// home ranges).  Determinism is the caller's merge discipline, not the
+// schedule: batches are dense index ranges, so folding per-batch
+// results in batch order is bit-identical at any worker count
+// regardless of which worker ran what.
+//
+// Campaigns do not own pools: shared_pool(workers) hands out one
+// process-wide pool per worker count, and every fan-out on it waits
+// for its own tasks only, so concurrent campaigns share one set of
+// threads.  A task running on a pool must not start a fan-out on the
+// same pool (the nested wait could hold every worker).
 //
 // Lock discipline is machine-checked: every shared field is
-// GUARDED_BY the pool mutex and CI's clang lane compiles this header
-// with -Wthread-safety -Werror (see util/annotations.hpp).
+// GUARDED_BY a mutex and CI's clang lane compiles this header with
+// -Wthread-safety -Werror (see util/annotations.hpp).
 #pragma once
 
 #include <algorithm>
@@ -26,6 +30,7 @@
 #include <cstdlib>
 #include <exception>
 #include <functional>
+#include <map>
 #include <memory>
 #include <queue>
 #include <thread>
@@ -36,43 +41,6 @@
 #include "util/fail_point.hpp"
 
 namespace prt::util {
-
-/// First-exception collector for task fan-outs: workers run their
-/// bodies through guard(), the submitting thread rethrows after the
-/// fan-out drains.  An exception escaping a worker thread would
-/// otherwise std::terminate the process.  Shared by
-/// ThreadPool::parallel_for_chunks and the campaign suite's flattened
-/// schedule (analysis/campaign_suite).
-class ErrorCollector {
- public:
-  /// Runs fn, capturing the first exception (in completion order).
-  template <typename Fn>
-  void guard(Fn&& fn) noexcept {
-    try {
-      fn();
-    } catch (...) {
-      MutexLock lock(mutex_);
-      if (!error_) error_ = std::current_exception();
-    }
-  }
-
-  /// Rethrows the captured exception, if any.  Safe to call while
-  /// guarded tasks may still be running, but only a call that
-  /// happens-after every guard() (e.g. after wait_idle()) is
-  /// guaranteed to observe their exceptions.
-  void rethrow_if_any() {
-    std::exception_ptr error;
-    {
-      MutexLock lock(mutex_);
-      error = error_;
-    }
-    if (error) std::rethrow_exception(error);
-  }
-
- private:
-  Mutex mutex_;
-  std::exception_ptr error_ PRT_GUARDED_BY(mutex_);
-};
 
 /// Splits [0, total) into `parts` contiguous ascending chunks — dense
 /// chunk indices, sizes differing by at most one — and calls
@@ -157,18 +125,15 @@ class ThreadPool {
   /// Enqueues a task.  Tasks must not themselves block on the pool.
   /// A task that throws does not kill the worker or wedge wait_idle():
   /// the first escaped exception is captured (take_unhandled_error())
-  /// and the worker keeps draining — structured fan-outs that need
-  /// their errors rethrown on the submitter wrap tasks in an
-  /// ErrorCollector instead (parallel_for_chunks does).
+  /// and the worker keeps draining.  parallel_for_batches routes its
+  /// tasks' failures to its caller instead.
   void submit(std::function<void()> task) PRT_EXCLUDES(mutex_) {
-    {
-      MutexLock lock(mutex_);
-      tasks_.push(std::move(task));
-    }
-    wake_.notify_one();
+    enqueue({std::move(task), nullptr});
   }
 
-  /// Blocks until every submitted task has finished.
+  /// Blocks until every queued task has finished — the raw-submit()
+  /// barrier.  Fan-outs never call it: on a shared pool it would also
+  /// wait for every other caller's tasks.
   void wait_idle() PRT_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     while (!tasks_.empty() || active_ != 0) idle_.wait(lock);
@@ -190,30 +155,6 @@ class ThreadPool {
       PRT_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     return std::exchange(unhandled_, nullptr);
-  }
-
-  /// Splits [0, total) into one contiguous chunk per worker and runs
-  /// `fn(chunk_index, begin, end)` on the pool, blocking until all
-  /// chunks are done.  Chunk `i` covers a contiguous, ascending index
-  /// range, and chunk indices are dense in [0, chunks), so callers can
-  /// merge per-chunk results deterministically regardless of which
-  /// worker ran them or in which order they finished.  If any chunk
-  /// throws, the first exception (in completion order) is rethrown on
-  /// the calling thread after every chunk has finished — an exception
-  /// escaping a worker thread would otherwise std::terminate the
-  /// process.
-  void parallel_for_chunks(
-      std::size_t total,
-      const std::function<void(unsigned, std::size_t, std::size_t)>& fn) {
-    ErrorCollector errors;
-    for_each_chunk(total, workers(),
-                   [&](unsigned i, std::size_t begin, std::size_t end) {
-                     submit([&fn, &errors, i, begin, end] {
-                       errors.guard([&] { fn(i, begin, end); });
-                     });
-                   });
-    wait_idle();
-    errors.rethrow_if_any();
   }
 
   /// Work-stealing fan-out: splits [0, total) into ceil(total /
@@ -239,8 +180,13 @@ class ThreadPool {
   /// index below the range end is returned to exactly one claimant and
   /// overshoot past the end claims nothing.  If a batch throws, its
   /// claimant abandons the rest of its draining (thieves still pick up
-  /// the unclaimed remainder) and the first exception is rethrown here
-  /// after the fan-out drains, like parallel_for_chunks.
+  /// the unclaimed remainder).
+  ///
+  /// The call waits for its own tasks only (a per-call latch, never
+  /// wait_idle()), so several callers may fan out over one pool at
+  /// once.  The first failure — a batch that threw, or a task the
+  /// worker lost before running it — is rethrown here once every task
+  /// of the call has finished or been lost.
   ///
   /// Returns the executed/stolen batch counters (telemetry only;
   /// meaningless when an exception was rethrown).  batch_size is
@@ -268,47 +214,88 @@ class ThreadPool {
                    });
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> stolen{0};
-    ErrorCollector errors;
     auto run_batch = [&](std::size_t b) {
       const std::size_t begin = b * batch_size;
       const std::size_t end = std::min(begin + batch_size, total);
       fn(b, begin, end);
       executed.fetch_add(1, std::memory_order_relaxed);
     };
+    FanOut fan_out(ntasks);
     for (std::size_t t = 0; t < ntasks; ++t) {
-      submit([&, t] {
-        errors.guard([&] {
-          // Drain the home range, then sweep the other ranges in ring
-          // order starting past our own (spreads thieves across
-          // victims instead of mobbing range 0).
-          for (std::size_t b;
-               (b = cursor[t].next.fetch_add(1, std::memory_order_relaxed)) <
-               home_end[t];) {
-            run_batch(b);
-          }
-          for (std::size_t v = t + 1; v < t + ntasks; ++v) {
-            const std::size_t victim = v % ntasks;
-            for (std::size_t b;
-                 (b = cursor[victim].next.fetch_add(
-                      1, std::memory_order_relaxed)) < home_end[victim];) {
-              run_batch(b);
-              stolen.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        });
-      });
+      enqueue({[&, t] {
+                 // Drain the home range, then sweep the other ranges in
+                 // ring order starting past our own (spreads thieves
+                 // across victims instead of mobbing range 0).
+                 for (std::size_t b; (b = cursor[t].next.fetch_add(
+                                          1, std::memory_order_relaxed)) <
+                                     home_end[t];) {
+                   run_batch(b);
+                 }
+                 for (std::size_t v = t + 1; v < t + ntasks; ++v) {
+                   const std::size_t victim = v % ntasks;
+                   for (std::size_t b;
+                        (b = cursor[victim].next.fetch_add(
+                             1, std::memory_order_relaxed)) <
+                        home_end[victim];) {
+                     run_batch(b);
+                     stolen.fetch_add(1, std::memory_order_relaxed);
+                   }
+                 }
+               },
+               &fan_out});
     }
-    wait_idle();
-    errors.rethrow_if_any();
+    fan_out.wait_and_rethrow();
     counters.batches = executed.load(std::memory_order_relaxed);
     counters.steals = stolen.load(std::memory_order_relaxed);
     return counters;
   }
 
  private:
+  /// Completion latch of one parallel_for_batches call: counts the
+  /// call's outstanding tasks and keeps the first failure for the
+  /// caller to rethrow.
+  class FanOut {
+   public:
+    explicit FanOut(std::size_t tasks) : pending_(tasks) {}
+
+    void finish(std::exception_ptr error) PRT_EXCLUDES(mutex_) {
+      MutexLock lock(mutex_);
+      if (error && !error_) error_ = std::move(error);
+      // Notify under the lock: the caller destroys the latch as soon
+      // as it observes pending_ == 0.
+      if (--pending_ == 0) done_.notify_all();
+    }
+
+    void wait_and_rethrow() PRT_EXCLUDES(mutex_) {
+      MutexLock lock(mutex_);
+      while (pending_ != 0) done_.wait(lock);
+      if (error_) std::rethrow_exception(error_);
+    }
+
+   private:
+    Mutex mutex_;
+    CondVar done_;
+    std::size_t pending_ PRT_GUARDED_BY(mutex_);
+    std::exception_ptr error_ PRT_GUARDED_BY(mutex_);
+  };
+
+  /// A queued task; `fan_out` is null for raw submit() tasks.
+  struct Task {
+    std::function<void()> fn;
+    FanOut* fan_out = nullptr;
+  };
+
+  void enqueue(Task task) PRT_EXCLUDES(mutex_) {
+    {
+      MutexLock lock(mutex_);
+      tasks_.push(std::move(task));
+    }
+    wake_.notify_one();
+  }
+
   void worker_loop() PRT_EXCLUDES(mutex_) {
     for (;;) {
-      std::function<void()> task;
+      Task task;
       {
         MutexLock lock(mutex_);
         while (!stopping_ && tasks_.empty()) wake_.wait(lock);
@@ -318,19 +305,22 @@ class ThreadPool {
         ++active_;
       }
       // A throwing task must neither std::terminate the worker nor
-      // skip the active_ decrement (which would deadlock wait_idle()
-      // and the destructor with tasks still queued).  The "fail point"
-      // hook lets tests inject exactly that throw into an otherwise
-      // well-behaved task stream.
+      // skip the bookkeeping below (which would deadlock wait_idle(),
+      // a fan-out's latch and the destructor).  The "fail point" hook
+      // lets tests lose a task before it runs.
+      std::exception_ptr error;
       try {
         FailPoint::hit("thread_pool.task");
-        task();
+        task.fn();
       } catch (...) {
-        MutexLock lock(mutex_);
-        if (!unhandled_) unhandled_ = std::current_exception();
+        error = std::current_exception();
+      }
+      if (task.fan_out != nullptr) {
+        task.fan_out->finish(std::exchange(error, nullptr));
       }
       {
         MutexLock lock(mutex_);
+        if (error && !unhandled_) unhandled_ = std::move(error);
         --active_;
       }
       idle_.notify_all();
@@ -341,10 +331,33 @@ class ThreadPool {
   Mutex mutex_;
   CondVar wake_;
   CondVar idle_;
-  std::queue<std::function<void()>> tasks_ PRT_GUARDED_BY(mutex_);
+  std::queue<Task> tasks_ PRT_GUARDED_BY(mutex_);
   std::size_t active_ PRT_GUARDED_BY(mutex_) = 0;
   bool stopping_ PRT_GUARDED_BY(mutex_) = false;
   std::exception_ptr unhandled_ PRT_GUARDED_BY(mutex_);
 };
+
+/// The process-wide pool of `workers` threads (0 = default_worker_count()),
+/// created on first use and kept until exit.  Every campaign fan-out
+/// with the same worker count runs on the same threads instead of
+/// spawning a pool per engine, so concurrent campaigns share them.
+[[nodiscard]] inline ThreadPool& shared_pool(unsigned workers) {
+  class Registry {
+   public:
+    ThreadPool& get(unsigned n) PRT_EXCLUDES(mutex_) {
+      MutexLock lock(mutex_);
+      std::unique_ptr<ThreadPool>& pool = pools_[n];
+      if (!pool) pool = std::make_unique<ThreadPool>(n);
+      return *pool;
+    }
+
+   private:
+    Mutex mutex_;
+    std::map<unsigned, std::unique_ptr<ThreadPool>> pools_
+        PRT_GUARDED_BY(mutex_);
+  };
+  static Registry registry;
+  return registry.get(workers != 0 ? workers : default_worker_count());
+}
 
 }  // namespace prt::util

@@ -1,19 +1,24 @@
 // Tests for the oracle-backed, parallel campaign engine
 // (analysis/campaign_engine): the parallel path must be bit-identical
-// to the serial reference, and early-abort must change costs only,
-// never verdicts.
+// to the serial reference, early-abort must change costs only, never
+// verdicts, and campaigns sharing the process-wide pool must neither
+// disturb each other nor report a lost pool task as a complete run.
 #include "analysis/campaign_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "analysis/campaign_suite.hpp"
+#include "analysis/march_campaign.hpp"
 #include "core/prt_engine.hpp"
+#include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
+#include "util/fail_point.hpp"
 #include "util/thread_pool.hpp"
 
 namespace prt::analysis {
@@ -66,8 +71,8 @@ TEST(CampaignEngine, ReusedEngineGivesIdenticalResultsAcrossRuns) {
   opt.n = n;
   EngineOptions eng;
   eng.threads = 2;
-  // One engine, several runs: the lazily created worker pool and the
-  // oracle are reused, and every run must match the first bit-for-bit.
+  // One engine, several runs: the shared worker pool and the oracle
+  // are reused, and every run must match the first bit-for-bit.
   const CampaignEngine engine(core::standard_scheme_bom(n), opt, eng);
   const CampaignResult first = engine.run(universe);
   for (int round = 0; round < 3; ++round) {
@@ -213,39 +218,6 @@ TEST(CampaignEngine, MalformedUniverseThrowsOnEveryPath) {
   }
 }
 
-TEST(ThreadPool, ParallelForChunksRethrowsWorkerExceptions) {
-  util::ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.parallel_for_chunks(
-          100,
-          [](unsigned, std::size_t begin, std::size_t) {
-            if (begin > 0) throw std::runtime_error("boom");
-          }),
-      std::runtime_error);
-  // The pool stays usable after a throwing batch.
-  std::vector<std::atomic<int>> hits(10);
-  pool.parallel_for_chunks(hits.size(),
-                           [&](unsigned, std::size_t begin, std::size_t end) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               ++hits[i];
-                             }
-                           });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ChunksCoverEveryIndexExactlyOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.workers(), 4u);
-  std::vector<std::atomic<int>> hits(101);
-  pool.parallel_for_chunks(hits.size(),
-                           [&](unsigned, std::size_t begin, std::size_t end) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               ++hits[i];
-                             }
-                           });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, SubmitAndWaitIdleRunsEverything) {
   util::ThreadPool pool(2);
   std::atomic<int> sum{0};
@@ -270,6 +242,121 @@ TEST(ThreadPool, PrtThreadsEnvOverridesDefaultWorkerCount) {
   EXPECT_GE(util::default_worker_count(), 1u);
   ASSERT_EQ(unsetenv("PRT_THREADS"), 0);
   EXPECT_GE(util::default_worker_count(), 1u);
+}
+
+// --- the shared pool ------------------------------------------------------
+
+std::vector<mem::Fault> classical_for(const CampaignOptions& opt,
+                                      std::size_t /*index*/) {
+  return mem::classical_universe(opt.n);
+}
+
+CampaignSuite make_suite(const EngineOptions& eng) {
+  return CampaignSuite(
+      [](const CampaignOptions& opt) {
+        return core::extended_scheme_bom(opt.n);
+      },
+      eng);
+}
+
+// Three callers loop an engine, a March campaign and a suite at once,
+// all with the same worker count and therefore on the same pool
+// threads.  Each fan-out waits only for its own batches, so every
+// result must equal its serial reference.  The engine universe spans
+// two 2048-fault batches on the 512-lane word plus a 100-fault tail on
+// the 64-lane word.
+TEST(SharedPool, ConcurrentCampaignsMatchSerialReferences) {
+  const mem::Addr n = 512;
+  auto universe = mem::classical_universe(n);
+  ASSERT_GT(universe.size(), 2u * 2048u + 100u);
+  universe.resize(2 * 2048 + 100);
+  const CampaignOptions opt{.n = n};
+  const std::vector<CampaignOptions> grid = {{.n = 300}, {.n = 48}};
+  const auto scheme = core::extended_scheme_bom(n);
+  const auto test = march::march_c_minus();
+
+  EngineOptions serial;
+  serial.parallel = false;
+  const CampaignResult prt_ref =
+      run_prt_campaign(universe, scheme, opt, serial);
+  const CampaignResult march_ref = run_march_campaign(
+      universe, test, opt, MarchEngineOptions{.parallel = false});
+  const SuiteResult suite_ref = make_suite(serial).run(grid, classical_for);
+
+  EngineOptions eng;
+  eng.threads = 4;
+  const CampaignEngine engine(scheme, opt, eng);
+  const MarchCampaign march(test, opt, MarchEngineOptions{.threads = 4});
+  const CampaignSuite suite = make_suite(eng);
+  constexpr int kRounds = 4;
+  std::atomic<int> mismatches{0};
+  auto loop = [&](auto&& run_once) {
+    return std::thread([&, run_once] {
+      for (int round = 0; round < kRounds; ++round) {
+        if (!run_once()) ++mismatches;
+      }
+    });
+  };
+  std::vector<std::thread> callers;
+  callers.push_back(loop([&] { return engine.run(universe) == prt_ref; }));
+  callers.push_back(loop([&] { return march.run(universe) == march_ref; }));
+  callers.push_back(loop([&] {
+    const SuiteResult got = suite.run(grid, classical_for);
+    if (got.configs.size() != suite_ref.configs.size()) return false;
+    for (std::size_t c = 0; c < got.configs.size(); ++c) {
+      if (!(got.configs[c].result == suite_ref.configs[c].result)) {
+        return false;
+      }
+    }
+    return true;
+  }));
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// A pool task lost before it ran (the fail point throws in its place)
+// used to leave its batches missing while the run reported kComplete.
+// Each fan-out now rethrows the loss; the next run is clean.
+TEST(SharedPool, LostTaskRethrowsAndCleanRerunCompletes) {
+  const mem::Addr n = 16;
+  const auto universe = mem::classical_universe(n);
+  const CampaignOptions opt{.n = n};
+  EngineOptions eng;
+  eng.threads = 2;
+  const CampaignEngine engine(core::extended_scheme_bom(n), opt, eng);
+  const MarchCampaign march(march::march_c_minus(), opt,
+                            MarchEngineOptions{.threads = 2});
+  const CampaignSuite suite = make_suite(eng);
+  const std::vector<CampaignOptions> grid = {{.n = 16}, {.n = 24}};
+  auto lose_one_task = [] {
+    util::FailPoint::arm("thread_pool.task", {.fires = 1});
+  };
+  util::FailPointScope scope;
+
+  lose_one_task();
+  EXPECT_THROW((void)engine.run(universe, util::StopToken()),
+               util::FailPointError);
+  const CampaignOutcome prt = engine.run(universe, util::StopToken());
+  EXPECT_EQ(prt.status, RunStatus::kComplete);
+  EXPECT_EQ(prt.shards_done, prt.shards_total);
+  EXPECT_EQ(prt.result.overall.total, universe.size());
+
+  lose_one_task();
+  EXPECT_THROW((void)march.run(universe, util::StopToken()),
+               util::FailPointError);
+  const CampaignOutcome mar = march.run(universe, util::StopToken());
+  EXPECT_EQ(mar.status, RunStatus::kComplete);
+  EXPECT_EQ(mar.shards_done, mar.shards_total);
+  EXPECT_EQ(mar.result.overall.total, universe.size());
+
+  lose_one_task();
+  EXPECT_THROW((void)suite.run(grid, classical_for), util::FailPointError);
+  const SuiteResult sui = suite.run(grid, classical_for);
+  EXPECT_EQ(sui.status, RunStatus::kComplete);
+  for (const SuiteConfigResult& entry : sui.configs) {
+    EXPECT_EQ(entry.shards_done, entry.shards_total);
+    EXPECT_EQ(entry.result.overall.total, entry.faults);
+  }
 }
 
 }  // namespace

@@ -6,17 +6,15 @@
 // test/assign round trips, popcount, low masks, ascending set-lane
 // iteration), the WideWord limb layout (lane L = limb L/64, bit L%64,
 // limb 0 bit-compatible with the uint64 word), the width-generic
-// PackedVerdictT accessors, and — the tentpole property — that a
-// WideWord<K> PRT replay is lane-for-lane identical to K independent
-// 64-lane replays over the same faults, full-run and early-abort.
+// PackedVerdictT accessors, and — the load-bearing property — that a
+// WideWord<8> PRT replay is lane-for-lane identical to 64-lane replays
+// over the same faults, full-run and early-abort.
 #include "mem/lane_word.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "core/op_transcript.hpp"
@@ -31,8 +29,8 @@ namespace {
 template <typename W>
 class LaneWordTyped : public ::testing::Test {};
 
-using LaneWidths =
-    ::testing::Types<mem::LaneWord, mem::WideWord<4>, mem::WideWord<8>>;
+using Wide = mem::WideWord<8>;
+using LaneWidths = ::testing::Types<mem::LaneWord, Wide>;
 TYPED_TEST_SUITE(LaneWordTyped, LaneWidths);
 
 /// Deterministic per-lane bit pattern, width-independent: lane L of
@@ -163,71 +161,24 @@ TYPED_TEST(LaneWordTyped, ForEachSetLaneVisitsSetLanesAscending) {
 // lane-indexed side structure (fault metadata, batch maps) assumes.
 TEST(LaneWord, WideLimbLayoutMatchesUint64LowLanes) {
   for (const unsigned lane : {0u, 1u, 5u, 63u}) {
-    EXPECT_EQ(mem::lane_bit<mem::WideWord<4>>(lane).limb[0],
-              mem::lane_bit<mem::LaneWord>(lane));
-    EXPECT_EQ(mem::lane_bit<mem::WideWord<8>>(lane).limb[0],
+    EXPECT_EQ(mem::lane_bit<Wide>(lane).limb[0],
               mem::lane_bit<mem::LaneWord>(lane));
   }
-  for (const unsigned lane : {64u, 100u, 191u, 255u}) {
-    const mem::WideWord<4> bit = mem::lane_bit<mem::WideWord<4>>(lane);
-    for (unsigned k = 0; k < 4; ++k) {
+  for (const unsigned lane : {64u, 100u, 191u, 255u, 256u, 511u}) {
+    const Wide bit = mem::lane_bit<Wide>(lane);
+    for (unsigned k = 0; k < 8; ++k) {
       EXPECT_EQ(bit.limb[k],
                 k == lane / 64 ? std::uint64_t{1} << (lane % 64) : 0u)
           << "lane " << lane << " limb " << k;
     }
   }
   EXPECT_EQ(mem::LaneTraits<mem::LaneWord>::kLanes, 64u);
-  EXPECT_EQ(mem::LaneTraits<mem::WideWord<4>>::kLanes, 256u);
-  EXPECT_EQ(mem::LaneTraits<mem::WideWord<8>>::kLanes, 512u);
+  EXPECT_EQ(mem::LaneTraits<Wide>::kLanes, 512u);
   static_assert(!mem::is_wide_lane_word_v<mem::LaneWord>);
-  static_assert(mem::is_wide_lane_word_v<mem::WideWord<4>>);
+  static_assert(mem::is_wide_lane_word_v<Wide>);
 }
 
-/// RAII save/restore of one environment variable around a test body.
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) saved_ = v;
-  }
-  ~ScopedEnv() {
-    if (saved_.empty()) {
-      ::unsetenv(name_);
-    } else {
-      ::setenv(name_, saved_.c_str(), 1);
-    }
-  }
-  void set(const char* value) { ::setenv(name_, value, 1); }
-  void unset() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-  std::string saved_;
-};
-
-TEST(LaneWord, DefaultLaneWidthHonoursEnvOverride) {
-  ScopedEnv env("PRT_LANES");
-  env.set("512");
-  EXPECT_EQ(mem::default_lane_width(), 512u);
-  env.set("256");
-  EXPECT_EQ(mem::default_lane_width(), 256u);
-  env.set("64");
-  EXPECT_EQ(mem::default_lane_width(), 64u);
-#if defined(PRT_SIMD)
-  constexpr unsigned kCompiledDefault = 256;
-#else
-  constexpr unsigned kCompiledDefault = 64;
-#endif
-  // Widths the dispatch layer has no instantiation for, and garbage,
-  // fall back to the compiled default rather than half-applying.
-  env.set("128");
-  EXPECT_EQ(mem::default_lane_width(), kCompiledDefault);
-  env.set("potato");
-  EXPECT_EQ(mem::default_lane_width(), kCompiledDefault);
-  env.unset();
-  EXPECT_EQ(mem::default_lane_width(), kCompiledDefault);
-}
-
-// --- width-generic PackedVerdictT accessors (satellite) -----------------
+// --- width-generic PackedVerdictT accessors --------------------------------
 
 TYPED_TEST(LaneWordTyped, PackedVerdictAccessorsAreWidthGeneric) {
   using W = TypeParam;
@@ -247,7 +198,7 @@ TYPED_TEST(LaneWordTyped, PackedVerdictAccessorsAreWidthGeneric) {
   EXPECT_FALSE(verdict.lane_detected(3));
 }
 
-// --- wide replay parity (tentpole) --------------------------------------
+// --- wide replay parity ---------------------------------------------------
 
 /// > 64 lane-compatible faults: the full single-cell kind mix plus the
 /// coupling pairs, enough to occupy several 64-lane groups.
@@ -261,13 +212,12 @@ std::vector<mem::Fault> multi_group_universe(mem::Addr n) {
   return u;
 }
 
-/// One WideWord<K> replay over `universe` must reproduce, lane for
+/// One WideWord<8> replay over `universe` must reproduce, lane for
 /// lane, the verdicts of ceil(|universe| / 64) independent 64-lane
 /// replays over the same faults in the same order (each 64-lane group
 /// is pinned to the scalar oracle by the RunPrtPacked suite, so this
 /// transitively anchors the wide word to the scalar reference), and
 /// the scalar-equivalent op accounting must agree group by group.
-template <unsigned K>
 void check_wide_replay_parity(bool early_abort) {
   const mem::Addr n = 16;
   const core::PrtScheme scheme = core::extended_scheme_bom(n);
@@ -275,11 +225,11 @@ void check_wide_replay_parity(bool early_abort) {
   const core::OpTranscript transcript = core::make_op_transcript(scheme, oracle);
   const std::vector<mem::Fault> universe = multi_group_universe(n);
   ASSERT_GT(universe.size(), 64u);
-  ASSERT_LE(universe.size(), mem::PackedFaultRamT<mem::WideWord<K>>::kLanes);
+  ASSERT_LE(universe.size(), mem::PackedFaultRamT<Wide>::kLanes);
 
-  mem::PackedFaultRamT<mem::WideWord<K>> wide(n);
+  mem::PackedFaultRamT<Wide> wide(n);
   for (const mem::Fault& f : universe) wide.add_fault(f);
-  core::PackedScratchT<mem::WideWord<K>> wide_scratch;
+  core::PackedScratchT<Wide> wide_scratch;
   const core::PackedRunOptions opt{.early_abort = early_abort};
   const auto wide_verdict = core::run_prt_packed(wide, transcript, opt,
                                                  wide_scratch);
@@ -296,26 +246,23 @@ void check_wide_replay_parity(bool early_abort) {
     for (unsigned lane = 0; lane < count; ++lane) {
       EXPECT_EQ(wide_verdict.lane_detected(static_cast<unsigned>(base) + lane),
                 narrow_verdict.lane_detected(lane))
-          << "K=" << K << " early_abort=" << early_abort << " fault "
+          << "early_abort=" << early_abort << " fault "
           << (base + lane) << " (" << universe[base + lane].describe() << ")";
     }
   }
   const auto active = wide_verdict.detected & wide.active_mask();
   EXPECT_EQ(mem::lane_popcount(active),
-            core::PackedVerdictT<mem::WideWord<K>>{.detected = active}
-                .detected_count());
+            core::PackedVerdictT<Wide>{.detected = active}.detected_count());
   EXPECT_EQ(wide_verdict.scalar_ops, narrow_scalar_ops)
-      << "K=" << K << " early_abort=" << early_abort;
+      << "early_abort=" << early_abort;
 }
 
 TEST(LaneWord, WideReplayMatchesNarrowGroupsFullRun) {
-  check_wide_replay_parity<4>(/*early_abort=*/false);
-  check_wide_replay_parity<8>(/*early_abort=*/false);
+  check_wide_replay_parity(/*early_abort=*/false);
 }
 
 TEST(LaneWord, WideReplayMatchesNarrowGroupsEarlyAbort) {
-  check_wide_replay_parity<4>(/*early_abort=*/true);
-  check_wide_replay_parity<8>(/*early_abort=*/true);
+  check_wide_replay_parity(/*early_abort=*/true);
 }
 
 }  // namespace

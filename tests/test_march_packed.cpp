@@ -291,23 +291,23 @@ TEST(MarchCampaign, WomCampaignFallsBackToScalar) {
 
 // --- lane-width parity ---------------------------------------------------
 
-// One WideWord<4> March sweep reproduces, lane for lane, the verdicts
-// of the 64-lane sweeps over the same faults — the March layer's half
-// of the tentpole parity (the PRT half lives in test_lane_word.cpp).
+// One WideWord<8> March sweep reproduces, lane for lane, the verdicts
+// of the 64-lane sweeps over the same faults — the only March
+// wide-replay parity check (the PRT half lives in test_lane_word.cpp).
 TEST(RunMarchPacked, WideSweepMatchesNarrowGroups) {
   const mem::Addr n = 16;
+  using Wide = mem::WideWord<8>;
   std::vector<mem::Fault> universe;
-  for (int rep = 0; rep < 3; ++rep) {
+  while (universe.size() < mem::LaneTraits<Wide>::kLanes) {
     const auto mixed = mixed_lane_universe(n);
     universe.insert(universe.end(), mixed.begin(), mixed.end());
   }
-  ASSERT_GT(universe.size(), 64u);
   for (const march::MarchTest& test :
        {march::march_c_minus(), march::march_g()}) {
     for (const bool background : {false, true}) {
       const core::OpTranscript transcript =
           march::make_march_transcript(test, n, background);
-      mem::PackedFaultRamT<mem::WideWord<4>> wide(n);
+      mem::PackedFaultRamT<Wide> wide(n);
       for (const mem::Fault& f : universe) wide.add_fault(f);
       const auto wide_verdict =
           march::run_march_packed(wide, transcript, march::MarchRunOptions{});
@@ -334,40 +334,42 @@ TEST(RunMarchPacked, WideSweepMatchesNarrowGroups) {
   }
 }
 
-// Campaign-level width sweep: bit-identical results at 64/256/512
-// lanes x thread counts, with the wide telemetry engaging exactly when
-// the shards can fill half the wide lanes.
-TEST(MarchCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
+// Campaign-level width rule: a fanned-out run splits this universe
+// into one 2048-fault batch on the 512-lane word and a 100-fault tail
+// on the 64-lane word (one thread runs a single 512-lane shard).
+// Results must be bit-identical across thread counts x early abort and
+// match the scalar engine.
+TEST(MarchCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
   const mem::Addr n = 256;
-  const auto universe = mem::classical_universe(n);
+  auto universe = mem::classical_universe(n);
+  ASSERT_GT(universe.size(), 2048u + 100u);
+  universe.resize(2048 + 100);
+  const auto test = march::march_c_minus();
   analysis::CampaignOptions opt;
   opt.n = n;
-  const auto reference = serial_reference(universe, march::march_c_minus(), opt);
+  const auto reference = serial_reference(universe, test, opt);
   for (const bool early_abort : {false, true}) {
-    analysis::MarchEngineOptions ref_eng;
-    ref_eng.threads = 1;
-    ref_eng.packed = true;
-    ref_eng.early_abort = early_abort;
-    ref_eng.lane_width = 64;
-    const auto width64_reference = analysis::run_march_campaign(
-        universe, march::march_c_minus(), opt, ref_eng);
-    if (!early_abort) expect_identical(reference, width64_reference);
-    for (const unsigned lane_width : {256u, 512u}) {
-      for (const unsigned threads : {1u, 2u, 4u}) {
-        analysis::MarchEngineOptions eng;
-        eng.threads = threads;
-        eng.packed = true;
-        eng.early_abort = early_abort;
-        eng.lane_width = lane_width;
-        const auto got = analysis::run_march_campaign(
-            universe, march::march_c_minus(), opt, eng);
-        expect_identical(width64_reference, got);
-        EXPECT_EQ(got.ops, width64_reference.ops)
-            << "width=" << lane_width << " threads=" << threads
-            << " early_abort=" << early_abort;
-        EXPECT_GT(got.sched.wide_faults, 0u)
-            << "width=" << lane_width << " threads=" << threads;
-        EXPECT_EQ(got.sched.max_lanes, lane_width);
+    const auto scalar_ref = analysis::run_march_campaign(
+        universe, test, opt,
+        {.parallel = false, .packed = false, .early_abort = early_abort});
+    EXPECT_EQ(scalar_ref.overall, reference.overall);
+    EXPECT_EQ(scalar_ref.escapes, reference.escapes);
+    if (!early_abort) {
+      EXPECT_EQ(scalar_ref.ops, reference.ops);
+    }
+    analysis::CampaignResult one_thread;
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      analysis::MarchEngineOptions eng;
+      eng.threads = threads;
+      eng.early_abort = early_abort;
+      const auto got = analysis::run_march_campaign(universe, test, opt, eng);
+      expect_identical(scalar_ref, got);
+      EXPECT_EQ(got.sched.batches, threads == 1 ? 1u : 2u);
+      if (threads == 1) {
+        one_thread = got;
+      } else {
+        EXPECT_TRUE(one_thread == got)
+            << "threads=" << threads << " early_abort=" << early_abort;
       }
     }
   }

@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -102,6 +103,27 @@ TEST(PackedFaultRam, RejectsIncompatibleAndOverflowingFaults) {
     EXPECT_EQ(ram.add_fault(mem::Fault::saf({i % 8, 0}, 1)), i);
   }
   EXPECT_THROW(ram.add_fault(mem::Fault::saf({0, 0}, 0)), std::length_error);
+}
+
+// Geometry is checked before any storage exists, and the message
+// names the value: a width of 33 over 2^32 - 1 cells must not attempt
+// a multi-terabyte allocation first.
+TEST(PackedFaultRam, RejectsBadGeometryBeforeAllocating) {
+  auto message_of = [](auto&& construct) {
+    try {
+      construct();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no std::invalid_argument");
+  };
+  using Wide = mem::PackedFaultRamT<mem::WideWord<8>>;
+  EXPECT_NE(message_of([] { Wide ram(0xFFFFFFFF, 33); }).find("got 33"),
+            std::string::npos);
+  EXPECT_NE(message_of([] { Wide ram(8, 0); }).find("got 0"),
+            std::string::npos);
+  EXPECT_NE(message_of([] { mem::PackedFaultRam ram(0); }).find("got 0"),
+            std::string::npos);
 }
 
 TEST(PackedFaultRam, StuckAtClampsFromInjectionLikeFaultyRam) {
@@ -806,134 +828,55 @@ TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
   EXPECT_EQ(scalar.packed_faults, 0u);
 }
 
-// --- lane-width x thread-count parity (the tentpole acceptance) ----------
+// --- width rule x thread-count parity --------------------------------------
 
-// The ISSUE's acceptance criterion verbatim: campaign outputs must be
-// bit-identical across lane widths {64, 256, 512} x thread counts
-// {1, 2, 4, 8}, with and without early abort.  Only SchedTelemetry may
-// differ (it is excluded from CampaignResult::operator==); wide widths
-// must actually engage (wide_faults > 0, max_lanes == width) when the
-// shards are big enough to fill half the wide lanes.
-TEST(PackedCampaign, BitIdenticalAcrossLaneWidthsAndThreadCounts) {
+// Faults per scheduler batch (analysis::detail::kSchedulerBatch) plus a
+// 100-fault tail: a fanned-out run splits this universe into one
+// 512-lane batch and one batch too thin for the wide word, which runs
+// the 64-lane word; one thread runs the whole range as one 512-lane
+// shard.
+constexpr std::size_t kMixedUniverse = 2048 + 100;
+
+// CampaignResults must not depend on the thread count or on which
+// lane word ran, with or without early abort.  The scalar engine is
+// the reference: the serial run_campaign one without abort, the
+// abort-aware scalar path with it.
+TEST(PackedCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
   const mem::Addr n = 256;
-  const auto universe = mem::classical_universe(n);
+  auto universe = mem::classical_universe(n);
+  ASSERT_GT(universe.size(), kMixedUniverse);
+  universe.resize(kMixedUniverse);
   const auto scheme = core::extended_scheme_bom(n);
   analysis::CampaignOptions opt;
   opt.n = n;
   const auto reference = serial_scalar_reference(universe, scheme, opt);
   for (const bool early_abort : {false, true}) {
-    analysis::EngineOptions abort_ref_eng;
-    abort_ref_eng.threads = 1;
-    abort_ref_eng.packed = true;
-    abort_ref_eng.early_abort = early_abort;
-    abort_ref_eng.lane_width = 64;
-    const auto width64_reference =
-        analysis::run_prt_campaign(universe, scheme, opt, abort_ref_eng);
-    if (!early_abort) expect_identical(reference, width64_reference);
-    for (const unsigned lane_width : {64u, 256u, 512u}) {
-      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        analysis::EngineOptions eng;
-        eng.threads = threads;
-        eng.packed = true;
-        eng.early_abort = early_abort;
-        eng.lane_width = lane_width;
-        const auto got =
-            analysis::run_prt_campaign(universe, scheme, opt, eng);
-        // Full bit-identity including the early-abort op accounting.
-        expect_identical(width64_reference, got);
-        EXPECT_TRUE(width64_reference == got)
-            << "width=" << lane_width << " threads=" << threads
-            << " early_abort=" << early_abort;
-        EXPECT_EQ(got.packed_faults, width64_reference.packed_faults);
-        if (lane_width > 64) {
-          // This universe is big enough that every dispatch window
-          // fills the wide half; the telemetry must show wide batches.
-          EXPECT_GT(got.sched.wide_faults, 0u)
-              << "width=" << lane_width << " threads=" << threads;
-          EXPECT_EQ(got.sched.max_lanes, lane_width);
-          EXPECT_LE(got.sched.wide_faults, got.packed_faults);
-        } else {
-          EXPECT_EQ(got.sched.wide_faults, 0u);
-          EXPECT_EQ(got.sched.max_lanes, 64u);
-        }
-        EXPECT_GE(got.sched.batches, 1u);
+    analysis::EngineOptions scalar;
+    scalar.parallel = false;
+    scalar.packed = false;
+    scalar.early_abort = early_abort;
+    const auto scalar_ref =
+        analysis::run_prt_campaign(universe, scheme, opt, scalar);
+    if (early_abort) {
+      expect_identical_verdicts(reference, scalar_ref);
+    } else {
+      expect_identical(reference, scalar_ref);
+    }
+    analysis::CampaignResult one_thread;
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      analysis::EngineOptions eng;
+      eng.threads = threads;
+      eng.early_abort = early_abort;
+      const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
+      expect_identical(scalar_ref, got);
+      EXPECT_EQ(got.sched.batches, threads == 1 ? 1u : 2u);
+      if (threads == 1) {
+        one_thread = got;
+      } else {
+        EXPECT_TRUE(one_thread == got)
+            << "threads=" << threads << " early_abort=" << early_abort;
       }
     }
-  }
-}
-
-// A shard too small to fill half the wide lanes falls back to the
-// 64-lane word per batch — still bit-identical, with zero wide faults.
-TEST(PackedCampaign, SmallShardsFallBackToNarrowLanes) {
-  const mem::Addr n = 8;
-  const auto universe = mem::single_cell_universe(n, 1, /*read_logic=*/true);
-  ASSERT_LT(universe.size(), 128u);  // below the WideWord<4> threshold
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  const auto reference = serial_scalar_reference(universe, scheme, opt);
-  for (const unsigned lane_width : {256u, 512u}) {
-    analysis::EngineOptions eng;
-    eng.packed = true;
-    eng.lane_width = lane_width;
-    const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
-    expect_identical(reference, got);
-    EXPECT_EQ(got.sched.wide_faults, 0u) << "width=" << lane_width;
-    EXPECT_EQ(got.sched.max_lanes, 64u);
-  }
-}
-
-// Widths the dispatch layer has no instantiation for are a caller
-// error, rejected up front rather than silently rounded.
-TEST(PackedCampaign, InvalidLaneWidthIsRejected) {
-  const mem::Addr n = 16;
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  for (const unsigned lane_width : {1u, 32u, 128u, 1024u}) {
-    analysis::EngineOptions eng;
-    eng.lane_width = lane_width;
-    EXPECT_THROW(
-        (void)analysis::CampaignEngine(scheme, opt, eng),
-        std::invalid_argument)
-        << "lane_width=" << lane_width;
-  }
-}
-
-// Mixed packed/scalar universes stay bit-identical at wide widths: the
-// scalar remainder is unaffected by the lane word, and the packed
-// subset's merge order is batch-index order at any width.
-TEST(PackedCampaign, WideWidthBitIdenticalOnVanDeGoorWithAbort) {
-  const mem::Addr n = 48;
-  const auto universe = mem::van_de_goor_universe(n);
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  const auto reference = serial_scalar_reference(universe, scheme, opt);
-  for (const unsigned lane_width : {256u, 512u}) {
-    analysis::EngineOptions eng;
-    eng.threads = 3;
-    eng.packed = true;
-    eng.lane_width = lane_width;
-    const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
-    expect_identical(reference, got);
-  }
-  check_abort_composition(universe, scheme, opt, reference);
-  // Abort composition at wide width against the scalar abort engine.
-  analysis::EngineOptions scalar_abort;
-  scalar_abort.threads = 2;
-  scalar_abort.packed = false;
-  scalar_abort.early_abort = true;
-  const auto abort_ref =
-      analysis::run_prt_campaign(universe, scheme, opt, scalar_abort);
-  for (const unsigned lane_width : {256u, 512u}) {
-    analysis::EngineOptions packed_abort;
-    packed_abort.threads = 4;
-    packed_abort.packed = true;
-    packed_abort.early_abort = true;
-    packed_abort.lane_width = lane_width;
-    expect_identical(abort_ref, analysis::run_prt_campaign(universe, scheme,
-                                                           opt, packed_abort));
   }
 }
 

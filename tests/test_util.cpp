@@ -538,7 +538,7 @@ TEST(ThreadPool, FailPointInjectedTaskCrashIsCaptured) {
   EXPECT_NE(pool.take_unhandled_error(), nullptr);
 }
 
-// The next three tests pin the invariants that live in atomics (or in
+// The next two tests pin the invariants that live in atomics (or in
 // exchange-under-lock protocols) the thread-safety annotations cannot
 // express — the "patterns the analysis can't see" audit (DESIGN.md
 // §12): each has a `//` invariant comment at the declaration site and
@@ -603,46 +603,6 @@ TEST(ThreadPool, ConcurrentTakeUnhandledErrorHandsOutExactlyOnce) {
     takers.wait_idle();
   }
   EXPECT_EQ(got_error.load(), 1);
-}
-
-TEST(ErrorCollector, FirstErrorWinsUnderConcurrentGuards) {
-  // ErrorCollector::guard is noexcept and captures the *first*
-  // exception in completion order; later failures are dropped, never
-  // torn.  rethrow_if_any takes the lock, so a collector polled while
-  // guards still run is safe (it just may not see stragglers).
-  util::ErrorCollector errors;
-  {
-    util::ThreadPool pool(4);
-    for (int i = 0; i < 16; ++i) {
-      pool.submit([&errors, i] {
-        errors.guard([i] {
-          throw std::runtime_error("crash " + std::to_string(i));
-        });
-      });
-    }
-    pool.wait_idle();
-  }
-  EXPECT_THROW(errors.rethrow_if_any(), std::runtime_error);
-  // Idempotent: the captured error is kept, not consumed.
-  EXPECT_THROW(errors.rethrow_if_any(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForChunksStillRethrowsGuardedErrors) {
-  util::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for_chunks(
-          100,
-          [](unsigned, std::size_t begin, std::size_t) {
-            if (begin == 0) throw std::invalid_argument("chunk failed");
-          }),
-      std::invalid_argument);
-  // The pool survives for subsequent work.
-  std::atomic<int> ran{0};
-  pool.parallel_for_chunks(8, [&ran](unsigned, std::size_t begin,
-                                     std::size_t end) {
-    ran += static_cast<int>(end - begin);
-  });
-  EXPECT_EQ(ran.load(), 8);
 }
 
 // --- for_each_chunk / work-stealing batch scheduler ------------------------
@@ -824,8 +784,8 @@ TEST(ThreadPool, StolenBatchMergeIsBitIdenticalToContiguousSplit) {
   }
 }
 
-// A throwing batch surfaces on the caller like parallel_for_chunks,
-// and the pool stays usable afterwards.
+// A throwing batch surfaces on the caller, and the pool stays usable
+// afterwards.
 TEST(ThreadPool, ParallelForBatchesRethrowsFirstBatchError) {
   util::ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for_batches(
@@ -841,6 +801,59 @@ TEST(ThreadPool, ParallelForBatchesRethrowsFirstBatchError) {
                               ran += static_cast<int>(end - begin);
                             });
   EXPECT_EQ(ran.load(), 16);
+}
+
+// A task the worker loses before running it (the fail point throws in
+// its place) still counts down the fan-out's latch: the call rethrows
+// the failure instead of hanging, and the pool stays usable.
+TEST(ThreadPool, ParallelForBatchesRethrowsLostTask) {
+  util::ThreadPool pool(2);
+  {
+    util::FailPointScope scope;
+    util::FailPoint::arm("thread_pool.task", {.fires = 1});
+    EXPECT_THROW(pool.parallel_for_batches(
+                     8, 1, [](std::size_t, std::size_t, std::size_t) {}),
+                 util::FailPointError);
+  }
+  std::atomic<int> ran{0};
+  pool.parallel_for_batches(8, 1, [&ran](std::size_t, std::size_t begin,
+                                         std::size_t end) {
+    ran += static_cast<int>(end - begin);
+  });
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(pool.take_unhandled_error(), nullptr);
+}
+
+// Each fan-out waits for its own tasks only: a caller whose batch is
+// still blocked on one worker does not hold up another caller's
+// fan-out on the same pool (a wait_idle()-style barrier would
+// deadlock here).
+TEST(ThreadPool, ConcurrentFanOutsWaitOnlyForTheirOwnTasks) {
+  util::ThreadPool pool(2);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::thread blocked([&] {
+    pool.parallel_for_batches(1, 1, [&](std::size_t, std::size_t,
+                                        std::size_t) {
+      started = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!started) std::this_thread::yield();
+  std::atomic<int> ran{0};
+  pool.parallel_for_batches(4, 1, [&ran](std::size_t, std::size_t,
+                                         std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 4);
+  release = true;
+  blocked.join();
+}
+
+TEST(ThreadPool, SharedPoolIsOnePoolPerWorkerCount) {
+  util::ThreadPool& three = util::shared_pool(3);
+  EXPECT_EQ(three.workers(), 3u);
+  EXPECT_EQ(&util::shared_pool(3), &three);
+  EXPECT_NE(&util::shared_pool(2), &three);
+  EXPECT_EQ(util::shared_pool(2).workers(), 2u);
 }
 
 }  // namespace
