@@ -18,10 +18,9 @@
 //    logic, 9n faults, every one packable), where the packed path's
 //    512-faults-per-sweep gain is undiluted;
 //  * a measured-scaling sweep: the same lane-compatible universe over
-//    thread counts {1, 2, 4, 8} on the work-stealing batch scheduler,
-//    every cell parity-checked — the curve CI records per run (with
-//    per-config steal counts) to show the multicore gain on real
-//    cores;
+//    thread counts {1, 2, 4, 8} on the fixed-batch executor, every
+//    cell parity-checked — the curve CI records per run to show the
+//    multicore gain on real cores;
 //  * a March campaign over the classical universe (March C-), where
 //    the same lanes drive march::run_march_packed via
 //    analysis::MarchCampaign — now with the abort-aware scalar
@@ -157,9 +156,6 @@ struct ConfigTiming {
   double seconds = 0;
   std::uint64_t ops = 0;
   double coverage = 0;
-  /// Scheduler telemetry of the run (CampaignResult::sched): batches
-  /// executed by a worker other than their home worker.
-  std::uint64_t steals = 0;
 };
 
 struct SectionReport {
@@ -238,8 +234,7 @@ class SectionRunner {
         report_.packed_fraction = fraction;
       }
     }
-    report_.configs.push_back(
-        {name, secs, r.ops, r.overall.percent(), r.sched.steals});
+    report_.configs.push_back({name, secs, r.ops, r.overall.percent()});
     std::printf("  %-30s %8.3f s   %12llu ops   %6.2f %% coverage\n",
                 name.c_str(), secs,
                 static_cast<unsigned long long>(r.ops), r.overall.percent());
@@ -284,10 +279,11 @@ class SectionRunner {
   std::uint64_t abort_ops_ = 0;
 };
 
-analysis::EngineOptions engine_opts(bool parallel, bool packed,
+/// `threads` 1 is the serial configuration, 0 the default worker count.
+analysis::EngineOptions engine_opts(unsigned threads, bool packed,
                                     bool early_abort = false) {
   analysis::EngineOptions eng;
-  eng.parallel = parallel;
+  eng.threads = threads;
   eng.packed = packed;
   eng.early_abort = early_abort;
   return eng;
@@ -318,11 +314,11 @@ SectionReport bench_classical(mem::Addr n, std::size_t fault_cap) {
   };
   run.record("serial (seed path)",
              [&] { return seed_serial_campaign(universe, scheme, opt); });
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  engine("oracle+parallel+abort", engine_opts(true, false, true));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  engine("oracle", engine_opts(1, false));
+  engine("oracle+parallel", engine_opts(0, false));
+  engine("oracle+parallel+abort", engine_opts(0, false, true));
+  engine("oracle+parallel+packed", engine_opts(0, true));
+  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
   run.finish();
   return report;
 }
@@ -351,10 +347,10 @@ SectionReport bench_lane_compatible(mem::Addr n, const core::PrtScheme& scheme,
         [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  engine("oracle", engine_opts(1, false));
+  engine("oracle+parallel", engine_opts(0, false));
+  engine("oracle+parallel+packed", engine_opts(0, true));
+  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
   run.finish();
   return report;
 }
@@ -425,11 +421,11 @@ SectionReport bench_wom(mem::Addr n, std::size_t fault_cap) {
   };
   run.record("serial (seed path)",
              [&] { return seed_serial_campaign(universe, scheme, opt); });
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  engine("oracle+parallel+abort", engine_opts(true, false, true));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  engine("oracle", engine_opts(1, false));
+  engine("oracle+parallel", engine_opts(0, false));
+  engine("oracle+parallel+abort", engine_opts(0, false, true));
+  engine("oracle+parallel+packed", engine_opts(0, true));
+  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
   run.finish();
   return report;
 }
@@ -465,11 +461,11 @@ SectionReport bench_npsf(mem::Addr n, mem::Addr grid_cols,
         [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  engine("oracle+parallel+abort", engine_opts(true, false, true));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  engine("oracle", engine_opts(1, false));
+  engine("oracle+parallel", engine_opts(0, false));
+  engine("oracle+parallel+abort", engine_opts(0, false, true));
+  engine("oracle+parallel+packed", engine_opts(0, true));
+  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
   run.finish();
   return report;
 }
@@ -507,11 +503,11 @@ SectionReport bench_retention(mem::Addr n, std::size_t fault_cap) {
         [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
-  engine("oracle+parallel+abort", engine_opts(true, false, true));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  engine("oracle", engine_opts(1, false));
+  engine("oracle+parallel", engine_opts(0, false));
+  engine("oracle+parallel+abort", engine_opts(0, false, true));
+  engine("oracle+parallel+packed", engine_opts(0, true));
+  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
   run.finish();
   return report;
 }
@@ -541,20 +537,20 @@ SectionReport bench_multiport(mem::Addr n, unsigned ports,
         [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
         /*ops_exempt=*/eng.early_abort);
   };
-  engine("oracle", engine_opts(false, false));
-  engine("oracle+parallel", engine_opts(true, false));
+  engine("oracle", engine_opts(1, false));
+  engine("oracle+parallel", engine_opts(0, false));
   // The scalar abort reference first, so the packed+abort config's
   // per-lane analytic op accounting is cross-checked against it.
-  engine("oracle+parallel+abort", engine_opts(true, false, true));
-  engine("oracle+parallel+packed", engine_opts(true, true));
-  engine("oracle+parallel+packed+abort", engine_opts(true, true, true));
+  engine("oracle+parallel+abort", engine_opts(0, false, true));
+  engine("oracle+parallel+packed", engine_opts(0, true));
+  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
   run.finish();
   return report;
 }
 
 /// Measured multicore scaling: the same lane-compatible universe swept
-/// over thread counts {1, 2, 4, 8} on the work-stealing batch
-/// scheduler.  Every cell is parity-checked against the first (t1), so
+/// over thread counts {1, 2, 4, 8} on the fixed-batch executor.
+/// Every cell is parity-checked against the first (t1), so
 /// the sweep demonstrates bit-identical output at any thread count
 /// while the timings show how much of it the hardware turns into
 /// throughput (the speedup curve is only meaningful on a multi-core
@@ -636,7 +632,6 @@ SectionReport bench_suite(std::size_t fault_cap) {
     analysis::ClassCoverage overall;
     std::uint64_t ops = 0;
     std::uint64_t packed_faults = 0;
-    std::uint64_t steals = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (!reference.empty() && !(results[i] == reference[i])) {
         std::fprintf(stderr,
@@ -648,7 +643,6 @@ SectionReport bench_suite(std::size_t fault_cap) {
       overall.total += results[i].overall.total;
       ops += results[i].ops;
       packed_faults += results[i].packed_faults;
-      steals += results[i].sched.steals;
     }
     if (overall.total > 0) {
       const double fraction = static_cast<double>(packed_faults) /
@@ -657,7 +651,7 @@ SectionReport bench_suite(std::size_t fault_cap) {
         report.packed_fraction = fraction;
       }
     }
-    report.configs.push_back({name, secs, ops, overall.percent(), steals});
+    report.configs.push_back({name, secs, ops, overall.percent()});
     std::printf("  %-30s %8.3f s   %12llu ops   %6.2f %% coverage\n",
                 name.c_str(), secs, static_cast<unsigned long long>(ops),
                 overall.percent());
@@ -740,8 +734,7 @@ void write_report(std::ostream& out, const std::vector<SectionReport>& reports,
       out << indent(4) << "{\"name\": \"" << t.name
           << "\", \"seconds\": " << t.seconds << ", \"ops\": " << t.ops
           << ", \"coverage\": " << t.coverage
-          << ", \"speedup_vs_baseline\": " << r.speedup_vs_baseline(c)
-          << ", \"steals\": " << t.steals << "}"
+          << ", \"speedup_vs_baseline\": " << r.speedup_vs_baseline(c) << "}"
           << (c + 1 < r.configs.size() ? "," : "") << nl;
     }
     out << indent(3) << "]" << nl << indent(2) << "}"

@@ -7,7 +7,8 @@
 //
 //   1. a mixed batch of PRT and March requests running to completion,
 //   2. a request cancelled mid-flight (resolves to an exact partial
-//      result over the shards that finished),
+//      result over the shards — fixed 2048-fault batches — that
+//      finished),
 //   3. a request with a deliberately tight deadline,
 //   4. a checkpointed request that is cancelled, then resumed from its
 //      checkpoint file — the resumed result is bit-identical to an
@@ -40,6 +41,17 @@ prt::analysis::CampaignRequest march_request(prt::mem::Addr n) {
   req.march_test = prt::march::march_c_minus();
   req.options.n = n;
   req.universe = prt::mem::classical_universe(n);
+  return req;
+}
+
+/// Repeats the request's universe until it fills at least 64 shards,
+/// so a cancel or a deadline lands mid-run.
+prt::analysis::CampaignRequest long_request(
+    prt::analysis::CampaignRequest req) {
+  const std::vector<prt::mem::Fault> base = req.universe;
+  while (req.universe.size() < 64 * 2048) {
+    req.universe.insert(req.universe.end(), base.begin(), base.end());
+  }
   return req;
 }
 
@@ -96,18 +108,18 @@ int main(int argc, char** argv) {
   //    fault boundary and the outcome is an exact merge of whatever
   //    shards completed — possibly all of them on a fast machine.
   {
-    analysis::CampaignRequest req = prt_request(n);
-    req.shards = 64;  // fine partition so the cancel lands mid-run
-    analysis::CampaignService::Ticket ticket = service.submit(std::move(req));
+    analysis::CampaignService::Ticket ticket =
+        service.submit(long_request(prt_request(n)));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     ticket.cancel();
     report("cancelled", ticket.wait());
   }
 
-  // 3. Deadline: same mechanism, triggered by the wall clock.
+  // 3. Deadline: same mechanism, triggered by the wall clock.  (A
+  //    workload with latency history would be shed at dispatch
+  //    instead: the estimated cost exceeds the 1 ms budget.)
   {
-    analysis::CampaignRequest req = march_request(n);
-    req.shards = 64;
+    analysis::CampaignRequest req = long_request(march_request(n / 2));
     req.deadline = std::chrono::milliseconds(1);
     report("deadline 1ms", service.submit(std::move(req)).wait());
   }
@@ -119,11 +131,10 @@ int main(int argc, char** argv) {
   //    tests/test_campaign_service.cpp; printed here for inspection).
   {
     const std::string path = "campaign_service_example.ckpt";
-    analysis::CampaignRequest req = prt_request(n);
-    req.shards = 64;
+    analysis::CampaignRequest req = long_request(prt_request(n));
     req.checkpoint_path = path;
     analysis::CampaignService::Ticket ticket = service.submit(req);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
     ticket.cancel();
     report("interrupted", ticket.wait());
 

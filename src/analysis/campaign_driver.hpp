@@ -7,9 +7,10 @@
 // the packed-enabled predicate.  This header collapses that shape into
 // one core:
 //
-//   CampaignDriver<Workload>  — the sharded run() over the shared pool
-//     and the per-shard scalar/packed dispatch with its lane-width
-//     rule, written once over the campaign_shard.hpp loops;
+//   CampaignDriver<Workload>  — run_stoppable() as one job on the
+//     campaign executor and the per-batch scalar/packed dispatch with
+//     its lane-width rule, written once over the campaign_shard.hpp
+//     loops;
 //   PrtWorkload / MarchWorkload — the only parts that differ: how the
 //     golden artifacts are fetched from the analysis::OracleCache, how
 //     one fault runs scalar, how one lane batch runs packed, and
@@ -18,8 +19,8 @@
 // The public classes in campaign_engine.hpp / march_campaign.hpp are
 // thin facades over a driver instance; their results are bit-identical
 // to what the pre-unification engines produced (the parity suites in
-// tests/ pin this).  CampaignSuite (campaign_suite.hpp) drives the
-// same workloads batch-by-batch on its own flattened schedule.
+// tests/ pin this).  CampaignSuite and CampaignService run the same
+// drivers as jobs on the same executor (batch_runner below).
 //
 // Header is internal to analysis/ (included by the campaign .cpp files
 // only); the public surfaces are campaign_engine.hpp,
@@ -46,15 +47,12 @@
 namespace prt::analysis::detail {
 
 /// The engine-option shape shared by every campaign type.
-/// EngineOptions / MarchEngineOptions translate into this (plus their
-/// workload-specific knobs, which live in the workload).
+/// EngineOptions / MarchEngineOptions translate into this in
+/// make_driver (their workload-specific knobs live in the workload).
 struct DriverOptions {
   /// Worker count; 0 defers to the PRT_THREADS environment override,
   /// then the hardware concurrency (util::default_worker_count).
   unsigned threads = 0;
-  /// Fan the universe out over the pool.  Off = one shard, inline on
-  /// the calling thread.
-  bool parallel = true;
   /// Batch lane-compatible faults one lane-word sweep at a time on a
   /// bit-packed mem::PackedFaultRamT when the workload permits
   /// (Workload::packable()).  Results stay bit-identical to the
@@ -248,8 +246,8 @@ class MarchWorkload {
   bool bit_oriented_;
 };
 
-/// The generic driver: fixed-batch fan-out over the shared pool with
-/// the order-deterministic merge, per-shard scalar/packed dispatch.
+/// The generic driver: one executor job per run, per-batch
+/// scalar/packed dispatch.
 /// Workload supplies the four campaign-type-specific hooks
 /// (ShardState, packable, run_fault, run_batch).  Holds no mutable
 /// state, so concurrent runs on one driver are independent.
@@ -269,12 +267,11 @@ class CampaignDriver {
     return drv_.packed && workload_.packable();
   }
 
-  /// Fills one shard over universe indices [begin, end).  Stateless
-  /// across calls (fresh ShardState per shard), so any contiguous
-  /// ascending partition merges — in shard order — to the same
-  /// CampaignResult; CampaignSuite and CampaignService call this
-  /// directly on their own schedules.  Polls `stop` per fault; returns
-  /// false (discard `out`, it is partial) once a stop is observed.
+  /// Fills one batch over universe indices [begin, end).  Stateless
+  /// across calls (fresh ShardState per batch), so the batches merge —
+  /// in batch order — to the same CampaignResult whoever runs them.
+  /// Polls `stop` per fault; returns false (discard `out`, it is
+  /// partial) once a stop is observed.
   ///
   /// Width rule: a range of at least kWideMinFaults faults runs the
   /// 512-lane WideWord<8>, a thinner one the 64-lane LaneWord.  The
@@ -290,38 +287,29 @@ class CampaignDriver {
     return run_shard_impl<mem::LaneWord>(universe, begin, end, out, stop);
   }
 
-  /// Simulates every fault of the universe; identical CampaignResult
-  /// regardless of thread count.  Concurrent calls share the
+  /// One executor job over the universe: batches poll `stop` per
+  /// fault, interrupted batches are discarded whole, and the outcome
+  /// carries the merge of the completed batches plus why the run ended
+  /// (fault_sim.hpp CampaignOutcome); with a default token the result
+  /// is identical at any thread count.  A batch that throws, or a pool
+  /// task that was lost, rethrows here.  Concurrent calls share the
   /// process-wide pool for the worker count, each waiting only for its
-  /// own batches.  Must not be called from a task already running on a
-  /// campaign pool: the nested wait could hold every worker.
-  [[nodiscard]] CampaignResult run(
-      std::span<const mem::Fault> universe) const {
-    // A default token never stops, so the outcome is always complete
-    // and its result bit-identical to the pre-cancellation driver.
-    return run_stoppable(universe, util::StopToken()).result;
-  }
-
-  /// Cancellable run: shards poll `stop` per fault, interrupted shards
-  /// are discarded whole, and the outcome carries the merge of the
-  /// completed shards plus why the run ended (fault_sim.hpp
-  /// CampaignOutcome).  Same concurrency contract as run().
+  /// own batches; must not be called from a task already running on a
+  /// campaign pool (the nested wait could hold every worker).
   [[nodiscard]] CampaignOutcome run_stoppable(
       std::span<const mem::Fault> universe,
       const util::StopToken& stop) const {
-    const unsigned workers =
-        drv_.threads != 0 ? drv_.threads : util::default_worker_count();
-    return run_sharded(
-        universe.size(), workers, drv_.parallel,
-        [&](std::size_t begin, std::size_t end, CampaignResult& out) {
-          return run_shard(universe, begin, end, out, stop);
-        },
-        stop);
+    auto job = std::make_shared<Job>(stop);
+    job->size = universe.size();
+    job->run = [this, universe](std::size_t begin, std::size_t end,
+                                CampaignResult& out,
+                                const util::StopToken& token) {
+      return run_shard(universe, begin, end, out, token);
+    };
+    return run_jobs(drv_.threads, {job}).front();
   }
 
   [[nodiscard]] const Workload& workload() const { return workload_; }
-  [[nodiscard]] const CampaignOptions& options() const { return opt_; }
-  [[nodiscard]] const DriverOptions& driver_options() const { return drv_; }
 
  private:
   /// The width-concrete shard loop behind run_shard's dispatch.
@@ -352,33 +340,32 @@ class CampaignDriver {
 using PrtDriver = CampaignDriver<PrtWorkload>;
 using MarchDriver = CampaignDriver<MarchWorkload>;
 
+/// An executor batch runner over `universe` for a driver it keeps
+/// alive — how the suite and the service put a driver on a job.
+template <typename Driver>
+[[nodiscard]] Job::RunBatch batch_runner(std::shared_ptr<const Driver> driver,
+                                         std::span<const mem::Fault> universe) {
+  return [driver = std::move(driver), universe](
+             std::size_t begin, std::size_t end, CampaignResult& out,
+             const util::StopToken& stop) {
+    return driver->run_shard(universe, begin, end, out, stop);
+  };
+}
+
 /// The one construction path every public campaign surface goes
-/// through (CampaignEngine, MarchCampaign, CampaignSuite): translate
-/// the public option struct, build the workload against the shared
-/// cache, wrap it in a driver.
-[[nodiscard]] inline DriverOptions to_driver_options(
-    const EngineOptions& engine) {
-  return {.threads = engine.threads,
-          .parallel = engine.parallel,
-          .packed = engine.packed,
-          .early_abort = engine.early_abort};
-}
-
-[[nodiscard]] inline DriverOptions to_driver_options(
-    const MarchEngineOptions& engine) {
-  return {.threads = engine.threads,
-          .parallel = engine.parallel,
-          .packed = engine.packed,
-          .early_abort = engine.early_abort};
-}
-
+/// through (CampaignEngine, MarchCampaign, CampaignSuite,
+/// CampaignService): build the workload against the shared cache and
+/// wrap it in a driver.
 [[nodiscard]] inline std::unique_ptr<PrtDriver> make_driver(
     core::PrtScheme scheme, const CampaignOptions& opt,
     const EngineOptions& engine) {
   return std::make_unique<PrtDriver>(
       PrtWorkload(std::move(scheme), opt, engine.early_abort,
                   engine.use_oracle, OracleCache::global()),
-      opt, to_driver_options(engine));
+      opt,
+      DriverOptions{.threads = engine.threads,
+                    .packed = engine.packed,
+                    .early_abort = engine.early_abort});
 }
 
 [[nodiscard]] inline std::unique_ptr<MarchDriver> make_driver(
@@ -387,7 +374,10 @@ using MarchDriver = CampaignDriver<MarchWorkload>;
   return std::make_unique<MarchDriver>(
       MarchWorkload(std::move(test), opt, engine.early_abort,
                     OracleCache::global()),
-      opt, to_driver_options(engine));
+      opt,
+      DriverOptions{.threads = engine.threads,
+                    .packed = engine.packed,
+                    .early_abort = engine.early_abort});
 }
 
 }  // namespace prt::analysis::detail

@@ -23,7 +23,7 @@ const core::PrtOracle& CampaignEngine::oracle() const {
 
 CampaignResult CampaignEngine::run(
     std::span<const mem::Fault> universe) const {
-  return driver_->run(universe);
+  return driver_->run_stoppable(universe, util::StopToken()).result;
 }
 
 CampaignOutcome CampaignEngine::run(std::span<const mem::Fault> universe,

@@ -24,8 +24,8 @@
 //  * for GF(2) bit-oriented campaigns every hot loop is a tight replay
 //    of the cached transcript: the scalar fallback runs
 //    core::run_prt_transcript (devirtualized FaultyRam) and
-//    lane-compatible faults are batched 512 per sweep (64 on a shard
-//    thinner than 256 faults) onto a bit-packed mem::PackedFaultRamT
+//    lane-compatible faults are batched 512 per sweep (64 on a batch
+//    tail thinner than 256 faults) onto a bit-packed mem::PackedFaultRamT
 //    via run_prt_packed, with early abort composing through per-lane
 //    mismatch retirement.
 //
@@ -50,9 +50,6 @@ struct EngineOptions {
   /// Worker count; 0 defers to the PRT_THREADS environment override,
   /// then the hardware concurrency (util::default_worker_count).
   unsigned threads = 0;
-  /// Fan the universe out over the pool.  Off = one shard, inline on
-  /// the calling thread (still oracle-backed and allocation-free).
-  bool parallel = true;
   /// Reuse the precomputed PrtOracle per fault.  Turning this off
   /// re-derives the scheme per fault like the legacy path — only
   /// useful as a bench baseline.
@@ -68,7 +65,7 @@ struct EngineOptions {
   /// Evaluate lane-compatible faults (single-bit SAF/TF/WDF, the
   /// read-logic kinds, the two-cell CFin/CFid/CFst/bridge kinds, the
   /// decoder kinds, static NPSF neighbourhoods and retention faults)
-  /// 512 per sweep (64 on a shard thinner than 256 faults) on a
+  /// 512 per sweep (64 on a batch tail thinner than 256 faults) on a
   /// bit-packed mem::PackedFaultRamT (core/prt_packed).  Applies
   /// whenever the campaign word width equals the scheme's field
   /// degree — GF(2) bit-oriented and GF(2^m) word-oriented schemes
@@ -105,9 +102,9 @@ class CampaignEngine {
   /// campaign pool.
   [[nodiscard]] CampaignResult run(std::span<const mem::Fault> universe) const;
 
-  /// Cancellable run: shard loops poll `stop` per fault, interrupted
-  /// shards are discarded whole, and the outcome carries the merge of
-  /// the completed shards plus why the run ended (CampaignOutcome in
+  /// Cancellable run: batches poll `stop` per fault, interrupted
+  /// batches are discarded whole, and the outcome carries the merge of
+  /// the completed batches plus why the run ended (CampaignOutcome in
   /// fault_sim.hpp).  With a never-stopping token the result is
   /// bit-identical to run().
   [[nodiscard]] CampaignOutcome run(std::span<const mem::Fault> universe,

@@ -5,11 +5,9 @@
 #include <cstdio>
 #include <deque>
 #include <fstream>
-#include <functional>
 #include <iomanip>
 #include <map>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -83,16 +81,17 @@ std::string request_fingerprint(const CampaignRequest& req) {
   return hex.str();
 }
 
-// --- checkpoint file (format v2) ------------------------------------
+// --- checkpoint file (format v3) ------------------------------------
 // Plain text, integers only — parse(serialize(x)) is exact, which the
 // resumed-equals-uninterrupted bit-identity guarantee rests on.  Every
 // line after the version header carries its own CRC-32 so the loader
 // can salvage the longest valid prefix of a torn or corrupted file
-// (DESIGN.md §13):
+// (DESIGN.md §13).  Records are per fixed kSchedulerBatch batch, so a
+// checkpoint resumes at any worker count (DESIGN.md §16):
 //
-//   prt-campaign-checkpoint v2
-//   meta <crc32hex> fingerprint <fp> shards <total>
-//   rec <crc32hex> shard <idx> ops <n> overall <d> <t> classes ...
+//   prt-campaign-checkpoint v3
+//   meta <crc32hex> fingerprint <fp> batches <total>
+//   rec <crc32hex> batch <idx> ops <n> overall <d> <t> classes ...
 //
 // Each <crc32hex> is 8 lowercase hex digits over the rest of its line
 // (the payload after "<crc32hex> ").  Replaced durably and atomically
@@ -100,22 +99,16 @@ std::string request_fingerprint(const CampaignRequest& req) {
 // checkpoint; the CRCs cover everything else (torn tails from
 // power-loss on non-atomic media, bit rot, truncation in transit).
 
-constexpr char kCheckpointHeader[] = "prt-campaign-checkpoint v2";
+constexpr char kCheckpointHeader[] = "prt-campaign-checkpoint v3";
 
-/// Loader guard against absurd (CRC-valid but foreign/crafted) shard
-/// counts; real partitions are bounded by the universe size, which is
-/// re-validated against the fingerprint after loading.
-constexpr std::size_t kMaxCheckpointShards = std::size_t{1} << 24;
-
-struct CheckpointShard {
-  std::size_t index = 0;
-  CampaignResult result;
-};
+/// Loader guard against absurd (CRC-valid but foreign/crafted) batch
+/// counts; the count is re-validated against the universe after the
+/// fingerprint matched.
+constexpr std::size_t kMaxCheckpointBatches = std::size_t{1} << 24;
 
 struct Checkpoint {
   std::string fingerprint;
-  std::size_t shards_total = 0;
-  std::vector<CheckpointShard> shards;
+  detail::BatchResults batches;
 };
 
 std::string crc_hex(std::uint32_t crc) {
@@ -124,30 +117,31 @@ std::string crc_hex(std::uint32_t crc) {
   return hex.str();
 }
 
-std::string shard_record_payload(const CheckpointShard& s) {
+std::string batch_record_payload(std::size_t index, const CampaignResult& r) {
   std::ostringstream out;
-  out << "shard " << s.index << " ops " << s.result.ops << " overall "
-      << s.result.overall.detected << " " << s.result.overall.total
-      << " classes " << s.result.by_class.size();
-  for (const auto& [cls, cov] : s.result.by_class) {
+  out << "batch " << index << " ops " << r.ops << " overall "
+      << r.overall.detected << " " << r.overall.total << " classes "
+      << r.by_class.size();
+  for (const auto& [cls, cov] : r.by_class) {
     out << " " << static_cast<unsigned>(cls) << " " << cov.detected << " "
         << cov.total;
   }
-  out << " escapes " << s.result.escapes.size();
-  for (const std::size_t e : s.result.escapes) out << " " << e;
-  out << " dispatch " << s.result.packed_faults << " "
-      << s.result.scalar_faults;
+  out << " escapes " << r.escapes.size();
+  for (const std::size_t e : r.escapes) out << " " << e;
+  out << " dispatch " << r.packed_faults << " " << r.scalar_faults;
   return out.str();
 }
 
-std::string serialize_checkpoint(const Checkpoint& cp) {
+std::string serialize_checkpoint(const std::string& fingerprint,
+                                 const detail::BatchResults& batches) {
   std::ostringstream out;
   out << kCheckpointHeader << "\n";
-  const std::string meta = "fingerprint " + cp.fingerprint + " shards " +
-                           std::to_string(cp.shards_total);
+  const std::string meta = "fingerprint " + fingerprint + " batches " +
+                           std::to_string(batches.size());
   out << "meta " << crc_hex(util::crc32(meta)) << " " << meta << "\n";
-  for (const CheckpointShard& s : cp.shards) {
-    const std::string payload = shard_record_payload(s);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    if (!batches[b]) continue;
+    const std::string payload = batch_record_payload(b, *batches[b]);
     out << "rec " << crc_hex(util::crc32(payload)) << " " << payload << "\n";
   }
   return out.str();
@@ -185,15 +179,14 @@ std::optional<std::string> checked_payload(const std::string& line,
 /// makes this unreachable for records we wrote, but the loader treats
 /// parse failure exactly like a checksum failure: end of the valid
 /// prefix.
-bool parse_shard_record(const std::string& payload, CheckpointShard& s) {
+bool parse_batch_record(const std::string& payload, std::size_t& index,
+                        CampaignResult& r) {
   std::istringstream in(payload);
   std::string word;
-  if (!(in >> word) || word != "shard") return false;
-  if (!(in >> s.index)) return false;
-  if (!(in >> word) || word != "ops") return false;
-  if (!(in >> s.result.ops)) return false;
-  if (!(in >> word) || word != "overall") return false;
-  if (!(in >> s.result.overall.detected >> s.result.overall.total)) {
+  if (!(in >> word) || word != "batch" || !(in >> index)) return false;
+  if (!(in >> word) || word != "ops" || !(in >> r.ops)) return false;
+  if (!(in >> word) || word != "overall" ||
+      !(in >> r.overall.detected >> r.overall.total)) {
     return false;
   }
   if (!(in >> word) || word != "classes") return false;
@@ -203,7 +196,7 @@ bool parse_shard_record(const std::string& payload, CheckpointShard& s) {
     unsigned cls = 0;
     ClassCoverage cov;
     if (!(in >> cls >> cov.detected >> cov.total)) return false;
-    s.result.by_class[static_cast<mem::FaultClass>(cls)] = cov;
+    r.by_class[static_cast<mem::FaultClass>(cls)] = cov;
   }
   if (!(in >> word) || word != "escapes") return false;
   std::size_t escapes = 0;
@@ -211,18 +204,13 @@ bool parse_shard_record(const std::string& payload, CheckpointShard& s) {
   for (std::size_t e = 0; e < escapes; ++e) {
     std::size_t idx = 0;
     if (!(in >> idx)) return false;
-    s.result.escapes.push_back(idx);
+    r.escapes.push_back(idx);
   }
-  // Dispatch tallies; absent in records written before the tallies
-  // existed, which resume as 0/0 (telemetry only, never verdicts).
-  if (in >> word) {
-    if (word != "dispatch") return false;
-    if (!(in >> s.result.packed_faults >> s.result.scalar_faults)) {
-      return false;
-    }
-    if (in >> word) return false;  // trailing junk
+  if (!(in >> word) || word != "dispatch" ||
+      !(in >> r.packed_faults >> r.scalar_faults)) {
+    return false;
   }
-  return true;
+  return !(in >> word);  // trailing junk
 }
 
 /// Result of reading a checkpoint file for resume.
@@ -234,11 +222,9 @@ struct CheckpointLoad {
   /// was kept.  False for a missing file — that is a fresh run, not a
   /// salvage.
   bool salvaged = false;
-  /// Record lines discarded at the corrupt tail.
-  std::size_t records_dropped = 0;
 };
 
-/// Loads a v2 checkpoint, salvaging the longest valid prefix.
+/// Loads a v3 checkpoint, salvaging the longest valid prefix.
 /// Decision table:
 ///   missing file                          -> fresh run
 ///   bad/old version header, bad meta CRC  -> fresh run, salvaged
@@ -267,31 +253,27 @@ CheckpointLoad load_checkpoint(const std::string& path) {
     std::istringstream m(*meta);
     std::string word;
     std::string trailing;
+    std::size_t total = 0;
     if (!(m >> word) || word != "fingerprint" || !(m >> cp.fingerprint) ||
-        !(m >> word) || word != "shards" || !(m >> cp.shards_total) ||
-        (m >> trailing) || cp.shards_total < 1 ||
-        cp.shards_total > kMaxCheckpointShards) {
+        !(m >> word) || word != "batches" || !(m >> total) ||
+        (m >> trailing) || total < 1 || total > kMaxCheckpointBatches) {
       out.salvaged = true;
       return out;
     }
+    cp.batches.resize(total);
   }
-  std::vector<unsigned char> seen(cp.shards_total, 0);
   std::string line;
   while (std::getline(in, line)) {
     const std::optional<std::string> payload = checked_payload(line, "rec");
-    CheckpointShard s;
-    const bool ok = payload && parse_shard_record(*payload, s) &&
-                    s.index < cp.shards_total && seen[s.index] == 0;
-    if (!ok) {
-      // End of the valid prefix: count this line and everything after
-      // it as dropped, keep what verified.
+    std::size_t index = 0;
+    CampaignResult result;
+    if (!payload || !parse_batch_record(*payload, index, result) ||
+        index >= cp.batches.size() || cp.batches[index]) {
+      // End of the valid prefix: keep what verified.
       out.salvaged = true;
-      ++out.records_dropped;
-      while (std::getline(in, line)) ++out.records_dropped;
       break;
     }
-    seen[s.index] = 1;
-    cp.shards.push_back(std::move(s));
+    cp.batches[index] = std::move(result);
   }
   out.checkpoint = std::move(cp);
   return out;
@@ -370,50 +352,27 @@ std::string to_string(RequestPriority priority) {
 namespace detail {
 
 /// Shared state of one request, owned jointly by the caller's Ticket,
-/// the admission queue and every pool task working the request.  `mu`
-/// guards all mutable fields.
+/// the admission queue and every pool task working the request (the
+/// tasks hold `job` through a shared_ptr that aliases the request).
 struct ServiceRequest {
-  // Invariant (publication, invisible to thread-safety analysis): the
-  // setup fields come in two waves, each written before the state is
-  // shared with anyone who reads them.  `req` and `deadline_at` are
-  // written on the submitting thread before the request enters the
-  // admission queue (queue push and every later read happen under the
-  // service's `mu`, or on pool tasks that happen-after the push).
-  // `run_shard`, `fingerprint` and `ranges` are written under `mu` by
-  // orchestrate() before it submits any shard task and never again;
-  // shard tasks read them without the lock, synchronized by the pool's
-  // queue mutex (submit() happens-after the writes, task execution
-  // happens-after submit()).  Guarding the reads would put the
-  // type-erased run_shard call itself under `mu`, serializing every
-  // shard.  `stop` is its own synchronization (atomics).
+  // Invariant (publication, invisible to thread-safety analysis): `req`
+  // and `deadline_at` are written on the submitting thread before the
+  // request enters the admission queue (queue push and every later
+  // read happen under the service's `mu`, or on pool tasks that
+  // happen-after the push) and never again.
   CampaignRequest req;
-  util::StopSource stop;
   /// Absolute deadline (steady clock) fixed at admission; only
   /// meaningful when req.deadline > 0.  The load-shedder compares the
   /// remaining budget against the cost estimate at dispatch.
   std::chrono::steady_clock::time_point deadline_at{};
-  std::function<bool(std::span<const mem::Fault>, std::size_t, std::size_t,
-                     CampaignResult&, const util::StopToken&)>
-      run_shard;
-  std::string fingerprint;
-  /// The shard partition: contiguous ascending [begin, end) ranges.
-  /// Fixed at orchestration (or adopted from the checkpoint) — the
-  /// merge over it is what makes resume bit-identical.
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  /// The request on the campaign executor; `job.stop` is the request's
+  /// stop source (cancel() and the deadline).
+  Job job;
 
   util::Mutex mu;
   util::CondVar cv;
   bool finished PRT_GUARDED_BY(mu) = false;
   RequestOutcome outcome PRT_GUARDED_BY(mu);
-  std::vector<CampaignResult> results PRT_GUARDED_BY(mu);
-  std::vector<unsigned char> done PRT_GUARDED_BY(mu);
-  std::vector<int> attempts PRT_GUARDED_BY(mu);
-  std::size_t outstanding PRT_GUARDED_BY(mu) = 0;
-  std::size_t done_count PRT_GUARDED_BY(mu) = 0;
-  std::size_t resumed_count PRT_GUARDED_BY(mu) = 0;
-  std::size_t since_checkpoint PRT_GUARDED_BY(mu) = 0;
-  bool failed PRT_GUARDED_BY(mu) = false;
-  std::string error PRT_GUARDED_BY(mu);
 };
 
 }  // namespace detail
@@ -447,7 +406,7 @@ bool CampaignService::Ticket::done() const {
 }
 
 void CampaignService::Ticket::cancel() const {
-  if (request_) request_->stop.request_stop();
+  if (request_) request_->job.stop.request_stop();
 }
 
 // --- service --------------------------------------------------------
@@ -456,11 +415,12 @@ struct CampaignService::Impl {
   using Request = detail::ServiceRequest;
 
   static constexpr std::size_t kClasses = 3;
-  /// EWMA weight of the newest shard-latency observation.
+  /// EWMA weight of the newest batch-latency observation.
   static constexpr double kEwmaAlpha = 0.2;
 
   ServiceOptions options;
-  util::ThreadPool pool;
+  /// The process-wide pool for options.threads (util::shared_pool).
+  util::ThreadPool& pool;
   util::Watchdog watchdog;
 
   util::Mutex mu;
@@ -469,14 +429,14 @@ struct CampaignService::Impl {
   /// order then FIFO by dispatch_locked().
   std::array<std::deque<std::shared_ptr<Request>>, kClasses> queues
       PRT_GUARDED_BY(mu);
-  /// Requests dispatched (orchestrating or running shards) and not yet
-  /// resolved; bounded by options.max_running.
+  /// Requests dispatched to the executor and not yet resolved; bounded
+  /// by options.max_running.
   std::size_t running PRT_GUARDED_BY(mu) = 0;
   /// Queued + running — what wait_all() waits out.
   std::size_t unresolved PRT_GUARDED_BY(mu) = 0;
-  /// Per-(workload-kind, n) EWMA of observed successful-shard wall
+  /// Per-(workload-kind, n) EWMA of observed successful-batch wall
   /// latency in seconds — the load-shedder's cost model.
-  std::map<std::pair<char, mem::Addr>, double> shard_ewma PRT_GUARDED_BY(mu);
+  std::map<std::pair<char, mem::Addr>, double> batch_ewma PRT_GUARDED_BY(mu);
 
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> rejected{0};
@@ -495,7 +455,8 @@ struct CampaignService::Impl {
   std::atomic<std::uint64_t> checkpoint_salvaged{0};
   std::atomic<std::uint64_t> shards_resumed{0};
 
-  explicit Impl(const ServiceOptions& o) : options(o), pool(o.threads) {}
+  explicit Impl(const ServiceOptions& o)
+      : options(o), pool(util::shared_pool(o.threads)) {}
 
   [[nodiscard]] std::size_t queue_bound(RequestPriority priority) const {
     switch (priority) {
@@ -510,14 +471,14 @@ struct CampaignService::Impl {
   }
 
   /// Load-shedder: true when the request's remaining deadline cannot
-  /// cover the estimated run cost (EWMA shard latency × dispatch
+  /// cover the estimated run cost (EWMA batch latency × dispatch
   /// waves).  Optimistic on purpose — no deadline, no estimate yet, or
   /// an empty universe all admit.
   bool should_shed_locked(const Request& r, std::string& why)
       PRT_REQUIRES(mu) {
     if (r.req.deadline.count() == 0) return false;
-    const std::size_t total = r.req.universe.size();
-    if (total == 0) return false;
+    const std::size_t batches = detail::batch_count(r.req.universe.size());
+    if (batches == 0) return false;
     const double remaining =
         std::chrono::duration<double>(r.deadline_at -
                                       std::chrono::steady_clock::now())
@@ -527,31 +488,27 @@ struct CampaignService::Impl {
             format_ms(-remaining) + " ago)";
       return true;
     }
-    const auto it = shard_ewma.find(
+    const auto it = batch_ewma.find(
         std::make_pair(r.req.march_test ? 'm' : 'p', r.req.options.n));
-    if (it == shard_ewma.end()) return false;
-    // Mirror for_each_chunk's clamp so the wave count matches the
-    // partition orchestrate() would build.
-    std::size_t shard_count = r.req.shards != 0 ? r.req.shards : pool.workers();
-    shard_count = std::min(std::max<std::size_t>(shard_count, 1), total);
-    const std::size_t workers = std::max<std::size_t>(pool.workers(), 1);
-    const std::size_t waves = (shard_count + workers - 1) / workers;
+    if (it == batch_ewma.end()) return false;
+    const std::size_t workers = pool.workers();
+    const std::size_t waves = (batches + workers - 1) / workers;
     const double estimate = it->second * static_cast<double>(waves);
     if (estimate <= remaining) return false;
     why = "shed: estimated cost " + format_ms(estimate) +
-          " (EWMA shard latency " + format_ms(it->second) + " x " +
+          " (EWMA batch latency " + format_ms(it->second) + " x " +
           std::to_string(waves) + " wave(s)) exceeds remaining deadline " +
           format_ms(remaining);
     return true;
   }
 
-  /// Feeds the shedder's cost model from an observed successful shard.
-  void observe_shard_latency(const Request& r, double seconds)
+  /// Feeds the shedder's cost model from an observed successful batch.
+  void observe_batch_latency(const Request& r, double seconds)
       PRT_EXCLUDES(mu) {
     util::MutexLock lock(mu);
     const auto key =
         std::make_pair(r.req.march_test ? 'm' : 'p', r.req.options.n);
-    auto [it, inserted] = shard_ewma.try_emplace(key, seconds);
+    auto [it, inserted] = batch_ewma.try_emplace(key, seconds);
     if (!inserted) {
       it->second = kEwmaAlpha * seconds + (1.0 - kEwmaAlpha) * it->second;
     }
@@ -578,8 +535,7 @@ struct CampaignService::Impl {
         --unresolved;
         {
           // Lock order: service mu (held) before request mu — the only
-          // nesting direction anywhere (release()/run_shard_task take
-          // mu only after dropping the request lock).
+          // nesting direction anywhere (finish() nests the same way).
           util::MutexLock request_lock(next->mu);
           next->outcome.status = RequestStatus::kShedded;
           next->outcome.error = std::move(shed_reason);
@@ -590,360 +546,206 @@ struct CampaignService::Impl {
         continue;
       }
       ++running;
-      pool.submit([this, r = std::move(next)] { orchestrate(r); });
+      start(next);
     }
   }
 
-  /// Serializes the current progress into the checkpoint file.
-  /// Throws on write failure (callers count it and carry on — a
-  /// failed checkpoint must never fail the campaign).
-  void write_checkpoint_locked(Request& r) PRT_REQUIRES(r.mu) {
-    Checkpoint cp;
-    cp.fingerprint = r.fingerprint;
-    cp.shards_total = r.ranges.size();
-    for (std::size_t s = 0; s < r.ranges.size(); ++s) {
-      if (r.done[s] != 0) cp.shards.push_back({s, r.results[s]});
-    }
-    write_checkpoint_file(r.req.checkpoint_path, serialize_checkpoint(cp));
+  /// Hands a dispatched request to the executor.  The setup runs as
+  /// the job's prepare step on the pool, so the job never resolves on
+  /// this thread (which holds `mu`).  Hooks capture the request raw:
+  /// every task holds it alive through the aliasing job pointer.
+  void start(const std::shared_ptr<Request>& r) {
+    Request* request = r.get();
+    const std::shared_ptr<detail::Job> job(r, &r->job);
+    job->size = r->req.universe.size();
+    job->max_retries = options.max_retries;
+    job->prepare = [this, request](detail::Job& j) { prepare(*request, j); };
+    job->on_done = [this, request](detail::JobOutcome done) {
+      finish(*request, std::move(done));
+    };
+    detail::Job::start(pool, job);
   }
 
-  /// Resolves the request: merges the completed shards (in shard
-  /// order — ranges ascend, so the partial merge is exact), fixes the
-  /// status, flushes or removes the checkpoint, wakes waiters.
-  void finalize_locked(Request& r) PRT_REQUIRES(r.mu) {
-    RequestOutcome& out = r.outcome;
-    out.shards_total = r.ranges.size();
-    out.shards_done = r.done_count;
-    out.shards_resumed = r.resumed_count;
-    if (r.failed) {
-      out.status = RequestStatus::kFailed;
-      out.error = r.error;
-    } else if (r.done_count == r.ranges.size()) {
-      out.status = RequestStatus::kComplete;
-    } else {
-      switch (r.stop.token().reason()) {
-        case util::StopReason::kCancelled:
-          out.status = RequestStatus::kPartialCancelled;
-          break;
-        case util::StopReason::kDeadline:
-          out.status = RequestStatus::kPartialDeadline;
-          break;
-        case util::StopReason::kStalled:
-          // Watchdog stalls trip per-attempt child tokens, never the
-          // request token; reaching here means a bug upstream.
-          out.status = RequestStatus::kFailed;
-          out.error = "internal: request token stopped with kStalled";
-          break;
-        case util::StopReason::kNone:
-          out.status = RequestStatus::kFailed;
-          out.error = "internal: shards incomplete without a stop cause";
-          break;
-      }
-    }
-    if (!r.req.checkpoint_path.empty()) {
-      if (out.status == RequestStatus::kComplete) {
-        std::remove(r.req.checkpoint_path.c_str());
-      } else if (r.done_count > 0) {
-        // Final flush so an interrupted request resumes from its last
-        // completed shard, not its last cadence point.  Skipped when
-        // nothing completed (e.g. a fingerprint mismatch) — never
-        // clobber an existing checkpoint with an empty one.  Must run
-        // before the merge below moves the per-shard results out.
-        try {
-          write_checkpoint_locked(r);
-          ++checkpoint_writes;
-        } catch (...) {
-          ++checkpoint_failures;
+  /// The setup step (a pool task): builds the driver (oracle-cache
+  /// builds happen here, not on the submitting thread), fingerprints
+  /// the request, loads, validates or salvages the checkpoint, adopts
+  /// its batches and arms the checkpoint hook.  A throw fails the
+  /// request (kFailed, the message as its error).
+  void prepare(const Request& r, detail::Job& job) {
+    const CampaignRequest& req = r.req;
+    const detail::Job::RunBatch run =
+        req.scheme
+            ? detail::batch_runner<detail::PrtDriver>(
+                  detail::make_driver(*req.scheme, req.options,
+                                      EngineOptions{.early_abort =
+                                                        req.early_abort,
+                                                    .packed = req.packed}),
+                  req.universe)
+            : detail::batch_runner<detail::MarchDriver>(
+                  detail::make_driver(
+                      *req.march_test, req.options,
+                      MarchEngineOptions{.packed = req.packed,
+                                         .early_abort = req.early_abort}),
+                  req.universe);
+    job.run = [this, &r, run](std::size_t begin, std::size_t end,
+                              CampaignResult& out,
+                              const util::StopToken& stop) {
+      return run_attempt(r, run, begin, end, out, stop);
+    };
+    if (req.checkpoint_path.empty()) return;
+    const std::string fingerprint = request_fingerprint(req);
+    if (req.resume) {
+      CheckpointLoad loaded = load_checkpoint(req.checkpoint_path);
+      if (loaded.salvaged) ++checkpoint_salvaged;
+      if (loaded.checkpoint) {
+        Checkpoint& cp = *loaded.checkpoint;
+        if (cp.fingerprint != fingerprint) {
+          throw std::runtime_error(
+              "checkpoint fingerprint mismatch: " + req.checkpoint_path +
+              " records a different campaign (workload, options or "
+              "universe changed; checkpoint " +
+              cp.fingerprint + ", request " + fingerprint + ")");
         }
+        if (cp.batches.size() != detail::batch_count(req.universe.size())) {
+          throw std::runtime_error(
+              "malformed checkpoint (" + std::to_string(cp.batches.size()) +
+              " batches for a " + std::to_string(req.universe.size()) +
+              "-fault universe): " + req.checkpoint_path);
+        }
+        shards_resumed += job.adopt(std::move(cp.batches));
       }
     }
-    std::vector<CampaignResult> merged;
-    merged.reserve(r.done_count);
-    for (std::size_t s = 0; s < r.ranges.size(); ++s) {
-      if (r.done[s] != 0) merged.push_back(std::move(r.results[s]));
+    // Checkpointing is best-effort durability: a failed write is
+    // counted, never fatal — the campaign itself keeps running.
+    job.checkpoint_every = req.checkpoint_every;
+    job.checkpoint = [this, path = req.checkpoint_path,
+                      fingerprint](const detail::BatchResults& batches) {
+      try {
+        write_checkpoint_file(path, serialize_checkpoint(fingerprint, batches));
+        ++checkpoint_writes;
+      } catch (...) {
+        ++checkpoint_failures;
+      }
+    };
+  }
+
+  /// One attempt of one batch under the service's per-batch hooks: the
+  /// "campaign_service.shard" fail point (a crashed or wedged worker),
+  /// a child stop token the watchdog trips past `stall_budget`
+  /// (StopReason::kStalled — a request-level cancel or deadline still
+  /// reaches the batch through the parent link), and the shedder's
+  /// latency EWMA.  A stall throws, so the executor retries it like a
+  /// crash: a wedged batch becomes a retried batch, not a wedged
+  /// request.
+  bool run_attempt(const Request& r, const detail::Job::RunBatch& run,
+                   std::size_t begin, std::size_t end, CampaignResult& out,
+                   const util::StopToken& stop) {
+    util::StopSource attempt{stop};
+    std::optional<util::Watchdog::Id> watch;
+    if (options.stall_budget.count() > 0) {
+      watch = watchdog.watch(options.stall_budget, [attempt] {
+        attempt.request_stop(util::StopReason::kStalled);
+      });
     }
-    out.result = merge_results(merged);
+    const auto started = std::chrono::steady_clock::now();
+    bool completed_batch = false;
+    try {
+      util::FailPoint::hit("campaign_service.shard");
+      completed_batch = run(begin, end, out, attempt.token());
+    } catch (...) {
+      if (watch) watchdog.unwatch(*watch);
+      throw;
+    }
+    if (watch) watchdog.unwatch(*watch);
+    if (completed_batch) {
+      observe_batch_latency(
+          r, std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           started)
+                 .count());
+      return true;
+    }
+    // A stall is "the attempt token tripped kStalled while the request
+    // itself is still live".
+    if (attempt.token().reason() == util::StopReason::kStalled &&
+        !stop.stop_requested()) {
+      ++shard_stalls;
+      throw std::runtime_error(
+          "stalled: attempt exceeded the stall budget (" +
+          format_ms(std::chrono::duration<double>(options.stall_budget)
+                        .count()) +
+          ")");
+    }
+    return false;
+  }
+
+  /// The job's completion callback: fixes the request status, removes
+  /// the checkpoint of a completed request, rolls the counters up,
+  /// resolves the ticket and frees the running slot.
+  void finish(Request& r, detail::JobOutcome done) {
+    RequestOutcome out;
+    out.result = std::move(done.run.result);
+    out.shards_done = done.run.shards_done;
+    out.shards_total = done.run.shards_total;
+    out.shards_resumed = done.resumed;
+    if (done.exception) {
+      out.status = RequestStatus::kFailed;
+      out.error = std::move(done.error);
+      ++failed;
+    } else if (done.run.status == RunStatus::kComplete) {
+      out.status = RequestStatus::kComplete;
+      ++completed;
+      if (!r.req.checkpoint_path.empty()) {
+        std::remove(r.req.checkpoint_path.c_str());
+      }
+    } else {
+      out.status = done.run.status == RunStatus::kDeadlineExpired
+                       ? RequestStatus::kPartialDeadline
+                       : RequestStatus::kPartialCancelled;
+      ++partial;
+    }
     packed_faults += out.result.packed_faults;
     scalar_faults += out.result.scalar_faults;
-    switch (out.status) {
-      case RequestStatus::kComplete:
-        ++completed;
-        break;
-      case RequestStatus::kPartialCancelled:
-      case RequestStatus::kPartialDeadline:
-        ++partial;
-        break;
-      default:
-        ++failed;
-        break;
-    }
-    r.finished = true;
-    r.cv.notify_all();
-  }
-
-  /// Drops one running slot (after a dispatched request resolved) and
-  /// pulls the next queued request into the window.
-  void release() PRT_EXCLUDES(mu) {
+    shard_retries += done.retries;
+    // The ticket resolves under the service lock, so a waiter's next
+    // stats() already sees the running slot freed.
     util::MutexLock lock(mu);
+    {
+      util::MutexLock request_lock(r.mu);
+      r.outcome = std::move(out);
+      r.finished = true;
+      r.cv.notify_all();
+    }
     --running;
     --unresolved;
     dispatch_locked();
     all_done.notify_all();
   }
-
-  /// One shard's pool task: runs the shard under a per-attempt child
-  /// stop token supervised by the watchdog, records the result, writes
-  /// the cadence checkpoint, retries on an exception or a stall
-  /// (bounded), finalizes when it was the last outstanding task.  The
-  /// "campaign_service.shard" fail point models a worker crash (throw)
-  /// or a wedged worker (delay + stall budget).
-  void run_shard_task(const std::shared_ptr<Request>& r, std::size_t s) {
-    const auto [begin, end] = r->ranges[s];
-    CampaignResult result;
-    bool completed_shard = false;
-    bool threw = false;
-    std::string what;
-    // The child token: the watchdog cancels *this attempt* (kStalled)
-    // without touching the request token; a request-level cancel or
-    // deadline still reaches the shard loop through the parent link.
-    util::StopSource attempt_stop{r->stop.token()};
-    std::optional<util::Watchdog::Id> watch;
-    if (options.stall_budget.count() > 0) {
-      watch = watchdog.watch(options.stall_budget, [attempt_stop] {
-        attempt_stop.request_stop(util::StopReason::kStalled);
-      });
-    }
-    const auto attempt_start = std::chrono::steady_clock::now();
-    try {
-      util::FailPoint::hit("campaign_service.shard");
-      completed_shard = r->run_shard(r->req.universe, begin, end, result,
-                                     attempt_stop.token());
-    } catch (const std::exception& e) {
-      threw = true;
-      what = e.what();
-    } catch (...) {
-      threw = true;
-      what = "unknown error";
-    }
-    if (watch) watchdog.unwatch(*watch);
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - attempt_start)
-                               .count();
-
-    // A stall is "the attempt token tripped kStalled while the request
-    // itself is still live".  Fold it into the retry path: a wedged
-    // shard becomes a retried shard, not a wedged request.
-    if (!completed_shard && !threw &&
-        attempt_stop.token().reason() == util::StopReason::kStalled &&
-        !r->stop.token().stop_requested()) {
-      ++shard_stalls;
-      threw = true;
-      what = "stalled: attempt exceeded the stall budget (" +
-             format_ms(std::chrono::duration<double>(options.stall_budget)
-                           .count()) +
-             ")";
-    }
-    if (completed_shard) observe_shard_latency(*r, seconds);
-
-    bool resolved = false;
-    {
-      util::MutexLock lock(r->mu);
-      if (threw) {
-        ++r->attempts[s];
-        const bool retry = !r->failed && !r->stop.stop_requested() &&
-                           r->attempts[s] <= options.max_retries;
-        if (retry) {
-          ++shard_retries;
-          lock.Unlock();
-          // Resubmit instead of looping in place: the retried shard
-          // goes to the back of the queue, so one flaky shard cannot
-          // starve other requests' tasks.
-          pool.submit([this, r, s] { run_shard_task(r, s); });
-          return;  // outstanding unchanged — the retry owns the slot
-        }
-        if (!r->failed) {
-          r->failed = true;
-          r->error = "shard " + std::to_string(s) + " failed after " +
-                     std::to_string(r->attempts[s]) + " attempt(s): " + what;
-          // Wind down this request's remaining shards promptly; other
-          // requests have their own tokens and are untouched.
-          r->stop.request_stop();
-        }
-      } else if (completed_shard) {
-        r->results[s] = std::move(result);
-        r->done[s] = 1;
-        ++r->done_count;
-        ++r->since_checkpoint;
-        if (!r->req.checkpoint_path.empty() &&
-            r->done_count < r->ranges.size() &&
-            r->since_checkpoint >= r->req.checkpoint_every) {
-          r->since_checkpoint = 0;
-          try {
-            write_checkpoint_locked(*r);
-            ++checkpoint_writes;
-          } catch (...) {
-            // Checkpointing is best-effort durability; the campaign
-            // itself keeps running.
-            ++checkpoint_failures;
-          }
-        }
-      }
-      // else: the shard observed the stop token and abandoned — its
-      // partial tallies are discarded, the slot stays not-done.
-      if (--r->outstanding == 0) {
-        finalize_locked(*r);
-        resolved = true;
-      }
-    }
-    if (resolved) release();
-  }
-
-  /// The per-request setup task: builds the driver (oracle-cache
-  /// builds happen here, not on the submitting thread), fingerprints
-  /// the request, loads/validates/salvages the checkpoint, fixes the
-  /// shard partition and fans the pending shards out.  Holds r->mu for
-  /// the whole setup: no shard task exists yet, so the lock is
-  /// uncontended except for tickets polling done(), and holding it
-  /// lets the analysis prove every write to the guarded state.  Shard
-  /// tasks submitted at the end block on r->mu at most until this
-  /// scope exits.
-  void orchestrate(const std::shared_ptr<Request>& r) {
-    bool resolved = false;
-    util::MutexLock lock(r->mu);
-    try {
-      CampaignRequest& req = r->req;
-      if (r->stop.token().stop_requested()) {
-        // Dead on arrival (cancelled or deadline-expired while
-        // queued): fix the partition cheaply — no driver build, no
-        // oracle work, no checkpoint read — and resolve partial with
-        // zero shards run.
-        const std::size_t shard_count =
-            req.shards != 0 ? req.shards : pool.workers();
-        util::for_each_chunk(
-            req.universe.size(), shard_count,
-            [&](unsigned, std::size_t begin, std::size_t end) {
-              r->ranges.emplace_back(begin, end);
-            });
-        r->results.resize(r->ranges.size());
-        r->done.assign(r->ranges.size(), 0);
-        r->attempts.assign(r->ranges.size(), 0);
-        finalize_locked(*r);
-        resolved = true;
-        lock.Unlock();
-        if (resolved) release();
-        return;
-      }
-      if (req.scheme) {
-        const EngineOptions engine{.threads = 1,
-                                   .parallel = false,
-                                   .use_oracle = true,
-                                   .early_abort = req.early_abort,
-                                   .packed = req.packed};
-        std::shared_ptr<detail::PrtDriver> driver =
-            detail::make_driver(*req.scheme, req.options, engine);
-        r->run_shard = [driver = std::move(driver)](
-                           std::span<const mem::Fault> universe,
-                           std::size_t begin, std::size_t end,
-                           CampaignResult& out, const util::StopToken& stop) {
-          return driver->run_shard(universe, begin, end, out, stop);
-        };
-      } else {
-        const MarchEngineOptions engine{.threads = 1,
-                                        .parallel = false,
-                                        .packed = req.packed,
-                                        .early_abort = req.early_abort};
-        std::shared_ptr<detail::MarchDriver> driver =
-            detail::make_driver(*req.march_test, req.options, engine);
-        r->run_shard = [driver = std::move(driver)](
-                           std::span<const mem::Fault> universe,
-                           std::size_t begin, std::size_t end,
-                           CampaignResult& out, const util::StopToken& stop) {
-          return driver->run_shard(universe, begin, end, out, stop);
-        };
-      }
-      r->fingerprint = request_fingerprint(req);
-
-      std::size_t shard_count =
-          req.shards != 0 ? req.shards : pool.workers();
-      std::optional<Checkpoint> cp;
-      if (req.resume) {
-        CheckpointLoad loaded = load_checkpoint(req.checkpoint_path);
-        if (loaded.salvaged) ++checkpoint_salvaged;
-        cp = std::move(loaded.checkpoint);
-        if (cp) {
-          if (cp->fingerprint != r->fingerprint) {
-            throw std::runtime_error(
-                "checkpoint fingerprint mismatch: " + req.checkpoint_path +
-                " records a different campaign (workload, options or "
-                "universe changed; checkpoint " +
-                cp->fingerprint + ", request " + r->fingerprint + ")");
-          }
-          if (cp->shards_total < 1 ||
-              cp->shards_total > std::max<std::size_t>(req.universe.size(),
-                                                       1)) {
-            throw std::runtime_error(
-                "malformed checkpoint (shard count " +
-                std::to_string(cp->shards_total) + " for a " +
-                std::to_string(req.universe.size()) + "-fault universe): " +
-                req.checkpoint_path);
-          }
-          // Adopt the recorded partition — merging checkpointed shard
-          // results is only bit-identical over the partition they were
-          // produced under.
-          shard_count = cp->shards_total;
-        }
-      }
-      util::for_each_chunk(req.universe.size(), shard_count,
-                           [&](unsigned, std::size_t begin, std::size_t end) {
-                             r->ranges.emplace_back(begin, end);
-                           });
-      if (cp && cp->shards_total != r->ranges.size()) {
-        throw std::runtime_error("malformed checkpoint (partition): " +
-                                 req.checkpoint_path);
-      }
-      r->results.resize(r->ranges.size());
-      r->done.assign(r->ranges.size(), 0);
-      r->attempts.assign(r->ranges.size(), 0);
-      if (cp) {
-        for (CheckpointShard& s : cp->shards) {
-          if (s.index >= r->ranges.size() || r->done[s.index] != 0) {
-            throw std::runtime_error("malformed checkpoint (shard index " +
-                                     std::to_string(s.index) + "): " +
-                                     req.checkpoint_path);
-          }
-          r->results[s.index] = std::move(s.result);
-          r->done[s.index] = 1;
-        }
-        r->done_count = r->resumed_count = cp->shards.size();
-        shards_resumed += cp->shards.size();
-      }
-
-      std::vector<std::size_t> pending;
-      for (std::size_t s = 0; s < r->ranges.size(); ++s) {
-        if (r->done[s] == 0) pending.push_back(s);
-      }
-      if (pending.empty()) {
-        finalize_locked(*r);
-        resolved = true;
-      } else {
-        r->outstanding = pending.size();
-        for (const std::size_t s : pending) {
-          pool.submit([this, r, s] { run_shard_task(r, s); });
-        }
-      }
-    } catch (const std::exception& e) {
-      r->failed = true;
-      r->error = e.what();
-      finalize_locked(*r);
-      resolved = true;
-    }
-    lock.Unlock();
-    if (resolved) release();
-  }
 };
 
+namespace {
+
+ServiceOptions validated(const ServiceOptions& options) {
+  if (options.max_running == 0) {
+    throw std::invalid_argument(
+        "ServiceOptions: max_running must be >= 1 (got 0)");
+  }
+  if (options.max_retries < 0) {
+    throw std::invalid_argument(
+        "ServiceOptions: max_retries must be >= 0 (got " +
+        std::to_string(options.max_retries) + ")");
+  }
+  if (options.stall_budget.count() < 0) {
+    throw std::invalid_argument(
+        "ServiceOptions: stall_budget must be >= 0 (got " +
+        std::to_string(options.stall_budget.count()) + " ns)");
+  }
+  return options;
+}
+
+}  // namespace
+
 CampaignService::CampaignService(const ServiceOptions& options)
-    : impl_(std::make_unique<Impl>(options)) {
+    : impl_(std::make_unique<Impl>(validated(options))) {
   if (options.cache_budget_bytes != 0) {
     OracleCache::global().set_budget_bytes(options.cache_budget_bytes);
   }
@@ -954,7 +756,6 @@ CampaignService::~CampaignService() { wait_all(); }
 CampaignService::Ticket CampaignService::submit(CampaignRequest request) {
   auto r = std::make_shared<detail::ServiceRequest>();
   r->req = std::move(request);
-  if (r->req.checkpoint_every == 0) r->req.checkpoint_every = 1;
 
   // Fail-fast validation on the submitting thread: a malformed request
   // resolves immediately instead of occupying a queue slot.  Every
@@ -970,6 +771,11 @@ CampaignService::Ticket CampaignService::submit(CampaignRequest request) {
   } else if (static_cast<std::uint8_t>(r->req.priority) >= Impl::kClasses) {
     invalid = "priority must be high, normal or batch (got " +
               std::to_string(static_cast<unsigned>(r->req.priority)) + ")";
+  } else if (r->req.deadline.count() < 0) {
+    invalid = "deadline must be >= 0 (got " +
+              std::to_string(r->req.deadline.count()) + " ns)";
+  } else if (r->req.checkpoint_every == 0) {
+    invalid = "checkpoint_every must be >= 1 (got 0)";
   } else {
     try {
       validate_campaign_options(r->req.options);
@@ -995,7 +801,7 @@ CampaignService::Ticket CampaignService::submit(CampaignRequest request) {
     // against the request's budget.  Written before the queue push
     // publishes the request.
     if (r->req.deadline.count() > 0) {
-      r->stop.set_deadline_after(r->req.deadline);
+      r->job.stop.set_deadline_after(r->req.deadline);
       r->deadline_at = std::chrono::steady_clock::now() + r->req.deadline;
     }
     ++impl_->unresolved;

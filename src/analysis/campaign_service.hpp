@@ -3,49 +3,46 @@
 // CampaignEngine / MarchCampaign / CampaignSuite are synchronous: the
 // caller blocks for the whole campaign and an interrupted process
 // loses everything.  CampaignService is the async, fault-tolerant
-// layer the ROADMAP's campaign-as-a-service milestone calls for:
+// layer in front of the same campaign executor (campaign_shard.hpp):
 //
 //  * requests (a PRT scheme or March test + options + universe) are
 //    admitted into per-class (high / normal / batch) bounded queues —
 //    a submission past its class bound is rejected immediately with
 //    kRejected instead of queueing without bound.  Dispatch drains
-//    strictly by class, FIFO within a class, onto one shared worker
-//    pool with a bounded running window (max_running).  A deadline-
-//    aware load-shedder resolves queued requests whose remaining
-//    deadline can no longer cover their estimated cost (a per-
-//    (workload-kind, n) EWMA of observed shard latencies) with
-//    kShedded at dispatch time, before any oracle work is spent on
-//    guaranteed-partial results;
-//  * every request carries a cooperative StopToken: cancel() and the
-//    per-request deadline stop the shard loops at the next fault
-//    boundary, and the request resolves to a *partial* outcome — the
-//    exact merge of the shards that completed (kPartialCancelled /
-//    kPartialDeadline), never a torn result;
-//  * a shard watchdog (util/watchdog.hpp) cancels any shard attempt
+//    strictly by class, FIFO within a class, with a bounded running
+//    window (max_running); a dispatched request becomes one executor
+//    job on the process-wide pool.  A deadline-aware load-shedder
+//    resolves queued requests whose remaining deadline can no longer
+//    cover their estimated cost (a per-(workload-kind, n) EWMA of
+//    observed batch latencies) with kShedded at dispatch time, before
+//    any oracle work is spent on guaranteed-partial results;
+//  * a shard is one fixed 2048-fault batch at every worker count, so a
+//    request over N faults has ceil(N / 2048) shards;
+//  * cancel() and the per-request deadline stop the batch loops at the
+//    next fault boundary, and the request resolves to a *partial*
+//    outcome — the exact merge of the batches that completed
+//    (kPartialCancelled / kPartialDeadline), never a torn result;
+//  * a watchdog (util/watchdog.hpp) cancels any batch attempt
 //    exceeding `stall_budget` via a per-attempt child StopToken
-//    (StopReason::kStalled) and folds the stall into the bounded-retry
-//    path: a wedged shard becomes a retried shard, not a wedged
-//    request;
-//  * progress is checkpointed at shard granularity: every
-//    `checkpoint_every` completed shards the service durably rewrites
-//    a version-headered, per-record CRC32-guarded checkpoint file
-//    (fingerprint + shard partition + per-shard results; format v2,
-//    DESIGN.md §13).  A resumed request re-validates the fingerprint —
-//    workload structure, geometry, run options and the universe
-//    itself — adopts the recorded partition, and its final result is
-//    bit-identical to an uninterrupted run.  A torn or corrupted
-//    checkpoint is *salvaged*: the longest CRC-valid record prefix is
-//    adopted and the rest recomputed (counted in
-//    stats().checkpoint_salvaged); only a genuine fingerprint mismatch
-//    hard-fails the request;
-//  * a shard task that throws is retried up to `max_retries` times;
-//    exhaustion fails that request (kFailed, error preserved) and
-//    winds down its remaining shards without touching other requests
-//    or the pool.  util::FailPoint hooks in the pool, the oracle
-//    cache, the shard tasks and the checkpoint writer let tests drive
-//    each of these paths deterministically.
+//    (StopReason::kStalled) and folds the stall into bounded retry;
+//  * every `checkpoint_every` completed batches the service durably
+//    rewrites a version-headered, per-record CRC32-guarded checkpoint
+//    (fingerprint + per-batch results; format v3, DESIGN.md §13/§16).
+//    A resumed request re-validates the fingerprint — workload
+//    structure, geometry, run options and the universe itself — at any
+//    worker count, and its final result is bit-identical to an
+//    uninterrupted run.  A torn or corrupted checkpoint is *salvaged*:
+//    the longest CRC-valid record prefix is adopted and the rest
+//    recomputed (stats().checkpoint_salvaged); only a fingerprint
+//    mismatch hard-fails the request;
+//  * a batch attempt that throws, stalls, or whose pool task is lost
+//    is retried up to `max_retries` times; exhaustion — or a lost setup
+//    task — fails that request (kFailed, error preserved) without
+//    touching other requests or the pool.  util::FailPoint hooks in
+//    the pool, the oracle cache, the batch attempts and the checkpoint
+//    writer let tests drive each of these paths deterministically.
 //
-// See DESIGN.md §11/§13 and tests/test_campaign_service.cpp,
+// See DESIGN.md §11/§13/§16 and tests/test_campaign_service.cpp,
 // tests/test_checkpoint_recovery.cpp.
 #pragma once
 
@@ -78,11 +75,15 @@ enum class RequestPriority : std::uint8_t {
 
 [[nodiscard]] std::string to_string(RequestPriority priority);
 
+/// The constructor throws std::invalid_argument, naming the value, on
+/// max_running == 0, a negative max_retries or a negative
+/// stall_budget.
 struct ServiceOptions {
-  /// Worker count for the one shared pool; 0 defers to the
-  /// PRT_THREADS environment override, then the hardware concurrency.
+  /// Worker count: the service runs on util::shared_pool(threads); 0
+  /// defers to the PRT_THREADS environment override, then the hardware
+  /// concurrency.
   unsigned threads = 0;
-  /// Dispatch window: requests orchestrating/running concurrently.
+  /// Dispatch window (>= 1): requests set up or running concurrently.
   /// Further admitted requests wait in their class queue.
   std::size_t max_running = 8;
   /// Per-class admission bounds: a submission while its class queue
@@ -92,11 +93,11 @@ struct ServiceOptions {
   std::size_t queue_bound_high = 16;
   std::size_t queue_bound_normal = 32;
   std::size_t queue_bound_batch = 64;
-  /// Retries per shard task before the request fails.
+  /// Retries per shard (batch) before the request fails (>= 0).
   int max_retries = 2;
   /// Watchdog budget per shard *attempt*; an attempt exceeding it is
   /// cancelled (kStalled) and retried like a thrown shard.  0
-  /// disables the watchdog.
+  /// disables the watchdog; negative is rejected.
   std::chrono::nanoseconds stall_budget{0};
   /// If nonzero, applied to OracleCache::global()'s byte budget at
   /// service construction (the cache is process-wide, so the last
@@ -127,7 +128,8 @@ enum class RequestStatus : std::uint8_t {
 
 /// One campaign request.  Exactly one of `scheme` / `march_test` must
 /// be set.  The universe is owned by the request (the service runs it
-/// asynchronously after submit() returns).
+/// asynchronously after submit() returns) and runs as fixed 2048-fault
+/// shards (batches), whatever the worker count.
 struct CampaignRequest {
   std::optional<core::PrtScheme> scheme;
   std::optional<march::MarchTest> march_test;
@@ -138,12 +140,10 @@ struct CampaignRequest {
   std::vector<mem::Fault> universe;
   /// Admission class; see RequestPriority.
   RequestPriority priority = RequestPriority::kNormal;
-  /// Shard partition size; 0 = one shard per pool worker.  A resumed
-  /// request always adopts the partition recorded in the checkpoint.
-  std::size_t shards = 0;
   /// Checkpoint file; empty disables checkpointing.
   std::string checkpoint_path;
-  /// Completed shards between checkpoint rewrites (>= 1).  A final
+  /// Completed shards between checkpoint rewrites (>= 1; 0 fails the
+  /// request at submit).  A final
   /// checkpoint is always flushed when a checkpointed request ends
   /// incomplete, so cancel-then-resume loses nothing.
   std::size_t checkpoint_every = 1;
@@ -154,14 +154,16 @@ struct CampaignRequest {
   /// (kFailed) rather than silently merging results from a different
   /// campaign.
   bool resume = false;
-  /// Wall-clock budget measured from submit(); zero = none.  Queued
-  /// time counts against it, and the load-shedder may resolve the
+  /// Wall-clock budget measured from submit(); zero = none, negative
+  /// fails the request at submit.  Queued time counts against it, and the load-shedder may resolve the
   /// request kShedded at dispatch if the remainder cannot cover the
   /// estimated run cost.
   std::chrono::nanoseconds deadline{0};
 };
 
-/// Resolved outcome of one request.
+/// Resolved outcome of one request.  A shard is one fixed 2048-fault
+/// batch: shards_total is ceil(universe size / 2048) at every worker
+/// count (0 for an empty universe or a shed request).
 struct RequestOutcome {
   RequestStatus status = RequestStatus::kFailed;
   /// Exact merge of the completed shards (all of them on kComplete).
@@ -176,6 +178,7 @@ struct RequestOutcome {
 
 class CampaignService {
  public:
+  /// Throws std::invalid_argument on malformed options (ServiceOptions).
   explicit CampaignService(const ServiceOptions& options = {});
   /// Blocks until every admitted request has resolved.
   ~CampaignService();

@@ -9,13 +9,14 @@
 //  * one workload (a PRT scheme *factory*, since schemes are sized per
 //    n, or one March test) plus a list of CampaignOptions and a
 //    universe *generator* called once per configuration;
-//  * every configuration's universe is generated and its golden
-//    artifacts fetched from the shared analysis::OracleCache (so a
-//    port sweep at one n compiles its oracle once, and repeated
-//    sweeps recompile nothing) in one fan-out; a second fan-out runs
-//    every configuration's fixed fault batches, flattened into one
-//    index space on the process-wide pool for the thread count, so
-//    small configurations never serialize behind big ones;
+//  * every configuration is one job on the campaign executor
+//    (campaign_shard.hpp): its first pool task generates the universe
+//    and fetches the golden artifacts from the shared
+//    analysis::OracleCache (so a port sweep at one n compiles its
+//    oracle once, and repeated sweeps recompile nothing), then its
+//    fixed 2048-fault batches queue behind every configuration's
+//    setup on the process-wide pool for the thread count, so small
+//    configurations never serialize behind big ones;
 //  * per-configuration batch results are merged in batch order, so
 //    each configuration's CampaignResult is bit-identical to a
 //    standalone CampaignEngine / MarchCampaign run over the same
@@ -111,8 +112,7 @@ class CampaignSuite {
   CampaignSuite(const CampaignSuite&) = delete;
   CampaignSuite& operator=(const CampaignSuite&) = delete;
 
-  /// Runs every configuration's campaign: one fan-out prepares every
-  /// configuration, a second runs every (configuration x batch) pair.
+  /// Runs every configuration's campaign, one executor job each.
   /// Throws std::invalid_argument on any malformed configuration
   /// (validate_campaign_options, checked up-front for every
   /// configuration before any work is scheduled); a failure on a

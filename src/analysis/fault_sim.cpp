@@ -38,8 +38,6 @@ CampaignResult merge_results(std::span<const CampaignResult> shards) {
     merged.ops += shard.ops;
     merged.packed_faults += shard.packed_faults;
     merged.scalar_faults += shard.scalar_faults;
-    merged.sched.batches += shard.sched.batches;
-    merged.sched.steals += shard.sched.steals;
     merged.escapes.insert(merged.escapes.end(), shard.escapes.begin(),
                           shard.escapes.end());
   }

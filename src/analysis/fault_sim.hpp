@@ -34,21 +34,6 @@ struct ClassCoverage {
   bool operator==(const ClassCoverage&) const = default;
 };
 
-/// Scheduling telemetry of one campaign run — how the work was
-/// *executed*, never what it computed.  Unlike the dispatch tallies
-/// below, these fields depend on the partition, the thread count and
-/// timing (steals), so they are excluded from CampaignResult's
-/// equality: the parity suites compare whole results across thread
-/// counts, and the guarantee is that everything *else* is
-/// bit-identical.
-struct SchedTelemetry {
-  /// Scheduler batches that completed (1 for an inline run).
-  std::uint64_t batches = 0;
-  /// Batches executed by a worker outside its home range
-  /// (util::StealCounters::steals); 0 for inline runs.
-  std::uint64_t steals = 0;
-};
-
 struct CampaignResult {
   std::map<mem::FaultClass, ClassCoverage> by_class;
   ClassCoverage overall;
@@ -63,23 +48,14 @@ struct CampaignResult {
   /// scalar per-fault path.  packed_faults + scalar_faults ==
   /// overall.total; a fully lane-compatible universe on a packed
   /// engine has scalar_faults == 0 (the bench asserts exactly that via
-  /// its packed_fraction field).  Verdict-neutral telemetry — the
-  /// parity suites compare verdict fields only, since the whole point
-  /// of packing is that the split never changes the result.
+  /// its packed_fraction field).  Both depend on the packed option and
+  /// the faults only, never on the thread count, so equality covers
+  /// them; the parity suites that compare a packed run against the
+  /// scalar reference compare verdict fields only.
   std::uint64_t packed_faults = 0;
   std::uint64_t scalar_faults = 0;
-  /// Execution telemetry (batches, steals) — NOT part of equality, see
-  /// SchedTelemetry.
-  SchedTelemetry sched;
 
-  /// Everything except `sched`: the fields the bit-identical-at-any-
-  /// thread-count guarantee covers.
-  bool operator==(const CampaignResult& o) const {
-    return by_class == o.by_class && overall == o.overall &&
-           escapes == o.escapes && ops == o.ops &&
-           packed_faults == o.packed_faults &&
-           scalar_faults == o.scalar_faults;
-  }
+  bool operator==(const CampaignResult&) const = default;
 };
 
 struct CampaignOptions {
@@ -92,8 +68,8 @@ struct CampaignOptions {
   // down the "previous value" seen by first-write transitions).
 };
 
-/// How a stoppable campaign run ended.  kComplete means every shard
-/// ran to completion — even if a stop arrived after the last shard
+/// How a stoppable campaign run ended.  kComplete means every batch
+/// ran to completion — even if a stop arrived after the last batch
 /// finished, the result covers the whole universe and is bit-identical
 /// to an uninterrupted run.
 enum class RunStatus : std::uint8_t {
@@ -119,20 +95,19 @@ enum class RunStatus : std::uint8_t {
   return RunStatus::kComplete;
 }
 
-/// Outcome of a stoppable campaign run: the merge of every shard that
-/// completed before the stop was observed.  Interrupted shards are
+/// Outcome of a stoppable campaign run: the merge of every batch that
+/// completed before the stop was observed.  Interrupted batches are
 /// discarded whole — `result` is always an exact tally over the union
-/// of the completed shards' (contiguous, ascending) index ranges, so a
-/// partial result is trustworthy for the faults it covers and
-/// `escapes` stays ascending.
+/// of the completed batches' (contiguous, ascending) index ranges, so
+/// a partial result is trustworthy for the faults it covers and
+/// `escapes` stays ascending.  shards_done / shards_total count fixed
+/// 2048-fault batches: shards_total is ceil(universe size / 2048) at
+/// every thread count (analysis/campaign_shard.hpp).
 struct CampaignOutcome {
   RunStatus status = RunStatus::kComplete;
   CampaignResult result;
   std::size_t shards_done = 0;
   std::size_t shards_total = 0;
-  [[nodiscard]] bool complete() const {
-    return status == RunStatus::kComplete;
-  }
 };
 
 /// Central geometry validation, shared by every campaign entry point
@@ -143,10 +118,10 @@ struct CampaignOutcome {
 /// and ports is 1, 2 or 4 (the per-port state arrays).
 void validate_campaign_options(const CampaignOptions& opt);
 
-/// Folds shard results produced over contiguous ascending fault-index
-/// ranges back into one CampaignResult, in shard order — the merge
+/// Folds batch results produced over contiguous ascending fault-index
+/// ranges back into one CampaignResult, in batch order — the merge
 /// that makes every parallel campaign path bit-identical to the serial
-/// one (campaign drivers and CampaignSuite both fold through this).
+/// one (every job on the campaign executor folds through this).
 [[nodiscard]] CampaignResult merge_results(
     std::span<const CampaignResult> shards);
 

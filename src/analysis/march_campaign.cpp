@@ -18,7 +18,7 @@ const march::MarchTest& MarchCampaign::test() const {
 
 CampaignResult MarchCampaign::run(
     std::span<const mem::Fault> universe) const {
-  return driver_->run(universe);
+  return driver_->run_stoppable(universe, util::StopToken()).result;
 }
 
 CampaignOutcome MarchCampaign::run(std::span<const mem::Fault> universe,

@@ -12,7 +12,7 @@
 //    core::OpTranscript, cached in the process-wide
 //    analysis::OracleCache and shared by every campaign over the same
 //    test; lane-compatible faults (decoder kinds included) are batched
-//    512 per sweep (64 on a shard thinner than 256 faults) through the
+//    512 per sweep (64 on a batch tail thinner than 256 faults) through the
 //    transcript march::run_march_packed, the remaining (retention,
 //    NPSF) faults run the scalar march::run_march_transcript
 //    (devirtualized FaultyRam), and the merged CampaignResult —
@@ -47,11 +47,8 @@ struct MarchEngineOptions {
   /// Worker count; 0 defers to the PRT_THREADS environment override,
   /// then the hardware concurrency (util::default_worker_count).
   unsigned threads = 0;
-  /// Fan the universe out over the pool.  Off = one shard, inline on
-  /// the calling thread.
-  bool parallel = true;
-  /// Batch lane-compatible faults 512 per March sweep (64 on a shard
-  /// thinner than 256 faults) on a bit-packed mem::PackedFaultRamT
+  /// Batch lane-compatible faults 512 per March sweep (64 on a batch
+  /// tail thinner than 256 faults) on a bit-packed mem::PackedFaultRamT
   /// when m = 1.  Results stay bit-identical to the all-scalar
   /// reference.
   bool packed = true;
@@ -85,9 +82,9 @@ class MarchCampaign {
   /// from a task already running on a campaign pool.
   [[nodiscard]] CampaignResult run(std::span<const mem::Fault> universe) const;
 
-  /// Cancellable run: shard loops poll `stop` per fault, interrupted
-  /// shards are discarded whole, and the outcome carries the merge of
-  /// the completed shards plus why the run ended (CampaignOutcome in
+  /// Cancellable run: batches poll `stop` per fault, interrupted
+  /// batches are discarded whole, and the outcome carries the merge of
+  /// the completed batches plus why the run ended (CampaignOutcome in
   /// fault_sim.hpp).  With a never-stopping token the result is
   /// bit-identical to run().
   [[nodiscard]] CampaignOutcome run(std::span<const mem::Fault> universe,

@@ -1,8 +1,9 @@
 // Tests for the oracle-backed, parallel campaign engine
 // (analysis/campaign_engine): the parallel path must be bit-identical
 // to the serial reference, early-abort must change costs only, never
-// verdicts, and campaigns sharing the process-wide pool must neither
-// disturb each other nor report a lost pool task as a complete run.
+// verdicts, campaigns sharing the process-wide pool must neither
+// disturb each other nor report a lost pool task as a complete run,
+// and every campaign surface must cut the same fixed batches.
 #include "analysis/campaign_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -10,9 +11,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/campaign_service.hpp"
 #include "analysis/campaign_suite.hpp"
 #include "analysis/march_campaign.hpp"
 #include "core/prt_engine.hpp"
@@ -218,16 +221,6 @@ TEST(CampaignEngine, MalformedUniverseThrowsOnEveryPath) {
   }
 }
 
-TEST(ThreadPool, SubmitAndWaitIdleRunsEverything) {
-  util::ThreadPool pool(2);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 10; ++i) {
-    pool.submit([&sum, i] { sum += i; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), 55);
-}
-
 TEST(ThreadPool, PrtThreadsEnvOverridesDefaultWorkerCount) {
   ASSERT_EQ(setenv("PRT_THREADS", "3", /*overwrite=*/1), 0);
   EXPECT_EQ(util::default_worker_count(), 3u);
@@ -276,11 +269,11 @@ TEST(SharedPool, ConcurrentCampaignsMatchSerialReferences) {
   const auto test = march::march_c_minus();
 
   EngineOptions serial;
-  serial.parallel = false;
+  serial.threads = 1;
   const CampaignResult prt_ref =
       run_prt_campaign(universe, scheme, opt, serial);
   const CampaignResult march_ref = run_march_campaign(
-      universe, test, opt, MarchEngineOptions{.parallel = false});
+      universe, test, opt, MarchEngineOptions{.threads = 1});
   const SuiteResult suite_ref = make_suite(serial).run(grid, classical_for);
 
   EngineOptions eng;
@@ -356,6 +349,64 @@ TEST(SharedPool, LostTaskRethrowsAndCleanRerunCompletes) {
   for (const SuiteConfigResult& entry : sui.configs) {
     EXPECT_EQ(entry.shards_done, entry.shards_total);
     EXPECT_EQ(entry.result.overall.total, entry.faults);
+  }
+}
+
+// --- one partition --------------------------------------------------------
+
+// Every campaign surface cuts a universe into the same fixed 2048-fault
+// batches at every thread count, so shards_total == ceil(size / 2048),
+// and every result equals the scalar run_campaign reference.  The
+// universes tile the n = 16 classical universe; 4351 and 4352 leave a
+// 255-fault tail on the 64-lane word and a 256-fault tail on the
+// 512-lane word.
+TEST(OnePartition, EverySurfaceCutsTheSameBatches) {
+  const CampaignOptions opt{.n = 16};
+  const std::vector<CampaignOptions> grid = {opt};
+  const auto scheme = core::extended_scheme_bom(opt.n);
+  const auto test = march::march_c_minus();
+  const auto base = mem::classical_universe(opt.n);
+  for (const std::size_t size :
+       {0u, 1u, 255u, 256u, 2047u, 2048u, 2049u, 4351u, 4352u}) {
+    SCOPED_TRACE("size=" + std::to_string(size));
+    std::vector<mem::Fault> universe;
+    for (std::size_t i = 0; i < size; ++i) {
+      universe.push_back(base[i % base.size()]);
+    }
+    const std::size_t batches = (size + 2047) / 2048;
+    const CampaignResult prt_ref =
+        run_campaign(universe, prt_algorithm(scheme), opt);
+    const CampaignResult march_ref =
+        run_campaign(universe, march_algorithm(test), opt);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const CampaignOutcome prt =
+          CampaignEngine(scheme, opt, {.threads = threads})
+              .run(universe, util::StopToken());
+      EXPECT_EQ(prt.shards_total, batches);
+      expect_identical(prt.result, prt_ref);
+      const CampaignOutcome mar =
+          MarchCampaign(test, opt, {.threads = threads})
+              .run(universe, util::StopToken());
+      EXPECT_EQ(mar.shards_total, batches);
+      expect_identical(mar.result, march_ref);
+      const SuiteResult suite = make_suite({.threads = threads})
+                                    .run(grid, [&](const CampaignOptions&,
+                                                   std::size_t) {
+                                      return universe;
+                                    });
+      EXPECT_EQ(suite.configs.at(0).shards_total, batches);
+      expect_identical(suite.configs.at(0).result, prt_ref);
+      CampaignService service({.threads = threads});
+      CampaignRequest req;
+      req.scheme = scheme;
+      req.options = opt;
+      req.universe = universe;
+      const RequestOutcome out = service.submit(std::move(req)).wait();
+      ASSERT_EQ(out.status, RequestStatus::kComplete);
+      EXPECT_EQ(out.shards_total, batches);
+      expect_identical(out.result, prt_ref);
+    }
   }
 }
 

@@ -1,15 +1,17 @@
 // Tests for the async campaign service (analysis/campaign_service):
 // complete runs bit-identical to the synchronous engines, cooperative
-// cancellation / deadlines with exact partial results, shard-granular
+// cancellation / deadlines with exact partial results, batch-granular
 // checkpoint/resume whose resumed results are bit-identical to
 // uninterrupted runs (interrupting at *every* cadence point, PRT and
 // March, packed and scalar, 1 and 4 threads), per-class priority
 // admission with bounded queues and deadline-aware load shedding, the
-// shard stall watchdog, bounded shard retry with request isolation,
-// and the oracle cache's poisoned-entry eviction plus budgeted LRU —
-// all driven deterministically through util::FailPoint.  (The
-// checkpoint corruption/salvage matrix lives in
-// tests/test_checkpoint_recovery.cpp.)
+// batch stall watchdog, bounded batch retry with request isolation
+// (lost pool tasks included), input validation, and the oracle
+// cache's poisoned-entry eviction plus budgeted LRU — all driven
+// deterministically through util::FailPoint.  A shard is one fixed
+// 2048-fault batch, so tests that need several shards tile a small
+// universe instead of raising n.  (The checkpoint corruption/salvage
+// matrix lives in tests/test_checkpoint_recovery.cpp.)
 #include "analysis/campaign_service.hpp"
 
 #include <gtest/gtest.h>
@@ -65,6 +67,17 @@ CampaignRequest march_request(mem::Addr n) {
   req.march_test = march::march_c_minus();
   req.options = {.n = n};
   req.universe = mem::classical_universe(n);
+  return req;
+}
+
+/// Tiles the request's universe until it spans `batches` shards (the
+/// last one a 100-fault tail).
+CampaignRequest tiled(CampaignRequest req, std::size_t batches) {
+  const std::vector<mem::Fault> base = std::move(req.universe);
+  req.universe.clear();
+  for (std::size_t i = 0; i < (batches - 1) * 2048 + 100; ++i) {
+    req.universe.push_back(base[i % base.size()]);
+  }
   return req;
 }
 
@@ -184,7 +197,50 @@ TEST(CampaignService, MalformedRequestsFailFast) {
     EXPECT_EQ(out.status, RequestStatus::kFailed);
     EXPECT_FALSE(out.error.empty());
   }
+  {
+    // A negative deadline fails at submit instead of reaching the
+    // shedder, which would read an unset deadline_at.
+    CampaignRequest req = prt_request(24);
+    req.deadline = std::chrono::milliseconds(-5);
+    const RequestOutcome& out = service.submit(std::move(req)).wait();
+    EXPECT_EQ(out.status, RequestStatus::kFailed);
+    EXPECT_NE(out.error.find("deadline must be >= 0 (got -5000000 ns)"),
+              std::string::npos)
+        << out.error;
+  }
+  {
+    CampaignRequest req = prt_request(24);
+    req.checkpoint_every = 0;  // rejected, not coerced to 1
+    const RequestOutcome& out = service.submit(std::move(req)).wait();
+    EXPECT_EQ(out.status, RequestStatus::kFailed);
+    EXPECT_NE(out.error.find("checkpoint_every must be >= 1 (got 0)"),
+              std::string::npos)
+        << out.error;
+  }
   EXPECT_EQ(service.stats().accepted, 0u);
+}
+
+// Malformed options throw naming the value: max_running = 0 would
+// admit requests into a queue nothing drains (and hang the
+// destructor).
+TEST(CampaignService, MalformedOptionsThrowNamingTheValue) {
+  auto message = [](const ServiceOptions& options) {
+    try {
+      CampaignService service(options);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_NE(message({.max_running = 0})
+                .find("max_running must be >= 1 (got 0)"),
+            std::string::npos);
+  EXPECT_NE(message({.max_retries = -1})
+                .find("max_retries must be >= 0 (got -1)"),
+            std::string::npos);
+  EXPECT_NE(message({.stall_budget = std::chrono::nanoseconds(-7)})
+                .find("stall_budget must be >= 0 (got -7 ns)"),
+            std::string::npos);
 }
 
 TEST(CampaignService, DefaultTicketIsInert) {
@@ -239,9 +295,8 @@ TEST(CampaignService, QueueBoundsArePerClass) {
                            .queue_bound_high = 1,
                            .queue_bound_normal = 0,
                            .queue_bound_batch = 1});
-  CampaignRequest blocker = prt_request(24);
-  blocker.shards = 4;  // occupies the slot for >= 4 injected delays
-  CampaignService::Ticket slot = service.submit(std::move(blocker));
+  // Four shards: occupies the slot for >= 4 injected delays.
+  CampaignService::Ticket slot = service.submit(tiled(prt_request(24), 4));
   CampaignRequest b1 = prt_request(24);
   b1.priority = RequestPriority::kBatch;
   CampaignRequest b2 = prt_request(24);
@@ -271,16 +326,12 @@ TEST(CampaignService, DispatchDrainsHighBeforeBatch) {
                   .fires = -1,
                   .delay = std::chrono::milliseconds(60)});
   CampaignService service({.threads = 1, .max_running = 1});
-  CampaignRequest blocker = prt_request(24);
-  blocker.shards = 2;
-  CampaignService::Ticket slot = service.submit(std::move(blocker));
+  CampaignService::Ticket slot = service.submit(tiled(prt_request(24), 2));
   // Batch is queued *first*; high must still dispatch first.
-  CampaignRequest batch = prt_request(24);
+  CampaignRequest batch = tiled(prt_request(24), 4);
   batch.priority = RequestPriority::kBatch;
-  batch.shards = 4;
   CampaignRequest high = prt_request(24);
   high.priority = RequestPriority::kHigh;
-  high.shards = 1;
   CampaignService::Ticket batch_ticket = service.submit(std::move(batch));
   CampaignService::Ticket high_ticket = service.submit(std::move(high));
   EXPECT_EQ(service.stats().queued_high, 1u);
@@ -305,15 +356,9 @@ TEST(CampaignService, DispatchIsFifoWithinClass) {
                   .fires = -1,
                   .delay = std::chrono::milliseconds(60)});
   CampaignService service({.threads = 1, .max_running = 1});
-  CampaignRequest blocker = prt_request(24);
-  blocker.shards = 2;
-  CampaignService::Ticket slot = service.submit(std::move(blocker));
-  CampaignRequest a = prt_request(24);
-  a.shards = 1;
-  CampaignRequest b = prt_request(24);
-  b.shards = 4;
-  CampaignService::Ticket first = service.submit(std::move(a));
-  CampaignService::Ticket second = service.submit(std::move(b));
+  CampaignService::Ticket slot = service.submit(tiled(prt_request(24), 2));
+  CampaignService::Ticket first = service.submit(prt_request(24));
+  CampaignService::Ticket second = service.submit(tiled(prt_request(24), 4));
   slot.cancel();
   (void)slot.wait();
   const RequestOutcome& out = first.wait();
@@ -332,9 +377,8 @@ TEST(CampaignService, QueuedRequestPastDeadlineIsShedded) {
                   .fires = -1,
                   .delay = std::chrono::milliseconds(60)});
   CampaignService service({.threads = 1, .max_running = 1});
-  CampaignRequest blocker = prt_request(24);
-  blocker.shards = 2;  // runs out naturally, holding the slot >= 120 ms
-  CampaignService::Ticket slot = service.submit(std::move(blocker));
+  // Two shards: runs out naturally, holding the slot >= 120 ms.
+  CampaignService::Ticket slot = service.submit(tiled(prt_request(24), 2));
   CampaignRequest victim = prt_request(24);
   victim.deadline = std::chrono::milliseconds(30);
   CampaignService::Ticket ticket = service.submit(std::move(victim));
@@ -357,20 +401,16 @@ TEST(CampaignService, ShedderUsesLatencyEstimateAgainstDeadline) {
   CampaignService service({.threads = 1, .max_running = 1});
   // Warm the (prt, n=24) latency EWMA: two shards, >= 60 ms each.
   {
-    CampaignRequest warm = prt_request(24);
-    warm.shards = 2;
-    const RequestOutcome& out = service.submit(std::move(warm)).wait();
+    const RequestOutcome& out =
+        service.submit(tiled(prt_request(24), 2)).wait();
     ASSERT_EQ(out.status, RequestStatus::kComplete);
   }
   // Blocker occupies the slot so the victim's shed decision happens at
   // dispatch, with ~60 ms of its 400 ms budget already spent.
-  CampaignRequest blocker = prt_request(24);
-  blocker.shards = 1;
-  CampaignService::Ticket slot = service.submit(std::move(blocker));
+  CampaignService::Ticket slot = service.submit(prt_request(24));
   // 8 shards on 1 worker = 8 waves x ~60 ms EWMA >= 480 ms estimated,
   // against < 400 ms remaining: shed, before any oracle work.
-  CampaignRequest victim = prt_request(24);
-  victim.shards = 8;
+  CampaignRequest victim = tiled(prt_request(24), 8);
   victim.deadline = std::chrono::milliseconds(400);
   CampaignService::Ticket ticket = service.submit(std::move(victim));
   (void)slot.wait();
@@ -384,14 +424,9 @@ TEST(CampaignService, ShedderAdmitsWhenDeadlineCoversEstimate) {
   // Same shape without the injected latency: the estimate comfortably
   // fits the deadline, so the request is admitted and completes.
   CampaignService service({.threads = 1, .max_running = 1});
-  {
-    CampaignRequest warm = prt_request(24);
-    warm.shards = 2;
-    ASSERT_EQ(service.submit(std::move(warm)).wait().status,
-              RequestStatus::kComplete);
-  }
-  CampaignRequest req = prt_request(24);
-  req.shards = 2;
+  ASSERT_EQ(service.submit(tiled(prt_request(24), 2)).wait().status,
+            RequestStatus::kComplete);
+  CampaignRequest req = tiled(prt_request(24), 2);
   req.deadline = std::chrono::seconds(60);
   const RequestOutcome& out = service.submit(std::move(req)).wait();
   EXPECT_EQ(out.status, RequestStatus::kComplete);
@@ -463,8 +498,7 @@ TEST(CampaignService, CancellationYieldsIsolatedPartialResult) {
                   .fires = -1,
                   .delay = std::chrono::milliseconds(30)});
   CampaignService service({.threads = 1});
-  CampaignRequest slow = prt_request(32);
-  slow.shards = 8;
+  CampaignRequest slow = tiled(prt_request(32), 8);
   const std::size_t universe_size = slow.universe.size();
   CampaignService::Ticket ticket = service.submit(std::move(slow));
   ticket.cancel();
@@ -493,8 +527,7 @@ TEST(CampaignService, DeadlineYieldsPartialDeadline) {
                   .fires = -1,
                   .delay = std::chrono::milliseconds(30)});
   CampaignService service({.threads = 1});
-  CampaignRequest req = prt_request(32);
-  req.shards = 8;
+  CampaignRequest req = tiled(prt_request(32), 8);
   req.deadline = std::chrono::milliseconds(1);
   const RequestOutcome& out = service.submit(std::move(req)).wait();
   ASSERT_EQ(out.status, RequestStatus::kPartialDeadline);
@@ -534,6 +567,51 @@ TEST(CampaignService, RetryExhaustionFailsRequestButNotService) {
   const RequestOutcome& ok = service.submit(std::move(healthy)).wait();
   ASSERT_EQ(ok.status, RequestStatus::kComplete);
   expect_identical(ok.result, reference);
+}
+
+// A pool task lost before it ran must not leave its request running
+// forever (done() false, stats().running stuck at 1, wait() and the
+// destructor hung): a lost setup task fails the request, a lost batch
+// task is a failed attempt — retried, then kFailed naming the fail
+// point — and the service keeps serving.
+TEST(CampaignService, LostSetupTaskFailsRequestThenRecovers) {
+  FailPointScope scope;
+  CampaignService service({.threads = 1});
+  FailPoint::arm("thread_pool.task", {.skip = 0});
+  const RequestOutcome& lost = service.submit(prt_request(24)).wait();
+  ASSERT_EQ(lost.status, RequestStatus::kFailed);
+  EXPECT_NE(lost.error.find("thread_pool.task"), std::string::npos)
+      << lost.error;
+  EXPECT_EQ(service.stats().running, 0u);
+  FailPoint::disarm_all();
+  EXPECT_EQ(service.submit(prt_request(24)).wait().status,
+            RequestStatus::kComplete);
+}
+
+TEST(CampaignService, LostBatchTaskRetriesThenFails) {
+  FailPointScope scope;
+  CampaignService service({.threads = 1});
+  CampaignRequest req = prt_request(24);
+  const CampaignResult reference =
+      run_prt_campaign(req.universe, *req.scheme, req.options);
+  // One lost batch task: the retry completes the request.
+  FailPoint::arm("thread_pool.task", {.skip = 1});
+  const RequestOutcome& retried = service.submit(std::move(req)).wait();
+  ASSERT_EQ(retried.status, RequestStatus::kComplete);
+  expect_identical(retried.result, reference);
+  EXPECT_EQ(service.stats().shard_retries, 1u);
+  // Every batch task lost: max_retries = 2 bounds the attempts.
+  FailPoint::arm("thread_pool.task", {.skip = 1, .fires = -1});
+  const RequestOutcome& lost = service.submit(prt_request(24)).wait();
+  ASSERT_EQ(lost.status, RequestStatus::kFailed);
+  EXPECT_NE(lost.error.find("after 3 attempt(s): fail point "
+                            "'thread_pool.task' fired"),
+            std::string::npos)
+      << lost.error;
+  EXPECT_EQ(service.stats().running, 0u);
+  FailPoint::disarm_all();
+  EXPECT_EQ(service.submit(prt_request(24)).wait().status,
+            RequestStatus::kComplete);
 }
 
 // --- oracle cache poisoning (satellite) -----------------------------
@@ -689,20 +767,20 @@ struct ResumeCase {
   unsigned threads = 1;
 };
 
-/// Interrupt at every cadence point: for a fixed shard partition, run
-/// once with the k-th shard-task attempt (and everything after it)
-/// crashing, then resume from the checkpoint and require the merged
-/// result to be bit-identical to the uninterrupted reference.
+/// Interrupt at every cadence point: run once with the k-th shard
+/// attempt (and everything after it) crashing, then resume from the
+/// checkpoint and require the merged result to be bit-identical to the
+/// uninterrupted reference.
 void run_resume_matrix(const ResumeCase& c) {
   SCOPED_TRACE(std::string(c.march ? "march" : "prt") +
                (c.packed ? " packed" : " scalar") + " threads=" +
                std::to_string(c.threads));
   const mem::Addr n = 24;
-  const std::size_t kShards = 6;
+  const std::size_t kShards = 3;
   auto make_request = [&] {
-    CampaignRequest req = c.march ? march_request(n) : prt_request(n);
+    CampaignRequest req =
+        tiled(c.march ? march_request(n) : prt_request(n), kShards);
     req.packed = c.packed;
-    req.shards = kShards;
     return req;
   };
   CampaignRequest ref_req = make_request();
@@ -771,32 +849,60 @@ TEST(CampaignServiceResume, MarchScalarFourThreads) {
   run_resume_matrix({.march = true, .packed = false, .threads = 4});
 }
 
+// Checkpoint records are fixed batches, so a checkpoint resumes
+// bit-identically at any worker count: interrupted at 1 thread and
+// resumed at 4, and the other way round.
 TEST(CampaignServiceResume, ResumeAcrossThreadCountsIsBitIdentical) {
-  // Interrupted at 1 thread, resumed at 4: the checkpoint's partition
-  // is adopted, so the merge stays bit-identical.
   FailPointScope scope;
   const std::string path = temp_checkpoint("svc_resume_cross_threads.ckpt");
-  CampaignRequest ref_req = prt_request(24);
+  const CampaignRequest request = tiled(prt_request(24), 6);
   const CampaignResult reference =
-      run_prt_campaign(ref_req.universe, *ref_req.scheme, ref_req.options);
+      run_prt_campaign(request.universe, *request.scheme, request.options);
   {
     FailPoint::arm("campaign_service.shard", {.skip = 3, .fires = -1});
     CampaignService one({.threads = 1, .max_retries = 0});
-    CampaignRequest req = prt_request(24);
-    req.shards = 6;
+    CampaignRequest req = request;
     req.checkpoint_path = path;
     const RequestOutcome& out = one.submit(std::move(req)).wait();
+    ASSERT_EQ(out.status, RequestStatus::kFailed);
+    ASSERT_EQ(out.shards_done, 3u);
+  }
+  FailPoint::disarm_all();
+  {
+    CampaignService four({.threads = 4});
+    CampaignRequest req = request;
+    req.checkpoint_path = path;
+    req.resume = true;
+    const RequestOutcome& out = four.submit(std::move(req)).wait();
+    ASSERT_EQ(out.status, RequestStatus::kComplete);
+    EXPECT_EQ(out.shards_total, 6u);
+    EXPECT_EQ(out.shards_resumed, 3u);
+    expect_identical(out.result, reference);
+  }
+  {
+    // At 4 threads the fourth attempt wedges past the stall budget and
+    // fails the request once the healthy shards have completed.
+    FailPoint::arm("campaign_service.shard",
+                   {.action = FailPoint::Action::kDelay,
+                    .skip = 3,
+                    .fires = 1,
+                    .delay = std::chrono::milliseconds(400)});
+    CampaignService four({.threads = 4,
+                          .max_retries = 0,
+                          .stall_budget = std::chrono::milliseconds(150)});
+    CampaignRequest req = request;
+    req.checkpoint_path = path;
+    const RequestOutcome& out = four.submit(std::move(req)).wait();
     ASSERT_EQ(out.status, RequestStatus::kFailed);
     ASSERT_GT(out.shards_done, 0u);
   }
   FailPoint::disarm_all();
   {
-    CampaignService four({.threads = 4});
-    CampaignRequest req = prt_request(24);
-    req.shards = 6;
+    CampaignService one({.threads = 1});
+    CampaignRequest req = request;
     req.checkpoint_path = path;
     req.resume = true;
-    const RequestOutcome& out = four.submit(std::move(req)).wait();
+    const RequestOutcome& out = one.submit(std::move(req)).wait();
     ASSERT_EQ(out.status, RequestStatus::kComplete);
     EXPECT_GT(out.shards_resumed, 0u);
     expect_identical(out.result, reference);
@@ -807,17 +913,16 @@ TEST(CampaignServiceResume, ResumeAcrossThreadCountsIsBitIdentical) {
 TEST(CampaignServiceResume, CancelThenResumeIsBitIdentical) {
   FailPointScope scope;
   const std::string path = temp_checkpoint("svc_cancel_resume.ckpt");
-  CampaignRequest ref_req = prt_request(32);
+  const CampaignRequest request = tiled(prt_request(32), 8);
   const CampaignResult reference =
-      run_prt_campaign(ref_req.universe, *ref_req.scheme, ref_req.options);
+      run_prt_campaign(request.universe, *request.scheme, request.options);
   {
     FailPoint::arm("campaign_service.shard",
                    {.action = FailPoint::Action::kDelay,
                     .fires = -1,
                     .delay = std::chrono::milliseconds(15)});
     CampaignService service({.threads = 1});
-    CampaignRequest req = prt_request(32);
-    req.shards = 8;
+    CampaignRequest req = request;
     req.checkpoint_path = path;
     CampaignService::Ticket ticket = service.submit(std::move(req));
     std::this_thread::sleep_for(std::chrono::milliseconds(40));
@@ -828,8 +933,7 @@ TEST(CampaignServiceResume, CancelThenResumeIsBitIdentical) {
   FailPoint::disarm_all();
   {
     CampaignService service({.threads = 4});
-    CampaignRequest req = prt_request(32);
-    req.shards = 8;
+    CampaignRequest req = request;
     req.checkpoint_path = path;
     req.resume = true;
     const RequestOutcome& out = service.submit(std::move(req)).wait();
@@ -856,8 +960,7 @@ TEST(CampaignServiceResume, FingerprintMismatchFailsInsteadOfMerging) {
   {
     FailPoint::arm("campaign_service.shard", {.skip = 2, .fires = -1});
     CampaignService service({.threads = 1, .max_retries = 0});
-    CampaignRequest req = prt_request(24);
-    req.shards = 6;
+    CampaignRequest req = tiled(prt_request(24), 3);
     req.checkpoint_path = path;
     const RequestOutcome& out = service.submit(std::move(req)).wait();
     ASSERT_EQ(out.status, RequestStatus::kFailed);
@@ -867,9 +970,8 @@ TEST(CampaignServiceResume, FingerprintMismatchFailsInsteadOfMerging) {
   CampaignService service;
   {
     // Different universe (one fault dropped) — must be rejected.
-    CampaignRequest req = prt_request(24);
+    CampaignRequest req = tiled(prt_request(24), 3);
     req.universe.pop_back();
-    req.shards = 6;
     req.checkpoint_path = path;
     req.resume = true;
     const RequestOutcome& out = service.submit(std::move(req)).wait();
@@ -878,9 +980,8 @@ TEST(CampaignServiceResume, FingerprintMismatchFailsInsteadOfMerging) {
   }
   {
     // Different run options (early_abort changes op accounting).
-    CampaignRequest req = prt_request(24);
+    CampaignRequest req = tiled(prt_request(24), 3);
     req.early_abort = true;
-    req.shards = 6;
     req.checkpoint_path = path;
     req.resume = true;
     const RequestOutcome& out = service.submit(std::move(req)).wait();
@@ -934,10 +1035,9 @@ TEST(CampaignServiceResume, CheckpointWriteFailureIsNonFatal) {
   FailPointScope scope;
   const std::string path = temp_checkpoint("svc_ckpt_fail.ckpt");
   FailPoint::arm("campaign_service.checkpoint", {.fires = -1});
-  CampaignRequest req = prt_request(32);
+  CampaignRequest req = tiled(prt_request(32), 3);
   const CampaignResult reference =
       run_prt_campaign(req.universe, *req.scheme, req.options);
-  req.shards = 6;
   req.checkpoint_path = path;
   CampaignService service;
   const RequestOutcome& out = service.submit(std::move(req)).wait();

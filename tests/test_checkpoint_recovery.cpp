@@ -1,10 +1,11 @@
-// Crash-safety matrix for the v2 campaign checkpoint format
+// Crash-safety matrix for the v3 campaign checkpoint format
 // (analysis/campaign_service): every corruption a torn write or bit
 // rot can produce — truncated tail, flipped byte mid-record, foreign
-// or old version header, empty file, and a fail-point-injected
-// partial final flush — must either salvage the longest CRC-valid
-// record prefix or start fresh, for PRT and March workloads alike,
-// with the resumed result bit-identical to an uninterrupted run.
+// or old version header (a v2 file included), empty file, and a
+// fail-point-injected partial final flush — must either salvage the
+// longest CRC-valid record prefix or start fresh, for PRT and March
+// workloads alike, with the resumed result bit-identical to an
+// uninterrupted run.
 // Only a fingerprint mismatch (a *different* campaign, not a damaged
 // one) may fail the request; no corruption may ever merge torn
 // results.
@@ -32,8 +33,9 @@ using util::FailPoint;
 using util::FailPointScope;
 
 constexpr mem::Addr kN = 24;
+/// Shards (fixed 2048-fault batches) of the tiled universe below.
 constexpr std::size_t kShards = 6;
-/// Shard tasks allowed to complete before the injected crash — the
+/// Shard attempts allowed to complete before the injected crash — the
 /// interrupted checkpoint holds exactly this many records (threads=1
 /// runs shards in order; the final flush persists all of them).
 constexpr std::size_t kDoneShards = 4;
@@ -60,8 +62,11 @@ CampaignRequest make_request(bool march) {
     req.scheme = core::extended_scheme_bom(kN);
   }
   req.options = {.n = kN};
-  req.universe = mem::classical_universe(kN);
-  req.shards = kShards;
+  // The n = 24 classical universe tiled to kShards shards.
+  const std::vector<mem::Fault> base = mem::classical_universe(kN);
+  for (std::size_t i = 0; i < (kShards - 1) * 2048 + 100; ++i) {
+    req.universe.push_back(base[i % base.size()]);
+  }
   req.checkpoint_every = 1;
   return req;
 }
@@ -157,17 +162,20 @@ void run_corruption_matrix(bool march) {
     std::remove(path.c_str());
   }
 
-  {
-    SCOPED_TRACE("old version header");
+  for (const char* old_header :
+       {"prt-campaign-checkpoint v1", "prt-campaign-checkpoint v2"}) {
+    SCOPED_TRACE(std::string("old version header: ") + old_header);
     const std::string path =
         temp_checkpoint(std::string("ckpt_header_") + tag + ".ckpt");
     write_interrupted_checkpoint(march, path);
     std::string text = read_file(path);
     const std::size_t eol = text.find('\n');
     ASSERT_NE(eol, std::string::npos);
-    text.replace(0, eol, "prt-campaign-checkpoint v1");
+    text.replace(0, eol, old_header);
     write_file(path, text);
-    // An unknown format carries nothing trustworthy: fresh run.
+    // An unknown format carries nothing trustworthy: fresh run.  (A v2
+    // file's shard records cover a worker-count partition, not the
+    // fixed batches.)
     expect_salvaged_resume(march, path, 0);
     std::remove(path.c_str());
   }

@@ -334,11 +334,10 @@ TEST(RunMarchPacked, WideSweepMatchesNarrowGroups) {
   }
 }
 
-// Campaign-level width rule: a fanned-out run splits this universe
-// into one 2048-fault batch on the 512-lane word and a 100-fault tail
-// on the 64-lane word (one thread runs a single 512-lane shard).
-// Results must be bit-identical across thread counts x early abort and
-// match the scalar engine.
+// Campaign-level width rule: every run splits this universe into one
+// 2048-fault batch on the 512-lane word and a 100-fault tail on the
+// 64-lane word, at any thread count.  Results must be bit-identical
+// across thread counts x early abort and match the scalar engine.
 TEST(MarchCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
   const mem::Addr n = 256;
   auto universe = mem::classical_universe(n);
@@ -351,7 +350,7 @@ TEST(MarchCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
   for (const bool early_abort : {false, true}) {
     const auto scalar_ref = analysis::run_march_campaign(
         universe, test, opt,
-        {.parallel = false, .packed = false, .early_abort = early_abort});
+        {.threads = 1, .packed = false, .early_abort = early_abort});
     EXPECT_EQ(scalar_ref.overall, reference.overall);
     EXPECT_EQ(scalar_ref.escapes, reference.escapes);
     if (!early_abort) {
@@ -362,9 +361,12 @@ TEST(MarchCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
       analysis::MarchEngineOptions eng;
       eng.threads = threads;
       eng.early_abort = early_abort;
-      const auto got = analysis::run_march_campaign(universe, test, opt, eng);
+      const analysis::CampaignOutcome outcome =
+          analysis::MarchCampaign(test, opt, eng)
+              .run(universe, util::StopToken());
+      EXPECT_EQ(outcome.shards_total, 2u);
+      const analysis::CampaignResult& got = outcome.result;
       expect_identical(scalar_ref, got);
-      EXPECT_EQ(got.sched.batches, threads == 1 ? 1u : 2u);
       if (threads == 1) {
         one_thread = got;
       } else {

@@ -281,10 +281,10 @@ TEST(MarchTranscript, AbortCampaignBitIdenticalScalarVsPacked) {
   const auto test = march::march_c_minus();
   const analysis::CampaignResult scalar_abort = analysis::run_march_campaign(
       universe, test, opt,
-      {.threads = 1, .parallel = false, .packed = false, .early_abort = true});
+      {.threads = 1, .packed = false, .early_abort = true});
   const analysis::CampaignResult packed_abort = analysis::run_march_campaign(
       universe, test, opt,
-      {.threads = 3, .parallel = true, .packed = true, .early_abort = true});
+      {.threads = 3, .packed = true, .early_abort = true});
   EXPECT_EQ(scalar_abort.overall, packed_abort.overall);
   EXPECT_EQ(scalar_abort.by_class, packed_abort.by_class);
   EXPECT_EQ(scalar_abort.escapes, packed_abort.escapes);

@@ -831,10 +831,9 @@ TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
 // --- width rule x thread-count parity --------------------------------------
 
 // Faults per scheduler batch (analysis::detail::kSchedulerBatch) plus a
-// 100-fault tail: a fanned-out run splits this universe into one
-// 512-lane batch and one batch too thin for the wide word, which runs
-// the 64-lane word; one thread runs the whole range as one 512-lane
-// shard.
+// 100-fault tail: every run, at any thread count, splits this universe
+// into one 512-lane batch and one batch too thin for the wide word,
+// which runs the 64-lane word.
 constexpr std::size_t kMixedUniverse = 2048 + 100;
 
 // CampaignResults must not depend on the thread count or on which
@@ -852,7 +851,7 @@ TEST(PackedCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
   const auto reference = serial_scalar_reference(universe, scheme, opt);
   for (const bool early_abort : {false, true}) {
     analysis::EngineOptions scalar;
-    scalar.parallel = false;
+    scalar.threads = 1;
     scalar.packed = false;
     scalar.early_abort = early_abort;
     const auto scalar_ref =
@@ -867,9 +866,12 @@ TEST(PackedCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
       analysis::EngineOptions eng;
       eng.threads = threads;
       eng.early_abort = early_abort;
-      const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
+      const analysis::CampaignOutcome outcome =
+          analysis::CampaignEngine(scheme, opt, eng)
+              .run(universe, util::StopToken());
+      EXPECT_EQ(outcome.shards_total, 2u);
+      const analysis::CampaignResult& got = outcome.result;
       expect_identical(scalar_ref, got);
-      EXPECT_EQ(got.sched.batches, threads == 1 ? 1u : 2u);
       if (threads == 1) {
         one_thread = got;
       } else {

@@ -6,6 +6,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/bitops.hpp"
 #include "util/crc32.hpp"
@@ -218,12 +219,12 @@ TEST(FailPointSpec, PlainThrowFiresOnce) {
 
 TEST(FailPointSpec, SkipAndFiresModifiers) {
   util::FailPointScope scope;
-  util::FailPoint::arm_spec("spec.sched=throw:skip=2:fires=1");
-  util::FailPoint::hit("spec.sched");
-  util::FailPoint::hit("spec.sched");
-  EXPECT_THROW(util::FailPoint::hit("spec.sched"), util::FailPointError);
-  util::FailPoint::hit("spec.sched");
-  EXPECT_EQ(util::FailPoint::hits("spec.sched"), 4u);
+  util::FailPoint::arm_spec("spec.schedule=throw:skip=2:fires=1");
+  util::FailPoint::hit("spec.schedule");
+  util::FailPoint::hit("spec.schedule");
+  EXPECT_THROW(util::FailPoint::hit("spec.schedule"), util::FailPointError);
+  util::FailPoint::hit("spec.schedule");
+  EXPECT_EQ(util::FailPoint::hits("spec.schedule"), 4u);
 }
 
 TEST(FailPointSpec, ModifierOrderIsFree) {
@@ -488,61 +489,73 @@ TEST(Watchdog, CancelsAStalledStopTokenAttempt) {
 
 // --- thread pool exception safety -----------------------------------------
 
-TEST(ThreadPool, ThrowingTaskDoesNotWedgeWaitIdle) {
+TEST(ThreadPool, ThrowingTaskReachesItsFailureCallback) {
   util::ThreadPool pool(2);
   std::atomic<int> ran{0};
+  util::Latch latch(8);
   for (int i = 0; i < 8; ++i) {
-    pool.submit([&ran, i] {
-      if (i == 3) throw std::runtime_error("task crashed");
-      ++ran;
-    });
+    pool.submit(
+        [&, i] {
+          if (i == 3) throw std::runtime_error("task crashed");
+          ++ran;
+          latch.count_down();
+        },
+        [&latch](std::exception_ptr error) {
+          latch.count_down(std::move(error));
+        });
   }
-  pool.wait_idle();  // must not deadlock on the thrown task
+  EXPECT_THROW(latch.wait_and_rethrow(), std::runtime_error);
   EXPECT_EQ(ran.load(), 7);
-  const std::exception_ptr error = pool.take_unhandled_error();
-  ASSERT_NE(error, nullptr);
-  EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
-  // The error was consumed.
-  EXPECT_EQ(pool.take_unhandled_error(), nullptr);
 }
 
 TEST(ThreadPool, ShutdownWithThrowingTasksMidQueueIsClean) {
   // Destroying the pool with a queue of tasks, some of which throw,
   // must neither std::terminate (exception escaping a worker) nor
-  // deadlock the destructor (skipped active_ decrement).
+  // deadlock the destructor; every task still reaches its completion
+  // path.
   std::atomic<int> ran{0};
+  std::atomic<int> failed{0};
   {
     util::ThreadPool pool(2);
     for (int i = 0; i < 32; ++i) {
-      pool.submit([&ran, i] {
-        if (i % 5 == 0) throw std::runtime_error("mid-queue crash");
-        ++ran;
-      });
+      pool.submit(
+          [&ran, i] {
+            if (i % 5 == 0) throw std::runtime_error("mid-queue crash");
+            ++ran;
+          },
+          [&failed](std::exception_ptr) { ++failed; });
     }
-    // No wait_idle(): the destructor drains the queue itself.
+    // No wait: the destructor drains the queue itself.
   }
   EXPECT_EQ(ran.load(), 25);
+  EXPECT_EQ(failed.load(), 7);
 }
 
-TEST(ThreadPool, FailPointInjectedTaskCrashIsCaptured) {
+TEST(ThreadPool, FailPointLostTaskReachesItsFailureCallback) {
   util::FailPointScope scope;
   util::FailPoint::arm("thread_pool.task", {.skip = 1, .fires = 1});
   util::ThreadPool pool(1);
   std::atomic<int> ran{0};
+  util::Latch latch(4);
   for (int i = 0; i < 4; ++i) {
-    pool.submit([&ran] { ++ran; });
+    pool.submit(
+        [&] {
+          ++ran;
+          latch.count_down();
+        },
+        [&latch](std::exception_ptr error) {
+          latch.count_down(std::move(error));
+        });
   }
-  pool.wait_idle();
   // Exactly the second task was replaced by the injected crash.
+  EXPECT_THROW(latch.wait_and_rethrow(), util::FailPointError);
   EXPECT_EQ(ran.load(), 3);
-  EXPECT_NE(pool.take_unhandled_error(), nullptr);
 }
 
-// The next two tests pin the invariants that live in atomics (or in
-// exchange-under-lock protocols) the thread-safety annotations cannot
-// express — the "patterns the analysis can't see" audit (DESIGN.md
-// §12): each has a `//` invariant comment at the declaration site and
-// a regression test here.
+// The next test pins an invariant that lives in atomics the
+// thread-safety annotations cannot express — the "patterns the
+// analysis can't see" audit (DESIGN.md §12): it has a `//` invariant
+// comment at the declaration site and a regression test here.
 
 TEST(StopToken, ConcurrentObserversAgreeOnOneReason) {
   // StopState.reason is a CAS latch: when a deadline expiry and an
@@ -556,10 +569,10 @@ TEST(StopToken, ConcurrentObserversAgreeOnOneReason) {
     std::atomic<int> observed_cancelled{0};
     std::atomic<int> observed_deadline{0};
     {
-      util::ThreadPool pool(4);
-      pool.submit([&] { source.request_stop(); });
+      std::vector<std::thread> threads;
+      threads.emplace_back([&] { source.request_stop(); });
       for (int i = 0; i < 3; ++i) {
-        pool.submit([&] {
+        threads.emplace_back([&] {
           const util::StopToken token = source.token();
           while (!token.stop_requested()) {
           }
@@ -570,7 +583,7 @@ TEST(StopToken, ConcurrentObserversAgreeOnOneReason) {
           }
         });
       }
-      pool.wait_idle();
+      for (std::thread& t : threads) t.join();
     }
     // Every observer saw *some* latched reason, and they all agree.
     EXPECT_EQ(observed_cancelled.load() + observed_deadline.load(), 3);
@@ -584,70 +597,11 @@ TEST(StopToken, ConcurrentObserversAgreeOnOneReason) {
   }
 }
 
-TEST(ThreadPool, ConcurrentTakeUnhandledErrorHandsOutExactlyOnce) {
-  // take_unhandled_error() is exchange-under-lock: with several
-  // threads racing to collect after a crash, exactly one receives the
-  // exception and the rest see nullptr — the error is neither
-  // duplicated nor dropped.
-  util::ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("lone crash"); });
-  pool.wait_idle();
-  std::atomic<int> got_error{0};
-  {
-    util::ThreadPool takers(4);
-    for (int i = 0; i < 4; ++i) {
-      takers.submit([&] {
-        if (pool.take_unhandled_error() != nullptr) ++got_error;
-      });
-    }
-    takers.wait_idle();
-  }
-  EXPECT_EQ(got_error.load(), 1);
-}
+// --- fixed-batch fan-out ---------------------------------------------------
 
-// --- for_each_chunk / work-stealing batch scheduler ------------------------
-
-// The contiguous splitter is the partition every campaign merge trusts:
-// dense ascending chunks, sizes differing by at most one.
-TEST(ForEachChunk, DenseAscendingChunksWithBalancedSizes) {
-  for (const std::size_t total : {1u, 2u, 7u, 64u, 1000u}) {
-    for (const std::size_t parts : {1u, 2u, 3u, 5u, 8u, 64u, 2000u}) {
-      std::size_t expect_begin = 0;
-      unsigned chunks = 0;
-      std::size_t min_size = total;
-      std::size_t max_size = 0;
-      util::for_each_chunk(total, parts,
-                           [&](unsigned i, std::size_t begin, std::size_t end) {
-                             EXPECT_EQ(i, chunks);
-                             EXPECT_EQ(begin, expect_begin);
-                             EXPECT_LT(begin, end);
-                             min_size = std::min(min_size, end - begin);
-                             max_size = std::max(max_size, end - begin);
-                             expect_begin = end;
-                             ++chunks;
-                           });
-      EXPECT_EQ(expect_begin, total) << total << "/" << parts;
-      EXPECT_EQ(chunks, std::min(std::max<std::size_t>(parts, 1), total));
-      EXPECT_LE(max_size - min_size, 1u) << total << "/" << parts;
-    }
-  }
-}
-
-TEST(ForEachChunk, ZeroTotalCallsNothing) {
-  bool called = false;
-  util::for_each_chunk(0, 8, [&](unsigned, std::size_t, std::size_t) {
-    called = true;
-  });
-  EXPECT_FALSE(called);
-  util::for_each_chunk(0, 0, [&](unsigned, std::size_t, std::size_t) {
-    called = true;
-  });
-  EXPECT_FALSE(called);
-}
-
-// Every batch index must be claimed exactly once and cover exactly
+// Every batch index must run exactly once and cover exactly
 // [b * batch_size, min((b+1) * batch_size, total)) — the whole
-// determinism contract of the stealing scheduler rests on this.
+// determinism contract of the batch merge rests on this.
 TEST(ThreadPool, ParallelForBatchesRunsEveryBatchExactlyOnce) {
   for (const unsigned workers : {1u, 2u, 3u, 4u, 8u}) {
     util::ThreadPool pool(workers);
@@ -656,7 +610,7 @@ TEST(ThreadPool, ParallelForBatchesRunsEveryBatchExactlyOnce) {
         const std::size_t nbatches = (total + batch_size - 1) / batch_size;
         std::vector<std::atomic<int>> runs(nbatches);
         std::vector<std::atomic<int>> covered(total);
-        const util::StealCounters counters = pool.parallel_for_batches(
+        pool.parallel_for_batches(
             total, batch_size,
             [&](std::size_t b, std::size_t begin, std::size_t end) {
               ASSERT_LT(b, nbatches);
@@ -673,8 +627,6 @@ TEST(ThreadPool, ParallelForBatchesRunsEveryBatchExactlyOnce) {
         for (std::size_t i = 0; i < total; ++i) {
           EXPECT_EQ(covered[i].load(), 1);
         }
-        EXPECT_EQ(counters.batches, nbatches);
-        EXPECT_LE(counters.steals, counters.batches);
       }
     }
   }
@@ -685,28 +637,25 @@ TEST(ThreadPool, ParallelForBatchesRunsEveryBatchExactlyOnce) {
 TEST(ThreadPool, ParallelForBatchesEdgeCases) {
   util::ThreadPool pool(8);
 
-  // total == 0: nothing runs, zero telemetry.
+  // total == 0: nothing runs.
   bool called = false;
-  const util::StealCounters empty = pool.parallel_for_batches(
+  pool.parallel_for_batches(
       0, 16, [&](std::size_t, std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
-  EXPECT_EQ(empty.batches, 0u);
-  EXPECT_EQ(empty.steals, 0u);
 
   // total < workers: three one-item batches, each exactly once.
   std::vector<std::atomic<int>> covered(3);
-  const util::StealCounters tiny = pool.parallel_for_batches(
+  pool.parallel_for_batches(
       3, 1, [&](std::size_t b, std::size_t begin, std::size_t end) {
         EXPECT_EQ(begin, b);
         EXPECT_EQ(end, b + 1);
         covered[b].fetch_add(1);
       });
   for (auto& c : covered) EXPECT_EQ(c.load(), 1);
-  EXPECT_EQ(tiny.batches, 3u);
 
   // batch_size > total: a single batch spanning the whole range.
   std::atomic<int> whole_runs{0};
-  const util::StealCounters whole = pool.parallel_for_batches(
+  pool.parallel_for_batches(
       10, 1000, [&](std::size_t b, std::size_t begin, std::size_t end) {
         EXPECT_EQ(b, 0u);
         EXPECT_EQ(begin, 0u);
@@ -714,74 +663,15 @@ TEST(ThreadPool, ParallelForBatchesEdgeCases) {
         whole_runs.fetch_add(1);
       });
   EXPECT_EQ(whole_runs.load(), 1);
-  EXPECT_EQ(whole.batches, 1u);
-  EXPECT_EQ(whole.steals, 0u);
 
   // batch_size == 0 clamps to 1 (one batch per item).
   std::atomic<int> clamped_batches{0};
-  const util::StealCounters clamped = pool.parallel_for_batches(
+  pool.parallel_for_batches(
       5, 0, [&](std::size_t, std::size_t begin, std::size_t end) {
         EXPECT_EQ(end, begin + 1);
         clamped_batches.fetch_add(1);
       });
   EXPECT_EQ(clamped_batches.load(), 5);
-  EXPECT_EQ(clamped.batches, 5u);
-}
-
-// Property test for the ISSUE's merge-determinism claim: per-batch
-// partials folded in batch-index order are bit-identical to the serial
-// contiguous split, across random totals, batch sizes, worker counts
-// and seeds — even with per-item costs skewed enough to force steals.
-// The fold is deliberately order-sensitive (multiply-xor chain), so any
-// double-run, dropped index or out-of-order merge changes the digest.
-TEST(ThreadPool, StolenBatchMergeIsBitIdenticalToContiguousSplit) {
-  auto fold = [](std::uint64_t h, std::uint64_t v) {
-    return (h ^ v) * 0x9E3779B97F4A7C15ULL;
-  };
-  Xoshiro256 geometry_rng(0xC0FFEE);
-  for (int trial = 0; trial < 12; ++trial) {
-    const std::size_t total = 1 + geometry_rng.below(900);
-    const std::size_t batch_size = 1 + geometry_rng.below(97);
-    const std::uint64_t seed = geometry_rng();
-    std::vector<std::uint64_t> items(total);
-    Xoshiro256 item_rng(seed);
-    for (auto& v : items) v = item_rng();
-
-    // Serial reference: one pass, one fold.
-    const std::size_t nbatches = (total + batch_size - 1) / batch_size;
-    std::vector<std::uint64_t> ref_partial(nbatches, 0);
-    for (std::size_t b = 0; b < nbatches; ++b) {
-      const std::size_t begin = b * batch_size;
-      const std::size_t end = std::min(begin + batch_size, total);
-      for (std::size_t i = begin; i < end; ++i) {
-        ref_partial[b] = fold(ref_partial[b], items[i]);
-      }
-    }
-    std::uint64_t reference = 0;
-    for (std::uint64_t p : ref_partial) reference = fold(reference, p);
-
-    for (const unsigned workers : {1u, 2u, 4u, 7u}) {
-      util::ThreadPool pool(workers);
-      std::vector<std::uint64_t> partial(nbatches, 0);
-      pool.parallel_for_batches(
-          total, batch_size,
-          [&](std::size_t b, std::size_t begin, std::size_t end) {
-            // Skew per-batch cost so fast workers finish their home
-            // range early and go stealing.
-            if (b % 3 == 0) {
-              std::this_thread::sleep_for(std::chrono::microseconds(200));
-            }
-            for (std::size_t i = begin; i < end; ++i) {
-              partial[b] = fold(partial[b], items[i]);
-            }
-          });
-      std::uint64_t merged = 0;
-      for (std::uint64_t p : partial) merged = fold(merged, p);
-      EXPECT_EQ(merged, reference)
-          << "trial=" << trial << " workers=" << workers << " total=" << total
-          << " batch_size=" << batch_size;
-    }
-  }
 }
 
 // A throwing batch surfaces on the caller, and the pool stays usable
@@ -821,12 +711,11 @@ TEST(ThreadPool, ParallelForBatchesRethrowsLostTask) {
     ran += static_cast<int>(end - begin);
   });
   EXPECT_EQ(ran.load(), 8);
-  EXPECT_EQ(pool.take_unhandled_error(), nullptr);
 }
 
 // Each fan-out waits for its own tasks only: a caller whose batch is
 // still blocked on one worker does not hold up another caller's
-// fan-out on the same pool (a wait_idle()-style barrier would
+// fan-out on the same pool (a pool-wide idle barrier would
 // deadlock here).
 TEST(ThreadPool, ConcurrentFanOutsWaitOnlyForTheirOwnTasks) {
   util::ThreadPool pool(2);
