@@ -1,35 +1,29 @@
-// Campaign-engine micro-benchmark: the seed's serial per-fault path
-// (fresh FaultyRam + full scheme re-derivation per fault) against the
-// oracle-backed engine, its parallel fan-out, early-abort, the
-// word-packed SIMD fault lanes — now including two-cell coupling
-// lanes and per-lane early abort (DESIGN.md §7/§8) — and the packed
-// March campaign.
+// Campaign-engine micro-benchmark: every campaign surface against the
+// serial live reference it must reproduce — run_campaign over
+// prt_algorithm / march_algorithm, one FaultyRam run per fault — with
+// and without early abort.
 //
-// Three universe families are measured and written to
-// BENCH_campaign.json (and appended, one compact line per run, to
-// BENCH_history.jsonl — the cross-PR perf trajectory):
+// The universe families measured and written to BENCH_campaign.json
+// (and appended, one compact line per run, to BENCH_history.jsonl —
+// the cross-PR perf trajectory):
 //
-//  * the shared classical universe (SAF/TF/CFin/bridge/AF), where
-//    everything except the decoder faults now rides the packed lanes
-//    and early abort composes with packing — the headline
-//    packed_vs_parallel ratio compares the PR 1-era oracle+parallel
-//    config against the fastest packed config;
+//  * the shared classical universe (SAF/TF/CFin/bridge/AF), every
+//    fault family of which rides the packed lanes, with early abort
+//    composing with packing;
 //  * the lane-compatible single-cell universe (SAF/TF/WDF + read
-//    logic, 9n faults, every one packable), where the packed path's
-//    512-faults-per-sweep gain is undiluted;
+//    logic, 9n faults), where the packed path's 512-faults-per-sweep
+//    gain is undiluted;
 //  * a measured-scaling sweep: the same lane-compatible universe over
 //    thread counts {1, 2, 4, 8} on the fixed-batch executor, every
 //    cell parity-checked — the curve CI records per run to show the
 //    multicore gain on real cores;
 //  * a March campaign over the classical universe (March C-), where
 //    the same lanes drive march::run_march_packed via
-//    analysis::MarchCampaign — now with the abort-aware scalar
-//    reference and the composed parallel+packed+abort config, whose
-//    per-lane analytic op accounting must agree;
+//    analysis::MarchCampaign;
 //  * a word-oriented (WOM, m = 4) single-cell universe with the
-//    extended GF(16) scheme — the packed path now carries one bit
-//    plane per field bit and feeds back through the transcript's
-//    compiled tap matrices, so the packed configs apply here too;
+//    extended GF(16) scheme — the packed path carries one bit plane per
+//    field bit and feeds back through the transcript's compiled tap
+//    matrices;
 //  * a static-NPSF grid universe, where every lane evaluates its
 //    4-cell neighbourhood trigger bit-parallel over the neighbour
 //    lane words;
@@ -38,16 +32,20 @@
 //    of per-access scans;
 //  * a dual-port classical universe (ports = 2): the PRT engines
 //    drive port 0 only, so the packed lanes apply unchanged while the
-//    scalar reference models the second port's sense amp.
+//    scalar reference models the second port's sense amp;
+//  * a multi-configuration suite over n x ports.
 //
 // Every configuration of a section runs the same universe slice and is
-// parity-checked against the section's first configuration (abort
-// configs additionally against each other's op counts), so the ratios
-// stay apples-to-apples and a model divergence aborts the bench.  Each
-// section also reports packed_fraction — the share of faults the
-// fastest dispatch routed onto the packed lanes; with universal
-// packing this is 1.0 for every universe family the bench runs, and
-// scripts/check_bench_baseline.py --packed-full enforces exactly that.
+// parity-checked against the section's first configuration, the serial
+// run_campaign reference; the early-abort configs are checked for
+// verdicts against it and for ops against the section's first abort
+// config, the abort-aware run_campaign, which pins the engines'
+// analytic per-lane abort accounting.  A divergence aborts the bench.
+// Each section also reports packed_fraction — the share of faults the
+// most-packed configuration routed onto the packed lanes; with
+// universal packing this is 1.0 for every universe family the bench
+// runs, and scripts/check_bench_baseline.py --packed-full enforces
+// exactly that.
 //
 // Flags: --quick caps every universe for smoke runs; --threads N pins
 // the worker count (equivalent to PRT_THREADS=N in the environment).
@@ -69,7 +67,6 @@
 #include "analysis/oracle_cache.hpp"
 #include "core/prt_engine.hpp"
 #include "march/march_library.hpp"
-#include "mem/fault_injector.hpp"
 #include "mem/fault_universe.hpp"
 #include "util/thread_pool.hpp"
 
@@ -110,32 +107,6 @@ std::string utc_timestamp() {
   return buf;
 }
 
-/// The seed code path, reproduced verbatim as the baseline: one heap
-/// FaultyRam per fault, prefilled cell by cell, and run_prt re-deriving
-/// trajectory/golden sequence/Fin*/image per fault.
-analysis::CampaignResult seed_serial_campaign(
-    std::span<const mem::Fault> universe, const core::PrtScheme& scheme,
-    const analysis::CampaignOptions& opt) {
-  analysis::CampaignResult result;
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    mem::FaultyRam ram(opt.n, opt.m, opt.ports);
-    for (mem::Addr a = 0; a < opt.n; ++a) ram.poke(a, 0);
-    ram.inject(universe[i]);
-    const bool detected = core::run_prt(ram, scheme).detected();
-    result.ops += ram.total_stats().total();
-    auto& cls = result.by_class[mem::fault_class(universe[i].kind)];
-    ++cls.total;
-    ++result.overall.total;
-    if (detected) {
-      ++cls.detected;
-      ++result.overall.detected;
-    } else {
-      result.escapes.push_back(i);
-    }
-  }
-  return result;
-}
-
 /// Caps a universe by stride-sampling so the fault-family mix of the
 /// full universe is preserved — a plain resize() would keep only the
 /// leading single-cell faults and silently turn a mixed section into
@@ -164,14 +135,6 @@ struct SectionReport {
   mem::Addr n = 0;
   std::size_t faults = 0;
   std::vector<ConfigTiming> configs;
-  /// Headline lane-packing gain: the "oracle+parallel"-style config's
-  /// time over the *fastest* packed config's time (abort now composes
-  /// with packing, so the composed config counts); 0 when the section
-  /// has no such pair.
-  double packed_vs_parallel = 0;
-  /// Same ratio restricted to the full-run packed config (no abort) —
-  /// the PR 2-comparable number.
-  double packed_vs_parallel_full_run = 0;
   /// Suite sections only: wall clock of the sequential per-point
   /// engines (each compiling its own golden artifacts, the pre-suite
   /// sweep cost) over the one CampaignSuite call; 0 elsewhere.
@@ -214,8 +177,8 @@ class SectionRunner {
     }
     if (ops_exempt) {
       // All abort configs of a section must agree on the shrunk op
-      // count — the packed per-lane accounting reproduces the scalar
-      // abort path exactly.
+      // count — the packed per-lane accounting reproduces the
+      // abort-aware reference exactly.
       if (abort_ops_ == 0) {
         abort_ops_ = r.ops;
       } else if (r.ops != abort_ops_) {
@@ -241,32 +204,10 @@ class SectionRunner {
   }
 
   void finish() {
-    double parallel_secs = 0, packed_secs = 0, packed_abort_secs = 0;
     for (std::size_t i = 0; i < report_.configs.size(); ++i) {
-      const std::string& name = report_.configs[i].name;
-      std::printf("  %-30s %.2fx vs %s\n", name.c_str(),
+      std::printf("  %-30s %.2fx vs %s\n", report_.configs[i].name.c_str(),
                   report_.speedup_vs_baseline(i),
                   report_.configs[0].name.c_str());
-      if (name == "oracle+parallel" || name == "parallel") {
-        parallel_secs = report_.configs[i].seconds;
-      } else if (name == "oracle+parallel+packed" ||
-                 name == "parallel+packed") {
-        packed_secs = report_.configs[i].seconds;
-      } else if (name == "oracle+parallel+packed+abort" ||
-                 name == "parallel+packed+abort") {
-        packed_abort_secs = report_.configs[i].seconds;
-      }
-    }
-    if (parallel_secs > 0 && packed_secs > 0) {
-      report_.packed_vs_parallel_full_run = parallel_secs / packed_secs;
-      double best = packed_secs;
-      if (packed_abort_secs > 0 && packed_abort_secs < best) {
-        best = packed_abort_secs;
-      }
-      report_.packed_vs_parallel = parallel_secs / best;
-      std::printf("  packed vs parallel: %.2fx (full-run %.2fx)\n",
-                  report_.packed_vs_parallel,
-                  report_.packed_vs_parallel_full_run);
     }
     std::printf("\n");
   }
@@ -279,89 +220,93 @@ class SectionRunner {
   std::uint64_t abort_ops_ = 0;
 };
 
-/// `threads` 1 is the serial configuration, 0 the default worker count.
-analysis::EngineOptions engine_opts(unsigned threads, bool packed,
-                                    bool early_abort = false) {
-  analysis::EngineOptions eng;
-  eng.threads = threads;
-  eng.packed = packed;
-  eng.early_abort = early_abort;
-  return eng;
+/// run_prt with early abort over an oracle built once: the abort-aware
+/// live reference the engines' per-lane abort ops must equal.
+analysis::TestAlgorithm prt_abort_algorithm(const core::PrtScheme& scheme,
+                                            mem::Addr n) {
+  return [&scheme, oracle = core::make_prt_oracle(scheme, n)](
+             mem::Memory& memory) {
+    return core::run_prt(memory, scheme, oracle,
+                         {.early_abort = true, .record_iterations = false})
+        .detected();
+  };
 }
 
-/// Classical universe: the PR 1 ladder (seed serial -> oracle ->
-/// parallel -> abort) plus the packed configs.  Every fault family of
-/// this universe — coupling, bridges and the decoder kinds included —
-/// now rides the lanes, and packed+abort is the composed fast path.
-SectionReport bench_classical(mem::Addr n, std::size_t fault_cap) {
-  const auto universe = cap_universe(mem::classical_universe(n), fault_cap);
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
+/// run_march_backgrounds stopping at the first mismatching read.
+analysis::TestAlgorithm march_abort_algorithm(const march::MarchTest& test) {
+  return [&test](mem::Memory& memory) {
+    return march::run_march_backgrounds(
+               test, memory, march::standard_backgrounds(memory.width()),
+               {.early_abort = true})
+        .fail;
+  };
+}
 
+/// The ladder every single-point section runs: the serial reference,
+/// the engine, then the abort-aware serial reference (first among the
+/// abort configs, so the runner pins the engine's abort ops to it) and
+/// the early-abort engine.  `engine(early_abort)` runs the campaign.
+template <typename Engine>
+void run_ladder(SectionRunner& run, std::span<const mem::Fault> universe,
+                const analysis::CampaignOptions& opt,
+                const analysis::TestAlgorithm& reference,
+                const analysis::TestAlgorithm& abort_reference,
+                Engine&& engine) {
+  run.record("serial (run_campaign)",
+             [&] { return analysis::run_campaign(universe, reference, opt); });
+  run.record("engine", [&] { return engine(false); });
+  run.record(
+      "serial+abort (run_campaign)",
+      [&] { return analysis::run_campaign(universe, abort_reference, opt); },
+      /*ops_exempt=*/true);
+  run.record("engine+abort", [&] { return engine(true); },
+             /*ops_exempt=*/true);
+  run.finish();
+}
+
+/// One PRT section: `universe` under `scheme` through the ladder.
+SectionReport bench_prt(const std::string& name,
+                        std::span<const mem::Fault> universe,
+                        const core::PrtScheme& scheme,
+                        const analysis::CampaignOptions& opt) {
   SectionReport report;
-  report.universe = "classical";
+  report.universe = name;
   report.scheme = scheme.name;
-  report.n = n;
+  report.n = opt.n;
   report.faults = universe.size();
   SectionRunner run(report, universe, opt);
-  auto engine = [&](const std::string& name,
-                    const analysis::EngineOptions& eng) {
-    run.record(
-        name,
-        [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
-        /*ops_exempt=*/eng.early_abort);
-  };
-  run.record("serial (seed path)",
-             [&] { return seed_serial_campaign(universe, scheme, opt); });
-  engine("oracle", engine_opts(1, false));
-  engine("oracle+parallel", engine_opts(0, false));
-  engine("oracle+parallel+abort", engine_opts(0, false, true));
-  engine("oracle+parallel+packed", engine_opts(0, true));
-  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
-  run.finish();
+  run_ladder(run, universe, opt, analysis::prt_algorithm(scheme),
+             prt_abort_algorithm(scheme, opt.n), [&](bool early_abort) {
+               return analysis::run_prt_campaign(
+                   universe, scheme, opt, {.early_abort = early_abort});
+             });
   return report;
 }
 
-/// Lane-compatible universe: every fault is packable, so the packed
-/// config shows the undiluted lane-packing gain over the scalar
-/// oracle+parallel path.
+/// Classical universe: every fault family — coupling, bridges and the
+/// decoder kinds included — rides the lanes.
+SectionReport bench_classical(mem::Addr n, std::size_t fault_cap) {
+  const auto universe = cap_universe(mem::classical_universe(n), fault_cap);
+  return bench_prt("classical", universe, core::extended_scheme_bom(n),
+                   {.n = n});
+}
+
+/// Lane-compatible universe: every fault is packable, so the engine
+/// shows the undiluted lane-packing gain over the serial reference.
 SectionReport bench_lane_compatible(mem::Addr n, const core::PrtScheme& scheme,
                                     std::size_t fault_cap) {
   const auto universe =
       cap_universe(mem::single_cell_universe(n, 1, /*read_logic=*/true),
                    fault_cap);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-
-  SectionReport report;
-  report.universe = "single-cell (lane-compatible)";
-  report.scheme = scheme.name;
-  report.n = n;
-  report.faults = universe.size();
-  SectionRunner run(report, universe, opt);
-  auto engine = [&](const std::string& name,
-                    const analysis::EngineOptions& eng) {
-    run.record(
-        name,
-        [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
-        /*ops_exempt=*/eng.early_abort);
-  };
-  engine("oracle", engine_opts(1, false));
-  engine("oracle+parallel", engine_opts(0, false));
-  engine("oracle+parallel+packed", engine_opts(0, true));
-  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
-  run.finish();
-  return report;
+  return bench_prt("single-cell (lane-compatible)", universe, scheme,
+                   {.n = n});
 }
 
-/// March campaign over the classical universe: serial run_campaign
-/// baseline vs the sharded MarchCampaign, scalar and packed.
+/// March campaign over the classical universe.
 SectionReport bench_march(mem::Addr n, std::size_t fault_cap) {
   const auto universe = cap_universe(mem::classical_universe(n), fault_cap);
   const auto test = march::march_c_minus();
-  analysis::CampaignOptions opt;
-  opt.n = n;
+  const analysis::CampaignOptions opt{.n = n};
 
   SectionReport report;
   report.universe = "classical (March)";
@@ -369,65 +314,24 @@ SectionReport bench_march(mem::Addr n, std::size_t fault_cap) {
   report.n = n;
   report.faults = universe.size();
   SectionRunner run(report, universe, opt);
-  run.record("serial (run_campaign)", [&] {
-    return analysis::run_campaign(universe, analysis::march_algorithm(test),
-                                  opt);
-  });
-  auto engine = [&](const std::string& name,
-                    const analysis::MarchEngineOptions& eng) {
-    run.record(
-        name,
-        [&] { return analysis::run_march_campaign(universe, test, opt, eng); },
-        /*ops_exempt=*/eng.early_abort);
-  };
-  engine("parallel", {.packed = false});
-  engine("parallel+abort", {.packed = false, .early_abort = true});
-  engine("parallel+packed", {.packed = true});
-  // The composed fast path: per-lane retirement with analytic op
-  // accounting that must equal the scalar abort reference above (the
-  // ops_exempt cross-check enforces it at bench runtime).
-  engine("parallel+packed+abort", {.packed = true, .early_abort = true});
-  run.finish();
+  run_ladder(run, universe, opt, analysis::march_algorithm(test),
+             march_abort_algorithm(test), [&](bool early_abort) {
+               return analysis::run_march_campaign(
+                   universe, test, opt, {.early_abort = early_abort});
+             });
   return report;
 }
 
 /// Word-oriented universe: every fault lives on one of m = 4 bit
 /// planes, the scheme runs over GF(16).  The packed lanes carry one
 /// bit plane per field bit and feed back through the transcript's
-/// compiled tap matrices, so the full packed ladder applies — the
-/// scalar abort config stays ahead of packed+abort so the ops_exempt
-/// cross-check pins the per-lane analytic accounting against it.
+/// compiled tap matrices.
 SectionReport bench_wom(mem::Addr n, std::size_t fault_cap) {
   const unsigned m = 4;
   const auto universe = cap_universe(
       mem::single_cell_universe(n, m, /*read_logic=*/true), fault_cap);
-  const auto scheme = core::extended_scheme_wom(n, m);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  opt.m = m;
-
-  SectionReport report;
-  report.universe = "single-cell (WOM m=4)";
-  report.scheme = scheme.name;
-  report.n = n;
-  report.faults = universe.size();
-  SectionRunner run(report, universe, opt);
-  auto engine = [&](const std::string& name,
-                    const analysis::EngineOptions& eng) {
-    run.record(
-        name,
-        [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
-        /*ops_exempt=*/eng.early_abort);
-  };
-  run.record("serial (seed path)",
-             [&] { return seed_serial_campaign(universe, scheme, opt); });
-  engine("oracle", engine_opts(1, false));
-  engine("oracle+parallel", engine_opts(0, false));
-  engine("oracle+parallel+abort", engine_opts(0, false, true));
-  engine("oracle+parallel+packed", engine_opts(0, true));
-  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
-  run.finish();
-  return report;
+  return bench_prt("single-cell (WOM m=4)", universe,
+                   core::extended_scheme_wom(n, m), {.n = n, .m = m});
 }
 
 /// Static-NPSF grid universe: two representative neighbourhood
@@ -444,30 +348,8 @@ SectionReport bench_npsf(mem::Addr n, mem::Addr grid_cols,
   uopt.npsf = true;
   uopt.npsf_grid_cols = grid_cols;
   const auto universe = cap_universe(mem::make_universe(n, 1, uopt), fault_cap);
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-
-  SectionReport report;
-  report.universe = "npsf (grid)";
-  report.scheme = scheme.name;
-  report.n = n;
-  report.faults = universe.size();
-  SectionRunner run(report, universe, opt);
-  auto engine = [&](const std::string& name,
-                    const analysis::EngineOptions& eng) {
-    run.record(
-        name,
-        [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
-        /*ops_exempt=*/eng.early_abort);
-  };
-  engine("oracle", engine_opts(1, false));
-  engine("oracle+parallel", engine_opts(0, false));
-  engine("oracle+parallel+abort", engine_opts(0, false, true));
-  engine("oracle+parallel+packed", engine_opts(0, true));
-  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
-  run.finish();
-  return report;
+  return bench_prt("npsf (grid)", universe, core::extended_scheme_bom(n),
+                   {.n = n});
 }
 
 /// Retention universe under a pause-tick scheme: delays straddle the
@@ -486,30 +368,8 @@ SectionReport bench_retention(mem::Addr n, std::size_t fault_cap) {
         {c, 0}, static_cast<unsigned>(1 - (c & 1)), kDelays[(c + 2) % 5]));
   }
   universe = cap_universe(std::move(universe), fault_cap);
-  const auto scheme = core::retention_scheme(n, 1, kPauseTicks);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-
-  SectionReport report;
-  report.universe = "retention (pause)";
-  report.scheme = scheme.name;
-  report.n = n;
-  report.faults = universe.size();
-  SectionRunner run(report, universe, opt);
-  auto engine = [&](const std::string& name,
-                    const analysis::EngineOptions& eng) {
-    run.record(
-        name,
-        [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
-        /*ops_exempt=*/eng.early_abort);
-  };
-  engine("oracle", engine_opts(1, false));
-  engine("oracle+parallel", engine_opts(0, false));
-  engine("oracle+parallel+abort", engine_opts(0, false, true));
-  engine("oracle+parallel+packed", engine_opts(0, true));
-  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
-  run.finish();
-  return report;
+  return bench_prt("retention (pause)", universe,
+                   core::retention_scheme(n, 1, kPauseTicks), {.n = n});
 }
 
 /// Dual-port classical universe: the scalar reference simulates both
@@ -519,38 +379,13 @@ SectionReport bench_retention(mem::Addr n, std::size_t fault_cap) {
 SectionReport bench_multiport(mem::Addr n, unsigned ports,
                               std::size_t fault_cap) {
   const auto universe = cap_universe(mem::classical_universe(n), fault_cap);
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  opt.ports = ports;
-
-  SectionReport report;
-  report.universe = "classical (" + std::to_string(ports) + "-port)";
-  report.scheme = scheme.name;
-  report.n = n;
-  report.faults = universe.size();
-  SectionRunner run(report, universe, opt);
-  auto engine = [&](const std::string& name,
-                    const analysis::EngineOptions& eng) {
-    run.record(
-        name,
-        [&] { return analysis::run_prt_campaign(universe, scheme, opt, eng); },
-        /*ops_exempt=*/eng.early_abort);
-  };
-  engine("oracle", engine_opts(1, false));
-  engine("oracle+parallel", engine_opts(0, false));
-  // The scalar abort reference first, so the packed+abort config's
-  // per-lane analytic op accounting is cross-checked against it.
-  engine("oracle+parallel+abort", engine_opts(0, false, true));
-  engine("oracle+parallel+packed", engine_opts(0, true));
-  engine("oracle+parallel+packed+abort", engine_opts(0, true, true));
-  run.finish();
-  return report;
+  return bench_prt("classical (" + std::to_string(ports) + "-port)", universe,
+                   core::extended_scheme_bom(n), {.n = n, .ports = ports});
 }
 
 /// Measured multicore scaling: the same lane-compatible universe swept
 /// over thread counts {1, 2, 4, 8} on the fixed-batch executor.
-/// Every cell is parity-checked against the first (t1), so
+/// Every cell is parity-checked against the serial reference, so
 /// the sweep demonstrates bit-identical output at any thread count
 /// while the timings show how much of it the hardware turns into
 /// throughput (the speedup curve is only meaningful on a multi-core
@@ -568,6 +403,10 @@ SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
   report.n = n;
   report.faults = universe.size();
   SectionRunner run(report, universe, opt);
+  run.record("serial (run_campaign)", [&] {
+    return analysis::run_campaign(universe, analysis::prt_algorithm(scheme),
+                                  opt);
+  });
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     analysis::EngineOptions eng;
     eng.threads = threads;
@@ -585,7 +424,8 @@ SectionReport bench_scaling(mem::Addr n, std::size_t fault_cap) {
 /// universes, n {256, 1024, 4096} x ports {1, 2, 4}; the oracle and
 /// transcript depend on (scheme, n) only, so the three port points of
 /// each n share one compile).  The same nine-point grid runs three
-/// ways, every per-point result parity-checked:
+/// ways, every per-point result parity-checked against the serial
+/// run_campaign reference over the same grid:
 ///
 ///   * "engines sequential (cold)" — one standalone engine per point,
 ///     the golden-artifact cache cleared before each, reproducing the
@@ -633,7 +473,13 @@ SectionReport bench_suite(std::size_t fault_cap) {
     std::uint64_t ops = 0;
     std::uint64_t packed_faults = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!reference.empty() && !(results[i] == reference[i])) {
+      // Verdicts and ops only: the serial reference tallies every fault
+      // scalar, the engines pack.
+      if (!reference.empty() &&
+          !(results[i].overall == reference[i].overall &&
+            results[i].by_class == reference[i].by_class &&
+            results[i].escapes == reference[i].escapes &&
+            results[i].ops == reference[i].ops)) {
         std::fprintf(stderr,
                      "PARITY VIOLATION in suite config %s at grid point %zu\n",
                      name.c_str(), i);
@@ -657,16 +503,25 @@ SectionReport bench_suite(std::size_t fault_cap) {
                 overall.percent());
   };
 
-  // Sequential per-point engines, cold golden artifacts per engine.
+  // The serial reference, point by point.
   auto t0 = Clock::now();
   std::vector<analysis::CampaignResult> reference;
   for (std::size_t i = 0; i < grid.size(); ++i) {
+    reference.push_back(analysis::run_campaign(
+        universes[i], analysis::prt_algorithm(factory(grid[i])), grid[i]));
+  }
+  record("serial (run_campaign)", seconds_since(t0), reference, {});
+
+  // Sequential per-point engines, cold golden artifacts per engine.
+  t0 = Clock::now();
+  std::vector<analysis::CampaignResult> cold;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
     analysis::OracleCache::global().clear();
-    reference.push_back(
+    cold.push_back(
         analysis::run_prt_campaign(universes[i], factory(grid[i]), grid[i]));
   }
   const double secs_cold = seconds_since(t0);
-  record("engines sequential (cold)", secs_cold, reference, {});
+  record("engines sequential (cold)", secs_cold, cold, reference);
 
   // Sequential engines sharing the process-wide cache.
   analysis::OracleCache::global().clear();
@@ -723,9 +578,6 @@ void write_report(std::ostream& out, const std::vector<SectionReport>& reports,
         << r.scheme << "\"," << sp << nl << indent(3) << "\"n\": " << r.n
         << "," << sp << nl << indent(3) << "\"faults\": " << r.faults << ","
         << sp << nl << indent(3)
-        << "\"packed_vs_parallel\": " << r.packed_vs_parallel << "," << sp
-        << nl << indent(3) << "\"packed_vs_parallel_full_run\": "
-        << r.packed_vs_parallel_full_run << "," << sp << nl << indent(3)
         << "\"suite_vs_sequential\": " << r.suite_vs_sequential << "," << sp
         << nl << indent(3) << "\"packed_fraction\": " << r.packed_fraction
         << "," << sp << nl << indent(3) << "\"configs\": [" << nl;

@@ -1,26 +1,27 @@
 // The one generic campaign driver both public campaign types are
 // instances of.
 //
-// CampaignEngine (PRT schemes) and MarchCampaign (March tests) used to
-// each own a copy of the same machinery: option plumbing, oracle /
-// transcript construction, the scalar-vs-lane-batched shard loop and
-// the packed-enabled predicate.  This header collapses that shape into
-// one core:
-//
 //   CampaignDriver<Workload>  — run_stoppable() as one job on the
-//     campaign executor and the per-batch scalar/packed dispatch with
-//     its lane-width rule, written once over the campaign_shard.hpp
-//     loops;
+//     campaign executor and, per batch, the packing rule: a packable
+//     workload puts every lane_compatible fault on a lane (512 per
+//     sweep, 64 on a batch thinner than kWideMinFaults) and runs the
+//     rest on its scalar reference; a workload that cannot pack runs
+//     every fault there;
 //   PrtWorkload / MarchWorkload — the only parts that differ: how the
 //     golden artifacts are fetched from the analysis::OracleCache, how
-//     one fault runs scalar, how one lane batch runs packed, and
-//     whether the workload is lane-packable at all.
+//     one fault runs on the scalar reference, how one lane batch
+//     replays its transcript, and whether the workload packs at all.
+//
+// Each workload has exactly one scalar route, the live reference the
+// paper programs run through run_campaign: core::run_prt with the
+// cached oracle (prt_algorithm) or march::run_march_backgrounds
+// (march_algorithm).  Every valid PRT scheme packs; March packs at
+// m = 1 (DESIGN.md §17).
 //
 // The public classes in campaign_engine.hpp / march_campaign.hpp are
-// thin facades over a driver instance; their results are bit-identical
-// to what the pre-unification engines produced (the parity suites in
-// tests/ pin this).  CampaignSuite and CampaignService run the same
-// drivers as jobs on the same executor (batch_runner below).
+// thin facades over a driver instance; CampaignSuite and
+// CampaignService run the same drivers as jobs on the same executor
+// (batch_runner below).
 //
 // Header is internal to analysis/ (included by the campaign .cpp files
 // only); the public surfaces are campaign_engine.hpp,
@@ -46,49 +47,24 @@
 
 namespace prt::analysis::detail {
 
-/// The engine-option shape shared by every campaign type.
-/// EngineOptions / MarchEngineOptions translate into this in
-/// make_driver (their workload-specific knobs live in the workload).
-struct DriverOptions {
-  /// Worker count; 0 defers to the PRT_THREADS environment override,
-  /// then the hardware concurrency (util::default_worker_count).
-  unsigned threads = 0;
-  /// Batch lane-compatible faults one lane-word sweep at a time on a
-  /// bit-packed mem::PackedFaultRamT when the workload permits
-  /// (Workload::packable()).  Results stay bit-identical to the
-  /// all-scalar path.
-  bool packed = true;
-  /// Stop each fault's run at its first failure.  Verdicts, coverage
-  /// and escapes are unchanged; CampaignResult::ops shrinks to the
-  /// abort-aware scalar reference cost (packed lanes retire with
-  /// analytic per-lane op accounting).
-  bool early_abort = false;
-};
-
 /// Fewest faults a shard range needs to run on the 512-lane word; a
 /// thinner range runs the 64-lane word, where a wide sweep would burn
 /// whole-word XORs on mostly empty lanes.
 inline constexpr std::size_t kWideMinFaults = 256;
 
-/// PRT-scheme workload: golden artifacts from OracleCache::prt, scalar
-/// runs over the transcript replay (GF(2)) or the live oracle path,
-/// packed batches over core::run_prt_packed.
+/// PRT-scheme workload: golden artifacts from OracleCache::prt, the
+/// live oracle-backed core::run_prt per scalar fault, packed batches
+/// over core::run_prt_packed.
 class PrtWorkload {
  public:
-  /// `use_oracle` off re-derives the scheme per fault like the legacy
-  /// path (bench baseline only).  Throws std::invalid_argument on
-  /// malformed `opt` (validate_campaign_options).
+  /// Throws std::invalid_argument on malformed `opt` or `scheme`
+  /// (validate_campaign_options, validate_prt_scheme).
   PrtWorkload(core::PrtScheme scheme, const CampaignOptions& opt,
-              bool early_abort, bool use_oracle, OracleCache& cache)
-      : scheme_(std::move(scheme)),
-        early_abort_(early_abort),
-        use_oracle_(use_oracle) {
+              bool early_abort, OracleCache& cache)
+      : scheme_(std::move(scheme)), early_abort_(early_abort) {
     validate_campaign_options(opt);
+    validate_prt_scheme(scheme_, opt);
     entry_ = cache.prt(scheme_, opt.n);
-    // Lane batching needs the campaign word width to equal the
-    // scheme's field degree: the packed ram then carries one bit plane
-    // per field bit and the transcript's tap matrices line up.
-    packable_ = entry_->packable && entry_->transcript.width == opt.m;
   }
 
   /// Per-shard mutable state: one rewindable FaultyRam and the packed
@@ -111,26 +87,20 @@ class PrtWorkload {
     }
   };
 
-  /// Lane batching permitted: oracle-backed runs whose word width
-  /// matches the scheme's field degree (GF(2) and GF(2^m) alike).
-  [[nodiscard]] bool packable() const { return use_oracle_ && packable_; }
+  /// Every scheme validate_prt_scheme admits packs: its field degree
+  /// is the word width, so the packed ram carries one bit plane per
+  /// field bit and the transcript's tap matrices line up.
+  [[nodiscard]] bool packable() const { return true; }
 
-  /// Runs one fault scalar; returns detected, charges its ops.
+  /// Runs one fault on the live reference; returns detected, charges
+  /// its ops.
   bool run_fault(ShardState& s, const mem::Fault& fault,
                  std::uint64_t& ops) const {
     s.ram.reset(fault);
     const core::PrtRunOptions run{.early_abort = early_abort_,
                                   .record_iterations = false};
-    // Oracle-backed packable runs replay the compiled transcript (no
-    // oracle indirection, FaultyRam devirtualized); other
-    // configurations keep the live paths.
     const bool detected =
-        use_oracle_ && packable_
-            ? core::run_prt_transcript(s.ram, entry_->transcript, run)
-                  .detected()
-        : use_oracle_
-            ? core::run_prt(s.ram, scheme_, entry_->oracle, run).detected()
-            : core::run_prt(s.ram, scheme_).detected();
+        core::run_prt(s.ram, scheme_, entry_->oracle, run).detected();
     ops += s.ram.total_stats().total();
     return detected;
   }
@@ -158,12 +128,11 @@ class PrtWorkload {
   core::PrtScheme scheme_;
   std::shared_ptr<const OracleCache::PrtEntry> entry_;
   bool early_abort_;
-  bool use_oracle_;
-  bool packable_ = false;
 };
 
-/// March-test workload: transcript from OracleCache::march when the
-/// campaign is bit-oriented, the live background sweep otherwise.
+/// March-test workload: the live background sweep per scalar fault;
+/// at m = 1 also the transcript from OracleCache::march, which packed
+/// batches replay through march::run_march_packed.
 class MarchWorkload {
  public:
   /// Throws std::invalid_argument on malformed `opt` and on March
@@ -171,9 +140,7 @@ class MarchWorkload {
   /// data index the background expansion cannot represent).
   MarchWorkload(march::MarchTest test, const CampaignOptions& opt,
                 bool early_abort, OracleCache& cache)
-      : test_(std::move(test)),
-        early_abort_(early_abort),
-        bit_oriented_(opt.m == 1) {
+      : test_(std::move(test)), early_abort_(early_abort) {
     validate_campaign_options(opt);
     for (const march::MarchElement& elem : test_.elements) {
       for (const march::MarchOp& op : elem.ops) {
@@ -196,10 +163,9 @@ class MarchWorkload {
       }
     }
     // m = 1 has the single background 0, so one compiled transcript
-    // covers the whole background set march_algorithm runs.
-    if (bit_oriented_) {
-      entry_ = cache.march(test_, opt.n, /*background=*/false);
-    }
+    // covers the whole background set the reference sweeps.  The packed
+    // March replay runs one bit plane, so wider words cannot pack.
+    if (opt.m == 1) entry_ = cache.march(test_, opt.n, /*background=*/false);
   }
 
   struct ShardState {
@@ -208,20 +174,14 @@ class MarchWorkload {
     mem::FaultyRam ram;
   };
 
-  [[nodiscard]] bool packable() const { return bit_oriented_; }
+  [[nodiscard]] bool packable() const { return entry_ != nullptr; }
 
   bool run_fault(ShardState& s, const mem::Fault& fault,
                  std::uint64_t& ops) const {
     s.ram.reset(fault);
     const march::MarchRunOptions run{.early_abort = early_abort_};
-    // m = 1 replays the compiled transcript (devirtualized FaultyRam,
-    // no element/op re-derivation); wider words sweep the live
-    // background set.
     const bool detected =
-        bit_oriented_
-            ? march::run_march_transcript(s.ram, entry_->transcript, run).fail
-            : march::run_march_backgrounds(test_, s.ram, backgrounds_, run)
-                  .fail;
+        march::run_march_backgrounds(test_, s.ram, backgrounds_, run).fail;
     ops += s.ram.total_stats().total();
     return detected;
   }
@@ -243,29 +203,21 @@ class MarchWorkload {
   std::vector<mem::Word> backgrounds_;
   std::shared_ptr<const OracleCache::MarchEntry> entry_;
   bool early_abort_;
-  bool bit_oriented_;
 };
 
-/// The generic driver: one executor job per run, per-batch
-/// scalar/packed dispatch.
-/// Workload supplies the four campaign-type-specific hooks
+/// The generic driver: one executor job per run, the packing rule per
+/// batch.  Workload supplies the four campaign-type-specific hooks
 /// (ShardState, packable, run_fault, run_batch).  Holds no mutable
 /// state, so concurrent runs on one driver are independent.
 template <typename Workload>
 class CampaignDriver {
  public:
   CampaignDriver(Workload workload, const CampaignOptions& opt,
-                 const DriverOptions& drv)
-      : workload_(std::move(workload)), opt_(opt), drv_(drv) {}
+                 unsigned threads)
+      : workload_(std::move(workload)), opt_(opt), threads_(threads) {}
 
   CampaignDriver(const CampaignDriver&) = delete;
   CampaignDriver& operator=(const CampaignDriver&) = delete;
-
-  /// True when runs may route lane-compatible faults through the
-  /// packed path (workload + options both allow it).
-  [[nodiscard]] bool packed_enabled() const {
-    return drv_.packed && workload_.packable();
-  }
 
   /// Fills one batch over universe indices [begin, end).  Stateless
   /// across calls (fresh ShardState per batch), so the batches merge —
@@ -280,11 +232,19 @@ class CampaignDriver {
   bool run_shard(std::span<const mem::Fault> universe, std::size_t begin,
                  std::size_t end, CampaignResult& out,
                  const util::StopToken& stop = {}) const {
-    if (packed_enabled() && end - begin >= kWideMinFaults) {
-      return run_shard_impl<mem::WideWord<8>>(universe, begin, end, out,
-                                              stop);
+    typename Workload::ShardState state(opt_);
+    auto run_scalar = [&](std::size_t i) {
+      return workload_.run_fault(state, universe[i], out.ops);
+    };
+    if (!workload_.packable()) {
+      return scalar_shard(universe, begin, end, out, run_scalar, stop);
     }
-    return run_shard_impl<mem::LaneWord>(universe, begin, end, out, stop);
+    if (end - begin >= kWideMinFaults) {
+      return lane_shard<mem::WideWord<8>>(state, universe, begin, end, out,
+                                          run_scalar, stop);
+    }
+    return lane_shard<mem::LaneWord>(state, universe, begin, end, out,
+                                     run_scalar, stop);
   }
 
   /// One executor job over the universe: batches poll `stop` per
@@ -306,24 +266,18 @@ class CampaignDriver {
                                 const util::StopToken& token) {
       return run_shard(universe, begin, end, out, token);
     };
-    return run_jobs(drv_.threads, {job}).front();
+    return run_jobs(threads_, {job}).front();
   }
 
   [[nodiscard]] const Workload& workload() const { return workload_; }
 
  private:
-  /// The width-concrete shard loop behind run_shard's dispatch.
-  template <typename W>
-  bool run_shard_impl(std::span<const mem::Fault> universe, std::size_t begin,
-                      std::size_t end, CampaignResult& out,
-                      const util::StopToken& stop) const {
-    typename Workload::ShardState state(opt_);
-    auto run_scalar = [&](std::size_t i) {
-      return workload_.run_fault(state, universe[i], out.ops);
-    };
-    if (!packed_enabled()) {
-      return scalar_shard(universe, begin, end, out, run_scalar, stop);
-    }
+  /// The lane-batched shard loop at one lane width.
+  template <typename W, typename RunScalar>
+  bool lane_shard(typename Workload::ShardState& state,
+                  std::span<const mem::Fault> universe, std::size_t begin,
+                  std::size_t end, CampaignResult& out, RunScalar& run_scalar,
+                  const util::StopToken& stop) const {
     mem::PackedFaultRamT<W> packed(opt_.n, opt_.m);
     auto run_batch = [&](mem::PackedFaultRamT<W>& batch) {
       return workload_.run_batch(state, batch);
@@ -334,7 +288,7 @@ class CampaignDriver {
 
   Workload workload_;
   CampaignOptions opt_;
-  DriverOptions drv_;
+  unsigned threads_;
 };
 
 using PrtDriver = CampaignDriver<PrtWorkload>;
@@ -361,23 +315,17 @@ template <typename Driver>
     const EngineOptions& engine) {
   return std::make_unique<PrtDriver>(
       PrtWorkload(std::move(scheme), opt, engine.early_abort,
-                  engine.use_oracle, OracleCache::global()),
-      opt,
-      DriverOptions{.threads = engine.threads,
-                    .packed = engine.packed,
-                    .early_abort = engine.early_abort});
+                  OracleCache::global()),
+      opt, engine.threads);
 }
 
 [[nodiscard]] inline std::unique_ptr<MarchDriver> make_driver(
     march::MarchTest test, const CampaignOptions& opt,
-    const MarchEngineOptions& engine) {
+    const EngineOptions& engine) {
   return std::make_unique<MarchDriver>(
       MarchWorkload(std::move(test), opt, engine.early_abort,
                     OracleCache::global()),
-      opt,
-      DriverOptions{.threads = engine.threads,
-                    .packed = engine.packed,
-                    .early_abort = engine.early_abort});
+      opt, engine.threads);
 }
 
 }  // namespace prt::analysis::detail

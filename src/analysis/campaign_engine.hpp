@@ -3,10 +3,10 @@
 //
 // run_campaign (fault_sim.hpp) evaluates an arbitrary TestAlgorithm
 // serially; this engine is the fast path for the common case where the
-// algorithm is a PRT scheme.  Since PR 5 it is a thin facade over the
-// generic analysis::CampaignDriver (campaign_driver.hpp) instantiated
-// with the PRT workload — MarchCampaign is the same driver with the
-// March workload, and CampaignSuite fans one request over a grid of
+// algorithm is a PRT scheme.  It is a thin facade over the generic
+// analysis::CampaignDriver (campaign_driver.hpp) instantiated with the
+// PRT workload — MarchCampaign is the same driver with the March
+// workload, and CampaignSuite fans one request over a grid of
 // configurations on the same machinery:
 //
 //  * everything a scheme derives from its own structure — trajectory
@@ -19,17 +19,17 @@
 //    on the process-wide worker pool for the thread count and merge in
 //    batch order, so the output is bit-identical to the serial
 //    reference at any thread count;
-//  * each worker owns one FaultyRam and rewinds it with reset(fault) —
-//    no allocation, no LFSR re-derivation in the per-fault loop;
-//  * for GF(2) bit-oriented campaigns every hot loop is a tight replay
-//    of the cached transcript: the scalar fallback runs
-//    core::run_prt_transcript (devirtualized FaultyRam) and
-//    lane-compatible faults are batched 512 per sweep (64 on a batch
-//    tail thinner than 256 faults) onto a bit-packed mem::PackedFaultRamT
-//    via run_prt_packed, with early abort composing through per-lane
-//    mismatch retirement.
+//  * every valid scheme packs, GF(2) and GF(2^m) alike: lane-compatible
+//    faults are batched 512 per sweep (64 on a batch thinner than 256
+//    faults) onto a bit-packed mem::PackedFaultRamT and replay the
+//    cached transcript via run_prt_packed, with early abort composing
+//    through per-lane mismatch retirement;
+//  * the rare fault no lane takes (a degenerate CFst trigger state, a
+//    victim bit beyond the word) runs the live reference,
+//    core::run_prt with the cached oracle, on one rewindable FaultyRam
+//    per worker.
 //
-// See DESIGN.md §7/§8/§9/§10 and bench/bench_campaign.cpp.
+// See DESIGN.md §7/§8/§9/§10/§17 and bench/bench_campaign.cpp.
 #pragma once
 
 #include <memory>
@@ -46,45 +46,12 @@ template <typename Workload>
 class CampaignDriver;
 }  // namespace detail
 
-struct EngineOptions {
-  /// Worker count; 0 defers to the PRT_THREADS environment override,
-  /// then the hardware concurrency (util::default_worker_count).
-  unsigned threads = 0;
-  /// Reuse the precomputed PrtOracle per fault.  Turning this off
-  /// re-derives the scheme per fault like the legacy path — only
-  /// useful as a bench baseline.
-  bool use_oracle = true;
-  /// Stop each fault's run at the first failing iteration.  Verdicts
-  /// (and therefore coverage numbers and escapes) are unchanged;
-  /// CampaignResult::ops shrinks.  Composes with `packed`: packed
-  /// batches retire lanes as their mismatch latches and stop when the
-  /// detected mask saturates, with op accounting still bit-identical
-  /// to the scalar early-abort path (core/prt_packed).  Keep off when
-  /// the campaign's read/write counts must reflect complete runs.
-  bool early_abort = false;
-  /// Evaluate lane-compatible faults (single-bit SAF/TF/WDF, the
-  /// read-logic kinds, the two-cell CFin/CFid/CFst/bridge kinds, the
-  /// decoder kinds, static NPSF neighbourhoods and retention faults)
-  /// 512 per sweep (64 on a batch tail thinner than 256 faults) on a
-  /// bit-packed mem::PackedFaultRamT (core/prt_packed).  Applies
-  /// whenever the campaign word width equals the scheme's field
-  /// degree — GF(2) bit-oriented and GF(2^m) word-oriented schemes
-  /// alike (the word path rides m bit planes per cell).  Results stay
-  /// bit-identical to the all-scalar reference; the rare residue (e.g.
-  /// degenerate CFst trigger states, victim bits beyond the word
-  /// width) falls back per fault.
-  /// Ignored (everything scalar) when the scheme is not packable or
-  /// use_oracle is off.
-  bool packed = true;
-};
-
 class CampaignEngine {
  public:
   /// Fetches the per-(scheme, n) artifacts from OracleCache::global()
   /// (building them on first use).  Throws std::invalid_argument on
-  /// malformed options (validate_campaign_options).  Precondition:
-  /// opt.n exceeds the scheme's register length k; opt.m equals the
-  /// scheme field's m.
+  /// malformed options or schemes (validate_campaign_options,
+  /// validate_prt_scheme: n above every k, m the field's degree).
   CampaignEngine(core::PrtScheme scheme, const CampaignOptions& opt,
                  const EngineOptions& engine = {});
   ~CampaignEngine();

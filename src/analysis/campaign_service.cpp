@@ -61,7 +61,7 @@ std::string request_fingerprint(const CampaignRequest& req) {
   f.mix(req.options.n);
   f.mix(req.options.m);
   f.mix(req.options.ports);
-  f.mix(req.packed ? 1 : 0);
+  f.mix(1);  // the retired `packed` flag (always 1): old checkpoints resume
   f.mix(req.early_abort ? 1 : 0);
   f.mix(req.universe.size());
   for (const mem::Fault& fault : req.universe) {
@@ -573,20 +573,15 @@ struct CampaignService::Impl {
   /// request (kFailed, the message as its error).
   void prepare(const Request& r, detail::Job& job) {
     const CampaignRequest& req = r.req;
+    const EngineOptions engine{.early_abort = req.early_abort};
     const detail::Job::RunBatch run =
-        req.scheme
-            ? detail::batch_runner<detail::PrtDriver>(
-                  detail::make_driver(*req.scheme, req.options,
-                                      EngineOptions{.early_abort =
-                                                        req.early_abort,
-                                                    .packed = req.packed}),
-                  req.universe)
-            : detail::batch_runner<detail::MarchDriver>(
-                  detail::make_driver(
-                      *req.march_test, req.options,
-                      MarchEngineOptions{.packed = req.packed,
-                                         .early_abort = req.early_abort}),
-                  req.universe);
+        req.scheme ? detail::batch_runner<detail::PrtDriver>(
+                         detail::make_driver(*req.scheme, req.options, engine),
+                         req.universe)
+                   : detail::batch_runner<detail::MarchDriver>(
+                         detail::make_driver(*req.march_test, req.options,
+                                             engine),
+                         req.universe);
     job.run = [this, &r, run](std::size_t begin, std::size_t end,
                               CampaignResult& out,
                               const util::StopToken& stop) {

@@ -134,8 +134,8 @@ struct CampaignRequest {
   std::optional<core::PrtScheme> scheme;
   std::optional<march::MarchTest> march_test;
   CampaignOptions options;
-  /// Engine knobs, same semantics as EngineOptions/MarchEngineOptions.
-  bool packed = true;
+  /// Same semantics as EngineOptions::early_abort (the worker count is
+  /// the service's).
   bool early_abort = false;
   std::vector<mem::Fault> universe;
   /// Admission class; see RequestPriority.

@@ -165,7 +165,10 @@ void Job::complete(const std::shared_ptr<Job>& job) noexcept {
                          : status_from(j.stop.token().reason());
     out.resumed = j.resumed_;
     out.retries = j.retries_;
-    out.exception = j.error_;
+    // Moved, not shared: a worker may still hold the job after the
+    // caller's wait returns, and the thread that rethrows must hold the
+    // exception's last reference.
+    out.exception = std::move(j.error_);
     out.error = j.error_text_;
   }
   if (j.on_done) j.on_done(std::move(out));

@@ -22,12 +22,7 @@ struct CampaignSuite::Impl {
   // Exactly one of the two workload kinds is set.
   SchemeFactory factory;
   std::optional<march::MarchTest> march_test;
-  EngineOptions prt_engine;
-  MarchEngineOptions march_engine;
-
-  [[nodiscard]] unsigned threads() const {
-    return march_test ? march_engine.threads : prt_engine.threads;
-  }
+  EngineOptions engine;
 
   /// The prepare step of configuration `index`'s job: generates the
   /// universe into `faults`, records the workload name and points the
@@ -42,11 +37,11 @@ struct CampaignSuite::Impl {
     if (march_test) {
       name = march_test->name;
       job.run = detail::batch_runner<detail::MarchDriver>(
-          detail::make_driver(*march_test, opt, march_engine), faults);
+          detail::make_driver(*march_test, opt, engine), faults);
       return;
     }
     std::shared_ptr<const detail::PrtDriver> driver =
-        detail::make_driver(factory(opt), opt, prt_engine);
+        detail::make_driver(factory(opt), opt, engine);
     name = driver->workload().name();
     job.run = detail::batch_runner(std::move(driver), faults);
   }
@@ -56,14 +51,14 @@ CampaignSuite::CampaignSuite(SchemeFactory factory,
                              const EngineOptions& engine)
     : impl_(std::make_unique<Impl>()) {
   impl_->factory = std::move(factory);
-  impl_->prt_engine = engine;
+  impl_->engine = engine;
 }
 
 CampaignSuite::CampaignSuite(march::MarchTest test,
-                             const MarchEngineOptions& engine)
+                             const EngineOptions& engine)
     : impl_(std::make_unique<Impl>()) {
   impl_->march_test = std::move(test);
-  impl_->march_engine = engine;
+  impl_->engine = engine;
 }
 
 CampaignSuite::~CampaignSuite() = default;
@@ -104,7 +99,7 @@ SuiteResult CampaignSuite::run(std::span<const CampaignOptions> configs,
     jobs.push_back(std::move(job));
   }
   std::vector<CampaignOutcome> outcomes =
-      detail::run_jobs(impl_->threads(), jobs);
+      detail::run_jobs(impl_->engine.threads, jobs);
 
   SuiteResult out;
   out.configs.reserve(count);
@@ -159,7 +154,7 @@ SuiteResult run_prt_suite(std::span<const CampaignOptions> configs,
 SuiteResult run_march_suite(std::span<const CampaignOptions> configs,
                             march::MarchTest test,
                             const UniverseGenerator& universe,
-                            const MarchEngineOptions& engine) {
+                            const EngineOptions& engine) {
   return CampaignSuite(std::move(test), engine).run(configs, universe);
 }
 

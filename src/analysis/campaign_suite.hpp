@@ -107,7 +107,7 @@ class CampaignSuite {
   /// (threads picks the shared pool).
   CampaignSuite(SchemeFactory factory, const EngineOptions& engine = {});
   /// March suite: one test drives every configuration.
-  CampaignSuite(march::MarchTest test, const MarchEngineOptions& engine = {});
+  CampaignSuite(march::MarchTest test, const EngineOptions& engine = {});
   ~CampaignSuite();
   CampaignSuite(const CampaignSuite&) = delete;
   CampaignSuite& operator=(const CampaignSuite&) = delete;
@@ -115,8 +115,9 @@ class CampaignSuite {
   /// Runs every configuration's campaign, one executor job each.
   /// Throws std::invalid_argument on any malformed configuration
   /// (validate_campaign_options, checked up-front for every
-  /// configuration before any work is scheduled); a failure on a
-  /// worker is rethrown here.  Same pool contract as
+  /// configuration before any work is scheduled) or scheme
+  /// (validate_prt_scheme, when the configuration's job builds its
+  /// driver); a failure on a worker is rethrown here.  Same pool contract as
   /// CampaignEngine::run: the pool is shared per thread count, and
   /// run() must not be called from a task already running on a
   /// campaign pool.
@@ -145,6 +146,6 @@ class CampaignSuite {
 /// Convenience: one-shot March suite run.
 [[nodiscard]] SuiteResult run_march_suite(
     std::span<const CampaignOptions> configs, march::MarchTest test,
-    const UniverseGenerator& universe, const MarchEngineOptions& engine = {});
+    const UniverseGenerator& universe, const EngineOptions& engine = {});
 
 }  // namespace prt::analysis

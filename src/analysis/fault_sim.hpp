@@ -46,12 +46,13 @@ struct CampaignResult {
   std::uint64_t ops = 0;
   /// Dispatch tallies: faults that rode a packed lane batch vs the
   /// scalar per-fault path.  packed_faults + scalar_faults ==
-  /// overall.total; a fully lane-compatible universe on a packed
-  /// engine has scalar_faults == 0 (the bench asserts exactly that via
-  /// its packed_fraction field).  Both depend on the packed option and
+  /// overall.total; a fully lane-compatible universe on a packable
+  /// workload has scalar_faults == 0 (the bench asserts exactly that
+  /// via its packed_fraction field).  Both depend on the workload and
   /// the faults only, never on the thread count, so equality covers
-  /// them; the parity suites that compare a packed run against the
-  /// scalar reference compare verdict fields only.
+  /// them; the parity suites that compare a campaign against the
+  /// serial run_campaign (which tallies every fault scalar) compare
+  /// verdict fields only.
   std::uint64_t packed_faults = 0;
   std::uint64_t scalar_faults = 0;
 
@@ -66,6 +67,26 @@ struct CampaignOptions {
   // real power-up state is unknown, but every algorithm under test
   // writes each cell before reading it back, so the fill only pins
   // down the "previous value" seen by first-write transitions).
+};
+
+/// The options every campaign type takes (CampaignEngine,
+/// MarchCampaign, CampaignSuite; a CampaignRequest carries early_abort
+/// and runs on the service's workers).  Packing is a rule, not an
+/// option: a packable workload puts every lane-compatible fault on a
+/// lane, and the result is bit-identical to the live scalar reference
+/// either way (DESIGN.md §17).
+struct EngineOptions {
+  /// Worker count; 0 defers to the PRT_THREADS environment override,
+  /// then the hardware concurrency (util::default_worker_count).
+  unsigned threads = 0;
+  /// Stop each fault's run at its first failure: the first failing PRT
+  /// iteration, or the first mismatching March read (skipping the
+  /// remaining backgrounds).  Verdicts, coverage and escapes are
+  /// unchanged; CampaignResult::ops shrinks to the abort-aware
+  /// reference cost (packed lanes retire as their mismatch latches,
+  /// with analytic per-lane op accounting).  Keep off when the ops
+  /// must reflect complete runs.
+  bool early_abort = false;
 };
 
 /// How a stoppable campaign run ended.  kComplete means every batch
@@ -118,6 +139,17 @@ struct CampaignOutcome {
 /// and ports is 1, 2 or 4 (the per-port state arrays).
 void validate_campaign_options(const CampaignOptions& opt);
 
+/// Scheme validation for every campaign boundary that runs a PRT scheme
+/// (the driver behind CampaignEngine / CampaignSuite / CampaignService,
+/// and prt_algorithm's oracle build).  Throws std::invalid_argument,
+/// naming the value, unless the field degree equals opt.m (and lies in
+/// GF2m's [1, 16]), the scheme has iterations, and every iteration has
+/// 1 <= k < opt.n with m * k <= 64 (the oracle's LFSR jump-ahead packs
+/// the register into one word), k seeds, non-zero g0 and gk, and every
+/// coefficient and seed inside the field.
+void validate_prt_scheme(const core::PrtScheme& scheme,
+                         const CampaignOptions& opt);
+
 /// Folds batch results produced over contiguous ascending fault-index
 /// ranges back into one CampaignResult, in batch order — the merge
 /// that makes every parallel campaign path bit-identical to the serial
@@ -142,7 +174,8 @@ void validate_campaign_options(const CampaignOptions& opt);
 /// PRT scheme (all iterations).  The returned algorithm memoizes a
 /// PrtOracle per memory size, so even legacy run_campaign call sites
 /// derive each scheme's trajectories/golden sequences once per
-/// campaign instead of once per fault.
+/// campaign instead of once per fault.  The oracle build validates the
+/// scheme against the memory's size and width (validate_prt_scheme).
 [[nodiscard]] TestAlgorithm prt_algorithm(core::PrtScheme scheme);
 
 /// PRT scheme truncated to its first `iterations` iterations — the

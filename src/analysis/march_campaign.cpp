@@ -7,7 +7,7 @@
 namespace prt::analysis {
 
 MarchCampaign::MarchCampaign(march::MarchTest test, const CampaignOptions& opt,
-                             const MarchEngineOptions& engine)
+                             const EngineOptions& engine)
     : driver_(detail::make_driver(std::move(test), opt, engine)) {}
 
 MarchCampaign::~MarchCampaign() = default;
@@ -29,7 +29,7 @@ CampaignOutcome MarchCampaign::run(std::span<const mem::Fault> universe,
 CampaignResult run_march_campaign(std::span<const mem::Fault> universe,
                                   march::MarchTest test,
                                   const CampaignOptions& opt,
-                                  const MarchEngineOptions& engine) {
+                                  const EngineOptions& engine) {
   return MarchCampaign(std::move(test), opt, engine).run(universe);
 }
 

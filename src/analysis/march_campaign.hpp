@@ -2,7 +2,7 @@
 //
 // run_campaign (fault_sim.hpp) evaluates march_algorithm serially, one
 // FaultyRam run per fault; this campaign is the fast path for March
-// coverage tables.  Since PR 5 it is a thin facade over the generic
+// coverage tables.  It is a thin facade over the generic
 // analysis::CampaignDriver (campaign_driver.hpp) instantiated with the
 // March workload — the same driver, shared pool, shard loops and
 // order-deterministic merge CampaignEngine runs on:
@@ -11,21 +11,21 @@
 //    compiled once per (test, n, background) into a flat
 //    core::OpTranscript, cached in the process-wide
 //    analysis::OracleCache and shared by every campaign over the same
-//    test; lane-compatible faults (decoder kinds included) are batched
-//    512 per sweep (64 on a batch tail thinner than 256 faults) through the
-//    transcript march::run_march_packed, the remaining (retention,
-//    NPSF) faults run the scalar march::run_march_transcript
-//    (devirtualized FaultyRam), and the merged CampaignResult —
+//    test; lane-compatible faults (decoder, NPSF and retention kinds
+//    included) are batched 512 per sweep (64 on a batch thinner than
+//    256 faults) through the transcript march::run_march_packed, and
+//    the rare fault no lane takes runs the live reference,
+//    march::run_march_backgrounds.  The merged CampaignResult —
 //    coverage, per-class counts, escapes and op totals — is
 //    bit-identical to run_campaign(universe, march_algorithm(test),
-//    opt).  Early abort composes with packing:
-//    lanes retire at their first mismatching read with analytic
-//    per-lane op accounting identical to the abort-aware scalar
-//    run_march reference;
-//  * word-oriented (m > 1) campaigns run entirely scalar over the
-//    standard data backgrounds, still batched over the pool.
+//    opt).  Early abort composes with packing: lanes retire at their
+//    first mismatching read with analytic per-lane op accounting
+//    identical to the abort-aware scalar reference;
+//  * word-oriented (m > 1) campaigns cannot pack and run every fault
+//    on the live reference over the standard data backgrounds, still
+//    batched over the pool.
 //
-// See DESIGN.md §8/§9/§10 and bench/bench_campaign.cpp's March
+// See DESIGN.md §8/§9/§10/§17 and bench/bench_campaign.cpp's March
 // section.
 #pragma once
 
@@ -43,23 +43,9 @@ template <typename Workload>
 class CampaignDriver;
 }  // namespace detail
 
-struct MarchEngineOptions {
-  /// Worker count; 0 defers to the PRT_THREADS environment override,
-  /// then the hardware concurrency (util::default_worker_count).
-  unsigned threads = 0;
-  /// Batch lane-compatible faults 512 per March sweep (64 on a batch
-  /// tail thinner than 256 faults) on a bit-packed mem::PackedFaultRamT
-  /// when m = 1.  Results stay bit-identical to the all-scalar
-  /// reference.
-  bool packed = true;
-  /// Stop each fault's run at its first mismatching read (and skip the
-  /// remaining backgrounds after a failing run).  Verdicts, coverage
-  /// and escapes are unchanged; CampaignResult::ops shrinks to the
-  /// abort-aware scalar reference cost.  Composes with `packed`: lanes
-  /// retire as their mismatch latches, with per-lane op accounting
-  /// bit-identical to the scalar abort path (march/march_runner).
-  bool early_abort = false;
-};
+/// March campaigns take the same EngineOptions as every campaign type;
+/// the alias keeps the older spelling compiling (perfbench/ uses it).
+using MarchEngineOptions = EngineOptions;
 
 class MarchCampaign {
  public:
@@ -68,7 +54,7 @@ class MarchCampaign {
   /// on malformed options (validate_campaign_options) and on March
   /// tests with data indices outside {0, 1}.
   MarchCampaign(march::MarchTest test, const CampaignOptions& opt,
-                const MarchEngineOptions& engine = {});
+                const EngineOptions& engine = {});
   ~MarchCampaign();
   MarchCampaign(const MarchCampaign&) = delete;
   MarchCampaign& operator=(const MarchCampaign&) = delete;
@@ -97,6 +83,6 @@ class MarchCampaign {
 /// Convenience: one-shot March campaign with default engine options.
 [[nodiscard]] CampaignResult run_march_campaign(
     std::span<const mem::Fault> universe, march::MarchTest test,
-    const CampaignOptions& opt, const MarchEngineOptions& engine = {});
+    const CampaignOptions& opt, const EngineOptions& engine = {});
 
 }  // namespace prt::analysis

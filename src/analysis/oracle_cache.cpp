@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "core/prt_packed.hpp"
 #include "util/fail_point.hpp"
 
 namespace prt::analysis {
@@ -146,10 +145,7 @@ std::shared_ptr<const OracleCache::PrtEntry> OracleCache::prt(
   return lookup(&OracleCache::prt_, 'p', std::move(key), prt_builds_, [&] {
     PrtEntry entry;
     entry.oracle = core::make_prt_oracle(scheme, n);
-    entry.packable = core::prt_scheme_packable(scheme);
-    if (entry.packable) {
-      entry.transcript = core::make_op_transcript(scheme, entry.oracle);
-    }
+    entry.transcript = core::make_op_transcript(scheme, entry.oracle);
     return entry;
   });
 }

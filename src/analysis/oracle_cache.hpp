@@ -2,8 +2,8 @@
 // budgeted LRU so a long-lived service cannot grow without bound.
 //
 // Everything a campaign derives from the workload alone — the
-// PrtOracle, the scheme's packability, the compiled core::OpTranscript
-// (PRT and March flavours) — depends only on (scheme, n) or on
+// PrtOracle and the compiled core::OpTranscript (PRT and March
+// flavours) — depends only on (scheme, n) or on
 // (march test, n, background, delay) and is immutable once built.
 // Before this cache each CampaignEngine / MarchCampaign built its own
 // copy in its constructor, so a multi-size sweep, a port sweep at one
@@ -55,19 +55,10 @@ namespace prt::analysis {
 
 class OracleCache {
  public:
-  /// Everything derivable from (scheme, n): the memoized oracle, the
-  /// scheme's lane-packability, and — iff packable — the compiled
-  /// replay transcript.  Immutable after construction.
+  /// Everything derivable from (scheme, n): the memoized oracle and
+  /// the compiled replay transcript.  Immutable after construction.
   struct PrtEntry {
     core::PrtOracle oracle;
-    /// core::prt_scheme_packable(scheme): the scheme runs bit-parallel
-    /// (GF(2) on the single-plane hot loop, GF(2^m) over m bit planes
-    /// with compiled tap matrices).  Campaign packing additionally
-    /// requires the campaign word width to equal the scheme's field
-    /// degree (transcript.width) — a per-campaign fact that stays
-    /// outside the cache.
-    bool packable = false;
-    /// Compiled golden op stream; empty unless `packable`.
     core::OpTranscript transcript;
   };
 
@@ -94,8 +85,8 @@ class OracleCache {
 
   /// Returns the entry for (scheme, n), building it exactly once per
   /// key.  Blocks only when another thread is already building the
-  /// same key.  Precondition (as for make_prt_oracle): n exceeds every
-  /// iteration's register length k.
+  /// same key.  Precondition: the scheme passes validate_prt_scheme
+  /// for this n (campaigns check it before the lookup).
   [[nodiscard]] std::shared_ptr<const PrtEntry> prt(
       const core::PrtScheme& scheme, mem::Addr n);
 

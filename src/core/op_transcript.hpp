@@ -11,35 +11,28 @@
 // array of {addr, golden} records plus per-iteration checkpoints
 // (expected MISR signature, pause ticks, feedback mask, and the
 // abort-op prefix sums that make per-lane early-abort op accounting
-// analytic).  The replay loops then stream through contiguous records
-// with no oracle indirection and no per-op dispatch:
+// analytic).  The packed replays stream through contiguous records
+// with no oracle indirection and no per-op dispatch, one lane word of
+// faults at a time (64 or 512 lanes, mem/lane_word.hpp):
 //
-//  * run_prt_transcript (below, a template so the memory type
-//    devirtualizes) replays the scheme against any mem::Memory with a
-//    detection verdict and op accounting identical to
-//    run_prt(memory, scheme, oracle, options) — every fault family
-//    rides the packed lanes now, so this scalar replay serves as the
-//    campaigns' differential reference and the rare-escape fallback
-//    (e.g. degenerate CFst trigger states);
-//  * core::run_prt_packed (prt_packed.hpp) replays it against a
-//    64-lane mem::PackedFaultRam;
+//  * core::run_prt_packed (prt_packed.hpp) replays a PRT transcript
+//    against a mem::PackedFaultRamT;
 //  * march::run_march_packed (march/march_runner.hpp) replays a March
 //    transcript compiled by march::make_march_transcript.
 //
-// Campaigns build one transcript next to their memoized oracles
-// (analysis::CampaignEngine / analysis::MarchCampaign) and share it
-// read-only across workers; it is immutable after construction.
-// Bit-identical results to the live paths are enforced by the parity
-// suites (tests/test_op_transcript.cpp op-for-op, plus the campaign
-// parity tests).  See DESIGN.md §9.
+// Campaigns fetch one transcript per (scheme, n) from the
+// analysis::OracleCache next to the memoized oracle and share it
+// read-only across workers; it is immutable after construction.  The
+// live runs stay the scalar reference: per-lane verdicts and abort
+// ops of the replays must equal run_prt / run_march on a FaultyRam
+// holding that lane's fault (tests/test_op_transcript.cpp, the packed
+// parity tests and the campaign fuzzer).  See DESIGN.md §9.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "core/prt_engine.hpp"
-#include "lfsr/misr.hpp"
 
 namespace prt::core {
 
@@ -79,7 +72,7 @@ struct PrtIterSpan {
   /// matrix: tap_rows[j * m + r] is the mask of input bit planes XORed
   /// into output plane r (row r of gf::multiplier_matrix(field,
   /// g[k - j])).  The packed word replay applies it lane-parallel
-  /// (plane XORs), the scalar replay via per-row parity.
+  /// (plane XORs).
   std::vector<std::uint32_t> tap_rows;
   /// Golden MISR signature over this iteration's read stream (sweep
   /// windows, Fin read-back, Init re-read); 0 when MISR is disabled.
@@ -141,88 +134,5 @@ struct OpTranscript {
 /// iteration's k <= 64 (the fb_mask width).
 [[nodiscard]] OpTranscript make_op_transcript(const PrtScheme& scheme,
                                               const PrtOracle& oracle);
-
-/// Scalar transcript replay: issues the exact operation stream of
-/// run_prt(memory, scheme, oracle, {.early_abort, .record_iterations =
-/// false}) against any memory and returns an identical verdict
-/// (detected(), reads, writes — with early_abort, complete iterations
-/// up to and including the first failing one).  A template so the
-/// concrete memory type's read/write devirtualize in the campaign hot
-/// loop.
-template <typename MemoryT>
-[[nodiscard]] PrtVerdict run_prt_transcript(MemoryT& memory,
-                                            const OpTranscript& t,
-                                            const PrtRunOptions& options = {}) {
-  PrtVerdict verdict;
-  const mem::Addr n = t.n;
-  const bool use_misr = t.misr_poly != 0;
-  lfsr::Misr misr(use_misr ? t.misr_poly : gf::Poly2{0b111});
-  for (const PrtIterSpan& it : t.iterations) {
-    const OpRec* traj = t.recs.data() + it.traj_begin;
-    const unsigned kk = it.k;
-    bool fail = false;
-    misr.reset();
-
-    // Initialization: seed writes.
-    for (unsigned j = 0; j < kk; ++j) {
-      memory.write(traj[j].addr, traj[j].golden, 0);
-    }
-    // Sweep: k-wide read windows, feedback write selected by fb_mask.
-    // GF(2) taps XOR the read straight in; GF(2^m) taps apply the
-    // constant-multiplier bit matrix row by row (parity per output
-    // plane) — exactly WordLfsr::feedback's sum of g[k - j] * read.
-    for (mem::Addr q = 0; q + kk < n; ++q) {
-      mem::Word fb = 0;
-      for (unsigned j = 0; j < kk; ++j) {
-        const mem::Word raw = memory.read(traj[q + j].addr, 0);
-        if (use_misr) misr.shift(raw);
-        if ((it.fb_mask >> j) & 1U) {
-          if (it.tap_rows.empty()) {
-            fb ^= raw;
-          } else {
-            const std::uint32_t* rows =
-                it.tap_rows.data() + static_cast<std::size_t>(j) * t.width;
-            mem::Word prod = 0;
-            for (unsigned r = 0; r < t.width; ++r) {
-              prod |= static_cast<mem::Word>(
-                          static_cast<unsigned>(std::popcount(rows[r] & raw)) &
-                          1U)
-                      << r;
-            }
-            fb ^= prod;
-          }
-        }
-      }
-      memory.write(traj[q + kk].addr, fb, 0);
-    }
-    // Fin read-back against Fin*, Init re-read against the seed.
-    for (unsigned j = 0; j < kk; ++j) {
-      const mem::Word raw = memory.read(traj[n - kk + j].addr, 0);
-      if (use_misr) misr.shift(raw);
-      fail |= raw != traj[n - kk + j].golden;
-    }
-    for (unsigned j = 0; j < kk; ++j) {
-      const mem::Word raw = memory.read(traj[j].addr, 0);
-      if (use_misr) misr.shift(raw);
-      fail |= raw != traj[j].golden;
-    }
-    // Verify pass: every cell against the fault-free image.
-    if (it.has_verify) {
-      if (it.pause_ticks != 0) memory.advance_time(it.pause_ticks);
-      const OpRec* img = t.recs.data() + it.verify_begin;
-      for (mem::Addr a = 0; a < n; ++a) {
-        fail |= memory.read(img[a].addr, 0) != img[a].golden;
-      }
-    }
-    verdict.pass = verdict.pass && !fail;
-    if (use_misr && misr.state() != it.misr_expected) {
-      verdict.misr_pass = false;
-    }
-    verdict.reads = it.reads_end;
-    verdict.writes = it.writes_end;
-    if (options.early_abort && verdict.detected()) break;
-  }
-  return verdict;
-}
 
 }  // namespace prt::core

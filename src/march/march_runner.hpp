@@ -8,13 +8,14 @@
 //
 // Campaign hot loops do not re-derive the element/address/op nesting
 // per fault: make_march_transcript compiles one (test, n, background)
-// golden run into a flat core::OpTranscript, and the replays —
-// run_march_transcript (scalar, templated so the memory type
-// devirtualizes) and the transcript run_march_packed (64 lanes) —
-// stream through it.  Both are bit-identical to run_march, including
-// the early-abort op accounting (stop at the first mismatching read,
-// ops = everything issued up to and including it), which is what lets
-// the packed path report per-lane abort ops analytically.
+// golden run into a flat core::OpTranscript, and the packed replay
+// run_march_packed streams through it one lane word of faults at a
+// time (64 or 512 lanes).  Each lane is bit-identical to run_march on
+// a FaultyRam holding that lane's fault, including the early-abort op
+// accounting (stop at the first mismatching read, ops = everything
+// issued up to and including it), which the packed path reports per
+// lane analytically.  run_march / run_march_backgrounds stay the
+// scalar reference.
 #pragma once
 
 #include <cstdint>
@@ -134,51 +135,6 @@ extern template MarchPackedVerdictT<mem::WideWord<8>> run_march_packed(
 [[nodiscard]] std::uint64_t run_march_packed(
     const MarchTest& test, mem::PackedFaultRam& ram,
     bool background = false, std::uint64_t delay_ticks = kDefaultDelayTicks);
-
-/// Scalar transcript replay: issues the exact operation stream of
-/// run_march(memory, ...) for the compiled (test, n, background) and
-/// returns an identical MarchResult — including mismatch counts,
-/// first-mismatch bookkeeping and early-abort op accounting.  A
-/// template so the concrete memory type's read/write devirtualize in
-/// the campaign hot loop.
-template <typename MemoryT>
-[[nodiscard]] MarchResult run_march_transcript(
-    MemoryT& memory, const core::OpTranscript& t,
-    const MarchRunOptions& options = {}) {
-  MarchResult result;
-  for (const core::MarchSegment& seg : t.march) {
-    if (seg.is_delay) {
-      memory.advance_time(t.delay_ticks);
-      continue;
-    }
-    const core::OpRec* r = t.recs.data() + seg.begin;
-    const core::OpRec* const end = t.recs.data() + seg.end;
-    const std::uint32_t period = seg.period;
-    const std::uint32_t read_mask = seg.read_mask;
-    while (r != end) {
-      for (std::uint32_t j = 0; j < period; ++j, ++r) {
-        if ((read_mask >> j) & 1U) {
-          const mem::Word got = memory.read(r->addr, 0);
-          ++result.ops;
-          if (got != r->golden) {
-            if (!result.fail) {
-              result.first_addr = r->addr;
-              result.first_expected = r->golden;
-              result.first_actual = got;
-            }
-            result.fail = true;
-            ++result.mismatches;
-            if (options.early_abort) return result;
-          }
-        } else {
-          memory.write(r->addr, r->golden, 0);
-          ++result.ops;
-        }
-      }
-    }
-  }
-  return result;
-}
 
 /// The standard data backgrounds for an m-bit word: solid 0,
 /// checkerboard 0101.., double stripe 0011.., quad stripe 00001111..,

@@ -179,13 +179,17 @@ class ThreadPool {
       }
       // A throwing task must neither std::terminate the worker nor skip
       // its caller's completion path.  The "fail point" hook lets tests
-      // lose a task before it runs.
+      // lose a task before it runs.  The failure path runs after the
+      // handler has ended, so the worker no longer holds the exception
+      // when on_failure hands it to a waiting thread.
+      std::exception_ptr failure;
       try {
         FailPoint::hit("thread_pool.task");
         task.fn();
       } catch (...) {
-        task.on_failure(std::current_exception());
+        failure = std::current_exception();
       }
+      if (failure) task.on_failure(std::move(failure));
     }
   }
 

@@ -83,19 +83,6 @@ TEST(CampaignEngine, ReusedEngineGivesIdenticalResultsAcrossRuns) {
   }
 }
 
-TEST(CampaignEngine, OracleAndNonOraclePathsAgree) {
-  const mem::Addr n = 24;
-  const auto universe = mem::classical_universe(n);
-  const auto scheme = core::standard_scheme_bom(n);
-  CampaignOptions opt;
-  opt.n = n;
-  EngineOptions with_oracle;
-  EngineOptions without_oracle;
-  without_oracle.use_oracle = false;
-  expect_identical(run_prt_campaign(universe, scheme, opt, with_oracle),
-                   run_prt_campaign(universe, scheme, opt, without_oracle));
-}
-
 TEST(CampaignEngine, EarlyAbortKeepsVerdictsAndCutsOps) {
   const mem::Addr n = 48;
   const auto universe = mem::classical_universe(n);
@@ -203,21 +190,20 @@ TEST(PrtAlgorithmPrefix, RejectsOutOfRangeIterationCounts) {
 TEST(CampaignEngine, MalformedUniverseThrowsOnEveryPath) {
   // inject()'s std::invalid_argument contract must survive the
   // parallel fan-out (worker exceptions are rethrown on the caller,
-  // not left to std::terminate) and the packed lane path.
+  // not left to std::terminate) on the packed lane path and on the
+  // scalar path a word-oriented March campaign takes.
   const mem::Addr n = 16;
   auto universe = mem::classical_universe(n);
   universe.push_back(mem::Fault::saf({n + 10, 0}, 1));  // out of range
   const auto scheme = core::standard_scheme_bom(n);
-  CampaignOptions opt;
-  opt.n = n;
-  for (bool packed : {false, true}) {
-    for (unsigned threads : {1u, 3u}) {
-      EngineOptions eng;
-      eng.threads = threads;
-      eng.packed = packed;
-      EXPECT_THROW((void)run_prt_campaign(universe, scheme, opt, eng),
-                   std::invalid_argument);
-    }
+  for (unsigned threads : {1u, 3u}) {
+    EXPECT_THROW((void)run_prt_campaign(universe, scheme, {.n = n},
+                                        {.threads = threads}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)run_march_campaign(universe, march::march_c_minus(),
+                                          {.n = n, .m = 4},
+                                          {.threads = threads}),
+                 std::invalid_argument);
   }
 }
 

@@ -3,7 +3,8 @@
 // cancellation / deadlines with exact partial results, batch-granular
 // checkpoint/resume whose resumed results are bit-identical to
 // uninterrupted runs (interrupting at *every* cadence point, PRT and
-// March, packed and scalar, 1 and 4 threads), per-class priority
+// March on packed lanes, word-oriented March on the scalar route, 1 and
+// 4 threads), per-class priority
 // admission with bounded queues and deadline-aware load shedding, the
 // batch stall watchdog, bounded batch retry with request isolation
 // (lost pool tasks included), input validation, and the oracle
@@ -67,6 +68,14 @@ CampaignRequest march_request(mem::Addr n) {
   req.march_test = march::march_c_minus();
   req.options = {.n = n};
   req.universe = mem::classical_universe(n);
+  return req;
+}
+
+/// March on 4-bit words: a workload that cannot pack, so every fault
+/// takes the scalar route.
+CampaignRequest word_march_request(mem::Addr n) {
+  CampaignRequest req = march_request(n);
+  req.options.m = 4;
   return req;
 }
 
@@ -135,16 +144,15 @@ TEST(CampaignService, EmptyUniverseCompletesEmpty) {
   EXPECT_EQ(out.shards_total, 0u);
 }
 
-// Dispatch tallies roll up across resolved requests: a packed run of a
+// Dispatch tallies roll up across resolved requests: a PRT run of a
 // fully lane-compatible universe tallies every fault as packed, a
-// scalar run tallies every fault as scalar, and the service stats sum
-// both.
+// word-oriented March run (which cannot pack) tallies every fault as
+// scalar, and the service stats sum both.
 TEST(CampaignService, StatsRollUpDispatchTallies) {
   const mem::Addr n = 32;
   CampaignService service;
   CampaignRequest packed_req = prt_request(n);
   const std::uint64_t total = packed_req.universe.size();
-  packed_req.packed = true;
   const RequestOutcome& packed_out =
       service.submit(std::move(packed_req)).wait();
   ASSERT_EQ(packed_out.status, RequestStatus::kComplete);
@@ -155,8 +163,7 @@ TEST(CampaignService, StatsRollUpDispatchTallies) {
     EXPECT_EQ(stats.packed_faults, total);
     EXPECT_EQ(stats.scalar_faults, 0u);
   }
-  CampaignRequest scalar_req = prt_request(n);
-  scalar_req.packed = false;
+  CampaignRequest scalar_req = word_march_request(n);
   const RequestOutcome& scalar_out =
       service.submit(std::move(scalar_req)).wait();
   ASSERT_EQ(scalar_out.status, RequestStatus::kComplete);
@@ -761,44 +768,32 @@ TEST(CampaignService, OracleBuildFailureFailsRequestThenRecovers) {
 
 // --- checkpoint / resume --------------------------------------------
 
-struct ResumeCase {
-  bool march = false;
-  bool packed = true;
-  unsigned threads = 1;
-};
-
 /// Interrupt at every cadence point: run once with the k-th shard
 /// attempt (and everything after it) crashing, then resume from the
 /// checkpoint and require the merged result to be bit-identical to the
-/// uninterrupted reference.
-void run_resume_matrix(const ResumeCase& c) {
-  SCOPED_TRACE(std::string(c.march ? "march" : "prt") +
-               (c.packed ? " packed" : " scalar") + " threads=" +
-               std::to_string(c.threads));
+/// uninterrupted reference.  PRT and bit-oriented March ride packed
+/// lanes; word-oriented March takes the scalar route.
+void run_resume_matrix(const std::string& name,
+                       CampaignRequest (*request)(mem::Addr),
+                       unsigned threads) {
+  SCOPED_TRACE(name + " threads=" + std::to_string(threads));
   const mem::Addr n = 24;
   const std::size_t kShards = 3;
-  auto make_request = [&] {
-    CampaignRequest req =
-        tiled(c.march ? march_request(n) : prt_request(n), kShards);
-    req.packed = c.packed;
-    return req;
-  };
+  auto make_request = [&] { return tiled(request(n), kShards); };
   CampaignRequest ref_req = make_request();
   const CampaignResult reference =
-      c.march
-          ? run_march_campaign(ref_req.universe, *ref_req.march_test,
-                               ref_req.options,
-                               {.packed = c.packed})
-          : run_prt_campaign(ref_req.universe, *ref_req.scheme,
-                             ref_req.options, {.packed = c.packed});
+      ref_req.scheme ? run_prt_campaign(ref_req.universe, *ref_req.scheme,
+                                        ref_req.options)
+                     : run_march_campaign(ref_req.universe,
+                                          *ref_req.march_test, ref_req.options);
 
   for (std::size_t k = 0; k < kShards; ++k) {
     SCOPED_TRACE("interrupt after " + std::to_string(k) + " shards");
     FailPointScope scope;
-    const std::string path = temp_checkpoint(
-        "svc_resume_" + std::to_string(c.march) + std::to_string(c.packed) +
-        std::to_string(c.threads) + "_" + std::to_string(k) + ".ckpt");
-    CampaignService service({.threads = c.threads, .max_retries = 0});
+    const std::string path =
+        temp_checkpoint("svc_resume_" + name + std::to_string(threads) + "_" +
+                        std::to_string(k) + ".ckpt");
+    CampaignService service({.threads = threads, .max_retries = 0});
     {
       // Let k shard tasks complete, crash every later attempt.
       FailPoint::arm("campaign_service.shard",
@@ -825,28 +820,22 @@ void run_resume_matrix(const ResumeCase& c) {
 }
 
 TEST(CampaignServiceResume, PrtPackedOneThread) {
-  run_resume_matrix({.march = false, .packed = true, .threads = 1});
+  run_resume_matrix("prt", prt_request, 1);
 }
 TEST(CampaignServiceResume, PrtPackedFourThreads) {
-  run_resume_matrix({.march = false, .packed = true, .threads = 4});
-}
-TEST(CampaignServiceResume, PrtScalarOneThread) {
-  run_resume_matrix({.march = false, .packed = false, .threads = 1});
-}
-TEST(CampaignServiceResume, PrtScalarFourThreads) {
-  run_resume_matrix({.march = false, .packed = false, .threads = 4});
+  run_resume_matrix("prt", prt_request, 4);
 }
 TEST(CampaignServiceResume, MarchPackedOneThread) {
-  run_resume_matrix({.march = true, .packed = true, .threads = 1});
+  run_resume_matrix("march", march_request, 1);
 }
 TEST(CampaignServiceResume, MarchPackedFourThreads) {
-  run_resume_matrix({.march = true, .packed = true, .threads = 4});
+  run_resume_matrix("march", march_request, 4);
 }
-TEST(CampaignServiceResume, MarchScalarOneThread) {
-  run_resume_matrix({.march = true, .packed = false, .threads = 1});
+TEST(CampaignServiceResume, WordMarchScalarOneThread) {
+  run_resume_matrix("word_march", word_march_request, 1);
 }
-TEST(CampaignServiceResume, MarchScalarFourThreads) {
-  run_resume_matrix({.march = true, .packed = false, .threads = 4});
+TEST(CampaignServiceResume, WordMarchScalarFourThreads) {
+  run_resume_matrix("word_march", word_march_request, 4);
 }
 
 // Checkpoint records are fixed batches, so a checkpoint resumes

@@ -2,16 +2,18 @@
 // (analysis/campaign_suite) and the shared golden-artifact cache
 // (analysis/oracle_cache): per-configuration suite results must be
 // bit-identical to standalone engine runs at any thread count, the
-// cache must build exactly once per key under concurrency, and the
-// unified driver must reject malformed CampaignOptions up-front.
+// cache must build exactly once per key under concurrency, and every
+// entry point must reject malformed CampaignOptions and PRT schemes.
 #include "analysis/campaign_suite.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/campaign_service.hpp"
 #include "analysis/oracle_cache.hpp"
 #include "core/prt_engine.hpp"
 #include "march/march_library.hpp"
@@ -202,7 +204,6 @@ TEST(OracleCache, BuildsOncePerKeyUnderConcurrentLookups) {
     EXPECT_EQ(entries[0], entries[t]);  // one shared entry, not copies
   }
   EXPECT_EQ(entries[0]->oracle.n, 64u);
-  EXPECT_TRUE(entries[0]->packable);
   EXPECT_FALSE(entries[0]->transcript.recs.empty());
 
   // A different key builds separately; the same key never rebuilds.
@@ -286,6 +287,85 @@ TEST(CampaignValidation, RejectsMalformedGeometryOnEveryEntryPath) {
                  std::invalid_argument);
   }
   EXPECT_NO_THROW(validate_campaign_options({.n = 64, .m = 32, .ports = 4}));
+}
+
+/// Runs `fn` and requires a std::invalid_argument whose message names
+/// `value`.
+template <typename Fn>
+void expect_rejected(Fn&& fn, const std::string& value) {
+  try {
+    fn();
+    ADD_FAILURE() << "no std::invalid_argument naming \"" << value << "\"";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(value), std::string::npos)
+        << e.what();
+  }
+}
+
+// A malformed scheme used to run: a GF(16) scheme on 1-bit words
+// reported every fault detected (the fault-free memory "failed" too),
+// a GF(2) scheme on 4-bit words crashed, an empty scheme reported 0 %
+// and an m * k > 64 register flagged a fault-free memory.  Every
+// entry point now rejects it naming the bad value — the engine, the
+// suite, run_campaign through prt_algorithm, and the service (kFailed
+// carrying the message).
+TEST(CampaignValidation, RejectsMalformedSchemesOnEveryEntryPath) {
+  auto edit = [](core::PrtScheme scheme, auto&& change) {
+    change(scheme.iterations.front());
+    return scheme;
+  };
+  core::PrtScheme k65;
+  k65.iterations.resize(1);
+  k65.iterations[0].g.assign(66, 1);
+  k65.iterations[0].config.init.assign(65, 0);
+  struct Case {
+    core::PrtScheme scheme;
+    CampaignOptions opt;
+    std::string value;
+  };
+  const auto bom = core::standard_scheme_bom(64);
+  const std::vector<Case> cases = {
+      {core::extended_scheme_wom(64, 4), {.n = 64, .m = 1}, "field degree 4"},
+      {core::extended_scheme_bom(64), {.n = 64, .m = 4}, "field degree 1"},
+      {core::PrtScheme{}, {.n = 64}, "no iterations"},
+      {edit(bom, [](auto& it) { it.g = {1}; }), {.n = 64}, "k = 0"},
+      {bom, {.n = 2}, "k = 2, n = 2"},
+      {k65, {.n = 80}, "k = 65"},
+      {edit(bom, [](auto& it) { it.config.init = {1}; }), {.n = 64},
+       "seeds (got 1)"},
+      {edit(bom, [](auto& it) { it.g = {1, 2, 1}; }), {.n = 64},
+       "coefficient 2"},
+      {edit(bom, [](auto& it) { it.config.init = {0, 3}; }), {.n = 64},
+       "seed 3"},
+      {edit(bom, [](auto& it) { it.g = {0, 0, 1}; }), {.n = 64},
+       "g0 and gk"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.value);
+    const auto universe = mem::single_cell_universe(c.opt.n, 1, false);
+    expect_rejected([&] { CampaignEngine engine(c.scheme, c.opt); }, c.value);
+    expect_rejected(
+        [&] {
+          (void)run_prt_suite(
+              std::vector<CampaignOptions>{c.opt},
+              [&](const CampaignOptions&) { return c.scheme; },
+              [&](const CampaignOptions&, std::size_t) { return universe; });
+        },
+        c.value);
+    expect_rejected(
+        [&] {
+          (void)run_campaign(universe, prt_algorithm(c.scheme), c.opt);
+        },
+        c.value);
+    CampaignService service;
+    CampaignRequest req;
+    req.scheme = c.scheme;
+    req.options = c.opt;
+    req.universe = universe;
+    const RequestOutcome out = service.submit(std::move(req)).wait();
+    EXPECT_EQ(out.status, RequestStatus::kFailed);
+    EXPECT_NE(out.error.find(c.value), std::string::npos) << out.error;
+  }
 }
 
 TEST(CampaignValidation, RejectsMarchDataIndexOutsideNotation) {

@@ -269,5 +269,41 @@ TEST(CheckpointRecovery, PartialFinalWriteTornMidRecords) {
   run_partial_write_case(true, 200, kDoneShards - 1);
 }
 
+// --- fingerprint stability -----------------------------------------
+
+/// The fingerprint on the meta line of the checkpoint at `path`.
+std::string checkpoint_fingerprint(const std::string& path) {
+  std::istringstream in(read_file(path));
+  std::string header;
+  std::string meta;
+  std::getline(in, header);
+  std::getline(in, meta);
+  // meta <crc32hex> fingerprint <fp> batches <total>
+  std::istringstream fields(meta);
+  std::string tag;
+  std::string crc;
+  std::string key;
+  std::string fingerprint;
+  fields >> tag >> crc >> key >> fingerprint;
+  EXPECT_EQ(key, "fingerprint");
+  return fingerprint;
+}
+
+// A checkpoint written before CampaignRequest lost its `packed` flag
+// must still resume, so a default request keeps the fingerprint it had
+// then.  The expected values were recorded from checkpoints written by
+// this test body while the flag still existed.
+TEST(CheckpointRecovery, DefaultRequestFingerprintIsStable) {
+  for (const bool march : {false, true}) {
+    SCOPED_TRACE(march ? "march" : "prt");
+    const std::string path = temp_checkpoint(
+        std::string("ckpt_fingerprint_") + (march ? "march" : "prt") + ".ckpt");
+    write_interrupted_checkpoint(march, path);
+    EXPECT_EQ(checkpoint_fingerprint(path),
+              march ? "34172c8c548c0c56" : "679df0a8c53d927a");
+    std::remove(path.c_str());
+  }
+}
+
 }  // namespace
 }  // namespace prt::analysis

@@ -1,0 +1,304 @@
+// Differential fuzzer over the campaign surfaces.  Each draw picks a
+// workload (a random GF(2) or GF(16) PRT scheme, a canonical or
+// retention scheme, or a library March test), a memory size n in
+// [k + 1, 300], a word width and port count, a make_universe mix with
+// NPSF grids, retention and degenerate CFst faults, early abort on or
+// off and 1, 2 or 4 threads.
+// It runs the draw through CampaignEngine or MarchCampaign, and some
+// draws also through a one-configuration CampaignSuite and a
+// CampaignService request.  Every result must equal run_campaign over
+// the live scalar reference (by_class, overall, escapes and ops), and
+// the dispatch tallies must split the universe by the packing rule: a
+// packable workload puts every lane-compatible fault on a lane.  The
+// seed and the draw count are fixed; a failure prints both, so the
+// draw replays exactly.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "analysis/campaign_engine.hpp"
+#include "analysis/campaign_service.hpp"
+#include "analysis/campaign_suite.hpp"
+#include "analysis/march_campaign.hpp"
+#include "core/prt_engine.hpp"
+#include "live_reference.hpp"
+#include "march/march_library.hpp"
+#include "mem/fault_universe.hpp"
+#include "mem/packed_fault_ram.hpp"
+#include "util/rng.hpp"
+
+namespace prt::analysis {
+namespace {
+
+constexpr std::uint64_t kSeed = 0xF0221A7EULL;
+constexpr int kDraws = 100;
+/// Largest universe a draw runs: past one 2048-fault batch, so some
+/// draws cut two batches and a tail.
+constexpr std::size_t kMaxFaults = 2300;
+/// Scalar reference ops a draw may cost (faults x ops per fault), which
+/// keeps the serial reference inside the test's time budget.
+constexpr std::uint64_t kOpsBudget = 3'000'000;
+constexpr mem::Addr kMaxN = 300;
+
+struct Draw {
+  std::optional<core::PrtScheme> scheme;
+  std::optional<march::MarchTest> test;
+  CampaignOptions opt;
+  std::vector<mem::Fault> universe;
+  bool early_abort = false;
+  unsigned threads = 1;
+  bool suite = false;
+  bool service = false;
+
+  [[nodiscard]] std::string describe() const {
+    return (scheme ? scheme->name : test->name) +
+           " n=" + std::to_string(opt.n) + " m=" + std::to_string(opt.m) +
+           " ports=" + std::to_string(opt.ports) +
+           " faults=" + std::to_string(universe.size()) +
+           " early_abort=" + std::to_string(early_abort) +
+           " threads=" + std::to_string(threads);
+  }
+};
+
+std::uint64_t pick(Xoshiro256& rng, std::uint64_t bound) {
+  return rng.below(bound);
+}
+
+bool coin(Xoshiro256& rng) { return pick(rng, 2) != 0; }
+
+/// A random well-formed scheme over GF(2) (m = 1) or GF(16) (m = 4, z^4 +
+/// z + 1): 1-4 iterations with k in [1, 4], non-zero g0 and gk, random
+/// middle coefficients and seeds, a random trajectory, optional verify
+/// pass and pause, and an optional MISR.
+core::PrtScheme random_scheme(Xoshiro256& rng, unsigned m) {
+  const gf::Elem size = gf::Elem{1} << m;
+  auto any = [&] { return static_cast<gf::Elem>(pick(rng, size)); };
+  auto nonzero = [&] { return static_cast<gf::Elem>(1 + pick(rng, size - 1)); };
+  core::PrtScheme scheme;
+  scheme.name = m == 1 ? "random GF(2)" : "random GF(16)";
+  scheme.field_modulus = m == 1 ? 0b11 : 0b10011;
+  const std::uint64_t iterations = 1 + pick(rng, 4);
+  for (std::uint64_t i = 0; i < iterations; ++i) {
+    core::SchemeIteration it;
+    const unsigned k = 1 + static_cast<unsigned>(pick(rng, 4));
+    it.g.assign(k + 1, 0);
+    it.g.front() = nonzero();
+    it.g.back() = nonzero();
+    for (unsigned j = 1; j < k; ++j) it.g[j] = any();
+    for (unsigned j = 0; j < k; ++j) it.config.init.push_back(any());
+    switch (pick(rng, 3)) {
+      case 0: it.config.trajectory = core::TrajectoryKind::kAscending; break;
+      case 1: it.config.trajectory = core::TrajectoryKind::kDescending; break;
+      default:
+        it.config.trajectory = core::TrajectoryKind::kRandom;
+        it.config.seed = rng();
+        break;
+    }
+    if (coin(rng)) {
+      it.config.verify_pass = true;
+      if (coin(rng)) it.config.pause_ticks = 1 + pick(rng, 2000);
+    }
+    scheme.iterations.push_back(std::move(it));
+  }
+  if (coin(rng)) scheme.misr_poly = m == 1 ? 0b1011 : 0b100101;
+  return scheme;
+}
+
+unsigned max_k(const core::PrtScheme& scheme) {
+  std::size_t k = 0;
+  for (const core::SchemeIteration& it : scheme.iterations) {
+    k = std::max(k, it.g.size() - 1);
+  }
+  return static_cast<unsigned>(k);
+}
+
+/// Ops one complete scalar run of the draw's workload issues.
+std::uint64_t ops_per_fault(const Draw& d) {
+  const std::uint64_t n = d.opt.n;
+  if (d.test) {
+    return d.test->total_ops(n) * march::standard_backgrounds(d.opt.m).size();
+  }
+  std::uint64_t ops = 0;
+  for (const core::SchemeIteration& it : d.scheme->iterations) {
+    const std::uint64_t k = it.g.size() - 1;
+    ops += k + (n - k) * (k + 1) + 2 * k + (it.config.verify_pass ? n : 0);
+  }
+  return ops;
+}
+
+/// A make_universe mix (NPSF on a grid whose column count divides n),
+/// plus retention faults with delays around the schemes' pauses and the
+/// March Del time, and now and then a degenerate CFst trigger state that
+/// no lane takes; shuffled, then cut or tiled to `size` faults.
+std::vector<mem::Fault> random_universe(Xoshiro256& rng, mem::Addr n,
+                                        unsigned m, std::size_t size) {
+  mem::UniverseOptions u;
+  u.single_cell = pick(rng, 4) != 0;
+  u.read_logic = coin(rng);
+  u.coupling = coin(rng);
+  u.bridges = coin(rng);
+  u.address_decoder = coin(rng);
+  u.intra_word = coin(rng);
+  u.coupling_pair_limit = 4 + pick(rng, 60);
+  u.seed = rng();
+  if (coin(rng)) {
+    std::vector<mem::Addr> cols;
+    for (mem::Addr c = 2; c <= n; ++c) {
+      if (n % c == 0) cols.push_back(c);
+    }
+    u.npsf = true;
+    u.npsf_grid_cols = cols[pick(rng, cols.size())];
+  }
+  std::vector<mem::Fault> faults = mem::make_universe(n, m, u);
+  constexpr std::uint64_t kDelays[] = {1,      40,      500,          5'000,
+                                       99'999, 100'001, 1'000'000'000};
+  const std::uint64_t retention = pick(rng, 40);
+  for (std::uint64_t i = 0; i < retention; ++i) {
+    const mem::BitRef victim{static_cast<mem::Addr>(pick(rng, n)),
+                             static_cast<unsigned>(pick(rng, m))};
+    faults.push_back(mem::Fault::retention(
+        victim, static_cast<unsigned>(pick(rng, 2)), kDelays[pick(rng, 7)]));
+  }
+  if (pick(rng, 3) == 0) {
+    faults.push_back(mem::Fault::cf_st({0, 0}, {1, 0}, /*when=*/2, 1));
+  }
+  if (faults.empty()) return faults;
+  for (std::size_t i = faults.size() - 1; i > 0; --i) {
+    std::swap(faults[i], faults[pick(rng, i + 1)]);
+  }
+  std::vector<mem::Fault> out;
+  out.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    out.push_back(faults[i % faults.size()]);
+  }
+  return out;
+}
+
+Draw make_draw(Xoshiro256& rng) {
+  Draw d;
+  const std::uint64_t kind = pick(rng, 7);
+  d.opt.m = pick(rng, 3) == 0 ? 4 : 1;
+  constexpr unsigned kPorts[] = {1, 2, 4};
+  d.opt.ports = kPorts[pick(rng, 3)];
+  unsigned k = 2;
+  if (kind <= 1) {
+    d.scheme = random_scheme(rng, d.opt.m);
+    k = max_k(*d.scheme);
+  } else if (kind >= 5) {
+    const std::vector<march::MarchTest> tests = march::all_march_tests();
+    d.test = tests[pick(rng, tests.size())];
+    k = 1;
+  }
+  // n in [k + 1, kMaxN], the k + 1 edge a quarter of the time.
+  d.opt.n = pick(rng, 4) == 0
+                ? k + 1
+                : k + 1 + static_cast<mem::Addr>(pick(rng, kMaxN - k));
+  const mem::Addr n = d.opt.n;
+  switch (kind) {
+    case 2:
+      d.scheme = d.opt.m == 1 ? core::standard_scheme_bom(n)
+                              : core::standard_scheme_wom(n, d.opt.m);
+      break;
+    case 3:
+      d.scheme = d.opt.m == 1 ? core::extended_scheme_bom(n)
+                              : core::extended_scheme_wom(n, d.opt.m);
+      break;
+    case 4:
+      d.scheme = core::retention_scheme(n, d.opt.m, 1 + pick(rng, 5000));
+      break;
+    default:
+      break;
+  }
+  d.early_abort = coin(rng);
+  constexpr unsigned kThreads[] = {1, 2, 4};
+  d.threads = kThreads[pick(rng, 3)];
+  d.suite = pick(rng, 3) == 0;
+  d.service = pick(rng, 3) == 0;
+  const std::uint64_t cap = std::clamp<std::uint64_t>(
+      kOpsBudget / ops_per_fault(d), 1, kMaxFaults);
+  d.universe = random_universe(rng, n, d.opt.m, 1 + pick(rng, cap));
+  return d;
+}
+
+/// Faults the packing rule leaves on the scalar route: every fault of a
+/// workload that cannot pack (March at m > 1), else the faults no lane
+/// takes.
+std::uint64_t expected_scalar(const Draw& d) {
+  if (d.test && d.opt.m > 1) return d.universe.size();
+  return static_cast<std::uint64_t>(std::count_if(
+      d.universe.begin(), d.universe.end(),
+      [&](const mem::Fault& f) { return !mem::lane_compatible(f, d.opt.m); }));
+}
+
+void expect_matches(const CampaignResult& got, const CampaignResult& want,
+                    std::uint64_t scalar, const char* surface) {
+  SCOPED_TRACE(surface);
+  EXPECT_EQ(got.by_class, want.by_class);
+  EXPECT_EQ(got.overall, want.overall);
+  EXPECT_EQ(got.escapes, want.escapes);
+  EXPECT_EQ(got.ops, want.ops);
+  EXPECT_EQ(got.packed_faults + got.scalar_faults, want.overall.total);
+  EXPECT_EQ(got.scalar_faults, scalar);
+}
+
+TEST(FuzzCampaign, EverySurfaceMatchesTheLiveReference) {
+  Xoshiro256 rng(kSeed);
+  for (int draw = 0; draw < kDraws; ++draw) {
+    const Draw d = make_draw(rng);
+    std::ostringstream where;
+    where << "seed=0x" << std::hex << kSeed << std::dec << " draw=" << draw
+          << ": " << d.describe();
+    SCOPED_TRACE(where.str());
+    const CampaignResult want = run_campaign(
+        d.universe,
+        d.scheme ? testref::live_prt(*d.scheme, d.early_abort)
+                 : testref::live_march(*d.test, d.early_abort),
+        d.opt);
+    const std::uint64_t scalar = expected_scalar(d);
+    const EngineOptions engine{.threads = d.threads,
+                               .early_abort = d.early_abort};
+    const MarchEngineOptions march_engine{.threads = d.threads,
+                                          .early_abort = d.early_abort};
+    if (d.scheme) {
+      expect_matches(CampaignEngine(*d.scheme, d.opt, engine).run(d.universe),
+                     want, scalar, "CampaignEngine");
+    } else {
+      expect_matches(
+          MarchCampaign(*d.test, d.opt, march_engine).run(d.universe), want,
+          scalar, "MarchCampaign");
+    }
+    if (d.suite) {
+      const std::vector<CampaignOptions> grid = {d.opt};
+      const auto universe = [&](const CampaignOptions&, std::size_t) {
+        return d.universe;
+      };
+      const auto scheme = [&](const CampaignOptions&) { return *d.scheme; };
+      const SuiteResult got =
+          d.scheme ? CampaignSuite(scheme, engine).run(grid, universe)
+                   : CampaignSuite(*d.test, march_engine).run(grid, universe);
+      ASSERT_EQ(got.configs.size(), 1u);
+      expect_matches(got.configs[0].result, want, scalar, "CampaignSuite");
+    }
+    if (d.service) {
+      CampaignService service({.threads = d.threads});
+      CampaignRequest req;
+      req.scheme = d.scheme;
+      req.march_test = d.test;
+      req.options = d.opt;
+      req.early_abort = d.early_abort;
+      req.universe = d.universe;
+      const RequestOutcome out = service.submit(std::move(req)).wait();
+      ASSERT_EQ(out.status, RequestStatus::kComplete) << out.error;
+      expect_matches(out.result, want, scalar, "CampaignService");
+    }
+  }
+}
+
+}  // namespace
+}  // namespace prt::analysis

@@ -6,7 +6,7 @@
 // FaultyRam holding that lane's single fault, and MarchCampaign must
 // reproduce the serial run_campaign(march_algorithm) CampaignResult —
 // coverage, per-class counts, escape indices and op totals — on any
-// universe, any thread count, packed or scalar.
+// universe, any thread count, with or without early abort.
 #include "march/march_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/march_campaign.hpp"
+#include "live_reference.hpp"
 #include "march/march_library.hpp"
 #include "mem/fault_injector.hpp"
 #include "mem/fault_universe.hpp"
@@ -191,8 +192,9 @@ TEST(RunMarchPacked, NpsfRetentionAbortOpsMatchScalar) {
         std::uint64_t scalar_abort_ops = 0;
         for (std::size_t j = 0; j < lanes; ++j) {
           scalar.reset(universe[base + j]);
-          const auto r = march::run_march_transcript(scalar, transcript,
-                                                     {.early_abort = true});
+          const auto r = march::run_march(test, scalar, background ? 1U : 0U,
+                                          march::kDefaultDelayTicks,
+                                          {.early_abort = true});
           scalar_abort_ops += r.ops;
           EXPECT_EQ(((abort.detected >> j) & 1U) != 0, r.fail)
               << "n=" << n << " bg=" << background << " lane " << j << " ("
@@ -214,17 +216,19 @@ analysis::CampaignResult serial_reference(
                                 opt);
 }
 
+/// The campaign, serial and threaded, with and without early abort,
+/// against the serial live reference with the same abort setting.
 void check_march_campaign_parity(std::span<const mem::Fault> universe,
                                  const march::MarchTest& test,
                                  const analysis::CampaignOptions& opt) {
-  const auto reference = serial_reference(universe, test, opt);
-  for (const bool packed : {false, true}) {
+  for (const bool early_abort : {false, true}) {
+    const auto reference = analysis::run_campaign(
+        universe, testref::live_march(test, early_abort), opt);
     for (const unsigned threads : {1u, 3u}) {
-      analysis::MarchEngineOptions eng;
-      eng.threads = threads;
-      eng.packed = packed;
-      expect_identical(
-          reference, analysis::run_march_campaign(universe, test, opt, eng));
+      expect_identical(reference, analysis::run_march_campaign(
+                                      universe, test, opt,
+                                      {.threads = threads,
+                                       .early_abort = early_abort}));
     }
   }
 }
@@ -256,9 +260,10 @@ TEST(MarchCampaign, BitIdenticalToSerialScalarOnVanDeGoor) {
                               opt);
 }
 
-// NPSF + retention universes ride the March lanes end to end: packed
-// and scalar campaigns, serial and threaded, all bit-identical on a
-// grid memory under March G's Del schedule.
+// NPSF + retention universes ride the March lanes end to end: serial
+// and threaded campaigns, with and without early abort, all
+// bit-identical to the live reference on a grid memory under March
+// G's Del schedule.
 TEST(MarchCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
   const mem::Addr n = 48;
   std::vector<mem::Fault> universe;
@@ -276,8 +281,9 @@ TEST(MarchCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
   check_march_campaign_parity(universe, march::march_g(), opt);
 }
 
-// Word-oriented campaigns must transparently fall back to scalar (the
-// packed array models a 1-bit memory) while still fanning out.
+// Word-oriented campaigns cannot pack (the packed March replay runs one
+// bit plane), so every fault runs the live reference while the batches
+// still fan out.
 TEST(MarchCampaign, WomCampaignFallsBackToScalar) {
   const mem::Addr n = 32;
   const unsigned m = 4;
@@ -337,7 +343,7 @@ TEST(RunMarchPacked, WideSweepMatchesNarrowGroups) {
 // Campaign-level width rule: every run splits this universe into one
 // 2048-fault batch on the 512-lane word and a 100-fault tail on the
 // 64-lane word, at any thread count.  Results must be bit-identical
-// across thread counts x early abort and match the scalar engine.
+// across thread counts x early abort and match the live reference.
 TEST(MarchCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
   const mem::Addr n = 256;
   auto universe = mem::classical_universe(n);
@@ -348,14 +354,10 @@ TEST(MarchCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
   opt.n = n;
   const auto reference = serial_reference(universe, test, opt);
   for (const bool early_abort : {false, true}) {
-    const auto scalar_ref = analysis::run_march_campaign(
-        universe, test, opt,
-        {.threads = 1, .packed = false, .early_abort = early_abort});
+    const auto scalar_ref = analysis::run_campaign(
+        universe, testref::live_march(test, early_abort), opt);
     EXPECT_EQ(scalar_ref.overall, reference.overall);
     EXPECT_EQ(scalar_ref.escapes, reference.escapes);
-    if (!early_abort) {
-      EXPECT_EQ(scalar_ref.ops, reference.ops);
-    }
     analysis::CampaignResult one_thread;
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       analysis::MarchEngineOptions eng;

@@ -1,21 +1,22 @@
-// Op-transcript compiler and replay (core/op_transcript.hpp,
-// march::make_march_transcript).
+// Op-transcript compiler and packed replays (core/op_transcript.hpp,
+// core::run_prt_packed, march::make_march_transcript,
+// march::run_march_packed).
 //
-// The load-bearing property: a compiled transcript replay must issue
-// the *exact* operation stream of the live oracle-driven run — same
-// ops, same addresses, same values, same pauses, in the same order —
-// for any packable scheme and any March test, because the campaign
-// engines swap the live loops for replays and promise bit-identical
-// CampaignResults.  A RecordingRam captures both streams and the tests
-// diff them op for op over randomized schemes, every standard March
-// test, both backgrounds and n in {17, 64, 256}.  On top of the
-// stream identity, the replays' verdicts and abort op accounting must
-// match the live references on faulty memories (including the
-// scalar-vs-packed March abort-ops parity).
+// The load-bearing property: a compiled transcript replayed on packed
+// lanes must behave, lane for lane, exactly like the live oracle-driven
+// run (core::run_prt, march::run_march) on a FaultyRam holding that
+// lane's fault, because the campaign engines swap the live loops for
+// replays and promise bit-identical CampaignResults.  Over randomized
+// schemes, every standard March test, both backgrounds and n in
+// {17, 64, 256}: the fault-free live run passes and issues exactly the
+// transcript's total_ops(), an all-fault-free packed batch passes, and
+// on a mixed batch every lane's verdict and the batch's scalar-equivalent
+// ops match the live runs, with and without early abort.
 #include "core/op_transcript.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "analysis/march_campaign.hpp"
 #include "core/prt_engine.hpp"
 #include "core/prt_packed.hpp"
+#include "live_reference.hpp"
 #include "march/march_library.hpp"
 #include "march/march_runner.hpp"
 #include "mem/fault_injector.hpp"
@@ -39,78 +41,112 @@ std::uint64_t next_rand(std::uint64_t& x) {
   return x;
 }
 
-/// One recorded memory operation (reads record the returned value,
-/// writes the written value, pauses the tick count).
-struct RecordedOp {
-  char kind;  // 'r', 'w', 'p'
-  mem::Addr addr;
-  std::uint64_t value;
-  bool operator==(const RecordedOp&) const = default;
-};
-
-/// A 1-bit-wide memory that records its whole operation stream — the
-/// probe both the live run and the transcript replay are driven
-/// against.
-class RecordingRam final : public mem::Memory {
- public:
-  explicit RecordingRam(mem::Addr n) : data_(n, 0) {}
-
-  [[nodiscard]] mem::Addr size() const override {
-    return static_cast<mem::Addr>(data_.size());
+/// One 64-lane batch mixing every lane-compatible family: single-cell
+/// and read-logic kinds, coupling and bridge pairs, decoder faults,
+/// NPSF neighbourhoods on a 4-wide grid and retention faults whose
+/// delays straddle the pauses.  Cells spread over the whole array.
+std::vector<mem::Fault> mixed_batch(mem::Addr n) {
+  constexpr std::uint64_t kDelays[] = {50, 500, 5'000, 99'999, 150'000};
+  std::vector<mem::Fault> faults;
+  for (unsigned i = 0; faults.size() < mem::PackedFaultRam::kLanes; ++i) {
+    const mem::BitRef v{(7 * i) % n, 0};
+    const mem::BitRef a{(7 * i + 1 + i % 3) % n, 0};
+    const unsigned flip = (i / 16) & 1;  // alternates the variants
+    const unsigned forced = (i / 32) & 1;
+    switch (i % 16) {
+      case 0: faults.push_back(mem::Fault::saf(v, flip)); break;
+      case 1: faults.push_back(mem::Fault::tf(v, flip != 0)); break;
+      case 2: faults.push_back(mem::Fault::wdf(v)); break;
+      case 3: faults.push_back(mem::Fault::rdf(v)); break;
+      case 4: faults.push_back(mem::Fault::drdf(v)); break;
+      case 5: faults.push_back(mem::Fault::irf(v)); break;
+      case 6: faults.push_back(mem::Fault::sof(v)); break;
+      case 7: faults.push_back(mem::Fault::cf_in(v, a)); break;
+      case 8:
+        faults.push_back(mem::Fault::cf_id(v, a, flip != 0, forced));
+        break;
+      case 9: faults.push_back(mem::Fault::cf_st(v, a, flip, forced)); break;
+      case 10: faults.push_back(mem::Fault::bridge(v, a, flip != 0)); break;
+      case 11: faults.push_back(mem::Fault::af_no_access(v.cell)); break;
+      case 12:
+        faults.push_back(mem::Fault::af_wrong_access(v.cell, a.cell));
+        break;
+      case 13:
+        faults.push_back(mem::Fault::af_multi_access(v.cell, a.cell));
+        break;
+      case 14:
+        faults.push_back(mem::Fault::npsf_static(v, (7 * i) % 16, flip, 4));
+        break;
+      default:
+        faults.push_back(
+            mem::Fault::retention(v, flip, kDelays[(i + i / 16) % 5]));
+        break;
+    }
   }
-  [[nodiscard]] unsigned width() const override { return 1; }
-  [[nodiscard]] unsigned ports() const override { return 1; }
+  return faults;
+}
 
-  mem::Word read(mem::Addr addr, unsigned) override {
-    const mem::Word v = data_[addr];
-    ops.push_back({'r', addr, v});
-    return v;
-  }
-  void write(mem::Addr addr, mem::Word value, unsigned) override {
-    data_[addr] = value & 1U;
-    ops.push_back({'w', addr, value & 1U});
-  }
-  void advance_time(std::uint64_t ticks) override {
-    ops.push_back({'p', 0, ticks});
-  }
-  [[nodiscard]] mem::AccessStats stats(unsigned) const override { return {}; }
-  void reset_stats() override {}
-
-  std::vector<RecordedOp> ops;
-
- private:
-  std::vector<mem::Word> data_;
-};
-
-void expect_same_stream(const std::vector<RecordedOp>& live,
-                        const std::vector<RecordedOp>& replay,
-                        const std::string& label) {
-  ASSERT_EQ(live.size(), replay.size()) << label;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    ASSERT_EQ(live[i].kind, replay[i].kind) << label << " op " << i;
-    ASSERT_EQ(live[i].addr, replay[i].addr) << label << " op " << i;
-    ASSERT_EQ(live[i].value, replay[i].value) << label << " op " << i;
+/// The packed replay against the live reference on `n` cells.
+/// `replay(ram, early_abort)` runs the transcript over the packed ram and
+/// returns its verdict; `live(ram, early_abort)` runs the live reference
+/// on a FaultyRam and returns detected.  The fault-free live run must
+/// pass with exactly `total_ops` ops, an empty batch (every lane
+/// fault-free) must pass, and each lane of `universe`, cut into 64-lane
+/// batches, must match the live run on its fault — verdicts and the
+/// batch's ops, with and without early abort.
+template <typename Replay, typename Live>
+void expect_replay_matches_live(mem::Addr n, std::uint64_t total_ops,
+                                const std::vector<mem::Fault>& universe,
+                                Replay&& replay, Live&& live,
+                                const std::string& label) {
+  mem::FaultyRam scalar(n, 1);
+  EXPECT_FALSE(live(scalar, false)) << label;
+  EXPECT_EQ(scalar.total_stats().total(), total_ops) << label;
+  mem::PackedFaultRam empty(n);
+  EXPECT_EQ(replay(empty, false).detected, 0u) << label;
+  for (const bool abort : {false, true}) {
+    for (std::size_t base = 0; base < universe.size();
+         base += mem::PackedFaultRam::kLanes) {
+      const std::size_t lanes = std::min<std::size_t>(
+          mem::PackedFaultRam::kLanes, universe.size() - base);
+      mem::PackedFaultRam packed(n);
+      for (std::size_t j = 0; j < lanes; ++j) {
+        packed.add_fault(universe[base + j]);
+      }
+      const auto verdict = replay(packed, abort);
+      std::uint64_t ops = 0;
+      for (std::size_t j = 0; j < lanes; ++j) {
+        const mem::Fault& f = universe[base + j];
+        scalar.reset(f);
+        const bool detected = live(scalar, abort);
+        ops += scalar.total_stats().total();
+        EXPECT_EQ(verdict.lane_detected(static_cast<unsigned>(j)), detected)
+            << label << " abort=" << abort << " " << f.describe();
+      }
+      EXPECT_EQ(verdict.scalar_ops, ops)
+          << label << " abort=" << abort << " batch at " << base;
+    }
   }
 }
 
-/// Live oracle-driven run vs transcript replay on fault-free memories:
-/// the streams must be identical op for op, and the analytic
-/// read/write totals must match the live counters.
-void expect_prt_transcript_identity(const core::PrtScheme& scheme,
-                                    mem::Addr n, const std::string& label) {
+void expect_prt_replay_matches_live(const core::PrtScheme& scheme,
+                                    mem::Addr n,
+                                    const std::vector<mem::Fault>& universe,
+                                    const std::string& label) {
   const core::PrtOracle oracle = core::make_prt_oracle(scheme, n);
   const core::OpTranscript t = core::make_op_transcript(scheme, oracle);
-  RecordingRam live(n);
-  const core::PrtVerdict lv =
-      core::run_prt(live, scheme, oracle, {.record_iterations = false});
-  RecordingRam replay(n);
-  const core::PrtVerdict rv = core::run_prt_transcript(replay, t);
-  expect_same_stream(live.ops, replay.ops, label);
-  EXPECT_TRUE(lv.pass && lv.misr_pass) << label;
-  EXPECT_TRUE(rv.pass && rv.misr_pass) << label;
-  EXPECT_EQ(lv.reads, rv.reads) << label;
-  EXPECT_EQ(lv.writes, rv.writes) << label;
-  EXPECT_EQ(rv.ops(), t.total_ops()) << label;
+  core::PackedScratch scratch;
+  expect_replay_matches_live(
+      n, t.total_ops(), universe,
+      [&](mem::PackedFaultRam& ram, bool abort) {
+        return core::run_prt_packed(ram, t, {.early_abort = abort}, scratch);
+      },
+      [&](mem::FaultyRam& ram, bool abort) {
+        return core::run_prt(ram, scheme, oracle,
+                             {.early_abort = abort, .record_iterations = false})
+            .detected();
+      },
+      label);
 }
 
 /// A randomized packable scheme: k in {2, 3}, random GF(2) generator
@@ -148,64 +184,47 @@ core::PrtScheme random_packable_scheme(std::uint64_t& x) {
   return scheme;
 }
 
-TEST(OpTranscript, ReplayOpForOpIdenticalOnCanonicalSchemes) {
+TEST(OpTranscript, PackedReplayMatchesLiveRunOnCanonicalSchemes) {
   for (mem::Addr n : {17u, 64u, 256u}) {
-    expect_prt_transcript_identity(core::standard_scheme_bom(n), n,
+    const auto batch = mixed_batch(n);
+    expect_prt_replay_matches_live(core::standard_scheme_bom(n), n, batch,
                                    "PRT-3 n=" + std::to_string(n));
-    expect_prt_transcript_identity(core::extended_scheme_bom(n), n,
+    expect_prt_replay_matches_live(core::extended_scheme_bom(n), n, batch,
                                    "PRT-ext n=" + std::to_string(n));
-    expect_prt_transcript_identity(core::retention_scheme(n, 1, 5000), n,
-                                   "retention n=" + std::to_string(n));
+    expect_prt_replay_matches_live(core::retention_scheme(n, 1, 5000), n,
+                                   batch, "retention n=" + std::to_string(n));
   }
 }
 
-TEST(OpTranscript, ReplayOpForOpIdenticalOnRandomPackableSchemes) {
+TEST(OpTranscript, PackedReplayMatchesLiveRunOnRandomPackableSchemes) {
   std::uint64_t x = 0x7EA5C217;
   for (int round = 0; round < 12; ++round) {
     const core::PrtScheme scheme = random_packable_scheme(x);
     ASSERT_TRUE(core::prt_scheme_packable(scheme));
     for (mem::Addr n : {17u, 64u, 256u}) {
-      expect_prt_transcript_identity(
-          scheme, n,
+      expect_prt_replay_matches_live(
+          scheme, n, mixed_batch(n),
           "random round " + std::to_string(round) + " n=" + std::to_string(n));
     }
   }
 }
 
-/// The scalar replay must reproduce run_prt's verdict and op counts on
-/// *faulty* memories too — including the kinds that stay on the scalar
-/// campaign path — with and without early abort.
-TEST(OpTranscript, ScalarReplayMatchesLiveRunOnFaults) {
+/// The packed replay must reproduce run_prt's verdicts and op counts
+/// over a whole classical universe too, plus the decoder, retention and
+/// NPSF kinds, with and without early abort.
+TEST(OpTranscript, PackedReplayMatchesLiveRunOnFaults) {
   const mem::Addr n = 64;
-  const core::PrtScheme scheme = core::extended_scheme_bom(n);
-  const core::PrtOracle oracle = core::make_prt_oracle(scheme, n);
-  const core::OpTranscript t = core::make_op_transcript(scheme, oracle);
   std::vector<mem::Fault> universe = mem::classical_universe(n);
   universe.push_back(mem::Fault::af_multi_access(3, 40));
   universe.push_back(mem::Fault::retention({5, 0}, 1, 100));
   universe.push_back(mem::Fault::npsf_static({17, 0}, 0b0000, 1, 8));
-  mem::FaultyRam live(n, 1);
-  mem::FaultyRam replay(n, 1);
-  for (const mem::Fault& f : universe) {
-    for (bool abort : {false, true}) {
-      const core::PrtRunOptions opts{.early_abort = abort,
-                                     .record_iterations = false};
-      live.reset(f);
-      const core::PrtVerdict lv = core::run_prt(live, scheme, oracle, opts);
-      replay.reset(f);
-      const core::PrtVerdict rv = core::run_prt_transcript(replay, t, opts);
-      ASSERT_EQ(lv.detected(), rv.detected()) << f.describe();
-      ASSERT_EQ(lv.reads, rv.reads) << f.describe() << " abort=" << abort;
-      ASSERT_EQ(lv.writes, rv.writes) << f.describe() << " abort=" << abort;
-      ASSERT_EQ(live.total_stats().total(), replay.total_stats().total())
-          << f.describe() << " abort=" << abort;
-    }
-  }
+  expect_prt_replay_matches_live(core::extended_scheme_bom(n), n, universe,
+                                 "PRT-ext classical");
 }
 
 // --- March transcripts --------------------------------------------------
 
-TEST(MarchTranscript, ReplayOpForOpIdenticalOnStandardTests) {
+TEST(MarchTranscript, PackedReplayMatchesLiveRunOnStandardTests) {
   const std::vector<march::MarchTest> tests = {
       march::march_x(),  march::march_y(),  march::march_c_minus(),
       march::march_a(),  march::march_b(),  march::march_sr(),
@@ -214,17 +233,18 @@ TEST(MarchTranscript, ReplayOpForOpIdenticalOnStandardTests) {
     for (mem::Addr n : {17u, 64u, 256u}) {
       for (bool bg : {false, true}) {
         const core::OpTranscript t = march::make_march_transcript(test, n, bg);
-        RecordingRam live(n);
-        const march::MarchResult lv =
-            march::run_march(test, live, bg ? 1U : 0U);
-        RecordingRam replay(n);
-        const march::MarchResult rv = march::run_march_transcript(replay, t);
-        const std::string label =
-            test.name + " n=" + std::to_string(n) + " bg=" + (bg ? "1" : "0");
-        expect_same_stream(live.ops, replay.ops, label);
-        EXPECT_EQ(lv.fail, rv.fail) << label;
-        EXPECT_EQ(lv.ops, rv.ops) << label;
-        EXPECT_EQ(rv.ops, t.total_ops()) << label;
+        expect_replay_matches_live(
+            n, t.total_ops(), mixed_batch(n),
+            [&](mem::PackedFaultRam& ram, bool abort) {
+              return march::run_march_packed(ram, t, {.early_abort = abort});
+            },
+            [&](mem::FaultyRam& ram, bool abort) {
+              return march::run_march(test, ram, bg ? 1U : 0U,
+                                      march::kDefaultDelayTicks,
+                                      {.early_abort = abort})
+                  .fail;
+            },
+            test.name + " n=" + std::to_string(n) + " bg=" + (bg ? "1" : "0"));
       }
     }
   }
@@ -271,20 +291,19 @@ TEST(MarchTranscript, AbortOpsParityScalarVsPacked) {
 }
 
 /// Abort-aware March campaigns: coverage and escapes unchanged, ops
-/// shrink identically on the packed and scalar paths, thread counts
-/// and packing permuted.
+/// shrink identically on the packed campaign and the serial live
+/// reference.
 TEST(MarchTranscript, AbortCampaignBitIdenticalScalarVsPacked) {
   const mem::Addr n = 96;
   const auto universe = mem::classical_universe(n);
   analysis::CampaignOptions opt;
   opt.n = n;
   const auto test = march::march_c_minus();
-  const analysis::CampaignResult scalar_abort = analysis::run_march_campaign(
-      universe, test, opt,
-      {.threads = 1, .packed = false, .early_abort = true});
+  const analysis::CampaignResult scalar_abort = analysis::run_campaign(
+      universe, testref::live_march(test, /*early_abort=*/true), opt);
   const analysis::CampaignResult packed_abort = analysis::run_march_campaign(
       universe, test, opt,
-      {.threads = 3, .packed = true, .early_abort = true});
+      {.threads = 3, .early_abort = true});
   EXPECT_EQ(scalar_abort.overall, packed_abort.overall);
   EXPECT_EQ(scalar_abort.by_class, packed_abort.by_class);
   EXPECT_EQ(scalar_abort.escapes, packed_abort.escapes);

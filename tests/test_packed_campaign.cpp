@@ -20,6 +20,9 @@
 #include <vector>
 
 #include "analysis/campaign_engine.hpp"
+#include "analysis/march_campaign.hpp"
+#include "live_reference.hpp"
+#include "march/march_library.hpp"
 #include "mem/fault_injector.hpp"
 #include "mem/fault_universe.hpp"
 #include "mem/packed_fault_ram.hpp"
@@ -607,7 +610,6 @@ TEST(PackedCampaign, BitIdenticalToSerialScalarOnClassical256) {
   for (unsigned threads : {1u, 4u}) {
     analysis::EngineOptions eng;
     eng.threads = threads;
-    eng.packed = true;
     expect_identical(reference,
                      analysis::run_prt_campaign(universe, scheme, opt, eng));
   }
@@ -620,10 +622,8 @@ TEST(PackedCampaign, BitIdenticalToSerialScalarOnClassical1024) {
   analysis::CampaignOptions opt;
   opt.n = n;
   const auto reference = serial_scalar_reference(universe, scheme, opt);
-  analysis::EngineOptions eng;
-  eng.packed = true;
   expect_identical(reference,
-                   analysis::run_prt_campaign(universe, scheme, opt, eng));
+                   analysis::run_prt_campaign(universe, scheme, opt));
 }
 
 // The van de Goor universe interleaves packed (single-cell, read-logic)
@@ -638,7 +638,6 @@ TEST(PackedCampaign, BitIdenticalToSerialScalarOnVanDeGoor) {
   const auto reference = serial_scalar_reference(universe, scheme, opt);
   analysis::EngineOptions eng;
   eng.threads = 3;  // uneven shards split batches at arbitrary points
-  eng.packed = true;
   expect_identical(reference,
                    analysis::run_prt_campaign(universe, scheme, opt, eng));
 }
@@ -652,23 +651,17 @@ void expect_identical_verdicts(const analysis::CampaignResult& a,
   EXPECT_EQ(a.escapes, b.escapes);
 }
 
-/// The packed+abort engine must (a) reproduce the scalar early-abort
-/// engine bit-for-bit *including ops*, and (b) reproduce the no-abort
-/// reference's verdicts, coverage and escapes.
+/// The early-abort engine must (a) reproduce the serial early-abort
+/// live reference bit-for-bit *including ops*, and (b) reproduce the
+/// no-abort reference's verdicts, coverage and escapes.
 void check_abort_composition(std::span<const mem::Fault> universe,
                              const core::PrtScheme& scheme,
                              const analysis::CampaignOptions& opt,
                              const analysis::CampaignResult& reference) {
-  analysis::EngineOptions scalar_abort;
-  scalar_abort.threads = 2;
-  scalar_abort.packed = false;
-  scalar_abort.early_abort = true;
-  analysis::EngineOptions packed_abort = scalar_abort;
-  packed_abort.packed = true;
-  const auto a =
-      analysis::run_prt_campaign(universe, scheme, opt, scalar_abort);
-  const auto b =
-      analysis::run_prt_campaign(universe, scheme, opt, packed_abort);
+  const auto a = analysis::run_campaign(
+      universe, testref::live_prt(scheme, /*early_abort=*/true), opt);
+  const auto b = analysis::run_prt_campaign(
+      universe, scheme, opt, {.threads = 2, .early_abort = true});
   expect_identical(a, b);
   expect_identical_verdicts(reference, b);
   EXPECT_LE(b.ops, reference.ops);
@@ -723,10 +716,8 @@ TEST(PackedCampaign, MisrEnabledCampaignStaysBitIdentical) {
   analysis::CampaignOptions opt;
   opt.n = n;
   const auto reference = serial_scalar_reference(universe, scheme, opt);
-  analysis::EngineOptions eng;
-  eng.packed = true;
   expect_identical(reference,
-                   analysis::run_prt_campaign(universe, scheme, opt, eng));
+                   analysis::run_prt_campaign(universe, scheme, opt));
 }
 
 // Word-oriented campaigns ride the lanes too: m = 4 bit planes per
@@ -746,7 +737,6 @@ TEST(PackedCampaign, WomCampaignBitIdenticalToSerialScalar) {
   for (const unsigned threads : {1u, 3u}) {
     analysis::EngineOptions eng;
     eng.threads = threads;
-    eng.packed = true;
     const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
     expect_identical(reference, got);
     // Every fault of this universe rides a lane at width 4.
@@ -782,7 +772,6 @@ TEST(PackedCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
   for (const unsigned threads : {1u, 3u}) {
     analysis::EngineOptions eng;
     eng.threads = threads;
-    eng.packed = true;
     const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
     expect_identical(reference, got);
     EXPECT_EQ(got.packed_faults, got.overall.total);
@@ -793,10 +782,11 @@ TEST(PackedCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
 
 // --- dispatch tallies ----------------------------------------------------
 
-// packed_faults / scalar_faults partition the universe: a packed
-// engine routes every lane-compatible fault through a batch (only the
-// degenerate CFst trigger state falls back), a scalar engine routes
-// everything per fault, and the serial reference tallies scalar.
+// packed_faults / scalar_faults partition the universe: a PRT engine
+// routes every lane-compatible fault through a batch (only the
+// degenerate CFst trigger state falls back), a workload that cannot
+// pack (March at m = 4) routes everything per fault, and the serial
+// reference tallies scalar.
 TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
   const mem::Addr n = 48;
   auto universe = mem::van_de_goor_universe(n);
@@ -811,19 +801,14 @@ TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
   EXPECT_EQ(serial.scalar_faults, universe.size());
   EXPECT_EQ(serial.packed_faults, 0u);
 
-  analysis::EngineOptions packed_eng;
-  packed_eng.packed = true;
-  const auto packed =
-      analysis::run_prt_campaign(universe, scheme, opt, packed_eng);
+  const auto packed = analysis::run_prt_campaign(universe, scheme, opt);
   EXPECT_EQ(packed.packed_faults, universe.size() - 1);
   EXPECT_EQ(packed.scalar_faults, 1u);
   EXPECT_EQ(packed.packed_faults + packed.scalar_faults,
             packed.overall.total);
 
-  analysis::EngineOptions scalar_eng;
-  scalar_eng.packed = false;
-  const auto scalar =
-      analysis::run_prt_campaign(universe, scheme, opt, scalar_eng);
+  const auto scalar = analysis::run_march_campaign(
+      universe, march::march_c_minus(), {.n = n, .m = 4});
   EXPECT_EQ(scalar.scalar_faults, universe.size());
   EXPECT_EQ(scalar.packed_faults, 0u);
 }
@@ -837,9 +822,9 @@ TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
 constexpr std::size_t kMixedUniverse = 2048 + 100;
 
 // CampaignResults must not depend on the thread count or on which
-// lane word ran, with or without early abort.  The scalar engine is
-// the reference: the serial run_campaign one without abort, the
-// abort-aware scalar path with it.
+// lane word ran, with or without early abort.  The serial live
+// reference is the yardstick, with early abort honoured when the
+// engine aborts.
 TEST(PackedCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
   const mem::Addr n = 256;
   auto universe = mem::classical_universe(n);
@@ -850,17 +835,11 @@ TEST(PackedCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
   opt.n = n;
   const auto reference = serial_scalar_reference(universe, scheme, opt);
   for (const bool early_abort : {false, true}) {
-    analysis::EngineOptions scalar;
-    scalar.threads = 1;
-    scalar.packed = false;
-    scalar.early_abort = early_abort;
     const auto scalar_ref =
-        analysis::run_prt_campaign(universe, scheme, opt, scalar);
-    if (early_abort) {
-      expect_identical_verdicts(reference, scalar_ref);
-    } else {
-      expect_identical(reference, scalar_ref);
-    }
+        early_abort ? analysis::run_campaign(
+                          universe, testref::live_prt(scheme, true), opt)
+                    : reference;
+    expect_identical_verdicts(reference, scalar_ref);
     analysis::CampaignResult one_thread;
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       analysis::EngineOptions eng;
