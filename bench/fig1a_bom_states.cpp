@@ -1,10 +1,7 @@
 // Reproduces Fig. 1a of the paper: the expected states of bit-oriented
 // memory cells after a pi-test iteration with g(x) = 1 + x + x^2 over
 // GF(2), and the ring closure when the automaton advances a whole
-// number of periods.  Also benchmarks single-port BOM pi-iteration
-// throughput.
-#include <benchmark/benchmark.h>
-
+// number of periods.
 #include <cstdio>
 
 #include "core/pi_iteration.hpp"
@@ -55,34 +52,9 @@ void print_figure() {
   std::printf("\n%s\n", t.str().c_str());
 }
 
-void BM_PiIterationBom(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  mem::SimRam ram(n, 1);
-  const core::PiTester tester = bom_tester();
-  core::PiConfig cfg;
-  cfg.init = {1, 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tester.run(ram, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * 3 * n);  // ops per run
-}
-BENCHMARK(BM_PiIterationBom)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_ExpectedFinJumpAhead(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  const core::PiTester tester = bom_tester();
-  const std::vector<gf::Elem> init{1, 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tester.expected_fin(n, init));
-  }
-}
-BENCHMARK(BM_ExpectedFinJumpAhead)->Arg(1 << 10)->Arg(1 << 20)->Arg(1 << 30);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

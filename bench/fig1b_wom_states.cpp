@@ -3,8 +3,6 @@
 // z^4 — the sequence 0, 1, 2, 6, ... — and the ring closure "if the
 // memory array size is multiple by the period of LFSR then virtual
 // automaton will return to the initial state".
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/pi_iteration.hpp"
@@ -55,34 +53,9 @@ void print_figure() {
   std::printf("\n%s\n", t.str().c_str());
 }
 
-void BM_PiIterationWom(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  mem::SimRam ram(n, 4);
-  const core::PiTester tester = wom_tester();
-  core::PiConfig cfg;
-  cfg.init = {0, 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tester.run(ram, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * 3 * n);
-}
-BENCHMARK(BM_PiIterationWom)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_Gf16Multiply(benchmark::State& state) {
-  const gf::GF2m field(0b10011);
-  gf::Elem x = 1;
-  for (auto _ : state) {
-    x = field.mul(x, 2) ^ 1;
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_Gf16Multiply);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

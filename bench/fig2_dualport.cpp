@@ -2,10 +2,7 @@
 // both window reads simultaneously, cutting a pi-iteration from 3n
 // single-port cycles to 2n ("the time complexity of a pi-test iteration
 // for the analyzed schemes is equal 2n"), with quad-port variants
-// reaching ~n.  Prints the measured cycle counts and benchmarks the
-// schedulers.
-#include <benchmark/benchmark.h>
-
+// reaching ~n.  Prints the measured cycle counts.
 #include <cstdio>
 
 #include "core/prt_multiport.hpp"
@@ -51,50 +48,9 @@ void print_table() {
       "(ratio 3), the dual-LFSR variant halves the array per engine.\n\n");
 }
 
-void BM_DualPortIteration(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  mem::SimRam ram(n, 4, 2);
-  const core::PiTester tester = wom_tester();
-  core::PiConfig cfg;
-  cfg.init = {0, 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_pi_dualport(ram, tester, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n);  // cycles
-}
-BENCHMARK(BM_DualPortIteration)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_QuadPortIteration(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  mem::SimRam ram(n, 4, 4);
-  const core::PiTester tester = wom_tester();
-  core::PiConfig cfg;
-  cfg.init = {0, 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_pi_quadport(ram, tester, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_QuadPortIteration)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_MultiLfsrIteration(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  mem::SimRam ram(n, 4, 4);
-  const core::PiTester tester = wom_tester();
-  core::PiConfig cfg;
-  cfg.init = {0, 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_pi_multilfsr(ram, tester, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_MultiLfsrIteration)->Arg(1 << 10)->Arg(1 << 14);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

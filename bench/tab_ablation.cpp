@@ -9,8 +9,6 @@
 //    closes the RDF gap (it absorbs the window read the two-term
 //    feedback discards) and nothing else: lasting corruptions are
 //    never read, so no compaction can observe them.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/coverage.hpp"
@@ -86,21 +84,9 @@ void print_tables() {
       "need the read-only verify pass.\n\n");
 }
 
-void BM_ExtendedScheme(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  mem::SimRam ram(n, 1);
-  const core::PrtScheme scheme = core::extended_scheme_bom(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_prt(ram, scheme));
-  }
-}
-BENCHMARK(BM_ExtendedScheme)->Arg(1 << 10)->Arg(1 << 14);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

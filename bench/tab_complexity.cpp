@@ -2,8 +2,6 @@
 // O(3n) on a single-port memory and 2n cycles on a two-port memory;
 // March baselines run 4n..22n.  Operation counts are *measured* from
 // the memory's access counters, not computed from formulas.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/prt_engine.hpp"
@@ -97,34 +95,10 @@ void print_cycles_table() {
   std::printf("%s\n", t.str().c_str());
 }
 
-void BM_MarchCMinus(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  mem::SimRam ram(n, 1);
-  const march::MarchTest test = march::march_c_minus();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(march::run_march(test, ram));
-  }
-  state.SetItemsProcessed(state.iterations() * test.total_ops(n));
-}
-BENCHMARK(BM_MarchCMinus)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_Prt3(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  mem::SimRam ram(n, 1);
-  const core::PrtScheme scheme = core::standard_scheme_bom(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_prt(ram, scheme));
-  }
-  state.SetItemsProcessed(state.iterations() * core::prt_ops(n, 2, 3));
-}
-BENCHMARK(BM_Prt3)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_ops_table();
   print_cycles_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

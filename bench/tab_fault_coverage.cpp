@@ -11,8 +11,6 @@
 //    and the extended scheme with verify passes reaches full coverage.
 //
 // March baselines (MATS+, March C-, March SS) anchor both tables.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/coverage.hpp"
@@ -151,38 +149,10 @@ void run_retention_table() {
   std::printf("%s\n", analysis::coverage_table(rows).str().c_str());
 }
 
-void BM_CampaignClassical(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  const auto universe = mem::classical_universe(n);
-  CampaignOptions opt;
-  opt.n = n;
-  const auto algo = analysis::prt_algorithm(core::standard_scheme_bom(n));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_campaign(universe, algo, opt));
-  }
-  state.SetItemsProcessed(state.iterations() * universe.size());
-}
-BENCHMARK(BM_CampaignClassical)->Arg(32)->Arg(64);
-
-void BM_CampaignEngineClassical(benchmark::State& state) {
-  const mem::Addr n = static_cast<mem::Addr>(state.range(0));
-  const auto universe = mem::classical_universe(n);
-  CampaignOptions opt;
-  opt.n = n;
-  const analysis::CampaignEngine engine(core::standard_scheme_bom(n), opt);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(universe));
-  }
-  state.SetItemsProcessed(state.iterations() * universe.size());
-}
-BENCHMARK(BM_CampaignEngineClassical)->Arg(32)->Arg(64);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
   run_retention_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // randomized pi-iterations — the model and the simulator must agree in
 // shape: near-certain static faults, 1/4-rate transition conditions,
 // O(1/n) windows for idempotent/inversion coupling.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 
@@ -113,25 +111,9 @@ void print_table() {
       "of tab_fault_coverage strictly dominates these rates.\n\n");
 }
 
-void BM_RandomizedCampaign(benchmark::State& state) {
-  const auto universe = markov_universe();
-  CampaignOptions opt;
-  opt.n = kN;
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const auto scheme = random_scheme(3, seed++);
-    benchmark::DoNotOptimize(analysis::run_campaign(
-        universe, analysis::prt_algorithm(scheme), opt));
-  }
-  state.SetItemsProcessed(state.iterations() * universe.size());
-}
-BENCHMARK(BM_RandomizedCampaign);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // a constant contains only XOR-gates."  Ablation: naive per-row
 // synthesis vs greedy common-subexpression elimination (Paar), gate
 // counts and depths across fields and constants.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "gf/const_mult.hpp"
@@ -62,31 +60,9 @@ void print_tables() {
   std::printf("%s\n", b.str().c_str());
 }
 
-void BM_SynthesizeCseGf256(benchmark::State& state) {
-  const gf::GF2m field = gf::GF2m::standard(8);
-  const gf::MatrixGF2 mat = gf::multiplier_matrix(
-      field, static_cast<gf::Elem>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gf::synthesize_cse(mat));
-  }
-}
-BENCHMARK(BM_SynthesizeCseGf256)->Arg(0x53)->Arg(0xff);
-
-void BM_SynthesizeNaiveGf256(benchmark::State& state) {
-  const gf::GF2m field = gf::GF2m::standard(8);
-  const gf::MatrixGF2 mat = gf::multiplier_matrix(
-      field, static_cast<gf::Elem>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gf::synthesize_naive(mat));
-  }
-}
-BENCHMARK(BM_SynthesizeNaiveGf256)->Arg(0x53)->Arg(0xff);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

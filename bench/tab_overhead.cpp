@@ -4,8 +4,6 @@
 // counts the address-register-to-counter conversion, window registers,
 // the synthesized XOR feedback network, the Init/Fin comparator and a
 // small control FSM against the 6T cell array.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -65,21 +63,9 @@ void print_tables() {
   std::printf("%s\n", b.str().c_str());
 }
 
-void BM_OverheadEstimate(benchmark::State& state) {
-  const gf::GF2m field(0b10011);
-  const std::vector<gf::Elem> g{1, 2, 2};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::estimate_overhead(field, g, 1 << 26, 2));
-  }
-}
-BENCHMARK(BM_OverheadEstimate);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 //    pi-testing for BOM ... with (1) parallel or (2) random
 //    trajectories" — both modes are measured on an intra-word fault
 //    universe.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/fault_sim.hpp"
@@ -115,31 +113,10 @@ void print_intra_word_table() {
   std::printf("%s\n", t.str().c_str());
 }
 
-void BM_IntraWordParallel(benchmark::State& state) {
-  mem::SimRam ram(static_cast<mem::Addr>(state.range(0)), 8);
-  core::IntraWordConfig cfg;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_intra_word(ram, cfg));
-  }
-}
-BENCHMARK(BM_IntraWordParallel)->Arg(1 << 10)->Arg(1 << 14);
-
-void BM_IntraWordRandom(benchmark::State& state) {
-  mem::SimRam ram(static_cast<mem::Addr>(state.range(0)), 8);
-  core::IntraWordConfig cfg;
-  cfg.mode = core::IntraWordMode::kRandomTrajectories;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_intra_word(ram, cfg));
-  }
-}
-BENCHMARK(BM_IntraWordRandom)->Arg(1 << 10)->Arg(1 << 14);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_direction_table();
   print_intra_word_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -29,7 +29,8 @@
 //    core::run_prt with the cached oracle, on one rewindable FaultyRam
 //    per worker.
 //
-// See DESIGN.md §7/§8/§9/§10/§17 and bench/bench_campaign.cpp.
+// See DESIGN.md §7/§8/§9/§10/§17; tests/test_campaign_golden.cpp pins
+// the engine against the live reference on every universe family.
 #pragma once
 
 #include <memory>

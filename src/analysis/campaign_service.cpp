@@ -1,5 +1,6 @@
 #include "analysis/campaign_service.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "analysis/campaign_driver.hpp"
@@ -195,7 +197,10 @@ bool parse_batch_record(const std::string& payload, std::size_t& index,
   for (std::size_t c = 0; c < classes; ++c) {
     unsigned cls = 0;
     ClassCoverage cov;
-    if (!(in >> cls >> cov.detected >> cov.total)) return false;
+    if (!(in >> cls >> cov.detected >> cov.total) ||
+        cls > static_cast<unsigned>(mem::FaultClass::kRetention)) {
+      return false;
+    }
     r.by_class[static_cast<mem::FaultClass>(cls)] = cov;
   }
   if (!(in >> word) || word != "escapes") return false;
@@ -213,6 +218,47 @@ bool parse_batch_record(const std::string& payload, std::size_t& index,
   return !(in >> word);  // trailing junk
 }
 
+/// True when a CRC-valid record is a plausible tally of its batch
+/// [begin, end): it counts every fault of the batch once, its class
+/// tallies sum to the overall one, its escapes are exactly the
+/// undetected faults (strictly ascending inside the batch) and its
+/// dispatch tallies split the batch.  Every bound is checked before a
+/// sum is formed, so no crafted value can wrap a total into range.
+bool consistent_record(const CampaignResult& r, std::size_t begin,
+                       std::size_t end) {
+  const std::uint64_t total = end - begin;
+  if (r.overall.total != total || r.overall.detected > total) return false;
+  ClassCoverage sum;
+  for (const auto& [cls, cov] : r.by_class) {
+    if (cov.total > total || cov.detected > cov.total) return false;
+    sum.total += cov.total;
+    sum.detected += cov.detected;
+  }
+  if (sum != r.overall) return false;
+  if (r.escapes.size() != total - r.overall.detected) return false;
+  std::size_t next = begin;
+  for (const std::size_t e : r.escapes) {
+    if (e < next || e >= end) return false;
+    next = e + 1;
+  }
+  return r.packed_faults <= total && r.scalar_faults == total - r.packed_faults;
+}
+
+/// Drops the first record that is not consistent with its batch, and
+/// every record after it — the same prefix rule as a CRC failure.
+/// Returns whether it dropped anything.
+bool drop_inconsistent(detail::BatchResults& batches, std::size_t size) {
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    if (!batches[b]) continue;
+    const std::size_t begin = b * detail::kSchedulerBatch;
+    const std::size_t end = std::min(begin + detail::kSchedulerBatch, size);
+    if (consistent_record(*batches[b], begin, end)) continue;
+    for (; b < batches.size(); ++b) batches[b].reset();
+    return true;
+  }
+  return false;
+}
+
 /// Result of reading a checkpoint file for resume.
 struct CheckpointLoad {
   /// The adopted checkpoint; nullopt = start fresh (file missing, or
@@ -228,10 +274,12 @@ struct CheckpointLoad {
 /// Decision table:
 ///   missing file                          -> fresh run
 ///   bad/old version header, bad meta CRC  -> fresh run, salvaged
-///   record k fails CRC/parse/consistency  -> records [0, k), salvaged
+///   record k fails CRC/parse, or repeats
+///   or overruns the batch count           -> records [0, k), salvaged
 /// Only the *caller* can hard-fail (fingerprint mismatch) — by the
 /// time integrity is established, every remaining mismatch means "a
-/// different campaign", never "corruption".
+/// different campaign", never "corruption".  The caller then checks
+/// each record against its batch (drop_inconsistent).
 CheckpointLoad load_checkpoint(const std::string& path) {
   CheckpointLoad out;
   std::ifstream in(path, std::ios::binary);
@@ -434,9 +482,13 @@ struct CampaignService::Impl {
   std::size_t running PRT_GUARDED_BY(mu) = 0;
   /// Queued + running — what wait_all() waits out.
   std::size_t unresolved PRT_GUARDED_BY(mu) = 0;
-  /// Per-(workload-kind, n) EWMA of observed successful-batch wall
-  /// latency in seconds — the load-shedder's cost model.
-  std::map<std::pair<char, mem::Addr>, double> batch_ewma PRT_GUARDED_BY(mu);
+  /// Per-(workload kind, n, m) EWMA of observed successful-batch wall
+  /// latency in seconds — the load-shedder's cost model.  The word
+  /// width is part of the key: a word-oriented March batch runs on the
+  /// scalar route and costs orders of magnitude more than a packed
+  /// m = 1 batch at the same n.
+  using CostKey = std::tuple<char, mem::Addr, unsigned>;
+  std::map<CostKey, double> batch_ewma PRT_GUARDED_BY(mu);
 
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> rejected{0};
@@ -457,6 +509,10 @@ struct CampaignService::Impl {
 
   explicit Impl(const ServiceOptions& o)
       : options(o), pool(util::shared_pool(o.threads)) {}
+
+  [[nodiscard]] static CostKey cost_key(const Request& r) {
+    return {r.req.march_test ? 'm' : 'p', r.req.options.n, r.req.options.m};
+  }
 
   [[nodiscard]] std::size_t queue_bound(RequestPriority priority) const {
     switch (priority) {
@@ -488,8 +544,7 @@ struct CampaignService::Impl {
             format_ms(-remaining) + " ago)";
       return true;
     }
-    const auto it = batch_ewma.find(
-        std::make_pair(r.req.march_test ? 'm' : 'p', r.req.options.n));
+    const auto it = batch_ewma.find(cost_key(r));
     if (it == batch_ewma.end()) return false;
     const std::size_t workers = pool.workers();
     const std::size_t waves = (batches + workers - 1) / workers;
@@ -506,9 +561,7 @@ struct CampaignService::Impl {
   void observe_batch_latency(const Request& r, double seconds)
       PRT_EXCLUDES(mu) {
     util::MutexLock lock(mu);
-    const auto key =
-        std::make_pair(r.req.march_test ? 'm' : 'p', r.req.options.n);
-    auto [it, inserted] = batch_ewma.try_emplace(key, seconds);
+    auto [it, inserted] = batch_ewma.try_emplace(cost_key(r), seconds);
     if (!inserted) {
       it->second = kEwmaAlpha * seconds + (1.0 - kEwmaAlpha) * it->second;
     }
@@ -591,7 +644,6 @@ struct CampaignService::Impl {
     const std::string fingerprint = request_fingerprint(req);
     if (req.resume) {
       CheckpointLoad loaded = load_checkpoint(req.checkpoint_path);
-      if (loaded.salvaged) ++checkpoint_salvaged;
       if (loaded.checkpoint) {
         Checkpoint& cp = *loaded.checkpoint;
         if (cp.fingerprint != fingerprint) {
@@ -607,8 +659,12 @@ struct CampaignService::Impl {
               " batches for a " + std::to_string(req.universe.size()) +
               "-fault universe): " + req.checkpoint_path);
         }
+        if (drop_inconsistent(cp.batches, req.universe.size())) {
+          loaded.salvaged = true;
+        }
         shards_resumed += job.adopt(std::move(cp.batches));
       }
+      if (loaded.salvaged) ++checkpoint_salvaged;
     }
     // Checkpointing is best-effort durability: a failed write is
     // counted, never fatal — the campaign itself keeps running.

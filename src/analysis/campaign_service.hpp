@@ -13,7 +13,7 @@
 //    window (max_running); a dispatched request becomes one executor
 //    job on the process-wide pool.  A deadline-aware load-shedder
 //    resolves queued requests whose remaining deadline can no longer
-//    cover their estimated cost (a per-(workload-kind, n) EWMA of
+//    cover their estimated cost (a per-(workload kind, n, m) EWMA of
 //    observed batch latencies) with kShedded at dispatch time, before
 //    any oracle work is spent on guaranteed-partial results;
 //  * a shard is one fixed 2048-fault batch at every worker count, so a
@@ -32,9 +32,10 @@
 //    structure, geometry, run options and the universe itself — at any
 //    worker count, and its final result is bit-identical to an
 //    uninterrupted run.  A torn or corrupted checkpoint is *salvaged*:
-//    the longest CRC-valid record prefix is adopted and the rest
-//    recomputed (stats().checkpoint_salvaged); only a fingerprint
-//    mismatch hard-fails the request;
+//    the longest prefix of records that pass their CRC and are
+//    consistent with their batch is adopted and the rest recomputed
+//    (stats().checkpoint_salvaged); only a fingerprint mismatch
+//    hard-fails the request;
 //  * a batch attempt that throws, stalls, or whose pool task is lost
 //    is retried up to `max_retries` times; exhaustion — or a lost setup
 //    task — fails that request (kFailed, error preserved) without
@@ -80,8 +81,7 @@ enum class RequestPriority : std::uint8_t {
 /// stall_budget.
 struct ServiceOptions {
   /// Worker count: the service runs on util::shared_pool(threads); 0
-  /// defers to the PRT_THREADS environment override, then the hardware
-  /// concurrency.
+  /// means the hardware concurrency (util::default_worker_count).
   unsigned threads = 0;
   /// Dispatch window (>= 1): requests set up or running concurrently.
   /// Further admitted requests wait in their class queue.

@@ -26,9 +26,10 @@
 //    coverage/ops rollup and renders the per-configuration coverage
 //    table.
 //
-// See DESIGN.md §10 and bench/bench_campaign.cpp's suite section for
-// the measured speedup over running the same grid as sequential
-// engines.
+// See DESIGN.md §10 for the measured speedup over running the same
+// grid as sequential engines; the suite row of
+// tests/test_campaign_golden.cpp pins both shapes to the live
+// reference.
 #pragma once
 
 #include <cstdint>

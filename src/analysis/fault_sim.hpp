@@ -47,12 +47,12 @@ struct CampaignResult {
   /// Dispatch tallies: faults that rode a packed lane batch vs the
   /// scalar per-fault path.  packed_faults + scalar_faults ==
   /// overall.total; a fully lane-compatible universe on a packable
-  /// workload has scalar_faults == 0 (the bench asserts exactly that
-  /// via its packed_fraction field).  Both depend on the workload and
-  /// the faults only, never on the thread count, so equality covers
-  /// them; the parity suites that compare a campaign against the
-  /// serial run_campaign (which tallies every fault scalar) compare
-  /// verdict fields only.
+  /// workload has scalar_faults == 0 (tests/test_campaign_golden.cpp
+  /// asserts exactly that for every universe family it pins).  Both
+  /// depend on the workload and the faults only, never on the thread
+  /// count, so equality covers them; the parity suites that compare a
+  /// campaign against the serial run_campaign (which tallies every
+  /// fault scalar) compare verdict fields only.
   std::uint64_t packed_faults = 0;
   std::uint64_t scalar_faults = 0;
 
@@ -76,8 +76,8 @@ struct CampaignOptions {
 /// lane, and the result is bit-identical to the live scalar reference
 /// either way (DESIGN.md §17).
 struct EngineOptions {
-  /// Worker count; 0 defers to the PRT_THREADS environment override,
-  /// then the hardware concurrency (util::default_worker_count).
+  /// Worker count; 0 means the hardware concurrency
+  /// (util::default_worker_count).
   unsigned threads = 0;
   /// Stop each fault's run at its first failure: the first failing PRT
   /// iteration, or the first mismatching March read (skipping the

@@ -25,8 +25,8 @@
 //    on the live reference over the standard data backgrounds, still
 //    batched over the pool.
 //
-// See DESIGN.md §8/§9/§10/§17 and bench/bench_campaign.cpp's March
-// section.
+// See DESIGN.md §8/§9/§10/§17 and the March rows of
+// tests/test_campaign_golden.cpp.
 #pragma once
 
 #include <memory>

@@ -97,7 +97,7 @@ class OracleCache {
       std::uint64_t delay_ticks = march::kDefaultDelayTicks);
 
   /// Number of entries actually built (not lookups) — the
-  /// one-build-per-key test hook and the bench's cache-hit telemetry.
+  /// one-build-per-key test hook.
   [[nodiscard]] std::size_t prt_builds() const { return prt_builds_; }
   [[nodiscard]] std::size_t march_builds() const { return march_builds_; }
 

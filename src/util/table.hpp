@@ -1,5 +1,6 @@
-// ASCII table formatter used by the benchmark harness and the analysis
-// reports so every experiment prints rows in a uniform, paper-like shape.
+// ASCII table formatter used by the paper programs (bench/) and the
+// analysis reports so every experiment prints rows in a uniform,
+// paper-like shape.
 #pragma once
 
 #include <cstddef>

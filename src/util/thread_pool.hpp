@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <map>
@@ -67,18 +66,9 @@ class Latch {
   std::exception_ptr error_ PRT_GUARDED_BY(mutex_);
 };
 
-/// Default worker count for pools and campaign fan-out: the
-/// PRT_THREADS environment variable when set to a positive integer
-/// (benches and CI pin it for reproducible runs), else the hardware
+/// Default worker count for pools and campaign fan-out: the hardware
 /// concurrency, minimum 1.
 [[nodiscard]] inline unsigned default_worker_count() {
-  if (const char* env = std::getenv("PRT_THREADS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1 && v <= 4096) {
-      return static_cast<unsigned>(v);
-    }
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
@@ -86,7 +76,7 @@ class Latch {
 class ThreadPool {
  public:
   /// `workers == 0` sizes the pool to default_worker_count() (the
-  /// PRT_THREADS override, else the hardware concurrency, minimum 1).
+  /// hardware concurrency, minimum 1).
   explicit ThreadPool(unsigned workers = 0) {
     if (workers == 0) workers = default_worker_count();
     threads_.reserve(workers);

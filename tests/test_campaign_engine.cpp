@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -205,22 +204,6 @@ TEST(CampaignEngine, MalformedUniverseThrowsOnEveryPath) {
                                           {.threads = threads}),
                  std::invalid_argument);
   }
-}
-
-TEST(ThreadPool, PrtThreadsEnvOverridesDefaultWorkerCount) {
-  ASSERT_EQ(setenv("PRT_THREADS", "3", /*overwrite=*/1), 0);
-  EXPECT_EQ(util::default_worker_count(), 3u);
-  // An explicit request always wins over the environment.
-  EXPECT_EQ(util::ThreadPool(2).workers(), 2u);
-  // Pools sized 0 pick up the override.
-  EXPECT_EQ(util::ThreadPool(0).workers(), 3u);
-  // Garbage and out-of-range values fall back to the hardware default.
-  ASSERT_EQ(setenv("PRT_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(util::default_worker_count(), 1u);
-  ASSERT_EQ(setenv("PRT_THREADS", "0", 1), 0);
-  EXPECT_GE(util::default_worker_count(), 1u);
-  ASSERT_EQ(unsetenv("PRT_THREADS"), 0);
-  EXPECT_GE(util::default_worker_count(), 1u);
 }
 
 // --- the shared pool ------------------------------------------------------

@@ -427,6 +427,34 @@ TEST(CampaignService, ShedderUsesLatencyEstimateAgainstDeadline) {
   EXPECT_EQ(service.stats().shedded, 1u);
 }
 
+TEST(CampaignService, ShedderKeysLatencyEstimateOnWordWidth) {
+  CampaignService service({.threads = 1, .max_running = 1});
+  {
+    // Warm the (March, n = 24, m = 4) estimate: one batch, >= 500 ms.
+    FailPointScope scope;
+    FailPoint::arm("campaign_service.shard",
+                   {.action = FailPoint::Action::kDelay,
+                    .fires = -1,
+                    .delay = std::chrono::milliseconds(500)});
+    ASSERT_EQ(service.submit(word_march_request(24)).wait().status,
+              RequestStatus::kComplete);
+  }
+  // The bit-oriented test at the same n runs packed in about a
+  // millisecond: a deadline shorter than the word-oriented estimate
+  // but far longer than its own run must admit it.
+  CampaignRequest bit = march_request(24);
+  bit.deadline = std::chrono::milliseconds(200);
+  const RequestOutcome& out = service.submit(std::move(bit)).wait();
+  EXPECT_EQ(out.status, RequestStatus::kComplete) << out.error;
+  // The word-oriented estimate still holds for its own key.
+  CampaignRequest word = word_march_request(24);
+  word.deadline = std::chrono::milliseconds(200);
+  const RequestOutcome& shed = service.submit(std::move(word)).wait();
+  EXPECT_EQ(shed.status, RequestStatus::kShedded);
+  EXPECT_NE(shed.error.find("estimated cost"), std::string::npos);
+  EXPECT_EQ(service.stats().shedded, 1u);
+}
+
 TEST(CampaignService, ShedderAdmitsWhenDeadlineCoversEstimate) {
   // Same shape without the injected latency: the estimate comfortably
   // fits the deadline, so the request is admitted and completes.

@@ -5,17 +5,22 @@
 // fail-point-injected partial final flush — must either salvage the
 // longest CRC-valid record prefix or start fresh, for PRT and March
 // workloads alike, with the resumed result bit-identical to an
-// uninterrupted run.
+// uninterrupted run.  A record whose CRC verifies but whose tally
+// cannot belong to its batch (an escape outside the batch, a wrong
+// fault total, an unknown fault class) is salvaged the same way.
 // Only a fingerprint mismatch (a *different* campaign, not a damaged
 // one) may fail the request; no corruption may ever merge torn
 // results.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/campaign_engine.hpp"
@@ -24,6 +29,7 @@
 #include "core/prt_engine.hpp"
 #include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
+#include "util/crc32.hpp"
 #include "util/fail_point.hpp"
 
 namespace prt::analysis {
@@ -121,6 +127,85 @@ void expect_salvaged_resume(bool march, const std::string& path,
   EXPECT_EQ(service.stats().shards_resumed, expect_resumed);
 }
 
+using Tokens = std::vector<std::string>;
+
+/// Position of `word` in a record payload's tokens.
+std::size_t find_token(const Tokens& t, const std::string& word) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i] == word) return i;
+  }
+  ADD_FAILURE() << "no '" << word << "' in the record";
+  return t.size();
+}
+
+/// Adds `delta` to the integer token at `i`.
+void bump(Tokens& t, std::size_t i, long long delta) {
+  t[i] = std::to_string(std::stoll(t[i]) + delta);
+}
+
+/// Applies `edit` to the tokens of record `rec` (0-based, after the
+/// header and meta lines) and re-signs the line with a valid CRC, so
+/// only the record-versus-batch checks can reject it.  Payload:
+///   batch <i> ops <n> overall <d> <t> classes <k> (<cls> <d> <t>)*
+///   escapes <e> <index>* dispatch <packed> <scalar>
+void rewrite_record(const std::string& path, std::size_t rec,
+                    void (*edit)(Tokens&)) {
+  std::istringstream in(read_file(path));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_GT(lines.size(), rec + 2);
+  std::istringstream fields(lines[rec + 2].substr(std::string("rec ").size() +
+                                                  9));
+  Tokens tokens;
+  for (std::string token; fields >> token;) tokens.push_back(token);
+  edit(tokens);
+  std::string payload;
+  for (const std::string& token : tokens) {
+    payload += (payload.empty() ? "" : " ") + token;
+  }
+  std::ostringstream crc;
+  crc << std::hex << std::setw(8) << std::setfill('0')
+      << util::crc32(payload);
+  lines[rec + 2] = "rec " + crc.str() + " " + payload;
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  write_file(path, text);
+}
+
+/// Position of the first class entry (<cls> <d> <t>) with a detection.
+std::size_t detecting_class(const Tokens& t) {
+  std::size_t cls = find_token(t, "classes") + 2;
+  while (t[cls + 1] == "0") cls += 3;
+  return cls;
+}
+
+/// One detection of the record's overall tally and of its first class
+/// with a detection becomes an escape at index 999999, far outside any
+/// batch; every count stays consistent.
+void add_out_of_range_escape(Tokens& t) {
+  bump(t, find_token(t, "overall") + 1, -1);
+  bump(t, detecting_class(t) + 1, -1);
+  const std::size_t escapes = find_token(t, "escapes");
+  bump(t, escapes + 1, 1);
+  t.insert(t.begin() + static_cast<std::ptrdiff_t>(find_token(t, "dispatch")),
+           "999999");
+}
+
+/// The record claims one fault fewer than its batch holds, with class
+/// and dispatch tallies shrunk to match.
+void drop_one_fault(Tokens& t) {
+  const std::size_t overall = find_token(t, "overall");
+  bump(t, overall + 1, -1);
+  bump(t, overall + 2, -1);
+  const std::size_t cls = detecting_class(t);
+  bump(t, cls + 1, -1);
+  bump(t, cls + 2, -1);
+  bump(t, find_token(t, "dispatch") + 1, -1);
+}
+
+/// The first class tally is filed under a class id no fault has.
+void unknown_class(Tokens& t) { t[find_token(t, "classes") + 2] = "99"; }
+
 void run_corruption_matrix(bool march) {
   const char* tag = march ? "march" : "prt";
 
@@ -158,6 +243,24 @@ void run_corruption_matrix(bool march) {
     const std::size_t rec2_len = text.find('\n', rec2) - rec2;
     text[rec2 + rec2_len / 2] ^= 0x01;
     write_file(path, text);
+    expect_salvaged_resume(march, path, 1);
+    std::remove(path.c_str());
+  }
+
+  using Edit = std::pair<const char*, void (*)(Tokens&)>;
+  for (const auto& [what, edit] :
+       {Edit{"CRC-valid record with an out-of-range escape",
+             add_out_of_range_escape},
+        Edit{"CRC-valid record with a wrong fault total", drop_one_fault},
+        Edit{"CRC-valid record with an unknown fault class",
+             unknown_class}}) {
+    SCOPED_TRACE(what);
+    const std::string path =
+        temp_checkpoint(std::string("ckpt_record_") + tag + ".ckpt");
+    write_interrupted_checkpoint(march, path);
+    // The second record is re-signed after the edit: the first one is
+    // kept and the rest recomputed.
+    rewrite_record(path, 1, edit);
     expect_salvaged_resume(march, path, 1);
     std::remove(path.c_str());
   }

@@ -9,13 +9,19 @@
 // CampaignService request.  Every result must equal run_campaign over
 // the live scalar reference (by_class, overall, escapes and ops), and
 // the dispatch tallies must split the universe by the packing rule: a
-// packable workload puts every lane-compatible fault on a lane.  The
-// seed and the draw count are fixed; a failure prints both, so the
-// draw replays exactly.
+// packable workload puts every lane-compatible fault on a lane.
+// Service draws run the request a second time under a random fail
+// point schedule (a point, skip, fire count and retry budget, half of
+// them checkpointed): it must complete equal to the reference or fail
+// with an error, and a failed checkpointed request must resume, every
+// point disarmed, to the reference.  The seed and the draw count are
+// fixed; a failure prints both (and the schedule), so the draw replays
+// exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -26,11 +32,13 @@
 #include "analysis/campaign_service.hpp"
 #include "analysis/campaign_suite.hpp"
 #include "analysis/march_campaign.hpp"
+#include "analysis/oracle_cache.hpp"
 #include "core/prt_engine.hpp"
 #include "live_reference.hpp"
 #include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
 #include "mem/packed_fault_ram.hpp"
+#include "util/fail_point.hpp"
 #include "util/rng.hpp"
 
 namespace prt::analysis {
@@ -236,6 +244,51 @@ std::uint64_t expected_scalar(const Draw& d) {
       [&](const mem::Fault& f) { return !mem::lane_compatible(f, d.opt.m); }));
 }
 
+/// One fail point armed for a service request, with the request's
+/// retry budget and whether it checkpoints.
+struct Schedule {
+  const char* point = "";
+  util::FailPoint::Config config;
+  int max_retries = 0;
+  bool checkpoint = false;
+
+  [[nodiscard]] std::string describe() const {
+    const char* action =
+        config.action == util::FailPoint::Action::kPartialWrite
+            ? "partial_write"
+            : "throw";
+    return std::string("schedule: ") + point + "=" + action +
+           " skip=" + std::to_string(config.skip) +
+           " fires=" + std::to_string(config.fires) +
+           " bytes=" + std::to_string(config.bytes) +
+           " max_retries=" + std::to_string(max_retries) +
+           " checkpoint=" + std::to_string(checkpoint);
+  }
+};
+
+/// A schedule from its own generator, seeded from (kSeed, draw), so
+/// the draws themselves stay what they were without schedules.
+Schedule make_schedule(int draw) {
+  Xoshiro256 rng(kSeed ^ (0xD1B54A32D192ED03ULL *
+                          (static_cast<std::uint64_t>(draw) + 1)));
+  constexpr const char* kPoints[] = {
+      "campaign_service.shard", "thread_pool.task", "oracle_cache.build",
+      "campaign_service.checkpoint"};
+  constexpr int kFires[] = {1, 2, -1};
+  Schedule s;
+  const std::uint64_t point = pick(rng, 4);
+  s.point = kPoints[point];
+  if (point == 3 && coin(rng)) {
+    s.config.action = util::FailPoint::Action::kPartialWrite;
+    s.config.bytes = pick(rng, 256);
+  }
+  s.config.skip = static_cast<int>(pick(rng, 3));
+  s.config.fires = kFires[pick(rng, 3)];
+  s.max_retries = coin(rng) ? 2 : 0;
+  s.checkpoint = coin(rng);
+  return s;
+}
+
 void expect_matches(const CampaignResult& got, const CampaignResult& want,
                     std::uint64_t scalar, const char* surface) {
   SCOPED_TRACE(surface);
@@ -293,9 +346,40 @@ TEST(FuzzCampaign, EverySurfaceMatchesTheLiveReference) {
       req.options = d.opt;
       req.early_abort = d.early_abort;
       req.universe = d.universe;
-      const RequestOutcome out = service.submit(std::move(req)).wait();
+      const RequestOutcome out = service.submit(req).wait();
       ASSERT_EQ(out.status, RequestStatus::kComplete) << out.error;
       expect_matches(out.result, want, scalar, "CampaignService");
+
+      const Schedule schedule = make_schedule(draw);
+      SCOPED_TRACE(schedule.describe());
+      if (schedule.checkpoint) {
+        req.checkpoint_path = ::testing::TempDir() + "fuzz_campaign.ckpt";
+        std::remove(req.checkpoint_path.c_str());
+      }
+      RequestOutcome faulty;
+      {
+        util::FailPointScope scope;
+        // A cold cache, so the oracle build runs under the schedule too.
+        OracleCache::global().clear();
+        util::FailPoint::arm(schedule.point, schedule.config);
+        CampaignService scheduled(
+            {.threads = d.threads, .max_retries = schedule.max_retries});
+        faulty = scheduled.submit(req).wait();
+      }
+      if (faulty.status == RequestStatus::kComplete) {
+        expect_matches(faulty.result, want, scalar, "scheduled service");
+      } else {
+        ASSERT_EQ(faulty.status, RequestStatus::kFailed)
+            << to_string(faulty.status) << ": " << faulty.error;
+        EXPECT_FALSE(faulty.error.empty());
+        if (schedule.checkpoint) {
+          req.resume = true;
+          const RequestOutcome resumed = service.submit(req).wait();
+          ASSERT_EQ(resumed.status, RequestStatus::kComplete) << resumed.error;
+          expect_matches(resumed.result, want, scalar, "resumed service");
+        }
+      }
+      if (schedule.checkpoint) std::remove(req.checkpoint_path.c_str());
     }
   }
 }
