@@ -11,15 +11,15 @@
 //    never read, so no compaction can observe them.
 #include <cstdio>
 
+#include "analysis/campaign_engine.hpp"
 #include "analysis/coverage.hpp"
-#include "analysis/fault_sim.hpp"
 #include "mem/fault_universe.hpp"
 
 namespace {
 
 using namespace prt;
 using analysis::CampaignOptions;
-using analysis::run_campaign;
+using analysis::run_prt_campaign;
 
 core::PrtScheme without_verify(core::PrtScheme s) {
   for (auto& it : s.iterations) it.config.verify_pass = false;
@@ -44,22 +44,14 @@ void print_tables() {
   std::printf("== extended-scheme ablation (full model, n = %u) ==\n", n);
   std::vector<analysis::NamedResult> rows;
   const core::PrtScheme full = core::extended_scheme_bom(n);
+  rows.push_back({"full", run_prt_campaign(universe, full, opt)});
   rows.push_back(
-      {"full", run_campaign(universe, analysis::prt_algorithm(full), opt)});
-  rows.push_back({"-verify",
-                  run_campaign(universe,
-                               analysis::prt_algorithm(without_verify(full)),
-                               opt)});
-  rows.push_back({"-random",
-                  run_campaign(universe,
-                               analysis::prt_algorithm(without_random(full)),
-                               opt)});
+      {"-verify", run_prt_campaign(universe, without_verify(full), opt)});
   rows.push_back(
-      {"-both",
-       run_campaign(universe,
-                    analysis::prt_algorithm(
-                        without_random(without_verify(full))),
-                    opt)});
+      {"-random", run_prt_campaign(universe, without_random(full), opt)});
+  rows.push_back(
+      {"-both", run_prt_campaign(universe,
+                                 without_random(without_verify(full)), opt)});
   std::printf("%s\n", analysis::coverage_table(rows).str().c_str());
 
   std::printf("== MISR vs Init/Fin observation (3-iteration scheme) ==\n");
@@ -68,12 +60,8 @@ void print_tables() {
   std::vector<analysis::NamedResult> rows2;
   rows2.push_back(
       {"Fin only",
-       run_campaign(universe,
-                    analysis::prt_algorithm(core::standard_scheme_bom(n)),
-                    opt)});
-  rows2.push_back({"Fin + MISR",
-                   run_campaign(universe,
-                                analysis::prt_algorithm(misr_scheme), opt)});
+       run_prt_campaign(universe, core::standard_scheme_bom(n), opt)});
+  rows2.push_back({"Fin + MISR", run_prt_campaign(universe, misr_scheme, opt)});
   std::printf("%s", analysis::coverage_table(rows2).str().c_str());
   std::printf(
       "\nthe MISR closes exactly one gap: read-logic faults (RDF) whose\n"

@@ -13,9 +13,9 @@
 // March baselines (MATS+, March C-, March SS) anchor both tables.
 #include <cstdio>
 
-#include "analysis/coverage.hpp"
 #include "analysis/campaign_engine.hpp"
-#include "analysis/fault_sim.hpp"
+#include "analysis/coverage.hpp"
+#include "analysis/march_campaign.hpp"
 #include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
 
@@ -23,7 +23,8 @@ namespace {
 
 using namespace prt;
 using analysis::CampaignOptions;
-using analysis::run_campaign;
+using analysis::run_march_campaign;
+using analysis::run_prt_campaign;
 
 void run_tables() {
   const mem::Addr n = 64;
@@ -41,17 +42,12 @@ void run_tables() {
       core::PrtScheme prefix = core::standard_scheme_bom(n);
       prefix.iterations.resize(iters);
       rows.push_back({"PRT-" + std::to_string(iters),
-                      analysis::run_prt_campaign(universe, prefix, opt)});
+                      run_prt_campaign(universe, prefix, opt)});
     }
     rows.push_back(
-        {"MATS+", run_campaign(universe,
-                               analysis::march_algorithm(march::mats_plus()),
-                               opt)});
+        {"MATS+", run_march_campaign(universe, march::mats_plus(), opt)});
     rows.push_back({"March C-",
-                    run_campaign(universe,
-                                 analysis::march_algorithm(
-                                     march::march_c_minus()),
-                                 opt)});
+                    run_march_campaign(universe, march::march_c_minus(), opt)});
     std::printf("%s\n", analysis::coverage_table(rows).str().c_str());
   }
 
@@ -62,20 +58,15 @@ void run_tables() {
         n);
     const auto universe = mem::van_de_goor_universe(n);
     std::vector<analysis::NamedResult> rows;
-    rows.push_back({"PRT-3", analysis::run_prt_campaign(
+    rows.push_back({"PRT-3", run_prt_campaign(
                                  universe, core::standard_scheme_bom(n), opt)});
-    rows.push_back({"PRT-ext",
-                    analysis::run_prt_campaign(
-                        universe, core::extended_scheme_bom(n), opt)});
+    rows.push_back(
+        {"PRT-ext",
+         run_prt_campaign(universe, core::extended_scheme_bom(n), opt)});
     rows.push_back({"March C-",
-                    run_campaign(universe,
-                                 analysis::march_algorithm(
-                                     march::march_c_minus()),
-                                 opt)});
-    rows.push_back({"March SS",
-                    run_campaign(universe,
-                                 analysis::march_algorithm(march::march_ss()),
-                                 opt)});
+                    run_march_campaign(universe, march::march_c_minus(), opt)});
+    rows.push_back(
+        {"March SS", run_march_campaign(universe, march::march_ss(), opt)});
     std::printf("%s\n", analysis::coverage_table(rows).str().c_str());
   }
 
@@ -95,17 +86,16 @@ void run_tables() {
     wopt.n = n;
     wopt.m = m;
     std::vector<analysis::NamedResult> rows;
-    rows.push_back({"PRT-3",
-                    analysis::run_prt_campaign(
-                        universe, core::standard_scheme_wom(n, m), wopt)});
-    rows.push_back({"PRT-ext",
-                    analysis::run_prt_campaign(
-                        universe, core::extended_scheme_wom(n, m), wopt)});
-    rows.push_back({"March C-",
-                    run_campaign(universe,
-                                 analysis::march_algorithm(
-                                     march::march_c_minus()),
-                                 wopt)});
+    rows.push_back({"PRT-3", run_prt_campaign(universe,
+                                              core::standard_scheme_wom(n, m),
+                                              wopt)});
+    rows.push_back({"PRT-ext", run_prt_campaign(universe,
+                                                core::extended_scheme_wom(n, m),
+                                                wopt)});
+    // Word-oriented March does not pack: MarchCampaign runs every fault
+    // on its scalar route, batched over the pool.
+    rows.push_back({"March C-", run_march_campaign(
+                                    universe, march::march_c_minus(), wopt)});
     std::printf("%s\n", analysis::coverage_table(rows).str().c_str());
   }
 }
@@ -124,28 +114,16 @@ void run_retention_table() {
   std::vector<analysis::NamedResult> rows;
   rows.push_back(
       {"PRT-3 (no pause)",
-       run_campaign(universe,
-                    analysis::prt_algorithm(core::standard_scheme_bom(n)),
-                    opt)});
+       run_prt_campaign(universe, core::standard_scheme_bom(n), opt)});
   rows.push_back(
       {"PRT retention",
-       run_campaign(universe,
-                    analysis::prt_algorithm(
-                        core::retention_scheme(n, 1, 100'000)),
-                    opt)});
-  rows.push_back(
-      {"March C- (no Del)",
-       run_campaign(universe,
-                    analysis::march_algorithm(march::march_c_minus()),
-                    opt)});
+       run_prt_campaign(universe, core::retention_scheme(n, 1, 100'000), opt)});
+  rows.push_back({"March C- (no Del)",
+                  run_march_campaign(universe, march::march_c_minus(), opt)});
+  // At m = 1 MarchCampaign runs the single background 0 with the
+  // default Del of march::kDefaultDelayTicks = 100k ticks.
   rows.push_back({"March G (Del=100k)",
-                  run_campaign(universe,
-                               [](mem::Memory& memory) {
-                                 return march::run_march(march::march_g(),
-                                                         memory, 0, 100'000)
-                                     .fail;
-                               },
-                               opt)});
+                  run_march_campaign(universe, march::march_g(), opt)});
   std::printf("%s\n", analysis::coverage_table(rows).str().c_str());
 }
 

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <map>
 
-#include "analysis/fault_sim.hpp"
+#include "analysis/campaign_engine.hpp"
 #include "analysis/markov.hpp"
 #include "mem/fault_universe.hpp"
 #include "util/rng.hpp"
@@ -79,8 +79,7 @@ void print_table() {
     std::map<mem::FaultClass, std::pair<std::uint64_t, std::uint64_t>> acc;
     for (unsigned trial = 0; trial < kTrials; ++trial) {
       const auto scheme = random_scheme(iters, 1000 + trial);
-      const auto r = analysis::run_campaign(
-          universe, analysis::prt_algorithm(scheme), opt);
+      const auto r = analysis::run_prt_campaign(universe, scheme, opt);
       for (const auto& [cls, cov] : r.by_class) {
         acc[cls].first += cov.detected;
         acc[cls].second += cov.total;

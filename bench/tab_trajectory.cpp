@@ -8,7 +8,7 @@
 //    universe.
 #include <cstdio>
 
-#include "analysis/fault_sim.hpp"
+#include "analysis/campaign_engine.hpp"
 #include "core/intra_word.hpp"
 #include "mem/fault_universe.hpp"
 #include "util/table.hpp"
@@ -46,17 +46,13 @@ void print_direction_table() {
     it.config.trajectory = traj;
     it.config.seed = 7;
     s.iterations = {it};
-    const auto algo = analysis::prt_algorithm(s);
+    const analysis::CampaignResult r =
+        analysis::run_prt_campaign(universe, s, opt);
 
-    std::uint64_t det_up = 0, det_down = 0;
+    // Even indices: aggressor above victim; odd: below.
     const std::uint64_t half = universe.size() / 2;
-    for (std::size_t i = 0; i < universe.size(); ++i) {
-      mem::FaultyRam ram(n, 1);
-      ram.inject(universe[i]);
-      const bool detected = algo(ram);
-      // Even indices: aggressor above victim; odd: below.
-      if (detected) (i % 2 == 0 ? det_up : det_down) += 1;
-    }
+    std::uint64_t det_up = half, det_down = half;
+    for (const std::size_t i : r.escapes) --(i % 2 == 0 ? det_up : det_down);
     t.add(core::to_string(traj),
           format_fixed(100.0 * static_cast<double>(det_up) /
                            static_cast<double>(half), 1),

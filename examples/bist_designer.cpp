@@ -4,22 +4,30 @@
 // good TDB with the greedy designer — everything a designer needs to
 // instantiate PRT for a new RAM.
 //
-//   $ ./bist_designer [n] [m]
+//   $ ./bist_designer [n] [m]        (defaults: n = 4096, m = 8)
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/tdb_search.hpp"
 #include "core/hw_overhead.hpp"
 #include "gf/const_mult.hpp"
 #include "gf/gf2m_poly.hpp"
 #include "mem/fault_universe.hpp"
+#include "parse_args.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace prt;
-  const mem::Addr n =
-      argc > 1 ? static_cast<mem::Addr>(std::atoi(argv[1])) : 4096;
-  const unsigned m = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 8;
+  // m is the degree of a GF(2^m) field, which GF2m caps at 16.
+  unsigned long n_arg = 4096;
+  unsigned long m_arg = 8;
+  if ((argc > 1 && !examples::parse_unsigned(argv[1], 1, 1UL << 24, n_arg)) ||
+      (argc > 2 && !examples::parse_unsigned(argv[2], 1, 16, m_arg))) {
+    std::fprintf(stderr, "usage: %s [n] [m]   (1 <= n <= 2^24, 1 <= m <= 16)\n",
+                 argv[0]);
+    return 2;
+  }
+  const auto n = static_cast<mem::Addr>(n_arg);
+  const auto m = static_cast<unsigned>(m_arg);
 
   // 1. Field selection: first primitive p(z) of degree m.
   const gf::Poly2 p = gf::first_primitive(m);

@@ -17,7 +17,6 @@
 //   $ ./campaign_service [n]        (default n = 96)
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "core/prt_engine.hpp"
 #include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
+#include "parse_args.hpp"
 
 namespace {
 
@@ -68,13 +68,12 @@ void report(const char* label, const prt::analysis::RequestOutcome& out) {
 
 int main(int argc, char** argv) {
   using namespace prt;
-  const mem::Addr n =
-      argc > 1 ? static_cast<mem::Addr>(std::strtoul(argv[1], nullptr, 10))
-               : 96;
-  if (n < 4 || n > (1u << 20)) {
+  unsigned long arg = 96;
+  if (argc > 1 && !examples::parse_unsigned(argv[1], 4, 1UL << 20, arg)) {
     std::fprintf(stderr, "usage: %s [n]   (4 <= n <= 2^20)\n", argv[0]);
     return 2;
   }
+  const auto n = static_cast<mem::Addr>(arg);
 
   // A small running window with a stall watchdog: requests past the
   // window wait in their class queue; a shard attempt wedged for more

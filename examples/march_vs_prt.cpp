@@ -5,19 +5,28 @@
 // the practical trade-off the paper's §3 argues (O(3n) per iteration,
 // 3 iterations for the targeted universe).
 //
-//   $ ./march_vs_prt [n]
+//   $ ./march_vs_prt [n]        (default n = 48)
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
+#include "analysis/campaign_engine.hpp"
 #include "analysis/coverage.hpp"
-#include "analysis/fault_sim.hpp"
+#include "analysis/march_campaign.hpp"
 #include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
+#include "mem/sram.hpp"
+#include "parse_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace prt;
-  const mem::Addr n =
-      argc > 1 ? static_cast<mem::Addr>(std::atoi(argv[1])) : 48;
+  // n >= 3 keeps every scheme's k = 2 below n; the cap bounds the
+  // O(n) universe and the O(n^2) campaigns.
+  unsigned long arg = 48;
+  if (argc > 1 && !examples::parse_unsigned(argv[1], 3, 1UL << 16, arg)) {
+    std::fprintf(stderr, "usage: %s [n]   (3 <= n <= 2^16)\n", argv[0]);
+    return 2;
+  }
+  const auto n = static_cast<mem::Addr>(arg);
 
   // Universe: every single-cell fault, adjacent coupling, decoder
   // faults — the realistic local-defect model.
@@ -42,40 +51,28 @@ int main(int argc, char** argv) {
   analysis::CampaignOptions opt;
   opt.n = n;
 
-  struct Entry {
-    std::string name;
-    analysis::TestAlgorithm algo;
-    std::uint64_t ops;
-  };
-  std::vector<Entry> entries;
-  entries.push_back({"PRT-3 (9n)",
-                     analysis::prt_algorithm(core::standard_scheme_bom(n)),
-                     core::prt_ops(n, 2, 3)});
-  entries.push_back(
-      {"PRT-ext",
-       analysis::prt_algorithm(core::extended_scheme_bom(n)),
-       0});  // ops filled from a probe run below
-  for (const auto& m :
-       {march::mats_plus(), march::march_y(), march::march_c_minus(),
-        march::march_ss()}) {
-    entries.push_back({m.name + " (" + std::to_string(m.ops_per_cell()) +
-                           "n)",
-                       analysis::march_algorithm(m), m.total_ops(n)});
-  }
-
-  // Probe the extended scheme's op count on a healthy memory.
-  {
-    mem::SimRam probe(n, 1);
-    entries[1].ops = core::run_prt(probe, core::extended_scheme_bom(n)).ops();
-  }
-
   std::vector<analysis::NamedResult> rows;
   Table cost({"algorithm", "ops", "ops/cell"});
   cost.set_align(0, Align::kLeft);
-  for (const Entry& e : entries) {
-    rows.push_back({e.name, analysis::run_campaign(universe, e.algo, opt)});
-    cost.add(e.name, e.ops,
-             format_fixed(static_cast<double>(e.ops) / n, 1));
+  auto add = [&](std::string name, analysis::CampaignResult result,
+                 std::uint64_t ops) {
+    cost.add(name, ops, format_fixed(static_cast<double>(ops) / n, 1));
+    rows.push_back({std::move(name), std::move(result)});
+  };
+  add("PRT-3 (9n)",
+      analysis::run_prt_campaign(universe, core::standard_scheme_bom(n), opt),
+      core::prt_ops(n, 2, 3));
+  // The extended scheme's op count comes from a probe run on a healthy
+  // memory.
+  const core::PrtScheme extended = core::extended_scheme_bom(n);
+  mem::SimRam probe(n, 1);
+  add("PRT-ext", analysis::run_prt_campaign(universe, extended, opt),
+      core::run_prt(probe, extended).ops());
+  for (const auto& m :
+       {march::mats_plus(), march::march_y(), march::march_c_minus(),
+        march::march_ss()}) {
+    add(m.name + " (" + std::to_string(m.ops_per_cell()) + "n)",
+        analysis::run_march_campaign(universe, m, opt), m.total_ops(n));
   }
 
   std::printf("%s\n", analysis::coverage_table(rows).str().c_str());

@@ -3,18 +3,23 @@
 // LFSR g(x) = 1 + 2x + 2x^2, with the two-port schedule issuing both
 // window reads in one cycle (2n cycles instead of 3n).
 //
-//   $ ./wom_dualport [n]
+//   $ ./wom_dualport [n]        (default n = 257)
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/prt_multiport.hpp"
 #include "gf/gf2m_poly.hpp"
 #include "mem/fault_injector.hpp"
+#include "parse_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace prt;
-  const mem::Addr n =
-      argc > 1 ? static_cast<mem::Addr>(std::atoi(argv[1])) : 257;
+  // The quad-port schedules need n > 3.
+  unsigned long arg = 257;
+  if (argc > 1 && !examples::parse_unsigned(argv[1], 4, 1UL << 20, arg)) {
+    std::fprintf(stderr, "usage: %s [n]   (4 <= n <= 2^20)\n", argv[0]);
+    return 2;
+  }
+  const auto n = static_cast<mem::Addr>(arg);
 
   const gf::GF2m field(0b10011);  // p(z) = 1 + z + z^4
   const gf::PolyGF2m g({1, 2, 2});

@@ -12,11 +12,12 @@
 //     one fault runs on the scalar reference, how one lane batch
 //     replays its transcript, and whether the workload packs at all.
 //
-// Each workload has exactly one scalar route, the live reference the
-// paper programs run through run_campaign: core::run_prt with the
-// cached oracle (prt_algorithm) or march::run_march_backgrounds
-// (march_algorithm).  Every valid PRT scheme packs; March packs at
-// m = 1 (DESIGN.md §17).
+// Each workload has exactly one scalar route, the live reference that
+// run_campaign also runs: core::run_prt with the cached oracle
+// (prt_algorithm) or march::run_march_backgrounds (march_algorithm).
+// Every valid PRT scheme packs; March packs at m = 1 (DESIGN.md §17).
+// The paper programs, the examples and the TDB designer all run their
+// campaigns through this driver (DESIGN.md §19).
 //
 // The public classes in campaign_engine.hpp / march_campaign.hpp are
 // thin facades over a driver instance; CampaignSuite and
@@ -58,12 +59,12 @@ inline constexpr std::size_t kWideMinFaults = 256;
 class PrtWorkload {
  public:
   /// Throws std::invalid_argument on malformed `opt` or `scheme`
-  /// (validate_campaign_options, validate_prt_scheme).
+  /// (validate_campaign_options, core::validate_prt_scheme).
   PrtWorkload(core::PrtScheme scheme, const CampaignOptions& opt,
               bool early_abort, OracleCache& cache)
       : scheme_(std::move(scheme)), early_abort_(early_abort) {
     validate_campaign_options(opt);
-    validate_prt_scheme(scheme_, opt);
+    core::validate_prt_scheme(scheme_, opt.n, opt.m);
     entry_ = cache.prt(scheme_, opt.n);
   }
 
@@ -87,9 +88,9 @@ class PrtWorkload {
     }
   };
 
-  /// Every scheme validate_prt_scheme admits packs: its field degree
-  /// is the word width, so the packed ram carries one bit plane per
-  /// field bit and the transcript's tap matrices line up.
+  /// Every scheme core::validate_prt_scheme admits packs: its field
+  /// degree is the word width, so the packed ram carries one bit plane
+  /// per field bit and the transcript's tap matrices line up.
   [[nodiscard]] bool packable() const { return true; }
 
   /// Runs one fault on the live reference; returns detected, charges

@@ -1,9 +1,10 @@
 // Oracle-backed, thread-parallel fault-simulation campaign engine for
 // PRT schemes.
 //
-// run_campaign (fault_sim.hpp) evaluates an arbitrary TestAlgorithm
-// serially; this engine is the fast path for the common case where the
-// algorithm is a PRT scheme.  It is a thin facade over the generic
+// Every PRT-scheme campaign runs here: the paper programs' coverage
+// tables, the examples and the TDB designer; run_campaign
+// (fault_sim.hpp) stays only as the serial reference it is checked
+// against.  The engine is a thin facade over the generic
 // analysis::CampaignDriver (campaign_driver.hpp) instantiated with the
 // PRT workload — MarchCampaign is the same driver with the March
 // workload, and CampaignSuite fans one request over a grid of
@@ -52,7 +53,7 @@ class CampaignEngine {
   /// Fetches the per-(scheme, n) artifacts from OracleCache::global()
   /// (building them on first use).  Throws std::invalid_argument on
   /// malformed options or schemes (validate_campaign_options,
-  /// validate_prt_scheme: n above every k, m the field's degree).
+  /// core::validate_prt_scheme: n above every k, m the field's degree).
   CampaignEngine(core::PrtScheme scheme, const CampaignOptions& opt,
                  const EngineOptions& engine = {});
   ~CampaignEngine();

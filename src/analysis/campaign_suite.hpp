@@ -117,11 +117,11 @@ class CampaignSuite {
   /// Throws std::invalid_argument on any malformed configuration
   /// (validate_campaign_options, checked up-front for every
   /// configuration before any work is scheduled) or scheme
-  /// (validate_prt_scheme, when the configuration's job builds its
-  /// driver); a failure on a worker is rethrown here.  Same pool contract as
-  /// CampaignEngine::run: the pool is shared per thread count, and
-  /// run() must not be called from a task already running on a
-  /// campaign pool.
+  /// (core::validate_prt_scheme, when the configuration's job builds
+  /// its driver); a failure on a worker is rethrown here.  Same pool
+  /// contract as CampaignEngine::run: the pool is shared per thread
+  /// count, and run() must not be called from a task already running
+  /// on a campaign pool.
   [[nodiscard]] SuiteResult run(std::span<const CampaignOptions> configs,
                                 const UniverseGenerator& universe) const;
 

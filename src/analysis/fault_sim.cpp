@@ -5,8 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "util/bitops.hpp"
-
 namespace prt::analysis {
 
 void validate_campaign_options(const CampaignOptions& opt) {
@@ -24,54 +22,6 @@ void validate_campaign_options(const CampaignOptions& opt) {
     throw std::invalid_argument(
         "CampaignOptions: ports must be 1, 2 or 4 (got " +
         std::to_string(opt.ports) + ")");
-  }
-}
-
-void validate_prt_scheme(const core::PrtScheme& scheme,
-                         const CampaignOptions& opt) {
-  const int degree = poly_degree(scheme.field_modulus);
-  if (degree != static_cast<int>(opt.m) || degree > 16) {
-    throw std::invalid_argument(
-        "PrtScheme: field degree " + std::to_string(degree) +
-        " must equal the campaign word width m = " + std::to_string(opt.m) +
-        " and lie in [1, 16]");
-  }
-  if (scheme.iterations.empty()) {
-    throw std::invalid_argument("PrtScheme: no iterations");
-  }
-  const gf::Elem field_size = gf::Elem{1} << degree;
-  for (std::size_t i = 0; i < scheme.iterations.size(); ++i) {
-    const core::SchemeIteration& it = scheme.iterations[i];
-    const std::string where = "PrtScheme iteration " + std::to_string(i);
-    const std::size_t k = it.g.empty() ? 0 : it.g.size() - 1;
-    if (k < 1 || k >= opt.n || opt.m * k > 64) {
-      throw std::invalid_argument(
-          where + ": need 1 <= k < n and m * k <= 64 (got k = " +
-          std::to_string(k) + ", n = " + std::to_string(opt.n) +
-          ", m = " + std::to_string(opt.m) + ")");
-    }
-    if (it.config.init.size() != k) {
-      throw std::invalid_argument(where + ": needs k = " + std::to_string(k) +
-                                  " seeds (got " +
-                                  std::to_string(it.config.init.size()) + ")");
-    }
-    if (it.g.front() == 0 || it.g.back() == 0) {
-      throw std::invalid_argument(where + ": g0 and gk must be non-zero");
-    }
-    for (const gf::Elem c : it.g) {
-      if (c >= field_size) {
-        throw std::invalid_argument(where + ": coefficient " +
-                                    std::to_string(c) + " outside GF(2^" +
-                                    std::to_string(degree) + ")");
-      }
-    }
-    for (const gf::Elem d : it.config.init) {
-      if (d >= field_size) {
-        throw std::invalid_argument(where + ": seed " + std::to_string(d) +
-                                    " outside GF(2^" + std::to_string(degree) +
-                                    ")");
-      }
-    }
   }
 }
 
@@ -139,7 +89,7 @@ TestAlgorithm prt_algorithm(core::PrtScheme scheme) {
              mem::Memory& memory) mutable {
     auto it = oracles.find(memory.size());
     if (it == oracles.end()) {
-      validate_prt_scheme(scheme, {.n = memory.size(), .m = memory.width()});
+      core::validate_prt_scheme(scheme, memory.size(), memory.width());
       it = oracles.emplace(memory.size(),
                            core::make_prt_oracle(scheme, memory.size()))
                .first;
@@ -148,18 +98,6 @@ TestAlgorithm prt_algorithm(core::PrtScheme scheme) {
                                    .record_iterations = false};
     return core::run_prt(memory, scheme, it->second, opts).detected();
   };
-}
-
-TestAlgorithm prt_algorithm_prefix(core::PrtScheme scheme,
-                                   std::size_t iterations) {
-  if (iterations < 1 || iterations > scheme.iterations.size()) {
-    throw std::invalid_argument(
-        "prt_algorithm_prefix: iterations must be in [1, " +
-        std::to_string(scheme.iterations.size()) + "], got " +
-        std::to_string(iterations));
-  }
-  scheme.iterations.resize(iterations);
-  return prt_algorithm(std::move(scheme));
 }
 
 }  // namespace prt::analysis

@@ -1,9 +1,11 @@
-// Fault-simulation campaign driver.
+// Fault-simulation campaign types and the live scalar reference.
 //
-// A campaign instantiates one FaultyRam per fault in a universe, runs a
-// test algorithm against it, and tallies detection per fault class.
-// This is the empirical machinery behind the paper's §3 coverage claim
-// and behind every coverage table in bench/.
+// CampaignResult, CampaignOptions and EngineOptions are shared by every
+// campaign surface (CampaignEngine, MarchCampaign, CampaignSuite,
+// CampaignService); the engines fill the paper's coverage tables in
+// bench/.  run_campaign runs one FaultyRam per fault of a universe
+// against a test algorithm and tallies detection per fault class — the
+// serial reference every engine is checked against.
 #pragma once
 
 #include <cstdint>
@@ -136,19 +138,9 @@ struct CampaignOutcome {
 /// CampaignSuite, and run_campaign below).  Throws
 /// std::invalid_argument — before any worker thread or memory is
 /// constructed — unless n >= 1, 1 <= m <= 32 (the SimRam word width)
-/// and ports is 1, 2 or 4 (the per-port state arrays).
+/// and ports is 1, 2 or 4 (the per-port state arrays).  Schemes are
+/// checked by core::validate_prt_scheme (core/prt_engine.hpp).
 void validate_campaign_options(const CampaignOptions& opt);
-
-/// Scheme validation for every campaign boundary that runs a PRT scheme
-/// (the driver behind CampaignEngine / CampaignSuite / CampaignService,
-/// and prt_algorithm's oracle build).  Throws std::invalid_argument,
-/// naming the value, unless the field degree equals opt.m (and lies in
-/// GF2m's [1, 16]), the scheme has iterations, and every iteration has
-/// 1 <= k < opt.n with m * k <= 64 (the oracle's LFSR jump-ahead packs
-/// the register into one word), k seeds, non-zero g0 and gk, and every
-/// coefficient and seed inside the field.
-void validate_prt_scheme(const core::PrtScheme& scheme,
-                         const CampaignOptions& opt);
 
 /// Folds batch results produced over contiguous ascending fault-index
 /// ranges back into one CampaignResult, in batch order — the merge
@@ -157,11 +149,13 @@ void validate_prt_scheme(const core::PrtScheme& scheme,
 [[nodiscard]] CampaignResult merge_results(
     std::span<const CampaignResult> shards);
 
-/// Runs `test` once per fault; each run sees a freshly reset memory
-/// with exactly that fault injected.  Serial by construction (the
-/// TestAlgorithm may capture mutable state); PRT-scheme campaigns
-/// should prefer the oracle-backed, parallel CampaignEngine
-/// (analysis/campaign_engine.hpp), which produces identical results.
+/// The live scalar reference: runs `test` once per fault, each run on
+/// a freshly reset memory with exactly that fault injected.  Serial by
+/// construction (the TestAlgorithm may capture mutable state).  Every
+/// coverage table runs on CampaignEngine / MarchCampaign
+/// (run_prt_campaign, run_march_campaign); this loop and the adapters
+/// below stay as the yardstick the tests, the fuzzer and perfbench's
+/// bulk check compare those engines against.
 [[nodiscard]] CampaignResult run_campaign(
     std::span<const mem::Fault> universe, const TestAlgorithm& test,
     const CampaignOptions& opt);
@@ -172,17 +166,11 @@ void validate_prt_scheme(const core::PrtScheme& scheme,
 [[nodiscard]] TestAlgorithm march_algorithm(march::MarchTest test);
 
 /// PRT scheme (all iterations).  The returned algorithm memoizes a
-/// PrtOracle per memory size, so even legacy run_campaign call sites
-/// derive each scheme's trajectories/golden sequences once per
-/// campaign instead of once per fault.  The oracle build validates the
-/// scheme against the memory's size and width (validate_prt_scheme).
+/// PrtOracle per memory size, so a run_campaign call derives each
+/// scheme's trajectories/golden sequences once per campaign instead of
+/// once per fault.  The oracle build validates the scheme against the
+/// memory's size and width (core::validate_prt_scheme).  For a prefix
+/// of the scheme, truncate `scheme.iterations` first.
 [[nodiscard]] TestAlgorithm prt_algorithm(core::PrtScheme scheme);
-
-/// PRT scheme truncated to its first `iterations` iterations — the
-/// coverage-vs-iterations sweep of the §3 claim.  Throws
-/// std::invalid_argument unless 1 <= iterations <= the scheme's
-/// iteration count.
-[[nodiscard]] TestAlgorithm prt_algorithm_prefix(core::PrtScheme scheme,
-                                                 std::size_t iterations);
 
 }  // namespace prt::analysis

@@ -1,8 +1,9 @@
 // Lane-batched, thread-parallel March fault-simulation campaigns.
 //
-// run_campaign (fault_sim.hpp) evaluates march_algorithm serially, one
-// FaultyRam run per fault; this campaign is the fast path for March
-// coverage tables.  It is a thin facade over the generic
+// Every March coverage table runs here (the paper programs and the
+// examples); run_campaign with march_algorithm (fault_sim.hpp) stays
+// only as the serial reference, one FaultyRam run per fault, that it
+// is checked against.  It is a thin facade over the generic
 // analysis::CampaignDriver (campaign_driver.hpp) instantiated with the
 // March workload — the same driver, shared pool, shard loops and
 // order-deterministic merge CampaignEngine runs on:

@@ -85,7 +85,7 @@ class OracleCache {
 
   /// Returns the entry for (scheme, n), building it exactly once per
   /// key.  Blocks only when another thread is already building the
-  /// same key.  Precondition: the scheme passes validate_prt_scheme
+  /// same key.  Precondition: the scheme passes core::validate_prt_scheme
   /// for this n (campaigns check it before the lookup).
   [[nodiscard]] std::shared_ptr<const PrtEntry> prt(
       const core::PrtScheme& scheme, mem::Addr n);

@@ -1,6 +1,9 @@
 #include "analysis/tdb_search.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
+
+#include "analysis/campaign_engine.hpp"
 
 namespace prt::analysis {
 
@@ -12,28 +15,6 @@ Candidate make_candidate(std::vector<gf::Elem> g, std::vector<gf::Elem> init,
   c.g = std::move(g);
   c.config.init = std::move(init);
   c.config.trajectory = traj;
-  return c;
-}
-
-/// Per-fault detection bitmap of a (partial) scheme, evaluated by true
-/// sequential campaign — iteration order matters for transition and
-/// disturb faults, so candidates are always scored in context.
-std::vector<bool> detection_map(const core::PrtScheme& scheme,
-                                std::span<const mem::Fault> universe,
-                                const CampaignOptions& opt) {
-  const TestAlgorithm algo = prt_algorithm(scheme);
-  std::vector<bool> detected(universe.size(), false);
-  mem::FaultyRam ram(opt.n, opt.m, opt.ports);
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    ram.reset(universe[i]);
-    detected[i] = algo(ram);
-  }
-  return detected;
-}
-
-std::uint64_t count(const std::vector<bool>& v) {
-  std::uint64_t c = 0;
-  for (bool b : v) c += b ? 1 : 0;
   return c;
 }
 
@@ -73,38 +54,37 @@ SearchResult search_tdb(const gf::GF2m& field,
                         const std::vector<Candidate>& pool,
                         std::span<const mem::Fault> universe,
                         const CampaignOptions& opt, unsigned iterations) {
-  assert(!pool.empty() && iterations >= 1);
+  if (pool.empty()) {
+    throw std::invalid_argument("search_tdb: candidate pool is empty");
+  }
+  if (iterations < 1) {
+    throw std::invalid_argument("search_tdb: iterations must be >= 1 (got " +
+                                std::to_string(iterations) + ")");
+  }
 
   SearchResult result;
   result.scheme.field_modulus = field.modulus();
-  std::vector<bool> covered(universe.size(), false);
-
+  // Candidates are always scored in context — the trial scheme is the
+  // selection so far plus the candidate — because iteration order
+  // matters for transition and disturb faults.  Each trial is one
+  // engine campaign on the shared pool, hence the header's rule that
+  // search_tdb must not run inside a pool task.
+  CampaignResult best;
   for (unsigned step = 0; step < iterations; ++step) {
-    std::size_t best = pool.size();
-    std::uint64_t best_total = 0;
-    std::vector<bool> best_map;
+    std::size_t pick = pool.size();
     for (std::size_t c = 0; c < pool.size(); ++c) {
       core::PrtScheme trial = result.scheme;
       trial.iterations.push_back(pool[c]);
-      std::vector<bool> map = detection_map(trial, universe, opt);
-      const std::uint64_t total = count(map);
-      if (best == pool.size() || total > best_total) {
-        best = c;
-        best_total = total;
-        best_map = std::move(map);
+      CampaignResult r = run_prt_campaign(universe, trial, opt);
+      if (pick == pool.size() || r.overall.detected > best.overall.detected) {
+        pick = c;
+        best = std::move(r);
       }
     }
-    result.scheme.iterations.push_back(pool[best]);
-    covered = std::move(best_map);
-    result.coverage_by_iterations.push_back(
-        universe.empty() ? 100.0
-                         : 100.0 * static_cast<double>(best_total) /
-                               static_cast<double>(universe.size()));
+    result.scheme.iterations.push_back(pool[pick]);
+    result.coverage_by_iterations.push_back(best.overall.percent());
   }
-
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    if (!covered[i]) result.escapes.push_back(i);
-  }
+  result.escapes = std::move(best.escapes);
   return result;
 }
 

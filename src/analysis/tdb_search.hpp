@@ -6,7 +6,10 @@
 // forward selection: each added iteration maximizes the number of
 // *additional* faults detected.  It both reconstructs the paper's
 // "specific TDB" result (3 iterations reaching full coverage of the
-// targeted universe) and powers the bist_designer example.
+// targeted universe) and powers the bist_designer example.  Every
+// trial scheme is scored by one run_prt_campaign call on the shared
+// campaign pool, so a search is as fast as the engines and inherits
+// their pool contract.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +40,14 @@ struct SearchResult {
 };
 
 /// Greedy forward selection of `iterations` scheme steps from the
-/// candidate pool, evaluated against `universe` on an (n, m) memory.
+/// candidate pool, evaluated against `universe` on an (n, m) memory;
+/// ties go to the earlier candidate.  Each trial runs as a
+/// CampaignEngine campaign with default EngineOptions, so, like
+/// CampaignEngine::run, search_tdb must not be called from a task
+/// already running on a campaign pool.  Throws std::invalid_argument
+/// on an empty pool, on zero iterations, and on options or candidates
+/// the engine rejects (validate_campaign_options,
+/// core::validate_prt_scheme).
 [[nodiscard]] SearchResult search_tdb(
     const gf::GF2m& field, const std::vector<Candidate>& pool,
     std::span<const mem::Fault> universe, const CampaignOptions& opt,

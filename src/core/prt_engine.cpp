@@ -1,10 +1,60 @@
 #include "core/prt_engine.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "gf/gf2m_poly.hpp"
+#include "util/bitops.hpp"
 
 namespace prt::core {
+
+void validate_prt_scheme(const PrtScheme& scheme, mem::Addr n, unsigned m) {
+  const int degree = poly_degree(scheme.field_modulus);
+  if (degree != static_cast<int>(m) || degree > 16) {
+    throw std::invalid_argument(
+        "PrtScheme: field degree " + std::to_string(degree) +
+        " must equal the campaign word width m = " + std::to_string(m) +
+        " and lie in [1, 16]");
+  }
+  if (scheme.iterations.empty()) {
+    throw std::invalid_argument("PrtScheme: no iterations");
+  }
+  const gf::Elem field_size = gf::Elem{1} << degree;
+  for (std::size_t i = 0; i < scheme.iterations.size(); ++i) {
+    const SchemeIteration& it = scheme.iterations[i];
+    const std::string where = "PrtScheme iteration " + std::to_string(i);
+    const std::size_t k = it.g.empty() ? 0 : it.g.size() - 1;
+    if (k < 1 || k >= n || m * k > 64) {
+      throw std::invalid_argument(
+          where + ": need 1 <= k < n and m * k <= 64 (got k = " +
+          std::to_string(k) + ", n = " + std::to_string(n) +
+          ", m = " + std::to_string(m) + ")");
+    }
+    if (it.config.init.size() != k) {
+      throw std::invalid_argument(where + ": needs k = " + std::to_string(k) +
+                                  " seeds (got " +
+                                  std::to_string(it.config.init.size()) + ")");
+    }
+    if (it.g.front() == 0 || it.g.back() == 0) {
+      throw std::invalid_argument(where + ": g0 and gk must be non-zero");
+    }
+    for (const gf::Elem c : it.g) {
+      if (c >= field_size) {
+        throw std::invalid_argument(where + ": coefficient " +
+                                    std::to_string(c) + " outside GF(2^" +
+                                    std::to_string(degree) + ")");
+      }
+    }
+    for (const gf::Elem d : it.config.init) {
+      if (d >= field_size) {
+        throw std::invalid_argument(where + ": seed " + std::to_string(d) +
+                                    " outside GF(2^" + std::to_string(degree) +
+                                    ")");
+      }
+    }
+  }
+}
 
 PrtOracle make_prt_oracle(const PrtScheme& scheme, mem::Addr n) {
   assert(!scheme.iterations.empty());
@@ -41,6 +91,7 @@ std::string scheme_fingerprint(const PrtScheme& scheme) {
 }
 
 PrtVerdict run_prt(mem::Memory& memory, const PrtScheme& scheme) {
+  validate_prt_scheme(scheme, memory.size(), memory.width());
   return run_prt(memory, scheme, make_prt_oracle(scheme, memory.size()));
 }
 

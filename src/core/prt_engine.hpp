@@ -71,8 +71,18 @@ struct PrtOracle {
   std::vector<PiOracle> iterations;
 };
 
+/// The scheme rule every PRT entry point enforces (run_prt without an
+/// oracle, analysis::prt_algorithm and every campaign that runs a
+/// scheme).  Throws std::invalid_argument, naming the value, unless
+/// the field degree equals the word width m (and lies in GF2m's
+/// [1, 16]), the scheme has iterations, and every iteration has
+/// 1 <= k < n with m * k <= 64 (the oracle's LFSR jump-ahead packs the
+/// register into one word), k seeds, non-zero g0 and gk, and every
+/// coefficient and seed inside the field.
+void validate_prt_scheme(const PrtScheme& scheme, mem::Addr n, unsigned m);
+
 /// Precomputes the oracle for running `scheme` against n-cell memories.
-/// Precondition: n > k of every iteration's generator.
+/// Precondition: the scheme passes validate_prt_scheme for n.
 [[nodiscard]] PrtOracle make_prt_oracle(const PrtScheme& scheme, mem::Addr n);
 
 /// Structural fingerprint of a scheme: serializes every field the
@@ -98,7 +108,9 @@ struct PrtRunOptions {
   bool record_iterations = true;
 };
 
-/// Runs every iteration of the scheme in order.
+/// Runs every iteration of the scheme in order, building the oracle
+/// for this one run.  Throws std::invalid_argument when the scheme
+/// does not fit the memory (validate_prt_scheme).
 [[nodiscard]] PrtVerdict run_prt(mem::Memory& memory,
                                  const PrtScheme& scheme);
 

@@ -15,7 +15,7 @@ FaultyRam::FaultyRam(Addr cells, unsigned width_bits, unsigned port_count)
 void FaultyRam::inject(const Fault& fault) {
   // Malformed universes must fail loudly in release campaigns too, so
   // these are runtime throws, not asserts (same precedent as
-  // prt_algorithm_prefix).
+  // core::validate_prt_scheme).
   if (fault.victim.cell >= size() || fault.victim.bit >= width()) {
     throw std::invalid_argument("FaultyRam::inject: victim out of range: " +
                                 fault.describe());

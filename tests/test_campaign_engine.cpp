@@ -176,16 +176,6 @@ TEST(CampaignEngine, ReusedRamMatchesFreshAcrossFaultFamilies) {
   }
 }
 
-TEST(PrtAlgorithmPrefix, RejectsOutOfRangeIterationCounts) {
-  const auto scheme = core::standard_scheme_bom(16);
-  EXPECT_THROW((void)prt_algorithm_prefix(scheme, 0), std::invalid_argument);
-  EXPECT_THROW(
-      (void)prt_algorithm_prefix(scheme, scheme.iterations.size() + 1),
-      std::invalid_argument);
-  EXPECT_NO_THROW(
-      (void)prt_algorithm_prefix(scheme, scheme.iterations.size()));
-}
-
 TEST(CampaignEngine, MalformedUniverseThrowsOnEveryPath) {
   // inject()'s std::invalid_argument contract must survive the
   // parallel fan-out (worker exceptions are rethrown on the caller,

@@ -96,10 +96,11 @@ TEST(PrtAdapter, PrefixTruncatesIterations) {
   const auto universe = mem::single_cell_universe(24, 1, false);
   CampaignOptions opt;
   opt.n = 24;
-  const auto full = run_campaign(
-      universe, prt_algorithm_prefix(core::standard_scheme_bom(24), 3), opt);
-  const auto one = run_campaign(
-      universe, prt_algorithm_prefix(core::standard_scheme_bom(24), 1), opt);
+  const core::PrtScheme full_scheme = core::standard_scheme_bom(24);
+  core::PrtScheme one_scheme = full_scheme;
+  one_scheme.iterations.resize(1);
+  const auto full = run_campaign(universe, prt_algorithm(full_scheme), opt);
+  const auto one = run_campaign(universe, prt_algorithm(one_scheme), opt);
   EXPECT_GE(full.overall.detected, one.overall.detected);
   EXPECT_GT(one.overall.detected, 0u);
 }

@@ -56,10 +56,10 @@ TEST(Integration, CoverageMonotoneOverIterations) {
   opt.n = n;
   double prev = 0;
   for (unsigned iters = 1; iters <= 3; ++iters) {
-    const auto r = run_campaign(
-        universe,
-        analysis::prt_algorithm_prefix(core::standard_scheme_bom(n), iters),
-        opt);
+    core::PrtScheme prefix = core::standard_scheme_bom(n);
+    prefix.iterations.resize(iters);
+    const auto r =
+        run_campaign(universe, analysis::prt_algorithm(prefix), opt);
     EXPECT_GE(r.overall.percent(), prev - 1e-9) << iters;
     prev = r.overall.percent();
   }

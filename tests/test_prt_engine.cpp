@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "mem/fault_injector.hpp"
 #include "mem/sram.hpp"
 
@@ -314,6 +317,26 @@ TEST(RunPrt, MisrOptionDoesNotFalseAlarm) {
   const PrtVerdict v = run_prt(ram, s);
   EXPECT_TRUE(v.pass);
   EXPECT_TRUE(v.misr_pass);
+}
+
+TEST(RunPrt, RejectsSchemeThatDoesNotFitTheMemory) {
+  // The overload that builds its own oracle used to run any scheme: a
+  // k = 2 scheme on one cell crashed, on two cells it passed, and a
+  // GF(2) scheme on 4-bit words passed although every campaign
+  // rejects it.  Each message names the value.
+  const PrtScheme bom = standard_scheme_bom(16);
+  const auto expect_rejected = [&](mem::SimRam ram, const std::string& value) {
+    try {
+      (void)run_prt(ram, bom);
+      ADD_FAILURE() << "no std::invalid_argument naming \"" << value << "\"";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(value), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(mem::SimRam(1, 1), "k = 2, n = 1");
+  expect_rejected(mem::SimRam(2, 1), "k = 2, n = 2");
+  expect_rejected(mem::SimRam(64, 4), "field degree 1");
 }
 
 TEST(PrtOps, Formula) {

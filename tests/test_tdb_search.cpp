@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "mem/fault_universe.hpp"
 
 namespace prt::analysis {
@@ -73,6 +76,25 @@ TEST(Search, BeatsOrMatchesSingleFixedIteration) {
   const SearchResult one = search_tdb(f, pool, universe, opt, 1);
   EXPECT_GE(three.coverage_by_iterations.back(),
             one.coverage_by_iterations.back());
+}
+
+TEST(Search, RejectsEmptyPoolAndZeroIterations) {
+  // Both used to pass an assert that Release compiles out: an empty
+  // pool read pool[0], and zero iterations returned an empty scheme
+  // that every campaign boundary rejects.
+  const gf::GF2m f(0b11);
+  const auto universe = mem::single_cell_universe(8, 1, false);
+  CampaignOptions opt;
+  opt.n = 8;
+  EXPECT_THROW((void)search_tdb(f, {}, universe, opt, 2),
+               std::invalid_argument);
+  try {
+    (void)search_tdb(f, default_candidates(f, {1, 1, 1}), universe, opt, 0);
+    ADD_FAILURE() << "zero iterations accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("got 0"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Search, WomFieldWorks) {
