@@ -92,8 +92,8 @@ void run_tables() {
     rows.push_back({"PRT-ext", run_prt_campaign(universe,
                                                 core::extended_scheme_wom(n, m),
                                                 wopt)});
-    // Word-oriented March does not pack: MarchCampaign runs every fault
-    // on its scalar route, batched over the pool.
+    // Word-oriented March packs like the rest: one transcript sweeps
+    // every standard background over the four bit planes.
     rows.push_back({"March C-", run_march_campaign(
                                     universe, march::march_c_minus(), wopt)});
     std::printf("%s\n", analysis::coverage_table(rows).str().c_str());

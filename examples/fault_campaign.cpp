@@ -43,11 +43,18 @@ int main(int argc, char** argv) {
     grid = {{.n = 64, .m = static_cast<unsigned>(m)},
             {.n = 256, .m = static_cast<unsigned>(m)}};
   }
-  // Malformed geometry (e.g. m outside [1, 32]) is rejected by the
-  // suite's central validation — report it instead of aborting.
+  const analysis::SchemeFactory scheme =
+      [](const analysis::CampaignOptions& opt) {
+        return opt.m == 1 ? core::extended_scheme_bom(opt.n)
+                          : core::extended_scheme_wom(opt.n, opt.m);
+      };
+  // Malformed geometry (m outside the scheme's field, n no larger than
+  // the scheme's window) is rejected by the factories and the scheme
+  // rule before any campaign runs — report it instead of aborting.
   try {
     for (const analysis::CampaignOptions& opt : grid) {
       analysis::validate_campaign_options(opt);
+      core::validate_prt_scheme(scheme(opt), opt.n, opt.m);
     }
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\nusage: %s [m] [n1 n2 ...]\n", e.what(), argv[0]);
@@ -78,13 +85,8 @@ int main(int argc, char** argv) {
   // One call, the whole sweep: schemes sized per configuration,
   // oracles compiled once per (scheme, n), shards flattened onto one
   // pool.
-  const analysis::SuiteResult suite = analysis::run_prt_suite(
-      grid,
-      [](const analysis::CampaignOptions& opt) {
-        return opt.m == 1 ? core::extended_scheme_bom(opt.n)
-                          : core::extended_scheme_wom(opt.n, opt.m);
-      },
-      universe);
+  const analysis::SuiteResult suite =
+      analysis::run_prt_suite(grid, scheme, universe);
 
   std::printf("%s\n", suite.table().str().c_str());
 

@@ -30,7 +30,12 @@ Two layers (DESIGN.md §12):
          (packed_fault_ram.*, prt_packed.*, march_runner.*) outside
          src/mem/lane_word.hpp — those files are generic over the lane
          word (64/512 lanes) and must use the width-generic
-         helpers, or the WideWord instantiations silently break.
+         helpers, or the WideWord instantiations silently break;
+       * the scalar reference (FaultyRam, run_prt(, run_march(,
+         run_march_backgrounds() in src/analysis/ outside
+         src/analysis/fault_sim.cpp — every engine fault rides a packed
+         lane (DESIGN.md §20); only run_campaign and its adapters, the
+         yardstick the engines are checked against, run the reference.
 
 Exit status is non-zero when any layer reports a finding.
 
@@ -76,6 +81,11 @@ LANE_WORD_FILE_RE = re.compile(
     r"(?:^|[\\/])(?:packed_fault_ram|prt_packed|march_runner)\.(?:hpp|cpp)$")
 # The one file allowed raw lane bit twiddling: it defines the helpers.
 LANE_WORD_ALLOWLIST = {os.path.join("src", "mem", "lane_word.hpp")}
+# The engine layer, and its one file allowed to run the scalar
+# reference: run_campaign and the prt_algorithm / march_algorithm
+# adapters.
+ENGINE_PATH_PREFIX = os.path.join("src", "analysis") + os.sep
+SCALAR_REFERENCE_ALLOWLIST = {os.path.join("src", "analysis", "fault_sim.cpp")}
 
 RAW_MUTEX_RE = re.compile(
     r"\bstd::(mutex|recursive_mutex|timed_mutex|shared_mutex|"
@@ -99,6 +109,11 @@ RAW_LANE_ARITH_RE = re.compile(
     r"\b1ULL\s*<<|\b(?:std::)?uint64_t\{\s*1\s*\}\s*<<|"
     r"\bstd::popcount\s*\(|\bstd::countr_zero\s*\(|\bstd::countl_zero\s*\(|"
     r"~0ULL\b|~(?:std::)?uint64_t\{\s*0\s*\}")
+# The live scalar reference.  The \s*\( after the name keeps the packed
+# replays (run_prt_packed(, run_march_packed() out.
+SCALAR_REFERENCE_RE = re.compile(
+    r"\bFaultyRam\b|\brun_prt\s*\(|\brun_march\s*\(|"
+    r"\brun_march_backgrounds\s*\(")
 
 
 def strip_comments(text: str) -> str:
@@ -251,8 +266,24 @@ def lint_raw_lane_arith(rel_path: str, clean: str) -> list[str]:
     return findings
 
 
+def lint_scalar_reference(rel_path: str, clean: str) -> list[str]:
+    if rel_path in SCALAR_REFERENCE_ALLOWLIST or \
+            not rel_path.startswith(ENGINE_PATH_PREFIX):
+        return []
+    findings = []
+    for lineno, line in enumerate(clean.splitlines(), 1):
+        m = SCALAR_REFERENCE_RE.search(line)
+        if m:
+            findings.append(
+                f"{rel_path}:{lineno}: '{m.group(0).strip()}' — the engine "
+                f"layer runs every fault on a packed lane (DESIGN.md §20); "
+                f"the scalar reference belongs to run_campaign and its "
+                f"adapters in src/analysis/fault_sim.cpp only")
+    return findings
+
+
 CUSTOM_LINTS = (lint_raw_mutex, lint_unordered_iteration, lint_nondeterminism,
-                lint_bare_rename, lint_raw_lane_arith)
+                lint_bare_rename, lint_raw_lane_arith, lint_scalar_reference)
 
 
 def iter_source_files(changed: set[str] | None) -> list[str]:
@@ -418,6 +449,18 @@ SELFTEST_CASES = [
      "  const auto m = 1ULL << tap;\n", False),
     (lint_raw_lane_arith, "tests/test_packed_campaign.cpp",
      "  const auto m = 1ULL << lane;\n", False),
+    (lint_scalar_reference, "src/analysis/campaign_driver.hpp",
+     "  mem::FaultyRam ram(opt.n, opt.m, opt.ports);\n", True),
+    (lint_scalar_reference, "src/analysis/campaign_driver.hpp",
+     "  return core::run_prt(ram, scheme_, oracle, run).detected();\n", True),
+    (lint_scalar_reference, "src/analysis/fault_sim.cpp",
+     "  mem::FaultyRam ram(opt.n, opt.m, opt.ports);\n", False),
+    # The packed replays share the reference's name prefix.
+    (lint_scalar_reference, "src/analysis/campaign_driver.hpp",
+     "  const auto v = core::run_prt_packed(batch, t, run, scratch);\n"
+     "  const auto w = march::run_march_packed(batch, t, run);\n", False),
+    (lint_scalar_reference, "src/analysis/campaign_driver.hpp",
+     "  // unlike run_campaign, never a FaultyRam or run_prt(...)\n", False),
 ]
 
 

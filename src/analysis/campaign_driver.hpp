@@ -2,22 +2,21 @@
 // instances of.
 //
 //   CampaignDriver<Workload>  — run_stoppable() as one job on the
-//     campaign executor and, per batch, the packing rule: a packable
-//     workload puts every lane_compatible fault on a lane (512 per
-//     sweep, 64 on a batch thinner than kWideMinFaults) and runs the
-//     rest on its scalar reference; a workload that cannot pack runs
-//     every fault there;
+//     campaign executor and, per batch, the width rule: every fault
+//     rides a lane, 512 per sweep (64 on a batch thinner than
+//     kWideMinFaults);
 //   PrtWorkload / MarchWorkload — the only parts that differ: how the
-//     golden artifacts are fetched from the analysis::OracleCache, how
-//     one fault runs on the scalar reference, how one lane batch
-//     replays its transcript, and whether the workload packs at all.
+//     golden transcript is fetched from the analysis::OracleCache and
+//     how one lane batch replays it.
 //
-// Each workload has exactly one scalar route, the live reference that
-// run_campaign also runs: core::run_prt with the cached oracle
-// (prt_algorithm) or march::run_march_backgrounds (march_algorithm).
-// Every valid PRT scheme packs; March packs at m = 1 (DESIGN.md §17).
-// The paper programs, the examples and the TDB designer all run their
-// campaigns through this driver (DESIGN.md §19).
+// There is one route per campaign (DESIGN.md §20): add_fault takes
+// every fault FaultyRam::inject takes, every valid PRT scheme replays
+// at its field degree and every March test at its word width.  The
+// live reference — core::run_prt (prt_algorithm) and
+// march::run_march_backgrounds (march_algorithm) under run_campaign —
+// stays outside the engines, as the yardstick they are checked
+// against.  The paper programs, the examples and the TDB designer all
+// run their campaigns through this driver (DESIGN.md §19).
 //
 // The public classes in campaign_engine.hpp / march_campaign.hpp are
 // thin facades over a driver instance; CampaignSuite and
@@ -43,7 +42,6 @@
 #include "analysis/oracle_cache.hpp"
 #include "core/prt_packed.hpp"
 #include "march/march_runner.hpp"
-#include "mem/fault_injector.hpp"
 #include "util/thread_pool.hpp"
 
 namespace prt::analysis::detail {
@@ -53,9 +51,8 @@ namespace prt::analysis::detail {
 /// whole-word XORs on mostly empty lanes.
 inline constexpr std::size_t kWideMinFaults = 256;
 
-/// PRT-scheme workload: golden artifacts from OracleCache::prt, the
-/// live oracle-backed core::run_prt per scalar fault, packed batches
-/// over core::run_prt_packed.
+/// PRT-scheme workload: golden artifacts from OracleCache::prt, lane
+/// batches over core::run_prt_packed.
 class PrtWorkload {
  public:
   /// Throws std::invalid_argument on malformed `opt` or `scheme`
@@ -68,14 +65,10 @@ class PrtWorkload {
     entry_ = cache.prt(scheme_, opt.n);
   }
 
-  /// Per-shard mutable state: one rewindable FaultyRam and the packed
-  /// replay scratches (one per lane width; the unused one never
-  /// allocates — PackedScratchT vectors grow on first use), owned by
-  /// exactly one worker at a time.
+  /// Per-shard mutable state: the packed replay scratches (one per lane
+  /// width; the unused one never allocates — PackedScratchT vectors
+  /// grow on first use), owned by exactly one worker at a time.
   struct ShardState {
-    explicit ShardState(const CampaignOptions& opt)
-        : ram(opt.n, opt.m, opt.ports) {}
-    mem::FaultyRam ram;
     core::PackedScratchT<mem::LaneWord> scratch64;
     core::PackedScratchT<mem::WideWord<8>> scratch512;
     template <typename W>
@@ -88,27 +81,9 @@ class PrtWorkload {
     }
   };
 
-  /// Every scheme core::validate_prt_scheme admits packs: its field
-  /// degree is the word width, so the packed ram carries one bit plane
-  /// per field bit and the transcript's tap matrices line up.
-  [[nodiscard]] bool packable() const { return true; }
-
-  /// Runs one fault on the live reference; returns detected, charges
-  /// its ops.
-  bool run_fault(ShardState& s, const mem::Fault& fault,
-                 std::uint64_t& ops) const {
-    s.ram.reset(fault);
-    const core::PrtRunOptions run{.early_abort = early_abort_,
-                                  .record_iterations = false};
-    const bool detected =
-        core::run_prt(s.ram, scheme_, entry_->oracle, run).detected();
-    ops += s.ram.total_stats().total();
-    return detected;
-  }
-
   /// Runs one flushed lane batch at the batch's width; returns
   /// {detected lane word, ops to charge for the whole batch} —
-  /// scalar_ops reproduces, per lane, exactly what the scalar path
+  /// scalar_ops reproduces, per lane, exactly what the live reference
   /// would have issued for that fault.
   template <typename W>
   std::pair<W, std::uint64_t> run_batch(
@@ -120,9 +95,6 @@ class PrtWorkload {
   }
 
   [[nodiscard]] const core::PrtScheme& scheme() const { return scheme_; }
-  [[nodiscard]] const core::PrtOracle& oracle() const {
-    return entry_->oracle;
-  }
   [[nodiscard]] const std::string& name() const { return scheme_.name; }
 
  private:
@@ -131,9 +103,9 @@ class PrtWorkload {
   bool early_abort_;
 };
 
-/// March-test workload: the live background sweep per scalar fault;
-/// at m = 1 also the transcript from OracleCache::march, which packed
-/// batches replay through march::run_march_packed.
+/// March-test workload: the whole background sweep on the m-bit memory
+/// compiled once (OracleCache::march), lane batches over
+/// march::run_march_packed.
 class MarchWorkload {
  public:
   /// Throws std::invalid_argument on malformed `opt` and on March
@@ -152,40 +124,12 @@ class MarchWorkload {
         }
       }
     }
-    backgrounds_ = march::standard_backgrounds(opt.m);
-    // standard_backgrounds' contract: every background fits the m-bit
-    // word.  A wider word would silently mis-expand data index 1
-    // (~background) — reject it here, not in a worker thread.
-    for (const mem::Word bg : backgrounds_) {
-      if (opt.m < 32 && (bg >> opt.m) != 0) {
-        throw std::invalid_argument(
-            "MarchCampaign: background " + std::to_string(bg) +
-            " wider than the m = " + std::to_string(opt.m) + " word");
-      }
-    }
-    // m = 1 has the single background 0, so one compiled transcript
-    // covers the whole background set the reference sweeps.  The packed
-    // March replay runs one bit plane, so wider words cannot pack.
-    if (opt.m == 1) entry_ = cache.march(test_, opt.n, /*background=*/false);
+    entry_ = cache.march(test_, opt.n, /*background=*/false,
+                         march::kDefaultDelayTicks, opt.m);
   }
 
-  struct ShardState {
-    explicit ShardState(const CampaignOptions& opt)
-        : ram(opt.n, opt.m, opt.ports) {}
-    mem::FaultyRam ram;
-  };
-
-  [[nodiscard]] bool packable() const { return entry_ != nullptr; }
-
-  bool run_fault(ShardState& s, const mem::Fault& fault,
-                 std::uint64_t& ops) const {
-    s.ram.reset(fault);
-    const march::MarchRunOptions run{.early_abort = early_abort_};
-    const bool detected =
-        march::run_march_backgrounds(test_, s.ram, backgrounds_, run).fail;
-    ops += s.ram.total_stats().total();
-    return detected;
-  }
+  /// The March replay keeps no state between batches.
+  struct ShardState {};
 
   template <typename W>
   std::pair<W, std::uint64_t> run_batch(ShardState&,
@@ -201,15 +145,14 @@ class MarchWorkload {
 
  private:
   march::MarchTest test_;
-  std::vector<mem::Word> backgrounds_;
   std::shared_ptr<const OracleCache::MarchEntry> entry_;
   bool early_abort_;
 };
 
-/// The generic driver: one executor job per run, the packing rule per
-/// batch.  Workload supplies the four campaign-type-specific hooks
-/// (ShardState, packable, run_fault, run_batch).  Holds no mutable
-/// state, so concurrent runs on one driver are independent.
+/// The generic driver: one executor job per run, the width rule per
+/// batch.  Workload supplies the campaign-type-specific hooks
+/// (ShardState, run_batch).  Holds no mutable state, so concurrent runs
+/// on one driver are independent.
 template <typename Workload>
 class CampaignDriver {
  public:
@@ -233,19 +176,10 @@ class CampaignDriver {
   bool run_shard(std::span<const mem::Fault> universe, std::size_t begin,
                  std::size_t end, CampaignResult& out,
                  const util::StopToken& stop = {}) const {
-    typename Workload::ShardState state(opt_);
-    auto run_scalar = [&](std::size_t i) {
-      return workload_.run_fault(state, universe[i], out.ops);
-    };
-    if (!workload_.packable()) {
-      return scalar_shard(universe, begin, end, out, run_scalar, stop);
-    }
     if (end - begin >= kWideMinFaults) {
-      return lane_shard<mem::WideWord<8>>(state, universe, begin, end, out,
-                                          run_scalar, stop);
+      return lane_shard<mem::WideWord<8>>(universe, begin, end, out, stop);
     }
-    return lane_shard<mem::LaneWord>(state, universe, begin, end, out,
-                                     run_scalar, stop);
+    return lane_shard<mem::LaneWord>(universe, begin, end, out, stop);
   }
 
   /// One executor job over the universe: batches poll `stop` per
@@ -274,17 +208,17 @@ class CampaignDriver {
 
  private:
   /// The lane-batched shard loop at one lane width.
-  template <typename W, typename RunScalar>
-  bool lane_shard(typename Workload::ShardState& state,
-                  std::span<const mem::Fault> universe, std::size_t begin,
-                  std::size_t end, CampaignResult& out, RunScalar& run_scalar,
+  template <typename W>
+  bool lane_shard(std::span<const mem::Fault> universe, std::size_t begin,
+                  std::size_t end, CampaignResult& out,
                   const util::StopToken& stop) const {
+    typename Workload::ShardState state;
     mem::PackedFaultRamT<W> packed(opt_.n, opt_.m);
     auto run_batch = [&](mem::PackedFaultRamT<W>& batch) {
       return workload_.run_batch(state, batch);
     };
     return lane_batched_shard(universe, begin, end, packed, out, run_batch,
-                              run_scalar, stop);
+                              stop);
   }
 
   Workload workload_;

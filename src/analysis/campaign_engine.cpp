@@ -17,10 +17,6 @@ const core::PrtScheme& CampaignEngine::scheme() const {
   return driver_->workload().scheme();
 }
 
-const core::PrtOracle& CampaignEngine::oracle() const {
-  return driver_->workload().oracle();
-}
-
 CampaignResult CampaignEngine::run(
     std::span<const mem::Fault> universe) const {
   return driver_->run_stoppable(universe, util::StopToken()).result;

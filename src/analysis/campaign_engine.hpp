@@ -20,17 +20,14 @@
 //    on the process-wide worker pool for the thread count and merge in
 //    batch order, so the output is bit-identical to the serial
 //    reference at any thread count;
-//  * every valid scheme packs, GF(2) and GF(2^m) alike: lane-compatible
-//    faults are batched 512 per sweep (64 on a batch thinner than 256
-//    faults) onto a bit-packed mem::PackedFaultRamT and replay the
-//    cached transcript via run_prt_packed, with early abort composing
-//    through per-lane mismatch retirement;
-//  * the rare fault no lane takes (a degenerate CFst trigger state, a
-//    victim bit beyond the word) runs the live reference,
-//    core::run_prt with the cached oracle, on one rewindable FaultyRam
-//    per worker.
+//  * every valid scheme packs, GF(2) and GF(2^m) alike, and every
+//    fault rides a lane: faults are batched 512 per sweep (64 on a
+//    batch thinner than 256 faults) onto a bit-packed
+//    mem::PackedFaultRamT and replay the cached transcript via
+//    run_prt_packed, with early abort composing through per-lane
+//    mismatch retirement.
 //
-// See DESIGN.md §7/§8/§9/§10/§17; tests/test_campaign_golden.cpp pins
+// See DESIGN.md §7/§8/§9/§10/§20; tests/test_campaign_golden.cpp pins
 // the engine against the live reference on every universe family.
 #pragma once
 
@@ -61,7 +58,6 @@ class CampaignEngine {
   CampaignEngine& operator=(const CampaignEngine&) = delete;
 
   [[nodiscard]] const core::PrtScheme& scheme() const;
-  [[nodiscard]] const core::PrtOracle& oracle() const;
 
   /// Simulates every fault of the universe.  Identical CampaignResult
   /// to run_campaign(universe, prt_algorithm(scheme), opt) regardless

@@ -94,6 +94,13 @@ std::string request_fingerprint(const CampaignRequest& req) {
 //   prt-campaign-checkpoint v3
 //   meta <crc32hex> fingerprint <fp> batches <total>
 //   rec <crc32hex> batch <idx> ops <n> overall <d> <t> classes ...
+//       escapes ... dispatch <packed> <scalar>
+//
+// The dispatch pair counted the faults of the retired per-fault scalar
+// route.  Every fault rides a lane now, so the writer emits
+// "<total> 0"; the reader still requires the pair to split the
+// record's faults, so files written before and after resume alike
+// (DESIGN.md §20).
 //
 // Each <crc32hex> is 8 lowercase hex digits over the rest of its line
 // (the payload after "<crc32hex> ").  Replaced durably and atomically
@@ -130,7 +137,7 @@ std::string batch_record_payload(std::size_t index, const CampaignResult& r) {
   }
   out << " escapes " << r.escapes.size();
   for (const std::size_t e : r.escapes) out << " " << e;
-  out << " dispatch " << r.packed_faults << " " << r.scalar_faults;
+  out << " dispatch " << r.overall.total << " 0";
   return out.str();
 }
 
@@ -211,19 +218,23 @@ bool parse_batch_record(const std::string& payload, std::size_t& index,
     if (!(in >> idx)) return false;
     r.escapes.push_back(idx);
   }
-  if (!(in >> word) || word != "dispatch" ||
-      !(in >> r.packed_faults >> r.scalar_faults)) {
+  std::uint64_t packed = 0;
+  std::uint64_t scalar = 0;
+  if (!(in >> word) || word != "dispatch" || !(in >> packed >> scalar) ||
+      packed > r.overall.total || scalar != r.overall.total - packed) {
     return false;
   }
   return !(in >> word);  // trailing junk
 }
 
 /// True when a CRC-valid record is a plausible tally of its batch
-/// [begin, end): it counts every fault of the batch once, its class
-/// tallies sum to the overall one, its escapes are exactly the
-/// undetected faults (strictly ascending inside the batch) and its
-/// dispatch tallies split the batch.  Every bound is checked before a
-/// sum is formed, so no crafted value can wrap a total into range.
+/// [begin, end): it counts every fault of the batch once (so its
+/// dispatch pair, which parse_batch_record checked against the
+/// record's total, splits the batch), its class tallies sum to the
+/// overall one and its escapes are exactly the undetected faults
+/// (strictly ascending inside the batch).  Every bound is checked
+/// before a sum is formed, so no crafted value can wrap a total into
+/// range.
 bool consistent_record(const CampaignResult& r, std::size_t begin,
                        std::size_t end) {
   const std::uint64_t total = end - begin;
@@ -241,7 +252,7 @@ bool consistent_record(const CampaignResult& r, std::size_t begin,
     if (e < next || e >= end) return false;
     next = e + 1;
   }
-  return r.packed_faults <= total && r.scalar_faults == total - r.packed_faults;
+  return true;
 }
 
 /// Drops the first record that is not consistent with its batch, and
@@ -484,9 +495,9 @@ struct CampaignService::Impl {
   std::size_t unresolved PRT_GUARDED_BY(mu) = 0;
   /// Per-(workload kind, n, m) EWMA of observed successful-batch wall
   /// latency in seconds — the load-shedder's cost model.  The word
-  /// width is part of the key: a word-oriented March batch runs on the
-  /// scalar route and costs orders of magnitude more than a packed
-  /// m = 1 batch at the same n.
+  /// width is part of the key: a batch replays m bit planes per access,
+  /// and a March batch sweeps log2(m) + 1 backgrounds, so m scales a
+  /// batch's cost at the same n.
   using CostKey = std::tuple<char, mem::Addr, unsigned>;
   std::map<CostKey, double> batch_ewma PRT_GUARDED_BY(mu);
 
@@ -496,10 +507,6 @@ struct CampaignService::Impl {
   std::atomic<std::uint64_t> completed{0};
   std::atomic<std::uint64_t> partial{0};
   std::atomic<std::uint64_t> failed{0};
-  /// Dispatch tallies summed over every resolved request's merged
-  /// result (CampaignResult::packed_faults / scalar_faults).
-  std::atomic<std::uint64_t> packed_faults{0};
-  std::atomic<std::uint64_t> scalar_faults{0};
   std::atomic<std::uint64_t> shard_retries{0};
   std::atomic<std::uint64_t> shard_stalls{0};
   std::atomic<std::uint64_t> checkpoint_writes{0};
@@ -754,8 +761,6 @@ struct CampaignService::Impl {
                        : RequestStatus::kPartialCancelled;
       ++partial;
     }
-    packed_faults += out.result.packed_faults;
-    scalar_faults += out.result.scalar_faults;
     shard_retries += done.retries;
     // The ticket resolves under the service lock, so a waiter's next
     // stats() already sees the running slot freed.
@@ -904,8 +909,6 @@ CampaignService::Stats CampaignService::stats() const {
   s.failed = impl_->failed.load();
   s.shard_retries = impl_->shard_retries.load();
   s.shard_stalls = impl_->shard_stalls.load();
-  s.packed_faults = impl_->packed_faults.load();
-  s.scalar_faults = impl_->scalar_faults.load();
   s.checkpoint_writes = impl_->checkpoint_writes.load();
   s.checkpoint_failures = impl_->checkpoint_failures.load();
   s.checkpoint_salvaged = impl_->checkpoint_salvaged.load();

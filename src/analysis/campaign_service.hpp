@@ -14,8 +14,10 @@
 //    job on the process-wide pool.  A deadline-aware load-shedder
 //    resolves queued requests whose remaining deadline can no longer
 //    cover their estimated cost (a per-(workload kind, n, m) EWMA of
-//    observed batch latencies) with kShedded at dispatch time, before
-//    any oracle work is spent on guaranteed-partial results;
+//    observed batch latencies — m stays in the key because a batch
+//    replays m bit planes and a March batch log2(m) + 1 backgrounds)
+//    with kShedded at dispatch time, before any oracle work is spent
+//    on guaranteed-partial results;
 //  * a shard is one fixed 2048-fault batch at every worker count, so a
 //    request over N faults has ceil(N / 2048) shards;
 //  * cancel() and the per-request deadline stop the batch loops at the
@@ -27,7 +29,8 @@
 //    (StopReason::kStalled) and folds the stall into bounded retry;
 //  * every `checkpoint_every` completed batches the service durably
 //    rewrites a version-headered, per-record CRC32-guarded checkpoint
-//    (fingerprint + per-batch results; format v3, DESIGN.md §13/§16).
+//    (fingerprint + per-batch results; format v3, DESIGN.md
+//    §13/§16/§20).
 //    A resumed request re-validates the fingerprint — workload
 //    structure, geometry, run options and the universe itself — at any
 //    worker count, and its final result is bit-identical to an
@@ -227,11 +230,6 @@ class CampaignService {
     std::uint64_t shard_retries = 0;
     /// Shard attempts cancelled by the stall watchdog.
     std::uint64_t shard_stalls = 0;
-    /// Dispatch tallies rolled up over every resolved request: faults
-    /// that rode a packed lane batch vs the scalar per-fault path
-    /// (CampaignResult::packed_faults / scalar_faults).
-    std::uint64_t packed_faults = 0;
-    std::uint64_t scalar_faults = 0;
     std::uint64_t checkpoint_writes = 0;
     std::uint64_t checkpoint_failures = 0;
     /// Resume loads that had to salvage a torn/corrupt checkpoint.

@@ -1,5 +1,6 @@
 #include "analysis/campaign_shard.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace prt::analysis::detail {

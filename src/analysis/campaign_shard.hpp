@@ -1,6 +1,6 @@
 // Internal shard-loop scaffolding under the generic campaign driver
 // (campaign_driver.hpp): per-fault tallying, the lane batching loop
-// with its escape re-sort, and the one campaign executor — fixed
+// every fault runs through, and the one campaign executor — fixed
 // 2048-fault batches as FIFO tasks on the shared pool with the
 // order-deterministic merge.  Keeping every campaign surface on one
 // copy of this machinery is what keeps their bit-identical-to-serial
@@ -12,7 +12,6 @@
 // campaign_service.hpp.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <exception>
@@ -47,39 +46,22 @@ inline void tally_fault(CampaignResult& out,
   }
 }
 
-/// All-scalar shard loop: run_scalar(i) -> detected, charging its own
-/// ops to `out`.  Polls `stop` per fault; returns false (shard
-/// abandoned — `out` is partial and must be discarded) once a stop is
-/// observed, true when the shard ran to completion.  A
-/// default-constructed token never stops, so the poll is one null
-/// check on the non-cancellable paths.
-template <typename RunScalar>
-bool scalar_shard(std::span<const mem::Fault> universe, std::size_t begin,
-                  std::size_t end, CampaignResult& out,
-                  RunScalar&& run_scalar, const util::StopToken& stop = {}) {
-  for (std::size_t i = begin; i < end; ++i) {
-    if (stop.stop_requested()) return false;
-    tally_fault(out, universe, i, run_scalar(i));
-    ++out.scalar_faults;
-  }
-  return true;
-}
-
-/// Lane-batched shard loop: compatible faults ride the packed ram
-/// kLanes at a time (64 for LaneWord, 512 for WideWord<8>), the rest
-/// run scalar in place.  run_batch(packed) runs one flushed batch and
-/// returns {detected lane word, ops to charge for the whole batch};
-/// run_scalar(i) -> detected as above.  Escapes are gathered out of
-/// order and sorted once — counts and op sums are order-independent,
-/// so the shard output is bit-identical to the all-scalar loop *and*
-/// to itself at the other lane width (the per-lane verdicts are
-/// width-invariant).  Polls `stop` per fault, same contract as
-/// scalar_shard (false = shard abandoned, discard `out`).
-template <typename W, typename RunBatch, typename RunScalar>
+/// Lane-batched shard loop: the faults of [begin, end) ride the packed
+/// ram kLanes at a time (64 for LaneWord, 512 for WideWord<8>) in index
+/// order.  run_batch(packed) runs one flushed batch and returns
+/// {detected lane word, ops to charge for the whole batch}.  Lanes are
+/// tallied in fill order, so escapes come out ascending and the shard
+/// output is bit-identical to itself at the other lane width (the
+/// per-lane verdicts are width-invariant).  Polls `stop` per fault;
+/// returns false (shard abandoned — `out` is partial and must be
+/// discarded) once a stop is observed, true when the shard ran to
+/// completion.  A default-constructed token never stops, so the poll
+/// is one null check on the non-cancellable paths.
+template <typename W, typename RunBatch>
 bool lane_batched_shard(std::span<const mem::Fault> universe,
                         std::size_t begin, std::size_t end,
                         mem::PackedFaultRamT<W>& packed, CampaignResult& out,
-                        RunBatch&& run_batch, RunScalar&& run_scalar,
+                        RunBatch&& run_batch,
                         const util::StopToken& stop = {}) {
   constexpr unsigned kLanes = mem::PackedFaultRamT<W>::kLanes;
   std::array<std::size_t, kLanes> batch_index{};
@@ -88,7 +70,6 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
     if (lanes == 0) return;
     const auto [detected, ops] = run_batch(packed);
     out.ops += ops;
-    out.packed_faults += lanes;
     for (unsigned lane = 0; lane < lanes; ++lane) {
       tally_fault(out, universe, batch_index[lane],
                   mem::lane_test(detected, lane));
@@ -97,16 +78,10 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
   };
   for (std::size_t i = begin; i < end; ++i) {
     if (stop.stop_requested()) return false;
-    if (mem::lane_compatible(universe[i], packed.width())) {
-      batch_index[packed.add_fault(universe[i])] = i;
-      if (packed.lanes_used() == kLanes) flush();
-    } else {
-      tally_fault(out, universe, i, run_scalar(i));
-      ++out.scalar_faults;
-    }
+    batch_index[packed.add_fault(universe[i])] = i;
+    if (packed.lanes_used() == kLanes) flush();
   }
   flush();
-  std::sort(out.escapes.begin(), out.escapes.end());
   return true;
 }
 

@@ -36,8 +36,6 @@ CampaignResult merge_results(std::span<const CampaignResult> shards) {
     merged.overall.detected += shard.overall.detected;
     merged.overall.total += shard.overall.total;
     merged.ops += shard.ops;
-    merged.packed_faults += shard.packed_faults;
-    merged.scalar_faults += shard.scalar_faults;
     merged.escapes.insert(merged.escapes.end(), shard.escapes.begin(),
                           shard.escapes.end());
   }
@@ -57,7 +55,6 @@ CampaignResult run_campaign(std::span<const mem::Fault> universe,
     ram.reset(universe[i]);
     const bool detected = test(ram);
     result.ops += ram.total_stats().total();
-    ++result.scalar_faults;
     auto& cls = result.by_class[mem::fault_class(universe[i].kind)];
     ++cls.total;
     ++result.overall.total;

@@ -5,7 +5,10 @@
 // CampaignService); the engines fill the paper's coverage tables in
 // bench/.  run_campaign runs one FaultyRam per fault of a universe
 // against a test algorithm and tallies detection per fault class — the
-// serial reference every engine is checked against.
+// serial reference every engine is checked against.  The engines never
+// run it: every fault rides a packed lane (DESIGN.md §20), and
+// fault_sim.cpp is the one file in analysis/ the lint wall lets name
+// FaultyRam, run_prt or run_march (scripts/run_lint.py).
 #pragma once
 
 #include <cstdint>
@@ -46,17 +49,6 @@ struct CampaignResult {
   /// every fault's run — the campaign-level cost figure early-abort
   /// shrinks (analysis/campaign_engine).
   std::uint64_t ops = 0;
-  /// Dispatch tallies: faults that rode a packed lane batch vs the
-  /// scalar per-fault path.  packed_faults + scalar_faults ==
-  /// overall.total; a fully lane-compatible universe on a packable
-  /// workload has scalar_faults == 0 (tests/test_campaign_golden.cpp
-  /// asserts exactly that for every universe family it pins).  Both
-  /// depend on the workload and the faults only, never on the thread
-  /// count, so equality covers them; the parity suites that compare a
-  /// campaign against the serial run_campaign (which tallies every
-  /// fault scalar) compare verdict fields only.
-  std::uint64_t packed_faults = 0;
-  std::uint64_t scalar_faults = 0;
 
   bool operator==(const CampaignResult&) const = default;
 };
@@ -73,10 +65,9 @@ struct CampaignOptions {
 
 /// The options every campaign type takes (CampaignEngine,
 /// MarchCampaign, CampaignSuite; a CampaignRequest carries early_abort
-/// and runs on the service's workers).  Packing is a rule, not an
-/// option: a packable workload puts every lane-compatible fault on a
-/// lane, and the result is bit-identical to the live scalar reference
-/// either way (DESIGN.md §17).
+/// and runs on the service's workers).  Packing is not an option:
+/// every fault rides a lane, and the result is bit-identical to the
+/// live scalar reference (DESIGN.md §20).
 struct EngineOptions {
   /// Worker count; 0 means the hardware concurrency
   /// (util::default_worker_count).

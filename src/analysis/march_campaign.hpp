@@ -8,25 +8,23 @@
 // March workload — the same driver, shared pool, shard loops and
 // order-deterministic merge CampaignEngine runs on:
 //
-//  * for bit-oriented (m = 1) campaigns the golden March run is
-//    compiled once per (test, n, background) into a flat
-//    core::OpTranscript, cached in the process-wide
-//    analysis::OracleCache and shared by every campaign over the same
-//    test; lane-compatible faults (decoder, NPSF and retention kinds
-//    included) are batched 512 per sweep (64 on a batch thinner than
-//    256 faults) through the transcript march::run_march_packed, and
-//    the rare fault no lane takes runs the live reference,
-//    march::run_march_backgrounds.  The merged CampaignResult —
-//    coverage, per-class counts, escapes and op totals — is
-//    bit-identical to run_campaign(universe, march_algorithm(test),
-//    opt).  Early abort composes with packing: lanes retire at their
-//    first mismatching read with analytic per-lane op accounting
-//    identical to the abort-aware scalar reference;
-//  * word-oriented (m > 1) campaigns cannot pack and run every fault
-//    on the live reference over the standard data backgrounds, still
-//    batched over the pool.
+//  * the golden March run — every standard data background of the
+//    m-bit word in turn, on the same memory — is compiled once per
+//    (test, n, m) into a flat core::OpTranscript, cached in the
+//    process-wide analysis::OracleCache and shared by every campaign
+//    over the same test;
+//  * every fault (decoder, NPSF and retention kinds included) rides a
+//    lane: faults are batched 512 per sweep (64 on a batch thinner
+//    than 256 faults) through march::run_march_packed, on the bit loop
+//    at m = 1 and on the word loop (m bit planes per cell) above it.
+//    The merged CampaignResult — coverage, per-class counts, escapes
+//    and op totals — is bit-identical to run_campaign(universe,
+//    march_algorithm(test), opt).  Early abort composes with packing:
+//    lanes retire at their first mismatching read with analytic
+//    per-lane op accounting identical to the abort-aware scalar
+//    reference, across backgrounds.
 //
-// See DESIGN.md §8/§9/§10/§17 and the March rows of
+// See DESIGN.md §8/§9/§10/§20 and the March rows of
 // tests/test_campaign_golden.cpp.
 #pragma once
 
@@ -50,10 +48,11 @@ using MarchEngineOptions = EngineOptions;
 
 class MarchCampaign {
  public:
-  /// Fetches the per-(test, n, background) transcript from
-  /// OracleCache::global() when m = 1.  Throws std::invalid_argument
-  /// on malformed options (validate_campaign_options) and on March
-  /// tests with data indices outside {0, 1}.
+  /// Fetches the per-(test, n, m) transcript from
+  /// OracleCache::global() (building it on first use).  Throws
+  /// std::invalid_argument on malformed options
+  /// (validate_campaign_options) and on March tests with data indices
+  /// outside {0, 1}.
   MarchCampaign(march::MarchTest test, const CampaignOptions& opt,
                 const EngineOptions& engine = {});
   ~MarchCampaign();

@@ -152,14 +152,15 @@ std::shared_ptr<const OracleCache::PrtEntry> OracleCache::prt(
 
 std::shared_ptr<const OracleCache::MarchEntry> OracleCache::march(
     const march::MarchTest& test, mem::Addr n, bool background,
-    std::uint64_t delay_ticks) {
+    std::uint64_t delay_ticks, unsigned m) {
   std::string key = march::test_fingerprint(test) + "|n=" + std::to_string(n) +
                     "|bg=" + (background ? "1" : "0") +
-                    "|del=" + std::to_string(delay_ticks);
+                    "|del=" + std::to_string(delay_ticks) +
+                    "|m=" + std::to_string(m);
   return lookup(&OracleCache::march_, 'm', std::move(key), march_builds_,
                 [&] {
                   return MarchEntry{march::make_march_transcript(
-                      test, n, background, delay_ticks)};
+                      test, n, background, delay_ticks, m)};
                 });
 }
 

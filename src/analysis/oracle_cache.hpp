@@ -4,7 +4,7 @@
 // Everything a campaign derives from the workload alone — the
 // PrtOracle and the compiled core::OpTranscript (PRT and March
 // flavours) — depends only on (scheme, n) or on
-// (march test, n, background, delay) and is immutable once built.
+// (march test, n, background, delay, m) and is immutable once built.
 // Before this cache each CampaignEngine / MarchCampaign built its own
 // copy in its constructor, so a multi-size sweep, a port sweep at one
 // size, or simply two engines over the same scheme recompiled the same
@@ -62,8 +62,9 @@ class OracleCache {
     core::OpTranscript transcript;
   };
 
-  /// Everything derivable from (test, n, background, delay_ticks): the
-  /// compiled March transcript.  Immutable after construction.
+  /// Everything derivable from (test, n, background, delay_ticks, m):
+  /// the compiled March transcript of the whole background sweep on an
+  /// m-bit memory.  Immutable after construction.
   struct MarchEntry {
     core::OpTranscript transcript;
   };
@@ -90,11 +91,11 @@ class OracleCache {
   [[nodiscard]] std::shared_ptr<const PrtEntry> prt(
       const core::PrtScheme& scheme, mem::Addr n);
 
-  /// Returns the entry for (test, n, background, delay_ticks),
-  /// building it exactly once per key.
+  /// Returns the entry for (test, n, background, delay_ticks, m),
+  /// building it exactly once per key (march::make_march_transcript).
   [[nodiscard]] std::shared_ptr<const MarchEntry> march(
       const march::MarchTest& test, mem::Addr n, bool background,
-      std::uint64_t delay_ticks = march::kDefaultDelayTicks);
+      std::uint64_t delay_ticks = march::kDefaultDelayTicks, unsigned m = 1);
 
   /// Number of entries actually built (not lookups) — the
   /// one-build-per-key test hook.

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/prt_packed.hpp"
 #include "gf/const_mult.hpp"
 #include "lfsr/lfsr.hpp"
 
@@ -12,7 +11,6 @@ namespace prt::core {
 
 OpTranscript make_op_transcript(const PrtScheme& scheme,
                                 const PrtOracle& oracle) {
-  assert(prt_scheme_packable(scheme));
   assert(oracle.iterations.size() == scheme.iterations.size());
   const mem::Addr n = oracle.n;
   const gf::GF2m field(scheme.field_modulus);

@@ -2,7 +2,7 @@
 // flat op stream and make every hot loop a tight replay.
 //
 // A fault campaign replays the *same* deterministic golden operation
-// stream per (scheme, n) — or per (march_test, n, background) — against
+// stream per (scheme, n) — or per (march_test, n, m) — against
 // thousands of faults.  The live engines (PiTester::run,
 // march::run_march) re-derive that stream op by op on every run:
 // trajectory lookups, oracle vector indirection, per-op branching on
@@ -24,9 +24,9 @@
 // analysis::OracleCache next to the memoized oracle and share it
 // read-only across workers; it is immutable after construction.  The
 // live runs stay the scalar reference: per-lane verdicts and abort
-// ops of the replays must equal run_prt / run_march on a FaultyRam
-// holding that lane's fault (tests/test_op_transcript.cpp, the packed
-// parity tests and the campaign fuzzer).  See DESIGN.md §9.
+// ops of the replays must equal run_prt / run_march_backgrounds on a
+// FaultyRam holding that lane's fault (tests/test_op_transcript.cpp,
+// the packed parity tests and the campaign fuzzer).  See DESIGN.md §9.
 #pragma once
 
 #include <cstdint>
@@ -88,11 +88,12 @@ struct PrtIterSpan {
   [[nodiscard]] std::uint64_t ops_end() const { return reads_end + writes_end; }
 };
 
-/// One compiled March element (march::make_march_transcript): recs
-/// [begin, end) hold the element's operations flattened in traversal
-/// order, `period` ops per address, read_mask bit j set when op j of
-/// each period is a read (golden = expected data bit) instead of a
-/// write (golden = data bit to write).
+/// One compiled March element under one background
+/// (march::make_march_transcript): recs [begin, end) hold the element's
+/// operations flattened in traversal order, `period` ops per address,
+/// read_mask bit j set when op j of each period is a read (golden =
+/// expected data word) instead of a write (golden = data word to
+/// write).
 struct MarchSegment {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -110,10 +111,9 @@ struct OpTranscript {
   // --- PRT side ---
   std::vector<PrtIterSpan> iterations;
   gf::Poly2 misr_poly = 0;  // 0 = MISR disabled
-  /// Field degree m of the scheme: every golden value and memory word
-  /// is an m-bit quantity.  1 for GF(2) (and for all March
-  /// transcripts); word-oriented schemes carry their real width so the
-  /// replays pick the word path.
+  /// Word width m: every golden value and memory word is an m-bit
+  /// quantity — the field degree of a PRT scheme, the memory width of
+  /// a March sweep.  Both replays pick their word path when m > 1.
   unsigned width = 1;
   // --- March side ---
   std::vector<MarchSegment> march;
@@ -128,10 +128,10 @@ struct OpTranscript {
 };
 
 /// Compiles `scheme` against `oracle` (built by make_prt_oracle(scheme,
-/// n)) into a flat transcript.  Preconditions: prt_scheme_packable
-/// (structurally sane over GF(2^m), m <= 16 — GF(2) taps degenerate to
-/// the XOR mask, wider fields get per-tap bit matrices) and every
-/// iteration's k <= 64 (the fb_mask width).
+/// n)) into a flat transcript.  Precondition: validate_prt_scheme(scheme,
+/// n, m) passes for the field degree m (GF(2) taps degenerate to the
+/// XOR mask, wider fields get per-tap bit matrices; m * k <= 64 keeps
+/// every fb_mask in range).
 [[nodiscard]] OpTranscript make_op_transcript(const PrtScheme& scheme,
                                               const PrtOracle& oracle);
 

@@ -121,6 +121,16 @@ namespace {
 /// an address-checkerboard background (period 2).
 std::vector<gf::Elem> checkerboard_g() { return {1, 0, 1}; }
 
+/// The WOM factories' word-width guard: GF(2^m) for m in [2, 16].
+/// Thrown before any polynomial search, which never ends for m = 0 and
+/// runs past 30 s for m = 24.
+void require_wom_width(const char* factory, unsigned m) {
+  if (m < 2 || m > 16) {
+    throw std::invalid_argument(std::string(factory) + ": word width m = " +
+                                std::to_string(m) + " outside [2, 16]");
+  }
+}
+
 SchemeIteration make_iteration(std::vector<gf::Elem> g,
                                std::vector<gf::Elem> init,
                                TrajectoryKind traj) {
@@ -169,7 +179,7 @@ PrtScheme standard_scheme_bom(mem::Addr n) {
 }
 
 PrtScheme standard_scheme_wom(mem::Addr n, unsigned m, gf::Poly2 p) {
-  assert(m >= 2 && m <= 16);
+  require_wom_width("standard_scheme_wom", m);
   if (p == 0) p = gf::first_primitive(m);
   const gf::GF2m field(p);
   PrtScheme scheme = standard_scheme(n, field);
@@ -233,7 +243,7 @@ PrtScheme extended_scheme_bom(mem::Addr n) {
 
 PrtScheme extended_scheme_wom(mem::Addr n, unsigned m, gf::Poly2 p) {
   (void)n;
-  assert(m >= 2 && m <= 16);
+  require_wom_width("extended_scheme_wom", m);
   if (p == 0) p = gf::first_primitive(m);
   const gf::GF2m field(p);
   std::vector<gf::Elem> g3;
@@ -252,8 +262,11 @@ PrtScheme extended_scheme_wom(mem::Addr n, unsigned m, gf::Poly2 p) {
 
 PrtScheme retention_scheme(mem::Addr n, unsigned m,
                            std::uint64_t pause_ticks, gf::Poly2 p) {
-  assert(n > 2 && m >= 1 && m <= 16);
-  (void)n;
+  if (n <= 2 || m < 1 || m > 16) {
+    throw std::invalid_argument(
+        "retention_scheme: need n > 2 and word width m in [1, 16] (got n = " +
+        std::to_string(n) + ", m = " + std::to_string(m) + ")");
+  }
   if (p == 0) p = m == 1 ? gf::Poly2{0b11} : gf::first_primitive(m);
   const gf::GF2m field(p);
   const gf::Elem mask = field.size() - 1;

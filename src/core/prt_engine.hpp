@@ -130,7 +130,9 @@ struct PrtRunOptions {
 /// field GF(2^m) over `p` (pass 0 to use the first primitive polynomial
 /// of degree m), k = 2.  The extended WOM scheme additionally uses the
 /// paper's Fig. 1b generator g(x) = 1 + 2x + 2x^2 when
-/// (m, p) = (4, z^4+z+1), else the first primitive quadratic.
+/// (m, p) = (4, z^4+z+1), else the first primitive quadratic.  Both
+/// WOM factories throw std::invalid_argument naming m unless
+/// 2 <= m <= 16.
 [[nodiscard]] PrtScheme standard_scheme_wom(mem::Addr n, unsigned m,
                                             gf::Poly2 p = 0);
 
@@ -150,7 +152,8 @@ struct PrtRunOptions {
 /// its verify pass — the write/pause/read pattern that exposes
 /// data-retention faults of both decay polarities (the pure sweep
 /// re-reads each cell within ~2 operations and can never wait out a
-/// realistic decay delay).
+/// realistic decay delay).  Throws std::invalid_argument naming n and
+/// m unless n > 2 and 1 <= m <= 16.
 [[nodiscard]] PrtScheme retention_scheme(mem::Addr n, unsigned m,
                                          std::uint64_t pause_ticks,
                                          gf::Poly2 p = 0);

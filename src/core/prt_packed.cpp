@@ -7,31 +7,6 @@
 
 namespace prt::core {
 
-bool prt_scheme_packable(const PrtScheme& scheme) {
-  // Any field the scheme factories produce packs: GF(2) on the
-  // single-plane hot loop, GF(2^m) up to m = 16 on m bit planes with
-  // compiled tap matrices.  The checks left are structural sanity —
-  // the same malformed-scheme shapes make_op_transcript would trip on.
-  const int degree = poly_degree(scheme.field_modulus);
-  if (degree < 1 || degree > 16) return false;
-  const gf::Elem field_size = gf::Elem{1} << degree;
-  if (scheme.iterations.empty()) return false;
-  for (const SchemeIteration& it : scheme.iterations) {
-    if (it.g.size() < 2) return false;
-    // The transcript's feedback-selection mask covers windows up to 64
-    // positions wide (every real scheme uses k = 2 or 3).
-    if (it.g.size() > 65) return false;
-    for (const gf::Elem c : it.g) {
-      if (c >= field_size) return false;
-    }
-    if (it.config.init.size() != it.g.size() - 1) return false;
-    for (const gf::Elem d : it.config.init) {
-      if (d >= field_size) return false;
-    }
-  }
-  return true;
-}
-
 namespace {
 
 /// Word path (m > 1): every cell is m bit planes, goldens broadcast
@@ -310,7 +285,6 @@ PackedVerdict run_prt_packed(mem::PackedFaultRam& ram,
                              const PrtScheme& scheme,
                              const PrtOracle& oracle,
                              const PackedRunOptions& options) {
-  assert(prt_scheme_packable(scheme));
   assert(oracle.n == ram.size());
   const OpTranscript transcript = make_op_transcript(scheme, oracle);
   PackedScratch scratch;

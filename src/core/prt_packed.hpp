@@ -50,16 +50,6 @@
 
 namespace prt::core {
 
-/// True when `scheme` can run bit-parallel: a structurally sane scheme
-/// over GF(2^m) with m in [1, 16] — non-empty iterations, window width
-/// k in [1, 64], seeds sized k, every coefficient and seed value a
-/// field element.  GF(2) schemes replay on the single-plane hot loop;
-/// word-oriented schemes (m > 1) ride m bit planes per cell, with each
-/// constant-coefficient multiply compiled to its GF(2) tap matrix in
-/// the transcript (tap_rows) so the feedback is still XOR-only.
-/// Width-independent: packable means packable at any lane width.
-[[nodiscard]] bool prt_scheme_packable(const PrtScheme& scheme);
-
 struct PackedRunOptions {
   /// Retire lanes as their mismatch latches and stop the run once the
   /// detected mask saturates over the active lanes.  Detected masks
@@ -132,8 +122,8 @@ extern template PackedVerdictT<mem::WideWord<8>> run_prt_packed(
 
 /// Oracle-based convenience overload: compiles the transcript on the
 /// fly (one-shot callers, tests; 64-lane).  Preconditions:
-/// prt_scheme_packable(scheme), oracle built by
-/// make_prt_oracle(scheme, ram.size()).
+/// validate_prt_scheme(scheme, ram.size(), ram.width()) passes, oracle
+/// built by make_prt_oracle(scheme, ram.size()).
 [[nodiscard]] PackedVerdict run_prt_packed(mem::PackedFaultRam& ram,
                                            const PrtScheme& scheme,
                                            const PrtOracle& oracle,

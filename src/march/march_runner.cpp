@@ -1,7 +1,9 @@
 #include "march/march_runner.hpp"
 
+#include <array>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "util/bitops.hpp"
 
@@ -67,25 +69,13 @@ MarchResult run_march(const MarchTest& test, mem::Memory& memory,
   return result;
 }
 
-core::OpTranscript make_march_transcript(const MarchTest& test, mem::Addr n,
-                                         bool background,
-                                         std::uint64_t delay_ticks) {
-  // Malformed tests must fail loudly in release campaigns too (same
-  // precedent as FaultyRam::inject): a silent mis-compiled read_mask
-  // would corrupt coverage numbers instead of crashing.
-  if (n < 1) {
-    throw std::invalid_argument("make_march_transcript: n must be >= 1");
-  }
-  core::OpTranscript t;
-  t.n = n;
-  t.delay_ticks = delay_ticks;
-  const gf::Elem bg = background ? 1 : 0;
-  std::size_t rec_count = 0;
-  for (const MarchElement& elem : test.elements) {
-    if (!elem.is_delay) rec_count += elem.ops.size() * n;
-  }
-  t.recs.reserve(rec_count);
-  t.march.reserve(test.elements.size());
+namespace {
+
+/// Appends one run of `test` over the transcript's n cells, data index
+/// 0 = `bg` and index 1 = its complement within `mask`.
+void append_run(core::OpTranscript& t, const MarchTest& test, mem::Word bg,
+                mem::Word mask) {
+  const mem::Addr n = t.n;
   for (const MarchElement& elem : test.elements) {
     core::MarchSegment seg;
     seg.begin = t.recs.size();
@@ -112,7 +102,7 @@ core::OpTranscript make_march_transcript(const MarchTest& test, mem::Addr n,
     }
     auto emit = [&](mem::Addr addr) {
       for (const MarchOp& op : elem.ops) {
-        t.recs.push_back({addr, op.data == 0 ? bg : bg ^ 1U});
+        t.recs.push_back({addr, op.data == 0 ? bg : bg ^ mask});
       }
     };
     if (elem.order == Order::kDown) {
@@ -123,14 +113,17 @@ core::OpTranscript make_march_transcript(const MarchTest& test, mem::Addr n,
     seg.end = t.recs.size();
     t.march.push_back(seg);
   }
-  return t;
 }
 
-template <typename W>
-MarchPackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
-                                        const core::OpTranscript& t,
-                                        const MarchRunOptions& options) {
-  assert(t.n == ram.size());
+/// The replay loop shared by both access paths: read(addr, golden)
+/// returns the lanes whose read deviates from `golden`, write(addr,
+/// golden) broadcasts it.  One op index runs across every background,
+/// so the abort accounting is the abort-aware sweep's.
+template <typename W, typename Read, typename Write>
+MarchPackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram,
+                              const core::OpTranscript& t,
+                              const MarchRunOptions& options, Read&& read,
+                              Write&& write) {
   const W active = ram.active_mask();
   MarchPackedVerdictT<W> verdict;
   W mismatch{};
@@ -151,7 +144,7 @@ MarchPackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
       for (std::uint32_t j = 0; j < period; ++j, ++r) {
         ++op_idx;
         if ((read_mask >> j) & 1U) {
-          mismatch |= ram.read(r->addr) ^ mem::lane_broadcast<W>(r->golden);
+          mismatch |= read(r->addr, r->golden);
           if (options.early_abort) {
             // A lane's scalar abort run stops at its first mismatching
             // read having issued exactly op_idx ops.
@@ -168,18 +161,103 @@ MarchPackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
             }
           }
         } else {
-          ram.write(r->addr, mem::lane_broadcast<W>(r->golden));
+          write(r->addr, r->golden);
         }
       }
     }
   }
   // Remaining lanes (all active lanes when early_abort is off) ran the
-  // complete test.
+  // complete sweep.
   const W full = options.early_abort ? pending : active;
   verdict.scalar_ops +=
       static_cast<std::uint64_t>(mem::lane_popcount(full)) * t.total_ops();
   verdict.detected = mismatch;
   return verdict;
+}
+
+}  // namespace
+
+core::OpTranscript make_march_transcript(const MarchTest& test, mem::Addr n,
+                                         bool background,
+                                         std::uint64_t delay_ticks,
+                                         unsigned m) {
+  // Malformed tests must fail loudly in release campaigns too (same
+  // precedent as FaultyRam::inject): a silent mis-compiled read_mask
+  // would corrupt coverage numbers instead of crashing.
+  if (n < 1) {
+    throw std::invalid_argument("make_march_transcript: n must be >= 1");
+  }
+  if (m < 1 || m > 32) {
+    throw std::invalid_argument(
+        "make_march_transcript: m must be in [1, 32] (got " +
+        std::to_string(m) + ")");
+  }
+  const auto mask = static_cast<mem::Word>(low_mask(m));
+  const std::vector<mem::Word> backgrounds = standard_backgrounds(m);
+  // standard_backgrounds' contract: every background fits the m-bit
+  // word.  A wider one would silently mis-expand data index 1
+  // (~background).
+  for (const mem::Word bg : backgrounds) {
+    if ((bg & ~mask) != 0) {
+      throw std::invalid_argument(
+          "make_march_transcript: background " + std::to_string(bg) +
+          " wider than the m = " + std::to_string(m) + " word");
+    }
+  }
+  core::OpTranscript t;
+  t.n = n;
+  t.width = m;
+  t.delay_ticks = delay_ticks;
+  std::size_t rec_count = 0;
+  for (const MarchElement& elem : test.elements) {
+    if (!elem.is_delay) rec_count += elem.ops.size() * n;
+  }
+  t.recs.reserve(rec_count * backgrounds.size());
+  t.march.reserve(test.elements.size() * backgrounds.size());
+  // One run per background on the same memory, no reset in between —
+  // exactly the run_march_backgrounds sweep.
+  for (const mem::Word standard : backgrounds) {
+    append_run(t, test, background ? standard ^ mask : standard, mask);
+  }
+  return t;
+}
+
+template <typename W>
+MarchPackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
+                                        const core::OpTranscript& t,
+                                        const MarchRunOptions& options) {
+  assert(t.n == ram.size());
+  assert(t.width == ram.width());
+  if (t.width == 1) {
+    return replay(
+        ram, t, options,
+        [&](mem::Addr addr, gf::Elem golden) {
+          return ram.read(addr) ^ mem::lane_broadcast<W>(golden);
+        },
+        [&](mem::Addr addr, gf::Elem golden) {
+          ram.write(addr, mem::lane_broadcast<W>(golden));
+        });
+  }
+  // Word path: a read deviates when any plane does, a write broadcasts
+  // each plane of the golden word.
+  const unsigned m = t.width;
+  std::array<W, mem::PackedFaultRamT<W>::kMaxWidth> planes;
+  return replay(
+      ram, t, options,
+      [&](mem::Addr addr, gf::Elem golden) {
+        ram.read_word(addr, planes.data());
+        W diff{};
+        for (unsigned b = 0; b < m; ++b) {
+          diff |= planes[b] ^ mem::lane_broadcast<W>((golden >> b) & 1U);
+        }
+        return diff;
+      },
+      [&](mem::Addr addr, gf::Elem golden) {
+        for (unsigned b = 0; b < m; ++b) {
+          planes[b] = mem::lane_broadcast<W>((golden >> b) & 1U);
+        }
+        ram.write_word(addr, planes.data());
+      });
 }
 
 template MarchPackedVerdictT<mem::LaneWord> run_march_packed(
@@ -192,8 +270,8 @@ template MarchPackedVerdictT<mem::WideWord<8>> run_march_packed(
 std::uint64_t run_march_packed(const MarchTest& test,
                                mem::PackedFaultRam& ram, bool background,
                                std::uint64_t delay_ticks) {
-  const core::OpTranscript t =
-      make_march_transcript(test, ram.size(), background, delay_ticks);
+  const core::OpTranscript t = make_march_transcript(
+      test, ram.size(), background, delay_ticks, ram.width());
   return run_march_packed(ram, t, MarchRunOptions{}).detected;
 }
 

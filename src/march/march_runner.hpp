@@ -7,14 +7,16 @@
 // ...) are provided.
 //
 // Campaign hot loops do not re-derive the element/address/op nesting
-// per fault: make_march_transcript compiles one (test, n, background)
-// golden run into a flat core::OpTranscript, and the packed replay
-// run_march_packed streams through it one lane word of faults at a
-// time (64 or 512 lanes).  Each lane is bit-identical to run_march on
-// a FaultyRam holding that lane's fault, including the early-abort op
-// accounting (stop at the first mismatching read, ops = everything
-// issued up to and including it), which the packed path reports per
-// lane analytically.  run_march / run_march_backgrounds stay the
+// per fault: make_march_transcript compiles the whole background sweep
+// of one (test, n, m) golden run into a flat core::OpTranscript of
+// width m, and the packed replay run_march_packed streams through it
+// one lane word of faults at a time (64 or 512 lanes) — the bit loop at
+// m = 1, the word loop (every plane of each cell per access) above it.
+// Each lane is bit-identical to run_march_backgrounds on a FaultyRam
+// holding that lane's fault, including the early-abort op accounting
+// (stop at the first mismatching read, ops = everything issued up to
+// and including it, across backgrounds), which the packed path reports
+// per lane analytically.  run_march / run_march_backgrounds stay the
 // scalar reference.
 #pragma once
 
@@ -72,13 +74,18 @@ struct MarchRunOptions {
     const std::vector<mem::Word>& backgrounds,
     const MarchRunOptions& options = {});
 
-/// Compiles one (test, n, background-bit) March run into a flat op
-/// transcript: one core::MarchSegment per element, records flattened
-/// in traversal order with the data bit resolved against the
-/// background.  Built once per campaign and replayed per fault.
+/// Compiles `test` on an n-cell, m-bit memory into a flat op
+/// transcript of width m: the run_march_backgrounds sweep over
+/// standard_backgrounds(m), one background after the other on the same
+/// memory, each complemented when `background` is set (at m = 1 that
+/// is the single run with data index 0 = background).  One
+/// core::MarchSegment per element per background, records flattened in
+/// traversal order with word-valued goldens.  Built once per campaign
+/// and replayed per fault.  Throws std::invalid_argument on n = 0, m
+/// outside [1, 32] and elements with no or more than 32 ops.
 [[nodiscard]] core::OpTranscript make_march_transcript(
     const MarchTest& test, mem::Addr n, bool background,
-    std::uint64_t delay_ticks = kDefaultDelayTicks);
+    std::uint64_t delay_ticks = kDefaultDelayTicks, unsigned m = 1);
 
 /// Verdict of a packed transcript March run at lane width
 /// LaneTraits<W>::kLanes (mirrors core::PackedVerdictT).
@@ -89,9 +96,10 @@ struct MarchPackedVerdictT {
   /// shifting the raw word — the mask is width-generic.
   W detected{};
   /// Sum over the ram's active lanes of the ops a scalar
-  /// run_march(FaultyRam, ..., {.early_abort}) would have issued for
-  /// that lane's fault: everything up to and including the first
-  /// mismatching read under early_abort, the full test otherwise.
+  /// run_march_backgrounds(FaultyRam, ..., {.early_abort}) would have
+  /// issued for that lane's fault: everything up to and including the
+  /// first mismatching read under early_abort, the whole sweep
+  /// otherwise.
   std::uint64_t scalar_ops = 0;
 
   /// Width-generic per-lane accessor: lane `lane`'s verdict.
@@ -108,15 +116,17 @@ using MarchPackedVerdict = MarchPackedVerdictT<mem::LaneWord>;
 
 /// Replays a compiled March transcript bit-parallel over a
 /// mem::PackedFaultRamT (one independent single-fault lane per word
-/// bit): each write broadcasts the record's data bit to every lane and
-/// each read compares every lane against the expected bit at once.
-/// Per-lane semantics are identical to run_march(test,
-/// FaultyRam-with-that-fault, background, delay, options) at every
-/// lane width.  With early_abort, lanes retire as their mismatch
-/// latches and the replay stops once every active lane is retired,
-/// with per-lane op accounting identical to the scalar abort path.
-/// Lanes beyond ram.lanes_used() never deviate, but callers should
-/// still AND with ram.active_mask().
+/// bit): each write broadcasts the record's data word to every lane and
+/// each read compares every lane against the expected word at once — a
+/// lane deviates when any of its bit planes does.  The bit or word
+/// loop is picked once per call from the transcript's width, which
+/// must equal ram.width().  Per-lane semantics are identical to
+/// run_march_backgrounds(test, FaultyRam-with-that-fault, backgrounds,
+/// options) at every lane width.  With early_abort, lanes retire as
+/// their mismatch latches and the replay stops once every active lane
+/// is retired, with per-lane op accounting identical to the scalar
+/// abort path.  Lanes beyond ram.lanes_used() never deviate, but
+/// callers should still AND with ram.active_mask().
 template <typename W>
 [[nodiscard]] MarchPackedVerdictT<W> run_march_packed(
     mem::PackedFaultRamT<W>& ram, const core::OpTranscript& transcript,
@@ -129,9 +139,9 @@ extern template MarchPackedVerdictT<mem::WideWord<8>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const core::OpTranscript&,
     const MarchRunOptions&);
 
-/// Convenience overload compiling the transcript on the fly (one-shot
-/// callers, tests): the detected mask of a full run without early
-/// abort.
+/// Convenience overload compiling the transcript on the fly at the
+/// ram's width (one-shot callers, tests): the detected mask of a full
+/// run without early abort.
 [[nodiscard]] std::uint64_t run_march_packed(
     const MarchTest& test, mem::PackedFaultRam& ram,
     bool background = false, std::uint64_t delay_ticks = kDefaultDelayTicks);

@@ -7,57 +7,6 @@
 
 namespace prt::mem {
 
-bool lane_compatible(const Fault& fault, unsigned width) {
-  if (fault.victim.bit >= width) return false;
-  switch (fault.kind) {
-    case FaultKind::kSaf0:
-    case FaultKind::kSaf1:
-    case FaultKind::kTfUp:
-    case FaultKind::kTfDown:
-    case FaultKind::kWdf:
-    case FaultKind::kRdf:
-    case FaultKind::kDrdf:
-    case FaultKind::kIrf:
-    case FaultKind::kSof:
-      return true;
-    case FaultKind::kCfSt0:
-    case FaultKind::kCfSt1:
-      // A trigger state beyond {0, 1} can never match a stored bit;
-      // FaultyRam treats such a fault as inert, so leave it on the
-      // scalar reference path instead of teaching the lanes a
-      // degenerate encoding.
-      if (fault.state > 1) return false;
-      [[fallthrough]];
-    case FaultKind::kCfIn:
-    case FaultKind::kCfIdUp0:
-    case FaultKind::kCfIdUp1:
-    case FaultKind::kCfIdDown0:
-    case FaultKind::kCfIdDown1:
-    case FaultKind::kBridgeAnd:
-    case FaultKind::kBridgeOr:
-      // Both halves of the pair live on bit planes of the same lane.
-      return fault.aggressor.bit < width;
-    case FaultKind::kAfNoAccess:
-    case FaultKind::kAfWrongAccess:
-    case FaultKind::kAfMultiAccess:
-      // One fault per lane: the remap touches exactly one address and
-      // at most one alias cell — a per-lane scatter, like coupling.
-      return true;
-    case FaultKind::kNpsfStatic:
-      // The 5-cell neighbourhood is per-lane metadata just like an
-      // aggressor/victim pair; incomplete neighbourhoods (border
-      // victim, no grid) are inert in FaultyRam and consume a lane
-      // that simply never fires.
-      return true;
-    case FaultKind::kDrf:
-      // Decay advances analytically on the packed clock; delay == 0 is
-      // rejected at add_fault, mirroring FaultyRam::inject.
-      return true;
-    default:
-      return false;
-  }
-}
-
 template <typename W>
 PackedFaultRamT<W>::PackedFaultRamT(Addr cells, unsigned width)
     : size_(cells), width_(width) {
@@ -121,18 +70,15 @@ typename PackedFaultRamT<W>::CellFaults& PackedFaultRamT<W>::slot_for(
 
 template <typename W>
 unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
-  if (!lane_compatible(fault, width_)) {
-    throw std::invalid_argument(
-        "PackedFaultRam::add_fault: fault is not lane-compatible: " +
-        fault.describe());
-  }
-  if (fault.victim.cell >= size_) {
+  // The same rejections as FaultyRam::inject, so a campaign throws on
+  // exactly the faults the scalar reference throws on.
+  if (fault.victim.cell >= size_ || fault.victim.bit >= width_) {
     throw std::invalid_argument(
         "PackedFaultRam::add_fault: victim out of range: " +
         fault.describe());
   }
   if (is_coupling(fault.kind)) {
-    if (fault.aggressor.cell >= size_) {
+    if (fault.aggressor.cell >= size_ || fault.aggressor.bit >= width_) {
       throw std::invalid_argument(
           "PackedFaultRam::add_fault: aggressor out of range: " +
           fault.describe());
@@ -216,6 +162,10 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
       break;
     case FaultKind::kCfSt0:
     case FaultKind::kCfSt1: {
+      // A trigger state beyond {0, 1} never matches a stored bit: inert
+      // in FaultyRam, so the lane registers nothing and never
+      // mismatches (like an incomplete NPSF neighbourhood).
+      if (fault.state > 1) break;
       slot_for(agg).cfst_agg |= mask;
       slot_for(vic).cfst_vic |= mask;
       lane_victim_[lane] = vic;
@@ -328,8 +278,6 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
       has_drf_ = true;
       break;
     }
-    default:
-      break;  // unreachable: lane_compatible() filtered
   }
   return lane;
 }

@@ -18,12 +18,14 @@
 // which count one operation per word access exactly like the scalar
 // FaultyRam.
 //
-// Every fault family rides a lane now:
+// Every valid fault rides a lane — add_fault rejects only what
+// FaultyRam::inject rejects, so a campaign has no second route:
 //  * the single-cell kinds (stuck-at, transition, write-disturb, the
 //    read-logic kinds) — one victim site per lane;
 //  * the two-cell coupling kinds (CFin, CFid, CFst) and bridges — a
 //    lane is a whole memory, so an aggressor/victim *pair* fits in one
-//    lane;
+//    lane (a CFst whose trigger state is beyond {0, 1} is inert in
+//    FaultyRam and takes a lane that registers nothing);
 //  * the decoder faults — one fault per lane means the remap touches
 //    exactly one address, a per-lane scatter on that one cell;
 //  * static NPSF — each lane carries a 4-cell (N,E,S,W) neighbourhood
@@ -64,18 +66,6 @@
 
 namespace prt::mem {
 
-/// True when `fault` can ride a bit lane of a `width`-bit packed
-/// memory: every referenced bit plane must exist (victim.bit < width,
-/// and aggressor.bit < width for the coupling kinds).  All fault
-/// families qualify now — single-cell, coupling/bridge, decoder (AF),
-/// static NPSF and retention (DRF) — except the degenerate CFst whose
-/// trigger state is outside {0, 1} (inert in FaultyRam; it stays on
-/// the scalar reference path instead of teaching the lanes a
-/// degenerate encoding).  Width-independent: a fault either rides any
-/// lane word or none, so the packed/scalar dispatch split never
-/// depends on the lane width.
-[[nodiscard]] bool lane_compatible(const Fault& fault, unsigned width = 1);
-
 template <typename W>
 class PackedFaultRamT {
  public:
@@ -107,11 +97,12 @@ class PackedFaultRamT {
   /// FaultyRam::inject.  An NPSF fault whose neighbourhood is
   /// incomplete (no grid, border victim, pattern > 15) still consumes
   /// a lane but registers no effect — it is inert in FaultyRam too, so
-  /// the lane simply never mismatches.  Throws std::invalid_argument
-  /// when the fault is not lane_compatible() for this width, a
-  /// referenced cell is out of range, a two-cell fault has aggressor
-  /// == victim, or a retention fault has delay == 0;
-  /// std::length_error when all kLanes lanes are taken.
+  /// the lane simply never mismatches; so does a CFst whose trigger
+  /// state is beyond {0, 1}.  Throws std::invalid_argument naming the
+  /// fault exactly where FaultyRam::inject does: a victim or aggressor
+  /// cell or bit plane out of range, a two-cell fault with aggressor
+  /// == victim, a decoder alias out of range, or a retention fault with
+  /// delay == 0; std::length_error when all kLanes lanes are taken.
   unsigned add_fault(const Fault& fault);
 
   /// Reads every lane's bit of cell `addr` at once, applying each

@@ -2,9 +2,9 @@
 // complete runs bit-identical to the synchronous engines, cooperative
 // cancellation / deadlines with exact partial results, batch-granular
 // checkpoint/resume whose resumed results are bit-identical to
-// uninterrupted runs (interrupting at *every* cadence point, PRT and
-// March on packed lanes, word-oriented March on the scalar route, 1 and
-// 4 threads), per-class priority
+// uninterrupted runs (interrupting at *every* cadence point, PRT,
+// bit-oriented and word-oriented March, 1 and 4 threads), per-class
+// priority
 // admission with bounded queues and deadline-aware load shedding, the
 // batch stall watchdog, bounded batch retry with request isolation
 // (lost pool tasks included), input validation, and the oracle
@@ -71,8 +71,8 @@ CampaignRequest march_request(mem::Addr n) {
   return req;
 }
 
-/// March on 4-bit words: a workload that cannot pack, so every fault
-/// takes the scalar route.
+/// March on 4-bit words: the word replay over four bit planes and
+/// three data backgrounds.
 CampaignRequest word_march_request(mem::Addr n) {
   CampaignRequest req = march_request(n);
   req.options.m = 4;
@@ -142,38 +142,6 @@ TEST(CampaignService, EmptyUniverseCompletesEmpty) {
   EXPECT_EQ(out.status, RequestStatus::kComplete);
   EXPECT_EQ(out.result.overall.total, 0u);
   EXPECT_EQ(out.shards_total, 0u);
-}
-
-// Dispatch tallies roll up across resolved requests: a PRT run of a
-// fully lane-compatible universe tallies every fault as packed, a
-// word-oriented March run (which cannot pack) tallies every fault as
-// scalar, and the service stats sum both.
-TEST(CampaignService, StatsRollUpDispatchTallies) {
-  const mem::Addr n = 32;
-  CampaignService service;
-  CampaignRequest packed_req = prt_request(n);
-  const std::uint64_t total = packed_req.universe.size();
-  const RequestOutcome& packed_out =
-      service.submit(std::move(packed_req)).wait();
-  ASSERT_EQ(packed_out.status, RequestStatus::kComplete);
-  EXPECT_EQ(packed_out.result.packed_faults, total);
-  EXPECT_EQ(packed_out.result.scalar_faults, 0u);
-  {
-    const auto stats = service.stats();
-    EXPECT_EQ(stats.packed_faults, total);
-    EXPECT_EQ(stats.scalar_faults, 0u);
-  }
-  CampaignRequest scalar_req = word_march_request(n);
-  const RequestOutcome& scalar_out =
-      service.submit(std::move(scalar_req)).wait();
-  ASSERT_EQ(scalar_out.status, RequestStatus::kComplete);
-  EXPECT_EQ(scalar_out.result.packed_faults, 0u);
-  EXPECT_EQ(scalar_out.result.scalar_faults, total);
-  {
-    const auto stats = service.stats();
-    EXPECT_EQ(stats.packed_faults, total);
-    EXPECT_EQ(stats.scalar_faults, total);
-  }
 }
 
 // --- admission / validation -----------------------------------------
@@ -799,8 +767,8 @@ TEST(CampaignService, OracleBuildFailureFailsRequestThenRecovers) {
 /// Interrupt at every cadence point: run once with the k-th shard
 /// attempt (and everything after it) crashing, then resume from the
 /// checkpoint and require the merged result to be bit-identical to the
-/// uninterrupted reference.  PRT and bit-oriented March ride packed
-/// lanes; word-oriented March takes the scalar route.
+/// uninterrupted reference, for PRT, bit-oriented and word-oriented
+/// March.
 void run_resume_matrix(const std::string& name,
                        CampaignRequest (*request)(mem::Addr),
                        unsigned threads) {
@@ -859,10 +827,10 @@ TEST(CampaignServiceResume, MarchPackedOneThread) {
 TEST(CampaignServiceResume, MarchPackedFourThreads) {
   run_resume_matrix("march", march_request, 4);
 }
-TEST(CampaignServiceResume, WordMarchScalarOneThread) {
+TEST(CampaignServiceResume, WordMarchPackedOneThread) {
   run_resume_matrix("word_march", word_march_request, 1);
 }
-TEST(CampaignServiceResume, WordMarchScalarFourThreads) {
+TEST(CampaignServiceResume, WordMarchPackedFourThreads) {
   run_resume_matrix("word_march", word_march_request, 4);
 }
 

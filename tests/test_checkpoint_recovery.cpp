@@ -7,7 +7,8 @@
 // workloads alike, with the resumed result bit-identical to an
 // uninterrupted run.  A record whose CRC verifies but whose tally
 // cannot belong to its batch (an escape outside the batch, a wrong
-// fault total, an unknown fault class) is salvaged the same way.
+// fault total, an unknown fault class, a dispatch pair that does not
+// split the batch) is salvaged the same way.
 // Only a fingerprint mismatch (a *different* campaign, not a damaged
 // one) may fail the request; no corruption may ever merge torn
 // results.
@@ -206,6 +207,17 @@ void drop_one_fault(Tokens& t) {
 /// The first class tally is filed under a class id no fault has.
 void unknown_class(Tokens& t) { t[find_token(t, "classes") + 2] = "99"; }
 
+/// The pair a record carried when all of its batch ran on the retired
+/// per-fault scalar route (every word-oriented March batch did):
+/// "dispatch 0 <total>".
+void all_scalar_dispatch(Tokens& t) {
+  const std::size_t dispatch = find_token(t, "dispatch");
+  std::swap(t[dispatch + 1], t[dispatch + 2]);
+}
+
+/// A dispatch pair that does not add up to the record's fault total.
+void unsplit_dispatch(Tokens& t) { bump(t, find_token(t, "dispatch") + 2, 1); }
+
 void run_corruption_matrix(bool march) {
   const char* tag = march ? "march" : "prt";
 
@@ -252,8 +264,9 @@ void run_corruption_matrix(bool march) {
        {Edit{"CRC-valid record with an out-of-range escape",
              add_out_of_range_escape},
         Edit{"CRC-valid record with a wrong fault total", drop_one_fault},
-        Edit{"CRC-valid record with an unknown fault class",
-             unknown_class}}) {
+        Edit{"CRC-valid record with an unknown fault class", unknown_class},
+        Edit{"CRC-valid record whose dispatch pair does not split its batch",
+             unsplit_dispatch}}) {
     SCOPED_TRACE(what);
     const std::string path =
         temp_checkpoint(std::string("ckpt_record_") + tag + ".ckpt");
@@ -315,6 +328,36 @@ void run_corruption_matrix(bool march) {
 TEST(CheckpointRecovery, PrtCorruptionMatrix) { run_corruption_matrix(false); }
 TEST(CheckpointRecovery, MarchCorruptionMatrix) {
   run_corruption_matrix(true);
+}
+
+// --- the retired dispatch pair ---------------------------------------
+
+// Records keep format v3's dispatch pair.  The writer now always emits
+// "<total> 0", but a file written while faults could still run off the
+// lanes — "0 <total>" for every batch of a word-oriented March — must
+// resume as it did, every record adopted and the result bit-identical
+// to an uninterrupted run.  (A pair that does not split its batch is
+// salvaged like any other inconsistent record: the corruption matrix.)
+TEST(CheckpointRecovery, DispatchPairFromScalarRouteResumes) {
+  for (const bool march : {false, true}) {
+    SCOPED_TRACE(march ? "march" : "prt");
+    const std::string path = temp_checkpoint(
+        std::string("ckpt_dispatch_") + (march ? "march" : "prt") + ".ckpt");
+    write_interrupted_checkpoint(march, path);
+    for (std::size_t rec = 0; rec < kDoneShards; ++rec) {
+      rewrite_record(path, rec, all_scalar_dispatch);
+    }
+    CampaignService service({.threads = 1});
+    CampaignRequest req = make_request(march);
+    req.checkpoint_path = path;
+    req.resume = true;
+    const RequestOutcome& out = service.submit(std::move(req)).wait();
+    ASSERT_EQ(out.status, RequestStatus::kComplete);
+    EXPECT_EQ(out.shards_resumed, kDoneShards);
+    EXPECT_EQ(service.stats().checkpoint_salvaged, 0u);
+    expect_identical(out.result, reference_result(march));
+    std::remove(path.c_str());
+  }
 }
 
 // --- injected partial final write -----------------------------------

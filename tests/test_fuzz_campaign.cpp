@@ -7,9 +7,7 @@
 // It runs the draw through CampaignEngine or MarchCampaign, and some
 // draws also through a one-configuration CampaignSuite and a
 // CampaignService request.  Every result must equal run_campaign over
-// the live scalar reference (by_class, overall, escapes and ops), and
-// the dispatch tallies must split the universe by the packing rule: a
-// packable workload puts every lane-compatible fault on a lane.
+// the live scalar reference (by_class, overall, escapes and ops).
 // Service draws run the request a second time under a random fail
 // point schedule (a point, skip, fire count and retry budget, half of
 // them checkpointed): it must complete equal to the reference or fail
@@ -37,7 +35,6 @@
 #include "live_reference.hpp"
 #include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
-#include "mem/packed_fault_ram.hpp"
 #include "util/fail_point.hpp"
 #include "util/rng.hpp"
 
@@ -142,8 +139,9 @@ std::uint64_t ops_per_fault(const Draw& d) {
 
 /// A make_universe mix (NPSF on a grid whose column count divides n),
 /// plus retention faults with delays around the schemes' pauses and the
-/// March Del time, and now and then a degenerate CFst trigger state that
-/// no lane takes; shuffled, then cut or tiled to `size` faults.
+/// March Del time, and now and then a degenerate CFst trigger state
+/// (inert on the reference and on its lane); shuffled, then cut or
+/// tiled to `size` faults.
 std::vector<mem::Fault> random_universe(Xoshiro256& rng, mem::Addr n,
                                         unsigned m, std::size_t size) {
   mem::UniverseOptions u;
@@ -234,16 +232,6 @@ Draw make_draw(Xoshiro256& rng) {
   return d;
 }
 
-/// Faults the packing rule leaves on the scalar route: every fault of a
-/// workload that cannot pack (March at m > 1), else the faults no lane
-/// takes.
-std::uint64_t expected_scalar(const Draw& d) {
-  if (d.test && d.opt.m > 1) return d.universe.size();
-  return static_cast<std::uint64_t>(std::count_if(
-      d.universe.begin(), d.universe.end(),
-      [&](const mem::Fault& f) { return !mem::lane_compatible(f, d.opt.m); }));
-}
-
 /// One fail point armed for a service request, with the request's
 /// retry budget and whether it checkpoints.
 struct Schedule {
@@ -290,14 +278,12 @@ Schedule make_schedule(int draw) {
 }
 
 void expect_matches(const CampaignResult& got, const CampaignResult& want,
-                    std::uint64_t scalar, const char* surface) {
+                    const char* surface) {
   SCOPED_TRACE(surface);
   EXPECT_EQ(got.by_class, want.by_class);
   EXPECT_EQ(got.overall, want.overall);
   EXPECT_EQ(got.escapes, want.escapes);
   EXPECT_EQ(got.ops, want.ops);
-  EXPECT_EQ(got.packed_faults + got.scalar_faults, want.overall.total);
-  EXPECT_EQ(got.scalar_faults, scalar);
 }
 
 TEST(FuzzCampaign, EverySurfaceMatchesTheLiveReference) {
@@ -313,18 +299,17 @@ TEST(FuzzCampaign, EverySurfaceMatchesTheLiveReference) {
         d.scheme ? testref::live_prt(*d.scheme, d.early_abort)
                  : testref::live_march(*d.test, d.early_abort),
         d.opt);
-    const std::uint64_t scalar = expected_scalar(d);
     const EngineOptions engine{.threads = d.threads,
                                .early_abort = d.early_abort};
     const MarchEngineOptions march_engine{.threads = d.threads,
                                           .early_abort = d.early_abort};
     if (d.scheme) {
       expect_matches(CampaignEngine(*d.scheme, d.opt, engine).run(d.universe),
-                     want, scalar, "CampaignEngine");
+                     want, "CampaignEngine");
     } else {
       expect_matches(
           MarchCampaign(*d.test, d.opt, march_engine).run(d.universe), want,
-          scalar, "MarchCampaign");
+          "MarchCampaign");
     }
     if (d.suite) {
       const std::vector<CampaignOptions> grid = {d.opt};
@@ -336,7 +321,7 @@ TEST(FuzzCampaign, EverySurfaceMatchesTheLiveReference) {
           d.scheme ? CampaignSuite(scheme, engine).run(grid, universe)
                    : CampaignSuite(*d.test, march_engine).run(grid, universe);
       ASSERT_EQ(got.configs.size(), 1u);
-      expect_matches(got.configs[0].result, want, scalar, "CampaignSuite");
+      expect_matches(got.configs[0].result, want, "CampaignSuite");
     }
     if (d.service) {
       CampaignService service({.threads = d.threads});
@@ -348,7 +333,7 @@ TEST(FuzzCampaign, EverySurfaceMatchesTheLiveReference) {
       req.universe = d.universe;
       const RequestOutcome out = service.submit(req).wait();
       ASSERT_EQ(out.status, RequestStatus::kComplete) << out.error;
-      expect_matches(out.result, want, scalar, "CampaignService");
+      expect_matches(out.result, want, "CampaignService");
 
       const Schedule schedule = make_schedule(draw);
       SCOPED_TRACE(schedule.describe());
@@ -367,7 +352,7 @@ TEST(FuzzCampaign, EverySurfaceMatchesTheLiveReference) {
         faulty = scheduled.submit(req).wait();
       }
       if (faulty.status == RequestStatus::kComplete) {
-        expect_matches(faulty.result, want, scalar, "scheduled service");
+        expect_matches(faulty.result, want, "scheduled service");
       } else {
         ASSERT_EQ(faulty.status, RequestStatus::kFailed)
             << to_string(faulty.status) << ": " << faulty.error;
@@ -376,7 +361,7 @@ TEST(FuzzCampaign, EverySurfaceMatchesTheLiveReference) {
           req.resume = true;
           const RequestOutcome resumed = service.submit(req).wait();
           ASSERT_EQ(resumed.status, RequestStatus::kComplete) << resumed.error;
-          expect_matches(resumed.result, want, scalar, "resumed service");
+          expect_matches(resumed.result, want, "resumed service");
         }
       }
       if (schedule.checkpoint) std::remove(req.checkpoint_path.c_str());

@@ -1,12 +1,14 @@
-// 64-lane March runner (march::run_march_packed) and the lane-batched
-// March campaign wrapper (analysis::MarchCampaign).
+// The packed March runner (march::run_march_packed) and the
+// lane-batched March campaign wrapper (analysis::MarchCampaign).
 //
 // The load-bearing property mirrors the packed PRT path: every lane of
-// a packed March sweep must reproduce run_march against a scalar
-// FaultyRam holding that lane's single fault, and MarchCampaign must
-// reproduce the serial run_campaign(march_algorithm) CampaignResult —
-// coverage, per-class counts, escape indices and op totals — on any
-// universe, any thread count, with or without early abort.
+// a packed March sweep must reproduce run_march_backgrounds against a
+// scalar FaultyRam holding that lane's single fault — at every word
+// width, at both lane widths, with and without early abort — and
+// MarchCampaign must reproduce the serial run_campaign(march_algorithm)
+// CampaignResult — coverage, per-class counts, escape indices and op
+// totals — on any universe, any thread count, with or without early
+// abort.
 #include "march/march_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/march_campaign.hpp"
@@ -24,6 +27,7 @@
 #include "mem/fault_injector.hpp"
 #include "mem/fault_universe.hpp"
 #include "mem/packed_fault_ram.hpp"
+#include "util/bitops.hpp"
 
 namespace prt {
 namespace {
@@ -36,13 +40,21 @@ void expect_identical(const analysis::CampaignResult& a,
   EXPECT_EQ(a.ops, b.ops);
 }
 
-/// A 64-lane mix of every lane-compatible kind: single-cell, read
-/// logic and the two-cell coupling/bridge kinds.
-std::vector<mem::Fault> mixed_lane_universe(mem::Addr n) {
+/// Word widths the per-lane parity runs at: the bit loop and the word
+/// loop from two planes up to the widest SimRam word.
+constexpr unsigned kWidths[] = {1, 2, 4, 8, 32};
+
+/// A 64-lane mix of the single-cell, read logic and two-cell
+/// coupling/bridge kinds on an m-bit memory: victims walk the bit
+/// planes, and on word-oriented memories every other round pairs the
+/// victim with the next plane of its own word (intra-word coupling).
+std::vector<mem::Fault> mixed_lane_universe(mem::Addr n, unsigned m = 1) {
   std::vector<mem::Fault> faults;
   for (unsigned i = 0; faults.size() < mem::PackedFaultRam::kLanes; ++i) {
-    const mem::BitRef v{i % n, 0};
-    const mem::BitRef a{(i + 1 + i % 3) % n, 0};
+    const mem::BitRef v{i % n, (i / 16) % m};
+    const mem::BitRef a = m > 1 && (i / 16) % 2 == 1
+                              ? mem::BitRef{v.cell, (v.bit + 1) % m}
+                              : mem::BitRef{(i + 1 + i % 3) % n, (i / 7) % m};
     switch (i % 16) {
       case 0: faults.push_back(mem::Fault::saf(v, 0)); break;
       case 1: faults.push_back(mem::Fault::saf(v, 1)); break;
@@ -67,44 +79,77 @@ std::vector<mem::Fault> mixed_lane_universe(mem::Addr n) {
 
 // --- per-lane parity of one packed sweep --------------------------------
 
-/// Each lane's detected bit must equal run_march's fail verdict on a
-/// scalar FaultyRam with the same fault, for both background bits, and
-/// the packed op count must equal the scalar per-fault op count.
+/// One packed sweep of `faults` (at most one batch) at lane word W.
+template <typename W>
+march::MarchPackedVerdictT<W> packed_sweep(std::span<const mem::Fault> faults,
+                                           const core::OpTranscript& t,
+                                           unsigned m, bool early_abort) {
+  mem::PackedFaultRamT<W> packed(t.n, m);
+  for (const mem::Fault& f : faults) packed.add_fault(f);
+  return march::run_march_packed(packed, t, {.early_abort = early_abort});
+}
+
+/// Each lane's detected bit must equal run_march_backgrounds' fail
+/// verdict on a scalar FaultyRam with the same fault, over the standard
+/// backgrounds of the m-bit word (complemented for `background`), and
+/// each sweep's scalar-equivalent ops must sum the reference's
+/// per-fault ops — at both lane widths, with early abort off and on.
 void check_march_lane_parity(std::span<const mem::Fault> faults,
-                             const march::MarchTest& test, mem::Addr n) {
+                             const march::MarchTest& test, mem::Addr n,
+                             unsigned m) {
+  const auto mask = static_cast<mem::Word>(low_mask(m));
   for (const bool background : {false, true}) {
-    mem::PackedFaultRam packed(n);
-    for (const mem::Fault& f : faults) packed.add_fault(f);
-    const std::uint64_t detected =
-        march::run_march_packed(test, packed, background) &
-        packed.active_mask();
-    mem::FaultyRam scalar(n, 1);
-    for (unsigned lane = 0; lane < faults.size(); ++lane) {
-      scalar.reset(faults[lane]);
-      const march::MarchResult r =
-          march::run_march(test, scalar, background ? 1U : 0U);
-      EXPECT_EQ(((detected >> lane) & 1U) != 0, r.fail)
-          << test.name << " bg=" << background << " lane " << lane << " ("
-          << faults[lane].describe() << ")";
-      EXPECT_EQ(packed.ops(), scalar.total_stats().total());
+    const core::OpTranscript transcript = march::make_march_transcript(
+        test, n, background, march::kDefaultDelayTicks, m);
+    std::vector<mem::Word> backgrounds = march::standard_backgrounds(m);
+    if (background) {
+      for (mem::Word& bg : backgrounds) bg ^= mask;
+    }
+    for (const bool early_abort : {false, true}) {
+      SCOPED_TRACE(test.name + " m=" + std::to_string(m) +
+                   " bg=" + std::to_string(background) +
+                   " early_abort=" + std::to_string(early_abort));
+      const auto narrow =
+          packed_sweep<mem::LaneWord>(faults, transcript, m, early_abort);
+      const auto wide =
+          packed_sweep<mem::WideWord<8>>(faults, transcript, m, early_abort);
+      mem::FaultyRam scalar(n, m);
+      std::uint64_t ops = 0;
+      for (unsigned lane = 0; lane < faults.size(); ++lane) {
+        scalar.reset(faults[lane]);
+        const march::MarchResult r = march::run_march_backgrounds(
+            test, scalar, backgrounds, {.early_abort = early_abort});
+        ops += r.ops;
+        EXPECT_EQ(narrow.lane_detected(lane), r.fail)
+            << "lane " << lane << " (" << faults[lane].describe() << ")";
+        EXPECT_EQ(wide.lane_detected(lane), r.fail)
+            << "lane " << lane << " (" << faults[lane].describe() << ")";
+      }
+      EXPECT_EQ(narrow.scalar_ops, ops);
+      EXPECT_EQ(wide.scalar_ops, ops);
     }
   }
 }
 
 TEST(RunMarchPacked, LaneVerdictsMatchScalarAcrossStandardTests) {
   const mem::Addr n = 16;
-  for (const march::MarchTest& test :
-       {march::mats_plus(), march::march_x(), march::march_y(),
-        march::march_c_minus(), march::march_a(), march::march_b(),
-        march::march_ss(), march::march_g()}) {
-    check_march_lane_parity(mixed_lane_universe(n), test, n);
+  for (const unsigned m : kWidths) {
+    for (const march::MarchTest& test :
+         {march::mats_plus(), march::march_x(), march::march_y(),
+          march::march_c_minus(), march::march_a(), march::march_b(),
+          march::march_ss(), march::march_g()}) {
+      check_march_lane_parity(mixed_lane_universe(n, m), test, n, m);
+    }
   }
 }
 
-/// A 64-lane mix of the pattern and clock-dependent kinds: static NPSF
-/// neighbourhoods (interior, border-inert and no-grid-inert victims)
-/// and retention lanes whose delays straddle the default Del tick.
-std::vector<mem::Fault> npsf_retention_lane_universe(mem::Addr n) {
+/// A 64-lane mix of the pattern and clock-dependent kinds on an m-bit
+/// memory: static NPSF neighbourhoods (interior, border-inert and
+/// no-grid-inert victims), retention lanes whose delays straddle the
+/// default Del tick, and the three decoder kinds — victims walking the
+/// bit planes.
+std::vector<mem::Fault> npsf_retention_lane_universe(mem::Addr n,
+                                                     unsigned m = 1) {
   const mem::Addr cols = 4;
   // Delays around march_runner's kDefaultDelayTicks = 100'000: decayed
   // by plain access clocking, by the first Del, only by the second Del,
@@ -113,8 +158,14 @@ std::vector<mem::Fault> npsf_retention_lane_universe(mem::Addr n) {
                                        1'000'000'000};
   std::vector<mem::Fault> faults;
   for (unsigned i = 0; faults.size() < mem::PackedFaultRam::kLanes; ++i) {
-    const mem::BitRef v{i % n, 0};
-    if (i % 2 == 0) {
+    const mem::BitRef v{i % n, (i / 3) % m};
+    if (i % 16 == 15) {
+      const mem::Addr other = (v.cell + 5) % n;
+      faults.push_back(i % 48 == 15 ? mem::Fault::af_no_access(v.cell)
+                       : i % 48 == 31
+                           ? mem::Fault::af_wrong_access(v.cell, other)
+                           : mem::Fault::af_multi_access(v.cell, other));
+    } else if (i % 2 == 0) {
       const mem::Addr grid = (i % 8 == 6) ? 0 : cols;  // some no-grid inert
       faults.push_back(
           mem::Fault::npsf_static(v, (i / 2) % 16, (i / 32) & 1, grid));
@@ -126,17 +177,20 @@ std::vector<mem::Fault> npsf_retention_lane_universe(mem::Addr n) {
   return faults;
 }
 
-// The tentpole acceptance at the March layer: NPSF neighbourhood lanes
-// and analytic retention lanes reproduce the scalar FaultyRam verdict
-// per lane across the standard tests, including March G's Del elements
-// (which advance the packed retention clock exactly like
-// advance_time on the scalar ram).
+// NPSF neighbourhood lanes, analytic retention lanes and decoder lanes
+// reproduce the scalar FaultyRam verdict per lane across the standard
+// tests, including March G's Del elements (which advance the packed
+// retention clock exactly like advance_time on the scalar ram)
+// repeated once per background.
 TEST(RunMarchPacked, NpsfRetentionLanesMatchScalarAcrossStandardTests) {
   const mem::Addr n = 16;
-  for (const march::MarchTest& test :
-       {march::mats_plus(), march::march_c_minus(), march::march_ss(),
-        march::march_g()}) {
-    check_march_lane_parity(npsf_retention_lane_universe(n), test, n);
+  for (const unsigned m : kWidths) {
+    for (const march::MarchTest& test :
+         {march::mats_plus(), march::march_c_minus(), march::march_ss(),
+          march::march_g()}) {
+      check_march_lane_parity(npsf_retention_lane_universe(n, m), test, n,
+                              m);
+    }
   }
 }
 
@@ -249,9 +303,8 @@ TEST(MarchCampaign, BitIdenticalToSerialScalarOnClassical1024) {
                               march::march_c_minus(), opt);
 }
 
-// The van de Goor universe interleaves packed (single-cell, read
-// logic, coupling) and scalar (decoder) faults within every shard,
-// exercising the escape re-sort and the per-class merge.
+// The van de Goor universe interleaves every fault class within each
+// shard, exercising the per-class merge.
 TEST(MarchCampaign, BitIdenticalToSerialScalarOnVanDeGoor) {
   const mem::Addr n = 64;
   analysis::CampaignOptions opt;
@@ -281,14 +334,16 @@ TEST(MarchCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
   check_march_campaign_parity(universe, march::march_g(), opt);
 }
 
-// Word-oriented campaigns cannot pack (the packed March replay runs one
-// bit plane), so every fault runs the live reference while the batches
-// still fan out.
-TEST(MarchCampaign, WomCampaignFallsBackToScalar) {
+// Word-oriented campaigns ride the lanes too: four bit planes per cell
+// and three data backgrounds in one transcript, bit-identical to the
+// live reference over single-cell, read-logic, decoder and (intra- and
+// inter-word) coupling faults, serial and threaded, with and without
+// early abort.
+TEST(MarchCampaign, WomCampaignBitIdenticalToSerialScalar) {
   const mem::Addr n = 32;
   const unsigned m = 4;
   const auto universe = mem::make_universe(
-      n, m, {.coupling = false, .bridges = false, .npsf = false});
+      n, m, {.bridges = false, .coupling_pair_limit = 24});
   analysis::CampaignOptions opt;
   opt.n = n;
   opt.m = m;

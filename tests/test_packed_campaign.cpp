@@ -43,48 +43,7 @@ void expect_identical(const analysis::CampaignResult& a,
   EXPECT_EQ(a.ops, b.ops);
 }
 
-// --- lane compatibility ------------------------------------------------
-
-TEST(LaneCompatible, SingleBitKindsRideLanesOthersDoNot) {
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::saf({3, 0}, 0)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::saf({3, 0}, 1)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::tf({3, 0}, true)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::tf({3, 0}, false)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::wdf({3, 0})));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::rdf({3, 0})));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::drdf({3, 0})));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::irf({3, 0})));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::sof({3, 0})));
-  // Two-cell coupling faults ride a lane too: the aggressor/victim
-  // pair lives in one lane's memory.
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::cf_in({1, 0}, {2, 0})));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::cf_id({1, 0}, {2, 0}, true, 1)));
-  EXPECT_TRUE(
-      mem::lane_compatible(mem::Fault::cf_id({1, 0}, {2, 0}, false, 0)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::cf_st({1, 0}, {2, 0}, 0, 1)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::cf_st({1, 0}, {2, 0}, 1, 0)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::bridge({1, 0}, {2, 0}, true)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::bridge({1, 0}, {2, 0}, false)));
-  // Decoder faults ride too: one fault per lane means the remap
-  // touches exactly one address and at most one alias cell.
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::af_no_access(1)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::af_wrong_access(1, 2)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::af_multi_access(1, 2)));
-  // Pattern faults ride: the 4-cell neighbourhood is per-lane
-  // metadata like an aggressor/victim pair.  Clock-dependent
-  // retention faults ride too: decay advances analytically on the
-  // packed clock.
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::npsf_static({5, 0}, 0xF, 0, 4)));
-  EXPECT_TRUE(mem::lane_compatible(mem::Fault::retention({1, 0}, 1, 8)));
-  // The packed array models a 1-bit-wide memory: bit planes > 0 do not
-  // ride, on either end of the pair.
-  EXPECT_FALSE(mem::lane_compatible(mem::Fault::saf({3, 1}, 0)));
-  EXPECT_FALSE(mem::lane_compatible(mem::Fault::cf_in({1, 1}, {2, 0})));
-  EXPECT_FALSE(mem::lane_compatible(mem::Fault::cf_in({1, 0}, {2, 1})));
-  // A CFst trigger state beyond {0, 1} never matches a stored bit —
-  // FaultyRam treats it as inert, so it stays on the scalar path.
-  EXPECT_FALSE(mem::lane_compatible(mem::Fault::cf_st({1, 0}, {2, 0}, 2, 1)));
-}
+// --- fault admission -----------------------------------------------------
 
 TEST(PackedFaultRam, RejectsIncompatibleAndOverflowingFaults) {
   mem::PackedFaultRam ram(8);
@@ -102,6 +61,58 @@ TEST(PackedFaultRam, RejectsIncompatibleAndOverflowingFaults) {
                std::invalid_argument);
   EXPECT_THROW(ram.add_fault(mem::Fault::af_multi_access(1, 8)),
                std::invalid_argument);
+  // Bit planes beyond the word, on either end of a pair, are rejected
+  // like FaultyRam::inject rejects them, with the fault in the message.
+  for (const mem::Fault& f :
+       {mem::Fault::saf({3, 1}, 0), mem::Fault::cf_in({1, 1}, {2, 0}),
+        mem::Fault::cf_in({1, 0}, {2, 1})}) {
+    mem::FaultyRam scalar(8, 1);
+    EXPECT_THROW(scalar.inject(f), std::invalid_argument) << f.describe();
+    try {
+      ram.add_fault(f);
+      ADD_FAILURE() << "accepted " << f.describe();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(f.describe()), std::string::npos);
+    }
+  }
+  {
+    mem::PackedFaultRamT<mem::WideWord<8>> word_ram(8, 4);
+    EXPECT_THROW(word_ram.add_fault(mem::Fault::tf({3, 4}, true)),
+                 std::invalid_argument);
+    EXPECT_THROW(word_ram.add_fault(mem::Fault::bridge({1, 3}, {2, 4}, true)),
+                 std::invalid_argument);
+    EXPECT_EQ(word_ram.add_fault(mem::Fault::bridge({1, 3}, {2, 3}, true)), 0u);
+  }
+  EXPECT_EQ(ram.lanes_used(), 0u);
+  {
+    // A CFst whose trigger state is beyond {0, 1} never matches a
+    // stored bit: inert in FaultyRam, it takes a lane that never
+    // mismatches and reads back what the scalar reference reads.
+    const mem::Fault inert = mem::Fault::cf_st({1, 0}, {2, 0}, /*when=*/2, 1);
+    mem::PackedFaultRam lane(8);
+    EXPECT_EQ(lane.add_fault(inert), 0u);
+    mem::FaultyRam scalar(8, 1);
+    scalar.inject(inert);
+    for (const unsigned value : {0u, 1u, 0u, 1u}) {
+      for (mem::Addr a = 0; a < 8; ++a) {
+        lane.write(a, mem::lane_broadcast(value));
+        scalar.write(a, value, 0);
+      }
+      for (mem::Addr a = 0; a < 8; ++a) {
+        const unsigned got = mem::lane_test(lane.read(a), 0) ? 1U : 0U;
+        EXPECT_EQ(got, scalar.read(a, 0)) << "cell " << a;
+        EXPECT_EQ(got, value) << "cell " << a;
+      }
+    }
+    const auto scheme = core::extended_scheme_bom(8);
+    const auto oracle = core::make_prt_oracle(scheme, 8);
+    lane.reset();
+    lane.add_fault(inert);
+    EXPECT_EQ(core::run_prt_packed(lane, scheme, oracle) & lane.active_mask(),
+              0u);
+    scalar.reset(inert);
+    EXPECT_FALSE(core::run_prt(scalar, scheme, oracle).detected());
+  }
   for (unsigned i = 0; i < mem::PackedFaultRam::kLanes; ++i) {
     EXPECT_EQ(ram.add_fault(mem::Fault::saf({i % 8, 0}, 1)), i);
   }
@@ -403,16 +414,6 @@ TEST(PackedFaultRam, RetentionLanesMatchScalarUnderRandomPauses) {
 }
 
 // --- packed PRT evaluation ---------------------------------------------
-
-TEST(RunPrtPacked, SchemePackability) {
-  EXPECT_TRUE(core::prt_scheme_packable(core::standard_scheme_bom(16)));
-  EXPECT_TRUE(core::prt_scheme_packable(core::extended_scheme_bom(16)));
-  EXPECT_TRUE(
-      core::prt_scheme_packable(core::retention_scheme(16, 1, 100)));
-  // Word-oriented schemes pack too: each GF(2^m) constant multiply
-  // compiles to an m x m tap matrix and the feedback stays XOR-only.
-  EXPECT_TRUE(core::prt_scheme_packable(core::standard_scheme_wom(16, 4)));
-}
 
 // One full batch of lane-compatible faults on a tiny array: each
 // lane's detected bit must equal the scalar oracle-backed run_prt
@@ -739,9 +740,6 @@ TEST(PackedCampaign, WomCampaignBitIdenticalToSerialScalar) {
     eng.threads = threads;
     const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
     expect_identical(reference, got);
-    // Every fault of this universe rides a lane at width 4.
-    EXPECT_EQ(got.packed_faults, got.overall.total);
-    EXPECT_EQ(got.scalar_faults, 0u);
   }
 }
 
@@ -761,7 +759,7 @@ TEST(PackedCampaign, WomPerLaneAbortBitIdentical) {
 
 // NPSF + retention universes ride the lanes end to end: the packed
 // campaign (with and without early abort) must reproduce the serial
-// scalar reference bit for bit, with zero scalar fallbacks.
+// scalar reference bit for bit.
 TEST(PackedCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
   const mem::Addr n = 64;
   const auto universe = npsf_retention_universe(n);
@@ -774,43 +772,8 @@ TEST(PackedCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
     eng.threads = threads;
     const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
     expect_identical(reference, got);
-    EXPECT_EQ(got.packed_faults, got.overall.total);
-    EXPECT_EQ(got.scalar_faults, 0u);
   }
   check_abort_composition(universe, scheme, opt, reference);
-}
-
-// --- dispatch tallies ----------------------------------------------------
-
-// packed_faults / scalar_faults partition the universe: a PRT engine
-// routes every lane-compatible fault through a batch (only the
-// degenerate CFst trigger state falls back), a workload that cannot
-// pack (March at m = 4) routes everything per fault, and the serial
-// reference tallies scalar.
-TEST(PackedCampaign, DispatchTalliesPartitionTheUniverse) {
-  const mem::Addr n = 48;
-  auto universe = mem::van_de_goor_universe(n);
-  // One degenerate CFst trigger state (> 1): inert in FaultyRam, kept
-  // on the scalar reference path by lane_compatible.
-  universe.push_back(mem::Fault::cf_st({1, 0}, {2, 0}, /*when=*/2, 1));
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-
-  const auto serial = serial_scalar_reference(universe, scheme, opt);
-  EXPECT_EQ(serial.scalar_faults, universe.size());
-  EXPECT_EQ(serial.packed_faults, 0u);
-
-  const auto packed = analysis::run_prt_campaign(universe, scheme, opt);
-  EXPECT_EQ(packed.packed_faults, universe.size() - 1);
-  EXPECT_EQ(packed.scalar_faults, 1u);
-  EXPECT_EQ(packed.packed_faults + packed.scalar_faults,
-            packed.overall.total);
-
-  const auto scalar = analysis::run_march_campaign(
-      universe, march::march_c_minus(), {.n = n, .m = 4});
-  EXPECT_EQ(scalar.scalar_faults, universe.size());
-  EXPECT_EQ(scalar.packed_faults, 0u);
 }
 
 // --- width rule x thread-count parity --------------------------------------

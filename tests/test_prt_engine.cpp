@@ -50,6 +50,43 @@ TEST(PrtScheme, StandardWomOtherWidths) {
   }
 }
 
+// The factories guard their word width with an exception that names
+// it, thrown before any polynomial search: m = 17 and 20 would return
+// a scheme over a field every campaign rejects, and wider or zero
+// widths would search for minutes or forever.
+TEST(PrtScheme, FactoriesRejectWordWidthOutsideTheField) {
+  auto message_of = [](auto&& build) {
+    try {
+      (void)build();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no std::invalid_argument");
+  };
+  for (const unsigned m : {17u, 20u}) {
+    const std::string named = "m = " + std::to_string(m);
+    SCOPED_TRACE(named);
+    EXPECT_NE(message_of([&] { return standard_scheme_wom(64, m); })
+                  .find(named),
+              std::string::npos);
+    EXPECT_NE(message_of([&] { return extended_scheme_wom(64, m); })
+                  .find(named),
+              std::string::npos);
+    EXPECT_NE(message_of([&] { return retention_scheme(64, m, 100); })
+                  .find(named),
+              std::string::npos);
+  }
+  // The WOM factories start at two planes; retention needs n > 2.
+  EXPECT_THROW((void)standard_scheme_wom(64, 1), std::invalid_argument);
+  EXPECT_THROW((void)extended_scheme_wom(64, 1), std::invalid_argument);
+  EXPECT_NE(message_of([] { return retention_scheme(2, 1, 100); })
+                .find("n = 2"),
+            std::string::npos);
+  // The edges of the field still build.
+  EXPECT_NO_THROW((void)standard_scheme_wom(64, 16));
+  EXPECT_NO_THROW((void)retention_scheme(3, 16, 100));
+}
+
 TEST(PrtScheme, ExtendedSchemeEnablesVerifyPasses) {
   const PrtScheme s = extended_scheme_bom(64);
   EXPECT_GT(s.iterations.size(), 10u);
