@@ -135,7 +135,7 @@ class MarchWorkload {
   std::pair<W, std::uint64_t> run_batch(ShardState&,
                                         mem::PackedFaultRamT<W>& batch) const {
     const march::MarchRunOptions run{.early_abort = early_abort_};
-    const march::MarchPackedVerdictT<W> v =
+    const core::PackedVerdictT<W> v =
         march::run_march_packed(batch, entry_->transcript, run);
     return {v.detected & batch.active_mask(), v.scalar_ops};
   }

@@ -12,7 +12,7 @@ namespace {
 // Approximate resident cost of an entry for the LRU budget.  This is
 // a *budgeting* estimate, not an allocator audit: it counts the heap
 // vectors that dominate real entries (transcript op streams scale with
-// n × iterations; oracle images with n) and charges structs at sizeof.
+// n × iterations) and charges structs at sizeof.
 // Consistency matters more than precision — the same entry always
 // costs the same, so eviction order and budget math are deterministic.
 
@@ -22,19 +22,8 @@ std::size_t transcript_bytes(const core::OpTranscript& t) {
          t.march.capacity() * sizeof(core::MarchSegment);
 }
 
-std::size_t entry_bytes(const OracleCache::PrtEntry& e) {
-  std::size_t bytes = sizeof(e) + transcript_bytes(e.transcript);
-  bytes += e.oracle.testers.capacity() * sizeof(core::PiTester);
-  for (const auto& it : e.oracle.iterations) {
-    bytes += sizeof(it);
-    bytes += it.trajectory.order().capacity() * sizeof(mem::Addr);
-    bytes += it.fin_expected.capacity() * sizeof(gf::Elem);
-    bytes += it.image.capacity() * sizeof(gf::Elem);
-  }
-  return bytes;
-}
-
-std::size_t entry_bytes(const OracleCache::MarchEntry& e) {
+template <typename Entry>
+std::size_t entry_bytes(const Entry& e) {
   return sizeof(e) + transcript_bytes(e.transcript);
 }
 
@@ -143,10 +132,8 @@ std::shared_ptr<const OracleCache::PrtEntry> OracleCache::prt(
   std::string key =
       core::scheme_fingerprint(scheme) + "|n=" + std::to_string(n);
   return lookup(&OracleCache::prt_, 'p', std::move(key), prt_builds_, [&] {
-    PrtEntry entry;
-    entry.oracle = core::make_prt_oracle(scheme, n);
-    entry.transcript = core::make_op_transcript(scheme, entry.oracle);
-    return entry;
+    return PrtEntry{
+        core::make_op_transcript(scheme, core::make_prt_oracle(scheme, n))};
   });
 }
 

@@ -1,10 +1,12 @@
 // Thread-safe, build-once memoization of golden-run artifacts, with a
 // budgeted LRU so a long-lived service cannot grow without bound.
 //
-// Everything a campaign derives from the workload alone — the
-// PrtOracle and the compiled core::OpTranscript (PRT and March
-// flavours) — depends only on (scheme, n) or on
-// (march test, n, background, delay, m) and is immutable once built.
+// Everything a campaign derives from the workload alone — the compiled
+// core::OpTranscript, PRT and March flavours — depends only on
+// (scheme, n) or on (march test, n, background, delay, m) and is
+// immutable once built.  A PRT entry compiles its transcript from a
+// PrtOracle built for the purpose and then dropped: the replays read
+// only the transcript.
 // Before this cache each CampaignEngine / MarchCampaign built its own
 // copy in its constructor, so a multi-size sweep, a port sweep at one
 // size, or simply two engines over the same scheme recompiled the same
@@ -55,10 +57,9 @@ namespace prt::analysis {
 
 class OracleCache {
  public:
-  /// Everything derivable from (scheme, n): the memoized oracle and
-  /// the compiled replay transcript.  Immutable after construction.
+  /// Everything the engines need from (scheme, n): the compiled replay
+  /// transcript.  Immutable after construction.
   struct PrtEntry {
-    core::PrtOracle oracle;
     core::OpTranscript transcript;
   };
 

@@ -20,19 +20,24 @@
 //  * march::run_march_packed (march/march_runner.hpp) replays a March
 //    transcript compiled by march::make_march_transcript.
 //
+// Both return the PackedVerdictT below and keep their lanes in one
+// LaneLatch, so the rule that retires a detected lane and charges its
+// scalar-equivalent ops is written once for both test kinds.
+//
 // Campaigns fetch one transcript per (scheme, n) from the
-// analysis::OracleCache next to the memoized oracle and share it
-// read-only across workers; it is immutable after construction.  The
-// live runs stay the scalar reference: per-lane verdicts and abort
-// ops of the replays must equal run_prt / run_march_backgrounds on a
-// FaultyRam holding that lane's fault (tests/test_op_transcript.cpp,
-// the packed parity tests and the campaign fuzzer).  See DESIGN.md §9.
+// analysis::OracleCache and share it read-only across workers; it is
+// immutable after construction.  The live runs stay the scalar
+// reference: per-lane verdicts and abort ops of the replays must equal
+// run_prt / run_march_backgrounds on a FaultyRam holding that lane's
+// fault (tests/test_op_transcript.cpp, the packed parity tests and the
+// campaign fuzzer).  See DESIGN.md §9 and §21.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/prt_engine.hpp"
+#include "mem/lane_word.hpp"
 
 namespace prt::core {
 
@@ -134,5 +139,76 @@ struct OpTranscript {
 /// every fb_mask in range).
 [[nodiscard]] OpTranscript make_op_transcript(const PrtScheme& scheme,
                                               const PrtOracle& oracle);
+
+/// Verdict of a packed replay (PRT or March) at lane width
+/// LaneTraits<W>::kLanes.
+template <typename W>
+struct PackedVerdictT {
+  /// Lane L set means lane L's fault is detected.  Lanes beyond
+  /// ram.lanes_used() simulate fault-free memories and never deviate,
+  /// but callers should still AND with ram.active_mask().  Inspect
+  /// single lanes through lane_detected() / mem::lane_test rather than
+  /// shifting the raw word — the mask is width-generic.
+  W detected{};
+  /// Sum over the ram's *active* lanes of the ops the scalar reference
+  /// (run_prt or run_march_backgrounds on a FaultyRam holding that
+  /// lane's fault, with the same early_abort) would have issued:
+  /// everything up to its abort point under early abort, the whole
+  /// transcript otherwise.  Campaigns charge this to
+  /// CampaignResult::ops so packed accounting stays bit-identical to
+  /// the scalar path.
+  std::uint64_t scalar_ops = 0;
+
+  /// Width-generic per-lane accessor: lane `lane`'s verdict.
+  [[nodiscard]] bool lane_detected(unsigned lane) const {
+    return mem::lane_test(detected, lane);
+  }
+  /// Number of detected lanes (callers AND with active_mask first when
+  /// the ram is partially filled).
+  [[nodiscard]] unsigned detected_count() const {
+    return mem::lane_popcount(detected);
+  }
+};
+
+using PackedVerdict = PackedVerdictT<mem::LaneWord>;
+
+/// The lane bookkeeping both packed replays share.  A lane's mismatch
+/// latch is monotone, so the moment it is set the lane's verdict is
+/// final.  Under early abort the replay calls retire() at each point
+/// where the scalar reference could stop — PRT after every iteration
+/// and at every verify read, March after every read — with the ops that
+/// reference has issued by then; lanes that latched since the last call
+/// are charged exactly that and leave the pending set.  finish()
+/// charges every lane still pending the complete transcript: all active
+/// lanes when early abort is off.
+template <typename W>
+struct LaneLatch {
+  /// Lanes whose observed value ever deviated from the golden one.
+  W mismatch{};
+  /// Active lanes not yet retired.
+  W pending;
+  std::uint64_t scalar_ops = 0;
+
+  explicit LaneLatch(const W& active) : pending(active) {}
+
+  /// Retires the pending lanes whose mismatch has latched, charging each
+  /// `ops`.  Returns true when this call retired the last pending lane:
+  /// the replay can stop, no verdict can change any more.
+  bool retire(std::uint64_t ops) {
+    const W newly = pending & mismatch;
+    if (!mem::lane_any(newly)) return false;
+    scalar_ops += static_cast<std::uint64_t>(mem::lane_popcount(newly)) * ops;
+    pending &= ~newly;
+    return !mem::lane_any(pending);
+  }
+
+  /// The verdict, charging the lanes still pending `total_ops` each.
+  [[nodiscard]] PackedVerdictT<W> finish(std::uint64_t total_ops) const {
+    return {mismatch,
+            scalar_ops +
+                static_cast<std::uint64_t>(mem::lane_popcount(pending)) *
+                    total_ops};
+  }
+};
 
 }  // namespace prt::core

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "util/bitops.hpp"
 
@@ -11,7 +13,13 @@ PiTester::PiTester(gf::GF2m field, std::vector<gf::Elem> g)
     : lfsr_(std::move(field), std::move(g)) {}
 
 void PiTester::enable_misr(gf::Poly2 poly) {
-  assert(poly_degree(poly) >= 1 && poly_degree(poly) <= 63);
+  const int degree = poly_degree(poly);
+  if (degree < 1 || degree > 63) {
+    throw std::invalid_argument("PiTester::enable_misr: MISR polynomial " +
+                                std::to_string(poly) + " has degree " +
+                                std::to_string(degree) +
+                                ", needs a degree in [1, 63]");
+  }
   misr_poly_ = poly;
 }
 

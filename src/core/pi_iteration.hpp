@@ -103,7 +103,8 @@ class PiTester {
   /// field.m() folds only the low deg(poly) bits of each read word
   /// into the signature (both golden and observed streams fold
   /// identically, so the verdict stays sound — only the aliasing
-  /// probability grows).
+  /// probability grows).  Throws std::invalid_argument naming `poly`
+  /// when its degree is outside [1, 63].
   void enable_misr(gf::Poly2 poly);
   [[nodiscard]] bool misr_enabled() const { return misr_poly_ != 0; }
 

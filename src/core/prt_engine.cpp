@@ -17,6 +17,14 @@ void validate_prt_scheme(const PrtScheme& scheme, mem::Addr n, unsigned m) {
         " must equal the campaign word width m = " + std::to_string(m) +
         " and lie in [1, 16]");
   }
+  // A degree-0 polynomial (misr_poly = 1) would give a 0-bit register.
+  const int misr_degree = poly_degree(scheme.misr_poly);
+  if (scheme.misr_poly != 0 && (misr_degree < 1 || misr_degree > 63)) {
+    throw std::invalid_argument(
+        "PrtScheme: MISR polynomial " + std::to_string(scheme.misr_poly) +
+        " has degree " + std::to_string(misr_degree) +
+        ", needs 0 (disabled) or a degree in [1, 63]");
+  }
   if (scheme.iterations.empty()) {
     throw std::invalid_argument("PrtScheme: no iterations");
   }

@@ -75,7 +75,8 @@ struct PrtOracle {
 /// oracle, analysis::prt_algorithm and every campaign that runs a
 /// scheme).  Throws std::invalid_argument, naming the value, unless
 /// the field degree equals the word width m (and lies in GF2m's
-/// [1, 16]), the scheme has iterations, and every iteration has
+/// [1, 16]), the MISR polynomial is 0 (disabled) or of degree in
+/// [1, 63], the scheme has iterations, and every iteration has
 /// 1 <= k < n with m * k <= 64 (the oracle's LFSR jump-ahead packs the
 /// register into one word), k seeds, non-zero g0 and gk, and every
 /// coefficient and seed inside the field.

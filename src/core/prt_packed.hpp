@@ -1,22 +1,29 @@
 // Bit-parallel PRT evaluation over packed fault lanes.
 //
+// The paper's automaton is one linear recurrence over GF(2^m); a
+// bit-oriented memory is its m = 1 case, and so is the replay here.
 // Over GF(2) every scheme value is a single bit, so the LFSR feedback
 // sum_j g_j * window[k-j] degenerates to an XOR of the selected window
 // entries — which is *lane-wise*: one lane-word XOR computes all
 // packed memories' feedback at once, each from its own (possibly
-// fault-corrupted) reads.  Word-oriented schemes (GF(2^m), m > 1) pack
-// just as well: a cell is m bit planes, each constant-coefficient
-// multiply is a GF(2)-linear map compiled into the transcript as an
-// m x m tap matrix (PrtIterSpan::tap_rows), and the feedback becomes a
-// handful of plane-wide XORs — the same XOR-only realization the paper
-// proposes for the BIST hardware itself.  run_prt_packed replays the
-// compiled op transcript of the scheme (core/op_transcript.hpp)
-// against a mem::PackedFaultRamT: a tight stream over flat
-// {addr, golden} records with no Trajectory::at(), no oracle
-// indirection and no per-op dispatch, comparing each lane's observed
-// Fin, Init read-back, verify-pass image and (bit-sliced) MISR
-// signature against the golden values baked into the transcript,
-// returning the per-lane detected mask.
+// fault-corrupted) reads.  Over GF(2^m), m > 1, a cell is m bit planes
+// and each constant-coefficient multiply is a GF(2)-linear map compiled
+// into the transcript as an m x m tap matrix (PrtIterSpan::tap_rows),
+// so the feedback becomes a handful of plane-wide XORs — the same
+// XOR-only realization the paper proposes for the BIST hardware
+// itself.  run_prt_packed replays the compiled op transcript of the
+// scheme (core/op_transcript.hpp) against a mem::PackedFaultRamT: a
+// tight stream over flat {addr, golden} records with no
+// Trajectory::at(), no oracle indirection and no per-op dispatch,
+// comparing each lane's observed Fin, Init read-back, verify-pass
+// image and (bit-sliced) MISR signature against the golden values
+// baked into the transcript, returning the per-lane detected mask.
+//
+// One loop serves both word shapes.  The transcript's width picks its
+// access path once per call: the bit path (m = 1) carries every read
+// as one plain lane word through PackedFaultRamT::read / write, the
+// word path (m > 1) moves whole cells through read_word / write_word
+// and keeps its planes in PackedScratchT.
 //
 // The whole replay is generic over the lane word W
 // (mem/lane_word.hpp): the 64-lane std::uint64_t and the 512-lane
@@ -28,17 +35,18 @@
 // Detection semantics per lane are identical to
 // run_prt(FaultyRam, scheme, oracle).detected() for the same single
 // fault — the parity tests in tests/test_packed_campaign.cpp and the
-// lane-batching campaign layer (analysis/campaign_engine) rely on it.
+// lane-batching campaign layer (analysis/campaign_driver.hpp) rely on
+// it.
 //
-// Per-lane early abort: a lane's mismatch latch is monotone, so the
-// moment it is set the lane's verdict is final and the lane is retired
-// from the pending mask.  With PackedRunOptions::early_abort the run
-// stops as soon as every active lane is retired (at iteration
-// boundaries, or mid-verify-pass once the mask saturates), and the
-// reported scalar-equivalent op count reproduces exactly what
-// run_prt(..., {.early_abort = true}) would have issued per lane:
+// Per-lane early abort: the replay keeps its lanes in a
+// core::LaneLatch (op_transcript.hpp), shared with the March replay.
+// With PackedRunOptions::early_abort a latched lane retires no later
+// than the end of its iteration, charged exactly what
+// run_prt(..., {.early_abort = true}) would have issued for it:
 // complete iterations up to and including the first failing one —
 // analytic, from the transcript's per-iteration abort-op prefix sums.
+// The run stops once the last pending lane retires, mid-verify-pass if
+// that is where it latches.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +68,11 @@ struct PackedRunOptions {
 
 /// Reusable replay scratch: the bit-sliced MISR state plus the word
 /// path's plane buffers (read word, feedback accumulator — 2 * width
-/// lane words; unused and unallocated on the GF(2) path, whose
-/// feedback accumulates inline).  Campaign shard loops own one per
-/// lane width and pass it to every batch instead of reallocating per
-/// batch.
+/// lane words; never allocated on the bit path, which keeps its values
+/// in lane words), sized to the transcript's width rather than to the
+/// 32-plane maximum a stack array would need.  Campaign shard loops own
+/// one per lane width and pass it to every batch instead of
+/// reallocating per batch.
 template <typename W>
 struct PackedScratchT {
   std::vector<W> misr;
@@ -72,38 +81,9 @@ struct PackedScratchT {
 
 using PackedScratch = PackedScratchT<mem::LaneWord>;
 
-/// Verdict of a packed run at lane width LaneTraits<W>::kLanes.
-template <typename W>
-struct PackedVerdictT {
-  /// Lane L set means lane L's fault is detected.  Lanes beyond
-  /// ram.lanes_used() simulate fault-free memories and never deviate,
-  /// but callers should still AND with ram.active_mask().  Inspect
-  /// single lanes through lane_detected() / mem::lane_test rather than
-  /// shifting the raw word — the mask is width-generic.
-  W detected{};
-  /// Sum over the ram's *active* lanes of the ops a scalar
-  /// run_prt(FaultyRam, scheme, oracle, {.early_abort}) would have
-  /// issued for that lane's fault: complete iterations up to and
-  /// including the first failing one under early_abort, the full
-  /// scheme otherwise.  Campaigns charge this to CampaignResult::ops
-  /// so packed accounting stays bit-identical to the scalar path.
-  std::uint64_t scalar_ops = 0;
-
-  /// Width-generic per-lane accessor: lane `lane`'s verdict.
-  [[nodiscard]] bool lane_detected(unsigned lane) const {
-    return mem::lane_test(detected, lane);
-  }
-  /// Number of detected lanes (callers AND with active_mask first when
-  /// the ram is partially filled).
-  [[nodiscard]] unsigned detected_count() const {
-    return mem::lane_popcount(detected);
-  }
-};
-
-using PackedVerdict = PackedVerdictT<mem::LaneWord>;
-
 /// Replays a compiled PRT transcript against the packed ram — the
-/// campaign hot loop, one instantiation per lane width.
+/// campaign hot loop, one instantiation per lane width — and returns
+/// the core::PackedVerdictT shared with the March replay.
 /// Preconditions: transcript built by make_op_transcript for this
 /// scheme with transcript.n == ram.size() and
 /// transcript.width == ram.width().

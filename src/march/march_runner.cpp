@@ -118,18 +118,15 @@ void append_run(core::OpTranscript& t, const MarchTest& test, mem::Word bg,
 /// The replay loop shared by both access paths: read(addr, golden)
 /// returns the lanes whose read deviates from `golden`, write(addr,
 /// golden) broadcasts it.  One op index runs across every background,
-/// so the abort accounting is the abort-aware sweep's.
+/// so the abort accounting is the abort-aware sweep's: a lane's scalar
+/// abort run stops at its first mismatching read having issued exactly
+/// op_idx ops.
 template <typename W, typename Read, typename Write>
-MarchPackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram,
-                              const core::OpTranscript& t,
-                              const MarchRunOptions& options, Read&& read,
-                              Write&& write) {
-  const W active = ram.active_mask();
-  MarchPackedVerdictT<W> verdict;
-  W mismatch{};
-  // Active lanes whose mismatch has not latched yet (early abort
-  // retires lanes the moment they latch: a March verdict is monotone).
-  W pending = active;
+core::PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram,
+                               const core::OpTranscript& t,
+                               const MarchRunOptions& options, Read&& read,
+                               Write&& write) {
+  core::LaneLatch<W> latch(ram.active_mask());
   std::uint64_t op_idx = 0;
   for (const core::MarchSegment& seg : t.march) {
     if (seg.is_delay) {
@@ -144,21 +141,9 @@ MarchPackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram,
       for (std::uint32_t j = 0; j < period; ++j, ++r) {
         ++op_idx;
         if ((read_mask >> j) & 1U) {
-          mismatch |= read(r->addr, r->golden);
-          if (options.early_abort) {
-            // A lane's scalar abort run stops at its first mismatching
-            // read having issued exactly op_idx ops.
-            const W newly = pending & mismatch;
-            if (mem::lane_any(newly)) {
-              verdict.scalar_ops +=
-                  static_cast<std::uint64_t>(mem::lane_popcount(newly)) *
-                  op_idx;
-              pending &= ~newly;
-              if (!mem::lane_any(pending)) {
-                verdict.detected = mismatch;
-                return verdict;
-              }
-            }
+          latch.mismatch |= read(r->addr, r->golden);
+          if (options.early_abort && latch.retire(op_idx)) {
+            return latch.finish(t.total_ops());
           }
         } else {
           write(r->addr, r->golden);
@@ -166,13 +151,7 @@ MarchPackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram,
       }
     }
   }
-  // Remaining lanes (all active lanes when early_abort is off) ran the
-  // complete sweep.
-  const W full = options.early_abort ? pending : active;
-  verdict.scalar_ops +=
-      static_cast<std::uint64_t>(mem::lane_popcount(full)) * t.total_ops();
-  verdict.detected = mismatch;
-  return verdict;
+  return latch.finish(t.total_ops());
 }
 
 }  // namespace
@@ -223,9 +202,9 @@ core::OpTranscript make_march_transcript(const MarchTest& test, mem::Addr n,
 }
 
 template <typename W>
-MarchPackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
-                                        const core::OpTranscript& t,
-                                        const MarchRunOptions& options) {
+core::PackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
+                                         const core::OpTranscript& t,
+                                         const MarchRunOptions& options) {
   assert(t.n == ram.size());
   assert(t.width == ram.width());
   if (t.width == 1) {
@@ -260,10 +239,10 @@ MarchPackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
       });
 }
 
-template MarchPackedVerdictT<mem::LaneWord> run_march_packed(
+template core::PackedVerdictT<mem::LaneWord> run_march_packed(
     mem::PackedFaultRamT<mem::LaneWord>&, const core::OpTranscript&,
     const MarchRunOptions&);
-template MarchPackedVerdictT<mem::WideWord<8>> run_march_packed(
+template core::PackedVerdictT<mem::WideWord<8>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const core::OpTranscript&,
     const MarchRunOptions&);
 

@@ -87,33 +87,6 @@ struct MarchRunOptions {
     const MarchTest& test, mem::Addr n, bool background,
     std::uint64_t delay_ticks = kDefaultDelayTicks, unsigned m = 1);
 
-/// Verdict of a packed transcript March run at lane width
-/// LaneTraits<W>::kLanes (mirrors core::PackedVerdictT).
-template <typename W>
-struct MarchPackedVerdictT {
-  /// Lane L set means lane L's fault is detected.  Inspect single
-  /// lanes through lane_detected() / mem::lane_test rather than
-  /// shifting the raw word — the mask is width-generic.
-  W detected{};
-  /// Sum over the ram's active lanes of the ops a scalar
-  /// run_march_backgrounds(FaultyRam, ..., {.early_abort}) would have
-  /// issued for that lane's fault: everything up to and including the
-  /// first mismatching read under early_abort, the whole sweep
-  /// otherwise.
-  std::uint64_t scalar_ops = 0;
-
-  /// Width-generic per-lane accessor: lane `lane`'s verdict.
-  [[nodiscard]] bool lane_detected(unsigned lane) const {
-    return mem::lane_test(detected, lane);
-  }
-  /// Number of detected lanes.
-  [[nodiscard]] unsigned detected_count() const {
-    return mem::lane_popcount(detected);
-  }
-};
-
-using MarchPackedVerdict = MarchPackedVerdictT<mem::LaneWord>;
-
 /// Replays a compiled March transcript bit-parallel over a
 /// mem::PackedFaultRamT (one independent single-fault lane per word
 /// bit): each write broadcasts the record's data word to every lane and
@@ -122,20 +95,21 @@ using MarchPackedVerdict = MarchPackedVerdictT<mem::LaneWord>;
 /// loop is picked once per call from the transcript's width, which
 /// must equal ram.width().  Per-lane semantics are identical to
 /// run_march_backgrounds(test, FaultyRam-with-that-fault, backgrounds,
-/// options) at every lane width.  With early_abort, lanes retire as
-/// their mismatch latches and the replay stops once every active lane
-/// is retired, with per-lane op accounting identical to the scalar
-/// abort path.  Lanes beyond ram.lanes_used() never deviate, but
-/// callers should still AND with ram.active_mask().
+/// options) at every lane width.  Returns the core::PackedVerdictT the
+/// PRT replay returns too: with early_abort, the shared
+/// core::LaneLatch retires each lane at its first mismatching read,
+/// charged that read's 1-based op index, and the replay stops once
+/// every active lane is retired.  Lanes beyond ram.lanes_used() never
+/// deviate, but callers should still AND with ram.active_mask().
 template <typename W>
-[[nodiscard]] MarchPackedVerdictT<W> run_march_packed(
+[[nodiscard]] core::PackedVerdictT<W> run_march_packed(
     mem::PackedFaultRamT<W>& ram, const core::OpTranscript& transcript,
     const MarchRunOptions& options = {});
 
-extern template MarchPackedVerdictT<mem::LaneWord> run_march_packed(
+extern template core::PackedVerdictT<mem::LaneWord> run_march_packed(
     mem::PackedFaultRamT<mem::LaneWord>&, const core::OpTranscript&,
     const MarchRunOptions&);
-extern template MarchPackedVerdictT<mem::WideWord<8>> run_march_packed(
+extern template core::PackedVerdictT<mem::WideWord<8>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const core::OpTranscript&,
     const MarchRunOptions&);
 

@@ -290,25 +290,9 @@ void PackedFaultRamT<W>::read_word(Addr cell, W* out) {
   for (unsigned p = 0; p < width_; ++p) {
     const std::size_t site = base + p;
     const std::int16_t slot = slot_of_site_[site];
-    W value;
-    if (slot >= 0) {
-      const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
-      if (has_drf_ && lane_any(f.drf)) apply_retention(site, f.drf);
-      value = data_[site];
-      value ^= f.rdf;
-      data_[site] = value ^ f.drdf;
-      value ^= f.irf;
-      value = (value & ~f.sof) | (last_read_[p] & f.sof);
-      if (has_af_) {
-        value &= ~f.af_no;
-        if (lane_any(f.af_wrong | f.af_multi)) {
-          value = apply_af_read(value, f, p);
-        }
-      }
-    } else {
-      value = data_[site];
-    }
-    out[p] = value;
+    out[p] = slot >= 0
+                 ? read_site(site, p, slots_[static_cast<std::size_t>(slot)])
+                 : data_[site];
   }
   // The sense-amp history updates with the whole returned word, after
   // every plane's patches (FaultyRam stores last_read_ once per read).
@@ -329,31 +313,16 @@ void PackedFaultRamT<W>::write_word(Addr cell, const W* planes) {
   // write switch together (FaultyRam::physical_write does the same).
   for (unsigned p = 0; p < width_; ++p) {
     const std::size_t site = base + p;
-    const W o = data_[site];
-    old[p] = o;
-    W nb = planes[p];
+    old[p] = data_[site];
     const std::int16_t slot = slot_of_site_[site];
     if (slot < 0) {
-      data_[site] = nb;
-      landed[p] = nb;
+      data_[site] = planes[p];
+      landed[p] = planes[p];
       continue;
     }
     any_slot = true;
-    const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
-    nb ^= f.wdf & ~(o ^ nb);
-    nb &= ~(f.tf_up & ~o);
-    nb |= f.tf_down & o;
-    nb = (nb & ~f.saf0) | f.saf1;
-    if (has_af_) {
-      const W suppressed = f.af_no | f.af_wrong;
-      nb = (nb & ~suppressed) | (o & suppressed);
-      data_[site] = nb;
-      if (lane_any(f.af_wrong | f.af_multi)) apply_af_write(planes[p], f, p);
-    } else {
-      data_[site] = nb;
-    }
-    landed[p] = nb;
-    if (has_drf_ && lane_any(f.drf)) refresh_retention(f.drf);
+    landed[p] = write_site(site, p, old[p], planes[p],
+                           slots_[static_cast<std::size_t>(slot)]);
   }
   if (!any_slot || !(has_two_cell_ || has_npsf_)) return;
   // Phase 2: coupling fires per plane in ascending order against the

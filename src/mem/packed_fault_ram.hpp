@@ -106,15 +106,17 @@ class PackedFaultRamT {
   unsigned add_fault(const Fault& fault);
 
   /// Reads every lane's bit of cell `addr` at once, applying each
-  /// lane's retention decay and read-logic fault.  Preconditions:
-  /// addr < size(), width() == 1 (word-oriented memories use
-  /// read_word()).  Defined inline below: the campaign replay loops
-  /// issue millions of these per batch, so the fault-free-cell fast
-  /// path must inline into them.
+  /// lane's retention decay and read-logic fault (read_site, the step
+  /// read_word() runs per plane).  Preconditions: addr < size(),
+  /// width() == 1 (word-oriented memories use read_word()).  Defined
+  /// inline below: the campaign replay loops issue millions of these
+  /// per batch, so the fault-free-cell fast path must inline into
+  /// them.
   W read(Addr addr);
 
   /// Writes bit lane L of `value` to cell `addr` in lane L's memory,
-  /// applying each lane's write fault and firing each lane's coupling
+  /// applying each lane's write fault (write_site, the step
+  /// write_word() runs per plane) and then firing each lane's coupling
   /// and NPSF effects (this cell as aggressor, victim, bridge endpoint
   /// or neighbourhood member).  Preconditions: addr < size(), width()
   /// == 1.  Defined inline below; batches with only single-cell faults
@@ -124,15 +126,17 @@ class PackedFaultRamT {
 
   /// Reads all width() planes of `cell` into out[0..width()), counting
   /// one operation (one clock tick) for the whole word — the packed
-  /// equivalent of one FaultyRam::read of a word-oriented memory.
+  /// equivalent of one FaultyRam::read of a word-oriented memory.  Each
+  /// faulty plane runs the same read_site step as read(); the
+  /// sense-amp history updates once, with the whole returned word.
   void read_word(Addr cell, W* out);
 
   /// Writes planes[0..width()) to `cell`, counting one operation.
   /// Mirrors FaultyRam::physical_write's two phases: every plane lands
-  /// first (TF/WDF/SAF per site), then coupling fires per plane in
-  /// ascending order and static conditions (CFst, bridge, NPSF) are
-  /// re-enforced — so intra-word aggressor transitions see their
-  /// victims' new values.
+  /// first through the same write_site step as write(), then coupling
+  /// fires per plane in ascending order and static conditions (CFst,
+  /// bridge, NPSF) are re-enforced — so intra-word aggressor
+  /// transitions see their victims' new values.
   void write_word(Addr cell, const W* planes);
 
   /// Idle time (March delay elements, PRT pause checkpoints): advances
@@ -206,6 +210,24 @@ class PackedFaultRamT {
   }
 
   CellFaults& slot_for(std::size_t site);
+
+  /// The read patches of faulty site `site` (bit plane `plane` of its
+  /// cell), in FaultyRam::physical_read's order; returns the value the
+  /// sense amp delivers.  The one copy read() and read_word() share,
+  /// forced inline: GCC otherwise leaves the 512-lane instantiation
+  /// out of line inside read_word().
+  [[gnu::always_inline]] W read_site(std::size_t site, unsigned plane,
+                                     const CellFaults& f);
+
+  /// The write patches of faulty site `site` (bit plane `plane` of its
+  /// cell) holding `old`: WDF, TF, SAF, the decoder lanes and the
+  /// retention refresh.  Stores and returns the landed value.  Coupling
+  /// and NPSF stay with the callers, because a word write fires them
+  /// only once every plane has landed.  The one copy write() and
+  /// write_word() share, forced inline like read_site().
+  [[gnu::always_inline]] W write_site(std::size_t site, unsigned plane,
+                                      const W& old, const W& value,
+                                      const CellFaults& f);
 
   /// Fires the two-cell effects of a write to site `site` that landed
   /// `now` over `old` (per-lane scatter over the few coupled lanes).
@@ -306,62 +328,44 @@ extern template class PackedFaultRamT<LaneWord>;
 extern template class PackedFaultRamT<WideWord<8>>;
 
 template <typename W>
-inline W PackedFaultRamT<W>::read(Addr addr) {
-  assert(addr < size_);
-  assert(width_ == 1);
-  ++reads_;
-  W value;
-  const std::int16_t slot = slot_of_site_[addr];
-  if (slot >= 0) {
-    const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
-    // DRF: expired charges latch their decayed value before the sense
-    // amp looks (FaultyRam::physical_read applies retention first).
-    if (has_drf_ && lane_any(f.drf)) apply_retention(addr, f.drf);
-    value = data_[addr];
-    // RDF: the cell flips and the sense amp sees the flipped value.
-    value ^= f.rdf;
-    // DRDF: the correct value is returned, the cell flips behind the
-    // reader's back.
-    data_[addr] = value ^ f.drdf;
-    // IRF: inverted data on the bus, cell untouched.
-    value ^= f.irf;
-    // SOF: the open cell echoes the sense amp's previous read.
-    value = (value & ~f.sof) | (last_read_[0] & f.sof);
-    // Decoder lanes: a no-access read floats the bus (reads zeros), a
-    // wrong/multi access reads the alias cell (wired-AND for multi).
-    // Pure bus-level patches — the addressed cell keeps its state.
-    if (has_af_) {
-      value &= ~f.af_no;
-      if (lane_any(f.af_wrong | f.af_multi)) {
-        value = apply_af_read(value, f, 0);
-      }
+inline W PackedFaultRamT<W>::read_site(std::size_t site, unsigned plane,
+                                       const CellFaults& f) {
+  // DRF: expired charges latch their decayed value before the sense
+  // amp looks (FaultyRam::physical_read applies retention first).
+  if (has_drf_ && lane_any(f.drf)) apply_retention(site, f.drf);
+  W value = data_[site];
+  // RDF: the cell flips and the sense amp sees the flipped value.
+  value ^= f.rdf;
+  // DRDF: the correct value is returned, the cell flips behind the
+  // reader's back.
+  data_[site] = value ^ f.drdf;
+  // IRF: inverted data on the bus, cell untouched.
+  value ^= f.irf;
+  // SOF: the open cell echoes the sense amp's previous read.
+  value = (value & ~f.sof) | (last_read_[plane] & f.sof);
+  // Decoder lanes: a no-access read floats the bus (reads zeros), a
+  // wrong/multi access reads the alias cell (wired-AND for multi).
+  // Pure bus-level patches — the addressed cell keeps its state.
+  if (has_af_) {
+    value &= ~f.af_no;
+    if (lane_any(f.af_wrong | f.af_multi)) {
+      value = apply_af_read(value, f, plane);
     }
-    // Coupling/NPSF lanes are untouched by reads: their lane has no
-    // read-logic fault, and a read never changes the bits a condition
-    // watches (FaultyRam likewise only enforces conditions on writes).
-  } else {
-    value = data_[addr];
   }
-  last_read_[0] = value;
+  // Coupling/NPSF lanes are untouched by reads: their lane has no
+  // read-logic fault, and a read never changes the bits a condition
+  // watches (FaultyRam likewise only enforces conditions on writes).
   return value;
 }
 
 template <typename W>
-inline void PackedFaultRamT<W>::write(Addr addr, W value) {
-  assert(addr < size_);
-  assert(width_ == 1);
-  ++writes_;
-  const W old = data_[addr];
-  W nb = value;
-  const std::int16_t slot = slot_of_site_[addr];
-  if (slot < 0) {
-    data_[addr] = nb;
-    return;
-  }
+inline W PackedFaultRamT<W>::write_site(std::size_t site, unsigned plane,
+                                        const W& old, const W& value,
+                                        const CellFaults& f) {
   // A lane holds exactly one fault, so the per-kind masks are
   // lane-disjoint and the sequential updates below never interact
   // across kinds.
-  const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
+  W nb = value;
   nb ^= f.wdf & ~(old ^ nb);   // WDF: non-transition write disturbs
   nb &= ~(f.tf_up & ~old);     // TF up: 0 -> 1 writes fail
   nb |= f.tf_down & old;       // TF down: 1 -> 0 writes fail
@@ -372,16 +376,45 @@ inline void PackedFaultRamT<W>::write(Addr addr, W value) {
     // their alias cell instead (no other fault lives in those lanes).
     const W suppressed = f.af_no | f.af_wrong;
     nb = (nb & ~suppressed) | (old & suppressed);
-    data_[addr] = nb;
-    if (lane_any(f.af_wrong | f.af_multi)) apply_af_write(value, f, 0);
+    data_[site] = nb;
+    if (lane_any(f.af_wrong | f.af_multi)) apply_af_write(value, f, plane);
   } else {
-    data_[addr] = nb;
+    data_[site] = nb;
   }
   // A write refreshes the charge of every retention victim in the cell
   // (FaultyRam stamps refreshed_at_ right after the word lands).
   if (has_drf_ && lane_any(f.drf)) refresh_retention(f.drf);
+  return nb;
+}
+
+template <typename W>
+inline W PackedFaultRamT<W>::read(Addr addr) {
+  assert(addr < size_);
+  assert(width_ == 1);
+  ++reads_;
+  const std::int16_t slot = slot_of_site_[addr];
+  const W value =
+      slot >= 0 ? read_site(addr, 0, slots_[static_cast<std::size_t>(slot)])
+                : data_[addr];
+  last_read_[0] = value;
+  return value;
+}
+
+template <typename W>
+inline void PackedFaultRamT<W>::write(Addr addr, W value) {
+  assert(addr < size_);
+  assert(width_ == 1);
+  ++writes_;
+  const std::int16_t slot = slot_of_site_[addr];
+  if (slot < 0) {
+    data_[addr] = value;
+    return;
+  }
+  const CellFaults& f = slots_[static_cast<std::size_t>(slot)];
+  const W old = data_[addr];
+  const W now = write_site(addr, 0, old, value, f);
   if (has_two_cell_ && lane_any(f.coupling_any())) {
-    apply_coupling(addr, old, nb, f);
+    apply_coupling(addr, old, now, f);
   }
   // NPSF is re-checked on every write to a neighbourhood site, even a
   // non-transition one (FaultyRam enforces conditions after every

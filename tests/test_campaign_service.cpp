@@ -193,6 +193,18 @@ TEST(CampaignService, MalformedRequestsFailFast) {
         << out.error;
   }
   EXPECT_EQ(service.stats().accepted, 0u);
+  {
+    // The scheme is checked when the request's driver is built, after
+    // admission: a degree-0 MISR polynomial fails the request, naming
+    // the polynomial, before any replay runs.
+    CampaignRequest req = prt_request(64);
+    req.scheme->misr_poly = 1;
+    const RequestOutcome& out = service.submit(std::move(req)).wait();
+    EXPECT_EQ(out.status, RequestStatus::kFailed);
+    EXPECT_NE(out.error.find("MISR polynomial 1 has degree 0"),
+              std::string::npos)
+        << out.error;
+  }
 }
 
 // Malformed options throw naming the value: max_running = 0 would

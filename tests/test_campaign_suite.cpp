@@ -203,7 +203,7 @@ TEST(OracleCache, BuildsOncePerKeyUnderConcurrentLookups) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(entries[0], entries[t]);  // one shared entry, not copies
   }
-  EXPECT_EQ(entries[0]->oracle.n, 64u);
+  EXPECT_EQ(entries[0]->transcript.n, 64u);
   EXPECT_FALSE(entries[0]->transcript.recs.empty());
 
   // A different key builds separately; the same key never rebuilds.
@@ -216,7 +216,7 @@ TEST(OracleCache, BuildsOncePerKeyUnderConcurrentLookups) {
   // clear() drops entries but outstanding pointers stay valid.
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(entries[0]->oracle.n, 64u);
+  EXPECT_EQ(entries[0]->transcript.n, 64u);
   (void)cache.prt(scheme, /*n=*/64);
   EXPECT_EQ(cache.prt_builds(), 3u);
 }

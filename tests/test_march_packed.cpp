@@ -81,9 +81,9 @@ std::vector<mem::Fault> mixed_lane_universe(mem::Addr n, unsigned m = 1) {
 
 /// One packed sweep of `faults` (at most one batch) at lane word W.
 template <typename W>
-march::MarchPackedVerdictT<W> packed_sweep(std::span<const mem::Fault> faults,
-                                           const core::OpTranscript& t,
-                                           unsigned m, bool early_abort) {
+core::PackedVerdictT<W> packed_sweep(std::span<const mem::Fault> faults,
+                                     const core::OpTranscript& t, unsigned m,
+                                     bool early_abort) {
   mem::PackedFaultRamT<W> packed(t.n, m);
   for (const mem::Fault& f : faults) packed.add_fault(f);
   return march::run_march_packed(packed, t, {.early_abort = early_abort});

@@ -280,7 +280,7 @@ TEST(MarchTranscript, AbortOpsParityScalarVsPacked) {
         scalar_detected |= std::uint64_t{r.fail} << lane;
         scalar_ops += r.ops;
       }
-      const march::MarchPackedVerdict v =
+      const core::PackedVerdict v =
           march::run_march_packed(packed, t, {.early_abort = true});
       ASSERT_EQ(v.detected & packed.active_mask(), scalar_detected)
           << test.name << " batch at " << base;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -152,241 +153,70 @@ TEST(PackedFaultRam, StuckAtClampsFromInjectionLikeFaultyRam) {
 
 // --- per-lane differential check against FaultyRam ---------------------
 
-TEST(PackedFaultRam, EveryLaneMatchesScalarFaultyRamOnRandomTraffic) {
-  const mem::Addr n = 24;
-  // 64 faults cycling through every lane-compatible kind and cell.
-  std::vector<mem::Fault> faults;
-  for (unsigned i = 0; faults.size() < mem::PackedFaultRam::kLanes; ++i) {
-    const mem::BitRef v{i % n, 0};
-    switch (i % 9) {
-      case 0: faults.push_back(mem::Fault::saf(v, 0)); break;
-      case 1: faults.push_back(mem::Fault::saf(v, 1)); break;
-      case 2: faults.push_back(mem::Fault::tf(v, true)); break;
-      case 3: faults.push_back(mem::Fault::tf(v, false)); break;
-      case 4: faults.push_back(mem::Fault::wdf(v)); break;
-      case 5: faults.push_back(mem::Fault::rdf(v)); break;
-      case 6: faults.push_back(mem::Fault::drdf(v)); break;
-      case 7: faults.push_back(mem::Fault::irf(v)); break;
-      case 8: faults.push_back(mem::Fault::sof(v)); break;
-    }
-  }
-  mem::PackedFaultRam packed(n);
-  std::vector<std::unique_ptr<mem::FaultyRam>> scalars;
-  for (const mem::Fault& f : faults) {
-    packed.add_fault(f);
-    scalars.push_back(std::make_unique<mem::FaultyRam>(n, 1));
-    scalars.back()->inject(f);
-  }
-  std::uint64_t x = 0xC0FFEE;
-  for (int step = 0; step < 4000; ++step) {
-    const mem::Addr addr = static_cast<mem::Addr>(next_rand(x) % n);
-    if (next_rand(x) & 1) {
-      const mem::LaneWord value = next_rand(x);
-      packed.write(addr, value);
-      for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        scalars[lane]->write(addr,
-                             static_cast<mem::Word>((value >> lane) & 1U), 0);
-      }
-    } else {
-      const mem::LaneWord got = packed.read(addr);
-      for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        ASSERT_EQ((got >> lane) & 1U, scalars[lane]->read(addr, 0))
-            << "step " << step << " lane " << lane << " ("
-            << faults[lane].describe() << ")";
-      }
-    }
+using Wide = mem::WideWord<8>;
+
+/// A lane word with independent random data in every lane.
+template <typename W>
+W random_lanes(std::uint64_t& x) {
+  if constexpr (mem::is_wide_lane_word_v<W>) {
+    W w;
+    for (std::uint64_t& limb : w.limb) limb = next_rand(x);
+    return w;
+  } else {
+    return next_rand(x);
   }
 }
 
-// Coupling lanes: every two-cell kind across varied aggressor/victim
-// pairs must match a scalar FaultyRam holding that one fault, op for
-// op, under random traffic.
-TEST(PackedFaultRam, EveryCouplingLaneMatchesScalarFaultyRam) {
-  const mem::Addr n = 24;
-  std::vector<mem::Fault> faults;
-  for (unsigned i = 0; faults.size() < mem::PackedFaultRam::kLanes; ++i) {
-    const mem::BitRef a{i % n, 0};
-    const mem::BitRef v{(i + 1 + i % 5) % n, 0};
-    switch (i % 11) {
-      case 0: faults.push_back(mem::Fault::cf_in(v, a)); break;
-      case 1: faults.push_back(mem::Fault::cf_id(v, a, true, 0)); break;
-      case 2: faults.push_back(mem::Fault::cf_id(v, a, true, 1)); break;
-      case 3: faults.push_back(mem::Fault::cf_id(v, a, false, 0)); break;
-      case 4: faults.push_back(mem::Fault::cf_id(v, a, false, 1)); break;
-      case 5: faults.push_back(mem::Fault::cf_st(v, a, 0, 0)); break;
-      case 6: faults.push_back(mem::Fault::cf_st(v, a, 0, 1)); break;
-      case 7: faults.push_back(mem::Fault::cf_st(v, a, 1, 0)); break;
-      case 8: faults.push_back(mem::Fault::cf_st(v, a, 1, 1)); break;
-      case 9: faults.push_back(mem::Fault::bridge(v, a, true)); break;
-      case 10: faults.push_back(mem::Fault::bridge(v, a, false)); break;
-    }
+/// Lane `lane`'s m-bit word across the planes of one cell.
+template <typename W>
+mem::Word lane_word_of(const W* planes, unsigned m, unsigned lane) {
+  mem::Word word = 0;
+  for (unsigned b = 0; b < m; ++b) {
+    if (mem::lane_test(planes[b], lane)) word |= mem::Word{1} << b;
   }
-  mem::PackedFaultRam packed(n);
+  return word;
+}
+
+/// Injects `faults` (at most one per lane of W) into one packed ram of
+/// n m-bit cells and each into its own scalar FaultyRam, then drives
+/// both with the same random traffic and requires every lane to hold
+/// and read exactly what its scalar memory does — right after
+/// injection and at every read.  At m = 1 the traffic goes through
+/// read/write, above it through read_word/write_word; either way every
+/// write carries independent random data per lane and plane, which is
+/// what exercises the lane-disjoint fault masks (the replays only ever
+/// write broadcast goldens or feedback).  With `pauses`, one step in
+/// five advances both clocks by a random idle window instead.
+template <typename W>
+void expect_lanes_match_scalar(const std::vector<mem::Fault>& faults,
+                               mem::Addr n, unsigned m, std::uint64_t seed,
+                               int steps, bool pauses = false) {
+  SCOPED_TRACE("m = " + std::to_string(m) + ", " +
+               std::to_string(mem::LaneTraits<W>::kLanes) + " lanes");
+  ASSERT_LE(faults.size(), mem::LaneTraits<W>::kLanes);
+  mem::PackedFaultRamT<W> packed(n, m);
   std::vector<std::unique_ptr<mem::FaultyRam>> scalars;
   for (const mem::Fault& f : faults) {
     packed.add_fault(f);
-    scalars.push_back(std::make_unique<mem::FaultyRam>(n, 1));
+    scalars.push_back(std::make_unique<mem::FaultyRam>(n, m));
     scalars.back()->inject(f);
   }
-  // Injection-time condition enforcement (CFst1 on a zero aggressor
-  // forces the victim immediately) must match before any traffic.
+  std::array<W, mem::PackedFaultRamT<W>::kMaxWidth> planes{};
+  // Injection-time condition enforcement (the stuck-at clamp, CFst,
+  // bridge ties, NPSF pattern 0b0000 on the all-zero power-up
+  // neighbourhood) must match before any traffic.
   for (mem::Addr addr = 0; addr < n; ++addr) {
-    const mem::LaneWord got = packed.peek(addr);
+    for (unsigned b = 0; b < m; ++b) planes[b] = packed.peek(addr * m + b);
     for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-      ASSERT_EQ((got >> lane) & 1U, scalars[lane]->peek(addr))
+      ASSERT_EQ(lane_word_of(planes.data(), m, lane),
+                scalars[lane]->peek(addr))
           << "post-inject cell " << addr << " lane " << lane << " ("
           << faults[lane].describe() << ")";
     }
   }
-  std::uint64_t x = 0xBADC0DE;
-  for (int step = 0; step < 6000; ++step) {
-    const mem::Addr addr = static_cast<mem::Addr>(next_rand(x) % n);
-    if (next_rand(x) & 1) {
-      const mem::LaneWord value = next_rand(x);
-      packed.write(addr, value);
-      for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        scalars[lane]->write(addr,
-                             static_cast<mem::Word>((value >> lane) & 1U), 0);
-      }
-    } else {
-      const mem::LaneWord got = packed.read(addr);
-      for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        ASSERT_EQ((got >> lane) & 1U, scalars[lane]->read(addr, 0))
-            << "step " << step << " lane " << lane << " ("
-            << faults[lane].describe() << ")";
-      }
-    }
-  }
-}
-
-// Decoder lanes: the three AF kinds across varied address/alias pairs
-// must match a scalar FaultyRam holding that one fault, op for op,
-// under random traffic (no-access reads zeros and drops writes,
-// wrong-access redirects both, multi-access opens both cells and
-// wires reads AND).
-TEST(PackedFaultRam, EveryDecoderLaneMatchesScalarFaultyRam) {
-  const mem::Addr n = 24;
-  std::vector<mem::Fault> faults;
-  for (unsigned i = 0; faults.size() < mem::PackedFaultRam::kLanes; ++i) {
-    const mem::Addr a = i % n;
-    const mem::Addr alias = (i + 1 + i % 7) % n;
-    switch (i % 3) {
-      case 0: faults.push_back(mem::Fault::af_no_access(a)); break;
-      case 1: faults.push_back(mem::Fault::af_wrong_access(a, alias)); break;
-      case 2: faults.push_back(mem::Fault::af_multi_access(a, alias)); break;
-    }
-  }
-  mem::PackedFaultRam packed(n);
-  std::vector<std::unique_ptr<mem::FaultyRam>> scalars;
-  for (const mem::Fault& f : faults) {
-    packed.add_fault(f);
-    scalars.push_back(std::make_unique<mem::FaultyRam>(n, 1));
-    scalars.back()->inject(f);
-  }
-  std::uint64_t x = 0xDEC0DE;
-  for (int step = 0; step < 6000; ++step) {
-    const mem::Addr addr = static_cast<mem::Addr>(next_rand(x) % n);
-    if (next_rand(x) & 1) {
-      const mem::LaneWord value = next_rand(x);
-      packed.write(addr, value);
-      for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        scalars[lane]->write(addr,
-                             static_cast<mem::Word>((value >> lane) & 1U), 0);
-      }
-    } else {
-      const mem::LaneWord got = packed.read(addr);
-      for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        ASSERT_EQ((got >> lane) & 1U, scalars[lane]->read(addr, 0))
-            << "step " << step << " lane " << lane << " ("
-            << faults[lane].describe() << ")";
-      }
-    }
-  }
-}
-
-// Neighbourhood lanes: static NPSF faults across interior victims,
-// every pattern/forced-value combination, plus border and degenerate
-// neighbourhoods (inert on both paths — they consume a lane that never
-// fires) must match a scalar FaultyRam holding that one fault, op for
-// op, under random traffic.
-TEST(PackedFaultRam, EveryNpsfLaneMatchesScalarFaultyRam) {
-  const mem::Addr n = 36;  // 6 x 6 grid
-  const mem::Addr cols = 6;
-  std::vector<mem::Fault> faults;
-  for (unsigned i = 0; faults.size() < mem::PackedFaultRam::kLanes; ++i) {
-    if (i % 8 == 7) {
-      // Border victims (row 0 / west edge) and a no-grid fault: inert.
-      const mem::Addr victim = (i % 16 == 7) ? i % cols : (i / 8) * cols % n;
-      faults.push_back(
-          mem::Fault::npsf_static({victim, 0}, i % 16, i & 1,
-                                  (i % 16 == 15) ? 0 : cols));
-    } else {
-      const mem::Addr row = 1 + (i / 4) % (n / cols - 2);
-      const mem::Addr col = 1 + i % (cols - 2);
-      faults.push_back(mem::Fault::npsf_static({row * cols + col, 0}, i % 16,
-                                               (i / 16) & 1, cols));
-    }
-  }
-  mem::PackedFaultRam packed(n);
-  std::vector<std::unique_ptr<mem::FaultyRam>> scalars;
-  for (const mem::Fault& f : faults) {
-    packed.add_fault(f);
-    scalars.push_back(std::make_unique<mem::FaultyRam>(n, 1));
-    scalars.back()->inject(f);
-  }
-  // Pattern 0b0000 matches the all-zero power-up neighbourhood, so
-  // injection-time enforcement must already agree before any traffic.
-  for (mem::Addr addr = 0; addr < n; ++addr) {
-    const mem::LaneWord got = packed.peek(addr);
-    for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-      ASSERT_EQ((got >> lane) & 1U, scalars[lane]->peek(addr))
-          << "post-inject cell " << addr << " lane " << lane << " ("
-          << faults[lane].describe() << ")";
-    }
-  }
-  std::uint64_t x = 0x9F5F1234;
-  for (int step = 0; step < 6000; ++step) {
-    const mem::Addr addr = static_cast<mem::Addr>(next_rand(x) % n);
-    if (next_rand(x) & 1) {
-      const mem::LaneWord value = next_rand(x);
-      packed.write(addr, value);
-      for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        scalars[lane]->write(addr,
-                             static_cast<mem::Word>((value >> lane) & 1U), 0);
-      }
-    } else {
-      const mem::LaneWord got = packed.read(addr);
-      for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        ASSERT_EQ((got >> lane) & 1U, scalars[lane]->read(addr, 0))
-            << "step " << step << " lane " << lane << " ("
-            << faults[lane].describe() << ")";
-      }
-    }
-  }
-}
-
-// Retention lanes: decay advances analytically from the packed clock
-// (one tick per access plus advance_time idle windows) and latches at
-// the first read after the pause boundary — bit-exact against
-// FaultyRam's per-access decay under random traffic with random pause
-// schedules.
-TEST(PackedFaultRam, RetentionLanesMatchScalarUnderRandomPauses) {
-  const mem::Addr n = 24;
-  std::vector<mem::Fault> faults;
-  for (unsigned i = 0; faults.size() < mem::PackedFaultRam::kLanes; ++i) {
-    faults.push_back(mem::Fault::retention({i % n, 0}, /*decays_to=*/i & 1,
-                                           /*delay_ticks=*/1 + (i % 7) * 13));
-  }
-  mem::PackedFaultRam packed(n);
-  std::vector<std::unique_ptr<mem::FaultyRam>> scalars;
-  for (const mem::Fault& f : faults) {
-    packed.add_fault(f);
-    scalars.push_back(std::make_unique<mem::FaultyRam>(n, 1));
-    scalars.back()->inject(f);
-  }
-  std::uint64_t x = 0xDECAF;
-  for (int step = 0; step < 4000; ++step) {
-    if (next_rand(x) % 5 == 0) {
+  std::uint64_t x = seed;
+  for (int step = 0; step < steps; ++step) {
+    if (pauses && next_rand(x) % 5 == 0) {
       // A pause: both clocks advance by the same idle window, which
       // straddles every lane's decay delay sooner or later.
       const std::uint64_t ticks = 1 + next_rand(x) % 40;
@@ -396,21 +226,176 @@ TEST(PackedFaultRam, RetentionLanesMatchScalarUnderRandomPauses) {
     }
     const mem::Addr addr = static_cast<mem::Addr>(next_rand(x) % n);
     if (next_rand(x) & 1) {
-      const mem::LaneWord value = next_rand(x);
-      packed.write(addr, value);
+      for (unsigned b = 0; b < m; ++b) planes[b] = random_lanes<W>(x);
+      if (m == 1) {
+        packed.write(addr, planes[0]);
+      } else {
+        packed.write_word(addr, planes.data());
+      }
       for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        scalars[lane]->write(addr,
-                             static_cast<mem::Word>((value >> lane) & 1U), 0);
+        scalars[lane]->write(addr, lane_word_of(planes.data(), m, lane), 0);
       }
     } else {
-      const mem::LaneWord got = packed.read(addr);
+      if (m == 1) {
+        planes[0] = packed.read(addr);
+      } else {
+        packed.read_word(addr, planes.data());
+      }
       for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        ASSERT_EQ((got >> lane) & 1U, scalars[lane]->read(addr, 0))
+        ASSERT_EQ(lane_word_of(planes.data(), m, lane),
+                  scalars[lane]->read(addr, 0))
             << "step " << step << " lane " << lane << " ("
             << faults[lane].describe() << ")";
       }
     }
   }
+}
+
+/// Runs `make_faults(lanes, m)` through expect_lanes_match_scalar on
+/// both lane words (a full 64- and 512-lane batch) at m in {1, 4}.
+template <typename MakeFaults>
+void expect_lanes_match_scalar_at_every_width(MakeFaults&& make_faults,
+                                              mem::Addr n, std::uint64_t seed,
+                                              int steps, bool pauses = false) {
+  for (const unsigned m : {1u, 4u}) {
+    expect_lanes_match_scalar<mem::LaneWord>(
+        make_faults(mem::LaneTraits<mem::LaneWord>::kLanes, m), n, m, seed,
+        steps, pauses);
+    expect_lanes_match_scalar<Wide>(make_faults(mem::LaneTraits<Wide>::kLanes, m),
+                                    n, m, seed, steps, pauses);
+  }
+}
+
+TEST(PackedFaultRam, EveryLaneMatchesScalarFaultyRamOnRandomTraffic) {
+  const mem::Addr n = 24;
+  // Faults cycling through every single-cell kind, cell and bit plane.
+  const auto make_faults = [&](unsigned lanes, unsigned m) {
+    std::vector<mem::Fault> faults;
+    for (unsigned i = 0; faults.size() < lanes; ++i) {
+      const mem::BitRef v{i % n, (i / n) % m};
+      switch (i % 9) {
+        case 0: faults.push_back(mem::Fault::saf(v, 0)); break;
+        case 1: faults.push_back(mem::Fault::saf(v, 1)); break;
+        case 2: faults.push_back(mem::Fault::tf(v, true)); break;
+        case 3: faults.push_back(mem::Fault::tf(v, false)); break;
+        case 4: faults.push_back(mem::Fault::wdf(v)); break;
+        case 5: faults.push_back(mem::Fault::rdf(v)); break;
+        case 6: faults.push_back(mem::Fault::drdf(v)); break;
+        case 7: faults.push_back(mem::Fault::irf(v)); break;
+        case 8: faults.push_back(mem::Fault::sof(v)); break;
+      }
+    }
+    return faults;
+  };
+  expect_lanes_match_scalar_at_every_width(make_faults, n, 0xC0FFEE, 4000);
+}
+
+// Coupling lanes: every two-cell kind across varied aggressor/victim
+// pairs — across words, and above m = 1 also inside one word — must
+// match a scalar FaultyRam holding that one fault, op for op, under
+// random traffic.
+TEST(PackedFaultRam, EveryCouplingLaneMatchesScalarFaultyRam) {
+  const mem::Addr n = 24;
+  const auto make_faults = [&](unsigned lanes, unsigned m) {
+    std::vector<mem::Fault> faults;
+    for (unsigned i = 0; faults.size() < lanes; ++i) {
+      const mem::BitRef a{i % n, (i / n) % m};
+      const bool intra_word = m > 1 && (i / 11) % 2 == 1;
+      const mem::BitRef v =
+          intra_word
+              ? mem::BitRef{a.cell, (a.bit + 1 + (i / 7) % (m - 1)) % m}
+              : mem::BitRef{(i + 1 + i % 5) % n, (i / 3) % m};
+      switch (i % 11) {
+        case 0: faults.push_back(mem::Fault::cf_in(v, a)); break;
+        case 1: faults.push_back(mem::Fault::cf_id(v, a, true, 0)); break;
+        case 2: faults.push_back(mem::Fault::cf_id(v, a, true, 1)); break;
+        case 3: faults.push_back(mem::Fault::cf_id(v, a, false, 0)); break;
+        case 4: faults.push_back(mem::Fault::cf_id(v, a, false, 1)); break;
+        case 5: faults.push_back(mem::Fault::cf_st(v, a, 0, 0)); break;
+        case 6: faults.push_back(mem::Fault::cf_st(v, a, 0, 1)); break;
+        case 7: faults.push_back(mem::Fault::cf_st(v, a, 1, 0)); break;
+        case 8: faults.push_back(mem::Fault::cf_st(v, a, 1, 1)); break;
+        case 9: faults.push_back(mem::Fault::bridge(v, a, true)); break;
+        case 10: faults.push_back(mem::Fault::bridge(v, a, false)); break;
+      }
+    }
+    return faults;
+  };
+  expect_lanes_match_scalar_at_every_width(make_faults, n, 0xBADC0DE, 6000);
+}
+
+// Decoder lanes: the three AF kinds across varied address/alias pairs
+// must match a scalar FaultyRam holding that one fault, op for op,
+// under random traffic (no-access reads zeros and drops writes,
+// wrong-access redirects both, multi-access opens both cells and
+// wires reads AND) — every plane of the word at m = 4.
+TEST(PackedFaultRam, EveryDecoderLaneMatchesScalarFaultyRam) {
+  const mem::Addr n = 24;
+  const auto make_faults = [&](unsigned lanes, unsigned) {
+    std::vector<mem::Fault> faults;
+    for (unsigned i = 0; faults.size() < lanes; ++i) {
+      const mem::Addr a = i % n;
+      const mem::Addr alias = (i + 1 + i % 7) % n;
+      switch (i % 3) {
+        case 0: faults.push_back(mem::Fault::af_no_access(a)); break;
+        case 1: faults.push_back(mem::Fault::af_wrong_access(a, alias)); break;
+        case 2: faults.push_back(mem::Fault::af_multi_access(a, alias)); break;
+      }
+    }
+    return faults;
+  };
+  expect_lanes_match_scalar_at_every_width(make_faults, n, 0xDEC0DE, 6000);
+}
+
+// Neighbourhood lanes: static NPSF faults across interior victims,
+// every pattern/forced-value combination and bit plane, plus border
+// and degenerate neighbourhoods (inert on both paths — they consume a
+// lane that never fires) must match a scalar FaultyRam holding that
+// one fault, op for op, under random traffic.
+TEST(PackedFaultRam, EveryNpsfLaneMatchesScalarFaultyRam) {
+  const mem::Addr n = 36;  // 6 x 6 grid
+  const mem::Addr cols = 6;
+  const auto make_faults = [&](unsigned lanes, unsigned m) {
+    std::vector<mem::Fault> faults;
+    for (unsigned i = 0; faults.size() < lanes; ++i) {
+      const unsigned plane = (i / 5) % m;
+      if (i % 8 == 7) {
+        // Border victims (row 0 / west edge) and a no-grid fault: inert.
+        const mem::Addr victim =
+            (i % 16 == 7) ? i % cols : (i / 8) * cols % n;
+        faults.push_back(
+            mem::Fault::npsf_static({victim, plane}, i % 16, i & 1,
+                                    (i % 16 == 15) ? 0 : cols));
+      } else {
+        const mem::Addr row = 1 + (i / 4) % (n / cols - 2);
+        const mem::Addr col = 1 + i % (cols - 2);
+        faults.push_back(mem::Fault::npsf_static(
+            {row * cols + col, plane}, i % 16, (i / 16) & 1, cols));
+      }
+    }
+    return faults;
+  };
+  expect_lanes_match_scalar_at_every_width(make_faults, n, 0x9F5F1234, 6000);
+}
+
+// Retention lanes: decay advances analytically from the packed clock
+// (one tick per access plus advance_time idle windows) and latches at
+// the first read after the pause boundary — bit-exact against
+// FaultyRam's per-access decay under random traffic with random pause
+// schedules.
+TEST(PackedFaultRam, RetentionLanesMatchScalarUnderRandomPauses) {
+  const mem::Addr n = 24;
+  const auto make_faults = [&](unsigned lanes, unsigned m) {
+    std::vector<mem::Fault> faults;
+    for (unsigned i = 0; faults.size() < lanes; ++i) {
+      faults.push_back(mem::Fault::retention({i % n, (i / n) % m},
+                                             /*decays_to=*/i & 1,
+                                             /*delay_ticks=*/1 + (i % 7) * 13));
+    }
+    return faults;
+  };
+  expect_lanes_match_scalar_at_every_width(make_faults, n, 0xDECAF, 4000,
+                                           /*pauses=*/true);
 }
 
 // --- packed PRT evaluation ---------------------------------------------
@@ -745,6 +730,9 @@ TEST(PackedCampaign, WomCampaignBitIdenticalToSerialScalar) {
 
 // Early abort composes with word-oriented packing: per-lane analytic
 // op accounting must equal the scalar abort reference over GF(16).
+// A MISR on a word-oriented scheme folds only the low min(m, degree)
+// planes of each read word, so GF(256) runs with MISR degrees below,
+// equal to and above m = 8, early abort off and on.
 TEST(PackedCampaign, WomPerLaneAbortBitIdentical) {
   const mem::Addr n = 24;
   const unsigned m = 4;
@@ -755,6 +743,24 @@ TEST(PackedCampaign, WomPerLaneAbortBitIdentical) {
   opt.m = m;
   check_abort_composition(universe, scheme, opt,
                           serial_scalar_reference(universe, scheme, opt));
+
+  const unsigned m8 = 8;
+  const auto universe8 = mem::single_cell_universe(n, m8, /*read_logic=*/true);
+  analysis::CampaignOptions opt8;
+  opt8.n = n;
+  opt8.m = m8;
+  // Degrees 3, 8 and 13.
+  for (const gf::Poly2 misr : {gf::Poly2{0b1011}, gf::Poly2{0x11D},
+                               gf::Poly2{0x201B}}) {
+    SCOPED_TRACE("misr_poly = " + std::to_string(misr));
+    core::PrtScheme misr_scheme = core::standard_scheme_wom(n, m8);
+    misr_scheme.misr_poly = misr;
+    const auto reference =
+        serial_scalar_reference(universe8, misr_scheme, opt8);
+    expect_identical(reference,
+                     analysis::run_prt_campaign(universe8, misr_scheme, opt8));
+    check_abort_composition(universe8, misr_scheme, opt8, reference);
+  }
 }
 
 // NPSF + retention universes ride the lanes end to end: the packed

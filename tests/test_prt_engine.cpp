@@ -374,6 +374,22 @@ TEST(RunPrt, RejectsSchemeThatDoesNotFitTheMemory) {
   expect_rejected(mem::SimRam(1, 1), "k = 2, n = 1");
   expect_rejected(mem::SimRam(2, 1), "k = 2, n = 2");
   expect_rejected(mem::SimRam(64, 4), "field degree 1");
+
+  // A degree-0 MISR polynomial would mean a 0-bit signature register
+  // that the packed replay indexes at -1.  The rule rejects it by
+  // name, and so does PiTester::enable_misr.
+  PrtScheme misr = extended_scheme_bom(64);
+  misr.misr_poly = 1;
+  try {
+    validate_prt_scheme(misr, 64, 1);
+    ADD_FAILURE() << "no std::invalid_argument naming the MISR polynomial";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("MISR polynomial 1 has degree 0"),
+              std::string::npos)
+        << e.what();
+  }
+  PiTester tester(gf::GF2m(0b11), {1, 1, 1});
+  EXPECT_THROW(tester.enable_misr(1), std::invalid_argument);
 }
 
 TEST(PrtOps, Formula) {
