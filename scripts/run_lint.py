@@ -35,7 +35,12 @@ Two layers (DESIGN.md §12):
          run_march_backgrounds() in src/analysis/ outside
          src/analysis/fault_sim.cpp — every engine fault rides a packed
          lane (DESIGN.md §20); only run_campaign and its adapters, the
-         yardstick the engines are checked against, run the reference.
+         yardstick the engines are checked against, run the reference;
+       * the packed replays (run_prt_packed(, run_march_packed() in
+         src/analysis/ outside src/analysis/campaign_driver.hpp — the
+         one campaign driver picks the replay from the cached
+         transcript (DESIGN.md §22), so no other engine-layer file
+         grows a second dispatch.
 
 Exit status is non-zero when any layer reports a finding.
 
@@ -86,6 +91,10 @@ LANE_WORD_ALLOWLIST = {os.path.join("src", "mem", "lane_word.hpp")}
 # adapters.
 ENGINE_PATH_PREFIX = os.path.join("src", "analysis") + os.sep
 SCALAR_REFERENCE_ALLOWLIST = {os.path.join("src", "analysis", "fault_sim.cpp")}
+# The one engine-layer file allowed to call the packed replays: the
+# campaign driver, which picks one per transcript.
+PACKED_REPLAY_ALLOWLIST = {
+    os.path.join("src", "analysis", "campaign_driver.hpp")}
 
 RAW_MUTEX_RE = re.compile(
     r"\bstd::(mutex|recursive_mutex|timed_mutex|shared_mutex|"
@@ -114,6 +123,7 @@ RAW_LANE_ARITH_RE = re.compile(
 SCALAR_REFERENCE_RE = re.compile(
     r"\bFaultyRam\b|\brun_prt\s*\(|\brun_march\s*\(|"
     r"\brun_march_backgrounds\s*\(")
+PACKED_REPLAY_RE = re.compile(r"\brun_(?:prt|march)_packed\s*\(")
 
 
 def strip_comments(text: str) -> str:
@@ -282,8 +292,26 @@ def lint_scalar_reference(rel_path: str, clean: str) -> list[str]:
     return findings
 
 
+def lint_packed_replay(rel_path: str, clean: str) -> list[str]:
+    if rel_path in PACKED_REPLAY_ALLOWLIST or \
+            not rel_path.startswith(ENGINE_PATH_PREFIX):
+        return []
+    findings = []
+    for lineno, line in enumerate(clean.splitlines(), 1):
+        m = PACKED_REPLAY_RE.search(line)
+        if m:
+            findings.append(
+                f"{rel_path}:{lineno}: '{m.group(0).strip()}' — the engine "
+                f"layer runs every campaign through the one driver "
+                f"(DESIGN.md §22), which picks the packed replay from the "
+                f"cached transcript in src/analysis/campaign_driver.hpp "
+                f"only")
+    return findings
+
+
 CUSTOM_LINTS = (lint_raw_mutex, lint_unordered_iteration, lint_nondeterminism,
-                lint_bare_rename, lint_raw_lane_arith, lint_scalar_reference)
+                lint_bare_rename, lint_raw_lane_arith, lint_scalar_reference,
+                lint_packed_replay)
 
 
 def iter_source_files(changed: set[str] | None) -> list[str]:
@@ -450,17 +478,29 @@ SELFTEST_CASES = [
     (lint_raw_lane_arith, "tests/test_packed_campaign.cpp",
      "  const auto m = 1ULL << lane;\n", False),
     (lint_scalar_reference, "src/analysis/campaign_driver.hpp",
-     "  mem::FaultyRam ram(opt.n, opt.m, opt.ports);\n", True),
+     "  mem::FaultyRam ram(opt.n, opt.m);\n", True),
     (lint_scalar_reference, "src/analysis/campaign_driver.hpp",
      "  return core::run_prt(ram, scheme_, oracle, run).detected();\n", True),
     (lint_scalar_reference, "src/analysis/fault_sim.cpp",
-     "  mem::FaultyRam ram(opt.n, opt.m, opt.ports);\n", False),
+     "  mem::FaultyRam ram(opt.n, opt.m);\n", False),
     # The packed replays share the reference's name prefix.
     (lint_scalar_reference, "src/analysis/campaign_driver.hpp",
      "  const auto v = core::run_prt_packed(batch, t, run, scratch);\n"
      "  const auto w = march::run_march_packed(batch, t, run);\n", False),
     (lint_scalar_reference, "src/analysis/campaign_driver.hpp",
      "  // unlike run_campaign, never a FaultyRam or run_prt(...)\n", False),
+    (lint_packed_replay, "src/analysis/campaign_suite.cpp",
+     "  const auto v = core::run_prt_packed(batch, t, run, scratch);\n", True),
+    (lint_packed_replay, "src/analysis/campaign_service.cpp",
+     "  return march::run_march_packed (batch, t, run);\n", True),
+    (lint_packed_replay, "src/analysis/campaign_driver.hpp",
+     "  const auto v = core::run_prt_packed(batch, t, run, scratch);\n"
+     "  const auto w = march::run_march_packed(batch, t, run);\n", False),
+    (lint_packed_replay, "src/analysis/campaign_suite.cpp",
+     "  // the driver, not this file, calls run_march_packed(...)\n", False),
+    # The replays themselves live outside the engine layer.
+    (lint_packed_replay, "src/core/prt_packed.cpp",
+     "  return run_prt_packed(ram, transcript, options, scratch);\n", False),
 ]
 
 

@@ -1,21 +1,23 @@
 #include "analysis/campaign_engine.hpp"
 
-#include <utility>
-
 #include "analysis/campaign_driver.hpp"
+#include "analysis/march_campaign.hpp"
 
 namespace prt::analysis {
 
-CampaignEngine::CampaignEngine(core::PrtScheme scheme,
+CampaignEngine::CampaignEngine(const core::PrtScheme& scheme,
                                const CampaignOptions& opt,
                                const EngineOptions& engine)
-    : driver_(detail::make_driver(std::move(scheme), opt, engine)) {}
+    : driver_(std::make_unique<detail::CampaignDriver>(
+          detail::make_driver(scheme, opt, engine))) {}
+
+CampaignEngine::CampaignEngine(const march::MarchTest& test,
+                               const CampaignOptions& opt,
+                               const EngineOptions& engine)
+    : driver_(std::make_unique<detail::CampaignDriver>(
+          detail::make_driver(test, opt, engine))) {}
 
 CampaignEngine::~CampaignEngine() = default;
-
-const core::PrtScheme& CampaignEngine::scheme() const {
-  return driver_->workload().scheme();
-}
 
 CampaignResult CampaignEngine::run(
     std::span<const mem::Fault> universe) const {
@@ -32,6 +34,13 @@ CampaignResult run_prt_campaign(std::span<const mem::Fault> universe,
                                 const CampaignOptions& opt,
                                 const EngineOptions& engine) {
   return CampaignEngine(scheme, opt, engine).run(universe);
+}
+
+CampaignResult run_march_campaign(std::span<const mem::Fault> universe,
+                                  const march::MarchTest& test,
+                                  const CampaignOptions& opt,
+                                  const EngineOptions& engine) {
+  return CampaignEngine(test, opt, engine).run(universe);
 }
 
 }  // namespace prt::analysis

@@ -1,34 +1,34 @@
 // Oracle-backed, thread-parallel fault-simulation campaign engine for
-// PRT schemes.
+// PRT schemes and March tests.
 //
-// Every PRT-scheme campaign runs here: the paper programs' coverage
-// tables, the examples and the TDB designer; run_campaign
-// (fault_sim.hpp) stays only as the serial reference it is checked
-// against.  The engine is a thin facade over the generic
-// analysis::CampaignDriver (campaign_driver.hpp) instantiated with the
-// PRT workload — MarchCampaign is the same driver with the March
-// workload, and CampaignSuite fans one request over a grid of
-// configurations on the same machinery:
+// Every campaign runs here: the paper programs' coverage tables, the
+// examples and the TDB designer; run_campaign (fault_sim.hpp) stays
+// only as the serial reference it is checked against.  The engine is
+// a thin facade over the one analysis::CampaignDriver
+// (campaign_driver.hpp); MarchCampaign (march_campaign.hpp) is this
+// class under its March name, and CampaignSuite fans one request over
+// a grid of configurations on the same machinery:
 //
-//  * everything a scheme derives from its own structure — trajectory
-//    permutations, golden LFSR sequences, expected images, Fin*
-//    states, golden MISR signatures, and the compiled core::
-//    OpTranscript — is fetched from the process-wide, thread-safe
-//    analysis::OracleCache, built exactly once per (scheme, n) and
-//    shared read-only by every fault, every worker and every engine;
+//  * the golden run — a PRT scheme's trajectories, golden LFSR
+//    sequences, expected images, Fin* states and MISR signatures, or
+//    a March test's whole background sweep on the m-bit memory — is
+//    compiled once into a core::OpTranscript, fetched from the
+//    process-wide, thread-safe analysis::OracleCache and shared
+//    read-only by every fault, every worker and every engine;
 //  * the fault universe is cut into fixed 2048-fault batches that run
 //    on the process-wide worker pool for the thread count and merge in
 //    batch order, so the output is bit-identical to the serial
 //    reference at any thread count;
-//  * every valid scheme packs, GF(2) and GF(2^m) alike, and every
-//    fault rides a lane: faults are batched 512 per sweep (64 on a
-//    batch thinner than 256 faults) onto a bit-packed
-//    mem::PackedFaultRamT and replay the cached transcript via
-//    run_prt_packed, with early abort composing through per-lane
-//    mismatch retirement.
+//  * every fault rides a lane: faults are batched 512 per sweep (64 on
+//    a batch thinner than 256 faults) onto a bit-packed
+//    mem::PackedFaultRamT and replay the cached transcript — through
+//    run_prt_packed for a scheme (GF(2) and GF(2^m) alike), through
+//    run_march_packed for a March test (bit loop at m = 1, word loop
+//    above) — with early abort composing through per-lane mismatch
+//    retirement.
 //
-// See DESIGN.md §7/§8/§9/§10/§20; tests/test_campaign_golden.cpp pins
-// the engine against the live reference on every universe family.
+// See DESIGN.md §7/§8/§9/§10/§20/§22; tests/test_campaign_golden.cpp
+// pins the engine against the live reference on every universe family.
 #pragma once
 
 #include <memory>
@@ -36,35 +36,40 @@
 
 #include "analysis/fault_sim.hpp"
 #include "core/prt_engine.hpp"
+#include "march/march_test.hpp"
 
 namespace prt::analysis {
 
 namespace detail {
-class PrtWorkload;
-template <typename Workload>
 class CampaignDriver;
 }  // namespace detail
 
 class CampaignEngine {
  public:
-  /// Fetches the per-(scheme, n) artifacts from OracleCache::global()
-  /// (building them on first use).  Throws std::invalid_argument on
-  /// malformed options or schemes (validate_campaign_options,
-  /// core::validate_prt_scheme: n above every k, m the field's degree).
-  CampaignEngine(core::PrtScheme scheme, const CampaignOptions& opt,
+  /// PRT campaign.  Fetches the per-(scheme, n) transcript from
+  /// OracleCache::global() (building it on first use).  Throws
+  /// std::invalid_argument on malformed options or schemes
+  /// (validate_campaign_options, core::validate_prt_scheme: n above
+  /// every k, m the field's degree).
+  CampaignEngine(const core::PrtScheme& scheme, const CampaignOptions& opt,
+                 const EngineOptions& engine = {});
+  /// March campaign.  Fetches the per-(test, n, m) transcript from
+  /// OracleCache::global() (building it on first use).  Throws
+  /// std::invalid_argument on malformed options
+  /// (validate_campaign_options) and on March tests with data indices
+  /// outside {0, 1}.
+  CampaignEngine(const march::MarchTest& test, const CampaignOptions& opt,
                  const EngineOptions& engine = {});
   ~CampaignEngine();
   CampaignEngine(const CampaignEngine&) = delete;
   CampaignEngine& operator=(const CampaignEngine&) = delete;
 
-  [[nodiscard]] const core::PrtScheme& scheme() const;
-
   /// Simulates every fault of the universe.  Identical CampaignResult
-  /// to run_campaign(universe, prt_algorithm(scheme), opt) regardless
-  /// of thread count.  Campaigns with the same thread count share one
-  /// process-wide pool, and concurrent runs each wait only for their
-  /// own batches.  Must not be called from a task already running on a
-  /// campaign pool.
+  /// to run_campaign(universe, prt_algorithm(scheme) or
+  /// march_algorithm(test), opt) regardless of thread count.
+  /// Campaigns with the same thread count share one process-wide pool,
+  /// and concurrent runs each wait only for their own batches.  Must
+  /// not be called from a task already running on a campaign pool.
   [[nodiscard]] CampaignResult run(std::span<const mem::Fault> universe) const;
 
   /// Cancellable run: batches poll `stop` per fault, interrupted
@@ -76,7 +81,7 @@ class CampaignEngine {
                                     const util::StopToken& stop) const;
 
  private:
-  std::unique_ptr<detail::CampaignDriver<detail::PrtWorkload>> driver_;
+  std::unique_ptr<detail::CampaignDriver> driver_;
 };
 
 /// Convenience: one-shot engine run with default engine options.

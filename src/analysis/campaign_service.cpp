@@ -62,8 +62,8 @@ std::string request_fingerprint(const CampaignRequest& req) {
   }
   f.mix(req.options.n);
   f.mix(req.options.m);
-  f.mix(req.options.ports);
-  f.mix(1);  // the retired `packed` flag (always 1): old checkpoints resume
+  f.mix(1);  // the retired `ports` field (always 1): old checkpoints resume
+  f.mix(1);  // the retired `packed` flag (always 1), likewise
   f.mix(req.early_abort ? 1 : 0);
   f.mix(req.universe.size());
   for (const mem::Fault& fault : req.universe) {
@@ -635,13 +635,10 @@ struct CampaignService::Impl {
     const CampaignRequest& req = r.req;
     const EngineOptions engine{.early_abort = req.early_abort};
     const detail::Job::RunBatch run =
-        req.scheme ? detail::batch_runner<detail::PrtDriver>(
-                         detail::make_driver(*req.scheme, req.options, engine),
-                         req.universe)
-                   : detail::batch_runner<detail::MarchDriver>(
-                         detail::make_driver(*req.march_test, req.options,
-                                             engine),
-                         req.universe);
+        (req.scheme ? detail::make_driver(*req.scheme, req.options, engine)
+                    : detail::make_driver(*req.march_test, req.options,
+                                          engine))
+            .runner(req.universe);
     job.run = [this, &r, run](std::size_t begin, std::size_t end,
                               CampaignResult& out,
                               const util::StopToken& stop) {

@@ -1,4 +1,4 @@
-// Internal shard-loop scaffolding under the generic campaign driver
+// Internal shard-loop scaffolding under the one campaign driver
 // (campaign_driver.hpp): per-fault tallying, the lane batching loop
 // every fault runs through, and the one campaign executor — fixed
 // 2048-fault batches as FIFO tasks on the shared pool with the
@@ -87,10 +87,11 @@ bool lane_batched_shard(std::span<const mem::Fault> universe,
 
 /// Faults per scheduler batch: the one partition every campaign
 /// surface runs, checkpoints and merges over.  Four 512-lane sweeps —
-/// big enough that per-batch ShardState construction amortizes, small
-/// enough that a thin request is a single batch.  Batch b covers
-/// [b * kSchedulerBatch, min((b+1) * kSchedulerBatch, size)), a
-/// function of the universe size alone, never of the worker count.
+/// big enough that the per-batch packed RAM and replay scratch
+/// amortize, small enough that a thin request is a single batch.
+/// Batch b covers [b * kSchedulerBatch, min((b+1) * kSchedulerBatch,
+/// size)), a function of the universe size alone, never of the worker
+/// count.
 inline constexpr std::size_t kSchedulerBatch = 2048;
 
 /// Batches of a `size`-fault universe: ceil(size / kSchedulerBatch).

@@ -12,7 +12,6 @@ namespace {
 std::string config_label(const CampaignOptions& opt) {
   std::string label = "n=" + std::to_string(opt.n);
   if (opt.m != 1) label += " m=" + std::to_string(opt.m);
-  if (opt.ports != 1) label += " ports=" + std::to_string(opt.ports);
   return label;
 }
 
@@ -36,14 +35,12 @@ struct CampaignSuite::Impl {
     job.size = faults.size();
     if (march_test) {
       name = march_test->name;
-      job.run = detail::batch_runner<detail::MarchDriver>(
-          detail::make_driver(*march_test, opt, engine), faults);
+      job.run = detail::make_driver(*march_test, opt, engine).runner(faults);
       return;
     }
-    std::shared_ptr<const detail::PrtDriver> driver =
-        detail::make_driver(factory(opt), opt, engine);
-    name = driver->workload().name();
-    job.run = detail::batch_runner(std::move(driver), faults);
+    const core::PrtScheme scheme = factory(opt);
+    job.run = detail::make_driver(scheme, opt, engine).runner(faults);
+    name = scheme.name;
   }
 };
 

@@ -1,22 +1,20 @@
 // Sharded multi-configuration campaign suite.
 //
 // The paper's coverage and cost claims are sweeps — coverage vs.
-// memory size, word width and port count — but one CampaignEngine /
-// MarchCampaign evaluates exactly one (n, m, ports) point.
-// CampaignSuite fans a single request out over a whole grid of
-// configurations:
+// memory size and word width — but one CampaignEngine evaluates
+// exactly one (n, m) point.  CampaignSuite fans a single request out
+// over a whole grid of configurations:
 //
 //  * one workload (a PRT scheme *factory*, since schemes are sized per
 //    n, or one March test) plus a list of CampaignOptions and a
 //    universe *generator* called once per configuration;
 //  * every configuration is one job on the campaign executor
 //    (campaign_shard.hpp): its first pool task generates the universe
-//    and fetches the golden artifacts from the shared
-//    analysis::OracleCache (so a port sweep at one n compiles its
-//    oracle once, and repeated sweeps recompile nothing), then its
-//    fixed 2048-fault batches queue behind every configuration's
-//    setup on the process-wide pool for the thread count, so small
-//    configurations never serialize behind big ones;
+//    and fetches the golden transcript from the shared
+//    analysis::OracleCache (so repeated sweeps recompile nothing),
+//    then its fixed 2048-fault batches queue behind every
+//    configuration's setup on the process-wide pool for the thread
+//    count, so small configurations never serialize behind big ones;
 //  * per-configuration batch results are merged in batch order, so
 //    each configuration's CampaignResult is bit-identical to a
 //    standalone CampaignEngine / MarchCampaign run over the same

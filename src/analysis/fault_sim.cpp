@@ -18,11 +18,6 @@ void validate_campaign_options(const CampaignOptions& opt) {
     throw std::invalid_argument("CampaignOptions: m must be in [1, 32] (got " +
                                 std::to_string(opt.m) + ")");
   }
-  if (opt.ports != 1 && opt.ports != 2 && opt.ports != 4) {
-    throw std::invalid_argument(
-        "CampaignOptions: ports must be 1, 2 or 4 (got " +
-        std::to_string(opt.ports) + ")");
-  }
 }
 
 CampaignResult merge_results(std::span<const CampaignResult> shards) {
@@ -50,7 +45,7 @@ CampaignResult run_campaign(std::span<const mem::Fault> universe,
   // One RAM for the whole campaign, rewound per fault: reset() restores
   // the exact just-constructed all-zero state without reallocating the
   // array.
-  mem::FaultyRam ram(opt.n, opt.m, opt.ports);
+  mem::FaultyRam ram(opt.n, opt.m);
   for (std::size_t i = 0; i < universe.size(); ++i) {
     ram.reset(universe[i]);
     const bool detected = test(ram);

@@ -56,7 +56,6 @@ struct CampaignResult {
 struct CampaignOptions {
   mem::Addr n = 64;
   unsigned m = 1;
-  unsigned ports = 1;
   // Every run starts from an all-zero array (deterministic start; a
   // real power-up state is unknown, but every algorithm under test
   // writes each cell before reading it back, so the fill only pins
@@ -125,12 +124,12 @@ struct CampaignOutcome {
 };
 
 /// Central geometry validation, shared by every campaign entry point
-/// (the unified driver behind CampaignEngine / MarchCampaign /
-/// CampaignSuite, and run_campaign below).  Throws
+/// (the one driver behind CampaignEngine / MarchCampaign /
+/// CampaignSuite / CampaignService, and run_campaign below).  Throws
 /// std::invalid_argument — before any worker thread or memory is
-/// constructed — unless n >= 1, 1 <= m <= 32 (the SimRam word width)
-/// and ports is 1, 2 or 4 (the per-port state arrays).  Schemes are
-/// checked by core::validate_prt_scheme (core/prt_engine.hpp).
+/// constructed — unless n >= 1 and 1 <= m <= 32 (the SimRam word
+/// width).  Schemes are checked by core::validate_prt_scheme
+/// (core/prt_engine.hpp).
 void validate_campaign_options(const CampaignOptions& opt);
 
 /// Folds batch results produced over contiguous ascending fault-index

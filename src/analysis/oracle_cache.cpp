@@ -1,7 +1,6 @@
 #include "analysis/oracle_cache.hpp"
 
 #include <chrono>
-#include <utility>
 
 #include "util/fail_point.hpp"
 
@@ -15,24 +14,16 @@ namespace {
 // n × iterations) and charges structs at sizeof.
 // Consistency matters more than precision — the same entry always
 // costs the same, so eviction order and budget math are deterministic.
-
-std::size_t transcript_bytes(const core::OpTranscript& t) {
-  return t.recs.capacity() * sizeof(core::OpRec) +
+std::size_t entry_bytes(const core::OpTranscript& t) {
+  return sizeof(t) + t.recs.capacity() * sizeof(core::OpRec) +
          t.iterations.capacity() * sizeof(core::PrtIterSpan) +
          t.march.capacity() * sizeof(core::MarchSegment);
 }
 
-template <typename Entry>
-std::size_t entry_bytes(const Entry& e) {
-  return sizeof(e) + transcript_bytes(e.transcript);
-}
-
 }  // namespace
 
-template <typename Entry, typename Build>
-std::shared_ptr<const Entry> OracleCache::lookup(
-    SlotMap<Entry> OracleCache::*map, char kind, std::string key,
-    std::atomic<std::size_t>& builds, Build&& build) {
+template <typename Build>
+OracleCache::Entry OracleCache::lookup(std::string key, Build&& build) {
   // A failed build must never poison the key: the builder evicts its
   // slot before publishing the exception, so the next requester
   // rebuilds from scratch.  A waiter that was already blocked on the
@@ -40,11 +31,11 @@ std::shared_ptr<const Entry> OracleCache::lookup(
   // builder if nobody beat it there) instead of just relaying a
   // failure that may have been transient; a second failure propagates.
   for (int attempt = 0;; ++attempt) {
-    std::promise<std::shared_ptr<const Entry>> promise;
-    std::shared_future<std::shared_ptr<const Entry>> fut;
+    std::promise<Entry> promise;
+    std::shared_future<Entry> fut;
     {
       util::MutexLock lock(mutex_);
-      auto [it, inserted] = (this->*map).try_emplace(key);
+      auto [it, inserted] = slots_.try_emplace(key);
       if (!inserted) {
         ++hits_;
         fut = it->second.future;  // someone else built / is building
@@ -69,8 +60,8 @@ std::shared_ptr<const Entry> OracleCache::lookup(
     // Tests inject build failures here to pin the eviction protocol.
     try {
       util::FailPoint::hit("oracle_cache.build");
-      auto entry = std::make_shared<const Entry>(build());
-      ++builds;
+      Entry entry = std::make_shared<const core::OpTranscript>(build());
+      ++builds_;
       promise.set_value(entry);
       {
         util::MutexLock lock(mutex_);
@@ -79,12 +70,12 @@ std::shared_ptr<const Entry> OracleCache::lookup(
         // the key).  Only account a slot that is ours — ready and not
         // yet in the LRU — so a successor's in-flight build is never
         // mis-tagged as complete.
-        const auto it = (this->*map).find(key);
-        if (it != (this->*map).end() && !it->second.in_lru &&
+        const auto it = slots_.find(key);
+        if (it != slots_.end() && !it->second.in_lru &&
             it->second.future.wait_for(std::chrono::seconds(0)) ==
                 std::future_status::ready) {
           it->second.bytes = entry_bytes(*entry);
-          lru_.push_front(LruKey{kind, key});
+          lru_.push_front(key);
           it->second.lru_it = lru_.begin();
           it->second.in_lru = true;
           total_bytes_ += it->second.bytes;
@@ -97,7 +88,7 @@ std::shared_ptr<const Entry> OracleCache::lookup(
       // the exception to this caller and to any concurrent waiter.
       {
         util::MutexLock lock(mutex_);
-        (this->*map).erase(key);
+        slots_.erase(key);
       }
       promise.set_exception(std::current_exception());
       throw;
@@ -108,52 +99,43 @@ std::shared_ptr<const Entry> OracleCache::lookup(
 void OracleCache::evict_locked() {
   while (budget_bytes_ != 0 && total_bytes_ > budget_bytes_ &&
          !lru_.empty()) {
-    const LruKey& victim = lru_.back();
-    if (victim.first == 'p') {
-      const auto it = prt_.find(victim.second);
-      if (it != prt_.end()) {
-        total_bytes_ -= it->second.bytes;
-        prt_.erase(it);
-      }
-    } else {
-      const auto it = march_.find(victim.second);
-      if (it != march_.end()) {
-        total_bytes_ -= it->second.bytes;
-        march_.erase(it);
-      }
+    const auto it = slots_.find(lru_.back());
+    if (it != slots_.end()) {
+      total_bytes_ -= it->second.bytes;
+      slots_.erase(it);
     }
     lru_.pop_back();
     ++evictions_;
   }
 }
 
-std::shared_ptr<const OracleCache::PrtEntry> OracleCache::prt(
+std::shared_ptr<const core::OpTranscript> OracleCache::prt(
     const core::PrtScheme& scheme, mem::Addr n) {
-  std::string key =
-      core::scheme_fingerprint(scheme) + "|n=" + std::to_string(n);
-  return lookup(&OracleCache::prt_, 'p', std::move(key), prt_builds_, [&] {
-    return PrtEntry{
-        core::make_op_transcript(scheme, core::make_prt_oracle(scheme, n))};
-  });
+  return lookup("prt|" + core::scheme_fingerprint(scheme) +
+                    "|n=" + std::to_string(n),
+                [&] {
+                  return core::make_op_transcript(
+                      scheme, core::make_prt_oracle(scheme, n));
+                });
 }
 
-std::shared_ptr<const OracleCache::MarchEntry> OracleCache::march(
+std::shared_ptr<const core::OpTranscript> OracleCache::march(
     const march::MarchTest& test, mem::Addr n, bool background,
     std::uint64_t delay_ticks, unsigned m) {
-  std::string key = march::test_fingerprint(test) + "|n=" + std::to_string(n) +
+  return lookup("march|" + march::test_fingerprint(test) +
+                    "|n=" + std::to_string(n) +
                     "|bg=" + (background ? "1" : "0") +
                     "|del=" + std::to_string(delay_ticks) +
-                    "|m=" + std::to_string(m);
-  return lookup(&OracleCache::march_, 'm', std::move(key), march_builds_,
+                    "|m=" + std::to_string(m),
                 [&] {
-                  return MarchEntry{march::make_march_transcript(
-                      test, n, background, delay_ticks, m)};
+                  return march::make_march_transcript(test, n, background,
+                                                      delay_ticks, m);
                 });
 }
 
 std::size_t OracleCache::size() const {
   util::MutexLock lock(mutex_);
-  return prt_.size() + march_.size();
+  return slots_.size();
 }
 
 OracleCache::Stats OracleCache::stats() const {
@@ -162,7 +144,7 @@ OracleCache::Stats OracleCache::stats() const {
   s.hits = hits_;
   s.misses = misses_;
   s.evictions = evictions_;
-  s.entries = prt_.size() + march_.size();
+  s.entries = slots_.size();
   s.bytes = total_bytes_;
   return s;
 }
@@ -180,8 +162,7 @@ std::size_t OracleCache::budget_bytes() const {
 
 void OracleCache::clear() {
   util::MutexLock lock(mutex_);
-  prt_.clear();
-  march_.clear();
+  slots_.clear();
   lru_.clear();
   total_bytes_ = 0;
 }

@@ -1,33 +1,31 @@
-// Thread-safe, build-once memoization of golden-run artifacts, with a
-// budgeted LRU so a long-lived service cannot grow without bound.
+// Thread-safe, build-once memoization of golden-run transcripts, with
+// a budgeted LRU so a long-lived service cannot grow without bound.
 //
-// Everything a campaign derives from the workload alone — the compiled
-// core::OpTranscript, PRT and March flavours — depends only on
-// (scheme, n) or on (march test, n, background, delay, m) and is
-// immutable once built.  A PRT entry compiles its transcript from a
-// PrtOracle built for the purpose and then dropped: the replays read
-// only the transcript.
-// Before this cache each CampaignEngine / MarchCampaign built its own
-// copy in its constructor, so a multi-size sweep, a port sweep at one
-// size, or simply two engines over the same scheme recompiled the same
-// golden run from scratch.  OracleCache hoists that memoization out of
-// the engines:
+// Everything a campaign derives from the workload alone is one
+// compiled core::OpTranscript — a PRT scheme's at (scheme, n), a March
+// test's whole background sweep at (test, n, background, delay, m) —
+// immutable once built.  A PRT transcript is compiled from a PrtOracle
+// built for the purpose and then dropped: the replays read only the
+// transcript.  Keeping the memoization out of the engines means a
+// multi-size sweep, or two engines over the same scheme, compile each
+// golden run once:
 //
-//  * keys are structural fingerprints (core::scheme_fingerprint,
-//    march::test_fingerprint) plus the run geometry, so renamed but
+//  * one map holds both kinds, keyed by a kind prefix ("prt|",
+//    "march|"), a structural fingerprint (core::scheme_fingerprint,
+//    march::test_fingerprint) and the run geometry, so renamed but
 //    structurally identical workloads share entries and distinct
-//    structures never alias;
+//    structures — of either kind — never alias;
 //  * the first requester of a key builds the entry *outside* the cache
 //    lock while concurrent requesters of the same key block on a
 //    shared future — exactly one build per key, even under concurrent
 //    engine construction (pinned by tests/test_campaign_suite.cpp);
 //    concurrent requesters of different keys build in parallel;
-//  * entries are handed out as shared_ptr<const ...>: engines keep
-//    their artifacts alive independently of the cache (clear() and
-//    eviction cannot invalidate a running campaign);
+//  * entries are handed out as shared_ptr<const OpTranscript>: engines
+//    keep their transcripts alive independently of the cache (clear()
+//    and eviction cannot invalidate a running campaign);
 //  * an optional byte budget (set_budget_bytes) bounds the resident
-//    footprint: completed entries join an LRU list with an
-//    approximate byte cost, and finishing a build evicts
+//    footprint: completed entries of both kinds join one LRU list
+//    with an approximate byte cost, and finishing a build evicts
 //    least-recently-used entries until the total fits.  Over-budget
 //    behaviour degrades to rebuild-on-miss — never to a failure.
 //
@@ -35,7 +33,7 @@
 // tests and benches that need cold-start timings construct their own
 // or clear() the global one.  The campaign service surfaces the
 // hit/miss/eviction counters through CampaignService::stats().  See
-// DESIGN.md §10 and §13.
+// DESIGN.md §10, §13 and §22.
 #pragma once
 
 #include <atomic>
@@ -46,7 +44,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "core/op_transcript.hpp"
 #include "core/prt_engine.hpp"
@@ -57,19 +54,6 @@ namespace prt::analysis {
 
 class OracleCache {
  public:
-  /// Everything the engines need from (scheme, n): the compiled replay
-  /// transcript.  Immutable after construction.
-  struct PrtEntry {
-    core::OpTranscript transcript;
-  };
-
-  /// Everything derivable from (test, n, background, delay_ticks, m):
-  /// the compiled March transcript of the whole background sweep on an
-  /// m-bit memory.  Immutable after construction.
-  struct MarchEntry {
-    core::OpTranscript transcript;
-  };
-
   /// Point-in-time counters (monotonic except entries/bytes, which are
   /// the current residency).  A lookup that finds an entry — built or
   /// still building — is a hit; one that starts a build is a miss.
@@ -85,23 +69,24 @@ class OracleCache {
   OracleCache(const OracleCache&) = delete;
   OracleCache& operator=(const OracleCache&) = delete;
 
-  /// Returns the entry for (scheme, n), building it exactly once per
-  /// key.  Blocks only when another thread is already building the
-  /// same key.  Precondition: the scheme passes core::validate_prt_scheme
-  /// for this n (campaigns check it before the lookup).
-  [[nodiscard]] std::shared_ptr<const PrtEntry> prt(
+  /// Returns the compiled replay transcript for (scheme, n), building
+  /// it exactly once per key.  Blocks only when another thread is
+  /// already building the same key.  Precondition: the scheme passes
+  /// core::validate_prt_scheme for this n (campaigns check it before
+  /// the lookup).
+  [[nodiscard]] std::shared_ptr<const core::OpTranscript> prt(
       const core::PrtScheme& scheme, mem::Addr n);
 
-  /// Returns the entry for (test, n, background, delay_ticks, m),
-  /// building it exactly once per key (march::make_march_transcript).
-  [[nodiscard]] std::shared_ptr<const MarchEntry> march(
+  /// Returns the transcript of the whole background sweep on an m-bit
+  /// memory for (test, n, background, delay_ticks, m), building it
+  /// exactly once per key (march::make_march_transcript).
+  [[nodiscard]] std::shared_ptr<const core::OpTranscript> march(
       const march::MarchTest& test, mem::Addr n, bool background,
       std::uint64_t delay_ticks = march::kDefaultDelayTicks, unsigned m = 1);
 
-  /// Number of entries actually built (not lookups) — the
+  /// Number of entries actually built (not lookups), both kinds — the
   /// one-build-per-key test hook.
-  [[nodiscard]] std::size_t prt_builds() const { return prt_builds_; }
-  [[nodiscard]] std::size_t march_builds() const { return march_builds_; }
+  [[nodiscard]] std::size_t builds() const { return builds_; }
 
   /// Cached entry count (both kinds).
   [[nodiscard]] std::size_t size() const;
@@ -124,32 +109,20 @@ class OracleCache {
   [[nodiscard]] static OracleCache& global();
 
  private:
-  /// LRU identity of a completed entry: which map ('p'/'m') + its key.
-  using LruKey = std::pair<char, std::string>;
+  using Entry = std::shared_ptr<const core::OpTranscript>;
 
-  template <typename Entry>
   struct Slot {
-    std::shared_future<std::shared_ptr<const Entry>> future;
+    std::shared_future<Entry> future;
     /// Approximate footprint; 0 until the build completes.
     std::size_t bytes = 0;
     /// Position in lru_ (most-recent at front); only while in_lru.
-    std::list<LruKey>::iterator lru_it{};
+    std::list<std::string>::iterator lru_it{};
     bool in_lru = false;
   };
-  template <typename Entry>
-  using SlotMap = std::unordered_map<std::string, Slot<Entry>>;
 
-  /// find-or-start-building: the common lock protocol of prt()/march().
-  /// Takes the map as a pointer-to-member (not a reference) so the
-  /// guarded field is only ever dereferenced under mutex_ inside —
-  /// passing `prt_` by reference unlocked would itself be a
-  /// -Wthread-safety-reference violation.  `kind` is the LRU tag for
-  /// the map ('p' for prt_, 'm' for march_).
-  template <typename Entry, typename Build>
-  std::shared_ptr<const Entry> lookup(SlotMap<Entry> OracleCache::*map,
-                                      char kind, std::string key,
-                                      std::atomic<std::size_t>& builds,
-                                      Build&& build) PRT_EXCLUDES(mutex_);
+  /// find-or-start-building: the lock protocol of prt()/march().
+  template <typename Build>
+  Entry lookup(std::string key, Build&& build) PRT_EXCLUDES(mutex_);
 
   /// Evicts LRU-tail entries until total_bytes_ fits budget_bytes_
   /// (no-op when the budget is 0).  Only completed entries are in the
@@ -157,16 +130,14 @@ class OracleCache {
   void evict_locked() PRT_REQUIRES(mutex_);
 
   mutable util::Mutex mutex_;
-  SlotMap<PrtEntry> prt_ PRT_GUARDED_BY(mutex_);
-  SlotMap<MarchEntry> march_ PRT_GUARDED_BY(mutex_);
-  std::list<LruKey> lru_ PRT_GUARDED_BY(mutex_);
+  std::unordered_map<std::string, Slot> slots_ PRT_GUARDED_BY(mutex_);
+  std::list<std::string> lru_ PRT_GUARDED_BY(mutex_);
   std::size_t total_bytes_ PRT_GUARDED_BY(mutex_) = 0;
   std::size_t budget_bytes_ PRT_GUARDED_BY(mutex_) = 0;
   std::uint64_t hits_ PRT_GUARDED_BY(mutex_) = 0;
   std::uint64_t misses_ PRT_GUARDED_BY(mutex_) = 0;
   std::uint64_t evictions_ PRT_GUARDED_BY(mutex_) = 0;
-  std::atomic<std::size_t> prt_builds_{0};
-  std::atomic<std::size_t> march_builds_{0};
+  std::atomic<std::size_t> builds_{0};
 };
 
 }  // namespace prt::analysis

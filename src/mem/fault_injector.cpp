@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace prt::mem {
 
@@ -15,7 +16,13 @@ FaultyRam::FaultyRam(Addr cells, unsigned width_bits, unsigned port_count)
 void FaultyRam::inject(const Fault& fault) {
   // Malformed universes must fail loudly in release campaigns too, so
   // these are runtime throws, not asserts (same precedent as
-  // core::validate_prt_scheme).
+  // core::validate_prt_scheme).  An unknown kind is named by number:
+  // describe() has no name for it.
+  if (fault.kind > FaultKind::kDrf) {
+    throw std::invalid_argument(
+        "FaultyRam::inject: unknown fault kind " +
+        std::to_string(static_cast<unsigned>(fault.kind)));
+  }
   if (fault.victim.cell >= size() || fault.victim.bit >= width()) {
     throw std::invalid_argument("FaultyRam::inject: victim out of range: " +
                                 fault.describe());

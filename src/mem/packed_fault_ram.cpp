@@ -72,6 +72,11 @@ template <typename W>
 unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
   // The same rejections as FaultyRam::inject, so a campaign throws on
   // exactly the faults the scalar reference throws on.
+  if (fault.kind > FaultKind::kDrf) {
+    throw std::invalid_argument(
+        "PackedFaultRam::add_fault: unknown fault kind " +
+        std::to_string(static_cast<unsigned>(fault.kind)));
+  }
   if (fault.victim.cell >= size_ || fault.victim.bit >= width_) {
     throw std::invalid_argument(
         "PackedFaultRam::add_fault: victim out of range: " +

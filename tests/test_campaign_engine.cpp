@@ -179,21 +179,66 @@ TEST(CampaignEngine, ReusedRamMatchesFreshAcrossFaultFamilies) {
 TEST(CampaignEngine, MalformedUniverseThrowsOnEveryPath) {
   // inject()'s std::invalid_argument contract must survive the
   // parallel fan-out (worker exceptions are rethrown on the caller,
-  // not left to std::terminate) on the packed lane path and on the
-  // scalar path a word-oriented March campaign takes.
+  // not left to std::terminate) on the PRT and the March replays, bit
+  // and word loops alike, and hold on the scalar reference too.
   const mem::Addr n = 16;
-  auto universe = mem::classical_universe(n);
-  universe.push_back(mem::Fault::saf({n + 10, 0}, 1));  // out of range
+  mem::Fault unknown = mem::Fault::saf({3, 0}, 1);
+  unknown.kind = static_cast<mem::FaultKind>(200);  // past the last kind
   const auto scheme = core::standard_scheme_bom(n);
-  for (unsigned threads : {1u, 3u}) {
-    EXPECT_THROW((void)run_prt_campaign(universe, scheme, {.n = n},
-                                        {.threads = threads}),
+  for (const mem::Fault& bad :
+       {mem::Fault::saf({n + 10, 0}, 1) /* out of range */, unknown}) {
+    SCOPED_TRACE(static_cast<unsigned>(bad.kind));
+    auto universe = mem::classical_universe(n);
+    universe.push_back(bad);
+    EXPECT_THROW((void)run_campaign(universe, prt_algorithm(scheme), {.n = n}),
                  std::invalid_argument);
-    EXPECT_THROW((void)run_march_campaign(universe, march::march_c_minus(),
-                                          {.n = n, .m = 4},
+    for (unsigned threads : {1u, 3u}) {
+      EXPECT_THROW((void)run_prt_campaign(universe, scheme, {.n = n},
                                           {.threads = threads}),
-                 std::invalid_argument);
+                   std::invalid_argument);
+      EXPECT_THROW((void)run_march_campaign(universe, march::march_c_minus(),
+                                            {.n = n, .m = 4},
+                                            {.threads = threads}),
+                   std::invalid_argument);
+    }
   }
+}
+
+// The driver picks its replay from the transcript: PRT iterations go
+// to run_prt_packed, anything else to run_march_packed.  A March test
+// with no elements compiles to a transcript with neither iterations
+// nor March segments; it must take the March replay (no op, nothing
+// detected) on every surface, as the reference does.  A driver keyed
+// on the March segments would hand it to run_prt_packed, whose
+// non-empty-iterations precondition a Debug build asserts.
+TEST(CampaignEngine, EmptyMarchTestTakesTheMarchReplay) {
+  const mem::Addr n = 16;
+  march::MarchTest empty;
+  empty.name = "empty";
+  const CampaignOptions opt{.n = n};
+  const auto universe = mem::classical_universe(n);
+  const CampaignResult want =
+      run_campaign(universe, march_algorithm(empty), opt);
+  EXPECT_EQ(want.overall.detected, 0u);
+  EXPECT_EQ(want.ops, 0u);
+  EXPECT_EQ(want.escapes.size(), universe.size());
+
+  EXPECT_EQ(CampaignEngine(empty, opt).run(universe), want);
+  EXPECT_EQ(run_march_campaign(universe, empty, opt, {.early_abort = true}),
+            want);
+  const SuiteResult suite = run_march_suite(
+      std::vector<CampaignOptions>{opt}, empty,
+      [&](const CampaignOptions&, std::size_t) { return universe; });
+  ASSERT_EQ(suite.configs.size(), 1u);
+  EXPECT_EQ(suite.configs[0].result, want);
+  CampaignService service;
+  CampaignRequest req;
+  req.march_test = empty;
+  req.options = opt;
+  req.universe = universe;
+  const RequestOutcome out = service.submit(std::move(req)).wait();
+  EXPECT_EQ(out.status, RequestStatus::kComplete);
+  EXPECT_EQ(out.result, want);
 }
 
 // --- the shared pool ------------------------------------------------------

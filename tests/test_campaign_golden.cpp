@@ -1,10 +1,10 @@
-// Golden pins for the campaign surfaces.  One table of fourteen
+// Golden pins for the campaign surfaces.  One table of thirteen
 // sections — classical universes at three sizes, lane-compatible
 // single-cell universes, a thread-scaling row, March C- on bit- and
 // word-oriented memories, a word-oriented GF(16) scheme, an NPSF grid,
-// retention under pauses, a dual-port memory and an n x ports suite —
-// each stride-sampled to 512 faults (128 per suite point) so every
-// fault family of the full universe stays in the slice.
+// retention under pauses and a suite over three sizes — each
+// stride-sampled to 512 faults (128 per suite point) so every fault
+// family of the full universe stays in the slice.
 //
 // Per section, run_campaign over the live scalar reference
 // (tests/live_reference.hpp) runs once without and once with early
@@ -54,8 +54,8 @@ using UniverseFn = std::function<std::vector<mem::Fault>(mem::Addr n)>;
 
 struct Section {
   const char* id = "";
-  /// One point for a single-configuration section, the n x ports grid
-  /// for the suite row (the only row with several points).
+  /// One point for a single-configuration section, the n grid for the
+  /// suite row (the only row with several points).
   std::vector<CampaignOptions> points;
   UniverseFn universe;
   /// Faults kept per point, by stride sampling.
@@ -137,16 +137,6 @@ core::PrtScheme paused(const CampaignOptions& opt) {
   return core::retention_scheme(opt.n, opt.m, kPauseTicks);
 }
 
-std::vector<CampaignOptions> suite_grid() {
-  std::vector<CampaignOptions> grid;
-  for (const mem::Addr n : {256u, 1024u, 4096u}) {
-    for (const unsigned ports : {1u, 2u, 4u}) {
-      grid.push_back({.n = n, .ports = ports});
-    }
-  }
-  return grid;
-}
-
 std::vector<Section> sections() {
   return {
       {.id = "classical_n256",
@@ -212,17 +202,12 @@ std::vector<Section> sections() {
        .universe = retention,
        .scheme = paused,
        .pins = {512, 308, 4194304, 2932736}},
-      {.id = "classical_2port_n1024",
-       .points = {{.n = 1024, .ports = 2}},
-       .universe = classical,
-       .scheme = extended,
-       .pins = {512, 512, 37748736, 5468160}},
-      {.id = "suite_n_x_ports",
-       .points = suite_grid(),
+      {.id = "suite_n_grid",
+       .points = {{.n = 256}, {.n = 1024}, {.n = 4096}},
        .universe = classical,
        .cap = 128,
        .scheme = extended,
-       .pins = {1152, 1152, 148635648, 21417984}},
+       .pins = {384, 384, 49545216, 7139328}},
   };
 }
 

@@ -167,7 +167,7 @@ TEST(CampaignService, MalformedRequestsFailFast) {
   }
   {
     CampaignRequest req = prt_request(24);
-    req.options.ports = 3;  // invalid geometry
+    req.options.m = 33;  // invalid geometry
     const RequestOutcome& out = service.submit(std::move(req)).wait();
     EXPECT_EQ(out.status, RequestStatus::kFailed);
     EXPECT_FALSE(out.error.empty());
@@ -641,7 +641,7 @@ TEST(OracleCachePoison, FailedBuildIsEvictedAndRebuilt) {
   // key rebuilds from scratch and succeeds.
   const auto entry = cache.prt(scheme, 32);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(cache.prt_builds(), 1u);
+  EXPECT_EQ(cache.builds(), 1u);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -711,11 +711,11 @@ TEST(OracleCacheEviction, BudgetEvictsLeastRecentlyUsed) {
   EXPECT_EQ(s.entries, 2u);
   EXPECT_LE(s.bytes, budget);
   // The touched entry survived; the evicted one rebuilds on demand.
-  const std::size_t builds = cache.prt_builds();
+  const std::size_t builds = cache.builds();
   (void)cache.prt(s24, 24);
-  EXPECT_EQ(cache.prt_builds(), builds);
+  EXPECT_EQ(cache.builds(), builds);
   (void)cache.prt(s32, 32);
-  EXPECT_EQ(cache.prt_builds(), builds + 1);
+  EXPECT_EQ(cache.builds(), builds + 1);
 }
 
 TEST(OracleCacheEviction, TinyBudgetStillServesLookups) {
@@ -727,7 +727,7 @@ TEST(OracleCacheEviction, TinyBudgetStillServesLookups) {
   ASSERT_NE(cache.prt(scheme, 24), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   ASSERT_NE(cache.prt(scheme, 24), nullptr);  // rebuilt, not poisoned
-  EXPECT_EQ(cache.prt_builds(), 2u);
+  EXPECT_EQ(cache.builds(), 2u);
   ASSERT_NE(cache.march(march::march_c_minus(), 24, true, 0), nullptr);
   const OracleCache::Stats s = cache.stats();
   EXPECT_EQ(s.entries, 0u);

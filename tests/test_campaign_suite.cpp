@@ -36,7 +36,7 @@ std::vector<mem::Fault> classical_for(const CampaignOptions& opt,
 
 TEST(CampaignSuite, PrtConfigsBitIdenticalToStandaloneEngines) {
   const std::vector<CampaignOptions> configs = {
-      {.n = 32}, {.n = 48, .ports = 2}, {.n = 24}};
+      {.n = 32}, {.n = 48}, {.n = 24}};
   const SuiteResult suite = run_prt_suite(
       configs, [](const CampaignOptions& opt) {
         return core::extended_scheme_bom(opt.n);
@@ -103,10 +103,10 @@ TEST(CampaignSuite, SuiteReusableAcrossRuns) {
 }
 
 TEST(CampaignSuite, MarchConfigsBitIdenticalToStandaloneCampaigns) {
-  // Mixed grid: two bit-oriented points (transcript + packed path) and
-  // a word-oriented one (scalar background sweep).
+  // Mixed grid: two bit-oriented points (the bit loop) and a
+  // word-oriented one (the word loop over two backgrounds).
   const std::vector<CampaignOptions> configs = {
-      {.n = 24}, {.n = 40, .ports = 2}, {.n = 16, .m = 2}};
+      {.n = 24}, {.n = 40}, {.n = 16, .m = 2}};
   auto universe_for = [](const CampaignOptions& opt, std::size_t) {
     return opt.m == 1
                ? mem::classical_universe(opt.n)
@@ -189,7 +189,7 @@ TEST(OracleCache, BuildsOncePerKeyUnderConcurrentLookups) {
   OracleCache cache;
   const auto scheme = core::extended_scheme_bom(64);
   constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const OracleCache::PrtEntry>> entries(kThreads);
+  std::vector<std::shared_ptr<const core::OpTranscript>> entries(kThreads);
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -199,26 +199,26 @@ TEST(OracleCache, BuildsOncePerKeyUnderConcurrentLookups) {
     }
     for (auto& t : threads) t.join();
   }
-  EXPECT_EQ(cache.prt_builds(), 1u);
+  EXPECT_EQ(cache.builds(), 1u);
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(entries[0], entries[t]);  // one shared entry, not copies
   }
-  EXPECT_EQ(entries[0]->transcript.n, 64u);
-  EXPECT_FALSE(entries[0]->transcript.recs.empty());
+  EXPECT_EQ(entries[0]->n, 64u);
+  EXPECT_FALSE(entries[0]->recs.empty());
 
   // A different key builds separately; the same key never rebuilds.
   (void)cache.prt(scheme, /*n=*/32);
-  EXPECT_EQ(cache.prt_builds(), 2u);
+  EXPECT_EQ(cache.builds(), 2u);
   (void)cache.prt(scheme, /*n=*/64);
-  EXPECT_EQ(cache.prt_builds(), 2u);
+  EXPECT_EQ(cache.builds(), 2u);
   EXPECT_EQ(cache.size(), 2u);
 
   // clear() drops entries but outstanding pointers stay valid.
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(entries[0]->transcript.n, 64u);
+  EXPECT_EQ(entries[0]->n, 64u);
   (void)cache.prt(scheme, /*n=*/64);
-  EXPECT_EQ(cache.prt_builds(), 3u);
+  EXPECT_EQ(cache.builds(), 3u);
 }
 
 TEST(OracleCache, MarchKeysSplitOnBackgroundAndDelay) {
@@ -227,16 +227,62 @@ TEST(OracleCache, MarchKeysSplitOnBackgroundAndDelay) {
   const auto a = cache.march(test, 32, /*background=*/false);
   const auto b = cache.march(test, 32, /*background=*/false);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(cache.march_builds(), 1u);
+  EXPECT_EQ(cache.builds(), 1u);
   (void)cache.march(test, 32, /*background=*/true);
   (void)cache.march(test, 32, /*background=*/false, /*delay_ticks=*/123);
   (void)cache.march(test, 64, /*background=*/false);
-  EXPECT_EQ(cache.march_builds(), 4u);
+  EXPECT_EQ(cache.builds(), 4u);
   // A renamed but structurally identical test shares the entry.
   auto renamed = test;
   renamed.name = "renamed";
   (void)cache.march(renamed, 32, /*background=*/false);
-  EXPECT_EQ(cache.march_builds(), 4u);
+  EXPECT_EQ(cache.builds(), 4u);
+}
+
+// One map holds both kinds: a PRT and a March lookup at the same n are
+// two entries with two builds, each its own kind of transcript, and
+// the one LRU list evicts across kinds.
+TEST(OracleCache, OneMapKeepsPrtAndMarchApart) {
+  const core::PrtScheme scheme = core::extended_scheme_bom(32);
+  const march::MarchTest test = march::march_c_minus();
+  const core::PrtScheme third = core::extended_scheme_bom(40);
+  {
+    OracleCache cache;
+    const auto prt = cache.prt(scheme, 32);
+    const auto march = cache.march(test, 32, /*background=*/false);
+    EXPECT_EQ(cache.builds(), 2u);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_FALSE(prt->iterations.empty());
+    EXPECT_TRUE(march->iterations.empty());
+    EXPECT_FALSE(march->march.empty());
+  }
+  // Under a budget that fits the touched entry and a third one, the
+  // third evicts exactly the least recently used entry: the other kind.
+  for (const bool touch_prt : {true, false}) {
+    SCOPED_TRACE(touch_prt ? "touch PRT" : "touch March");
+    auto touch = [&](OracleCache& c) {
+      return touch_prt ? c.prt(scheme, 32) : c.march(test, 32, false);
+    };
+    auto other = [&](OracleCache& c) {
+      return touch_prt ? c.march(test, 32, false) : c.prt(scheme, 32);
+    };
+    OracleCache probe;
+    (void)touch(probe);
+    (void)probe.prt(third, 40);
+    OracleCache cache;
+    cache.set_budget_bytes(probe.stats().bytes);
+    (void)cache.prt(scheme, 32);
+    (void)cache.march(test, 32, false);
+    (void)touch(cache);
+    (void)cache.prt(third, 40);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.size(), 2u);
+    const std::size_t builds = cache.builds();
+    (void)touch(cache);
+    EXPECT_EQ(cache.builds(), builds);
+    (void)other(cache);
+    EXPECT_EQ(cache.builds(), builds + 1);
+  }
 }
 
 TEST(OracleCache, OneBuildUnderConcurrentEngineConstruction) {
@@ -246,7 +292,7 @@ TEST(OracleCache, OneBuildUnderConcurrentEngineConstruction) {
   const auto scheme = core::retention_scheme(53, 1, /*pause_ticks=*/7);
   CampaignOptions opt;
   opt.n = 53;
-  const std::size_t before = OracleCache::global().prt_builds();
+  const std::size_t before = OracleCache::global().builds();
   constexpr int kThreads = 6;
   {
     std::vector<std::thread> threads;
@@ -256,7 +302,7 @@ TEST(OracleCache, OneBuildUnderConcurrentEngineConstruction) {
     }
     for (auto& t : threads) t.join();
   }
-  EXPECT_EQ(OracleCache::global().prt_builds(), before + 1);
+  EXPECT_EQ(OracleCache::global().builds(), before + 1);
 }
 
 // --- central CampaignOptions validation -----------------------------
@@ -269,7 +315,6 @@ TEST(CampaignValidation, RejectsMalformedGeometryOnEveryEntryPath) {
       {.n = 0},                    // empty memory
       {.n = 64, .m = 0},           // zero width
       {.n = 64, .m = 33},          // wider than the SimRam word
-      {.n = 64, .ports = 3},       // per-port arrays are sized 1/2/4
   };
   for (const CampaignOptions& opt : bad) {
     EXPECT_THROW((void)validate_campaign_options(opt), std::invalid_argument);
@@ -286,7 +331,7 @@ TEST(CampaignValidation, RejectsMalformedGeometryOnEveryEntryPath) {
                                        }),
                  std::invalid_argument);
   }
-  EXPECT_NO_THROW(validate_campaign_options({.n = 64, .m = 32, .ports = 4}));
+  EXPECT_NO_THROW(validate_campaign_options({.n = 64, .m = 32}));
 }
 
 /// Runs `fn` and requires a std::invalid_argument whose message names

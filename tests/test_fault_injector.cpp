@@ -451,6 +451,17 @@ TEST(Inject, ThrowsOnMalformedFaults) {
                std::invalid_argument);
   EXPECT_THROW(ram.inject(Fault::retention({1, 0}, 1, /*delay_ticks=*/0)),
                std::invalid_argument);
+  // A kind past the last one is named by number (describe() prints "?").
+  Fault unknown = Fault::saf({1, 0}, 1);
+  unknown.kind = static_cast<FaultKind>(200);
+  try {
+    ram.inject(unknown);
+    ADD_FAILURE() << "accepted an unknown fault kind";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown fault kind 200"),
+              std::string::npos)
+        << e.what();
+  }
   // Nothing was recorded by the rejected injections.
   EXPECT_TRUE(ram.faults().empty());
   EXPECT_NO_THROW(ram.inject(Fault::saf({7, 1}, 1)));

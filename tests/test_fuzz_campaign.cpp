@@ -1,7 +1,7 @@
 // Differential fuzzer over the campaign surfaces.  Each draw picks a
 // workload (a random GF(2) or GF(16) PRT scheme, a canonical or
 // retention scheme, or a library March test), a memory size n in
-// [k + 1, 300], a word width and port count, a make_universe mix with
+// [k + 1, 300], a word width, a make_universe mix with
 // NPSF grids, retention and degenerate CFst faults, early abort on or
 // off and 1, 2 or 4 threads.
 // It runs the draw through CampaignEngine or MarchCampaign, and some
@@ -64,7 +64,6 @@ struct Draw {
   [[nodiscard]] std::string describe() const {
     return (scheme ? scheme->name : test->name) +
            " n=" + std::to_string(opt.n) + " m=" + std::to_string(opt.m) +
-           " ports=" + std::to_string(opt.ports) +
            " faults=" + std::to_string(universe.size()) +
            " early_abort=" + std::to_string(early_abort) +
            " threads=" + std::to_string(threads);
@@ -190,8 +189,7 @@ Draw make_draw(Xoshiro256& rng) {
   Draw d;
   const std::uint64_t kind = pick(rng, 7);
   d.opt.m = pick(rng, 3) == 0 ? 4 : 1;
-  constexpr unsigned kPorts[] = {1, 2, 4};
-  d.opt.ports = kPorts[pick(rng, 3)];
+  (void)pick(rng, 3);  // the retired ports axis, drawn to keep the stream
   unsigned k = 2;
   if (kind <= 1) {
     d.scheme = random_scheme(rng, d.opt.m);

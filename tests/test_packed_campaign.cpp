@@ -62,6 +62,17 @@ TEST(PackedFaultRam, RejectsIncompatibleAndOverflowingFaults) {
                std::invalid_argument);
   EXPECT_THROW(ram.add_fault(mem::Fault::af_multi_access(1, 8)),
                std::invalid_argument);
+  // A kind past the last one is named by number (describe() prints "?").
+  mem::Fault unknown = mem::Fault::saf({1, 0}, 1);
+  unknown.kind = static_cast<mem::FaultKind>(200);
+  try {
+    ram.add_fault(unknown);
+    ADD_FAILURE() << "accepted an unknown fault kind";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown fault kind 200"),
+              std::string::npos)
+        << e.what();
+  }
   // Bit planes beyond the word, on either end of a pair, are rejected
   // like FaultyRam::inject rejects them, with the fault in the message.
   for (const mem::Fault& f :
