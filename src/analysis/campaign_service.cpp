@@ -17,6 +17,7 @@
 #include "analysis/campaign_driver.hpp"
 #include "analysis/oracle_cache.hpp"
 #include "march/march_test.hpp"
+#include "mem/fault.hpp"
 #include "util/annotations.hpp"
 #include "util/crc32.hpp"
 #include "util/durable_write.hpp"
@@ -834,6 +835,18 @@ CampaignService::Ticket CampaignService::submit(CampaignRequest request) {
       validate_campaign_options(r->req.options);
     } catch (const std::exception& e) {
       invalid = e.what();
+    }
+    // Every fault against the geometry: a fault the memory cannot hold
+    // fails the request here, before any batch runs, and not as a
+    // batch failure that each retry would repeat.
+    for (std::size_t i = 0; invalid.empty() && i < r->req.universe.size();
+         ++i) {
+      try {
+        mem::validate_fault(r->req.universe[i], r->req.options.n,
+                            r->req.options.m);
+      } catch (const std::exception& e) {
+        invalid = "universe fault " + std::to_string(i) + ": " + e.what();
+      }
     }
   }
   if (!invalid.empty()) {

@@ -213,8 +213,10 @@ class CampaignService {
   };
 
   /// Validates and admits a request.  Never blocks on campaign work:
-  /// past the class queue bound (or on a malformed request) the
-  /// returned ticket is already resolved with kRejected / kFailed.
+  /// past the class queue bound (or on a malformed request — a fault
+  /// mem::validate_fault rejects for the request's n x m memory
+  /// included, named with its universe index) the returned ticket is
+  /// already resolved with kRejected / kFailed, no batch run.
   [[nodiscard]] Ticket submit(CampaignRequest request);
 
   /// Blocks until every request admitted so far has resolved.

@@ -31,14 +31,16 @@ std::size_t Job::adopt(BatchResults batches) {
 void Job::start(util::ThreadPool& pool, const std::shared_ptr<Job>& job) {
   job->pool_ = &pool;
   if (!job->prepare) {
-    launch(job);
+    launch(job, /*run_first=*/false);
     return;
   }
   pool.submit(
       [job] {
         if (!job->stop.stop_requested()) {
           job->prepare(*job);
-          launch(job);
+          // The first batch runs on this worker, so a one-batch job
+          // crosses the FIFO once, not twice.
+          launch(job, /*run_first=*/true);
         } else {
           complete(job);
         }
@@ -54,7 +56,12 @@ void Job::start(util::ThreadPool& pool, const std::shared_ptr<Job>& job) {
       });
 }
 
-void Job::launch(const std::shared_ptr<Job>& job) noexcept {
+std::size_t Job::next_pending_locked() {
+  while (next_ < results_.size() && results_[next_]) ++next_;
+  return next_ < results_.size() ? next_++ : results_.size();
+}
+
+void Job::launch(const std::shared_ptr<Job>& job, bool run_first) noexcept {
   Job& j = *job;
   util::MutexLock lock(j.mu_);
   const std::size_t nbatches = batch_count(j.size);
@@ -62,39 +69,46 @@ void Job::launch(const std::shared_ptr<Job>& job) noexcept {
   j.attempts_.assign(nbatches, 0);
   // A job stopped before its batches start runs none of them.
   j.launched_ = j.done_ == nbatches || !j.stop.stop_requested();
-  if (j.launched_) {
-    for (std::size_t b = 0; b < nbatches; ++b) {
-      if (!j.results_[b]) ++j.outstanding_;
+  std::size_t first = nbatches;
+  // One wave: a batch per worker.  Every batch of the wave is counted
+  // before the lock drops, so none resolves before the wave is whole.
+  for (unsigned w = 0; j.launched_ && w < j.pool_->workers(); ++w) {
+    const std::size_t b = j.next_pending_locked();
+    if (b == nbatches) break;
+    ++j.outstanding_;
+    if (run_first && first == nbatches) {
+      first = b;
+    } else {
+      submit_batch(job, b);
     }
   }
-  if (j.outstanding_ == 0) {
-    lock.Unlock();
+  const bool idle = j.outstanding_ == 0;
+  lock.Unlock();
+  if (idle) {
     complete(job);
-    return;
+  } else if (first != nbatches) {
+    run_batch(job, first);
   }
-  // Submitted under the lock, so no batch resolves before every
-  // pending one is counted.
-  for (std::size_t b = 0; b < nbatches; ++b) {
-    if (!j.results_[b]) submit_batch(job, b);
+}
+
+void Job::run_batch(const std::shared_ptr<Job>& job, std::size_t b) noexcept {
+  const std::size_t begin = b * kSchedulerBatch;
+  const std::size_t end = std::min(begin + kSchedulerBatch, job->size);
+  CampaignResult out;
+  bool completed = false;
+  std::exception_ptr error;
+  try {
+    completed = job->run(begin, end, out, job->stop.token());
+  } catch (...) {
+    error = std::current_exception();
   }
+  finish_attempt(job, b, completed ? &out : nullptr, std::move(error));
 }
 
 void Job::submit_batch(const std::shared_ptr<Job>& job,
                        std::size_t b) noexcept {
   job->pool_->submit(
-      [job, b] {
-        const std::size_t begin = b * kSchedulerBatch;
-        const std::size_t end = std::min(begin + kSchedulerBatch, job->size);
-        CampaignResult out;
-        bool completed = false;
-        std::exception_ptr error;
-        try {
-          completed = job->run(begin, end, out, job->stop.token());
-        } catch (...) {
-          error = std::current_exception();
-        }
-        finish_attempt(job, b, completed ? &out : nullptr, std::move(error));
-      },
+      [job, b] { run_batch(job, b); },
       // A task the pool lost before running it is a failed attempt.
       [job, b](std::exception_ptr lost) {
         finish_attempt(job, b, nullptr, std::move(lost));
@@ -137,6 +151,18 @@ void Job::finish_attempt(const std::shared_ptr<Job>& job, std::size_t b,
     }
     // else: the attempt observed the stop and abandoned — its partial
     // tallies are discarded, the slot stays empty.
+    //
+    // The next pending batch takes the slot and goes to the back of
+    // the FIFO.  After a stop (a cancel, the deadline or a failure) no
+    // batch is handed out any more; those never handed out stay empty.
+    if (!j.stop.stop_requested()) {
+      const std::size_t next = j.next_pending_locked();
+      if (next != j.results_.size()) {
+        lock.Unlock();
+        submit_batch(job, next);
+        return;  // outstanding unchanged — the next batch owns the slot
+      }
+    }
     if (--j.outstanding_ != 0) return;
   }
   complete(job);

@@ -116,14 +116,19 @@ struct JobOutcome {
 };
 
 /// The campaign executor.  A job is a (driver, universe) pair cut into
-/// fixed kSchedulerBatch batches; each pending batch is one FIFO task
-/// on a pool, a failed attempt (a throw, or a task the pool lost) is
-/// resubmitted up to `max_retries` times, and when the last batch
-/// resolves the completed ones merge in batch order and `on_done`
-/// fires.  Engines and March campaigns run one job and wait, a suite
-/// one job per configuration, the service one job per dispatched
-/// request with its per-batch hooks in `run` and `checkpoint`.  Hooks
-/// other than `prepare` and `run` must not throw.  DESIGN.md §16.
+/// fixed kSchedulerBatch batches, run in index order as FIFO tasks on a
+/// pool.  A job keeps at most pool.workers() batches in flight and each
+/// resolved batch hands the next pending one to the back of the queue,
+/// so another job's task waits behind at most one such wave.  The
+/// worker that runs a job's `prepare` step runs its first batch itself.
+/// A failed attempt (a throw, or a task the pool lost) is resubmitted
+/// up to `max_retries` times; a stop hands out no further batch, and
+/// when the last batch in flight resolves the completed ones merge in
+/// batch order and `on_done` fires.  Engines and March campaigns run
+/// one job and wait, a suite one job per configuration, the service
+/// one job per dispatched request with its per-batch hooks in `run`
+/// and `checkpoint`.  Hooks other than `prepare` and `run` must not
+/// throw.  DESIGN.md §16.
 class Job {
  public:
   /// Runs one attempt of the batch [begin, end) into a fresh `out`;
@@ -145,8 +150,9 @@ class Job {
   RunBatch run;
   /// Optional setup, the job's first pool task unless the job is
   /// already stopped: may set `size`, `run` and `checkpoint` and
-  /// adopt() checkpointed batches.  A throw, or the pool losing the
-  /// task, fails the job before any batch runs.
+  /// adopt() checkpointed batches.  The same task then runs the first
+  /// pending batch.  A throw, or the pool losing the task, fails the
+  /// job before any batch runs.
   std::function<void(Job&)> prepare;
   int max_retries = 0;  ///< resubmissions per batch
   /// Called under the job lock, so each call sees a consistent
@@ -163,24 +169,36 @@ class Job {
   /// from `prepare`.  Returns how many were adopted.
   std::size_t adopt(BatchResults batches) PRT_EXCLUDES(mu_);
 
-  /// Submits the prepare step, or every pending batch, to `pool`; the
-  /// tasks keep `job` alive until on_done.
+  /// Submits the prepare step, or the first wave of pending batches,
+  /// to `pool`; the tasks keep `job` alive until on_done.
   static void start(util::ThreadPool& pool, const std::shared_ptr<Job>& job);
 
  private:
-  static void launch(const std::shared_ptr<Job>& job) noexcept;
+  /// Hands out the first wave; with `run_first` (on the worker that ran
+  /// `prepare`) the calling thread runs the wave's first batch itself.
+  static void launch(const std::shared_ptr<Job>& job, bool run_first) noexcept;
+  static void run_batch(const std::shared_ptr<Job>& job,
+                        std::size_t b) noexcept;
   static void submit_batch(const std::shared_ptr<Job>& job,
                            std::size_t b) noexcept;
   static void finish_attempt(const std::shared_ptr<Job>& job, std::size_t b,
                              CampaignResult* out,
                              std::exception_ptr error) noexcept;
   static void complete(const std::shared_ptr<Job>& job) noexcept;
+  /// The next batch to hand out, or batch_count(size) when none is left.
+  std::size_t next_pending_locked() PRT_REQUIRES(mu_);
 
   util::ThreadPool* pool_ = nullptr;
   util::Mutex mu_;
   BatchResults results_ PRT_GUARDED_BY(mu_);
   std::vector<int> attempts_ PRT_GUARDED_BY(mu_);
+  /// Batches handed out and not yet resolved: at most pool.workers().
+  /// A batch never handed out is not counted, so a stop — landing
+  /// anywhere, launch included — resolves the job as soon as the
+  /// batches in flight have.
   std::size_t outstanding_ PRT_GUARDED_BY(mu_) = 0;
+  /// Batches below this index were handed out or adopted.
+  std::size_t next_ PRT_GUARDED_BY(mu_) = 0;
   std::size_t done_ PRT_GUARDED_BY(mu_) = 0;
   std::size_t since_checkpoint_ PRT_GUARDED_BY(mu_) = 0;
   std::size_t resumed_ PRT_GUARDED_BY(mu_) = 0;

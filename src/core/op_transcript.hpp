@@ -180,7 +180,9 @@ using PackedVerdict = PackedVerdictT<mem::LaneWord>;
 /// reference has issued by then; lanes that latched since the last call
 /// are charged exactly that and leave the pending set.  finish()
 /// charges every lane still pending the complete transcript: all active
-/// lanes when early abort is off.
+/// lanes when early abort is off.  Once decided(), both replays stop
+/// (PRT after an iteration, March after an element): the rest of the
+/// transcript could change neither the mask nor the charge.
 template <typename W>
 struct LaneLatch {
   /// Lanes whose observed value ever deviated from the golden one.
@@ -200,6 +202,14 @@ struct LaneLatch {
     scalar_ops += static_cast<std::uint64_t>(mem::lane_popcount(newly)) * ops;
     pending &= ~newly;
     return !mem::lane_any(pending);
+  }
+
+  /// True when no pending lane lacks a mismatch.  Without early abort
+  /// every active lane stays pending and finish() charges it the whole
+  /// transcript whenever it latched, so a batch whose lanes have all
+  /// latched has its verdict and its scalar-equivalent charge fixed.
+  [[nodiscard]] bool decided() const {
+    return !mem::lane_any(pending & ~mismatch);
   }
 
   /// The verdict, charging the lanes still pending `total_ops` each.

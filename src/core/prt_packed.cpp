@@ -193,9 +193,10 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
     // Lanes that latched this iteration ran, scalar-equivalently, every
     // iteration up to and including this one — the transcript's
     // abort-op prefix sum.
-    if (options.early_abort && latch.retire(it.ops_end())) {
-      return latch.finish(t.total_ops());
-    }
+    if (options.early_abort) latch.retire(it.ops_end());
+    // Once every lane has latched, no later iteration can change a
+    // verdict or a charge, early abort or not: stop.
+    if (latch.decided()) break;
   }
   return latch.finish(t.total_ops());
 }

@@ -46,7 +46,10 @@
 // complete iterations up to and including the first failing one —
 // analytic, from the transcript's per-iteration abort-op prefix sums.
 // The run stops once the last pending lane retires, mid-verify-pass if
-// that is where it latches.
+// that is where it latches.  Without early abort it stops after the
+// first iteration by which every active lane has latched
+// (LaneLatch::decided): verdicts and scalar_ops are those of a complete
+// run, only the physical op count ram.ops() is smaller.
 #pragma once
 
 #include <cstdint>
@@ -110,8 +113,9 @@ extern template PackedVerdictT<mem::WideWord<8>> run_prt_packed(
                                            const PackedRunOptions& options);
 
 /// Full-scheme convenience overload: returns just the detected mask of
-/// a run without early abort (the packed op count ram.ops() then
-/// equals the scalar per-fault op count of a complete run).
+/// a run without early abort.  The physical op count ram.ops() is at
+/// most the scalar per-fault op count of a complete run, and equal to
+/// it when a lane survives the whole scheme.
 [[nodiscard]] std::uint64_t run_prt_packed(mem::PackedFaultRam& ram,
                                            const PrtScheme& scheme,
                                            const PrtOracle& oracle);

@@ -150,6 +150,9 @@ core::PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram,
         }
       }
     }
+    // Once every lane has latched, no later element can change a
+    // verdict or a charge, early abort or not: stop.
+    if (latch.decided()) break;
   }
   return latch.finish(t.total_ops());
 }

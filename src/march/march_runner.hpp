@@ -99,8 +99,12 @@ struct MarchRunOptions {
 /// PRT replay returns too: with early_abort, the shared
 /// core::LaneLatch retires each lane at its first mismatching read,
 /// charged that read's 1-based op index, and the replay stops once
-/// every active lane is retired.  Lanes beyond ram.lanes_used() never
-/// deviate, but callers should still AND with ram.active_mask().
+/// every active lane is retired.  Without early abort it stops after
+/// the first element by which every active lane has latched
+/// (core::LaneLatch::decided): the verdict is a complete run's, only
+/// the physical op count ram.ops() is smaller.  Lanes beyond
+/// ram.lanes_used() never deviate, but callers should still AND with
+/// ram.active_mask().
 template <typename W>
 [[nodiscard]] core::PackedVerdictT<W> run_march_packed(
     mem::PackedFaultRamT<W>& ram, const core::OpTranscript& transcript,

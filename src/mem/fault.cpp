@@ -1,6 +1,7 @@
 #include "mem/fault.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace prt::mem {
 
@@ -110,6 +111,43 @@ std::string Fault::describe() const {
     os << " decays_to=" << state << " after=" << delay;
   }
   return os.str();
+}
+
+void validate_fault(const Fault& fault, Addr n, unsigned m) {
+  // Runtime throws, not asserts: a malformed universe must fail loudly
+  // in release campaigns too.  An unknown kind is named by number,
+  // describe() has no name for it.
+  if (fault.kind > FaultKind::kDrf) {
+    throw std::invalid_argument(
+        "unknown fault kind " +
+        std::to_string(static_cast<unsigned>(fault.kind)));
+  }
+  const auto reject = [&](const char* why) {
+    throw std::invalid_argument(std::string(why) + " of the " +
+                                std::to_string(n) + " x " + std::to_string(m) +
+                                " memory: " + fault.describe());
+  };
+  if (fault.victim.cell >= n || fault.victim.bit >= m) {
+    reject("victim out of range");
+  }
+  if (is_coupling(fault.kind)) {
+    if (fault.aggressor.cell >= n || fault.aggressor.bit >= m) {
+      reject("aggressor out of range");
+    }
+    if (fault.aggressor == fault.victim) {
+      throw std::invalid_argument("aggressor must differ from victim: " +
+                                  fault.describe());
+    }
+  }
+  if ((fault.kind == FaultKind::kAfWrongAccess ||
+       fault.kind == FaultKind::kAfMultiAccess) &&
+      fault.alias >= n) {
+    reject("alias out of range");
+  }
+  if (fault.kind == FaultKind::kDrf && fault.delay == 0) {
+    throw std::invalid_argument("retention fault needs delay > 0: " +
+                                fault.describe());
+  }
 }
 
 }  // namespace prt::mem

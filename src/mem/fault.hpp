@@ -175,4 +175,13 @@ struct Fault {
   [[nodiscard]] std::string describe() const;
 };
 
+/// The rule a fault must pass to be held by an n-cell memory of m-bit
+/// words — FaultyRam::inject, PackedFaultRamT::add_fault and
+/// CampaignService::submit all apply it.  Throws std::invalid_argument
+/// naming the fault unless its kind is known, its victim (and a
+/// two-cell fault's aggressor, which must differ from the victim) is a
+/// bit of the memory, a wrong- or multi-access decoder alias is one of
+/// its cells, and a retention fault has delay > 0.
+void validate_fault(const Fault& fault, Addr n, unsigned m);
+
 }  // namespace prt::mem

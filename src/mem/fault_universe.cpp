@@ -1,6 +1,5 @@
 #include "mem/fault_universe.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -73,8 +72,23 @@ std::vector<Fault> coupling_universe(
   return out;
 }
 
+namespace {
+
+/// The adjacent-pair universes serve PRT schemes, which need n > k = 2
+/// cells; below two cells the last cell's wrong-access alias, n - 2,
+/// would wrap past the memory.
+void require_adjacent_pairs(const char* generator, Addr n) {
+  if (n < 3) {
+    throw std::invalid_argument(std::string(generator) +
+                                ": n must be >= 3 (got " + std::to_string(n) +
+                                ")");
+  }
+}
+
+}  // namespace
+
 std::vector<Fault> classical_universe(Addr n) {
-  assert(n >= 3);
+  require_adjacent_pairs("classical_universe", n);
   std::vector<Fault> u;
   u.reserve(static_cast<std::size_t>(n) * 12);
   for (Addr c = 0; c < n; ++c) {
@@ -98,7 +112,7 @@ std::vector<Fault> classical_universe(Addr n) {
 }
 
 std::vector<Fault> van_de_goor_universe(Addr n) {
-  assert(n >= 3);
+  require_adjacent_pairs("van_de_goor_universe", n);
   std::vector<Fault> u = single_cell_universe(n, 1, /*read_logic=*/true);
   for (Addr c = 0; c + 1 < n; ++c) {
     for (auto [a, v] : {std::pair<Addr, Addr>{c, c + 1}, {c + 1, c}}) {
@@ -127,7 +141,16 @@ std::vector<Fault> van_de_goor_universe(Addr n) {
 
 std::vector<Fault> make_universe(Addr n, unsigned m,
                                  const UniverseOptions& opt) {
-  assert(n >= 2);
+  // A pair needs two cells; m is a memory word width (FaultyRam and
+  // the packed lanes hold 1..32 bit planes).
+  if (n < 2) {
+    throw std::invalid_argument("make_universe: n must be >= 2 (got " +
+                                std::to_string(n) + ")");
+  }
+  if (m < 1 || m > 32) {
+    throw std::invalid_argument("make_universe: m must be in [1, 32] (got " +
+                                std::to_string(m) + ")");
+  }
   std::vector<Fault> out;
 
   if (opt.single_cell) {

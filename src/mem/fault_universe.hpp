@@ -40,7 +40,8 @@ struct UniverseOptions {
 };
 
 /// Enumerates the fault universe for an n x m memory.  Throws
-/// std::invalid_argument on a malformed explicit NPSF grid width (see
+/// std::invalid_argument naming the value on n < 2, on m outside
+/// [1, 32] and on a malformed explicit NPSF grid width (see
 /// UniverseOptions::npsf_grid_cols).
 [[nodiscard]] std::vector<Fault> make_universe(Addr n, unsigned m,
                                                const UniverseOptions& opt);
@@ -61,14 +62,16 @@ struct UniverseOptions {
 /// The classical fault model the paper's §3 claim is stated over
 /// (DESIGN.md §2): SAF, TF, adjacent-cell CFin, adjacent bridges, and
 /// no-access / wrong-access decoder faults, on bit plane 0 of a
-/// bit-oriented memory.  O(n) faults.
+/// bit-oriented memory.  O(n) faults.  Throws std::invalid_argument
+/// naming n when n < 3.
 [[nodiscard]] std::vector<Fault> classical_universe(Addr n);
 
 /// The full van de Goor single+two-cell model (DESIGN.md §2): adds
 /// WDF, the read-logic faults (RDF/DRDF/IRF/SOF), 4-variant CFst and
 /// CFid on adjacent pairs, and multi-access decoder faults.  Still
 /// O(n) faults (adjacent pairs only; make_universe enumerates the
-/// all-pairs variant).
+/// all-pairs variant).  Throws std::invalid_argument naming n when
+/// n < 3.
 [[nodiscard]] std::vector<Fault> van_de_goor_universe(Addr n);
 
 }  // namespace prt::mem

@@ -70,41 +70,9 @@ typename PackedFaultRamT<W>::CellFaults& PackedFaultRamT<W>::slot_for(
 
 template <typename W>
 unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
-  // The same rejections as FaultyRam::inject, so a campaign throws on
-  // exactly the faults the scalar reference throws on.
-  if (fault.kind > FaultKind::kDrf) {
-    throw std::invalid_argument(
-        "PackedFaultRam::add_fault: unknown fault kind " +
-        std::to_string(static_cast<unsigned>(fault.kind)));
-  }
-  if (fault.victim.cell >= size_ || fault.victim.bit >= width_) {
-    throw std::invalid_argument(
-        "PackedFaultRam::add_fault: victim out of range: " +
-        fault.describe());
-  }
-  if (is_coupling(fault.kind)) {
-    if (fault.aggressor.cell >= size_ || fault.aggressor.bit >= width_) {
-      throw std::invalid_argument(
-          "PackedFaultRam::add_fault: aggressor out of range: " +
-          fault.describe());
-    }
-    if (fault.aggressor == fault.victim) {
-      throw std::invalid_argument(
-          "PackedFaultRam::add_fault: aggressor must differ from victim: " +
-          fault.describe());
-    }
-  }
-  if ((fault.kind == FaultKind::kAfWrongAccess ||
-       fault.kind == FaultKind::kAfMultiAccess) &&
-      fault.alias >= size_) {
-    throw std::invalid_argument(
-        "PackedFaultRam::add_fault: alias out of range: " + fault.describe());
-  }
-  if (fault.kind == FaultKind::kDrf && fault.delay == 0) {
-    throw std::invalid_argument(
-        "PackedFaultRam::add_fault: retention fault needs delay > 0: " +
-        fault.describe());
-  }
+  // The rule FaultyRam::inject applies, so a campaign throws on exactly
+  // the faults the scalar reference throws on.
+  validate_fault(fault, size_, width_);
   if (lanes_used_ >= kLanes) {
     throw std::length_error("PackedFaultRam::add_fault: all lanes taken");
   }

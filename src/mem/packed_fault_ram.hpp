@@ -99,10 +99,11 @@ class PackedFaultRamT {
   /// a lane but registers no effect — it is inert in FaultyRam too, so
   /// the lane simply never mismatches; so does a CFst whose trigger
   /// state is beyond {0, 1}.  Throws std::invalid_argument naming the
-  /// fault exactly where FaultyRam::inject does: a victim or aggressor
-  /// cell or bit plane out of range, a two-cell fault with aggressor
-  /// == victim, a decoder alias out of range, or a retention fault with
-  /// delay == 0; std::length_error when all kLanes lanes are taken.
+  /// fault exactly where FaultyRam::inject does (mem::validate_fault:
+  /// an unknown kind, a victim or aggressor cell or bit plane out of
+  /// range, a two-cell fault with aggressor == victim, a decoder alias
+  /// out of range, or a retention fault with delay == 0);
+  /// std::length_error when all kLanes lanes are taken.
   unsigned add_fault(const Fault& fault);
 
   /// Reads every lane's bit of cell `addr` at once, applying each

@@ -3,18 +3,27 @@
 // to the serial reference, early-abort must change costs only, never
 // verdicts, campaigns sharing the process-wide pool must neither
 // disturb each other nor report a lost pool task as a complete run,
-// and every campaign surface must cut the same fixed batches.
+// every campaign surface must cut the same fixed batches, and the
+// executor under them keeps one wave per job and resolves a job
+// stopped at any point with the exact merge of its completed batches.
 #include "analysis/campaign_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/campaign_service.hpp"
+#include "analysis/campaign_shard.hpp"
 #include "analysis/campaign_suite.hpp"
 #include "analysis/march_campaign.hpp"
 #include "core/prt_engine.hpp"
@@ -411,6 +420,223 @@ TEST(OnePartition, EverySurfaceCutsTheSameBatches) {
       EXPECT_EQ(out.shards_total, batches);
       expect_identical(out.result, prt_ref);
     }
+  }
+}
+
+// --- the executor -----------------------------------------------------------
+
+/// A batch result unlike every other batch's, so a merge that drops,
+/// repeats or reorders a batch shows.
+CampaignResult synthetic_batch(std::size_t begin, std::size_t end) {
+  CampaignResult out;
+  const std::uint64_t total = end - begin;
+  out.overall = {.detected = total - 1, .total = total};
+  out.by_class[mem::FaultClass::kSaf] = out.overall;
+  out.escapes.push_back(begin);
+  out.ops = 3 * begin + 1;
+  return out;
+}
+
+constexpr std::size_t kProbeBatches = 6;
+constexpr std::size_t kProbeSize = kProbeBatches * detail::kSchedulerBatch - 100;
+
+/// Shared with the probe job's tasks, which may outlive a failed wait.
+struct Probe {
+  util::StopSource cancel;
+  std::array<std::atomic<bool>, kProbeBatches> completed{};
+  std::atomic<bool> resolved{false};
+  std::atomic<int> runs_after_resolve{0};
+  std::promise<detail::JobOutcome> outcome;
+};
+
+/// How the stop reaches a probe job.
+enum class StopBy { kPrepare, kCancel, kFailure };
+
+/// Runs a job of kProbeBatches synthetic batches on `pool`.  Batch
+/// `trigger` stops the job from inside its run: a cancel once it has
+/// completed, or a throw with no retry left.  Either lands at the feed
+/// point that batch's resolution opens; with `prepare` and trigger 0 it
+/// lands inside launch, in the batch the preparing worker runs itself.
+/// kPrepare cancels in the prepare step, before launch.  A batch that
+/// starts after the stop abandons.  Returns the outcome, or nullopt
+/// when the job did not resolve within 30 s.
+std::optional<detail::JobOutcome> run_probe(util::ThreadPool& pool,
+                                            bool prepare, StopBy by,
+                                            std::size_t trigger,
+                                            const std::shared_ptr<Probe>& p) {
+  auto job = std::make_shared<detail::Job>(p->cancel.token());
+  const detail::Job::RunBatch run =
+      [p, by, trigger](std::size_t begin, std::size_t end, CampaignResult& out,
+                       const util::StopToken& stop) {
+        if (p->resolved) ++p->runs_after_resolve;
+        if (stop.stop_requested()) return false;
+        const std::size_t b = begin / detail::kSchedulerBatch;
+        if (b == trigger && by == StopBy::kFailure) {
+          throw std::runtime_error("probe failure");
+        }
+        out = synthetic_batch(begin, end);
+        if (b == trigger) p->cancel.request_stop();
+        p->completed[b] = true;
+        return true;
+      };
+  if (prepare) {
+    job->prepare = [p, by, run](detail::Job& j) {
+      j.size = kProbeSize;
+      j.run = run;
+      if (by == StopBy::kPrepare) p->cancel.request_stop();
+    };
+  } else {
+    job->size = kProbeSize;
+    job->run = run;
+  }
+  job->on_done = [p](detail::JobOutcome done) {
+    p->resolved = true;
+    p->outcome.set_value(std::move(done));
+  };
+  std::future<detail::JobOutcome> done = p->outcome.get_future();
+  detail::Job::start(pool, job);
+  if (done.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    return std::nullopt;
+  }
+  return done.get();
+}
+
+// A cancel or a final failure at every feed point — in prepare, inside
+// launch, and at each batch's resolution — hands out no further batch
+// and resolves the job, once the batches in flight have, with the
+// exact merge of the batches that completed.  On one worker the window
+// is one batch, so exactly the batches before the trigger (and the
+// trigger itself, on a cancel) complete.
+TEST(CampaignJob, StopAtEveryFeedPointResolvesWithCompletedBatches) {
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    util::ThreadPool pool(workers);
+    for (const bool prepare : {false, true}) {
+      for (const StopBy by : {StopBy::kPrepare, StopBy::kCancel,
+                              StopBy::kFailure}) {
+        if (by == StopBy::kPrepare && !prepare) continue;
+        const std::size_t triggers = by == StopBy::kPrepare ? 1 : kProbeBatches;
+        for (std::size_t trigger = 0; trigger < triggers; ++trigger) {
+          SCOPED_TRACE("workers=" + std::to_string(workers) +
+                       " prepare=" + std::to_string(prepare) +
+                       " by=" + std::to_string(static_cast<int>(by)) +
+                       " trigger=" + std::to_string(trigger));
+          const auto probe = std::make_shared<Probe>();
+          const std::optional<detail::JobOutcome> out =
+              run_probe(pool, prepare, by, trigger, probe);
+          ASSERT_TRUE(out.has_value()) << "the job never resolved";
+          std::vector<CampaignResult> completed;
+          for (std::size_t b = 0; b < kProbeBatches; ++b) {
+            if (!probe->completed[b]) continue;
+            const std::size_t begin = b * detail::kSchedulerBatch;
+            completed.push_back(synthetic_batch(
+                begin, std::min(begin + detail::kSchedulerBatch, kProbeSize)));
+          }
+          EXPECT_EQ(out->run.result, merge_results(completed));
+          EXPECT_EQ(out->run.shards_done, completed.size());
+          EXPECT_EQ(out->run.shards_total, kProbeBatches);
+          // A cancel that lands once every batch has completed (the
+          // last batch's, or one that its wave had already finished)
+          // leaves a complete run.
+          EXPECT_EQ(out->run.status, completed.size() == kProbeBatches
+                                         ? RunStatus::kComplete
+                                         : RunStatus::kCancelled);
+          EXPECT_EQ(out->exception != nullptr, by == StopBy::kFailure);
+          if (by == StopBy::kFailure) {
+            EXPECT_EQ(out->error, "shard " + std::to_string(trigger) +
+                                      " failed after 1 attempt(s): probe "
+                                      "failure");
+          }
+          EXPECT_EQ(probe->runs_after_resolve.load(), 0);
+          if (workers == 1) {
+            const std::size_t want = by == StopBy::kPrepare  ? 0
+                                     : by == StopBy::kCancel ? trigger + 1
+                                                             : trigger;
+            EXPECT_EQ(completed.size(), want);
+          }
+        }
+      }
+    }
+  }
+}
+
+// One wave per job: on a one-worker pool, a job started while another
+// job's first batch runs gets its batch in before that job's second,
+// because each resolved batch queues the next one behind whatever
+// arrived meanwhile.
+TEST(CampaignJob, NewJobWaitsBehindOneWaveOnly) {
+  for (const bool prepare : {false, true}) {
+    SCOPED_TRACE("prepare=" + std::to_string(prepare));
+    util::ThreadPool pool(1);
+    std::mutex mu;
+    std::vector<std::string> order;
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    auto make_job = [&](const std::string& name, std::size_t size,
+                        std::promise<void>& done) {
+      auto job = std::make_shared<detail::Job>();
+      detail::Job::RunBatch run = [&, name, released](
+                                      std::size_t begin, std::size_t end,
+                                      CampaignResult& out,
+                                      const util::StopToken&) {
+        const std::size_t b = begin / detail::kSchedulerBatch;
+        if (name == "A" && b == 0) released.wait();
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          order.push_back(name + std::to_string(b));
+        }
+        out = synthetic_batch(begin, end);
+        return true;
+      };
+      if (prepare) {
+        job->prepare = [size, run](detail::Job& j) {
+          j.size = size;
+          j.run = run;
+        };
+      } else {
+        job->size = size;
+        job->run = std::move(run);
+      }
+      job->on_done = [&done](detail::JobOutcome) { done.set_value(); };
+      return job;
+    };
+    std::promise<void> a_done;
+    std::promise<void> b_done;
+    detail::Job::start(pool,
+                       make_job("A", 4 * detail::kSchedulerBatch, a_done));
+    detail::Job::start(pool, make_job("B", 10, b_done));
+    release.set_value();
+    a_done.get_future().wait();
+    b_done.get_future().wait();
+    const std::vector<std::string> want = {"A0", "B0", "A1", "A2", "A3"};
+    EXPECT_EQ(order, want);
+  }
+}
+
+// The worker that runs a job's prepare step runs its first batch: a
+// one-batch job is one pool task, and each further batch one more.
+TEST(CampaignJob, PreparingWorkerRunsTheFirstBatch) {
+  util::FailPointScope scope;
+  util::ThreadPool pool(1);
+  for (const std::size_t batches : {1u, 3u}) {
+    SCOPED_TRACE("batches=" + std::to_string(batches));
+    // Armed past any hit it will see, only to count the pool's tasks.
+    util::FailPoint::arm("thread_pool.task", {.skip = 1 << 30});
+    auto job = std::make_shared<detail::Job>();
+    job->prepare = [batches](detail::Job& j) {
+      j.size = batches * detail::kSchedulerBatch;
+      j.run = [](std::size_t begin, std::size_t end, CampaignResult& out,
+                 const util::StopToken&) {
+        out = synthetic_batch(begin, end);
+        return true;
+      };
+    };
+    std::promise<detail::JobOutcome> done;
+    job->on_done = [&done](detail::JobOutcome o) { done.set_value(std::move(o)); };
+    detail::Job::start(pool, job);
+    const detail::JobOutcome out = done.get_future().get();
+    EXPECT_EQ(out.run.status, RunStatus::kComplete);
+    EXPECT_EQ(out.run.shards_done, batches);
+    EXPECT_EQ(util::FailPoint::hits("thread_pool.task"), batches);
   }
 }
 

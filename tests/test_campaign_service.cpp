@@ -170,7 +170,7 @@ TEST(CampaignService, MalformedRequestsFailFast) {
     req.options.m = 33;  // invalid geometry
     const RequestOutcome& out = service.submit(std::move(req)).wait();
     EXPECT_EQ(out.status, RequestStatus::kFailed);
-    EXPECT_FALSE(out.error.empty());
+    EXPECT_EQ(out.error, "CampaignOptions: m must be in [1, 32] (got 33)");
   }
   {
     // A negative deadline fails at submit instead of reaching the
@@ -210,6 +210,45 @@ TEST(CampaignService, MalformedRequestsFailFast) {
 // Malformed options throw naming the value: max_running = 0 would
 // admit requests into a queue nothing drains (and hang the
 // destructor).
+// A fault no n x m memory holds fails the request at submit, naming
+// the fault and its universe index, with no batch run and no retry.
+// As a batch failure it would repeat on every retry ("shard 0 failed
+// after 3 attempt(s)").
+TEST(CampaignService, MalformedFaultFailsAtSubmitWithoutRetry) {
+  CampaignService service({.max_retries = 2});
+  mem::Fault unknown = mem::Fault::saf({3, 0}, 1);
+  unknown.kind = static_cast<mem::FaultKind>(200);  // past the last kind
+  struct Case {
+    CampaignRequest req;
+    mem::Fault bad;
+    std::string error;
+  };
+  const std::vector<Case> cases = {
+      {prt_request(24), unknown, "universe fault 1: unknown fault kind 200"},
+      {prt_request(24), mem::Fault::saf({100, 0}, 1),
+       "universe fault 1: victim out of range of the 24 x 1 memory: SAF1 "
+       "v=(100,0)"},
+      {word_march_request(24), mem::Fault::cf_in({2, 1}, {3, 4}),
+       "universe fault 1: aggressor out of range of the 24 x 4 memory: CFin "
+       "v=(2,1) a=(3,4)"}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.error);
+    CampaignRequest req = c.req;
+    req.universe = {mem::Fault::saf({0, 0}, 0), c.bad};
+    const CampaignService::Ticket ticket = service.submit(std::move(req));
+    EXPECT_TRUE(ticket.done());  // resolved on the submitting thread
+    const RequestOutcome& out = ticket.wait();
+    EXPECT_EQ(out.status, RequestStatus::kFailed);
+    EXPECT_EQ(out.error, c.error);
+    EXPECT_EQ(out.shards_done, 0u);
+    EXPECT_EQ(out.shards_total, 0u);
+  }
+  const CampaignService::Stats stats = service.stats();
+  EXPECT_EQ(stats.accepted, 0u);
+  EXPECT_EQ(stats.failed, cases.size());
+  EXPECT_EQ(stats.shard_retries, 0u);
+}
+
 TEST(CampaignService, MalformedOptionsThrowNamingTheValue) {
   auto message = [](const ServiceOptions& options) {
     try {
@@ -353,6 +392,33 @@ TEST(CampaignService, DispatchIsFifoWithinClass) {
   EXPECT_FALSE(second.done());
   second.cancel();
   (void)second.wait();
+}
+
+// One wave per job: a thin request submitted right after a multi-batch
+// background request waits behind at most one of its batches, not all
+// of them.  Every batch attempt sleeps 60 ms at the shard fail point,
+// which also counts the attempts: the background's first batch, then
+// the thin request's only one.  The background's last batch is
+// attempt 9; an executor that queues all eight batches at once
+// resolves the thin request only after it.
+TEST(CampaignService, ThinRequestResolvesBeforeBackgroundsLastBatch) {
+  FailPointScope scope;
+  FailPoint::arm("campaign_service.shard",
+                 {.action = FailPoint::Action::kDelay,
+                  .fires = -1,
+                  .delay = std::chrono::milliseconds(60)});
+  CampaignService service({.threads = 1});
+  CampaignRequest background = tiled(prt_request(24), 8);
+  background.priority = RequestPriority::kBatch;
+  CampaignService::Ticket bulk = service.submit(std::move(background));
+  CampaignRequest thin = prt_request(24);
+  thin.priority = RequestPriority::kHigh;
+  const RequestOutcome out = service.submit(std::move(thin)).wait();
+  const std::uint64_t attempts = FailPoint::hits("campaign_service.shard");
+  EXPECT_EQ(out.status, RequestStatus::kComplete);
+  EXPECT_LT(attempts, 9u);
+  bulk.cancel();
+  (void)bulk.wait();
 }
 
 // --- load shedding ---------------------------------------------------
@@ -603,10 +669,12 @@ TEST(CampaignService, LostSetupTaskFailsRequestThenRecovers) {
             RequestStatus::kComplete);
 }
 
+// The setup task runs the request's first batch itself, so the lost
+// tasks here are the second batch's: the request spans two batches.
 TEST(CampaignService, LostBatchTaskRetriesThenFails) {
   FailPointScope scope;
   CampaignService service({.threads = 1});
-  CampaignRequest req = prt_request(24);
+  CampaignRequest req = tiled(prt_request(24), 2);
   const CampaignResult reference =
       run_prt_campaign(req.universe, *req.scheme, req.options);
   // One lost batch task: the retry completes the request.
@@ -617,12 +685,14 @@ TEST(CampaignService, LostBatchTaskRetriesThenFails) {
   EXPECT_EQ(service.stats().shard_retries, 1u);
   // Every batch task lost: max_retries = 2 bounds the attempts.
   FailPoint::arm("thread_pool.task", {.skip = 1, .fires = -1});
-  const RequestOutcome& lost = service.submit(prt_request(24)).wait();
+  const RequestOutcome& lost =
+      service.submit(tiled(prt_request(24), 2)).wait();
   ASSERT_EQ(lost.status, RequestStatus::kFailed);
-  EXPECT_NE(lost.error.find("after 3 attempt(s): fail point "
+  EXPECT_NE(lost.error.find("shard 1 failed after 3 attempt(s): fail point "
                             "'thread_pool.task' fired"),
             std::string::npos)
       << lost.error;
+  EXPECT_EQ(lost.shards_done, 1u);
   EXPECT_EQ(service.stats().running, 0u);
   FailPoint::disarm_all();
   EXPECT_EQ(service.submit(prt_request(24)).wait().status,

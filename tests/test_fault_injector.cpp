@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "mem/packed_fault_ram.hpp"
 
 namespace prt::mem {
 namespace {
@@ -465,6 +470,48 @@ TEST(Inject, ThrowsOnMalformedFaults) {
   // Nothing was recorded by the rejected injections.
   EXPECT_TRUE(ram.faults().empty());
   EXPECT_NO_THROW(ram.inject(Fault::saf({7, 1}, 1)));
+}
+
+// One rule at every boundary: mem::validate_fault rejects exactly what
+// FaultyRam::inject and PackedFaultRam::add_fault reject, and all three
+// say it in the same words, naming the fault (and the memory, where
+// the fault does not fit it).
+TEST(ValidateFault, BothMemoriesApplyTheOneRule) {
+  Fault unknown = Fault::saf({1, 0}, 1);
+  unknown.kind = static_cast<FaultKind>(200);
+  const std::vector<std::pair<Fault, std::string>> cases = {
+      {Fault::saf({8, 0}, 1),
+       "victim out of range of the 8 x 2 memory: SAF1 v=(8,0)"},
+      {Fault::saf({0, 2}, 1),
+       "victim out of range of the 8 x 2 memory: SAF1 v=(0,2)"},
+      {Fault::cf_in({1, 0}, {9, 0}),
+       "aggressor out of range of the 8 x 2 memory: CFin v=(1,0) a=(9,0)"},
+      {Fault::cf_in({1, 0}, {1, 2}),
+       "aggressor out of range of the 8 x 2 memory: CFin v=(1,0) a=(1,2)"},
+      {Fault::cf_in({1, 0}, {1, 0}),
+       "aggressor must differ from victim: CFin v=(1,0) a=(1,0)"},
+      {Fault::af_wrong_access(1, 8),
+       "alias out of range of the 8 x 2 memory: AF-wrong v=(1,0) alias=8"},
+      {Fault::retention({1, 0}, 1, /*delay_ticks=*/0),
+       "retention fault needs delay > 0: DRF v=(1,0) decays_to=1 after=0"},
+      {unknown, "unknown fault kind 200"}};
+  const auto message_of = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (const auto& [fault, message] : cases) {
+    EXPECT_EQ(message_of([&] { validate_fault(fault, 8, 2); }), message);
+    FaultyRam scalar(8, 2);
+    EXPECT_EQ(message_of([&] { scalar.inject(fault); }), message);
+    PackedFaultRam packed(8, 2);
+    EXPECT_EQ(message_of([&] { (void)packed.add_fault(fault); }), message);
+  }
+  EXPECT_NO_THROW(validate_fault(Fault::saf({7, 1}, 1), 8, 2));
+  EXPECT_NO_THROW(validate_fault(Fault::af_no_access(7), 8, 2));
 }
 
 TEST(Ctor, RejectsUnsupportedGeometry) {

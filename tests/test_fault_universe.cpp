@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace prt::mem {
 namespace {
@@ -160,6 +162,67 @@ TEST(MakeUniverse, RejectsMalformedExplicitNpsfGrid) {
   // divisor exists: it picks the smallest cols with cols*cols >= n.
   opt.npsf_grid_cols = 0;
   EXPECT_NO_THROW((void)make_universe(17, 1, opt));
+}
+
+void expect_invalid(const std::function<void()>& call,
+                    const std::string& message) {
+  try {
+    call();
+    ADD_FAILURE() << "no throw, expected: " << message;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), message);
+  }
+}
+
+// The boundary probes: each generator rejects, naming the value, a
+// geometry whose universe no memory holds.  Unchecked, a Release build
+// emits such faults: classical_universe(1) and van_de_goor_universe(1)
+// "AF-wrong v=(0,0) alias=4294967295", and make_universe(4, 33, {})
+// 2088 faults with "SAF0 v=(0,32)" among them (make_universe(4, 0, {})
+// 132 faults).
+TEST(Generators, RejectGeometriesNoMemoryHolds) {
+  expect_invalid([] { (void)classical_universe(1); },
+                 "classical_universe: n must be >= 3 (got 1)");
+  expect_invalid([] { (void)van_de_goor_universe(1); },
+                 "van_de_goor_universe: n must be >= 3 (got 1)");
+  expect_invalid([] { (void)make_universe(4, 0, {}); },
+                 "make_universe: m must be in [1, 32] (got 0)");
+  expect_invalid([] { (void)make_universe(4, 33, {}); },
+                 "make_universe: m must be in [1, 32] (got 33)");
+  expect_invalid([] { (void)classical_universe(2); },
+                 "classical_universe: n must be >= 3 (got 2)");
+  expect_invalid([] { (void)make_universe(1, 1, {}); },
+                 "make_universe: n must be >= 2 (got 1)");
+  EXPECT_FALSE(classical_universe(3).empty());
+  EXPECT_FALSE(make_universe(2, 32, {}).empty());
+}
+
+// Every fault a generator emits for a geometry it accepts fits that
+// memory (mem::validate_fault), over every word width and the small
+// sizes where aliases and pairs wrap.
+TEST(Generators, EveryEmittedFaultPassesValidateFault) {
+  const auto check = [](const std::vector<Fault>& universe, Addr n,
+                        unsigned m) {
+    for (const Fault& f : universe) {
+      try {
+        validate_fault(f, n, m);
+      } catch (const std::invalid_argument& e) {
+        ADD_FAILURE() << "n=" << n << " m=" << m << ": " << e.what();
+        return;
+      }
+    }
+  };
+  for (Addr n = 2; n <= 9; ++n) {
+    if (n >= 3) {
+      check(classical_universe(n), n, 1);
+      check(van_de_goor_universe(n), n, 1);
+    }
+    for (unsigned m = 1; m <= 32; ++m) {
+      UniverseOptions all;
+      all.npsf = true;
+      check(make_universe(n, m, all), n, m);
+    }
+  }
 }
 
 }  // namespace

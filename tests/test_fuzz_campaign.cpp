@@ -12,14 +12,25 @@
 // point schedule (a point, skip, fire count and retry budget, half of
 // them checkpointed): it must complete equal to the reference or fail
 // with an error, and a failed checkpointed request must resume, every
-// point disarmed, to the reference.  The seed and the draw count are
-// fixed; a failure prints both (and the schedule), so the draw replays
-// exactly.
+// point disarmed, to the reference.
+//
+// Two more streams follow the main one, each from its own generator so
+// the main stream's draws stay what they were.  The geometry stream
+// draws the word widths the main one never reaches: a library March
+// test at m in [1, 32] and a WOM PRT scheme at m in [2, 16].  The
+// invalid stream plants one fault no memory of the draw's geometry
+// holds (a victim, aggressor or alias outside it, or an unknown kind),
+// or makes the geometry itself invalid (m = 0 or 33): the engine and
+// the suite must throw std::invalid_argument, and the service must
+// fail the request at submit, with no batch run and no retry.  The
+// seed and the draw counts are fixed; a failure prints the stream, the
+// seed and the draw (and the schedule), so the draw replays exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -43,6 +54,15 @@ namespace {
 
 constexpr std::uint64_t kSeed = 0xF0221A7EULL;
 constexpr int kDraws = 100;
+constexpr int kGeometryDraws = 20;
+/// The geometry stream's per-draw budget: its words are up to 32 bits
+/// wide, and the reference's word accesses cost more than bit ones.
+constexpr std::uint64_t kGeometryOpsBudget = 300'000;
+constexpr int kInvalidDraws = 20;
+/// Seeds of the geometry and invalid streams: kSeed mixed with a
+/// per-stream constant, so neither shares the main stream's draws.
+constexpr std::uint64_t kGeometrySeed = kSeed ^ 0x9E3779B97F4A7C15ULL;
+constexpr std::uint64_t kInvalidSeed = kSeed ^ 0xBF58476D1CE4E5B9ULL;
 /// Largest universe a draw runs: past one 2048-fault batch, so some
 /// draws cut two batches and a tail.
 constexpr std::size_t kMaxFaults = 2300;
@@ -230,6 +250,93 @@ Draw make_draw(Xoshiro256& rng) {
   return d;
 }
 
+/// The standard (or extended) WOM scheme over GF(2^m), built once per
+/// width: neither depends on n, and the extended scheme's search for a
+/// primitive generator takes ~0.2 s at m = 16 in a Release build.
+const core::PrtScheme& wom_scheme(bool extended, unsigned m) {
+  static std::map<std::pair<bool, unsigned>, core::PrtScheme> cache;
+  auto [it, inserted] = cache.try_emplace({extended, m});
+  if (inserted) {
+    // n only has to exceed the register length k = 2.
+    it->second = extended ? core::extended_scheme_wom(3, m)
+                          : core::standard_scheme_wom(3, m);
+  }
+  return it->second;
+}
+
+/// A geometry-stream draw: a standard or extended WOM PRT scheme at m
+/// in [2, 16] (`prt`) or a library March test at m in [1, 32], on the
+/// main stream's n, universe and run options.
+Draw make_geometry_draw(Xoshiro256& rng, bool prt) {
+  Draw d;
+  unsigned k = 1;
+  if (prt) {
+    d.opt.m = 2 + static_cast<unsigned>(pick(rng, 15));
+    k = 2;
+  } else {
+    const std::vector<march::MarchTest> tests = march::all_march_tests();
+    d.test = tests[pick(rng, tests.size())];
+    d.opt.m = 1 + static_cast<unsigned>(pick(rng, 32));
+  }
+  d.opt.n = pick(rng, 4) == 0
+                ? k + 1
+                : k + 1 + static_cast<mem::Addr>(pick(rng, kMaxN - k));
+  if (prt) d.scheme = wom_scheme(coin(rng), d.opt.m);
+  d.early_abort = coin(rng);
+  constexpr unsigned kThreads[] = {1, 2, 4};
+  d.threads = kThreads[pick(rng, 3)];
+  d.suite = pick(rng, 3) == 0;
+  d.service = pick(rng, 3) == 0;
+  const std::uint64_t cap = std::clamp<std::uint64_t>(
+      kGeometryOpsBudget / ops_per_fault(d), 1, kMaxFaults);
+  d.universe = random_universe(rng, d.opt.n, d.opt.m, 1 + pick(rng, cap));
+  return d;
+}
+
+/// An invalid-stream draw: a main-stream draw or a wide-word March
+/// draw (the WOM schemes' generator search would dominate the stream's
+/// cost and the rejection does not depend on it) with one fault its
+/// memory does not hold planted at a random index, or with an
+/// out-of-range word width.  `bad` is the planted fault's index, or the
+/// universe size when the geometry is what is wrong.
+Draw make_invalid_draw(Xoshiro256& rng, std::size_t& bad) {
+  Draw d = coin(rng) ? make_draw(rng) : make_geometry_draw(rng, false);
+  const mem::Addr n = d.opt.n;
+  const unsigned m = d.opt.m;
+  const auto past = [&](std::uint64_t end) {
+    return static_cast<mem::Addr>(end + pick(rng, 3));
+  };
+  const auto cell = [&] { return static_cast<mem::Addr>(pick(rng, n)); };
+  mem::Fault fault;
+  switch (pick(rng, 6)) {
+    case 0:
+      fault = mem::Fault::saf({past(n), 0}, 1);
+      break;
+    case 1:
+      fault = mem::Fault::tf({cell(), static_cast<unsigned>(past(m))}, true);
+      break;
+    case 2:
+      fault = mem::Fault::cf_in({cell(), 0}, {past(n), 0});
+      break;
+    case 3:
+      fault = mem::Fault::af_wrong_access(cell(), past(n));
+      break;
+    case 4:
+      fault = mem::Fault::saf({cell(), 0}, 0);
+      fault.kind = static_cast<mem::FaultKind>(
+          static_cast<unsigned>(mem::FaultKind::kDrf) + 1 + pick(rng, 200));
+      break;
+    default:
+      d.opt.m = coin(rng) ? 0 : 33;
+      bad = d.universe.size();
+      return d;
+  }
+  bad = pick(rng, d.universe.size() + 1);
+  d.universe.insert(d.universe.begin() + static_cast<std::ptrdiff_t>(bad),
+                    fault);
+  return d;
+}
+
 /// One fail point armed for a service request, with the request's
 /// retry budget and whether it checkpoints.
 struct Schedule {
@@ -284,86 +391,172 @@ void expect_matches(const CampaignResult& got, const CampaignResult& want,
   EXPECT_EQ(got.ops, want.ops);
 }
 
+/// Runs one draw through every surface it selects and compares each
+/// with run_campaign over the live reference.
+void check_draw(const Draw& d, int draw) {
+  const CampaignResult want = run_campaign(
+      d.universe,
+      d.scheme ? testref::live_prt(*d.scheme, d.early_abort)
+               : testref::live_march(*d.test, d.early_abort),
+      d.opt);
+  const EngineOptions engine{.threads = d.threads,
+                             .early_abort = d.early_abort};
+  const MarchEngineOptions march_engine{.threads = d.threads,
+                                        .early_abort = d.early_abort};
+  if (d.scheme) {
+    expect_matches(CampaignEngine(*d.scheme, d.opt, engine).run(d.universe),
+                   want, "CampaignEngine");
+  } else {
+    expect_matches(
+        MarchCampaign(*d.test, d.opt, march_engine).run(d.universe), want,
+        "MarchCampaign");
+  }
+  if (d.suite) {
+    const std::vector<CampaignOptions> grid = {d.opt};
+    const auto universe = [&](const CampaignOptions&, std::size_t) {
+      return d.universe;
+    };
+    const auto scheme = [&](const CampaignOptions&) { return *d.scheme; };
+    const SuiteResult got =
+        d.scheme ? CampaignSuite(scheme, engine).run(grid, universe)
+                 : CampaignSuite(*d.test, march_engine).run(grid, universe);
+    ASSERT_EQ(got.configs.size(), 1u);
+    expect_matches(got.configs[0].result, want, "CampaignSuite");
+  }
+  if (d.service) {
+    CampaignService service({.threads = d.threads});
+    CampaignRequest req;
+    req.scheme = d.scheme;
+    req.march_test = d.test;
+    req.options = d.opt;
+    req.early_abort = d.early_abort;
+    req.universe = d.universe;
+    const RequestOutcome out = service.submit(req).wait();
+    ASSERT_EQ(out.status, RequestStatus::kComplete) << out.error;
+    expect_matches(out.result, want, "CampaignService");
+
+    const Schedule schedule = make_schedule(draw);
+    SCOPED_TRACE(schedule.describe());
+    if (schedule.checkpoint) {
+      req.checkpoint_path = ::testing::TempDir() + "fuzz_campaign.ckpt";
+      std::remove(req.checkpoint_path.c_str());
+    }
+    RequestOutcome faulty;
+    {
+      util::FailPointScope scope;
+      // A cold cache, so the oracle build runs under the schedule too.
+      OracleCache::global().clear();
+      util::FailPoint::arm(schedule.point, schedule.config);
+      CampaignService scheduled(
+          {.threads = d.threads, .max_retries = schedule.max_retries});
+      faulty = scheduled.submit(req).wait();
+    }
+    if (faulty.status == RequestStatus::kComplete) {
+      expect_matches(faulty.result, want, "scheduled service");
+    } else {
+      ASSERT_EQ(faulty.status, RequestStatus::kFailed)
+          << to_string(faulty.status) << ": " << faulty.error;
+      EXPECT_FALSE(faulty.error.empty());
+      if (schedule.checkpoint) {
+        req.resume = true;
+        const RequestOutcome resumed = service.submit(req).wait();
+        ASSERT_EQ(resumed.status, RequestStatus::kComplete) << resumed.error;
+        expect_matches(resumed.result, want, "resumed service");
+      }
+    }
+    if (schedule.checkpoint) std::remove(req.checkpoint_path.c_str());
+  }
+}
+
+/// Runs one invalid draw: the engine and the suite throw
+/// std::invalid_argument, and the service fails the request at submit
+/// with no batch run and no retry, naming the planted fault's index.
+void check_invalid(const Draw& d, std::size_t bad) {
+  const EngineOptions engine{.threads = d.threads,
+                             .early_abort = d.early_abort};
+  const MarchEngineOptions march_engine{.threads = d.threads,
+                                        .early_abort = d.early_abort};
+  if (d.scheme) {
+    EXPECT_THROW(
+        (void)CampaignEngine(*d.scheme, d.opt, engine).run(d.universe),
+        std::invalid_argument);
+  } else {
+    EXPECT_THROW(
+        (void)MarchCampaign(*d.test, d.opt, march_engine).run(d.universe),
+        std::invalid_argument);
+  }
+  const std::vector<CampaignOptions> grid = {d.opt};
+  const auto universe = [&](const CampaignOptions&, std::size_t) {
+    return d.universe;
+  };
+  const auto scheme = [&](const CampaignOptions&) { return *d.scheme; };
+  EXPECT_THROW((void)(d.scheme
+                          ? CampaignSuite(scheme, engine).run(grid, universe)
+                          : CampaignSuite(*d.test, march_engine)
+                                .run(grid, universe)),
+               std::invalid_argument);
+  CampaignService service({.threads = d.threads});
+  CampaignRequest req;
+  req.scheme = d.scheme;
+  req.march_test = d.test;
+  req.options = d.opt;
+  req.early_abort = d.early_abort;
+  req.universe = d.universe;
+  const CampaignService::Ticket ticket = service.submit(std::move(req));
+  EXPECT_TRUE(ticket.done());
+  const RequestOutcome& out = ticket.wait();
+  EXPECT_EQ(out.status, RequestStatus::kFailed);
+  EXPECT_EQ(out.shards_done, 0u);
+  if (bad < d.universe.size()) {
+    EXPECT_EQ(out.error.rfind("universe fault " + std::to_string(bad) + ": ",
+                              0),
+              0u)
+        << out.error;
+  } else {
+    EXPECT_EQ(out.error.rfind("CampaignOptions: m must be in [1, 32]", 0),
+              0u)
+        << out.error;
+  }
+  const CampaignService::Stats stats = service.stats();
+  EXPECT_EQ(stats.accepted, 0u);
+  EXPECT_EQ(stats.shard_retries, 0u);
+}
+
+std::string where(const char* stream, std::uint64_t seed, int draw,
+                  const Draw& d) {
+  std::ostringstream out;
+  out << "stream=" << stream << " seed=0x" << std::hex << seed << std::dec
+      << " draw=" << draw << ": " << d.describe();
+  return out.str();
+}
+
 TEST(FuzzCampaign, EverySurfaceMatchesTheLiveReference) {
   Xoshiro256 rng(kSeed);
-  for (int draw = 0; draw < kDraws; ++draw) {
+  for (int draw = 0; draw < kDraws && !HasFatalFailure(); ++draw) {
     const Draw d = make_draw(rng);
-    std::ostringstream where;
-    where << "seed=0x" << std::hex << kSeed << std::dec << " draw=" << draw
-          << ": " << d.describe();
-    SCOPED_TRACE(where.str());
-    const CampaignResult want = run_campaign(
-        d.universe,
-        d.scheme ? testref::live_prt(*d.scheme, d.early_abort)
-                 : testref::live_march(*d.test, d.early_abort),
-        d.opt);
-    const EngineOptions engine{.threads = d.threads,
-                               .early_abort = d.early_abort};
-    const MarchEngineOptions march_engine{.threads = d.threads,
-                                          .early_abort = d.early_abort};
-    if (d.scheme) {
-      expect_matches(CampaignEngine(*d.scheme, d.opt, engine).run(d.universe),
-                     want, "CampaignEngine");
-    } else {
-      expect_matches(
-          MarchCampaign(*d.test, d.opt, march_engine).run(d.universe), want,
-          "MarchCampaign");
-    }
-    if (d.suite) {
-      const std::vector<CampaignOptions> grid = {d.opt};
-      const auto universe = [&](const CampaignOptions&, std::size_t) {
-        return d.universe;
-      };
-      const auto scheme = [&](const CampaignOptions&) { return *d.scheme; };
-      const SuiteResult got =
-          d.scheme ? CampaignSuite(scheme, engine).run(grid, universe)
-                   : CampaignSuite(*d.test, march_engine).run(grid, universe);
-      ASSERT_EQ(got.configs.size(), 1u);
-      expect_matches(got.configs[0].result, want, "CampaignSuite");
-    }
-    if (d.service) {
-      CampaignService service({.threads = d.threads});
-      CampaignRequest req;
-      req.scheme = d.scheme;
-      req.march_test = d.test;
-      req.options = d.opt;
-      req.early_abort = d.early_abort;
-      req.universe = d.universe;
-      const RequestOutcome out = service.submit(req).wait();
-      ASSERT_EQ(out.status, RequestStatus::kComplete) << out.error;
-      expect_matches(out.result, want, "CampaignService");
+    SCOPED_TRACE(where("main", kSeed, draw, d));
+    check_draw(d, draw);
+  }
+}
 
-      const Schedule schedule = make_schedule(draw);
-      SCOPED_TRACE(schedule.describe());
-      if (schedule.checkpoint) {
-        req.checkpoint_path = ::testing::TempDir() + "fuzz_campaign.ckpt";
-        std::remove(req.checkpoint_path.c_str());
-      }
-      RequestOutcome faulty;
-      {
-        util::FailPointScope scope;
-        // A cold cache, so the oracle build runs under the schedule too.
-        OracleCache::global().clear();
-        util::FailPoint::arm(schedule.point, schedule.config);
-        CampaignService scheduled(
-            {.threads = d.threads, .max_retries = schedule.max_retries});
-        faulty = scheduled.submit(req).wait();
-      }
-      if (faulty.status == RequestStatus::kComplete) {
-        expect_matches(faulty.result, want, "scheduled service");
-      } else {
-        ASSERT_EQ(faulty.status, RequestStatus::kFailed)
-            << to_string(faulty.status) << ": " << faulty.error;
-        EXPECT_FALSE(faulty.error.empty());
-        if (schedule.checkpoint) {
-          req.resume = true;
-          const RequestOutcome resumed = service.submit(req).wait();
-          ASSERT_EQ(resumed.status, RequestStatus::kComplete) << resumed.error;
-          expect_matches(resumed.result, want, "resumed service");
-        }
-      }
-      if (schedule.checkpoint) std::remove(req.checkpoint_path.c_str());
-    }
+TEST(FuzzCampaign, WideWordsMatchTheLiveReference) {
+  Xoshiro256 rng(kGeometrySeed);
+  for (int draw = kDraws; draw < kDraws + kGeometryDraws && !HasFatalFailure();
+       ++draw) {
+    const Draw d = make_geometry_draw(rng, coin(rng));
+    SCOPED_TRACE(where("geometry", kGeometrySeed, draw, d));
+    check_draw(d, draw);
+  }
+}
+
+TEST(FuzzCampaign, InvalidInputIsRejectedOnEverySurface) {
+  Xoshiro256 rng(kInvalidSeed);
+  for (int draw = 0; draw < kInvalidDraws && !HasFatalFailure(); ++draw) {
+    std::size_t bad = 0;
+    const Draw d = make_invalid_draw(rng, bad);
+    SCOPED_TRACE(where("invalid", kInvalidSeed, draw, d) +
+                 " bad=" + std::to_string(bad));
+    check_invalid(d, bad);
   }
 }
 

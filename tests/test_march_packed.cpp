@@ -196,13 +196,65 @@ TEST(RunMarchPacked, NpsfRetentionLanesMatchScalarAcrossStandardTests) {
 
 // March G's delay elements issue no reads or writes — they only
 // advance the virtual clock (which is what decays retention lanes);
-// this pins the op accounting across a Del.
+// this pins the op accounting across a Del.  The scalar-equivalent
+// charge is the whole test for any lane.  The replay stops after the
+// element by which every lane has latched, so the physical count is
+// pinned where the lane survives every element (a retention fault
+// that outlasts both Dels) and only bounded where it latches.
 TEST(RunMarchPacked, DelayElementsIssueNoOps) {
-  mem::PackedFaultRam packed(8);
-  packed.add_fault(mem::Fault::saf({3, 0}, 1));
   const auto test = march::march_g();
-  (void)march::run_march_packed(test, packed);
-  EXPECT_EQ(packed.ops(), test.total_ops(8));
+  const core::OpTranscript t = march::make_march_transcript(test, 8, false);
+  for (const bool survives : {false, true}) {
+    SCOPED_TRACE(survives);
+    mem::PackedFaultRam packed(8);
+    packed.add_fault(survives ? mem::Fault::retention({3, 0}, 1, 1'000'000'000)
+                              : mem::Fault::saf({3, 0}, 1));
+    const core::PackedVerdict v = march::run_march_packed(packed, t);
+    EXPECT_EQ(v.lane_detected(0), !survives);
+    EXPECT_EQ(v.scalar_ops, test.total_ops(8));
+    EXPECT_LE(packed.ops(), test.total_ops(8));
+    if (survives) {
+      EXPECT_EQ(packed.ops(), test.total_ops(8));
+    }
+  }
+}
+
+// A batch whose lanes have all latched is decided: without early
+// abort the replay stops after that element, with the verdict and the
+// scalar-equivalent charge of a full replay.  The same faults beside a
+// lane that never latches (a CFst whose trigger state no bit holds)
+// force the full replay to compare against.
+TEST(RunMarchPacked, DecidedBatchStopsEarlyWithFullReplayVerdicts) {
+  const mem::Addr n = 4;  // 2 * n * 32 SAF lanes and the survivor fit
+  for (const unsigned m : kWidths) {
+    SCOPED_TRACE(m);
+    const core::OpTranscript t = march::make_march_transcript(
+        march::march_c_minus(), n, false, march::kDefaultDelayTicks, m);
+    std::vector<mem::Fault> faults;
+    for (mem::Addr c = 0; c < n; ++c) {
+      for (unsigned b = 0; b < m; ++b) {
+        faults.push_back(mem::Fault::saf({c, b}, 0));
+        faults.push_back(mem::Fault::saf({c, b}, 1));
+      }
+    }
+    auto run = [&](bool survivor) {
+      mem::PackedFaultRamT<mem::WideWord<8>> packed(n, m);
+      for (const mem::Fault& f : faults) packed.add_fault(f);
+      if (survivor) {
+        packed.add_fault(mem::Fault::cf_st({0, 0}, {1, 0}, /*when=*/2, 1));
+      }
+      const auto v = march::run_march_packed(packed, t);
+      return std::pair{v, packed.ops()};
+    };
+    const auto [decided, decided_ops] = run(false);
+    const auto [full, full_ops] = run(true);
+    EXPECT_EQ(decided.detected_count(), faults.size());
+    EXPECT_TRUE(decided.detected == full.detected);
+    EXPECT_EQ(decided.scalar_ops, faults.size() * t.total_ops());
+    EXPECT_EQ(full.scalar_ops, decided.scalar_ops + t.total_ops());
+    EXPECT_EQ(full_ops, t.total_ops());
+    EXPECT_LT(decided_ops, t.total_ops());
+  }
 }
 
 // Early abort over NPSF + retention lanes: identical verdicts to the

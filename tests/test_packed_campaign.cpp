@@ -413,16 +413,23 @@ TEST(PackedFaultRam, RetentionLanesMatchScalarUnderRandomPauses) {
 
 // One full batch of lane-compatible faults on a tiny array: each
 // lane's detected bit must equal the scalar oracle-backed run_prt
-// verdict for that fault alone.
+// verdict for that fault alone, and the batch is charged each lane's
+// scalar per-fault cost.  The batch stops once every lane has latched,
+// so its physical op count is at most one complete scheme, and exactly
+// that when a lane survives.
 void check_packed_verdicts_on(const core::PrtScheme& scheme, mem::Addr n,
                               const std::vector<mem::Fault>& universe) {
   ASSERT_LE(universe.size(), mem::PackedFaultRam::kLanes);
   const auto oracle = core::make_prt_oracle(scheme, n);
   mem::PackedFaultRam packed(n);
   for (const mem::Fault& f : universe) packed.add_fault(f);
-  const std::uint64_t detected =
-      core::run_prt_packed(packed, scheme, oracle) & packed.active_mask();
+  const core::PackedVerdict verdict =
+      core::run_prt_packed(packed, scheme, oracle, {});
+  const std::uint64_t detected = verdict.detected & packed.active_mask();
   mem::FaultyRam scalar(n, 1);
+  std::uint64_t scalar_ops = 0;
+  std::uint64_t full_ops = 0;
+  bool survivor = false;
   for (unsigned lane = 0; lane < universe.size(); ++lane) {
     scalar.reset(universe[lane]);
     const core::PrtRunOptions opts{.early_abort = false,
@@ -431,9 +438,14 @@ void check_packed_verdicts_on(const core::PrtScheme& scheme, mem::Addr n,
         core::run_prt(scalar, scheme, oracle, opts).detected();
     EXPECT_EQ(((detected >> lane) & 1U) != 0, expected)
         << "lane " << lane << " (" << universe[lane].describe() << ")";
-    // A packed batch runs the complete scheme, so its op count matches
-    // the scalar per-fault cost.
-    EXPECT_EQ(packed.ops(), scalar.total_stats().total());
+    full_ops = scalar.total_stats().total();
+    scalar_ops += full_ops;
+    survivor = survivor || !expected;
+  }
+  EXPECT_EQ(verdict.scalar_ops, scalar_ops);
+  EXPECT_LE(packed.ops(), full_ops);
+  if (survivor) {
+    EXPECT_EQ(packed.ops(), full_ops);
   }
 }
 
@@ -472,6 +484,47 @@ TEST(RunPrtPacked, CouplingLaneVerdictsMatchScalarStandardScheme) {
 TEST(RunPrtPacked, CouplingLaneVerdictsMatchScalarExtendedScheme) {
   check_packed_verdicts_on(core::extended_scheme_bom(16), 16,
                            small_coupling_universe(16));
+}
+
+// A batch whose lanes have all latched is decided: without early
+// abort the replay stops after that iteration, with the verdict and
+// the scalar-equivalent charge of a full replay.  The same faults
+// beside a lane that never latches (a CFst whose trigger state no bit
+// holds) force the full replay to compare against.  Bit and word path.
+TEST(RunPrtPacked, DecidedBatchStopsEarlyWithFullReplayVerdicts) {
+  const mem::Addr n = 16;
+  for (const unsigned m : {1u, 4u}) {
+    SCOPED_TRACE(m);
+    const core::PrtScheme scheme = m == 1 ? core::extended_scheme_bom(n)
+                                          : core::extended_scheme_wom(n, m);
+    const core::OpTranscript t =
+        core::make_op_transcript(scheme, core::make_prt_oracle(scheme, n));
+    std::vector<mem::Fault> faults;
+    for (mem::Addr c = 0; c < n; ++c) {
+      for (unsigned b = 0; b < m; ++b) {
+        faults.push_back(mem::Fault::saf({c, b}, 0));
+        faults.push_back(mem::Fault::saf({c, b}, 1));
+      }
+    }
+    auto run = [&](bool survivor) {
+      mem::PackedFaultRamT<mem::WideWord<8>> packed(n, m);
+      for (const mem::Fault& f : faults) packed.add_fault(f);
+      if (survivor) {
+        packed.add_fault(mem::Fault::cf_st({0, 0}, {1, 0}, /*when=*/2, 1));
+      }
+      core::PackedScratchT<mem::WideWord<8>> scratch;
+      const auto v = core::run_prt_packed(packed, t, {}, scratch);
+      return std::pair{v, packed.ops()};
+    };
+    const auto [decided, decided_ops] = run(false);
+    const auto [full, full_ops] = run(true);
+    EXPECT_EQ(decided.detected_count(), faults.size());
+    EXPECT_TRUE(decided.detected == full.detected);
+    EXPECT_EQ(decided.scalar_ops, faults.size() * t.total_ops());
+    EXPECT_EQ(full.scalar_ops, decided.scalar_ops + t.total_ops());
+    EXPECT_EQ(full_ops, t.total_ops());
+    EXPECT_LT(decided_ops, t.total_ops());
+  }
 }
 
 // Per-lane early abort: the detected mask is unchanged and the
