@@ -75,11 +75,9 @@ int main(int argc, char** argv) {
   }
   const auto n = static_cast<mem::Addr>(arg);
 
-  // A small running window with a stall watchdog: requests past the
-  // window wait in their class queue; a shard attempt wedged for more
-  // than a second is cancelled and retried.
-  analysis::CampaignService service(
-      {.max_running = 8, .stall_budget = std::chrono::seconds(1)});
+  // A small running window: requests past it wait in their class
+  // queue.
+  analysis::CampaignService service({.max_running = 8});
 
   // 1. A batch of concurrent requests — PRT and March interleaved on
   //    the one pool; each ticket resolves independently.  The March
@@ -114,9 +112,7 @@ int main(int argc, char** argv) {
     report("cancelled", ticket.wait());
   }
 
-  // 3. Deadline: same mechanism, triggered by the wall clock.  (A
-  //    workload with latency history would be shed at dispatch
-  //    instead: the estimated cost exceeds the 1 ms budget.)
+  // 3. Deadline: same mechanism, triggered by the wall clock.
   {
     analysis::CampaignRequest req = long_request(march_request(n / 2));
     req.deadline = std::chrono::milliseconds(1);
@@ -146,7 +142,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nservice stats: accepted %llu, completed %llu, partial %llu, "
       "failed %llu, rejected %llu, shedded %llu, checkpoint writes %llu, "
-      "shards resumed %llu, shard stalls %llu\n",
+      "shards resumed %llu\n",
       static_cast<unsigned long long>(stats.accepted),
       static_cast<unsigned long long>(stats.completed),
       static_cast<unsigned long long>(stats.partial),
@@ -154,8 +150,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.rejected),
       static_cast<unsigned long long>(stats.shedded),
       static_cast<unsigned long long>(stats.checkpoint_writes),
-      static_cast<unsigned long long>(stats.shards_resumed),
-      static_cast<unsigned long long>(stats.shard_stalls));
+      static_cast<unsigned long long>(stats.shards_resumed));
   std::printf(
       "oracle cache: hits %llu, misses %llu, evictions %llu, resident "
       "%llu entries / %llu bytes\n",

@@ -7,11 +7,10 @@
 #include <deque>
 #include <fstream>
 #include <iomanip>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
+#include <thread>
 #include <utility>
 
 #include "analysis/campaign_driver.hpp"
@@ -24,7 +23,6 @@
 #include "util/fail_point.hpp"
 #include "util/stop_token.hpp"
 #include "util/thread_pool.hpp"
-#include "util/watchdog.hpp"
 
 namespace prt::analysis {
 
@@ -369,12 +367,6 @@ void write_checkpoint_file(const std::string& path, const std::string& text) {
   util::durable_replace_file(path, text);
 }
 
-std::string format_ms(double seconds) {
-  std::ostringstream out;
-  out << std::fixed << std::setprecision(1) << seconds * 1e3 << " ms";
-  return out.str();
-}
-
 }  // namespace
 
 std::string to_string(RequestStatus status) {
@@ -416,15 +408,11 @@ namespace detail {
 /// tasks hold `job` through a shared_ptr that aliases the request).
 struct ServiceRequest {
   // Invariant (publication, invisible to thread-safety analysis): `req`
-  // and `deadline_at` are written on the submitting thread before the
-  // request enters the admission queue (queue push and every later
-  // read happen under the service's `mu`, or on pool tasks that
-  // happen-after the push) and never again.
+  // is written on the submitting thread before the request enters the
+  // admission queue (queue push and every later read happen under the
+  // service's `mu`, or on pool tasks that happen-after the push) and
+  // never again.
   CampaignRequest req;
-  /// Absolute deadline (steady clock) fixed at admission; only
-  /// meaningful when req.deadline > 0.  The load-shedder compares the
-  /// remaining budget against the cost estimate at dispatch.
-  std::chrono::steady_clock::time_point deadline_at{};
   /// The request on the campaign executor; `job.stop` is the request's
   /// stop source (cancel() and the deadline).
   Job job;
@@ -475,13 +463,10 @@ struct CampaignService::Impl {
   using Request = detail::ServiceRequest;
 
   static constexpr std::size_t kClasses = 3;
-  /// EWMA weight of the newest batch-latency observation.
-  static constexpr double kEwmaAlpha = 0.2;
 
   ServiceOptions options;
   /// The process-wide pool for options.threads (util::shared_pool).
   util::ThreadPool& pool;
-  util::Watchdog watchdog;
 
   util::Mutex mu;
   util::CondVar all_done;
@@ -494,13 +479,6 @@ struct CampaignService::Impl {
   std::size_t running PRT_GUARDED_BY(mu) = 0;
   /// Queued + running — what wait_all() waits out.
   std::size_t unresolved PRT_GUARDED_BY(mu) = 0;
-  /// Per-(workload kind, n, m) EWMA of observed successful-batch wall
-  /// latency in seconds — the load-shedder's cost model.  The word
-  /// width is part of the key: a batch replays m bit planes per access,
-  /// and a March batch sweeps log2(m) + 1 backgrounds, so m scales a
-  /// batch's cost at the same n.
-  using CostKey = std::tuple<char, mem::Addr, unsigned>;
-  std::map<CostKey, double> batch_ewma PRT_GUARDED_BY(mu);
 
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> rejected{0};
@@ -509,7 +487,6 @@ struct CampaignService::Impl {
   std::atomic<std::uint64_t> partial{0};
   std::atomic<std::uint64_t> failed{0};
   std::atomic<std::uint64_t> shard_retries{0};
-  std::atomic<std::uint64_t> shard_stalls{0};
   std::atomic<std::uint64_t> checkpoint_writes{0};
   std::atomic<std::uint64_t> checkpoint_failures{0};
   std::atomic<std::uint64_t> checkpoint_salvaged{0};
@@ -517,10 +494,6 @@ struct CampaignService::Impl {
 
   explicit Impl(const ServiceOptions& o)
       : options(o), pool(util::shared_pool(o.threads)) {}
-
-  [[nodiscard]] static CostKey cost_key(const Request& r) {
-    return {r.req.march_test ? 'm' : 'p', r.req.options.n, r.req.options.m};
-  }
 
   [[nodiscard]] std::size_t queue_bound(RequestPriority priority) const {
     switch (priority) {
@@ -534,51 +507,11 @@ struct CampaignService::Impl {
     return 0;
   }
 
-  /// Load-shedder: true when the request's remaining deadline cannot
-  /// cover the estimated run cost (EWMA batch latency × dispatch
-  /// waves).  Optimistic on purpose — no deadline, no estimate yet, or
-  /// an empty universe all admit.
-  bool should_shed_locked(const Request& r, std::string& why)
-      PRT_REQUIRES(mu) {
-    if (r.req.deadline.count() == 0) return false;
-    const std::size_t batches = detail::batch_count(r.req.universe.size());
-    if (batches == 0) return false;
-    const double remaining =
-        std::chrono::duration<double>(r.deadline_at -
-                                      std::chrono::steady_clock::now())
-            .count();
-    if (remaining <= 0.0) {
-      why = "shed: deadline expired while queued (" +
-            format_ms(-remaining) + " ago)";
-      return true;
-    }
-    const auto it = batch_ewma.find(cost_key(r));
-    if (it == batch_ewma.end()) return false;
-    const std::size_t workers = pool.workers();
-    const std::size_t waves = (batches + workers - 1) / workers;
-    const double estimate = it->second * static_cast<double>(waves);
-    if (estimate <= remaining) return false;
-    why = "shed: estimated cost " + format_ms(estimate) +
-          " (EWMA batch latency " + format_ms(it->second) + " x " +
-          std::to_string(waves) + " wave(s)) exceeds remaining deadline " +
-          format_ms(remaining);
-    return true;
-  }
-
-  /// Feeds the shedder's cost model from an observed successful batch.
-  void observe_batch_latency(const Request& r, double seconds)
-      PRT_EXCLUDES(mu) {
-    util::MutexLock lock(mu);
-    auto [it, inserted] = batch_ewma.try_emplace(cost_key(r), seconds);
-    if (!inserted) {
-      it->second = kEwmaAlpha * seconds + (1.0 - kEwmaAlpha) * it->second;
-    }
-  }
-
   /// Drains the admission queues — strictly by class, FIFO within one —
-  /// into the running window, shedding doomed requests instead of
-  /// dispatching them.  Callers hold `mu`; runs after every admission
-  /// and every release.
+  /// into the running window.  A request whose deadline expired while
+  /// it was queued is shed instead of dispatched: it resolves kShedded
+  /// before any oracle work.  Callers hold `mu`; runs after every
+  /// admission and every release.
   void dispatch_locked() PRT_REQUIRES(mu) {
     while (running < options.max_running) {
       std::shared_ptr<Request> next;
@@ -590,8 +523,7 @@ struct CampaignService::Impl {
         }
       }
       if (!next) return;
-      std::string shed_reason;
-      if (should_shed_locked(*next, shed_reason)) {
+      if (next->job.stop.token().reason() == util::StopReason::kDeadline) {
         ++shedded;
         --unresolved;
         {
@@ -599,7 +531,7 @@ struct CampaignService::Impl {
           // nesting direction anywhere (finish() nests the same way).
           util::MutexLock request_lock(next->mu);
           next->outcome.status = RequestStatus::kShedded;
-          next->outcome.error = std::move(shed_reason);
+          next->outcome.error = "shed: deadline expired while queued";
           next->finished = true;
           next->cv.notify_all();
         }
@@ -640,10 +572,12 @@ struct CampaignService::Impl {
                     : detail::make_driver(*req.march_test, req.options,
                                           engine))
             .runner(req.universe);
-    job.run = [this, &r, run](std::size_t begin, std::size_t end,
-                              CampaignResult& out,
-                              const util::StopToken& stop) {
-      return run_attempt(r, run, begin, end, out, stop);
+    // One attempt of one batch behind the "campaign_service.shard"
+    // fail point, the stand-in for a crashed worker.
+    job.run = [run](std::size_t begin, std::size_t end, CampaignResult& out,
+                    const util::StopToken& stop) {
+      util::FailPoint::hit("campaign_service.shard");
+      return run(begin, end, out, stop);
     };
     if (req.checkpoint_path.empty()) return;
     const std::string fingerprint = request_fingerprint(req);
@@ -683,55 +617,6 @@ struct CampaignService::Impl {
         ++checkpoint_failures;
       }
     };
-  }
-
-  /// One attempt of one batch under the service's per-batch hooks: the
-  /// "campaign_service.shard" fail point (a crashed or wedged worker),
-  /// a child stop token the watchdog trips past `stall_budget`
-  /// (StopReason::kStalled — a request-level cancel or deadline still
-  /// reaches the batch through the parent link), and the shedder's
-  /// latency EWMA.  A stall throws, so the executor retries it like a
-  /// crash: a wedged batch becomes a retried batch, not a wedged
-  /// request.
-  bool run_attempt(const Request& r, const detail::Job::RunBatch& run,
-                   std::size_t begin, std::size_t end, CampaignResult& out,
-                   const util::StopToken& stop) {
-    util::StopSource attempt{stop};
-    std::optional<util::Watchdog::Id> watch;
-    if (options.stall_budget.count() > 0) {
-      watch = watchdog.watch(options.stall_budget, [attempt] {
-        attempt.request_stop(util::StopReason::kStalled);
-      });
-    }
-    const auto started = std::chrono::steady_clock::now();
-    bool completed_batch = false;
-    try {
-      util::FailPoint::hit("campaign_service.shard");
-      completed_batch = run(begin, end, out, attempt.token());
-    } catch (...) {
-      if (watch) watchdog.unwatch(*watch);
-      throw;
-    }
-    if (watch) watchdog.unwatch(*watch);
-    if (completed_batch) {
-      observe_batch_latency(
-          r, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           started)
-                 .count());
-      return true;
-    }
-    // A stall is "the attempt token tripped kStalled while the request
-    // itself is still live".
-    if (attempt.token().reason() == util::StopReason::kStalled &&
-        !stop.stop_requested()) {
-      ++shard_stalls;
-      throw std::runtime_error(
-          "stalled: attempt exceeded the stall budget (" +
-          format_ms(std::chrono::duration<double>(options.stall_budget)
-                        .count()) +
-          ")");
-    }
-    return false;
   }
 
   /// The job's completion callback: fixes the request status, removes
@@ -787,11 +672,6 @@ ServiceOptions validated(const ServiceOptions& options) {
     throw std::invalid_argument(
         "ServiceOptions: max_retries must be >= 0 (got " +
         std::to_string(options.max_retries) + ")");
-  }
-  if (options.stall_budget.count() < 0) {
-    throw std::invalid_argument(
-        "ServiceOptions: stall_budget must be >= 0 (got " +
-        std::to_string(options.stall_budget.count()) + " ns)");
   }
   return options;
 }
@@ -864,11 +744,9 @@ CampaignService::Ticket CampaignService::submit(CampaignRequest request) {
     util::MutexLock lock(impl_->mu);
     const auto cls = static_cast<std::size_t>(r->req.priority);
     // The deadline clock starts at admission: queueing time counts
-    // against the request's budget.  Written before the queue push
-    // publishes the request.
+    // against the request's budget.
     if (r->req.deadline.count() > 0) {
       r->job.stop.set_deadline_after(r->req.deadline);
-      r->deadline_at = std::chrono::steady_clock::now() + r->req.deadline;
     }
     ++impl_->unresolved;
     impl_->queues[cls].push_back(r);
@@ -918,7 +796,6 @@ CampaignService::Stats CampaignService::stats() const {
   s.partial = impl_->partial.load();
   s.failed = impl_->failed.load();
   s.shard_retries = impl_->shard_retries.load();
-  s.shard_stalls = impl_->shard_stalls.load();
   s.checkpoint_writes = impl_->checkpoint_writes.load();
   s.checkpoint_failures = impl_->checkpoint_failures.load();
   s.checkpoint_salvaged = impl_->checkpoint_salvaged.load();

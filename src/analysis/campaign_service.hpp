@@ -11,22 +11,15 @@
 //    kRejected instead of queueing without bound.  Dispatch drains
 //    strictly by class, FIFO within a class, with a bounded running
 //    window (max_running); a dispatched request becomes one executor
-//    job on the process-wide pool.  A deadline-aware load-shedder
-//    resolves queued requests whose remaining deadline can no longer
-//    cover their estimated cost (a per-(workload kind, n, m) EWMA of
-//    observed batch latencies — m stays in the key because a batch
-//    replays m bit planes and a March batch log2(m) + 1 backgrounds)
-//    with kShedded at dispatch time, before any oracle work is spent
-//    on guaranteed-partial results;
+//    job on the process-wide pool.  A request whose deadline expired
+//    while it was queued resolves kShedded at dispatch, before any
+//    oracle work is spent on it;
 //  * a shard is one fixed 2048-fault batch at every worker count, so a
 //    request over N faults has ceil(N / 2048) shards;
 //  * cancel() and the per-request deadline stop the batch loops at the
 //    next fault boundary, and the request resolves to a *partial*
 //    outcome — the exact merge of the batches that completed
 //    (kPartialCancelled / kPartialDeadline), never a torn result;
-//  * a watchdog (util/watchdog.hpp) cancels any batch attempt
-//    exceeding `stall_budget` via a per-attempt child StopToken
-//    (StopReason::kStalled) and folds the stall into bounded retry;
 //  * every `checkpoint_every` completed batches the service durably
 //    rewrites a version-headered, per-record CRC32-guarded checkpoint
 //    (fingerprint + per-batch results; format v3, DESIGN.md
@@ -39,14 +32,14 @@
 //    consistent with their batch is adopted and the rest recomputed
 //    (stats().checkpoint_salvaged); only a fingerprint mismatch
 //    hard-fails the request;
-//  * a batch attempt that throws, stalls, or whose pool task is lost
-//    is retried up to `max_retries` times; exhaustion — or a lost setup
+//  * a batch attempt that throws, or whose pool task is lost, is
+//    retried up to `max_retries` times; exhaustion — or a lost setup
 //    task — fails that request (kFailed, error preserved) without
 //    touching other requests or the pool.  util::FailPoint hooks in
 //    the pool, the oracle cache, the batch attempts and the checkpoint
 //    writer let tests drive each of these paths deterministically.
 //
-// See DESIGN.md §11/§13/§16 and tests/test_campaign_service.cpp,
+// See DESIGN.md §11/§13/§16/§24 and tests/test_campaign_service.cpp,
 // tests/test_checkpoint_recovery.cpp.
 #pragma once
 
@@ -80,8 +73,7 @@ enum class RequestPriority : std::uint8_t {
 [[nodiscard]] std::string to_string(RequestPriority priority);
 
 /// The constructor throws std::invalid_argument, naming the value, on
-/// max_running == 0, a negative max_retries or a negative
-/// stall_budget.
+/// max_running == 0 or a negative max_retries.
 struct ServiceOptions {
   /// Worker count: the service runs on util::shared_pool(threads); 0
   /// means the hardware concurrency (util::default_worker_count).
@@ -98,10 +90,6 @@ struct ServiceOptions {
   std::size_t queue_bound_batch = 64;
   /// Retries per shard (batch) before the request fails (>= 0).
   int max_retries = 2;
-  /// Watchdog budget per shard *attempt*; an attempt exceeding it is
-  /// cancelled (kStalled) and retried like a thrown shard.  0
-  /// disables the watchdog; negative is rejected.
-  std::chrono::nanoseconds stall_budget{0};
   /// If nonzero, applied to OracleCache::global()'s byte budget at
   /// service construction (the cache is process-wide, so the last
   /// constructed service wins).  0 leaves the budget untouched.
@@ -120,10 +108,9 @@ enum class RequestStatus : std::uint8_t {
   kFailed,
   /// Rejected at admission (class queue bound); no work was done.
   kRejected,
-  /// Shed at dispatch: the remaining deadline could not cover the
-  /// estimated cost, so no work was started; see `error` for the
-  /// estimate.  Distinct from kPartialDeadline — a shed request
-  /// burned no pool time.
+  /// Shed at dispatch: the deadline expired while the request was
+  /// queued, so no work was started.  Distinct from kPartialDeadline —
+  /// a shed request burned no pool time.
   kShedded,
 };
 
@@ -158,9 +145,10 @@ struct CampaignRequest {
   /// campaign.
   bool resume = false;
   /// Wall-clock budget measured from submit(); zero = none, negative
-  /// fails the request at submit.  Queued time counts against it, and the load-shedder may resolve the
-  /// request kShedded at dispatch if the remainder cannot cover the
-  /// estimated run cost.
+  /// fails the request at submit, and one past the clock's range
+  /// (nanoseconds::max()) never expires.  Queued time counts against
+  /// it: a request whose deadline expires before dispatch resolves
+  /// kShedded.
   std::chrono::nanoseconds deadline{0};
 };
 
@@ -230,8 +218,6 @@ class CampaignService {
     std::uint64_t partial = 0;
     std::uint64_t failed = 0;
     std::uint64_t shard_retries = 0;
-    /// Shard attempts cancelled by the stall watchdog.
-    std::uint64_t shard_stalls = 0;
     std::uint64_t checkpoint_writes = 0;
     std::uint64_t checkpoint_failures = 0;
     /// Resume loads that had to salvage a torn/corrupt checkpoint.

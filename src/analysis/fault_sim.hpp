@@ -95,11 +95,6 @@ enum class RunStatus : std::uint8_t {
   switch (reason) {
     case util::StopReason::kCancelled:
       return RunStatus::kCancelled;
-    case util::StopReason::kStalled:
-      // From the run's perspective a watchdog-stalled attempt is a
-      // cancellation — the distinction (who pulled the token and why)
-      // lives at the service layer, which retries the attempt.
-      return RunStatus::kCancelled;
     case util::StopReason::kDeadline:
       return RunStatus::kDeadlineExpired;
     case util::StopReason::kNone:

@@ -188,6 +188,11 @@ std::optional<PolyGF2m> find_irreducible(const GF2m& f, unsigned k,
     }
     c[k] = 1;
     if (c[0] == 0) continue;
+    // In characteristic 2 every element is a square, so a candidate
+    // with no odd-power term is h(x)^2: reducible, skip it untested.
+    bool odd_term = false;
+    for (unsigned i = 1; i <= k; i += 2) odd_term = odd_term || c[i] != 0;
+    if (!odd_term) continue;
     PolyGF2m g(std::move(c));
     if (primitive ? is_primitive(f, g) : is_irreducible(f, g)) return g;
   }

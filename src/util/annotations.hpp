@@ -37,7 +37,6 @@
 //    the publication point (see campaign_service.cpp ServiceRequest).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -97,8 +96,8 @@ class PRT_CAPABILITY("mutex") Mutex {
 
 /// RAII lock over a util::Mutex — the std::unique_lock of the
 /// annotated world.  Scoped-capability: clang knows the capability is
-/// held from construction to destruction (or between explicit
-/// Unlock()/Lock() pairs) and releases it on every exit path.
+/// held from construction to destruction (or until an explicit
+/// Unlock()) and releases it on every exit path.
 class PRT_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) PRT_ACQUIRE(mutex)
@@ -112,9 +111,6 @@ class PRT_SCOPED_CAPABILITY MutexLock {
   /// Manual unlock before scope exit (e.g. to run a slow call outside
   /// the critical section).  The destructor handles the unlocked case.
   void Unlock() PRT_RELEASE() { lock_.unlock(); }
-
-  /// Re-acquire after Unlock().
-  void Lock() PRT_ACQUIRE() { lock_.lock(); }
 
  private:
   friend class CondVar;
@@ -141,17 +137,6 @@ class CondVar {
   /// the surrounding while-loop relies on.
   void wait(MutexLock& lock) PRT_REQUIRES(lock.mutex_) {
     cv_.wait(lock.lock_);
-  }
-
-  /// Timed wait (same capability contract as wait()).  Returns
-  /// std::cv_status::timeout when `rel_time` elapsed; spurious wakeups
-  /// are possible either way, so callers re-check their predicate in
-  /// the surrounding while-loop exactly as with wait().
-  template <typename Rep, typename Period>
-  std::cv_status wait_for(MutexLock& lock,
-                          const std::chrono::duration<Rep, Period>& rel_time)
-      PRT_REQUIRES(lock.mutex_) {
-    return cv_.wait_for(lock.lock_, rel_time);
   }
 
   void notify_one() noexcept { cv_.notify_one(); }

@@ -42,27 +42,6 @@ std::atomic<std::size_t>& armed_count() {
   return count;
 }
 
-/// Parses a base-10 integer spanning exactly [begin, end) of `spec`;
-/// anything else (empty, trailing junk, out of int range) is a
-/// malformed count.
-int parse_count(const std::string& spec, std::size_t begin, std::size_t end,
-                const char* what) {
-  const std::string digits = spec.substr(begin, end - begin);
-  std::size_t consumed = 0;
-  int value = 0;
-  try {
-    value = std::stoi(digits, &consumed);
-  } catch (const std::exception&) {
-    consumed = std::string::npos;  // flag as malformed below
-  }
-  if (digits.empty() || consumed != digits.size()) {
-    throw std::invalid_argument(std::string("fail point spec: malformed ") +
-                                what + " count '" + digits + "' in '" + spec +
-                                "'");
-  }
-  return value;
-}
-
 }  // namespace
 
 void FailPoint::arm(const std::string& name, const Config& config) {
@@ -71,76 +50,6 @@ void FailPoint::arm(const std::string& name, const Config& config) {
   auto [it, inserted] = r.points.insert_or_assign(name, Armed{config, 0});
   (void)it;
   if (inserted) armed_count().fetch_add(1, std::memory_order_release);
-}
-
-void FailPoint::arm_spec(const std::string& spec) {
-  const std::size_t eq = spec.find('=');
-  if (eq == std::string::npos) {
-    throw std::invalid_argument("fail point spec: missing '=' in '" + spec +
-                                "'");
-  }
-  const std::string name = spec.substr(0, eq);
-  if (name.empty()) {
-    throw std::invalid_argument("fail point spec: empty name in '" + spec +
-                                "'");
-  }
-
-  // Action token: everything up to the first ':' modifier.
-  std::size_t pos = eq + 1;
-  std::size_t colon = spec.find(':', pos);
-  const std::string action =
-      spec.substr(pos, (colon == std::string::npos ? spec.size() : colon) -
-                           pos);
-  Config config;
-  if (action == "throw") {
-    config.action = Action::kThrow;
-  } else if (action.rfind("delay(", 0) == 0 && action.back() == ')') {
-    config.action = Action::kDelay;
-    const std::size_t open = pos + 6;  // past "delay("
-    const std::size_t close = pos + action.size() - 1;
-    config.delay =
-        std::chrono::milliseconds(parse_count(spec, open, close, "delay"));
-  } else if (action.rfind("partial_write(", 0) == 0 && action.back() == ')') {
-    config.action = Action::kPartialWrite;
-    const std::size_t open = pos + 14;  // past "partial_write("
-    const std::size_t close = pos + action.size() - 1;
-    const int bytes = parse_count(spec, open, close, "partial_write");
-    if (bytes < 0) {
-      throw std::invalid_argument(
-          "fail point spec: malformed partial_write count '" + action +
-          "' in '" + spec + "'");
-    }
-    config.bytes = static_cast<std::size_t>(bytes);
-  } else {
-    throw std::invalid_argument(
-        "fail point spec: unknown action '" + action + "' in '" + spec +
-        "' (throw | delay(<ms>) | partial_write(<bytes>))");
-  }
-
-  bool saw_skip = false;
-  bool saw_fires = false;
-  while (colon != std::string::npos) {
-    pos = colon + 1;
-    colon = spec.find(':', pos);
-    const std::size_t end = colon == std::string::npos ? spec.size() : colon;
-    const std::string modifier = spec.substr(pos, end - pos);
-    if (modifier.rfind("skip=", 0) == 0 && !saw_skip) {
-      saw_skip = true;
-      config.skip = parse_count(spec, pos + 5, end, "skip");
-      if (config.skip < 0) {
-        throw std::invalid_argument("fail point spec: malformed skip count '" +
-                                    modifier + "' in '" + spec + "'");
-      }
-    } else if (modifier.rfind("fires=", 0) == 0 && !saw_fires) {
-      saw_fires = true;
-      config.fires = parse_count(spec, pos + 6, end, "fires");
-    } else {
-      throw std::invalid_argument("fail point spec: unknown modifier '" +
-                                  modifier + "' in '" + spec +
-                                  "' (skip=<n> | fires=<m>, once each)");
-    }
-  }
-  arm(name, config);
 }
 
 void FailPoint::disarm(const std::string& name) {

@@ -18,10 +18,10 @@
 //   // third hit of that site throws util::FailPointError
 //
 // Actions: kThrow (throw FailPointError at the site), kDelay (sleep —
-// for widening cancellation races deterministically, and for driving
-// the campaign service's stall watchdog), and kPartialWrite (truncate
-// a write at N bytes, then fail — for torn-checkpoint tests; only
-// meaningful at sites that call poll() and implement the truncation).
+// for widening cancellation and queueing races deterministically), and
+// kPartialWrite (truncate a write at N bytes, then fail — for
+// torn-checkpoint tests; only meaningful at sites that call poll() and
+// implement the truncation).
 // A config fires `fires` times after skipping `skip` hits (fires < 0 =
 // every hit after the skips).  Arming is process-global and
 // thread-safe; tests disarm in teardown (FailPointScope).
@@ -61,20 +61,6 @@ class FailPoint {
 
   /// Arms (or re-arms, resetting the hit count of) the named point.
   static void arm(const std::string& name, const Config& config);
-
-  /// Arms a point from a compact spec string — the form scripts and
-  /// env-driven harnesses use (`PRT_FAILPOINTS`-style wiring):
-  ///
-  ///   <name>=<action>[:skip=<n>][:fires=<m>]
-  ///
-  /// where <action> is `throw`, `delay(<ms>)` or `partial_write(<n>)`
-  /// (truncate the write to n bytes then fail); `fires=-1` (any
-  /// negative) fires on every hit past the skips.  Modifiers may
-  /// appear in either order, at most once each.  Throws
-  /// std::invalid_argument on an empty name, a missing '=', an
-  /// unknown action or modifier, or a malformed count — the spec is
-  /// test configuration, so a typo must fail loudly, not arm nothing.
-  static void arm_spec(const std::string& spec);
 
   static void disarm(const std::string& name);
   static void disarm_all();

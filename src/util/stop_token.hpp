@@ -3,20 +3,18 @@
 // A StopSource owns the stop state; the StopTokens it hands out are
 // cheap shared views polled from worker loops.  Three stop causes
 // exist and are distinguished so callers can report *why* a run ended
-// early: an explicit request_stop() (user cancellation, or the shard
-// watchdog passing kStalled), a wall-clock deadline
+// early: an explicit request_stop() (user cancellation, or an executor
+// winding a failed job down), a wall-clock deadline
 // (set_deadline_after), and — via parent linking — any cause inherited
 // from an upstream source.  A stop is sticky: once observed the reason
 // latches, and every later poll is a single atomic load.
 //
 // Parent linking: StopSource(parent_token) creates a *child* source
 // whose tokens also trip when the parent does, with the parent's
-// reason.  The campaign service gives every shard attempt its own
-// child source so the watchdog can cancel one stalled attempt
-// (kStalled on the child) without touching the request-level token,
-// while a request-level cancel/deadline still reaches the shard loop
-// through the same child token.  Chains are expected to be one link
-// deep; the poll recurses up them.
+// reason.  A campaign job's stop source is a child of its caller's
+// token, so the job can stop itself on a failure while a caller's
+// cancel or deadline still reaches every batch loop through it.
+// Chains are expected to be one link deep; the poll recurses up them.
 //
 // A default-constructed StopToken has no state and never stops — the
 // shape every pre-existing call site uses, so threading tokens through
@@ -24,9 +22,11 @@
 // per fault.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -36,9 +36,6 @@ enum class StopReason : std::uint8_t {
   kNone = 0,
   kCancelled = 1,
   kDeadline = 2,
-  /// A supervisor (util/watchdog.hpp) judged the work stalled past its
-  /// budget and cancelled this attempt.
-  kStalled = 3,
 };
 
 namespace detail {
@@ -144,12 +141,19 @@ class StopSource {
   }
 
   /// Arms a wall-clock deadline `after` from now; tokens trip it
-  /// lazily on their next poll.
+  /// lazily on their next poll.  The sum saturates: a deadline past
+  /// the clock's range (nanoseconds::max(), say) never trips, and a
+  /// negative one has already passed.
   void set_deadline_after(std::chrono::nanoseconds after) const {
-    const auto when = std::chrono::steady_clock::now() +
-                      std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(after);
-    std::int64_t rep = when.time_since_epoch().count();
+    using Clock = std::chrono::steady_clock;
+    // steady_clock counts up from its epoch, so max() - now cannot wrap.
+    const Clock::duration now = Clock::now().time_since_epoch();
+    const Clock::duration budget =
+        std::max(std::chrono::duration_cast<Clock::duration>(after),
+                 Clock::duration::zero());
+    std::int64_t rep = budget >= Clock::duration::max() - now
+                           ? std::numeric_limits<std::int64_t>::max()
+                           : (now + budget).count();
     if (rep == 0) rep = 1;  // 0 means "no deadline"
     state_->deadline.store(rep, std::memory_order_relaxed);
   }

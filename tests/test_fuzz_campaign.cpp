@@ -14,8 +14,8 @@
 // with an error, and a failed checkpointed request must resume, every
 // point disarmed, to the reference.
 //
-// Two more streams follow the main one, each from its own generator so
-// the main stream's draws stay what they were.  The geometry stream
+// Three more streams follow the main one, each from its own generator
+// so the main stream's draws stay what they were.  The geometry stream
 // draws the word widths the main one never reaches: a library March
 // test at m in [1, 32] and a WOM PRT scheme at m in [2, 16].  The
 // invalid stream plants one fault no memory of the draw's geometry
@@ -23,14 +23,17 @@
 // or makes the geometry itself invalid (m = 0 or 33): the engine and
 // the suite must throw std::invalid_argument, and the service must
 // fail the request at submit, with no batch run and no retry.  The
-// seed and the draw counts are fixed; a failure prints the stream, the
-// seed and the draw (and the schedule), so the draw replays exactly.
+// one-cell stream runs a library March test on a one-word memory
+// (n = 1, m in [1, 32]), which make_universe cannot generate: its
+// single-cell faults plus intra-word coupling, bridge and retention
+// faults.  The seed and the draw counts are fixed; a failure prints
+// the stream, the seed and the draw (and the schedule), so the draw
+// replays exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -59,10 +62,12 @@ constexpr int kGeometryDraws = 20;
 /// wide, and the reference's word accesses cost more than bit ones.
 constexpr std::uint64_t kGeometryOpsBudget = 300'000;
 constexpr int kInvalidDraws = 20;
-/// Seeds of the geometry and invalid streams: kSeed mixed with a
-/// per-stream constant, so neither shares the main stream's draws.
+constexpr int kOneCellDraws = 10;
+/// Seeds of the geometry, invalid and one-cell streams: kSeed mixed
+/// with a per-stream constant, so none shares the main stream's draws.
 constexpr std::uint64_t kGeometrySeed = kSeed ^ 0x9E3779B97F4A7C15ULL;
 constexpr std::uint64_t kInvalidSeed = kSeed ^ 0xBF58476D1CE4E5B9ULL;
+constexpr std::uint64_t kOneCellSeed = kSeed ^ 0x94D049BB133111EBULL;
 /// Largest universe a draw runs: past one 2048-fault batch, so some
 /// draws cut two batches and a tail.
 constexpr std::size_t kMaxFaults = 2300;
@@ -70,6 +75,9 @@ constexpr std::size_t kMaxFaults = 2300;
 /// keeps the serial reference inside the test's time budget.
 constexpr std::uint64_t kOpsBudget = 3'000'000;
 constexpr mem::Addr kMaxN = 300;
+/// Retention delays around the schemes' pauses and the March Del time.
+constexpr std::uint64_t kRetentionDelays[] = {
+    1, 40, 500, 5'000, 99'999, 100'001, 1'000'000'000};
 
 struct Draw {
   std::optional<core::PrtScheme> scheme;
@@ -181,14 +189,13 @@ std::vector<mem::Fault> random_universe(Xoshiro256& rng, mem::Addr n,
     u.npsf_grid_cols = cols[pick(rng, cols.size())];
   }
   std::vector<mem::Fault> faults = mem::make_universe(n, m, u);
-  constexpr std::uint64_t kDelays[] = {1,      40,      500,          5'000,
-                                       99'999, 100'001, 1'000'000'000};
   const std::uint64_t retention = pick(rng, 40);
   for (std::uint64_t i = 0; i < retention; ++i) {
     const mem::BitRef victim{static_cast<mem::Addr>(pick(rng, n)),
                              static_cast<unsigned>(pick(rng, m))};
-    faults.push_back(mem::Fault::retention(
-        victim, static_cast<unsigned>(pick(rng, 2)), kDelays[pick(rng, 7)]));
+    faults.push_back(
+        mem::Fault::retention(victim, static_cast<unsigned>(pick(rng, 2)),
+                              kRetentionDelays[pick(rng, 7)]));
   }
   if (pick(rng, 3) == 0) {
     faults.push_back(mem::Fault::cf_st({0, 0}, {1, 0}, /*when=*/2, 1));
@@ -250,20 +257,6 @@ Draw make_draw(Xoshiro256& rng) {
   return d;
 }
 
-/// The standard (or extended) WOM scheme over GF(2^m), built once per
-/// width: neither depends on n, and the extended scheme's search for a
-/// primitive generator takes ~0.2 s at m = 16 in a Release build.
-const core::PrtScheme& wom_scheme(bool extended, unsigned m) {
-  static std::map<std::pair<bool, unsigned>, core::PrtScheme> cache;
-  auto [it, inserted] = cache.try_emplace({extended, m});
-  if (inserted) {
-    // n only has to exceed the register length k = 2.
-    it->second = extended ? core::extended_scheme_wom(3, m)
-                          : core::standard_scheme_wom(3, m);
-  }
-  return it->second;
-}
-
 /// A geometry-stream draw: a standard or extended WOM PRT scheme at m
 /// in [2, 16] (`prt`) or a library March test at m in [1, 32], on the
 /// main stream's n, universe and run options.
@@ -281,7 +274,10 @@ Draw make_geometry_draw(Xoshiro256& rng, bool prt) {
   d.opt.n = pick(rng, 4) == 0
                 ? k + 1
                 : k + 1 + static_cast<mem::Addr>(pick(rng, kMaxN - k));
-  if (prt) d.scheme = wom_scheme(coin(rng), d.opt.m);
+  if (prt) {
+    d.scheme = coin(rng) ? core::extended_scheme_wom(d.opt.n, d.opt.m)
+                         : core::standard_scheme_wom(d.opt.n, d.opt.m);
+  }
   d.early_abort = coin(rng);
   constexpr unsigned kThreads[] = {1, 2, 4};
   d.threads = kThreads[pick(rng, 3)];
@@ -294,9 +290,8 @@ Draw make_geometry_draw(Xoshiro256& rng, bool prt) {
 }
 
 /// An invalid-stream draw: a main-stream draw or a wide-word March
-/// draw (the WOM schemes' generator search would dominate the stream's
-/// cost and the rejection does not depend on it) with one fault its
-/// memory does not hold planted at a random index, or with an
+/// draw (the rejection does not depend on the workload) with one fault
+/// its memory does not hold planted at a random index, or with an
 /// out-of-range word width.  `bad` is the planted fault's index, or the
 /// universe size when the geometry is what is wrong.
 Draw make_invalid_draw(Xoshiro256& rng, std::size_t& bad) {
@@ -334,6 +329,61 @@ Draw make_invalid_draw(Xoshiro256& rng, std::size_t& bad) {
   bad = pick(rng, d.universe.size() + 1);
   d.universe.insert(d.universe.begin() + static_cast<std::ptrdiff_t>(bad),
                     fault);
+  return d;
+}
+
+/// A one-cell draw: a library March test at n = 1 and m in [1, 32] over
+/// single_cell_universe(1, m, ·), plus intra-word coupling faults and
+/// bridges between two bits of cell 0 (for m > 1) and retention faults
+/// on it.
+Draw make_one_cell_draw(Xoshiro256& rng) {
+  Draw d;
+  const std::vector<march::MarchTest> tests = march::all_march_tests();
+  d.test = tests[pick(rng, tests.size())];
+  d.opt.n = 1;
+  d.opt.m = 1 + static_cast<unsigned>(pick(rng, 32));
+  const unsigned m = d.opt.m;
+  d.early_abort = coin(rng);
+  constexpr unsigned kThreads[] = {1, 2, 4};
+  d.threads = kThreads[pick(rng, 3)];
+  d.suite = pick(rng, 3) == 0;
+  d.service = pick(rng, 3) == 0;
+  d.universe = mem::single_cell_universe(1, m, coin(rng));
+  // Every draw is its own statement: the order in which a call's
+  // arguments are evaluated is unspecified, and the draw must replay
+  // the same under every compiler.
+  const auto bit = [&] { return static_cast<unsigned>(pick(rng, m)); };
+  const std::uint64_t pairs = m > 1 ? pick(rng, 32) : 0;
+  for (std::uint64_t i = 0; i < pairs; ++i) {
+    const mem::BitRef victim{0, bit()};
+    // Any other bit of the word.
+    const mem::BitRef aggressor{
+        0, static_cast<unsigned>((victim.bit + 1 + pick(rng, m - 1)) % m)};
+    const std::uint64_t kind = pick(rng, 4);
+    const auto a = static_cast<unsigned>(pick(rng, 2));
+    const auto b = static_cast<unsigned>(pick(rng, 2));
+    switch (kind) {
+      case 0:
+        d.universe.push_back(mem::Fault::cf_in(victim, aggressor));
+        break;
+      case 1:
+        d.universe.push_back(mem::Fault::cf_id(victim, aggressor, a != 0, b));
+        break;
+      case 2:
+        d.universe.push_back(mem::Fault::cf_st(victim, aggressor, a, b));
+        break;
+      default:
+        d.universe.push_back(mem::Fault::bridge(victim, aggressor, a != 0));
+        break;
+    }
+  }
+  const std::uint64_t retention = pick(rng, 8);
+  for (std::uint64_t i = 0; i < retention; ++i) {
+    const mem::BitRef victim{0, bit()};
+    const auto decays_to = static_cast<unsigned>(pick(rng, 2));
+    const std::uint64_t delay = kRetentionDelays[pick(rng, 7)];
+    d.universe.push_back(mem::Fault::retention(victim, decays_to, delay));
+  }
   return d;
 }
 
@@ -557,6 +607,17 @@ TEST(FuzzCampaign, InvalidInputIsRejectedOnEverySurface) {
     SCOPED_TRACE(where("invalid", kInvalidSeed, draw, d) +
                  " bad=" + std::to_string(bad));
     check_invalid(d, bad);
+  }
+}
+
+TEST(FuzzCampaign, OneCellMarchMatchesTheLiveReference) {
+  Xoshiro256 rng(kOneCellSeed);
+  const int first = kDraws + kGeometryDraws;
+  for (int draw = first; draw < first + kOneCellDraws && !HasFatalFailure();
+       ++draw) {
+    const Draw d = make_one_cell_draw(rng);
+    SCOPED_TRACE(where("one-cell", kOneCellSeed, draw, d));
+    check_draw(d, draw);
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace prt::gf {
 namespace {
 
@@ -174,15 +176,35 @@ TEST(PolyGF2mOrder, OrderMatchesBruteForceOverGf4) {
   }
 }
 
+// The search returns the first candidate in its enumeration order, so
+// skipping the squares h(x)^2 untested must not change what it finds:
+// the exact polynomials are pinned.  extended_scheme_wom takes its
+// generator from this search.
 TEST(PolyGF2mFind, FindsPrimitiveQuadraticOverEveryField) {
-  for (unsigned m : {2u, 3u, 4u, 8u}) {
-    const GF2m f = GF2m::standard(m);
+  const struct {
+    unsigned m;
+    std::vector<Elem> coeffs;
+  } cases[] = {{2, {2, 1, 1}},  {3, {3, 1, 1}},    {4, {9, 1, 1}},
+               {6, {33, 1, 1}}, {8, {34, 1, 1}},   {12, {2048, 1, 1}},
+               {14, {513, 1, 1}}, {16, {2048, 1, 1}}};
+  for (const auto& c : cases) {
+    const GF2m f = GF2m::standard(c.m);
     const auto g = find_irreducible(f, 2, /*primitive=*/true);
-    ASSERT_TRUE(g.has_value()) << "m=" << m;
+    ASSERT_TRUE(g.has_value()) << "m=" << c.m;
+    EXPECT_EQ(g->coeffs, c.coeffs) << "m=" << c.m;
     EXPECT_TRUE(is_primitive(f, *g));
     std::uint64_t full = static_cast<std::uint64_t>(f.size()) * f.size() - 1;
     EXPECT_EQ(order_of_x(f, *g), full);
   }
+}
+
+// Degree 4 has two odd-power coefficients to inspect before a
+// candidate counts as a square.
+TEST(PolyGF2mFind, FindsFirstQuarticInEnumerationOrder) {
+  EXPECT_EQ(find_irreducible(GF2m::standard(2), 4)->coeffs,
+            (std::vector<Elem>{1, 2, 1, 0, 1}));
+  EXPECT_EQ(find_irreducible(GF2m::standard(4), 4, /*primitive=*/true)->coeffs,
+            (std::vector<Elem>{4, 2, 1, 0, 1}));
 }
 
 TEST(PolyGF2mFind, FindsPlainIrreducibleCubic) {

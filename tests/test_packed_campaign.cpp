@@ -650,30 +650,51 @@ analysis::CampaignResult serial_scalar_reference(
                                 opt);
 }
 
-TEST(PackedCampaign, BitIdenticalToSerialScalarOnClassical256) {
-  const mem::Addr n = 256;
-  const auto universe = mem::classical_universe(n);
-  const auto scheme = core::extended_scheme_bom(n);
+/// A classical-universe campaign with its serial scalar reference.
+struct ClassicalCampaign {
+  std::vector<mem::Fault> universe;
+  core::PrtScheme scheme;
   analysis::CampaignOptions opt;
-  opt.n = n;
-  const auto reference = serial_scalar_reference(universe, scheme, opt);
+  analysis::CampaignResult reference;
+};
+
+ClassicalCampaign make_classical_campaign(mem::Addr n,
+                                          core::PrtScheme scheme) {
+  ClassicalCampaign c{mem::classical_universe(n), std::move(scheme), {}, {}};
+  c.opt.n = n;
+  c.reference = serial_scalar_reference(c.universe, c.scheme, c.opt);
+  return c;
+}
+
+// Each reference is computed once per binary: the bit-identity and
+// the early-abort checks below share it, and under the sanitizers the
+// serial scalar run is most of either test's time.
+const ClassicalCampaign& classical256() {
+  static const ClassicalCampaign c =
+      make_classical_campaign(256, core::extended_scheme_bom(256));
+  return c;
+}
+
+const ClassicalCampaign& classical1024() {
+  static const ClassicalCampaign c =
+      make_classical_campaign(1024, core::standard_scheme_bom(1024));
+  return c;
+}
+
+TEST(PackedCampaign, BitIdenticalToSerialScalarOnClassical256) {
+  const ClassicalCampaign& c = classical256();
   for (unsigned threads : {1u, 4u}) {
     analysis::EngineOptions eng;
     eng.threads = threads;
-    expect_identical(reference,
-                     analysis::run_prt_campaign(universe, scheme, opt, eng));
+    expect_identical(c.reference, analysis::run_prt_campaign(
+                                      c.universe, c.scheme, c.opt, eng));
   }
 }
 
 TEST(PackedCampaign, BitIdenticalToSerialScalarOnClassical1024) {
-  const mem::Addr n = 1024;
-  const auto universe = mem::classical_universe(n);
-  const auto scheme = core::standard_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  const auto reference = serial_scalar_reference(universe, scheme, opt);
-  expect_identical(reference,
-                   analysis::run_prt_campaign(universe, scheme, opt));
+  const ClassicalCampaign& c = classical1024();
+  expect_identical(c.reference,
+                   analysis::run_prt_campaign(c.universe, c.scheme, c.opt));
 }
 
 // The van de Goor universe interleaves packed (single-cell, read-logic)
@@ -718,23 +739,13 @@ void check_abort_composition(std::span<const mem::Fault> universe,
 }
 
 TEST(PackedCampaign, PerLaneAbortBitIdenticalOnClassical256) {
-  const mem::Addr n = 256;
-  const auto universe = mem::classical_universe(n);
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  check_abort_composition(universe, scheme, opt,
-                          serial_scalar_reference(universe, scheme, opt));
+  const ClassicalCampaign& c = classical256();
+  check_abort_composition(c.universe, c.scheme, c.opt, c.reference);
 }
 
 TEST(PackedCampaign, PerLaneAbortBitIdenticalOnClassical1024) {
-  const mem::Addr n = 1024;
-  const auto universe = mem::classical_universe(n);
-  const auto scheme = core::standard_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  check_abort_composition(universe, scheme, opt,
-                          serial_scalar_reference(universe, scheme, opt));
+  const ClassicalCampaign& c = classical1024();
+  check_abort_composition(c.universe, c.scheme, c.opt, c.reference);
 }
 
 TEST(PackedCampaign, PerLaneAbortBitIdenticalOnVanDeGoor) {

@@ -15,7 +15,6 @@
 #include "util/stop_token.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
-#include "util/watchdog.hpp"
 
 namespace prt {
 namespace {
@@ -208,103 +207,6 @@ TEST(FailPoint, DelayActionSleeps) {
   EXPECT_GE(elapsed, std::chrono::milliseconds(9));
 }
 
-// --- fail point spec strings ----------------------------------------------
-
-TEST(FailPointSpec, PlainThrowFiresOnce) {
-  util::FailPointScope scope;
-  util::FailPoint::arm_spec("spec.throw=throw");
-  EXPECT_THROW(util::FailPoint::hit("spec.throw"), util::FailPointError);
-  util::FailPoint::hit("spec.throw");  // fires defaults to 1
-}
-
-TEST(FailPointSpec, SkipAndFiresModifiers) {
-  util::FailPointScope scope;
-  util::FailPoint::arm_spec("spec.schedule=throw:skip=2:fires=1");
-  util::FailPoint::hit("spec.schedule");
-  util::FailPoint::hit("spec.schedule");
-  EXPECT_THROW(util::FailPoint::hit("spec.schedule"), util::FailPointError);
-  util::FailPoint::hit("spec.schedule");
-  EXPECT_EQ(util::FailPoint::hits("spec.schedule"), 4u);
-}
-
-TEST(FailPointSpec, ModifierOrderIsFree) {
-  util::FailPointScope scope;
-  util::FailPoint::arm_spec("spec.order=throw:fires=-1:skip=1");
-  util::FailPoint::hit("spec.order");
-  EXPECT_THROW(util::FailPoint::hit("spec.order"), util::FailPointError);
-  EXPECT_THROW(util::FailPoint::hit("spec.order"), util::FailPointError);
-}
-
-TEST(FailPointSpec, DelayActionParsesMilliseconds) {
-  util::FailPointScope scope;
-  util::FailPoint::arm_spec("spec.delay=delay(10):fires=1");
-  const auto start = std::chrono::steady_clock::now();
-  util::FailPoint::hit("spec.delay");
-  EXPECT_GE(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(9));
-}
-
-TEST(FailPointSpec, MalformedSpecsThrowInvalidArgument) {
-  util::FailPointScope scope;
-  // Missing '=' separator.
-  EXPECT_THROW(util::FailPoint::arm_spec("no-separator"),
-               std::invalid_argument);
-  // Empty name.
-  EXPECT_THROW(util::FailPoint::arm_spec("=throw"), std::invalid_argument);
-  // Unknown action.
-  EXPECT_THROW(util::FailPoint::arm_spec("p=explode"), std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p="), std::invalid_argument);
-  // Malformed skip counts: non-numeric, empty, trailing junk, negative.
-  EXPECT_THROW(util::FailPoint::arm_spec("p=throw:skip=x"),
-               std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p=throw:skip="),
-               std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p=throw:skip=1junk"),
-               std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p=throw:skip=-1"),
-               std::invalid_argument);
-  // Malformed fires counts.
-  EXPECT_THROW(util::FailPoint::arm_spec("p=throw:fires=many"),
-               std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p=throw:fires="),
-               std::invalid_argument);
-  // Malformed delay payloads.
-  EXPECT_THROW(util::FailPoint::arm_spec("p=delay()"), std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p=delay(abc)"),
-               std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p=delay(5"), std::invalid_argument);
-  // Unknown / duplicate modifiers.
-  EXPECT_THROW(util::FailPoint::arm_spec("p=throw:bogus=1"),
-               std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p=throw:skip=1:skip=2"),
-               std::invalid_argument);
-  // A rejected spec must arm nothing.
-  util::FailPoint::hit("p");
-  EXPECT_EQ(util::FailPoint::hits("p"), 0u);
-  // Malformed partial_write payloads.
-  EXPECT_THROW(util::FailPoint::arm_spec("p=partial_write()"),
-               std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p=partial_write(abc)"),
-               std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p=partial_write(-1)"),
-               std::invalid_argument);
-  EXPECT_THROW(util::FailPoint::arm_spec("p=partial_write(5"),
-               std::invalid_argument);
-}
-
-TEST(FailPointSpec, PartialWriteParsesByteCount) {
-  util::FailPointScope scope;
-  util::FailPoint::arm_spec("spec.partial=partial_write(120):skip=1:fires=1");
-  EXPECT_FALSE(util::FailPoint::poll("spec.partial").has_value());  // skipped
-  const std::optional<util::FailPoint::Config> fired =
-      util::FailPoint::poll("spec.partial");
-  ASSERT_TRUE(fired.has_value());
-  EXPECT_EQ(fired->action, util::FailPoint::Action::kPartialWrite);
-  EXPECT_EQ(fired->bytes, 120u);
-  EXPECT_FALSE(util::FailPoint::poll("spec.partial").has_value());  // spent
-  EXPECT_EQ(util::FailPoint::hits("spec.partial"), 3u);
-}
-
 TEST(FailPoint, PollSharesScheduleWithHit) {
   util::FailPointScope scope;
   util::FailPoint::arm("test.poll", {.skip = 1, .fires = 1});
@@ -377,14 +279,33 @@ TEST(StopToken, CancelBeforeDeadlineReportsCancelled) {
   EXPECT_EQ(source.token().reason(), util::StopReason::kCancelled);
 }
 
+// The deadline sum saturates at the clock's range: one past it never
+// trips, and a negative one has already passed.  The unchecked sums
+// now + nanoseconds::max() and now + nanoseconds::min() would overflow
+// (undefined behaviour, which the UBSan build traps), the first into a
+// deadline long past.
+TEST(StopToken, DeadlineSumSaturatesAtTheClocksRange) {
+  util::StopSource never;
+  never.set_deadline_after(std::chrono::nanoseconds::max());
+  EXPECT_FALSE(never.stop_requested());
+  EXPECT_EQ(never.token().reason(), util::StopReason::kNone);
+  never.request_stop();
+  EXPECT_EQ(never.token().reason(), util::StopReason::kCancelled);
+
+  util::StopSource passed;
+  passed.set_deadline_after(std::chrono::nanoseconds::min());
+  EXPECT_TRUE(passed.stop_requested());
+  EXPECT_EQ(passed.token().reason(), util::StopReason::kDeadline);
+}
+
 TEST(StopToken, RequestStopCarriesExplicitReason) {
   util::StopSource source;
-  source.request_stop(util::StopReason::kStalled);
-  EXPECT_TRUE(source.stop_requested());
-  EXPECT_EQ(source.token().reason(), util::StopReason::kStalled);
-  // First cause wins.
   source.request_stop(util::StopReason::kCancelled);
-  EXPECT_EQ(source.token().reason(), util::StopReason::kStalled);
+  EXPECT_TRUE(source.stop_requested());
+  EXPECT_EQ(source.token().reason(), util::StopReason::kCancelled);
+  // First cause wins.
+  source.request_stop(util::StopReason::kDeadline);
+  EXPECT_EQ(source.token().reason(), util::StopReason::kCancelled);
 }
 
 TEST(StopToken, ChildObservesParentStop) {
@@ -396,16 +317,16 @@ TEST(StopToken, ChildObservesParentStop) {
   EXPECT_EQ(child.token().reason(), util::StopReason::kCancelled);
   // The parent's reason latches into the child: a later local stop
   // with a different reason does not overwrite it.
-  child.request_stop(util::StopReason::kStalled);
+  child.request_stop(util::StopReason::kDeadline);
   EXPECT_EQ(child.token().reason(), util::StopReason::kCancelled);
 }
 
 TEST(StopToken, ChildStopDoesNotPropagateToParent) {
   util::StopSource parent;
   util::StopSource child(parent.token());
-  child.request_stop(util::StopReason::kStalled);
+  child.request_stop(util::StopReason::kCancelled);
   EXPECT_TRUE(child.token().stop_requested());
-  EXPECT_EQ(child.token().reason(), util::StopReason::kStalled);
+  EXPECT_EQ(child.token().reason(), util::StopReason::kCancelled);
   EXPECT_FALSE(parent.token().stop_requested());
   EXPECT_EQ(parent.token().reason(), util::StopReason::kNone);
 }
@@ -417,74 +338,6 @@ TEST(StopToken, ParentDeadlinePropagatesToChild) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_TRUE(child.token().stop_requested());
   EXPECT_EQ(child.token().reason(), util::StopReason::kDeadline);
-}
-
-// --- watchdog -------------------------------------------------------------
-
-TEST(Watchdog, ExpiresOverdueWatchExactlyOnce) {
-  util::Watchdog dog;
-  std::atomic<int> fired{0};
-  (void)dog.watch(std::chrono::milliseconds(5), [&] { ++fired; });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fired.load() == 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(fired.load(), 1);
-  EXPECT_EQ(dog.expirations(), 1u);
-  // An expired entry is gone; it never fires again.
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  EXPECT_EQ(fired.load(), 1);
-}
-
-TEST(Watchdog, UnwatchBeforeBudgetSuppressesCallback) {
-  util::Watchdog dog;
-  std::atomic<int> fired{0};
-  const util::Watchdog::Id id =
-      dog.watch(std::chrono::seconds(60), [&] { ++fired; });
-  dog.unwatch(id);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(fired.load(), 0);
-  EXPECT_EQ(dog.expirations(), 0u);
-}
-
-TEST(Watchdog, TracksManyWatchesIndependently) {
-  util::Watchdog dog;
-  std::atomic<int> fast_fired{0};
-  std::atomic<int> slow_fired{0};
-  (void)dog.watch(std::chrono::milliseconds(5), [&] { ++fast_fired; });
-  const util::Watchdog::Id slow =
-      dog.watch(std::chrono::seconds(60), [&] { ++slow_fired; });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fast_fired.load() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(fast_fired.load(), 1);
-  EXPECT_EQ(slow_fired.load(), 0);
-  dog.unwatch(slow);
-  EXPECT_EQ(dog.expirations(), 1u);
-}
-
-TEST(Watchdog, CancelsAStalledStopTokenAttempt) {
-  // The service-layer composition in miniature: a watchdog trips a
-  // per-attempt child token with kStalled while the parent stays live.
-  util::Watchdog dog;
-  util::StopSource request;
-  util::StopSource attempt(request.token());
-  (void)dog.watch(std::chrono::milliseconds(5), [attempt] {
-    attempt.request_stop(util::StopReason::kStalled);
-  });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!attempt.token().stop_requested() &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(attempt.token().stop_requested());
-  EXPECT_EQ(attempt.token().reason(), util::StopReason::kStalled);
-  EXPECT_FALSE(request.token().stop_requested());
 }
 
 // --- thread pool exception safety -----------------------------------------
