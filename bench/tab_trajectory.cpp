@@ -7,11 +7,14 @@
 //    trajectories" — both modes are measured on an intra-word fault
 //    universe.
 #include <cstdio>
+#include <numeric>
 
 #include "analysis/campaign_engine.hpp"
 #include "core/intra_word.hpp"
+#include "mem/fault_injector.hpp"
 #include "mem/fault_universe.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -87,23 +90,34 @@ void print_intra_word_table() {
   t.set_align(0, Align::kLeft);
   for (auto mode : {core::IntraWordMode::kParallelTrajectories,
                     core::IntraWordMode::kRandomTrajectories}) {
-    std::uint64_t detected = 0;
-    std::uint64_t ops = 0;
-    for (const mem::Fault& f : universe) {
-      mem::FaultyRam ram(n, m);
-      ram.inject(f);
-      core::IntraWordConfig cfg;
-      cfg.mode = mode;
-      cfg.seed = 5;
-      const auto r = core::run_intra_word(ram, cfg);
-      detected += r.pass ? 0 : 1;
-      ops = r.reads + r.writes;
-    }
+    core::IntraWordConfig cfg;
+    cfg.mode = mode;
+    cfg.seed = 5;
+    const core::IntraWordOracle oracle(cfg, n, m);
+    // Fixed batches, each on one reused FaultyRam; the per-batch counts
+    // are summed in batch order, so the table is the same at any worker
+    // count.
+    constexpr std::size_t kBatch = 64;
+    std::vector<std::uint64_t> detected(
+        (universe.size() + kBatch - 1) / kBatch, 0);
+    util::shared_pool(0).parallel_for_batches(
+        universe.size(), kBatch,
+        [&](std::size_t batch, std::size_t begin, std::size_t end) {
+          mem::FaultyRam ram(n, m);
+          std::uint64_t count = 0;
+          for (std::size_t i = begin; i < end; ++i) {
+            ram.reset(universe[i]);
+            count += oracle.run(ram).pass ? 0 : 1;
+          }
+          detected[batch] = count;
+        });
+    const std::uint64_t total =
+        std::accumulate(detected.begin(), detected.end(), std::uint64_t{0});
     t.add(mode == core::IntraWordMode::kParallelTrajectories
               ? "parallel trajectories"
               : "random (independent) trajectories",
-          ops,
-          format_fixed(100.0 * static_cast<double>(detected) /
+          oracle.ops(),
+          format_fixed(100.0 * static_cast<double>(total) /
                            static_cast<double>(universe.size()), 1));
   }
   std::printf("%s\n", t.str().c_str());

@@ -1,8 +1,7 @@
 #include "core/intra_word.hpp"
 
-#include <cassert>
-
-#include "util/bitops.hpp"
+#include <stdexcept>
+#include <string>
 
 namespace prt::core {
 
@@ -24,64 +23,122 @@ std::vector<gf::Elem> plane_init(const std::vector<gf::Elem>& plane_g,
   return {model.state().begin(), model.state().end()};
 }
 
-IntraWordResult run_intra_word(mem::Memory& memory,
-                               const IntraWordConfig& config) {
-  const unsigned m = memory.width();
-  assert(m >= 2);
-  const mem::Addr n = memory.size();
-  lfsr::WordLfsr plane_model(gf2(), config.plane_g);
-  const unsigned k = plane_model.k();
-  assert(n > k);
-
-  IntraWordResult result;
-  result.fin.assign(m, 0);
-  result.fin_expected.assign(m, 0);
-
-  // Expected per-plane Fin: plane automaton advanced n - k steps.
-  for (unsigned b = 0; b < m; ++b) {
-    lfsr::WordLfsr model(gf2(), config.plane_g);
-    const auto init = plane_init(config.plane_g, b);
-    model.seed(init);
-    model.jump(n - k);
-    std::uint32_t packed = 0;
-    for (unsigned j = 0; j < k; ++j) {
-      packed |= static_cast<std::uint32_t>(model.state()[j]) << j;
+void validate_intra_word(const IntraWordConfig& config, mem::Addr n,
+                         unsigned m) {
+  if (m < 2 || m > 32) {
+    throw std::invalid_argument("IntraWord: word width m = " +
+                                std::to_string(m) + " outside [2, 32]");
+  }
+  const std::vector<gf::Elem>& g = config.plane_g;
+  const std::size_t k = g.empty() ? 0 : g.size() - 1;
+  if (k < 1 || k > 32) {
+    throw std::invalid_argument("IntraWord: plane generator degree k = " +
+                                std::to_string(k) + " outside [1, 32]");
+  }
+  for (std::size_t j = 0; j <= k; ++j) {
+    if (g[j] > 1) {
+      throw std::invalid_argument(
+          "IntraWord: plane generator coefficient g" + std::to_string(j) +
+          " = " + std::to_string(g[j]) + " is not a GF(2) bit");
     }
-    result.fin_expected[b] = packed;
+  }
+  if (g.front() == 0 || g.back() == 0) {
+    const std::size_t j = g.front() == 0 ? 0 : k;
+    throw std::invalid_argument("IntraWord: plane generator g" +
+                                std::to_string(j) +
+                                " = 0; g0 and gk must be 1");
+  }
+  if (n <= k) {
+    throw std::invalid_argument("IntraWord: need n > k (got n = " +
+                                std::to_string(n) +
+                                ", k = " + std::to_string(k) + ")");
+  }
+}
+
+IntraWordOracle::IntraWordOracle(const IntraWordConfig& config, mem::Addr n,
+                                 unsigned m)
+    : mode_(config.mode), n_(n), m_(m) {
+  validate_intra_word(config, n, m);
+  k_ = static_cast<unsigned>(config.plane_g.size() - 1);
+  for (unsigned j = 1; j <= k_; ++j) {
+    if (config.plane_g[j] != 0) taps_.push_back(k_ - j);
   }
 
-  if (config.mode == IntraWordMode::kParallelTrajectories) {
+  // Expected per-plane Fin: plane automaton advanced n - k steps.
+  plane_seeds_.reserve(m);
+  fin_expected_.assign(m, 0);
+  for (unsigned b = 0; b < m; ++b) {
+    plane_seeds_.push_back(plane_init(config.plane_g, b));
+    lfsr::WordLfsr model(gf2(), config.plane_g);
+    model.seed(plane_seeds_.back());
+    model.jump(n - k_);
+    for (unsigned j = 0; j < k_; ++j) {
+      fin_expected_[b] |= static_cast<std::uint32_t>(model.state()[j]) << j;
+    }
+  }
+
+  const std::uint64_t sweeps = n - k_;
+  if (mode_ == IntraWordMode::kParallelTrajectories) {
+    trajectories_.push_back(
+        Trajectory::make(config.trajectory, n, config.seed));
+    word_init_.assign(k_, 0);
+    for (unsigned j = 0; j < k_; ++j) {
+      for (unsigned b = 0; b < m; ++b) {
+        word_init_[j] |= static_cast<mem::Word>(plane_seeds_[b][j]) << b;
+      }
+    }
+    // k init writes, k reads and one write per sub-iteration, k Fin reads.
+    reads_ = sweeps * k_ + k_;
+    writes_ = k_ + sweeps;
+  } else {
+    for (unsigned b = 0; b < m; ++b) {
+      trajectories_.push_back(Trajectory::make(
+          TrajectoryKind::kRandom, n,
+          config.seed + 0x9e3779b97f4a7c15ULL * (b + 1)));
+    }
+    // Per plane: every bit write is a read-modify-write, so the k init
+    // writes and each sub-iteration's write read once more.
+    reads_ = m * (k_ + sweeps * (k_ + 1) + k_);
+    writes_ = m * (k_ + sweeps);
+  }
+}
+
+IntraWordResult IntraWordOracle::run(mem::Memory& memory) const {
+  if (memory.size() != n_ || memory.width() != m_) {
+    throw std::invalid_argument(
+        "IntraWordOracle: built for n = " + std::to_string(n_) +
+        ", m = " + std::to_string(m_) + ", run on n = " +
+        std::to_string(memory.size()) +
+        ", m = " + std::to_string(memory.width()));
+  }
+  const unsigned k = k_;
+  const mem::Addr n = n_;
+  IntraWordResult result;
+  result.fin.assign(m_, 0);
+  result.fin_expected = fin_expected_;
+  result.reads = reads_;
+  result.writes = writes_;
+
+  if (mode_ == IntraWordMode::kParallelTrajectories) {
     // One shared trajectory; each access is word-wide, feedback applied
     // bitwise (all plane automatons share g, so the word feedback is
     // just the GF(2) combination applied per bit-plane in parallel).
-    const Trajectory traj =
-        Trajectory::make(config.trajectory, n, config.seed);
-    // Word-wide init values: bit b of word j is plane b's init[j].
+    const Trajectory& traj = trajectories_.front();
     for (unsigned j = 0; j < k; ++j) {
-      mem::Word w = 0;
-      for (unsigned b = 0; b < m; ++b) {
-        w |= static_cast<mem::Word>(plane_init(config.plane_g, b)[j]) << b;
-      }
-      memory.write(traj.at(j), w, 0);
-      ++result.writes;
+      memory.write(traj.at(j), word_init_[j], 0);
     }
     std::vector<mem::Word> window(k);
     for (mem::Addr q = 0; q + k < n; ++q) {
       for (unsigned j = 0; j < k; ++j) {
         window[j] = memory.read(traj.at(q + j), 0);
-        ++result.reads;
       }
       mem::Word fb = 0;
-      for (unsigned j = 1; j <= k; ++j) {
-        if (config.plane_g[j]) fb ^= window[k - j];
-      }
+      for (const unsigned t : taps_) fb ^= window[t];
       memory.write(traj.at(q + k), fb, 0);
-      ++result.writes;
     }
     for (unsigned j = 0; j < k; ++j) {
       const mem::Word w = memory.read(traj.at(n - k + j), 0);
-      ++result.reads;
-      for (unsigned b = 0; b < m; ++b) {
+      for (unsigned b = 0; b < m_; ++b) {
         result.fin[b] |= static_cast<std::uint32_t>((w >> b) & 1U) << j;
       }
     }
@@ -89,44 +146,39 @@ IntraWordResult run_intra_word(mem::Memory& memory,
     // Independent trajectories: plane b sweeps its own permutation with
     // masked read-modify-write accesses (the programmable-trajectory
     // hardware of §2).
-    for (unsigned b = 0; b < m; ++b) {
-      const Trajectory traj = Trajectory::make(
-          TrajectoryKind::kRandom, n,
-          config.seed + 0x9e3779b97f4a7c15ULL * (b + 1));
-      const auto init = plane_init(config.plane_g, b);
+    std::vector<unsigned> window(k);
+    for (unsigned b = 0; b < m_; ++b) {
+      const Trajectory& traj = trajectories_[b];
+      const std::vector<gf::Elem>& init = plane_seeds_[b];
       const mem::Word mask = mem::Word{1} << b;
       auto write_bit = [&](mem::Addr a, unsigned bit) {
         const mem::Word old = memory.read(a, 0);
-        ++result.reads;
         memory.write(a, bit ? (old | mask) : (old & ~mask), 0);
-        ++result.writes;
       };
       auto read_bit = [&](mem::Addr a) -> unsigned {
-        const mem::Word w = memory.read(a, 0);
-        ++result.reads;
-        return (w >> b) & 1U;
+        return (memory.read(a, 0) >> b) & 1U;
       };
       for (unsigned j = 0; j < k; ++j) write_bit(traj.at(j), init[j]);
-      std::vector<unsigned> window(k);
       for (mem::Addr q = 0; q + k < n; ++q) {
         for (unsigned j = 0; j < k; ++j) window[j] = read_bit(traj.at(q + j));
         unsigned fb = 0;
-        for (unsigned j = 1; j <= k; ++j) {
-          if (config.plane_g[j]) fb ^= window[k - j];
-        }
+        for (const unsigned t : taps_) fb ^= window[t];
         write_bit(traj.at(q + k), fb);
       }
-      std::uint32_t packed = 0;
       for (unsigned j = 0; j < k; ++j) {
-        packed |= static_cast<std::uint32_t>(read_bit(traj.at(n - k + j)))
-                  << j;
+        result.fin[b] |=
+            static_cast<std::uint32_t>(read_bit(traj.at(n - k + j))) << j;
       }
-      result.fin[b] = packed;
     }
   }
 
   result.pass = result.fin == result.fin_expected;
   return result;
+}
+
+IntraWordResult run_intra_word(mem::Memory& memory,
+                               const IntraWordConfig& config) {
+  return IntraWordOracle(config, memory.size(), memory.width()).run(memory);
 }
 
 }  // namespace prt::core

@@ -37,9 +37,14 @@ enum class IntraWordMode : std::uint8_t {
 struct IntraWordConfig {
   /// GF(2) generator of each bit-plane automaton (g0..gk, bits).
   std::vector<gf::Elem> plane_g{1, 1, 1};
-  /// Per-plane seed pair; plane b uses init_of_plane(b).
+  /// Which of the two tests of the file comment runs; in either, plane
+  /// b starts from plane_init(plane_g, b).
   IntraWordMode mode = IntraWordMode::kParallelTrajectories;
+  /// The shared trajectory of the parallel mode; the random mode
+  /// sweeps every plane along its own random permutation.
   TrajectoryKind trajectory = TrajectoryKind::kAscending;
+  /// Seeds a random shared trajectory, and plane b's permutation in the
+  /// random mode.
   std::uint64_t seed = 0;
 };
 
@@ -61,8 +66,53 @@ struct IntraWordResult {
 [[nodiscard]] std::vector<gf::Elem> plane_init(
     const std::vector<gf::Elem>& plane_g, unsigned plane);
 
-/// Runs one intra-word pi-test over an m-bit memory.  Preconditions:
-/// memory.width() == m >= 2, memory.size() > deg(plane_g).
+/// The rule every intra-word test enforces.  Throws
+/// std::invalid_argument, naming the value, unless 2 <= m <= 32, the
+/// plane generator has degree k in [1, 32] (Fin packs k bits into one
+/// 32-bit word per plane), g0 = gk = 1, every coefficient is 0 or 1
+/// (the planes are GF(2) automata), and n > k.
+void validate_intra_word(const IntraWordConfig& config, mem::Addr n,
+                         unsigned m);
+
+/// Everything an intra-word test derives from (config, n, m) and not
+/// from the memory under test: the per-plane seeds, the word-wide init
+/// values, the golden Fin, the trajectory (one shared, or one per plane
+/// in the random mode) and the op count.  Built once per table and
+/// shared read-only by every fault and every worker thread, as
+/// PrtOracle is for PRT schemes.
+class IntraWordOracle {
+ public:
+  /// Throws std::invalid_argument where validate_intra_word does.
+  IntraWordOracle(const IntraWordConfig& config, mem::Addr n, unsigned m);
+
+  /// Word reads plus writes of one run; a fault does not change them.
+  [[nodiscard]] std::uint64_t ops() const { return reads_ + writes_; }
+
+  /// Runs the test on `memory`.  Throws std::invalid_argument unless
+  /// the memory has n cells of m bits.
+  [[nodiscard]] IntraWordResult run(mem::Memory& memory) const;
+
+ private:
+  IntraWordMode mode_ = IntraWordMode::kParallelTrajectories;
+  mem::Addr n_ = 0;
+  unsigned m_ = 0;
+  unsigned k_ = 0;
+  /// Window offsets (k - j) of the generator's non-zero taps g1..gk.
+  std::vector<unsigned> taps_;
+  /// plane_init(plane_g, b) for every plane b.
+  std::vector<std::vector<gf::Elem>> plane_seeds_;
+  /// Parallel mode: bit b of word j is plane b's seed j.
+  std::vector<mem::Word> word_init_;
+  std::vector<std::uint32_t> fin_expected_;
+  /// The shared trajectory, or plane b's at index b.
+  std::vector<Trajectory> trajectories_;
+  std::uint64_t reads_ = 0;
+  std::uint64_t writes_ = 0;
+};
+
+/// Runs one intra-word pi-test over an m-bit memory, building the
+/// oracle for this one run.  Throws std::invalid_argument where
+/// validate_intra_word does for (memory.size(), memory.width()).
 [[nodiscard]] IntraWordResult run_intra_word(mem::Memory& memory,
                                              const IntraWordConfig& config);
 

@@ -128,15 +128,13 @@ class StopSource {
     state_->parent = parent.state_;
   }
 
-  /// Requests a stop with the given cause (default: user
-  /// cancellation).  First cause wins: a cancel after the deadline
-  /// already latched keeps reporting kDeadline (and vice versa).
-  /// kNone is not a cause and is promoted to kCancelled.
-  void request_stop(StopReason reason = StopReason::kCancelled) const {
-    if (reason == StopReason::kNone) reason = StopReason::kCancelled;
+  /// Requests a stop (cause kCancelled).  First cause wins: a cancel
+  /// after the deadline already latched keeps reporting kDeadline (and
+  /// vice versa).
+  void request_stop() const {
     std::uint8_t expected = 0;
     state_->reason.compare_exchange_strong(
-        expected, static_cast<std::uint8_t>(reason),
+        expected, static_cast<std::uint8_t>(StopReason::kCancelled),
         std::memory_order_acq_rel);
   }
 

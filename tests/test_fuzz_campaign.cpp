@@ -193,9 +193,11 @@ std::vector<mem::Fault> random_universe(Xoshiro256& rng, mem::Addr n,
   for (std::uint64_t i = 0; i < retention; ++i) {
     const mem::BitRef victim{static_cast<mem::Addr>(pick(rng, n)),
                              static_cast<unsigned>(pick(rng, m))};
-    faults.push_back(
-        mem::Fault::retention(victim, static_cast<unsigned>(pick(rng, 2)),
-                              kRetentionDelays[pick(rng, 7)]));
+    // The delay is drawn before the decay value: the order the recorded
+    // streams drew them in, when both were arguments of one call.
+    const std::uint64_t delay = kRetentionDelays[pick(rng, 7)];
+    const auto decays_to = static_cast<unsigned>(pick(rng, 2));
+    faults.push_back(mem::Fault::retention(victim, decays_to, delay));
   }
   if (pick(rng, 3) == 0) {
     faults.push_back(mem::Fault::cf_st({0, 0}, {1, 0}, /*when=*/2, 1));
@@ -310,12 +312,20 @@ Draw make_invalid_draw(Xoshiro256& rng, std::size_t& bad) {
     case 1:
       fault = mem::Fault::tf({cell(), static_cast<unsigned>(past(m))}, true);
       break;
-    case 2:
-      fault = mem::Fault::cf_in({cell(), 0}, {past(n), 0});
+    // The out-of-range cell is drawn before the valid one, in the order
+    // the recorded stream drew them in as arguments of one call.
+    case 2: {
+      const mem::Addr aggressor = past(n);
+      const mem::Addr victim = cell();
+      fault = mem::Fault::cf_in({victim, 0}, {aggressor, 0});
       break;
-    case 3:
-      fault = mem::Fault::af_wrong_access(cell(), past(n));
+    }
+    case 3: {
+      const mem::Addr instead = past(n);
+      const mem::Addr addr = cell();
+      fault = mem::Fault::af_wrong_access(addr, instead);
       break;
+    }
     case 4:
       fault = mem::Fault::saf({cell(), 0}, 0);
       fault.kind = static_cast<mem::FaultKind>(

@@ -3,11 +3,82 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "mem/fault_injector.hpp"
+#include "mem/fault_universe.hpp"
 #include "mem/sram.hpp"
+#include "util/thread_pool.hpp"
 
 namespace prt::core {
 namespace {
+
+/// tab_trajectory's intra-word universe: every intra-word coupling
+/// fault of a 64 x 8 memory, and no other fault.
+const std::vector<mem::Fault>& table_universe() {
+  static const std::vector<mem::Fault> universe = [] {
+    mem::UniverseOptions uopt;
+    uopt.single_cell = false;
+    uopt.read_logic = false;
+    uopt.coupling = true;
+    uopt.bridges = false;
+    uopt.address_decoder = false;
+    uopt.coupling_pair_limit = 0;
+    uopt.intra_word = true;
+    return mem::make_universe(64, 8, uopt);
+  }();
+  return universe;
+}
+
+IntraWordConfig table_config(IntraWordMode mode) {
+  IntraWordConfig cfg;
+  cfg.mode = mode;
+  cfg.seed = 5;
+  return cfg;
+}
+
+constexpr IntraWordMode kModes[] = {IntraWordMode::kParallelTrajectories,
+                                    IntraWordMode::kRandomTrajectories};
+
+/// The verdict and Fin of one run.
+using Verdict = std::pair<bool, std::vector<std::uint32_t>>;
+
+/// The table's per-fault verdicts in kModes[mode]: one oracle on one
+/// reused FaultyRam, as each table batch runs them.  Computed once per
+/// binary; a pass over the universe takes seconds under the sanitizers.
+const std::vector<Verdict>& table_verdicts(std::size_t mode) {
+  static const std::array<std::vector<Verdict>, 2> verdicts = [] {
+    std::array<std::vector<Verdict>, 2> out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const IntraWordOracle oracle(table_config(kModes[i]), 64, 8);
+      mem::FaultyRam ram(64, 8);
+      for (const mem::Fault& f : table_universe()) {
+        ram.reset(f);
+        IntraWordResult r = oracle.run(ram);
+        out[i].emplace_back(r.pass, std::move(r.fin));
+      }
+    }
+    return out;
+  }();
+  return verdicts[mode];
+}
+
+/// Expects `fn` to throw std::invalid_argument whose message holds
+/// `names`.
+template <class Fn>
+void expect_rejects(Fn fn, const std::string& names) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception; expected one naming \"" << names << "\"";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(PlaneInit, DistinctPhasesForNeighbourPlanes) {
   const std::vector<gf::Elem> g{1, 1, 1};
@@ -124,6 +195,145 @@ TEST(IntraWord, WiderGeneratorSupported) {
   cfg.plane_g = {1, 1, 0, 1};  // k = 3, period 7
   const IntraWordResult r = run_intra_word(ram, cfg);
   EXPECT_TRUE(r.pass);
+}
+
+// The oracle reports the op count instead of counting each access, so
+// pin it against the memory's own counters in both modes.
+TEST(IntraWord, ReportedOpsMatchTheMemorysCounters) {
+  for (const IntraWordMode mode : kModes) {
+    for (const std::vector<gf::Elem>& g :
+         {std::vector<gf::Elem>{1, 1, 1}, std::vector<gf::Elem>{1, 1, 0, 1}}) {
+      mem::SimRam ram(41, 5);
+      IntraWordConfig cfg;
+      cfg.mode = mode;
+      cfg.plane_g = g;
+      const IntraWordResult r = run_intra_word(ram, cfg);
+      EXPECT_EQ(r.reads, ram.total_stats().reads);
+      EXPECT_EQ(r.writes, ram.total_stats().writes);
+      EXPECT_EQ(IntraWordOracle(cfg, 41, 5).ops(), r.reads + r.writes);
+    }
+  }
+}
+
+// --- input checks (validate_intra_word) -----------------------------------
+
+TEST(IntraWordValidate, RejectsNAtMostK) {
+  // n <= k leaves no room for a sub-iteration; n = 1 would read past
+  // the trajectory.
+  IntraWordConfig cfg;
+  mem::SimRam one(1, 8);
+  expect_rejects([&] { (void)run_intra_word(one, cfg); }, "n = 1, k = 2");
+  mem::SimRam two(2, 8);
+  expect_rejects([&] { (void)run_intra_word(two, cfg); }, "n = 2, k = 2");
+  mem::SimRam three(3, 8);
+  EXPECT_TRUE(run_intra_word(three, cfg).pass);
+}
+
+TEST(IntraWordValidate, RejectsWidthOutsideTwoToThirtyTwo) {
+  IntraWordConfig cfg;
+  mem::SimRam bit(64, 1);
+  expect_rejects([&] { (void)run_intra_word(bit, cfg); }, "m = 1");
+  expect_rejects([&] { validate_intra_word(cfg, 64, 0); }, "m = 0");
+  expect_rejects([&] { validate_intra_word(cfg, 64, 33); }, "m = 33");
+  mem::SimRam wide(64, 32);
+  EXPECT_TRUE(run_intra_word(wide, cfg).pass);
+}
+
+TEST(IntraWordValidate, RejectsGeneratorDegreeOutsideOneToThirtyTwo) {
+  IntraWordConfig cfg;
+  cfg.plane_g = {};
+  expect_rejects([&] { validate_intra_word(cfg, 64, 8); }, "k = 0");
+  cfg.plane_g = {1};
+  expect_rejects([&] { validate_intra_word(cfg, 64, 8); }, "k = 0");
+  // k = 33 would shift a Fin bit past the 32-bit packed word.
+  cfg.plane_g.assign(34, 0);
+  cfg.plane_g.front() = cfg.plane_g.back() = 1;
+  expect_rejects([&] { validate_intra_word(cfg, 64, 8); }, "k = 33");
+  cfg.plane_g.pop_back();
+  cfg.plane_g.back() = 1;
+  EXPECT_NO_THROW(validate_intra_word(cfg, 64, 8));
+}
+
+TEST(IntraWordValidate, RejectsZeroG0) {
+  IntraWordConfig cfg;
+  cfg.plane_g = {0, 1, 1};
+  mem::SimRam ram(64, 8);
+  expect_rejects([&] { (void)run_intra_word(ram, cfg); }, "g0 = 0");
+}
+
+TEST(IntraWordValidate, RejectsZeroGk) {
+  IntraWordConfig cfg;
+  cfg.plane_g = {1, 1, 0};
+  mem::SimRam ram(64, 8);
+  expect_rejects([&] { (void)run_intra_word(ram, cfg); }, "g2 = 0");
+}
+
+TEST(IntraWordValidate, RejectsCoefficientAboveOne) {
+  IntraWordConfig cfg;
+  cfg.plane_g = {1, 2, 1};
+  mem::SimRam ram(64, 8);
+  expect_rejects([&] { (void)run_intra_word(ram, cfg); }, "g1 = 2");
+}
+
+TEST(IntraWordValidate, OracleRejectsAMemoryOfAnotherGeometry) {
+  const IntraWordOracle oracle(IntraWordConfig{}, 64, 8);
+  mem::SimRam shorter(63, 8);
+  expect_rejects([&] { (void)oracle.run(shorter); }, "run on n = 63, m = 8");
+  mem::SimRam narrower(64, 4);
+  expect_rejects([&] { (void)oracle.run(narrower); }, "run on n = 64, m = 4");
+}
+
+// --- the compiled oracle ----------------------------------------------------
+
+// The table prints rounded percentages, which would hide a shift of one
+// fault; pin the exact counts.
+TEST(IntraWordOracle, TableUniverseCounts) {
+  ASSERT_EQ(table_universe().size(), 2688u);
+  const std::size_t expected_detected[] = {1344, 511};
+  const std::uint64_t expected_ops[] = {190, 2032};
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(IntraWordOracle(table_config(kModes[i]), 64, 8).ops(),
+              expected_ops[i]);
+    const std::vector<Verdict>& verdicts = table_verdicts(i);
+    EXPECT_EQ(std::count_if(verdicts.begin(), verdicts.end(),
+                            [](const Verdict& v) { return !v.first; }),
+              expected_detected[i]);
+  }
+}
+
+TEST(IntraWordOracle, ReusedRamMatchesAFreshRunPerFault) {
+  const std::vector<mem::Fault>& universe = table_universe();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const IntraWordConfig cfg = table_config(kModes[i]);
+    for (std::size_t f = 0; f < universe.size(); ++f) {
+      mem::FaultyRam fresh(64, 8);
+      fresh.inject(universe[f]);
+      const IntraWordResult want = run_intra_word(fresh, cfg);
+      ASSERT_EQ(table_verdicts(i)[f], Verdict(want.pass, want.fin))
+          << universe[f].describe();
+    }
+  }
+}
+
+// Every worker reads one shared oracle (the table's fan-out); under
+// TSan this is the check that the read path shares nothing mutable.
+TEST(IntraWordOracle, SharedAcrossPoolBatchesMatchesSerial) {
+  const std::vector<mem::Fault>& universe = table_universe();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const IntraWordOracle oracle(table_config(kModes[i]), 64, 8);
+    std::vector<Verdict> pooled(universe.size());
+    util::shared_pool(4).parallel_for_batches(
+        universe.size(), 100,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          mem::FaultyRam ram(64, 8);
+          for (std::size_t f = begin; f < end; ++f) {
+            ram.reset(universe[f]);
+            IntraWordResult r = oracle.run(ram);
+            pooled[f] = {r.pass, std::move(r.fin)};
+          }
+        });
+    EXPECT_EQ(pooled, table_verdicts(i));
+  }
 }
 
 }  // namespace

@@ -298,13 +298,14 @@ TEST(StopToken, DeadlineSumSaturatesAtTheClocksRange) {
   EXPECT_EQ(passed.token().reason(), util::StopReason::kDeadline);
 }
 
-TEST(StopToken, RequestStopCarriesExplicitReason) {
+TEST(StopToken, CancelThenPassedDeadlineKeepsCancelled) {
   util::StopSource source;
-  source.request_stop(util::StopReason::kCancelled);
+  source.request_stop();
   EXPECT_TRUE(source.stop_requested());
   EXPECT_EQ(source.token().reason(), util::StopReason::kCancelled);
-  // First cause wins.
-  source.request_stop(util::StopReason::kDeadline);
+  // First cause wins: a deadline that has already passed does not
+  // overwrite the cancel.
+  source.set_deadline_after(std::chrono::nanoseconds::min());
   EXPECT_EQ(source.token().reason(), util::StopReason::kCancelled);
 }
 
@@ -315,16 +316,16 @@ TEST(StopToken, ChildObservesParentStop) {
   parent.request_stop();
   EXPECT_TRUE(child.token().stop_requested());
   EXPECT_EQ(child.token().reason(), util::StopReason::kCancelled);
-  // The parent's reason latches into the child: a later local stop
-  // with a different reason does not overwrite it.
-  child.request_stop(util::StopReason::kDeadline);
+  // The parent's reason latches into the child: a later local cause
+  // (a deadline that has already passed) does not overwrite it.
+  child.set_deadline_after(std::chrono::nanoseconds::min());
   EXPECT_EQ(child.token().reason(), util::StopReason::kCancelled);
 }
 
 TEST(StopToken, ChildStopDoesNotPropagateToParent) {
   util::StopSource parent;
   util::StopSource child(parent.token());
-  child.request_stop(util::StopReason::kCancelled);
+  child.request_stop();
   EXPECT_TRUE(child.token().stop_requested());
   EXPECT_EQ(child.token().reason(), util::StopReason::kCancelled);
   EXPECT_FALSE(parent.token().stop_requested());
