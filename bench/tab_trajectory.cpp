@@ -6,15 +6,14 @@
 //    pi-testing for BOM ... with (1) parallel or (2) random
 //    trajectories" — both modes are measured on an intra-word fault
 //    universe.
+#include <algorithm>
 #include <cstdio>
-#include <numeric>
 
 #include "analysis/campaign_engine.hpp"
 #include "core/intra_word.hpp"
-#include "mem/fault_injector.hpp"
 #include "mem/fault_universe.hpp"
+#include "mem/packed_fault_ram.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -94,25 +93,16 @@ void print_intra_word_table() {
     cfg.mode = mode;
     cfg.seed = 5;
     const core::IntraWordOracle oracle(cfg, n, m);
-    // Fixed batches, each on one reused FaultyRam; the per-batch counts
-    // are summed in batch order, so the table is the same at any worker
-    // count.
-    constexpr std::size_t kBatch = 64;
-    std::vector<std::uint64_t> detected(
-        (universe.size() + kBatch - 1) / kBatch, 0);
-    util::shared_pool(0).parallel_for_batches(
-        universe.size(), kBatch,
-        [&](std::size_t batch, std::size_t begin, std::size_t end) {
-          mem::FaultyRam ram(n, m);
-          std::uint64_t count = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            ram.reset(universe[i]);
-            count += oracle.run(ram).pass ? 0 : 1;
-          }
-          detected[batch] = count;
-        });
-    const std::uint64_t total =
-        std::accumulate(detected.begin(), detected.end(), std::uint64_t{0});
+    // One fault per lane, 512 lanes per sweep of the packed replay.
+    mem::PackedFaultRamT<mem::WideWord<8>> ram(n, m);
+    std::uint64_t total = 0;
+    for (std::size_t begin = 0; begin < universe.size();
+         begin += ram.kLanes) {
+      ram.reset();
+      const std::size_t end = std::min(universe.size(), begin + ram.kLanes);
+      for (std::size_t i = begin; i < end; ++i) ram.add_fault(universe[i]);
+      total += oracle.run_packed(ram).detected_count();
+    }
     t.add(mode == core::IntraWordMode::kParallelTrajectories
               ? "parallel trajectories"
               : "random (independent) trajectories",

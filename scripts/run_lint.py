@@ -27,7 +27,8 @@ Two layers (DESIGN.md §12):
          util::durable_replace_file;
        * raw uint64 lane arithmetic (1ULL <<, std::popcount,
          std::countr_zero, ~0ULL, ...) in the packed fault-path files
-         (packed_fault_ram.*, prt_packed.*, march_runner.*) outside
+         (packed_fault_ram.*, prt_packed.*, march_runner.*,
+         intra_word.*) outside
          src/mem/lane_word.hpp — those files are generic over the lane
          word (64/512 lanes) and must use the width-generic
          helpers, or the WideWord instantiations silently break;
@@ -83,7 +84,8 @@ RENAME_ALLOWLIST = {os.path.join("src", "util", "durable_write.cpp")}
 # (mem/lane_word.hpp): raw uint64 lane arithmetic in them silently
 # pins the code to 64 lanes and breaks the WideWord instantiations.
 LANE_WORD_FILE_RE = re.compile(
-    r"(?:^|[\\/])(?:packed_fault_ram|prt_packed|march_runner)\.(?:hpp|cpp)$")
+    r"(?:^|[\\/])(?:packed_fault_ram|prt_packed|march_runner|intra_word)"
+    r"\.(?:hpp|cpp)$")
 # The one file allowed raw lane bit twiddling: it defines the helpers.
 LANE_WORD_ALLOWLIST = {os.path.join("src", "mem", "lane_word.hpp")}
 # The engine layer, and its one file allowed to run the scalar
@@ -466,6 +468,13 @@ SELFTEST_CASES = [
      "  const unsigned lane = std::countr_zero(pending);\n", True),
     (lint_raw_lane_arith, "src/mem/packed_fault_ram.hpp",
      "  const auto fill = ~std::uint64_t{0};\n", True),
+    (lint_raw_lane_arith, "src/core/intra_word.cpp",
+     "  if (((detected >> lane) & 1ULL) != 0) n += std::popcount(mask);\n",
+     True),
+    # The scalar reference in the same file shifts a plane mask of the
+    # memory word, not a lane word.
+    (lint_raw_lane_arith, "src/core/intra_word.cpp",
+     "  const mem::Word mask = mem::Word{1} << b;\n", False),
     (lint_raw_lane_arith, "src/core/prt_packed.cpp",
      "  const W bit = mem::lane_bit<W>(lane);\n"
      "  if (mem::lane_test(detected, lane)) n += 1;\n", False),

@@ -1,5 +1,6 @@
 #include "core/intra_word.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -103,14 +104,17 @@ IntraWordOracle::IntraWordOracle(const IntraWordConfig& config, mem::Addr n,
   }
 }
 
-IntraWordResult IntraWordOracle::run(mem::Memory& memory) const {
-  if (memory.size() != n_ || memory.width() != m_) {
+void IntraWordOracle::check_geometry(mem::Addr n, unsigned m) const {
+  if (n != n_ || m != m_) {
     throw std::invalid_argument(
         "IntraWordOracle: built for n = " + std::to_string(n_) +
-        ", m = " + std::to_string(m_) + ", run on n = " +
-        std::to_string(memory.size()) +
-        ", m = " + std::to_string(memory.width()));
+        ", m = " + std::to_string(m_) + ", run on n = " + std::to_string(n) +
+        ", m = " + std::to_string(m));
   }
+}
+
+IntraWordResult IntraWordOracle::run(mem::Memory& memory) const {
+  check_geometry(memory.size(), memory.width());
   const unsigned k = k_;
   const mem::Addr n = n_;
   IntraWordResult result;
@@ -175,6 +179,92 @@ IntraWordResult IntraWordOracle::run(mem::Memory& memory) const {
   result.pass = result.fin == result.fin_expected;
   return result;
 }
+
+template <typename W>
+PackedVerdictT<W> IntraWordOracle::run_packed(
+    mem::PackedFaultRamT<W>& ram) const {
+  check_geometry(ram.size(), ram.width());
+  const unsigned k = k_;
+  const mem::Addr n = n_;
+  // is_tap[j]: window entry j feeds the sweep's feedback.
+  std::vector<char> is_tap(k, 0);
+  for (const unsigned t : taps_) is_tap[t] = 1;
+  // One cell's planes, as read_word fills and write_word takes them.
+  std::vector<W> word(m_);
+  W mismatch{};
+  // Lanes whose Fin bit j of plane b differs from the golden one.
+  auto fin_deviates = [&](const W& value, unsigned b, unsigned j) {
+    return value ^ mem::lane_broadcast<W>((fin_expected_[b] >> j) & 1U);
+  };
+
+  if (mode_ == IntraWordMode::kParallelTrajectories) {
+    // Word-wide accesses on the shared trajectory; the feedback is the
+    // plane-wise XOR of the tapped window words, accumulated as the
+    // window is read.
+    const Trajectory& traj = trajectories_.front();
+    std::vector<W> fb(m_);
+    for (unsigned j = 0; j < k; ++j) {
+      for (unsigned b = 0; b < m_; ++b) {
+        word[b] = mem::lane_broadcast<W>(plane_seeds_[b][j]);
+      }
+      ram.write_word(traj.at(j), word.data());
+    }
+    for (mem::Addr q = 0; q + k < n; ++q) {
+      std::fill(fb.begin(), fb.end(), W{});
+      for (unsigned j = 0; j < k; ++j) {
+        ram.read_word(traj.at(q + j), word.data());
+        if (is_tap[j] == 0) continue;
+        for (unsigned b = 0; b < m_; ++b) fb[b] ^= word[b];
+      }
+      ram.write_word(traj.at(q + k), fb.data());
+    }
+    for (unsigned j = 0; j < k; ++j) {
+      ram.read_word(traj.at(n - k + j), word.data());
+      for (unsigned b = 0; b < m_; ++b) {
+        mismatch |= fin_deviates(word[b], b, j);
+      }
+    }
+  } else {
+    // Plane b sweeps its own trajectory.  Each bit write is run()'s
+    // read-modify-write: read the word, replace plane b with the lane
+    // word, write the word back.
+    for (unsigned b = 0; b < m_; ++b) {
+      const Trajectory& traj = trajectories_[b];
+      auto write_bit = [&](mem::Addr a, const W& bit) {
+        ram.read_word(a, word.data());
+        word[b] = bit;
+        ram.write_word(a, word.data());
+      };
+      auto read_bit = [&](mem::Addr a) {
+        ram.read_word(a, word.data());
+        return word[b];
+      };
+      for (unsigned j = 0; j < k; ++j) {
+        write_bit(traj.at(j), mem::lane_broadcast<W>(plane_seeds_[b][j]));
+      }
+      for (mem::Addr q = 0; q + k < n; ++q) {
+        W fb{};
+        for (unsigned j = 0; j < k; ++j) {
+          const W value = read_bit(traj.at(q + j));
+          if (is_tap[j] != 0) fb ^= value;
+        }
+        write_bit(traj.at(q + k), fb);
+      }
+      for (unsigned j = 0; j < k; ++j) {
+        mismatch |= fin_deviates(read_bit(traj.at(n - k + j)), b, j);
+      }
+    }
+  }
+
+  const W active = ram.active_mask();
+  return {mismatch & active,
+          static_cast<std::uint64_t>(mem::lane_popcount(active)) * ops()};
+}
+
+template PackedVerdictT<mem::LaneWord> IntraWordOracle::run_packed(
+    mem::PackedFaultRamT<mem::LaneWord>&) const;
+template PackedVerdictT<mem::WideWord<8>> IntraWordOracle::run_packed(
+    mem::PackedFaultRamT<mem::WideWord<8>>&) const;
 
 IntraWordResult run_intra_word(mem::Memory& memory,
                                const IntraWordConfig& config) {

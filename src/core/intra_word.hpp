@@ -20,12 +20,19 @@
 // word-alignment of aggressor/victim bit pairs.  In hardware this is
 // the externally programmable trajectory block the paper mentions; in
 // simulation each plane performs masked read-modify-write accesses.
+//
+// IntraWordOracle::run is the live scalar reference on any mem::Memory;
+// IntraWordOracle::run_packed replays the same op sequence on packed
+// fault lanes, one fault per lane, and is what the paper table runs
+// (DESIGN.md §26).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/op_transcript.hpp"
 #include "core/pi_iteration.hpp"
+#include "mem/packed_fault_ram.hpp"
 
 namespace prt::core {
 
@@ -62,7 +69,8 @@ struct IntraWordResult {
 /// the state of the plane LFSR advanced by b steps, so neighbouring
 /// planes always carry distinct local backgrounds (this is the
 /// concrete heuristic standing in for the paper's "values d derive
-/// heuristically").
+/// heuristically").  Throws std::invalid_argument where the WordLfsr
+/// constructor does over GF(2).
 [[nodiscard]] std::vector<gf::Elem> plane_init(
     const std::vector<gf::Elem>& plane_g, unsigned plane);
 
@@ -92,7 +100,23 @@ class IntraWordOracle {
   /// the memory has n cells of m bits.
   [[nodiscard]] IntraWordResult run(mem::Memory& memory) const;
 
+  /// Runs the test on every lane of `ram` at once: the same reads and
+  /// writes, in the same order, as run() on a FaultyRam holding that
+  /// lane's fault, so the op clock, the sense-amp history and retention
+  /// advance as they do there.  A lane is detected when its Fin differs
+  /// from the golden Fin in any plane; scalar_ops is ops() per active
+  /// lane.  Throws std::invalid_argument, naming both geometries,
+  /// unless the ram has n cells of m bits.  Instantiated for the
+  /// 64-lane and the 512-lane word.
+  template <typename W>
+  [[nodiscard]] PackedVerdictT<W> run_packed(
+      mem::PackedFaultRamT<W>& ram) const;
+
  private:
+  /// Throws std::invalid_argument unless (n, m) is the oracle's
+  /// geometry.
+  void check_geometry(mem::Addr n, unsigned m) const;
+
   IntraWordMode mode_ = IntraWordMode::kParallelTrajectories;
   mem::Addr n_ = 0;
   unsigned m_ = 0;
@@ -109,6 +133,11 @@ class IntraWordOracle {
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
 };
+
+extern template PackedVerdictT<mem::LaneWord> IntraWordOracle::run_packed(
+    mem::PackedFaultRamT<mem::LaneWord>&) const;
+extern template PackedVerdictT<mem::WideWord<8>> IntraWordOracle::run_packed(
+    mem::PackedFaultRamT<mem::WideWord<8>>&) const;
 
 /// Runs one intra-word pi-test over an m-bit memory, building the
 /// oracle for this one run.  Throws std::invalid_argument where

@@ -95,7 +95,7 @@ struct PiOracle {
 /// generator g(x)) and runs pi-iterations against memories.
 class PiTester {
  public:
-  /// Precondition: g describes a valid LFSR (see WordLfsr) over `field`.
+  /// Throws std::invalid_argument where the WordLfsr constructor does.
   PiTester(gf::GF2m field, std::vector<gf::Elem> g);
 
   /// Enables the optional MISR read-stream compaction (DESIGN.md §6).

@@ -1,9 +1,8 @@
 #include "gf/const_mult.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-
-#include "util/bitops.hpp"
 
 namespace prt::gf {
 
@@ -93,16 +92,33 @@ XorNetwork synthesize_cse(const MatrixGF2& matrix) {
   net.inputs = static_cast<std::uint32_t>(matrix.cols());
   net.outputs.resize(matrix.rows(), XorNetwork::kGroundSignal);
 
-  // Each row is the set of signals still to be XORed for that output.
+  // Each row is the set of signals still to be XORed for that output,
+  // ascending: a fresh signal is larger than every existing one.
+  // holders[s * words .. + words) is the set of rows holding signal s,
+  // one bit per row, so a pair's row count is one AND and popcount per
+  // 64 rows instead of a scan of every row.
+  const std::size_t words = (matrix.rows() + 63) / 64;
   std::vector<std::vector<std::uint32_t>> rows(matrix.rows());
+  std::vector<std::uint64_t> holders(matrix.cols() * words, 0);
   for (std::size_t r = 0; r < matrix.rows(); ++r) {
     for (std::size_t c = 0; c < matrix.cols(); ++c) {
-      if (matrix.get(r, c)) rows[r].push_back(static_cast<std::uint32_t>(c));
+      if (matrix.get(r, c)) {
+        rows[r].push_back(static_cast<std::uint32_t>(c));
+        holders[c * words + r / 64] |= std::uint64_t{1} << (r % 64);
+      }
     }
   }
+  auto rows_holding_both = [&](std::uint32_t a, std::uint32_t b) {
+    int count = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      count += std::popcount(holders[a * words + w] & holders[b * words + w]);
+    }
+    return count;
+  };
 
   // Paar's greedy CSE: while some signal pair appears in >= 2 rows,
-  // materialize the most frequent pair as a gate and substitute it.
+  // materialize the most frequent pair (the first found on a tie) as a
+  // gate and substitute it.
   while (true) {
     std::uint32_t best_a = 0;
     std::uint32_t best_b = 0;
@@ -110,20 +126,11 @@ XorNetwork synthesize_cse(const MatrixGF2& matrix) {
     for (const auto& row : rows) {
       for (std::size_t i = 0; i < row.size(); ++i) {
         for (std::size_t j = i + 1; j < row.size(); ++j) {
-          const std::uint32_t a = row[i];
-          const std::uint32_t b = row[j];
-          int count = 0;
-          for (const auto& other : rows) {
-            const bool has_a =
-                std::find(other.begin(), other.end(), a) != other.end();
-            const bool has_b =
-                std::find(other.begin(), other.end(), b) != other.end();
-            if (has_a && has_b) ++count;
-          }
+          const int count = rows_holding_both(row[i], row[j]);
           if (count > best_count) {
             best_count = count;
-            best_a = a;
-            best_b = b;
+            best_a = row[i];
+            best_b = row[j];
           }
         }
       }
@@ -132,14 +139,21 @@ XorNetwork synthesize_cse(const MatrixGF2& matrix) {
     net.gates.push_back({best_a, best_b});
     const std::uint32_t fresh =
         net.inputs + static_cast<std::uint32_t>(net.gates.size() - 1);
-    for (auto& row : rows) {
-      auto ia = std::find(row.begin(), row.end(), best_a);
-      auto ib = std::find(row.begin(), row.end(), best_b);
-      if (ia != row.end() && ib != row.end()) {
-        // Remove the larger iterator first to keep the other valid.
-        if (ia < ib) std::swap(ia, ib);
-        row.erase(ia);
-        row.erase(ib);
+    // The rows holding both move from a and b to the fresh signal.
+    holders.resize(holders.size() + words, 0);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t& a = holders[best_a * words + w];
+      std::uint64_t& b = holders[best_b * words + w];
+      const std::uint64_t both = a & b;
+      holders[fresh * words + w] = both;
+      a &= ~both;
+      b &= ~both;
+      for (std::uint64_t bits = both; bits != 0; bits &= bits - 1) {
+        auto& row = rows[w * 64 + static_cast<std::size_t>(
+                                      std::countr_zero(bits))];
+        std::erase_if(row, [&](std::uint32_t s) {
+          return s == best_a || s == best_b;
+        });
         row.push_back(fresh);
       }
     }

@@ -2,20 +2,35 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace prt::lfsr {
 
 WordLfsr::WordLfsr(gf::GF2m field, std::vector<gf::Elem> g)
     : field_(std::move(field)), g_(std::move(g)) {
-  assert(g_.size() >= 2);
-  assert(g_.front() != 0 && "g0 must be non-zero (x must be invertible)");
-  assert(g_.back() != 0 && "gk must be non-zero (degree must be k)");
-  for (gf::Elem c : g_) {
-    assert(c < field_.size());
-    (void)c;
+  if (g_.size() < 2) {
+    throw std::invalid_argument(
+        "WordLfsr: generator has " + std::to_string(g_.size()) +
+        " coefficient(s), so degree k < 1; need g0..gk with k >= 1");
+  }
+  for (std::size_t j = 0; j < g_.size(); ++j) {
+    if (g_[j] >= field_.size()) {
+      throw std::invalid_argument(
+          "WordLfsr: generator coefficient g" + std::to_string(j) + " = " +
+          std::to_string(g_[j]) + " is outside GF(2^" +
+          std::to_string(field_.m()) + ")");
+    }
+  }
+  if (g_.front() == 0 || g_.back() == 0) {
+    // g0 = 0 leaves x non-invertible; gk = 0 drops the degree below k.
+    const std::size_t j = g_.front() == 0 ? 0 : k();
+    throw std::invalid_argument("WordLfsr: generator coefficient g" +
+                                std::to_string(j) +
+                                " = 0; g0 and gk must be non-zero");
   }
   state_.assign(k(), 0);
-  if (!state_.empty()) state_.back() = 1;  // default non-degenerate seed
+  state_.back() = 1;  // default non-degenerate seed
 }
 
 void WordLfsr::seed(std::span<const gf::Elem> seed) {

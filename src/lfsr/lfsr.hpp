@@ -26,8 +26,9 @@ namespace prt::lfsr {
 /// s[t+2] = s[t+1] XOR s[t]).
 class WordLfsr {
  public:
-  /// Precondition: g.size() >= 2 (degree >= 1), g.front() != 0,
-  /// g.back() != 0, and every coefficient < field size.
+  /// Throws std::invalid_argument, naming the value, unless g has
+  /// degree k >= 1 (g.size() >= 2), every coefficient lies in the
+  /// field, and g0 and gk are non-zero.
   WordLfsr(gf::GF2m field, std::vector<gf::Elem> g);
 
   [[nodiscard]] const gf::GF2m& field() const { return field_; }

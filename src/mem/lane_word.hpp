@@ -2,8 +2,9 @@
 //
 // A lane word is a fixed-width bundle of independent 1-bit lanes: bit
 // L is lane L's value, and the packed fault models
-// (mem::PackedFaultRamT, core::run_prt_packed, march::run_march_packed)
-// evaluate one fault per lane with plain bitwise ops.  Two families
+// (mem::PackedFaultRamT, core::run_prt_packed, march::run_march_packed,
+// core::IntraWordOracle::run_packed) evaluate one fault per lane with
+// plain bitwise ops.  Two families
 // model it:
 //
 //  * LaneWord (std::uint64_t) — the 64-lane word; every lane op is

@@ -4,8 +4,99 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
+#include "util/rng.hpp"
+
 namespace prt::gf {
 namespace {
+
+/// Paar's greedy scan as it ran before the per-signal row masks: each
+/// candidate pair counted by searching every row for both signals.  The
+/// library's synthesize_cse must build this network gate for gate.
+XorNetwork reference_cse(const MatrixGF2& matrix) {
+  XorNetwork net;
+  net.inputs = static_cast<std::uint32_t>(matrix.cols());
+  net.outputs.resize(matrix.rows(), XorNetwork::kGroundSignal);
+  std::vector<std::vector<std::uint32_t>> rows(matrix.rows());
+  for (std::size_t r = 0; r < matrix.rows(); ++r) {
+    for (std::size_t c = 0; c < matrix.cols(); ++c) {
+      if (matrix.get(r, c)) rows[r].push_back(static_cast<std::uint32_t>(c));
+    }
+  }
+  while (true) {
+    std::uint32_t best_a = 0;
+    std::uint32_t best_b = 0;
+    int best_count = 1;
+    for (const auto& row : rows) {
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        for (std::size_t j = i + 1; j < row.size(); ++j) {
+          const std::uint32_t a = row[i];
+          const std::uint32_t b = row[j];
+          int count = 0;
+          for (const auto& other : rows) {
+            const bool has_a =
+                std::find(other.begin(), other.end(), a) != other.end();
+            const bool has_b =
+                std::find(other.begin(), other.end(), b) != other.end();
+            if (has_a && has_b) ++count;
+          }
+          if (count > best_count) {
+            best_count = count;
+            best_a = a;
+            best_b = b;
+          }
+        }
+      }
+    }
+    if (best_count < 2) break;
+    net.gates.push_back({best_a, best_b});
+    const std::uint32_t fresh =
+        net.inputs + static_cast<std::uint32_t>(net.gates.size() - 1);
+    for (auto& row : rows) {
+      auto ia = std::find(row.begin(), row.end(), best_a);
+      auto ib = std::find(row.begin(), row.end(), best_b);
+      if (ia != row.end() && ib != row.end()) {
+        if (ia < ib) std::swap(ia, ib);
+        row.erase(ia);
+        row.erase(ib);
+        row.push_back(fresh);
+      }
+    }
+  }
+  // The output trees: synthesize_naive's balanced pairing over each
+  // row's remaining signals.
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::vector<std::uint32_t> sigs = std::move(rows[r]);
+    if (sigs.empty()) continue;
+    while (sigs.size() > 1) {
+      std::vector<std::uint32_t> next;
+      for (std::size_t i = 0; i + 1 < sigs.size(); i += 2) {
+        net.gates.push_back({sigs[i], sigs[i + 1]});
+        next.push_back(net.inputs +
+                       static_cast<std::uint32_t>(net.gates.size() - 1));
+      }
+      if (sigs.size() % 2 == 1) next.push_back(sigs.back());
+      sigs = std::move(next);
+    }
+    net.outputs[r] = sigs[0];
+  }
+  return net;
+}
+
+/// Expects `net` to equal `want` gate for gate and output for output.
+void expect_same_network(const XorNetwork& net, const XorNetwork& want,
+                         const std::string& what) {
+  ASSERT_EQ(net.inputs, want.inputs) << what;
+  ASSERT_EQ(net.gates.size(), want.gates.size()) << what;
+  for (std::size_t i = 0; i < want.gates.size(); ++i) {
+    ASSERT_EQ(net.gates[i].a, want.gates[i].a) << what << " gate " << i;
+    ASSERT_EQ(net.gates[i].b, want.gates[i].b) << what << " gate " << i;
+  }
+  ASSERT_EQ(net.outputs, want.outputs) << what;
+}
 
 TEST(MultiplierMatrix, MultiplyByOneIsIdentity) {
   const GF2m f(0b10011);
@@ -136,6 +227,62 @@ TEST(FeedbackCost, CheckerboardGeneratorIsFree) {
   const GF2m f2(0b11);
   const FeedbackCost cost = feedback_cost(f2, {1, 0, 1});
   EXPECT_EQ(cost.total(), 0u);
+}
+
+// The per-signal row masks change how a pair is counted, not which pair
+// wins: every constant of GF(2^2)..GF(2^10), and 511 seeded constants
+// of each field up to GF(2^16), synthesize the reference's network.
+TEST(SynthesizeCse, SameGatesAsTheRowScanOnEveryFieldConstant) {
+  Xoshiro256 rng(24);
+  for (unsigned m = 2; m <= 16; ++m) {
+    const GF2m f = GF2m::standard(m);
+    std::vector<Elem> constants;
+    if (m <= 10) {
+      for (Elem c = 0; c < f.size(); ++c) constants.push_back(c);
+    } else {
+      for (int i = 0; i < 511; ++i) {
+        constants.push_back(static_cast<Elem>(rng.below(f.size())));
+      }
+    }
+    for (const Elem c : constants) {
+      const MatrixGF2 mat = multiplier_matrix(f, c);
+      expect_same_network(synthesize_cse(mat), reference_cse(mat),
+                          "m=" + std::to_string(m) + " c=" + std::to_string(c));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// Rectangular matrices of any density, and row counts past one 64-bit
+// mask word (65, 100, 130 rows), synthesize the reference's network.
+TEST(SynthesizeCse, SameGatesAsTheRowScanOnRandomMatrices) {
+  Xoshiro256 rng(2024);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 7}, {3, 12}, {12, 3}, {9, 20}, {20, 9}, {33, 16},
+      {64, 10}, {65, 12}, {100, 8}, {130, 6}};
+  for (const auto& [rows, cols] : shapes) {
+    for (int draw = 0; draw < 4; ++draw) {
+      // Densities from sparse to nearly full.
+      const std::uint64_t percent = 15 + 20 * static_cast<std::uint64_t>(draw);
+      MatrixGF2 mat(rows, cols);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          mat.set(r, c, rng.below(100) < percent);
+        }
+      }
+      const XorNetwork net = synthesize_cse(mat);
+      expect_same_network(net, reference_cse(mat),
+                          std::to_string(rows) + "x" + std::to_string(cols) +
+                              " draw " + std::to_string(draw));
+      if (HasFatalFailure()) return;
+      // eval packs the outputs into one word, so it checks the map only
+      // up to 64 rows.
+      for (int x = 0; rows <= 64 && x < 16; ++x) {
+        const std::uint64_t in = rng() & ((std::uint64_t{1} << cols) - 1);
+        ASSERT_EQ(net.eval(in), mat.mul_vec64(in)) << rows << "x" << cols;
+      }
+    }
+  }
 }
 
 // Exhaustive verification sweep: every constant of GF(2^m) for several

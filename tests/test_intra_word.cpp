@@ -12,6 +12,7 @@
 #include "mem/fault_injector.hpp"
 #include "mem/fault_universe.hpp"
 #include "mem/sram.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace prt::core {
@@ -67,6 +68,45 @@ const std::vector<Verdict>& table_verdicts(std::size_t mode) {
   return verdicts[mode];
 }
 
+/// The packed detections of `universe` under `oracle`: kLanes faults
+/// per sweep of a PackedFaultRamT<W>, 1 where the lane is detected.
+/// Also requires each sweep's scalar_ops to be ops() per fault and its
+/// physical op count to be one run's: the replay issues the scalar
+/// run's accesses once per sweep.
+template <typename W>
+std::vector<char> packed_verdicts(const IntraWordOracle& oracle,
+                                  const std::vector<mem::Fault>& universe,
+                                  mem::Addr n, unsigned m) {
+  std::vector<char> detected(universe.size(), 0);
+  mem::PackedFaultRamT<W> ram(n, m);
+  for (std::size_t begin = 0; begin < universe.size(); begin += ram.kLanes) {
+    ram.reset();
+    const std::size_t end = std::min(universe.size(), begin + ram.kLanes);
+    for (std::size_t f = begin; f < end; ++f) ram.add_fault(universe[f]);
+    const PackedVerdictT<W> v = oracle.run_packed(ram);
+    EXPECT_EQ(v.scalar_ops, (end - begin) * oracle.ops());
+    EXPECT_EQ(ram.ops(), oracle.ops());
+    for (std::size_t f = begin; f < end; ++f) {
+      detected[f] = v.lane_detected(static_cast<unsigned>(f - begin)) ? 1 : 0;
+    }
+  }
+  return detected;
+}
+
+/// The table's packed detections in kModes[mode] on 512-lane sweeps.
+const std::vector<char>& table_packed_verdicts(std::size_t mode) {
+  static const std::array<std::vector<char>, 2> verdicts = [] {
+    std::array<std::vector<char>, 2> out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const IntraWordOracle oracle(table_config(kModes[i]), 64, 8);
+      out[i] = packed_verdicts<mem::WideWord<8>>(oracle, table_universe(),
+                                                 64, 8);
+    }
+    return out;
+  }();
+  return verdicts[mode];
+}
+
 /// Expects `fn` to throw std::invalid_argument whose message holds
 /// `names`.
 template <class Fn>
@@ -89,6 +129,24 @@ TEST(PlaneInit, DistinctPhasesForNeighbourPlanes) {
   EXPECT_NE(p1, p2);
   // Period 3: plane 3 wraps to plane 0's phase.
   EXPECT_EQ(plane_init(g, 3), p0);
+}
+
+// plane_init and PiTester build a WordLfsr from their generator, so
+// they reject what its constructor rejects.  With assert-only checks a
+// Release build threw std::bad_alloc for plane_init({}, 3) and returned
+// a state for plane_init({1, 5, 1}, 3).
+TEST(PlaneInit, RejectsAMalformedGenerator) {
+  expect_rejects([] { (void)plane_init({}, 3); }, "0 coefficient(s)");
+  expect_rejects([] { (void)plane_init({1}, 0); }, "1 coefficient(s)");
+  expect_rejects([] { (void)plane_init({1, 5, 1}, 3); },
+                 "g1 = 5 is outside GF(2^1)");
+  expect_rejects([] { (void)plane_init({0, 1, 1}, 0); }, "g0 = 0");
+  expect_rejects([] { (void)PiTester(gf::GF2m(0b11), {1, 3, 1}); },
+                 "g1 = 3 is outside GF(2^1)");
+  expect_rejects([] { (void)PiTester(gf::GF2m(0b11), {0, 1, 1}); },
+                 "g0 = 0");
+  expect_rejects([] { (void)PiTester(gf::GF2m(0b11), {1, 1, 0}); },
+                 "g2 = 0");
 }
 
 TEST(IntraWord, ParallelModePassesFaultFree) {
@@ -283,6 +341,16 @@ TEST(IntraWordValidate, OracleRejectsAMemoryOfAnotherGeometry) {
   expect_rejects([&] { (void)oracle.run(narrower); }, "run on n = 64, m = 4");
 }
 
+TEST(IntraWordValidate, PackedRunRejectsARamOfAnotherGeometry) {
+  const IntraWordOracle oracle(IntraWordConfig{}, 64, 8);
+  mem::PackedFaultRam shorter(63, 8);
+  expect_rejects([&] { (void)oracle.run_packed(shorter); },
+                 "built for n = 64, m = 8, run on n = 63, m = 8");
+  mem::PackedFaultRamT<mem::WideWord<8>> narrower(64, 4);
+  expect_rejects([&] { (void)oracle.run_packed(narrower); },
+                 "built for n = 64, m = 8, run on n = 64, m = 4");
+}
+
 // --- the compiled oracle ----------------------------------------------------
 
 // The table prints rounded percentages, which would hide a shift of one
@@ -297,6 +365,9 @@ TEST(IntraWordOracle, TableUniverseCounts) {
     const std::vector<Verdict>& verdicts = table_verdicts(i);
     EXPECT_EQ(std::count_if(verdicts.begin(), verdicts.end(),
                             [](const Verdict& v) { return !v.first; }),
+              expected_detected[i]);
+    const std::vector<char>& packed = table_packed_verdicts(i);
+    EXPECT_EQ(std::count(packed.begin(), packed.end(), 1),
               expected_detected[i]);
   }
 }
@@ -315,24 +386,127 @@ TEST(IntraWordOracle, ReusedRamMatchesAFreshRunPerFault) {
   }
 }
 
-// Every worker reads one shared oracle (the table's fan-out); under
-// TSan this is the check that the read path shares nothing mutable.
-TEST(IntraWordOracle, SharedAcrossPoolBatchesMatchesSerial) {
+// --- the packed replay --------------------------------------------------
+
+// Every table fault, both modes, both lane words: the lane's verdict is
+// the scalar run's.
+TEST(IntraWordPacked, TableVerdictsMatchTheScalarRun) {
   const std::vector<mem::Fault>& universe = table_universe();
   for (std::size_t i = 0; i < 2; ++i) {
     const IntraWordOracle oracle(table_config(kModes[i]), 64, 8);
-    std::vector<Verdict> pooled(universe.size());
+    const std::vector<char> narrow =
+        packed_verdicts<mem::LaneWord>(oracle, universe, 64, 8);
+    const std::vector<char>& wide = table_packed_verdicts(i);
+    for (std::size_t f = 0; f < universe.size(); ++f) {
+      const char want = table_verdicts(i)[f].first ? 0 : 1;
+      ASSERT_EQ(narrow[f], want) << "64 lanes, mode " << i << ", "
+                                 << universe[f].describe();
+      ASSERT_EQ(wide[f], want) << "512 lanes, mode " << i << ", "
+                               << universe[f].describe();
+    }
+  }
+}
+
+// Random tests on random geometries: m in [2, 32], n in [8, 127], a
+// random plane generator of degree k in [1, 6], random mode, trajectory
+// and seed.  Each universe mixes every kind make_universe emits (NPSF
+// on a 4-column grid when 4 divides n) with retention faults of delay
+// 1..3000; a sample of it runs on the scalar reference and on both
+// lane words.  The sample shrinks as one run's op count grows, so no
+// axis is narrowed to bound the scalar reference's cost: 16 faults of
+// a random-mode test at m = 32, 256 of a small parallel-mode one.
+TEST(IntraWordPacked, MatchesTheScalarRunOnRandomGeometries) {
+  Xoshiro256 rng(0x1a7e5);
+  auto coin = [&] { return rng.below(2) == 1; };
+  constexpr int kDraws = 40;
+  constexpr std::uint64_t kScalarOpsPerDraw = 100000;
+  for (int draw = 0; draw < kDraws; ++draw) {
+    const auto m = static_cast<unsigned>(2 + rng.below(31));
+    const auto n = static_cast<mem::Addr>(8 + rng.below(120));
+    const auto k = static_cast<unsigned>(1 + rng.below(6));
+    IntraWordConfig cfg;
+    cfg.plane_g.assign(k + 1, 0);
+    cfg.plane_g.front() = cfg.plane_g.back() = 1;
+    for (unsigned j = 1; j < k; ++j) {
+      cfg.plane_g[j] = static_cast<gf::Elem>(rng.below(2));
+    }
+    cfg.mode = kModes[rng.below(2)];
+    cfg.trajectory = static_cast<TrajectoryKind>(rng.below(3));
+    cfg.seed = rng();
+
+    mem::UniverseOptions u;
+    u.single_cell = coin();
+    u.read_logic = coin();
+    u.coupling = coin();
+    u.bridges = coin();
+    u.address_decoder = coin();
+    u.intra_word = coin();
+    u.coupling_pair_limit = 4 + rng.below(60);
+    u.seed = rng();
+    if (n % 4 == 0 && coin()) {
+      u.npsf = true;
+      u.npsf_grid_cols = 4;
+    }
+    std::vector<mem::Fault> universe = mem::make_universe(n, m, u);
+    const std::uint64_t retention = 1 + rng.below(40);
+    for (std::uint64_t i = 0; i < retention; ++i) {
+      const mem::BitRef victim{static_cast<mem::Addr>(rng.below(n)),
+                               static_cast<unsigned>(rng.below(m))};
+      const auto decays_to = static_cast<unsigned>(rng.below(2));
+      const std::uint64_t delay = 1 + rng.below(3000);
+      universe.push_back(mem::Fault::retention(victim, decays_to, delay));
+    }
+    const IntraWordOracle oracle(cfg, n, m);
+    // A sample, not the whole universe: the scalar reference costs one
+    // run per fault, the packed replay one per sweep.
+    const std::uint64_t size =
+        std::clamp<std::uint64_t>(kScalarOpsPerDraw / oracle.ops(), 16, 256);
+    std::vector<mem::Fault> sample;
+    for (std::uint64_t i = 0; i < size; ++i) {
+      sample.push_back(universe[rng.below(universe.size())]);
+    }
+
+    std::vector<char> want(sample.size());
+    mem::FaultyRam ram(n, m);
+    for (std::size_t f = 0; f < sample.size(); ++f) {
+      ram.reset(sample[f]);
+      want[f] = oracle.run(ram).pass ? 0 : 1;
+    }
+    const std::vector<char> narrow =
+        packed_verdicts<mem::LaneWord>(oracle, sample, n, m);
+    const std::vector<char> wide =
+        packed_verdicts<mem::WideWord<8>>(oracle, sample, n, m);
+    for (std::size_t f = 0; f < sample.size(); ++f) {
+      ASSERT_EQ(narrow[f], want[f])
+          << "draw " << draw << " (n = " << n << ", m = " << m
+          << ", k = " << k << "), 64 lanes, " << sample[f].describe();
+      ASSERT_EQ(wide[f], want[f])
+          << "draw " << draw << " (n = " << n << ", m = " << m
+          << ", k = " << k << "), 512 lanes, " << sample[f].describe();
+    }
+  }
+}
+
+// Workers share one oracle: 64-lane batches on the shared pool give the
+// serial 512-lane verdicts.  Under TSan this is the check that the
+// packed read path shares nothing mutable.
+TEST(IntraWordPacked, SharedAcrossPoolBatchesMatchesSerial) {
+  const std::vector<mem::Fault>& universe = table_universe();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const IntraWordOracle oracle(table_config(kModes[i]), 64, 8);
+    std::vector<char> pooled(universe.size(), 0);
     util::shared_pool(4).parallel_for_batches(
-        universe.size(), 100,
+        universe.size(), mem::PackedFaultRam::kLanes,
         [&](std::size_t, std::size_t begin, std::size_t end) {
-          mem::FaultyRam ram(64, 8);
+          mem::PackedFaultRam ram(64, 8);
+          for (std::size_t f = begin; f < end; ++f) ram.add_fault(universe[f]);
+          const PackedVerdict v = oracle.run_packed(ram);
           for (std::size_t f = begin; f < end; ++f) {
-            ram.reset(universe[f]);
-            IntraWordResult r = oracle.run(ram);
-            pooled[f] = {r.pass, std::move(r.fin)};
+            pooled[f] =
+                v.lane_detected(static_cast<unsigned>(f - begin)) ? 1 : 0;
           }
         });
-    EXPECT_EQ(pooled, table_verdicts(i));
+    EXPECT_EQ(pooled, table_packed_verdicts(i));
   }
 }
 

@@ -4,10 +4,29 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace prt::lfsr {
 namespace {
 
 using gf::Elem;
+
+/// Expects building an LFSR from `g` over `field` to throw
+/// std::invalid_argument whose message holds `names`.
+void expect_rejected(const gf::GF2m& field, std::vector<Elem> g,
+                     const std::string& names) {
+  try {
+    const WordLfsr l(field, std::move(g));
+    ADD_FAILURE() << "no exception; expected one naming \"" << names
+                  << "\"";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Fig1a, BomSequenceMatchesPaper) {
   // g = 1 + x + x^2 over GF(2): the memory image is the period-3
@@ -180,6 +199,28 @@ TEST(PackState, RoundTrip) {
   const std::vector<Elem> s{0xA, 0x5};
   EXPECT_EQ(l.unpack_state(l.pack_state(s)), s);
   EXPECT_EQ(l.pack_state(s), 0x5Au);  // element 0 in low bits
+}
+
+// The generator checks must hold in every build: with assert-only
+// checks a Release build sized the state to k = g.size() - 1 = 2^32 - 1
+// for an empty generator (std::bad_alloc) and ran a GF(2) automaton
+// with a coefficient of 5.
+TEST(WordLfsr, RejectsDegreeBelowOne) {
+  expect_rejected(gf::GF2m(0b11), {}, "0 coefficient(s)");
+  expect_rejected(gf::GF2m(0b11), {1}, "1 coefficient(s)");
+  EXPECT_NO_THROW(WordLfsr(gf::GF2m(0b11), {1, 1}));
+}
+
+TEST(WordLfsr, RejectsZeroG0AndZeroGk) {
+  expect_rejected(gf::GF2m(0b11), {0, 1, 1}, "g0 = 0");
+  expect_rejected(gf::GF2m(0b10011), {2, 2, 0}, "g2 = 0");
+  expect_rejected(gf::GF2m(0b10011), {0, 0}, "g0 = 0");
+}
+
+TEST(WordLfsr, RejectsACoefficientOutsideTheField) {
+  expect_rejected(gf::GF2m(0b11), {1, 5, 1}, "g1 = 5 is outside GF(2^1)");
+  expect_rejected(gf::GF2m(0b10011), {1, 2, 16}, "g2 = 16 is outside GF(2^4)");
+  EXPECT_NO_THROW(WordLfsr(gf::GF2m(0b10011), {1, 2, 15}));
 }
 
 TEST(MaxPeriod, QKMinusOne) {
