@@ -17,6 +17,12 @@ namespace {
 /// transcript's compiled tap matrix and folds the low min(m, MISR
 /// degree) planes into the MISR.  At m = 1 the word path would compute
 /// the same thing; the bit path keeps the values in registers.
+///
+/// Every per-access lambda below is forced inline
+/// (`__attribute__((always_inline))` after the parameter list, where
+/// both GCC and Clang apply it to the call operator): left to itself
+/// GCC 12 keeps the 512-lane bit path's read and write steps out of
+/// line, one call per access (DESIGN.md §27).
 template <bool kWord, typename W>
 PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
                          const PackedRunOptions& options,
@@ -41,12 +47,13 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
   }
 
   // Plane b of a golden value, broadcast to every lane.
-  auto golden_plane = [](std::uint64_t golden, unsigned b) {
+  auto golden_plane = [](std::uint64_t golden,
+                         unsigned b) __attribute__((always_inline)) {
     return mem::lane_broadcast<W>(static_cast<unsigned>((golden >> b) & 1U));
   };
   // One cell access: a lane word on the bit path, the plane buffer on
   // the word path.
-  auto read = [&](mem::Addr addr) {
+  auto read = [&](mem::Addr addr) __attribute__((always_inline)) {
     if constexpr (kWord) {
       ram.read_word(addr, word);
       return static_cast<const W*>(word);
@@ -54,7 +61,8 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
       return ram.read(addr);
     }
   };
-  auto write = [&](mem::Addr addr, const auto& value) {
+  auto write = [&](mem::Addr addr,
+                   const auto& value) __attribute__((always_inline)) {
     if constexpr (kWord) {
       ram.write_word(addr, value);
     } else {
@@ -62,7 +70,7 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
     }
   };
   // A golden value on every lane, in the shape write() takes.
-  auto broadcast = [&](gf::Elem golden) {
+  auto broadcast = [&](gf::Elem golden) __attribute__((always_inline)) {
     if constexpr (kWord) {
       for (unsigned b = 0; b < m; ++b) word[b] = golden_plane(golden, b);
       return static_cast<const W*>(word);
@@ -71,7 +79,8 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
     }
   };
   // The lanes whose read deviates from `golden` in any plane.
-  auto deviates = [&](const auto& value, gf::Elem golden) {
+  auto deviates = [&](const auto& value,
+                      gf::Elem golden) __attribute__((always_inline)) {
     if constexpr (kWord) {
       W diff{};
       for (unsigned b = 0; b < m; ++b) diff |= value[b] ^ golden_plane(golden, b);
@@ -85,7 +94,7 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
   // accumulates the read planes selected by row r of tap j's matrix
   // (a constant multiply as plane-wide XORs), and the field addition
   // across taps is plane-wise XOR too.
-  auto zero_feedback = [&] {
+  auto zero_feedback = [&]() __attribute__((always_inline)) {
     if constexpr (kWord) {
       std::fill_n(feedback, m, W{});
       return feedback;
@@ -94,7 +103,7 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
     }
   };
   auto add_tap = [&](auto& fb, const auto& value, const PrtIterSpan& it,
-                     unsigned j) {
+                     unsigned j) __attribute__((always_inline)) {
     if constexpr (kWord) {
       const std::uint32_t* rows =
           it.tap_rows.data() + static_cast<std::size_t>(j) * m;
@@ -117,7 +126,7 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
   // exactly: register shift first, then the input word XORed into the
   // state, so plane b lands in state bit b and planes at or above the
   // MISR degree are masked off.
-  auto misr_shift = [&](const auto& value) {
+  auto misr_shift = [&](const auto& value) __attribute__((always_inline)) {
     const W msb = misr[misr_width - 1];
     for (unsigned b = misr_width; b-- > 1;) {
       misr[b] = misr[b - 1] ^ (((t.misr_poly >> b) & 1U) ? msb : W{});
@@ -134,7 +143,7 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
   LaneLatch<W> latch(ram.active_mask());
   // Fin / Init read-back: compared against the golden value and fed to
   // the MISR.
-  auto read_back = [&](const OpRec& rec) {
+  auto read_back = [&](const OpRec& rec) __attribute__((always_inline)) {
     const auto value = read(rec.addr);
     latch.mismatch |= deviates(value, rec.golden);
     if (use_misr) misr_shift(value);

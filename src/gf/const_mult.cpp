@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace prt::gf {
 
@@ -22,6 +24,18 @@ unsigned XorNetwork::depth() const {
 }
 
 std::uint64_t XorNetwork::eval(std::uint64_t in) const {
+  // Input i is bit i of `in` and output r bit r of the result, so a
+  // wider network has no packed word to read from or write to.
+  if (inputs > 64) {
+    throw std::invalid_argument(
+        "XorNetwork::eval: " + std::to_string(inputs) +
+        " inputs do not fit the 64-bit input word");
+  }
+  if (outputs.size() > 64) {
+    throw std::invalid_argument(
+        "XorNetwork::eval: " + std::to_string(outputs.size()) +
+        " outputs do not fit the 64-bit output word");
+  }
   std::vector<std::uint32_t> value(inputs + gates.size(), 0);
   for (std::uint32_t i = 0; i < inputs; ++i) {
     value[i] = static_cast<std::uint32_t>((in >> i) & 1U);

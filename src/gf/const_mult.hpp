@@ -39,7 +39,10 @@ struct XorNetwork {
   /// Longest input-to-output path measured in XOR gates.
   [[nodiscard]] unsigned depth() const;
 
-  /// Evaluates the network on the packed input word (bit i = input i).
+  /// Evaluates the network on the packed input word (bit i = input i);
+  /// bit r of the result is output r.  Throws std::invalid_argument
+  /// naming the count when the network has more than 64 inputs or
+  /// outputs, which the two words cannot hold.
   [[nodiscard]] std::uint64_t eval(std::uint64_t in) const;
 };
 

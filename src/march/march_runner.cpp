@@ -210,13 +210,15 @@ core::PackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
                                          const MarchRunOptions& options) {
   assert(t.n == ram.size());
   assert(t.width == ram.width());
+  // Both paths' access steps are forced inline into the replay loop
+  // (DESIGN.md §27), as the PRT replay's are.
   if (t.width == 1) {
     return replay(
         ram, t, options,
-        [&](mem::Addr addr, gf::Elem golden) {
+        [&](mem::Addr addr, gf::Elem golden) __attribute__((always_inline)) {
           return ram.read(addr) ^ mem::lane_broadcast<W>(golden);
         },
-        [&](mem::Addr addr, gf::Elem golden) {
+        [&](mem::Addr addr, gf::Elem golden) __attribute__((always_inline)) {
           ram.write(addr, mem::lane_broadcast<W>(golden));
         });
   }
@@ -226,7 +228,7 @@ core::PackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
   std::array<W, mem::PackedFaultRamT<W>::kMaxWidth> planes;
   return replay(
       ram, t, options,
-      [&](mem::Addr addr, gf::Elem golden) {
+      [&](mem::Addr addr, gf::Elem golden) __attribute__((always_inline)) {
         ram.read_word(addr, planes.data());
         W diff{};
         for (unsigned b = 0; b < m; ++b) {
@@ -234,7 +236,7 @@ core::PackedVerdictT<W> run_march_packed(mem::PackedFaultRamT<W>& ram,
         }
         return diff;
       },
-      [&](mem::Addr addr, gf::Elem golden) {
+      [&](mem::Addr addr, gf::Elem golden) __attribute__((always_inline)) {
         for (unsigned b = 0; b < m; ++b) {
           planes[b] = mem::lane_broadcast<W>((golden >> b) & 1U);
         }

@@ -22,6 +22,8 @@ PackedFaultRamT<W>::PackedFaultRamT(Addr cells, unsigned width)
   const std::size_t sites = static_cast<std::size_t>(cells) * width;
   data_.assign(sites, W{});
   slot_of_site_.assign(sites, -1);
+  word_old_.resize(width);
+  word_landed_.resize(width);
   // A typical mixed batch touches a handful of sites per lane; the
   // wide instantiations cap the reserve so one batch ram stays a few
   // hundred KB and grows amortized past it instead.
@@ -51,6 +53,7 @@ void PackedFaultRamT<W>::reset() {
   has_af_ = false;
   has_npsf_ = false;
   has_drf_ = false;
+  has_sof_ = false;
   last_read_.fill(W{});
   reads_ = 0;
   writes_ = 0;
@@ -75,6 +78,17 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
   validate_fault(fault, size_, width_);
   if (lanes_used_ >= kLanes) {
     throw std::length_error("PackedFaultRam::add_fault: all lanes taken");
+  }
+  // An SOF lane echoes the previous read, and reads record it only
+  // while the batch holds an SOF lane: a read already served went
+  // unrecorded, so this lane could not echo it.
+  if (fault.kind == FaultKind::kSof && reads_ > 0) {
+    throw std::logic_error(
+        "PackedFaultRam::add_fault: SOF lane added after " +
+        std::to_string(reads_) +
+        " read(s), whose sense-amp history was not kept (fill a fresh or "
+        "reset ram first): " +
+        fault.describe());
   }
   const unsigned lane = lanes_used_++;
   has_two_cell_ = has_two_cell_ || is_coupling(fault.kind);
@@ -116,6 +130,7 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
       break;
     case FaultKind::kSof:
       slot_for(vic).sof |= mask;
+      has_sof_ = true;
       break;
     case FaultKind::kCfIn:
       slot_for(agg).cfin |= mask;
@@ -268,8 +283,9 @@ void PackedFaultRamT<W>::read_word(Addr cell, W* out) {
                  : data_[site];
   }
   // The sense-amp history updates with the whole returned word, after
-  // every plane's patches (FaultyRam stores last_read_ once per read).
-  for (unsigned p = 0; p < width_; ++p) last_read_[p] = out[p];
+  // every plane's patches (FaultyRam stores last_read_ once per read);
+  // only an SOF lane ever reads it.
+  if (has_sof_) std::copy_n(out, width_, last_read_.begin());
 }
 
 template <typename W>
@@ -277,23 +293,24 @@ void PackedFaultRamT<W>::write_word(Addr cell, const W* planes) {
   assert(cell < size_);
   ++writes_;
   const std::size_t base = static_cast<std::size_t>(cell) * width_;
-  std::array<W, kMaxWidth> old{};
-  std::array<W, kMaxWidth> landed{};
+  W* const old = word_old_.data();
+  W* const landed = word_landed_.data();
   bool any_slot = false;
   // Phase 1: land every plane (WDF/TF/SAF per site, decoder
   // suppression) without firing coupling, so intra-word aggressor
   // transitions see their victims' *new* values — all bits of a word
   // write switch together (FaultyRam::physical_write does the same).
+  // Phase 2 reads old/landed only at faulty planes, so a fault-free
+  // plane stores neither.
   for (unsigned p = 0; p < width_; ++p) {
     const std::size_t site = base + p;
-    old[p] = data_[site];
     const std::int16_t slot = slot_of_site_[site];
     if (slot < 0) {
       data_[site] = planes[p];
-      landed[p] = planes[p];
       continue;
     }
     any_slot = true;
+    old[p] = data_[site];
     landed[p] = write_site(site, p, old[p], planes[p],
                            slots_[static_cast<std::size_t>(slot)]);
   }

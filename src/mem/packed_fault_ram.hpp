@@ -103,33 +103,42 @@ class PackedFaultRamT {
   /// an unknown kind, a victim or aggressor cell or bit plane out of
   /// range, a two-cell fault with aggressor == victim, a decoder alias
   /// out of range, or a retention fault with delay == 0);
-  /// std::length_error when all kLanes lanes are taken.
+  /// std::length_error when all kLanes lanes are taken.  The sense-amp
+  /// history an SOF lane echoes is kept only while the batch holds one,
+  /// so an SOF fault added after the ram has served a read (since
+  /// construction or reset()) throws std::logic_error naming the fault:
+  /// the history that lane needs was not kept.  Fill a fresh or reset
+  /// ram before driving it.
   unsigned add_fault(const Fault& fault);
 
   /// Reads every lane's bit of cell `addr` at once, applying each
   /// lane's retention decay and read-logic fault (read_site, the step
   /// read_word() runs per plane).  Preconditions: addr < size(),
   /// width() == 1 (word-oriented memories use read_word()).  Defined
-  /// inline below: the campaign replay loops issue millions of these
-  /// per batch, so the fault-free-cell fast path must inline into
-  /// them.
-  W read(Addr addr);
+  /// inline below and forced inline: the campaign replay loops issue
+  /// millions of these per batch, so the fault-free-cell fast path
+  /// must inline into them.  The ctest packed_accessors_inline holds
+  /// the replays to it: it fails when prt_packed.cpp.o or
+  /// march_runner.cpp.o references read() as an out-of-line symbol.
+  [[gnu::always_inline]] W read(Addr addr);
 
   /// Writes bit lane L of `value` to cell `addr` in lane L's memory,
   /// applying each lane's write fault (write_site, the step
   /// write_word() runs per plane) and then firing each lane's coupling
   /// and NPSF effects (this cell as aggressor, victim, bridge endpoint
   /// or neighbourhood member).  Preconditions: addr < size(), width()
-  /// == 1.  Defined inline below; batches with only single-cell faults
-  /// skip the two-cell/NPSF fire steps entirely (has_two_cell_,
-  /// has_npsf_).
-  void write(Addr addr, W value);
+  /// == 1.  Defined inline below and forced inline, held to it by the
+  /// same packed_accessors_inline ctest as read(); batches with only
+  /// single-cell faults skip the two-cell/NPSF fire steps entirely
+  /// (has_two_cell_, has_npsf_).
+  [[gnu::always_inline]] void write(Addr addr, const W& value);
 
   /// Reads all width() planes of `cell` into out[0..width()), counting
   /// one operation (one clock tick) for the whole word — the packed
   /// equivalent of one FaultyRam::read of a word-oriented memory.  Each
   /// faulty plane runs the same read_site step as read(); the
-  /// sense-amp history updates once, with the whole returned word.
+  /// sense-amp history updates once, with the whole returned word,
+  /// while the batch holds an SOF lane.
   void read_word(Addr cell, W* out);
 
   /// Writes planes[0..width()) to `cell`, counting one operation.
@@ -310,9 +319,17 @@ class PackedFaultRamT {
   /// Same gates for the NPSF re-check and the retention clock math.
   bool has_npsf_ = false;
   bool has_drf_ = false;
+  /// True once any lane holds an SOF fault: only then do the reads
+  /// store the sense-amp history below (add_fault refuses an SOF lane
+  /// once a read has gone unrecorded).
+  bool has_sof_ = false;
   /// Packed sense-amp history (port 0), one word per bit plane — the
   /// lane analogue of FaultyRam's per-port last_read_ word.
   std::array<W, kMaxWidth> last_read_{};
+  /// write_word's per-plane old and landed values, width() words each,
+  /// stored only for the faulty planes its coupling step reads.
+  std::vector<W> word_old_;
+  std::vector<W> word_landed_;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::uint64_t idle_ticks_ = 0;
@@ -321,12 +338,6 @@ class PackedFaultRamT {
 /// The 64-lane instantiation — the name the test suite and the
 /// one-shot replay helpers use.
 using PackedFaultRam = PackedFaultRamT<LaneWord>;
-
-// The packed member definitions live in packed_fault_ram.cpp with
-// explicit instantiations for the supported lane words; only the
-// per-access hot path is inline here.
-extern template class PackedFaultRamT<LaneWord>;
-extern template class PackedFaultRamT<WideWord<8>>;
 
 template <typename W>
 inline W PackedFaultRamT<W>::read_site(std::size_t site, unsigned plane,
@@ -397,12 +408,12 @@ inline W PackedFaultRamT<W>::read(Addr addr) {
   const W value =
       slot >= 0 ? read_site(addr, 0, slots_[static_cast<std::size_t>(slot)])
                 : data_[addr];
-  last_read_[0] = value;
+  if (has_sof_) last_read_[0] = value;
   return value;
 }
 
 template <typename W>
-inline void PackedFaultRamT<W>::write(Addr addr, W value) {
+inline void PackedFaultRamT<W>::write(Addr addr, const W& value) {
   assert(addr < size_);
   assert(width_ == 1);
   ++writes_;
@@ -422,5 +433,13 @@ inline void PackedFaultRamT<W>::write(Addr addr, W value) {
   // physical_write).
   if (has_npsf_ && lane_any(f.npsf_any())) apply_npsf(addr, f);
 }
+
+// The other members live in packed_fault_ram.cpp with explicit
+// instantiations for the supported lane words.  These declarations come
+// after the inline definitions above on purpose: declared before them,
+// GCC 12 treats read() and write() as external, emits no copy of them
+// here and leaves every replay's per-access call out of line.
+extern template class PackedFaultRamT<LaneWord>;
+extern template class PackedFaultRamT<WideWord<8>>;
 
 }  // namespace prt::mem

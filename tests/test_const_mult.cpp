@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -127,6 +128,51 @@ TEST(XorNetwork, EvalOfEmptyNetworkIsGround) {
   net.outputs = {XorNetwork::kGroundSignal, 0, 1, 2};
   EXPECT_EQ(net.eval(0b1111), 0b1110u);
   EXPECT_EQ(net.depth(), 0u);
+}
+
+// eval packs the inputs and the outputs into one 64-bit word each, so
+// a network past 64 of either is refused by name rather than shifted
+// out of range (undefined, and reported as such under UBSan).  Up to 64
+// it still computes the matrix's map.
+TEST(XorNetwork, EvalRejectsNetworksWiderThanItsWord) {
+  Xoshiro256 rng(70);
+  auto random_matrix = [&](std::size_t rows, std::size_t cols) {
+    MatrixGF2 mat(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) mat.set(r, c, rng.below(2) == 1);
+    }
+    return mat;
+  };
+  const auto message_of = [](const XorNetwork& net) -> std::string {
+    try {
+      (void)net.eval(1);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  const MatrixGF2 tall = random_matrix(70, 3);
+  const MatrixGF2 wide = random_matrix(3, 70);
+  for (const XorNetwork& net : {synthesize_naive(tall), synthesize_cse(tall)}) {
+    EXPECT_NE(message_of(net).find("70 outputs"), std::string::npos)
+        << message_of(net);
+  }
+  for (const XorNetwork& net : {synthesize_naive(wide), synthesize_cse(wide)}) {
+    EXPECT_NE(message_of(net).find("70 inputs"), std::string::npos)
+        << message_of(net);
+  }
+  const MatrixGF2 tall64 = random_matrix(64, 3);
+  const MatrixGF2 wide64 = random_matrix(3, 64);
+  for (const MatrixGF2* mat : {&tall64, &wide64}) {
+    const XorNetwork naive = synthesize_naive(*mat);
+    const XorNetwork cse = synthesize_cse(*mat);
+    for (int x = 0; x < 16; ++x) {
+      const std::uint64_t in =
+          rng() & ((std::uint64_t{1} << (mat->cols() - 1) << 1) - 1);
+      ASSERT_EQ(naive.eval(in), mat->mul_vec64(in)) << mat->rows();
+      ASSERT_EQ(cse.eval(in), mat->mul_vec64(in)) << mat->rows();
+    }
+  }
 }
 
 TEST(SynthesizeNaive, RealizesTheMatrix) {
@@ -275,8 +321,8 @@ TEST(SynthesizeCse, SameGatesAsTheRowScanOnRandomMatrices) {
                           std::to_string(rows) + "x" + std::to_string(cols) +
                               " draw " + std::to_string(draw));
       if (HasFatalFailure()) return;
-      // eval packs the outputs into one word, so it checks the map only
-      // up to 64 rows.
+      // eval packs the outputs into one word (and throws past 64 of
+      // them), so it checks the map only up to 64 rows.
       for (int x = 0; rows <= 64 && x < 16; ++x) {
         const std::uint64_t in = rng() & ((std::uint64_t{1} << cols) - 1);
         ASSERT_EQ(net.eval(in), mat.mul_vec64(in)) << rows << "x" << cols;

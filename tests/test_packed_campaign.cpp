@@ -197,25 +197,45 @@ mem::Word lane_word_of(const W* planes, unsigned m, unsigned lane) {
 /// write carries independent random data per lane and plane, which is
 /// what exercises the lane-disjoint fault masks (the replays only ever
 /// write broadcast goldens or feedback).  With `pauses`, one step in
-/// five advances both clocks by a random idle window instead.
+/// five advances both clocks by a random idle window instead.  With
+/// `writes_before`, that many random writes (and no read) land in both
+/// memories before the faults are injected.
 template <typename W>
 void expect_lanes_match_scalar(const std::vector<mem::Fault>& faults,
                                mem::Addr n, unsigned m, std::uint64_t seed,
-                               int steps, bool pauses = false) {
+                               int steps, bool pauses = false,
+                               int writes_before = 0) {
   SCOPED_TRACE("m = " + std::to_string(m) + ", " +
                std::to_string(mem::LaneTraits<W>::kLanes) + " lanes");
   ASSERT_LE(faults.size(), mem::LaneTraits<W>::kLanes);
   mem::PackedFaultRamT<W> packed(n, m);
   std::vector<std::unique_ptr<mem::FaultyRam>> scalars;
-  for (const mem::Fault& f : faults) {
-    packed.add_fault(f);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
     scalars.push_back(std::make_unique<mem::FaultyRam>(n, m));
-    scalars.back()->inject(f);
   }
   std::array<W, mem::PackedFaultRamT<W>::kMaxWidth> planes{};
+  std::uint64_t x = seed;
+  const auto write_both = [&](mem::Addr addr) {
+    for (unsigned b = 0; b < m; ++b) planes[b] = random_lanes<W>(x);
+    if (m == 1) {
+      packed.write(addr, planes[0]);
+    } else {
+      packed.write_word(addr, planes.data());
+    }
+    for (unsigned lane = 0; lane < scalars.size(); ++lane) {
+      scalars[lane]->write(addr, lane_word_of(planes.data(), m, lane), 0);
+    }
+  };
+  for (int i = 0; i < writes_before; ++i) {
+    write_both(static_cast<mem::Addr>(next_rand(x) % n));
+  }
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    packed.add_fault(faults[i]);
+    scalars[i]->inject(faults[i]);
+  }
   // Injection-time condition enforcement (the stuck-at clamp, CFst,
   // bridge ties, NPSF pattern 0b0000 on the all-zero power-up
-  // neighbourhood) must match before any traffic.
+  // neighbourhood) must match before any further traffic.
   for (mem::Addr addr = 0; addr < n; ++addr) {
     for (unsigned b = 0; b < m; ++b) planes[b] = packed.peek(addr * m + b);
     for (unsigned lane = 0; lane < scalars.size(); ++lane) {
@@ -225,7 +245,6 @@ void expect_lanes_match_scalar(const std::vector<mem::Fault>& faults,
           << faults[lane].describe() << ")";
     }
   }
-  std::uint64_t x = seed;
   for (int step = 0; step < steps; ++step) {
     if (pauses && next_rand(x) % 5 == 0) {
       // A pause: both clocks advance by the same idle window, which
@@ -237,15 +256,7 @@ void expect_lanes_match_scalar(const std::vector<mem::Fault>& faults,
     }
     const mem::Addr addr = static_cast<mem::Addr>(next_rand(x) % n);
     if (next_rand(x) & 1) {
-      for (unsigned b = 0; b < m; ++b) planes[b] = random_lanes<W>(x);
-      if (m == 1) {
-        packed.write(addr, planes[0]);
-      } else {
-        packed.write_word(addr, planes.data());
-      }
-      for (unsigned lane = 0; lane < scalars.size(); ++lane) {
-        scalars[lane]->write(addr, lane_word_of(planes.data(), m, lane), 0);
-      }
+      write_both(addr);
     } else {
       if (m == 1) {
         planes[0] = packed.read(addr);
@@ -267,38 +278,95 @@ void expect_lanes_match_scalar(const std::vector<mem::Fault>& faults,
 template <typename MakeFaults>
 void expect_lanes_match_scalar_at_every_width(MakeFaults&& make_faults,
                                               mem::Addr n, std::uint64_t seed,
-                                              int steps, bool pauses = false) {
+                                              int steps, bool pauses = false,
+                                              int writes_before = 0) {
   for (const unsigned m : {1u, 4u}) {
     expect_lanes_match_scalar<mem::LaneWord>(
         make_faults(mem::LaneTraits<mem::LaneWord>::kLanes, m), n, m, seed,
-        steps, pauses);
+        steps, pauses, writes_before);
     expect_lanes_match_scalar<Wide>(make_faults(mem::LaneTraits<Wide>::kLanes, m),
-                                    n, m, seed, steps, pauses);
+                                    n, m, seed, steps, pauses, writes_before);
   }
 }
 
+/// `lanes` faults of n m-bit cells cycling through the first `kinds`
+/// single-cell kinds (SOF is the ninth, so kinds = 8 leaves it out),
+/// every cell and every bit plane.
+std::vector<mem::Fault> single_cell_faults(unsigned lanes, mem::Addr n,
+                                           unsigned m, unsigned kinds) {
+  std::vector<mem::Fault> faults;
+  for (unsigned i = 0; faults.size() < lanes; ++i) {
+    const mem::BitRef v{i % n, (i / n) % m};
+    switch (i % kinds) {
+      case 0: faults.push_back(mem::Fault::saf(v, 0)); break;
+      case 1: faults.push_back(mem::Fault::saf(v, 1)); break;
+      case 2: faults.push_back(mem::Fault::tf(v, true)); break;
+      case 3: faults.push_back(mem::Fault::tf(v, false)); break;
+      case 4: faults.push_back(mem::Fault::wdf(v)); break;
+      case 5: faults.push_back(mem::Fault::rdf(v)); break;
+      case 6: faults.push_back(mem::Fault::drdf(v)); break;
+      case 7: faults.push_back(mem::Fault::irf(v)); break;
+      case 8: faults.push_back(mem::Fault::sof(v)); break;
+    }
+  }
+  return faults;
+}
+
+// Single-cell lanes, in a batch beside SOF lanes and in one without any:
+// reads record the sense-amp history only while the batch holds an SOF
+// lane, and both batches must match FaultyRam through read (m = 1) and
+// read_word (m = 4).
 TEST(PackedFaultRam, EveryLaneMatchesScalarFaultyRamOnRandomTraffic) {
   const mem::Addr n = 24;
-  // Faults cycling through every single-cell kind, cell and bit plane.
-  const auto make_faults = [&](unsigned lanes, unsigned m) {
-    std::vector<mem::Fault> faults;
-    for (unsigned i = 0; faults.size() < lanes; ++i) {
-      const mem::BitRef v{i % n, (i / n) % m};
-      switch (i % 9) {
-        case 0: faults.push_back(mem::Fault::saf(v, 0)); break;
-        case 1: faults.push_back(mem::Fault::saf(v, 1)); break;
-        case 2: faults.push_back(mem::Fault::tf(v, true)); break;
-        case 3: faults.push_back(mem::Fault::tf(v, false)); break;
-        case 4: faults.push_back(mem::Fault::wdf(v)); break;
-        case 5: faults.push_back(mem::Fault::rdf(v)); break;
-        case 6: faults.push_back(mem::Fault::drdf(v)); break;
-        case 7: faults.push_back(mem::Fault::irf(v)); break;
-        case 8: faults.push_back(mem::Fault::sof(v)); break;
-      }
+  for (const unsigned kinds : {9u, 8u}) {
+    SCOPED_TRACE(kinds == 9 ? "with SOF lanes" : "without SOF lanes");
+    expect_lanes_match_scalar_at_every_width(
+        [&](unsigned lanes, unsigned m) {
+          return single_cell_faults(lanes, n, m, kinds);
+        },
+        n, 0xC0FFEE, 4000);
+  }
+}
+
+// An SOF lane echoes the previous read, and reads record it only while
+// the batch holds an SOF lane: one added after a read would echo a
+// history nobody kept, so add_fault refuses it, naming the fault, until
+// reset().  Writes alone record nothing an SOF lane reads, so SOF lanes
+// added after writes only must still match FaultyRam op for op.
+TEST(PackedFaultRam, SofLaneAfterAReadThrows) {
+  const mem::Fault sof = mem::Fault::sof({3, 0});
+  const auto refusal = [&](auto& ram) -> std::string {
+    try {
+      ram.add_fault(sof);
+    } catch (const std::logic_error& e) {
+      return e.what();
     }
-    return faults;
+    return "accepted";
   };
-  expect_lanes_match_scalar_at_every_width(make_faults, n, 0xC0FFEE, 4000);
+  mem::PackedFaultRam ram(8);
+  ram.add_fault(mem::Fault::saf({1, 0}, 1));
+  ram.write(3, ~mem::LaneWord{0});
+  (void)ram.read(3);
+  const std::string message = refusal(ram);
+  EXPECT_NE(message.find(sof.describe()), std::string::npos) << message;
+  EXPECT_NE(message.find("after 1 read"), std::string::npos) << message;
+  EXPECT_EQ(ram.lanes_used(), 1u);  // the refused fault took no lane
+  ram.reset();
+  EXPECT_EQ(ram.add_fault(sof), 0u);
+  // A word read is a read too (here on 512 lanes).
+  mem::PackedFaultRamT<Wide> wide(8, 4);
+  std::array<Wide, 4> planes{};
+  wide.read_word(2, planes.data());
+  EXPECT_NE(refusal(wide).find(sof.describe()), std::string::npos);
+  wide.reset();
+  EXPECT_EQ(wide.add_fault(sof), 0u);
+
+  const mem::Addr n = 24;
+  expect_lanes_match_scalar_at_every_width(
+      [&](unsigned lanes, unsigned m) {
+        return single_cell_faults(lanes, n, m, 9);
+      },
+      n, 0x50F, 2000, false, 40);
 }
 
 // Coupling lanes: every two-cell kind across varied aggressor/victim
