@@ -155,11 +155,6 @@ void OracleCache::set_budget_bytes(std::size_t budget) {
   evict_locked();
 }
 
-std::size_t OracleCache::budget_bytes() const {
-  util::MutexLock lock(mutex_);
-  return budget_bytes_;
-}
-
 void OracleCache::clear() {
   util::MutexLock lock(mutex_);
   slots_.clear();

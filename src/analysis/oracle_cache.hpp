@@ -99,7 +99,6 @@ class OracleCache {
   /// budget before returning.  The budget bounds *cached* footprint
   /// only — entries handed out stay alive through their shared_ptrs.
   void set_budget_bytes(std::size_t budget);
-  [[nodiscard]] std::size_t budget_bytes() const;
 
   /// Drops every cached entry (outstanding shared_ptrs stay valid).
   /// Benches use this to measure cold-start construction costs.

@@ -29,8 +29,8 @@
 // immutable after construction.  The live runs stay the scalar
 // reference: per-lane verdicts and abort ops of the replays must equal
 // run_prt / run_march_backgrounds on a FaultyRam holding that lane's
-// fault (tests/test_op_transcript.cpp, the packed parity tests and the
-// campaign fuzzer).  See DESIGN.md §9 and §21.
+// fault (the campaign fuzzer, tests/test_fuzz_campaign.cpp).  See
+// DESIGN.md §9, §21 and §28.
 #pragma once
 
 #include <cstdint>

@@ -106,7 +106,6 @@ class PiTester {
   /// probability grows).  Throws std::invalid_argument naming `poly`
   /// when its degree is outside [1, 63].
   void enable_misr(gf::Poly2 poly);
-  [[nodiscard]] bool misr_enabled() const { return misr_poly_ != 0; }
 
   [[nodiscard]] const gf::GF2m& field() const { return lfsr_.field(); }
   [[nodiscard]] unsigned k() const { return lfsr_.k(); }

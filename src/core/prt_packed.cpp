@@ -231,20 +231,4 @@ template PackedVerdictT<mem::WideWord<8>> run_prt_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const OpTranscript&,
     const PackedRunOptions&, PackedScratchT<mem::WideWord<8>>&);
 
-PackedVerdict run_prt_packed(mem::PackedFaultRam& ram,
-                             const PrtScheme& scheme,
-                             const PrtOracle& oracle,
-                             const PackedRunOptions& options) {
-  assert(oracle.n == ram.size());
-  const OpTranscript transcript = make_op_transcript(scheme, oracle);
-  PackedScratch scratch;
-  return run_prt_packed(ram, transcript, options, scratch);
-}
-
-std::uint64_t run_prt_packed(mem::PackedFaultRam& ram,
-                             const PrtScheme& scheme,
-                             const PrtOracle& oracle) {
-  return run_prt_packed(ram, scheme, oracle, PackedRunOptions{}).detected;
-}
-
 }  // namespace prt::core

@@ -34,9 +34,9 @@
 //
 // Detection semantics per lane are identical to
 // run_prt(FaultyRam, scheme, oracle).detected() for the same single
-// fault — the parity tests in tests/test_packed_campaign.cpp and the
-// lane-batching campaign layer (analysis/campaign_driver.hpp) rely on
-// it.
+// fault — the campaign fuzzer (tests/test_fuzz_campaign.cpp) holds it,
+// and the lane-batching campaign layer (analysis/campaign_driver.hpp)
+// relies on it.
 //
 // Per-lane early abort: the replay keeps its lanes in a
 // core::LaneLatch (op_transcript.hpp), shared with the March replay.
@@ -82,8 +82,6 @@ struct PackedScratchT {
   std::vector<W> planes;
 };
 
-using PackedScratch = PackedScratchT<mem::LaneWord>;
-
 /// Replays a compiled PRT transcript against the packed ram — the
 /// campaign hot loop, one instantiation per lane width — and returns
 /// the core::PackedVerdictT shared with the March replay.
@@ -102,22 +100,5 @@ extern template PackedVerdictT<mem::LaneWord> run_prt_packed(
 extern template PackedVerdictT<mem::WideWord<8>> run_prt_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const OpTranscript&,
     const PackedRunOptions&, PackedScratchT<mem::WideWord<8>>&);
-
-/// Oracle-based convenience overload: compiles the transcript on the
-/// fly (one-shot callers, tests; 64-lane).  Preconditions:
-/// validate_prt_scheme(scheme, ram.size(), ram.width()) passes, oracle
-/// built by make_prt_oracle(scheme, ram.size()).
-[[nodiscard]] PackedVerdict run_prt_packed(mem::PackedFaultRam& ram,
-                                           const PrtScheme& scheme,
-                                           const PrtOracle& oracle,
-                                           const PackedRunOptions& options);
-
-/// Full-scheme convenience overload: returns just the detected mask of
-/// a run without early abort.  The physical op count ram.ops() is at
-/// most the scalar per-fault op count of a complete run, and equal to
-/// it when a lane survives the whole scheme.
-[[nodiscard]] std::uint64_t run_prt_packed(mem::PackedFaultRam& ram,
-                                           const PrtScheme& scheme,
-                                           const PrtOracle& oracle);
 
 }  // namespace prt::core

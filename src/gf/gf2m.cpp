@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "util/bitops.hpp"
 
@@ -11,10 +13,14 @@ GF2m::GF2m(Poly2 modulus)
     : modulus_(modulus),
       m_(static_cast<unsigned>(poly_degree(modulus))),
       z_primitive_(false) {
-  assert(m_ >= 1 && m_ <= 16);
-  assert((modulus & 1) != 0 &&
-         "modulus needs a non-zero constant term (use z+1 for GF(2))");
-  assert(is_irreducible(modulus));
+  // Over a reducible modulus (z^2 + 1 = (z + 1)^2, say) the arithmetic
+  // below would be a ring's, not a field's.
+  if (m_ < 1 || m_ > 16 || (modulus & 1) == 0 || !is_irreducible(modulus)) {
+    throw std::invalid_argument(
+        "GF2m: modulus " + std::to_string(modulus) +
+        " needs degree in [1, 16], a constant term and no factor over "
+        "GF(2) (z + 1 for GF(2))");
+  }
   z_primitive_ = (m_ == 1) || (order_of_x(modulus) == group_order());
   if (z_primitive_) {
     exp_table_.resize(group_order());

@@ -20,8 +20,9 @@ using Elem = std::uint32_t;
 /// (value < 2^m); callers must not pass unreduced values.
 class GF2m {
  public:
-  /// Builds the field from an irreducible modulus.  Precondition:
-  /// deg(modulus) in [1,16] and is_irreducible(modulus).
+  /// Builds the field from an irreducible modulus.  Throws
+  /// std::invalid_argument naming the modulus unless it has degree in
+  /// [1, 16], a non-zero constant term and is_irreducible(modulus).
   explicit GF2m(Poly2 modulus);
 
   /// Convenience: the field GF(2^m) over the lexicographically first

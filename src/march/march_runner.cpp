@@ -251,14 +251,6 @@ template core::PackedVerdictT<mem::WideWord<8>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const core::OpTranscript&,
     const MarchRunOptions&);
 
-std::uint64_t run_march_packed(const MarchTest& test,
-                               mem::PackedFaultRam& ram, bool background,
-                               std::uint64_t delay_ticks) {
-  const core::OpTranscript t = make_march_transcript(
-      test, ram.size(), background, delay_ticks, ram.width());
-  return run_march_packed(ram, t, MarchRunOptions{}).detected;
-}
-
 MarchResult run_march_backgrounds(const MarchTest& test, mem::Memory& memory,
                                   const std::vector<mem::Word>& backgrounds,
                                   const MarchRunOptions& options) {
@@ -283,7 +275,11 @@ MarchResult run_march_backgrounds(const MarchTest& test, mem::Memory& memory,
 }
 
 std::vector<mem::Word> standard_backgrounds(unsigned m) {
-  assert(m >= 1 && m <= 32);
+  if (m < 1 || m > 32) {
+    throw std::invalid_argument(
+        "standard_backgrounds: m must be in [1, 32] (got " +
+        std::to_string(m) + ")");
+  }
   std::vector<mem::Word> bgs{0};
   // Stripe widths 1, 2, 4, ... < m produce the checkerboard family.
   for (unsigned stripe = 1; stripe < m; stripe <<= 1) {

@@ -117,16 +117,10 @@ extern template core::PackedVerdictT<mem::WideWord<8>> run_march_packed(
     mem::PackedFaultRamT<mem::WideWord<8>>&, const core::OpTranscript&,
     const MarchRunOptions&);
 
-/// Convenience overload compiling the transcript on the fly at the
-/// ram's width (one-shot callers, tests): the detected mask of a full
-/// run without early abort.
-[[nodiscard]] std::uint64_t run_march_packed(
-    const MarchTest& test, mem::PackedFaultRam& ram,
-    bool background = false, std::uint64_t delay_ticks = kDefaultDelayTicks);
-
 /// The standard data backgrounds for an m-bit word: solid 0,
 /// checkerboard 0101.., double stripe 0011.., quad stripe 00001111..,
-/// etc — ceil(log2(m)) + 1 words.  m = 1 yields just {0}.
+/// etc — ceil(log2(m)) + 1 words.  m = 1 yields just {0}.  Throws
+/// std::invalid_argument naming m outside [1, 32].
 [[nodiscard]] std::vector<mem::Word> standard_backgrounds(unsigned m);
 
 }  // namespace prt::march

@@ -5,10 +5,11 @@
 // here, per width: the helper identities (broadcast, single-lane bit,
 // test/assign round trips, popcount, low masks, ascending set-lane
 // iteration), the WideWord limb layout (lane L = limb L/64, bit L%64,
-// limb 0 bit-compatible with the uint64 word), the width-generic
-// PackedVerdictT accessors, and — the load-bearing property — that a
-// WideWord<8> PRT replay is lane-for-lane identical to 64-lane replays
-// over the same faults, full-run and early-abort.
+// limb 0 bit-compatible with the uint64 word) and the width-generic
+// PackedVerdictT accessors.  That a replay's lane verdicts do not
+// depend on the lane word is the differential fuzzer's to hold
+// (tests/test_fuzz_campaign.cpp): it runs 512- and 64-lane batches of
+// both replays against the scalar reference.
 #include "mem/lane_word.hpp"
 
 #include <gtest/gtest.h>
@@ -18,10 +19,6 @@
 #include <vector>
 
 #include "core/op_transcript.hpp"
-#include "core/prt_engine.hpp"
-#include "core/prt_packed.hpp"
-#include "mem/fault_universe.hpp"
-#include "mem/packed_fault_ram.hpp"
 
 namespace prt {
 namespace {
@@ -196,73 +193,6 @@ TYPED_TEST(LaneWordTyped, PackedVerdictAccessorsAreWidthGeneric) {
   mem::lane_assign(verdict.detected, 3, false);
   EXPECT_EQ(verdict.detected_count(), 3u);
   EXPECT_FALSE(verdict.lane_detected(3));
-}
-
-// --- wide replay parity ---------------------------------------------------
-
-/// > 64 lane-compatible faults: the full single-cell kind mix plus the
-/// coupling pairs, enough to occupy several 64-lane groups.
-std::vector<mem::Fault> multi_group_universe(mem::Addr n) {
-  std::vector<mem::Fault> u = mem::single_cell_universe(n, 1,
-                                                        /*read_logic=*/true);
-  std::vector<std::pair<mem::Addr, mem::Addr>> pairs;
-  for (mem::Addr c = 0; c < 8 && c + 1 < n; ++c) pairs.emplace_back(c, c + 1);
-  const auto coupling = mem::coupling_universe(pairs, /*bit=*/0);
-  u.insert(u.end(), coupling.begin(), coupling.end());
-  return u;
-}
-
-/// One WideWord<8> replay over `universe` must reproduce, lane for
-/// lane, the verdicts of ceil(|universe| / 64) independent 64-lane
-/// replays over the same faults in the same order (each 64-lane group
-/// is pinned to the scalar oracle by the RunPrtPacked suite, so this
-/// transitively anchors the wide word to the scalar reference), and
-/// the scalar-equivalent op accounting must agree group by group.
-void check_wide_replay_parity(bool early_abort) {
-  const mem::Addr n = 16;
-  const core::PrtScheme scheme = core::extended_scheme_bom(n);
-  const auto oracle = core::make_prt_oracle(scheme, n);
-  const core::OpTranscript transcript = core::make_op_transcript(scheme, oracle);
-  const std::vector<mem::Fault> universe = multi_group_universe(n);
-  ASSERT_GT(universe.size(), 64u);
-  ASSERT_LE(universe.size(), mem::PackedFaultRamT<Wide>::kLanes);
-
-  mem::PackedFaultRamT<Wide> wide(n);
-  for (const mem::Fault& f : universe) wide.add_fault(f);
-  core::PackedScratchT<Wide> wide_scratch;
-  const core::PackedRunOptions opt{.early_abort = early_abort};
-  const auto wide_verdict = core::run_prt_packed(wide, transcript, opt,
-                                                 wide_scratch);
-
-  std::uint64_t narrow_scalar_ops = 0;
-  core::PackedScratchT<mem::LaneWord> narrow_scratch;
-  for (std::size_t base = 0; base < universe.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, universe.size() - base);
-    mem::PackedFaultRam narrow(n);
-    for (std::size_t j = 0; j < count; ++j) narrow.add_fault(universe[base + j]);
-    const auto narrow_verdict =
-        core::run_prt_packed(narrow, transcript, opt, narrow_scratch);
-    narrow_scalar_ops += narrow_verdict.scalar_ops;
-    for (unsigned lane = 0; lane < count; ++lane) {
-      EXPECT_EQ(wide_verdict.lane_detected(static_cast<unsigned>(base) + lane),
-                narrow_verdict.lane_detected(lane))
-          << "early_abort=" << early_abort << " fault "
-          << (base + lane) << " (" << universe[base + lane].describe() << ")";
-    }
-  }
-  const auto active = wide_verdict.detected & wide.active_mask();
-  EXPECT_EQ(mem::lane_popcount(active),
-            core::PackedVerdictT<Wide>{.detected = active}.detected_count());
-  EXPECT_EQ(wide_verdict.scalar_ops, narrow_scalar_ops)
-      << "early_abort=" << early_abort;
-}
-
-TEST(LaneWord, WideReplayMatchesNarrowGroupsFullRun) {
-  check_wide_replay_parity(/*early_abort=*/false);
-}
-
-TEST(LaneWord, WideReplayMatchesNarrowGroupsEarlyAbort) {
-  check_wide_replay_parity(/*early_abort=*/true);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // baseline the paper positions PRT against.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "march/march_library.hpp"
 #include "march/march_runner.hpp"
 #include "mem/fault_injector.hpp"
@@ -256,6 +259,19 @@ TEST(Backgrounds, StandardSetShape) {
   EXPECT_EQ(standard_backgrounds(8)[1], 0xAAu);
   EXPECT_EQ(standard_backgrounds(8)[2], 0xCCu);
   EXPECT_EQ(standard_backgrounds(8)[3], 0xF0u);
+  EXPECT_EQ(standard_backgrounds(32).size(), 6u);
+}
+
+// A width past 32 used to shift a 32-bit word by 33 (UBSan), and 0
+// returned the one background {0}; both throw, naming m.
+TEST(Backgrounds, RejectWidthsOutsideTheWord) {
+  EXPECT_THROW((void)standard_backgrounds(0), std::invalid_argument);
+  try {
+    (void)standard_backgrounds(40);
+    ADD_FAILURE() << "no std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("(got 40)"), std::string::npos);
+  }
 }
 
 TEST(Runner, MismatchCountsAccumulate) {

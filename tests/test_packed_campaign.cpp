@@ -1,31 +1,24 @@
-// Word-packed SIMD fault lanes (mem/packed_fault_ram, core/prt_packed,
-// and the lane-batching layer in analysis/campaign_engine).
+// Word-packed SIMD fault lanes (mem/packed_fault_ram and core/prt_packed).
 //
 // The load-bearing property is bit-identity: every lane of the packed
 // ram must behave exactly like a scalar FaultyRam holding that lane's
-// single fault, and the packed campaign path must reproduce the serial
-// scalar CampaignResult — coverage, per-class counts, escape indices
-// and op totals — on any universe.
+// single fault, under random traffic at both lane words.  The packed
+// replays and the campaign surfaces above them are held to the scalar
+// reference by the differential fuzzer (tests/test_fuzz_campaign.cpp);
+// what stays here is the ram itself and the decided-batch stop.
 #include "core/prt_packed.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis/campaign_engine.hpp"
-#include "analysis/march_campaign.hpp"
-#include "live_reference.hpp"
-#include "march/march_library.hpp"
 #include "mem/fault_injector.hpp"
-#include "mem/fault_universe.hpp"
 #include "mem/packed_fault_ram.hpp"
 
 namespace prt {
@@ -34,14 +27,6 @@ namespace {
 std::uint64_t next_rand(std::uint64_t& x) {
   x = x * 6364136223846793005ULL + 1442695040888963407ULL;
   return x ^ (x >> 29);
-}
-
-void expect_identical(const analysis::CampaignResult& a,
-                      const analysis::CampaignResult& b) {
-  EXPECT_EQ(a.overall, b.overall);
-  EXPECT_EQ(a.by_class, b.by_class);
-  EXPECT_EQ(a.escapes, b.escapes);
-  EXPECT_EQ(a.ops, b.ops);
 }
 
 // --- fault admission -----------------------------------------------------
@@ -118,9 +103,12 @@ TEST(PackedFaultRam, RejectsIncompatibleAndOverflowingFaults) {
     }
     const auto scheme = core::extended_scheme_bom(8);
     const auto oracle = core::make_prt_oracle(scheme, 8);
+    const core::OpTranscript t = core::make_op_transcript(scheme, oracle);
+    core::PackedScratchT<mem::LaneWord> scratch;
     lane.reset();
     lane.add_fault(inert);
-    EXPECT_EQ(core::run_prt_packed(lane, scheme, oracle) & lane.active_mask(),
+    EXPECT_EQ(core::run_prt_packed(lane, t, {}, scratch).detected &
+                  lane.active_mask(),
               0u);
     scalar.reset(inert);
     EXPECT_FALSE(core::run_prt(scalar, scheme, oracle).detected());
@@ -150,16 +138,6 @@ TEST(PackedFaultRam, RejectsBadGeometryBeforeAllocating) {
             std::string::npos);
   EXPECT_NE(message_of([] { mem::PackedFaultRam ram(0); }).find("got 0"),
             std::string::npos);
-}
-
-TEST(PackedFaultRam, StuckAtClampsFromInjectionLikeFaultyRam) {
-  mem::PackedFaultRam packed(8);
-  const unsigned lane = packed.add_fault(mem::Fault::saf({3, 0}, 1));
-  // Before any write, the stuck-at-1 lane already reads 1.
-  EXPECT_EQ((packed.read(3) >> lane) & 1U, 1U);
-  mem::FaultyRam scalar(8, 1);
-  scalar.inject(mem::Fault::saf({3, 0}, 1));
-  EXPECT_EQ(scalar.read(3, 0), 1U);
 }
 
 // --- per-lane differential check against FaultyRam ---------------------
@@ -477,82 +455,7 @@ TEST(PackedFaultRam, RetentionLanesMatchScalarUnderRandomPauses) {
                                            /*pauses=*/true);
 }
 
-// --- packed PRT evaluation ---------------------------------------------
-
-// One full batch of lane-compatible faults on a tiny array: each
-// lane's detected bit must equal the scalar oracle-backed run_prt
-// verdict for that fault alone, and the batch is charged each lane's
-// scalar per-fault cost.  The batch stops once every lane has latched,
-// so its physical op count is at most one complete scheme, and exactly
-// that when a lane survives.
-void check_packed_verdicts_on(const core::PrtScheme& scheme, mem::Addr n,
-                              const std::vector<mem::Fault>& universe) {
-  ASSERT_LE(universe.size(), mem::PackedFaultRam::kLanes);
-  const auto oracle = core::make_prt_oracle(scheme, n);
-  mem::PackedFaultRam packed(n);
-  for (const mem::Fault& f : universe) packed.add_fault(f);
-  const core::PackedVerdict verdict =
-      core::run_prt_packed(packed, scheme, oracle, {});
-  const std::uint64_t detected = verdict.detected & packed.active_mask();
-  mem::FaultyRam scalar(n, 1);
-  std::uint64_t scalar_ops = 0;
-  std::uint64_t full_ops = 0;
-  bool survivor = false;
-  for (unsigned lane = 0; lane < universe.size(); ++lane) {
-    scalar.reset(universe[lane]);
-    const core::PrtRunOptions opts{.early_abort = false,
-                                   .record_iterations = false};
-    const bool expected =
-        core::run_prt(scalar, scheme, oracle, opts).detected();
-    EXPECT_EQ(((detected >> lane) & 1U) != 0, expected)
-        << "lane " << lane << " (" << universe[lane].describe() << ")";
-    full_ops = scalar.total_stats().total();
-    scalar_ops += full_ops;
-    survivor = survivor || !expected;
-  }
-  EXPECT_EQ(verdict.scalar_ops, scalar_ops);
-  EXPECT_LE(packed.ops(), full_ops);
-  if (survivor) {
-    EXPECT_EQ(packed.ops(), full_ops);
-  }
-}
-
-void check_packed_verdicts(const core::PrtScheme& scheme, mem::Addr n) {
-  check_packed_verdicts_on(
-      scheme, n, mem::single_cell_universe(n, 1, /*read_logic=*/true));
-}
-
-/// All 9 CFin/CFid/CFst variants on 7 ascending adjacent pairs — 63
-/// faults, one batch.
-std::vector<mem::Fault> small_coupling_universe(mem::Addr n) {
-  std::vector<std::pair<mem::Addr, mem::Addr>> pairs;
-  for (mem::Addr c = 0; c < 7 && c + 1 < n; ++c) pairs.emplace_back(c, c + 1);
-  return mem::coupling_universe(pairs, /*bit=*/0);
-}
-
-TEST(RunPrtPacked, LaneVerdictsMatchScalarStandardScheme) {
-  check_packed_verdicts(core::standard_scheme_bom(7), 7);
-}
-
-TEST(RunPrtPacked, LaneVerdictsMatchScalarExtendedScheme) {
-  check_packed_verdicts(core::extended_scheme_bom(7), 7);
-}
-
-TEST(RunPrtPacked, LaneVerdictsMatchScalarWithMisr) {
-  core::PrtScheme scheme = core::standard_scheme_bom(7);
-  scheme.misr_poly = 0b100101;  // degree-5 signature over the read stream
-  check_packed_verdicts(scheme, 7);
-}
-
-TEST(RunPrtPacked, CouplingLaneVerdictsMatchScalarStandardScheme) {
-  check_packed_verdicts_on(core::standard_scheme_bom(16), 16,
-                           small_coupling_universe(16));
-}
-
-TEST(RunPrtPacked, CouplingLaneVerdictsMatchScalarExtendedScheme) {
-  check_packed_verdicts_on(core::extended_scheme_bom(16), 16,
-                           small_coupling_universe(16));
-}
+// --- packed PRT replay ---------------------------------------------------
 
 // A batch whose lanes have all latched is decided: without early
 // abort the replay stops after that iteration, with the verdict and
@@ -592,384 +495,6 @@ TEST(RunPrtPacked, DecidedBatchStopsEarlyWithFullReplayVerdicts) {
     EXPECT_EQ(full.scalar_ops, decided.scalar_ops + t.total_ops());
     EXPECT_EQ(full_ops, t.total_ops());
     EXPECT_LT(decided_ops, t.total_ops());
-  }
-}
-
-// Per-lane early abort: the detected mask is unchanged and the
-// reported scalar-equivalent op count reproduces exactly what
-// run_prt(..., {.early_abort = true}) issues per fault.
-TEST(RunPrtPacked, EarlyAbortKeepsVerdictsAndMatchesScalarAbortOps) {
-  const mem::Addr n = 16;
-  for (const bool misr : {false, true}) {
-    core::PrtScheme scheme = core::extended_scheme_bom(n);
-    if (misr) scheme.misr_poly = 0b1000011;
-    const auto oracle = core::make_prt_oracle(scheme, n);
-    auto universe = mem::single_cell_universe(n, 1, /*read_logic=*/true);
-    const auto coupling = small_coupling_universe(n);
-    universe.insert(universe.end(), coupling.begin(), coupling.end());
-    mem::FaultyRam scalar(n, 1);
-    for (std::size_t base = 0; base < universe.size();
-         base += mem::PackedFaultRam::kLanes) {
-      const std::size_t count = std::min<std::size_t>(
-          mem::PackedFaultRam::kLanes, universe.size() - base);
-      mem::PackedFaultRam packed(n);
-      for (std::size_t j = 0; j < count; ++j) {
-        packed.add_fault(universe[base + j]);
-      }
-      mem::PackedFaultRam packed_abort(n);
-      for (std::size_t j = 0; j < count; ++j) {
-        packed_abort.add_fault(universe[base + j]);
-      }
-      const auto full =
-          core::run_prt_packed(packed, scheme, oracle, {.early_abort = false});
-      const auto abort = core::run_prt_packed(packed_abort, scheme, oracle,
-                                              {.early_abort = true});
-      EXPECT_EQ(full.detected & packed.active_mask(),
-                abort.detected & packed_abort.active_mask());
-      std::uint64_t scalar_abort_ops = 0;
-      for (std::size_t j = 0; j < count; ++j) {
-        scalar.reset(universe[base + j]);
-        const core::PrtRunOptions opts{.early_abort = true,
-                                       .record_iterations = false};
-        (void)core::run_prt(scalar, scheme, oracle, opts);
-        scalar_abort_ops += scalar.total_stats().total();
-      }
-      EXPECT_EQ(abort.scalar_ops, scalar_abort_ops)
-          << "batch at " << base << " misr=" << misr;
-    }
-  }
-}
-
-/// NPSF interior victims (4-wide grid, varied pattern/forced values)
-/// interleaved with retention faults of both polarities and varied
-/// delays on every cell.
-std::vector<mem::Fault> npsf_retention_universe(mem::Addr n) {
-  const mem::Addr cols = 4;
-  std::vector<mem::Fault> u;
-  for (mem::Addr c = 0; c < n; ++c) {
-    const mem::Addr row = c / cols;
-    const mem::Addr col = c % cols;
-    if (row >= 1 && col >= 1 && col + 1 < cols && c + cols < n) {
-      u.push_back(mem::Fault::npsf_static({c, 0}, static_cast<unsigned>(c) % 16,
-                                          c & 1, cols));
-    }
-    u.push_back(
-        mem::Fault::retention({c, 0}, c & 1, 50 + (c % 5) * 100));
-  }
-  return u;
-}
-
-// Abort-op parity for the NPSF and retention lanes: across sizes and
-// schemes (including the pause-bearing retention scheme, whose idle
-// windows trip the analytic decay), the packed early-abort run must
-// keep every verdict and reproduce the scalar early-abort op count
-// fault for fault.
-TEST(RunPrtPacked, NpsfRetentionAbortOpsMatchScalar) {
-  for (const mem::Addr n : {mem::Addr{17}, mem::Addr{64}, mem::Addr{256}}) {
-    const auto universe = npsf_retention_universe(n);
-    for (const bool retention_pauses : {false, true}) {
-      const core::PrtScheme scheme = retention_pauses
-                                         ? core::retention_scheme(n, 1, 1000)
-                                         : core::extended_scheme_bom(n);
-      const auto oracle = core::make_prt_oracle(scheme, n);
-      mem::FaultyRam scalar(n, 1);
-      for (std::size_t base = 0; base < universe.size();
-           base += mem::PackedFaultRam::kLanes) {
-        const std::size_t count = std::min<std::size_t>(
-            mem::PackedFaultRam::kLanes, universe.size() - base);
-        mem::PackedFaultRam packed(n);
-        mem::PackedFaultRam packed_abort(n);
-        for (std::size_t j = 0; j < count; ++j) {
-          packed.add_fault(universe[base + j]);
-          packed_abort.add_fault(universe[base + j]);
-        }
-        const auto full = core::run_prt_packed(packed, scheme, oracle,
-                                               {.early_abort = false});
-        const auto abort = core::run_prt_packed(packed_abort, scheme, oracle,
-                                                {.early_abort = true});
-        EXPECT_EQ(full.detected & packed.active_mask(),
-                  abort.detected & packed_abort.active_mask());
-        std::uint64_t scalar_abort_ops = 0;
-        for (std::size_t j = 0; j < count; ++j) {
-          scalar.reset(universe[base + j]);
-          const core::PrtRunOptions opts{.early_abort = true,
-                                         .record_iterations = false};
-          const bool expected =
-              core::run_prt(scalar, scheme, oracle, opts).detected();
-          scalar_abort_ops += scalar.total_stats().total();
-          EXPECT_EQ(((full.detected >> j) & 1U) != 0, expected)
-              << "n=" << n << " lane " << j << " ("
-              << universe[base + j].describe() << ")";
-        }
-        EXPECT_EQ(abort.scalar_ops, scalar_abort_ops)
-            << "n=" << n << " batch at " << base
-            << " retention_pauses=" << retention_pauses;
-      }
-    }
-  }
-}
-
-// --- campaign-level parity (the acceptance criterion) -------------------
-
-analysis::CampaignResult serial_scalar_reference(
-    std::span<const mem::Fault> universe, const core::PrtScheme& scheme,
-    const analysis::CampaignOptions& opt) {
-  return analysis::run_campaign(universe, analysis::prt_algorithm(scheme),
-                                opt);
-}
-
-/// A classical-universe campaign with its serial scalar reference.
-struct ClassicalCampaign {
-  std::vector<mem::Fault> universe;
-  core::PrtScheme scheme;
-  analysis::CampaignOptions opt;
-  analysis::CampaignResult reference;
-};
-
-ClassicalCampaign make_classical_campaign(mem::Addr n,
-                                          core::PrtScheme scheme) {
-  ClassicalCampaign c{mem::classical_universe(n), std::move(scheme), {}, {}};
-  c.opt.n = n;
-  c.reference = serial_scalar_reference(c.universe, c.scheme, c.opt);
-  return c;
-}
-
-// Each reference is computed once per binary: the bit-identity and
-// the early-abort checks below share it, and under the sanitizers the
-// serial scalar run is most of either test's time.
-const ClassicalCampaign& classical256() {
-  static const ClassicalCampaign c =
-      make_classical_campaign(256, core::extended_scheme_bom(256));
-  return c;
-}
-
-const ClassicalCampaign& classical1024() {
-  static const ClassicalCampaign c =
-      make_classical_campaign(1024, core::standard_scheme_bom(1024));
-  return c;
-}
-
-TEST(PackedCampaign, BitIdenticalToSerialScalarOnClassical256) {
-  const ClassicalCampaign& c = classical256();
-  for (unsigned threads : {1u, 4u}) {
-    analysis::EngineOptions eng;
-    eng.threads = threads;
-    expect_identical(c.reference, analysis::run_prt_campaign(
-                                      c.universe, c.scheme, c.opt, eng));
-  }
-}
-
-TEST(PackedCampaign, BitIdenticalToSerialScalarOnClassical1024) {
-  const ClassicalCampaign& c = classical1024();
-  expect_identical(c.reference,
-                   analysis::run_prt_campaign(c.universe, c.scheme, c.opt));
-}
-
-// The van de Goor universe interleaves packed (single-cell, read-logic)
-// and scalar (coupling, decoder) faults within every shard, exercising
-// the escape re-sort and the per-class merge.
-TEST(PackedCampaign, BitIdenticalToSerialScalarOnVanDeGoor) {
-  const mem::Addr n = 48;
-  const auto universe = mem::van_de_goor_universe(n);
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  const auto reference = serial_scalar_reference(universe, scheme, opt);
-  analysis::EngineOptions eng;
-  eng.threads = 3;  // uneven shards split batches at arbitrary points
-  expect_identical(reference,
-                   analysis::run_prt_campaign(universe, scheme, opt, eng));
-}
-
-// --- early abort composed with packing ---------------------------------
-
-void expect_identical_verdicts(const analysis::CampaignResult& a,
-                               const analysis::CampaignResult& b) {
-  EXPECT_EQ(a.overall, b.overall);
-  EXPECT_EQ(a.by_class, b.by_class);
-  EXPECT_EQ(a.escapes, b.escapes);
-}
-
-/// The early-abort engine must (a) reproduce the serial early-abort
-/// live reference bit-for-bit *including ops*, and (b) reproduce the
-/// no-abort reference's verdicts, coverage and escapes.
-void check_abort_composition(std::span<const mem::Fault> universe,
-                             const core::PrtScheme& scheme,
-                             const analysis::CampaignOptions& opt,
-                             const analysis::CampaignResult& reference) {
-  const auto a = analysis::run_campaign(
-      universe, testref::live_prt(scheme, /*early_abort=*/true), opt);
-  const auto b = analysis::run_prt_campaign(
-      universe, scheme, opt, {.threads = 2, .early_abort = true});
-  expect_identical(a, b);
-  expect_identical_verdicts(reference, b);
-  EXPECT_LE(b.ops, reference.ops);
-}
-
-TEST(PackedCampaign, PerLaneAbortBitIdenticalOnClassical256) {
-  const ClassicalCampaign& c = classical256();
-  check_abort_composition(c.universe, c.scheme, c.opt, c.reference);
-}
-
-TEST(PackedCampaign, PerLaneAbortBitIdenticalOnClassical1024) {
-  const ClassicalCampaign& c = classical1024();
-  check_abort_composition(c.universe, c.scheme, c.opt, c.reference);
-}
-
-TEST(PackedCampaign, PerLaneAbortBitIdenticalOnVanDeGoor) {
-  const mem::Addr n = 48;
-  const auto universe = mem::van_de_goor_universe(n);
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  check_abort_composition(universe, scheme, opt,
-                          serial_scalar_reference(universe, scheme, opt));
-}
-
-TEST(PackedCampaign, PerLaneAbortBitIdenticalWithMisr) {
-  const mem::Addr n = 64;
-  const auto universe = mem::van_de_goor_universe(n);
-  core::PrtScheme scheme = core::standard_scheme_bom(n);
-  scheme.misr_poly = 0b1000011;  // degree-6
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  check_abort_composition(universe, scheme, opt,
-                          serial_scalar_reference(universe, scheme, opt));
-}
-
-TEST(PackedCampaign, MisrEnabledCampaignStaysBitIdentical) {
-  const mem::Addr n = 64;
-  const auto universe = mem::single_cell_universe(n, 1, /*read_logic=*/true);
-  core::PrtScheme scheme = core::standard_scheme_bom(n);
-  scheme.misr_poly = 0b1000011;  // degree-6
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  const auto reference = serial_scalar_reference(universe, scheme, opt);
-  expect_identical(reference,
-                   analysis::run_prt_campaign(universe, scheme, opt));
-}
-
-// Word-oriented campaigns ride the lanes too: m = 4 bit planes per
-// cell, GF(16) feedback through the transcript's compiled tap
-// matrices.  The packed engine must reproduce the serial scalar
-// reference bit for bit on the full mixed universe (single-cell, read
-// logic, inter- and intra-word coupling, bridges, decoder faults).
-TEST(PackedCampaign, WomCampaignBitIdenticalToSerialScalar) {
-  const mem::Addr n = 24;
-  const unsigned m = 4;
-  const auto universe = mem::make_universe(n, m, {.npsf = false});
-  const auto scheme = core::standard_scheme_wom(n, m);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  opt.m = m;
-  const auto reference = serial_scalar_reference(universe, scheme, opt);
-  for (const unsigned threads : {1u, 3u}) {
-    analysis::EngineOptions eng;
-    eng.threads = threads;
-    const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
-    expect_identical(reference, got);
-  }
-}
-
-// Early abort composes with word-oriented packing: per-lane analytic
-// op accounting must equal the scalar abort reference over GF(16).
-// A MISR on a word-oriented scheme folds only the low min(m, degree)
-// planes of each read word, so GF(256) runs with MISR degrees below,
-// equal to and above m = 8, early abort off and on.
-TEST(PackedCampaign, WomPerLaneAbortBitIdentical) {
-  const mem::Addr n = 24;
-  const unsigned m = 4;
-  const auto universe = mem::single_cell_universe(n, m, /*read_logic=*/true);
-  const auto scheme = core::standard_scheme_wom(n, m);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  opt.m = m;
-  check_abort_composition(universe, scheme, opt,
-                          serial_scalar_reference(universe, scheme, opt));
-
-  const unsigned m8 = 8;
-  const auto universe8 = mem::single_cell_universe(n, m8, /*read_logic=*/true);
-  analysis::CampaignOptions opt8;
-  opt8.n = n;
-  opt8.m = m8;
-  // Degrees 3, 8 and 13.
-  for (const gf::Poly2 misr : {gf::Poly2{0b1011}, gf::Poly2{0x11D},
-                               gf::Poly2{0x201B}}) {
-    SCOPED_TRACE("misr_poly = " + std::to_string(misr));
-    core::PrtScheme misr_scheme = core::standard_scheme_wom(n, m8);
-    misr_scheme.misr_poly = misr;
-    const auto reference =
-        serial_scalar_reference(universe8, misr_scheme, opt8);
-    expect_identical(reference,
-                     analysis::run_prt_campaign(universe8, misr_scheme, opt8));
-    check_abort_composition(universe8, misr_scheme, opt8, reference);
-  }
-}
-
-// NPSF + retention universes ride the lanes end to end: the packed
-// campaign (with and without early abort) must reproduce the serial
-// scalar reference bit for bit.
-TEST(PackedCampaign, NpsfRetentionBitIdenticalToSerialScalar) {
-  const mem::Addr n = 64;
-  const auto universe = npsf_retention_universe(n);
-  const auto scheme = core::retention_scheme(n, 1, 1000);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  const auto reference = serial_scalar_reference(universe, scheme, opt);
-  for (const unsigned threads : {1u, 3u}) {
-    analysis::EngineOptions eng;
-    eng.threads = threads;
-    const auto got = analysis::run_prt_campaign(universe, scheme, opt, eng);
-    expect_identical(reference, got);
-  }
-  check_abort_composition(universe, scheme, opt, reference);
-}
-
-// --- width rule x thread-count parity --------------------------------------
-
-// Faults per scheduler batch (analysis::detail::kSchedulerBatch) plus a
-// 100-fault tail: every run, at any thread count, splits this universe
-// into one 512-lane batch and one batch too thin for the wide word,
-// which runs the 64-lane word.
-constexpr std::size_t kMixedUniverse = 2048 + 100;
-
-// CampaignResults must not depend on the thread count or on which
-// lane word ran, with or without early abort.  The serial live
-// reference is the yardstick, with early abort honoured when the
-// engine aborts.
-TEST(PackedCampaign, BitIdenticalAcrossThreadCountsWithNarrowTail) {
-  const mem::Addr n = 256;
-  auto universe = mem::classical_universe(n);
-  ASSERT_GT(universe.size(), kMixedUniverse);
-  universe.resize(kMixedUniverse);
-  const auto scheme = core::extended_scheme_bom(n);
-  analysis::CampaignOptions opt;
-  opt.n = n;
-  const auto reference = serial_scalar_reference(universe, scheme, opt);
-  for (const bool early_abort : {false, true}) {
-    const auto scalar_ref =
-        early_abort ? analysis::run_campaign(
-                          universe, testref::live_prt(scheme, true), opt)
-                    : reference;
-    expect_identical_verdicts(reference, scalar_ref);
-    analysis::CampaignResult one_thread;
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      analysis::EngineOptions eng;
-      eng.threads = threads;
-      eng.early_abort = early_abort;
-      const analysis::CampaignOutcome outcome =
-          analysis::CampaignEngine(scheme, opt, eng)
-              .run(universe, util::StopToken());
-      EXPECT_EQ(outcome.shards_total, 2u);
-      const analysis::CampaignResult& got = outcome.result;
-      expect_identical(scalar_ref, got);
-      if (threads == 1) {
-        one_thread = got;
-      } else {
-        EXPECT_TRUE(one_thread == got)
-            << "threads=" << threads << " early_abort=" << early_abort;
-      }
-    }
   }
 }
 

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "mem/fault_injector.hpp"
 #include "mem/sram.hpp"
@@ -390,6 +392,34 @@ TEST(RunPrt, RejectsSchemeThatDoesNotFitTheMemory) {
   }
   PiTester tester(gf::GF2m(0b11), {1, 1, 1});
   EXPECT_THROW(tester.enable_misr(1), std::invalid_argument);
+}
+
+// z^2 + 1 = (z + 1)^2: GF(2)[z]/(z^2 + 1) is a ring, not GF(4).  The
+// rule used to check only the degree, so a campaign ran the ring in
+// Release and aborted in GF2m's assert in Debug.  The rule, GF2m and
+// the factories that build the caller's field throw, naming it.
+TEST(PrtScheme, RejectsAFieldModulusThatIsNotIrreducible) {
+  PrtScheme ring = standard_scheme_wom(16, 2);
+  ring.field_modulus = 0b101;
+  mem::SimRam ram(16, 2);
+  for (const auto& run : std::vector<std::function<void()>>{
+           [&] { validate_prt_scheme(ring, 16, 2); },
+           [&] { (void)run_prt(ram, ring); },
+           [] { (void)standard_scheme_wom(16, 2, 0b101); },
+           [] { (void)extended_scheme_wom(16, 2, 0b101); },
+           [] { (void)retention_scheme(16, 2, 100, 0b101); }}) {
+    try {
+      run();
+      ADD_FAILURE() << "no std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("modulus 5 "), std::string::npos)
+          << e.what();
+    }
+  }
+  // No constant term (z^2 + z, z), degree 0 and degree 17.
+  for (const gf::Poly2 p : {0b110u, 0b10u, 1u, 0x20003u}) {
+    EXPECT_THROW((void)gf::GF2m(p), std::invalid_argument) << p;
+  }
 }
 
 TEST(PrtOps, Formula) {
