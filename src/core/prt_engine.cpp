@@ -17,8 +17,7 @@ void validate_prt_scheme(const PrtScheme& scheme, mem::Addr n, unsigned m) {
         " must equal the campaign word width m = " + std::to_string(m) +
         " and lie in [1, 16]");
   }
-  if ((scheme.field_modulus & 1) == 0 ||
-      !gf::is_irreducible(scheme.field_modulus)) {
+  if (!gf::is_field_modulus(scheme.field_modulus)) {
     throw std::invalid_argument(
         "PrtScheme: field modulus " + std::to_string(scheme.field_modulus) +
         " is not irreducible over GF(2) with a constant term");

@@ -9,13 +9,16 @@
 
 namespace prt::gf {
 
+bool is_field_modulus(Poly2 p) {
+  const int degree = poly_degree(p);
+  return degree >= 1 && degree <= 16 && (p & 1) != 0 && is_irreducible(p);
+}
+
 GF2m::GF2m(Poly2 modulus)
     : modulus_(modulus),
       m_(static_cast<unsigned>(poly_degree(modulus))),
       z_primitive_(false) {
-  // Over a reducible modulus (z^2 + 1 = (z + 1)^2, say) the arithmetic
-  // below would be a ring's, not a field's.
-  if (m_ < 1 || m_ > 16 || (modulus & 1) == 0 || !is_irreducible(modulus)) {
+  if (!is_field_modulus(modulus)) {
     throw std::invalid_argument(
         "GF2m: modulus " + std::to_string(modulus) +
         " needs degree in [1, 16], a constant term and no factor over "

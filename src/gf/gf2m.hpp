@@ -15,14 +15,20 @@ namespace prt::gf {
 /// A field element; only the low m bits are meaningful.
 using Elem = std::uint32_t;
 
+/// True if `p` builds a GF2m: degree in [1, 16], a non-zero constant
+/// term and irreducible over GF(2) (z + 1 for GF(2)).  Over any other
+/// polynomial (z^2 + 1 = (z + 1)^2, say) the arithmetic would be a
+/// ring's, not a field's.
+[[nodiscard]] bool is_field_modulus(Poly2 p);
+
 /// GF(2^m) with 1 <= m <= 16.  Construction validates irreducibility of
 /// the modulus.  All operations are total on reduced elements
 /// (value < 2^m); callers must not pass unreduced values.
 class GF2m {
  public:
   /// Builds the field from an irreducible modulus.  Throws
-  /// std::invalid_argument naming the modulus unless it has degree in
-  /// [1, 16], a non-zero constant term and is_irreducible(modulus).
+  /// std::invalid_argument naming the modulus unless
+  /// is_field_modulus(modulus).
   explicit GF2m(Poly2 modulus);
 
   /// Convenience: the field GF(2^m) over the lexicographically first

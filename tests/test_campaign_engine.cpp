@@ -1,8 +1,9 @@
 // Tests for the oracle-backed, parallel campaign engine
-// (analysis/campaign_engine): a reused engine must repeat itself (that
-// every surface equals the serial reference, early abort or not, is the
-// differential fuzzer's to hold, tests/test_fuzz_campaign.cpp),
-// campaigns sharing the process-wide pool must neither
+// (analysis/campaign_engine): a reused engine must repeat itself,
+// early-abort must change costs only, never verdicts (that every
+// surface equals the serial reference is the differential fuzzer's to
+// hold, tests/test_fuzz_campaign.cpp), campaigns sharing the
+// process-wide pool must neither
 // disturb each other nor report a lost pool task as a complete run,
 // every campaign surface must cut the same fixed batches, and the
 // executor under them keeps one wave per job and resolves a job
@@ -57,6 +58,27 @@ TEST(CampaignEngine, ReusedEngineGivesIdenticalResultsAcrossRuns) {
   for (int round = 0; round < 3; ++round) {
     expect_identical(first, engine.run(universe));
   }
+}
+
+TEST(CampaignEngine, EarlyAbortKeepsVerdictsAndCutsOps) {
+  const mem::Addr n = 48;
+  const auto universe = mem::classical_universe(n);
+  const auto scheme = core::extended_scheme_bom(n);
+  CampaignOptions opt;
+  opt.n = n;
+  EngineOptions full;
+  EngineOptions abort_early;
+  abort_early.early_abort = true;
+  const CampaignResult complete =
+      run_prt_campaign(universe, scheme, opt, full);
+  const CampaignResult aborted =
+      run_prt_campaign(universe, scheme, opt, abort_early);
+  EXPECT_EQ(complete.overall, aborted.overall);
+  EXPECT_EQ(complete.by_class, aborted.by_class);
+  EXPECT_EQ(complete.escapes, aborted.escapes);
+  // Most classical faults fail within the first iterations, so the
+  // 18-iteration scheme skips real work.
+  EXPECT_LT(aborted.ops, complete.ops);
 }
 
 TEST(CampaignEngine, OracleRunPrtMatchesPlainRunPrt) {

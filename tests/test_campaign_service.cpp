@@ -91,6 +91,30 @@ CampaignRequest tiled(CampaignRequest req, std::size_t batches) {
 
 // --- complete runs --------------------------------------------------
 
+TEST(CampaignService, PrtCompleteBitIdenticalToEngine) {
+  const mem::Addr n = 32;
+  CampaignRequest req = prt_request(n);
+  const CampaignResult reference =
+      run_prt_campaign(req.universe, *req.scheme, req.options);
+  CampaignService service;
+  const RequestOutcome& out = service.submit(std::move(req)).wait();
+  ASSERT_EQ(out.status, RequestStatus::kComplete);
+  EXPECT_EQ(out.shards_done, out.shards_total);
+  expect_identical(out.result, reference);
+  EXPECT_EQ(service.stats().completed, 1u);
+}
+
+TEST(CampaignService, MarchCompleteBitIdenticalToCampaign) {
+  const mem::Addr n = 32;
+  CampaignRequest req = march_request(n);
+  const CampaignResult reference =
+      run_march_campaign(req.universe, *req.march_test, req.options);
+  CampaignService service;
+  const RequestOutcome& out = service.submit(std::move(req)).wait();
+  ASSERT_EQ(out.status, RequestStatus::kComplete);
+  expect_identical(out.result, reference);
+}
+
 TEST(CampaignService, ConcurrentRequestsAllComplete) {
   CampaignService service;
   std::vector<CampaignService::Ticket> tickets;

@@ -19,9 +19,9 @@
 // StreamsReachEveryCell generates every draw, runs none, and names each
 // cell of required_cells() that no draw reaches.
 //
-// A failure prints the stream, the seed and the draw (and the
+// A failure prints at once the stream, the seed and the draw (and the
 // schedule), which replays exactly.  A stream stops at its first
-// disagreement and shrinks it by ddmin over the fault indices, each
+// disagreement and then shrinks it by ddmin over the fault indices, each
 // candidate re-run through the disagreeing surface against the live
 // reference, at most kShrinkRuns runs; the smallest failing case prints
 // as a test to paste into this file.
@@ -788,9 +788,10 @@ std::string source(const Draw& d, Surface surface, int draw) {
 }
 
 /// Runs one draw through every surface it selects against the live
-/// reference.  At the first disagreement it fails, printing the draw's
-/// universe shrunk by ddmin to a case that still disagrees there, and
-/// returns false.
+/// reference.  At the first disagreement it fails at once, so the draw
+/// prints even if the shrink is cut short, then fails again printing
+/// the draw's universe shrunk by ddmin to a case that still disagrees
+/// there, and returns false.
 bool check_draw(const Draw& d, int draw) {
   const CampaignResult want = reference(d);
   std::vector<Surface> surfaces = {Surface::kEngine};
@@ -802,6 +803,9 @@ bool check_draw(const Draw& d, int draw) {
   for (const Surface surface : surfaces) {
     const std::string diff = disagreement(d, surface, draw, want);
     if (diff.empty()) continue;
+    ADD_FAILURE() << kSurfaceNames[static_cast<int>(surface)]
+                  << " disagrees with the live reference:" << diff
+                  << "\nshrinking it (at most " << kShrinkRuns << " runs)";
     Draw shrunk = d;
     const auto keep_only = [&](const std::vector<std::size_t>& keep) {
       shrunk.universe.clear();
@@ -813,9 +817,7 @@ bool check_draw(const Draw& d, int draw) {
     };
     int runs = 0;
     keep_only(ddmin(d.universe.size(), fails, kShrinkRuns, runs));
-    ADD_FAILURE() << kSurfaceNames[static_cast<int>(surface)]
-                  << " disagrees with the live reference:" << diff
-                  << "\nddmin kept " << shrunk.universe.size() << " of "
+    ADD_FAILURE() << "ddmin kept " << shrunk.universe.size() << " of "
                   << d.universe.size() << " faults in " << runs << " runs"
                   << (runs == kShrinkRuns ? " (the cap)" : "")
                   << "; the case, to paste into this file:\n"

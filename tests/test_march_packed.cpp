@@ -7,8 +7,9 @@
 // every word width, lane word and early-abort setting.  What stays here
 // is the same per-lane parity with every background complemented — at
 // m = 1 the run with data index 0 = 1 — at both lane widths, with and
-// without early abort, plus the op accounting of March G's delay
-// elements and the decided-batch stop.
+// without early abort, over the classical and coupling kinds and over
+// the NPSF, retention and decoder kinds, plus the op accounting of
+// March G's delay elements and the decided-batch stop.
 #include "march/march_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -64,6 +65,40 @@ std::vector<mem::Fault> mixed_lane_universe(mem::Addr n, unsigned m = 1) {
   return faults;
 }
 
+/// A 64-lane mix of the pattern and clock-dependent kinds on an m-bit
+/// memory: static NPSF neighbourhoods (interior, border-inert and
+/// no-grid-inert victims), retention lanes whose delays straddle the
+/// default Del tick, and the three decoder kinds — victims walking the
+/// bit planes.
+std::vector<mem::Fault> npsf_retention_lane_universe(mem::Addr n,
+                                                     unsigned m = 1) {
+  const mem::Addr cols = 4;
+  // Delays around march_runner's kDefaultDelayTicks = 100'000: decayed
+  // by plain access clocking, by the first Del, only by the second Del,
+  // and never.
+  constexpr std::uint64_t kDelays[] = {200, 30'000, 99'999, 150'000,
+                                       1'000'000'000};
+  std::vector<mem::Fault> faults;
+  for (unsigned i = 0; faults.size() < mem::PackedFaultRam::kLanes; ++i) {
+    const mem::BitRef v{i % n, (i / 3) % m};
+    if (i % 16 == 15) {
+      const mem::Addr other = (v.cell + 5) % n;
+      faults.push_back(i % 48 == 15 ? mem::Fault::af_no_access(v.cell)
+                       : i % 48 == 31
+                           ? mem::Fault::af_wrong_access(v.cell, other)
+                           : mem::Fault::af_multi_access(v.cell, other));
+    } else if (i % 2 == 0) {
+      const mem::Addr grid = (i % 8 == 6) ? 0 : cols;  // some no-grid inert
+      faults.push_back(
+          mem::Fault::npsf_static(v, (i / 2) % 16, (i / 32) & 1, grid));
+    } else {
+      faults.push_back(
+          mem::Fault::retention(v, (i / 2) & 1, kDelays[(i / 2) % 5]));
+    }
+  }
+  return faults;
+}
+
 // --- per-lane parity of one packed sweep --------------------------------
 
 /// One packed sweep of `faults` (at most one batch) at lane word W.
@@ -112,14 +147,20 @@ void check_complemented_lane_parity(std::span<const mem::Fault> faults,
   }
 }
 
+// Both lane mixes across the library tests, including March G's Del
+// elements (which advance the packed retention clock exactly like
+// advance_time on the scalar ram) repeated once per background.
 TEST(RunMarchPacked, ComplementedLaneVerdictsMatchScalar) {
   const mem::Addr n = 16;
   for (const unsigned m : kWidths) {
     for (const march::MarchTest& test :
          {march::mats_plus(), march::march_x(), march::march_y(),
           march::march_c_minus(), march::march_a(), march::march_b(),
-          march::march_ss(), march::march_g()}) {
+          march::march_sr(), march::march_lr(), march::march_ss(),
+          march::march_g()}) {
       check_complemented_lane_parity(mixed_lane_universe(n, m), test, n, m);
+      check_complemented_lane_parity(npsf_retention_lane_universe(n, m), test,
+                                     n, m);
     }
   }
 }

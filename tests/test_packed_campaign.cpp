@@ -140,6 +140,16 @@ TEST(PackedFaultRam, RejectsBadGeometryBeforeAllocating) {
             std::string::npos);
 }
 
+TEST(PackedFaultRam, StuckAtClampsFromInjectionLikeFaultyRam) {
+  mem::PackedFaultRam packed(8);
+  const unsigned lane = packed.add_fault(mem::Fault::saf({3, 0}, 1));
+  // Before any write, the stuck-at-1 lane already reads 1.
+  EXPECT_EQ((packed.read(3) >> lane) & 1U, 1U);
+  mem::FaultyRam scalar(8, 1);
+  scalar.inject(mem::Fault::saf({3, 0}, 1));
+  EXPECT_EQ(scalar.read(3, 0), 1U);
+}
+
 // --- per-lane differential check against FaultyRam ---------------------
 
 using Wide = mem::WideWord<8>;

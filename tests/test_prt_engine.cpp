@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "gf/gf2m.hpp"
 #include "mem/fault_injector.hpp"
 #include "mem/sram.hpp"
 
@@ -416,10 +417,12 @@ TEST(PrtScheme, RejectsAFieldModulusThatIsNotIrreducible) {
           << e.what();
     }
   }
-  // No constant term (z^2 + z, z), degree 0 and degree 17.
-  for (const gf::Poly2 p : {0b110u, 0b10u, 1u, 0x20003u}) {
+  // z^2 + 1, no constant term (z^2 + z, z), degree 0 and degree 17.
+  for (const gf::Poly2 p : {0b101u, 0b110u, 0b10u, 1u, 0x20003u}) {
+    EXPECT_FALSE(gf::is_field_modulus(p)) << p;
     EXPECT_THROW((void)gf::GF2m(p), std::invalid_argument) << p;
   }
+  EXPECT_TRUE(gf::is_field_modulus(0b111));
 }
 
 TEST(PrtOps, Formula) {
