@@ -37,11 +37,12 @@ Two layers (DESIGN.md §12):
          src/analysis/fault_sim.cpp — every engine fault rides a packed
          lane (DESIGN.md §20); only run_campaign and its adapters, the
          yardstick the engines are checked against, run the reference;
-       * the packed replays (run_prt_packed(, run_march_packed() in
-         src/analysis/ outside src/analysis/campaign_driver.hpp — the
-         one campaign driver picks the replay from the cached
-         transcript (DESIGN.md §22), so no other engine-layer file
-         grows a second dispatch.
+       * the packed replays (run_prt_packed(, run_prt_packed_iteration(,
+         run_march_packed() in src/analysis/ outside
+         src/analysis/campaign_driver.hpp — the one campaign driver
+         picks the replay from the cached transcript (DESIGN.md §22)
+         and runs the PRT spill loop (§29), so no other engine-layer
+         file grows a second dispatch.
 
 Exit status is non-zero when any layer reports a finding.
 
@@ -125,7 +126,8 @@ RAW_LANE_ARITH_RE = re.compile(
 SCALAR_REFERENCE_RE = re.compile(
     r"\bFaultyRam\b|\brun_prt\s*\(|\brun_march\s*\(|"
     r"\brun_march_backgrounds\s*\(")
-PACKED_REPLAY_RE = re.compile(r"\brun_(?:prt|march)_packed\s*\(")
+PACKED_REPLAY_RE = re.compile(
+    r"\brun_(?:prt|march)_packed(?:_iteration)?\s*\(")
 
 
 def strip_comments(text: str) -> str:
@@ -507,6 +509,13 @@ SELFTEST_CASES = [
      "  const auto w = march::run_march_packed(batch, t, run);\n", False),
     (lint_packed_replay, "src/analysis/campaign_suite.cpp",
      "  // the driver, not this file, calls run_march_packed(...)\n", False),
+    # The per-iteration PRT entry the spill loop runs.
+    (lint_packed_replay, "src/analysis/campaign_service.cpp",
+     "  if (core::run_prt_packed_iteration(ram, t, i, run, scratch, latch))\n",
+     True),
+    (lint_packed_replay, "src/analysis/campaign_driver.hpp",
+     "  if (core::run_prt_packed_iteration(ram, t, i, run, scratch, latch))\n",
+     False),
     # The replays themselves live outside the engine layer.
     (lint_packed_replay, "src/core/prt_packed.cpp",
      "  return run_prt_packed(ram, transcript, options, scratch);\n", False),

@@ -6,9 +6,13 @@
 // executor per run_stoppable() and, per batch, the width rule: every
 // fault rides a lane, 512 per sweep (64 on a batch thinner than
 // kWideMinFaults).  A lane batch replays a transcript with PRT
-// iterations through core::run_prt_packed and any other transcript (a
-// March sweep) through march::run_march_packed — the one place in
-// analysis/ either replay is called (scripts/run_lint.py).
+// iterations through core::run_prt_packed_iteration, one iteration at a
+// time, and any other transcript (a March sweep) through
+// march::run_march_packed — the one place in analysis/ either replay is
+// called (scripts/run_lint.py).  Inside a batch, a PRT ram whose lanes
+// have mostly latched spills its survivors at an iteration boundary,
+// and they resume packed together in a later ram (the spill rule
+// below, DESIGN.md §29).
 //
 // There is one route per campaign (DESIGN.md §20): add_fault takes
 // every fault FaultyRam::inject takes, every valid PRT scheme replays
@@ -29,12 +33,15 @@
 // march_campaign.hpp and campaign_suite.hpp.  See DESIGN.md §10/§22.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/campaign_shard.hpp"
 #include "analysis/fault_sim.hpp"
@@ -48,6 +55,30 @@ namespace prt::analysis::detail {
 /// thinner range runs the 64-lane word, where a wide sweep would burn
 /// whole-word XORs on mostly empty lanes.
 inline constexpr std::size_t kWideMinFaults = 256;
+
+/// The spill gate: a PRT ram spills its survivors only while the rest
+/// of the transcript still issues at least kSpillMinOpsPerLane x kLanes
+/// scalar ops per lane (8192 on the 512-lane word, 1024 on the 64-lane
+/// one).  A reload costs a fixed amount per lane (its injection and
+/// restore), a sweep a fixed amount per access for the whole word, so
+/// below the gate the reloads cost more than the sweeps they empty.
+/// Measured in DESIGN.md §29; at 16 the paper programs' n = 64
+/// campaigns on 512 lanes and PRT-3 below n = 1366 never spill.
+inline constexpr std::uint64_t kSpillMinOpsPerLane = 16;
+
+/// The spill rule: after an iteration, a ram of `lanes` lanes that was
+/// loaded with `loaded` faults spills its `survivors` undecided lanes
+/// when it was loaded more than half full, at most half its lanes
+/// survive, its scheduler batch holds more than one ram of faults
+/// (`batch_faults`) and the rest of the transcript issues `rest_ops`
+/// scalar ops per lane, at least the gate.
+[[nodiscard]] constexpr bool spills(unsigned lanes, unsigned loaded,
+                                    unsigned survivors,
+                                    std::size_t batch_faults,
+                                    std::uint64_t rest_ops) {
+  return 2 * loaded > lanes && 2 * survivors <= lanes &&
+         batch_faults > lanes && rest_ops >= kSpillMinOpsPerLane * lanes;
+}
 
 /// One campaign: a cached transcript replayed on packed fault lanes.
 /// Holds no mutable state, so concurrent runs on one driver (or its
@@ -74,9 +105,9 @@ class CampaignDriver {
                  std::size_t end, CampaignResult& out,
                  const util::StopToken& stop = {}) const {
     if (end - begin >= kWideMinFaults) {
-      return lane_shard<mem::WideWord<8>>(universe, begin, end, out, stop);
+      return shard<mem::WideWord<8>>(universe, begin, end, out, stop);
     }
-    return lane_shard<mem::LaneWord>(universe, begin, end, out, stop);
+    return shard<mem::LaneWord>(universe, begin, end, out, stop);
   }
 
   /// An executor batch runner over `universe` holding a copy of this
@@ -110,28 +141,107 @@ class CampaignDriver {
   }
 
  private:
-  /// The lane-batched shard loop at one lane width.  A transcript with
-  /// PRT iterations replays through run_prt_packed (its scratch never
-  /// allocates otherwise); any other — a March sweep, even of a test
-  /// with no elements — through run_march_packed.
+  /// The shard loop at one lane width: PRT transcripts through the
+  /// spill loop, any other — a March sweep, even of a test with no
+  /// elements — through lane_batched_shard and run_march_packed.
   template <typename W>
-  bool lane_shard(std::span<const mem::Fault> universe, std::size_t begin,
-                  std::size_t end, CampaignResult& out,
-                  const util::StopToken& stop) const {
+  bool shard(std::span<const mem::Fault> universe, std::size_t begin,
+             std::size_t end, CampaignResult& out,
+             const util::StopToken& stop) const {
     const core::OpTranscript& t = *transcript_;
-    const bool prt = !t.iterations.empty();
-    core::PackedScratchT<W> scratch;
+    if (!t.iterations.empty()) {
+      return prt_shard<W>(universe, begin, end, out, stop);
+    }
     mem::PackedFaultRamT<W> packed(t.n, t.width);
     auto run_batch = [&](mem::PackedFaultRamT<W>& batch) {
       const core::PackedVerdictT<W> v =
-          prt ? core::run_prt_packed(batch, t, {.early_abort = early_abort_},
-                                     scratch)
-              : march::run_march_packed(batch, t,
-                                        {.early_abort = early_abort_});
+          march::run_march_packed(batch, t, {.early_abort = early_abort_});
       return std::pair{v.detected & batch.active_mask(), v.scalar_ops};
     };
     return lane_batched_shard(universe, begin, end, packed, out, run_batch,
                               stop);
+  }
+
+  /// The PRT spill loop over batch [begin, end), on one ram.  The
+  /// batch's faults load kLanes at a time in index order and replay
+  /// iteration by iteration; after each iteration a ram the spill rule
+  /// fires on settles its latched lanes, saves its survivors' live
+  /// state (PackedFaultRamT::save_lane) and queues them by the
+  /// iteration they resume at.  Once the batch's first rams have run,
+  /// the queue reloads kLanes at a time, lowest iteration first — a
+  /// replay from iteration i queues lanes at later iterations only — and
+  /// the rule applies again.  Verdicts are kept by fault index and
+  /// tallied in index order at the end, and every lane is charged what
+  /// its own latch charges, so `out` is bit-identical to a replay of
+  /// every ram from iteration 0 to the end.
+  template <typename W>
+  bool prt_shard(std::span<const mem::Fault> universe, std::size_t begin,
+                 std::size_t end, CampaignResult& out,
+                 const util::StopToken& stop) const {
+    using Ram = mem::PackedFaultRamT<W>;
+    constexpr unsigned kLanes = Ram::kLanes;
+    const core::OpTranscript& t = *transcript_;
+    const core::PackedRunOptions options{.early_abort = early_abort_};
+    const std::size_t size = end - begin;
+    core::PackedScratchT<W> scratch;
+    Ram ram(t.n, t.width);
+    struct Spilled {
+      std::size_t fault;  // offset into the batch
+      typename Ram::LaneState state;
+    };
+    std::vector<std::vector<Spilled>> queued(t.iterations.size());
+    std::vector<bool> detected(size);
+    std::array<std::size_t, kLanes> fault_of{};  // lane -> batch offset
+    auto replay_from = [&](std::size_t first) {
+      const unsigned loaded = ram.lanes_used();
+      core::LaneLatch<W> latch(ram.active_mask());
+      for (std::size_t i = first; i < t.iterations.size(); ++i) {
+        if (core::run_prt_packed_iteration(ram, t, i, options, scratch,
+                                           latch)) {
+          break;
+        }
+        const W survivors = latch.pending & ~latch.mismatch;
+        if (i + 1 < t.iterations.size() &&
+            spills(kLanes, loaded, mem::lane_popcount(survivors), size,
+                   t.total_ops() - t.iterations[i].ops_end())) {
+          mem::for_each_set_lane(survivors, [&](unsigned lane) {
+            const std::size_t f = fault_of[lane];
+            queued[i + 1].push_back(
+                {f, ram.save_lane(lane, universe[begin + f])});
+          });
+          // The survivors leave this latch uncharged; the ram they
+          // resume on charges them.
+          latch.pending &= ~survivors;
+          break;
+        }
+      }
+      const core::PackedVerdictT<W> v = latch.finish(t.total_ops());
+      out.ops += v.scalar_ops;
+      mem::for_each_set_lane(v.detected & ram.active_mask(),
+                             [&](unsigned lane) {
+                               detected[fault_of[lane]] = true;
+                             });
+      ram.reset();
+    };
+    for (std::size_t f = 0; f < size; ++f) {
+      if (stop.stop_requested()) return false;
+      fault_of[ram.add_fault(universe[begin + f])] = f;
+      if (ram.lanes_used() == kLanes) replay_from(0);
+    }
+    if (ram.lanes_used() != 0) replay_from(0);
+    for (std::size_t i = 1; i < queued.size(); ++i) {
+      for (const Spilled& lane : queued[i]) {
+        if (stop.stop_requested()) return false;
+        fault_of[ram.add_fault(universe[begin + lane.fault], lane.state)] =
+            lane.fault;
+        if (ram.lanes_used() == kLanes) replay_from(i);
+      }
+      if (ram.lanes_used() != 0) replay_from(i);
+    }
+    for (std::size_t f = 0; f < size; ++f) {
+      tally_fault(out, universe, begin + f, detected[f]);
+    }
+    return true;
   }
 
   std::shared_ptr<const core::OpTranscript> transcript_;
@@ -142,24 +252,27 @@ class CampaignDriver {
 /// The one construction path every public campaign surface goes
 /// through (CampaignEngine, CampaignSuite, CampaignService): validates
 /// the request and fetches its transcript from the shared cache.
-/// Throws std::invalid_argument on malformed `opt` or `scheme`
-/// (validate_campaign_options, core::validate_prt_scheme).
+/// Throws std::invalid_argument on malformed `opt`, `engine` or
+/// `scheme` (validate_campaign_options, validate_worker_count,
+/// core::validate_prt_scheme).
 [[nodiscard]] inline CampaignDriver make_driver(const core::PrtScheme& scheme,
                                                 const CampaignOptions& opt,
                                                 const EngineOptions& engine) {
   validate_campaign_options(opt);
+  validate_worker_count(engine.threads);
   core::validate_prt_scheme(scheme, opt.n, opt.m);
   return {OracleCache::global().prt(scheme, opt.n), engine};
 }
 
 /// March overload: the whole background sweep on the m-bit memory.
-/// Throws std::invalid_argument on malformed `opt` and on March tests
-/// whose data indices fall outside the {0, 1} notation (a data index
-/// the background expansion cannot represent).
+/// Throws std::invalid_argument on malformed `opt` or `engine` and on
+/// March tests whose data indices fall outside the {0, 1} notation (a
+/// data index the background expansion cannot represent).
 [[nodiscard]] inline CampaignDriver make_driver(const march::MarchTest& test,
                                                 const CampaignOptions& opt,
                                                 const EngineOptions& engine) {
   validate_campaign_options(opt);
+  validate_worker_count(engine.threads);
   for (const march::MarchElement& elem : test.elements) {
     for (const march::MarchOp& op : elem.ops) {
       if (op.data > 1) {

@@ -21,13 +21,14 @@
 //    reference at any thread count;
 //  * every fault rides a lane: faults are batched 512 per sweep (64 on
 //    a batch thinner than 256 faults) onto a bit-packed
-//    mem::PackedFaultRamT and replay the cached transcript — through
-//    run_prt_packed for a scheme (GF(2) and GF(2^m) alike), through
+//    mem::PackedFaultRamT and replay the cached transcript — iteration
+//    by iteration for a scheme (GF(2) and GF(2^m) alike), a thinned-out
+//    ram's survivors resuming together on a fresh one, and through
 //    run_march_packed for a March test (bit loop at m = 1, word loop
 //    above) — with early abort composing through per-lane mismatch
 //    retirement.
 //
-// See DESIGN.md §7/§8/§9/§10/§20/§22; tests/test_campaign_golden.cpp
+// See DESIGN.md §7/§8/§9/§10/§20/§22/§29; tests/test_campaign_golden.cpp
 // pins the engine against the live reference on every universe family.
 #pragma once
 

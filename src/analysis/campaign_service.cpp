@@ -664,6 +664,7 @@ struct CampaignService::Impl {
 namespace {
 
 ServiceOptions validated(const ServiceOptions& options) {
+  validate_worker_count(options.threads);
   if (options.max_running == 0) {
     throw std::invalid_argument(
         "ServiceOptions: max_running must be >= 1 (got 0)");

@@ -73,10 +73,12 @@ enum class RequestPriority : std::uint8_t {
 [[nodiscard]] std::string to_string(RequestPriority priority);
 
 /// The constructor throws std::invalid_argument, naming the value, on
-/// max_running == 0 or a negative max_retries.
+/// threads above kMaxWorkers, max_running == 0 or a negative
+/// max_retries.
 struct ServiceOptions {
   /// Worker count: the service runs on util::shared_pool(threads); 0
-  /// means the hardware concurrency (util::default_worker_count).
+  /// means the hardware concurrency (util::default_worker_count).  At
+  /// most kMaxWorkers (validate_worker_count).
   unsigned threads = 0;
   /// Dispatch window (>= 1): requests set up or running concurrently.
   /// Further admitted requests wait in their class queue.

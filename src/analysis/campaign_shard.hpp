@@ -46,7 +46,8 @@ inline void tally_fault(CampaignResult& out,
   }
 }
 
-/// Lane-batched shard loop: the faults of [begin, end) ride the packed
+/// Lane-batched shard loop (the March replay's; PRT batches run the
+/// driver's spill loop): the faults of [begin, end) ride the packed
 /// ram kLanes at a time (64 for LaneWord, 512 for WideWord<8>) in index
 /// order.  run_batch(packed) runs one flushed batch and returns
 /// {detected lane word, ops to charge for the whole batch}.  Lanes are

@@ -47,6 +47,7 @@ struct CampaignSuite::Impl {
 CampaignSuite::CampaignSuite(SchemeFactory factory,
                              const EngineOptions& engine)
     : impl_(std::make_unique<Impl>()) {
+  validate_worker_count(engine.threads);
   impl_->factory = std::move(factory);
   impl_->engine = engine;
 }
@@ -54,6 +55,7 @@ CampaignSuite::CampaignSuite(SchemeFactory factory,
 CampaignSuite::CampaignSuite(march::MarchTest test,
                              const EngineOptions& engine)
     : impl_(std::make_unique<Impl>()) {
+  validate_worker_count(engine.threads);
   impl_->march_test = std::move(test);
   impl_->engine = engine;
 }

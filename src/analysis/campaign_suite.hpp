@@ -103,7 +103,9 @@ class CampaignSuite {
  public:
   /// PRT suite: `factory` is invoked once per configuration to size
   /// the scheme.  Engine options apply to every configuration
-  /// (threads picks the shared pool).
+  /// (threads picks the shared pool).  Both constructors throw
+  /// std::invalid_argument naming the value on a worker count above
+  /// kMaxWorkers (validate_worker_count).
   CampaignSuite(SchemeFactory factory, const EngineOptions& engine = {});
   /// March suite: one test drives every configuration.
   CampaignSuite(march::MarchTest test, const EngineOptions& engine = {});

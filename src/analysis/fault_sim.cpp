@@ -20,6 +20,14 @@ void validate_campaign_options(const CampaignOptions& opt) {
   }
 }
 
+void validate_worker_count(unsigned threads) {
+  if (threads > kMaxWorkers) {
+    throw std::invalid_argument("threads must be at most " +
+                                std::to_string(kMaxWorkers) + " (got " +
+                                std::to_string(threads) + ")");
+  }
+}
+
 CampaignResult merge_results(std::span<const CampaignResult> shards) {
   CampaignResult merged;
   for (const CampaignResult& shard : shards) {

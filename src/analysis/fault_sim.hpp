@@ -69,7 +69,8 @@ struct CampaignOptions {
 /// live scalar reference (DESIGN.md §20).
 struct EngineOptions {
   /// Worker count; 0 means the hardware concurrency
-  /// (util::default_worker_count).
+  /// (util::default_worker_count).  At most kMaxWorkers
+  /// (validate_worker_count).
   unsigned threads = 0;
   /// Stop each fault's run at its first failure: the first failing PRT
   /// iteration, or the first mismatching March read (skipping the
@@ -126,6 +127,20 @@ struct CampaignOutcome {
 /// width).  Schemes are checked by core::validate_prt_scheme
 /// (core/prt_engine.hpp).
 void validate_campaign_options(const CampaignOptions& opt);
+
+/// Most workers a campaign surface runs on (EngineOptions::threads,
+/// ServiceOptions::threads).  A fixed ceiling, far above the core
+/// counts a campaign scales to: each worker is an OS thread of the
+/// process-wide pool for that count (util::shared_pool), kept until
+/// exit.
+inline constexpr unsigned kMaxWorkers = 256;
+
+/// The worker-count rule every campaign surface applies (the driver
+/// construction behind CampaignEngine / MarchCampaign, the CampaignSuite
+/// and CampaignService constructors) before any pool exists.  Throws
+/// std::invalid_argument naming the value when threads > kMaxWorkers; 0
+/// (the hardware concurrency) passes.
+void validate_worker_count(unsigned threads);
 
 /// Folds batch results produced over contiguous ascending fault-index
 /// ranges back into one CampaignResult, in batch order — the merge

@@ -9,12 +9,12 @@ namespace prt::core {
 
 namespace {
 
-/// The one PRT replay loop, instantiated once per access path.  The bit
-/// path (kWord false, m = 1) carries each read as one plain lane word
-/// and accumulates the GF(2) feedback inline; the word path (m > 1)
-/// reads and writes whole cells through read_word / write_word into the
-/// scratch plane buffers, evaluates every feedback tap through the
-/// transcript's compiled tap matrix and folds the low min(m, MISR
+/// One PRT iteration of the replay, instantiated once per access path.
+/// The bit path (kWord false, m = 1) carries each read as one plain
+/// lane word and accumulates the GF(2) feedback inline; the word path
+/// (m > 1) reads and writes whole cells through read_word / write_word
+/// into the scratch plane buffers, evaluates every feedback tap through
+/// the transcript's compiled tap matrix and folds the low min(m, MISR
 /// degree) planes into the MISR.  At m = 1 the word path would compute
 /// the same thing; the bit path keeps the values in registers.
 ///
@@ -24,9 +24,9 @@ namespace {
 /// GCC 12 keeps the 512-lane bit path's read and write steps out of
 /// line, one call per access (DESIGN.md §27).
 template <bool kWord, typename W>
-PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
-                         const PackedRunOptions& options,
-                         PackedScratchT<W>& scratch) {
+bool replay_iteration(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
+                      const PrtIterSpan& it, const PackedRunOptions& options,
+                      PackedScratchT<W>& scratch, LaneLatch<W>& latch) {
   const mem::Addr n = t.n;
   const unsigned m = t.width;
   const bool use_misr = t.misr_poly != 0;
@@ -102,7 +102,7 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
       return W{};
     }
   };
-  auto add_tap = [&](auto& fb, const auto& value, const PrtIterSpan& it,
+  auto add_tap = [&](auto& fb, const auto& value,
                      unsigned j) __attribute__((always_inline)) {
     if constexpr (kWord) {
       const std::uint32_t* rows =
@@ -140,7 +140,6 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
     }
   };
 
-  LaneLatch<W> latch(ram.active_mask());
   // Fin / Init read-back: compared against the golden value and fed to
   // the MISR.
   auto read_back = [&](const OpRec& rec) __attribute__((always_inline)) {
@@ -148,69 +147,79 @@ PackedVerdictT<W> replay(mem::PackedFaultRamT<W>& ram, const OpTranscript& t,
     latch.mismatch |= deviates(value, rec.golden);
     if (use_misr) misr_shift(value);
   };
-  for (const PrtIterSpan& it : t.iterations) {
-    const OpRec* traj = t.recs.data() + it.traj_begin;
-    const unsigned kk = it.k;
-    if (use_misr) std::fill_n(misr, misr_width, W{});
+  const OpRec* traj = t.recs.data() + it.traj_begin;
+  const unsigned kk = it.k;
+  if (use_misr) std::fill_n(misr, misr_width, W{});
 
-    // Initialization: broadcast the seed values to every lane.
-    for (unsigned j = 0; j < kk; ++j) {
-      write(traj[j].addr, broadcast(traj[j].golden));
-    }
-
-    // Sweep: each lane's feedback (Eq. 1) comes from its own window
-    // reads, selected by the transcript's feedback mask and accumulated
-    // inline — no window buffer.  Nothing latches during the sweep, so
-    // there is no abort point inside it.
-    for (mem::Addr q = 0; q + kk < n; ++q) {
-      auto fb = zero_feedback();
-      for (unsigned j = 0; j < kk; ++j) {
-        const auto value = read(traj[q + j].addr);
-        if (use_misr) misr_shift(value);
-        if ((it.fb_mask >> j) & 1U) add_tap(fb, value, it, j);
-      }
-      write(traj[q + kk].addr, fb);
-    }
-
-    // Verdict: Fin read-back against Fin*, Init re-read against the
-    // seed — any lane deviating in any plane is detected.
-    for (unsigned j = 0; j < kk; ++j) read_back(traj[n - kk + j]);
-    for (unsigned j = 0; j < kk; ++j) read_back(traj[j]);
-
-    if (it.has_verify) {
-      // The pause advances the packed clock: retention lanes decay
-      // analytically at the first verify read past the boundary.
-      if (it.pause_ticks != 0) ram.advance_time(it.pause_ticks);
-      const OpRec* img = t.recs.data() + it.verify_begin;
-      for (mem::Addr a = 0; a < n; ++a) {
-        latch.mismatch |= deviates(read(img[a].addr), img[a].golden);
-        // Once every lane has latched, nothing left in the run can
-        // change a verdict (the latch is monotone and verify reads feed
-        // no MISR) — stop.  The lanes are charged the complete
-        // iteration, as the scalar abort run is.
-        if (options.early_abort && latch.retire(it.ops_end())) {
-          return latch.finish(t.total_ops());
-        }
-      }
-    }
-    if (use_misr) {
-      // Lanes whose signature differs from the golden scalar signature.
-      for (unsigned b = 0; b < misr_width; ++b) {
-        latch.mismatch |= misr[b] ^ golden_plane(it.misr_expected, b);
-      }
-    }
-    // Lanes that latched this iteration ran, scalar-equivalently, every
-    // iteration up to and including this one — the transcript's
-    // abort-op prefix sum.
-    if (options.early_abort) latch.retire(it.ops_end());
-    // Once every lane has latched, no later iteration can change a
-    // verdict or a charge, early abort or not: stop.
-    if (latch.decided()) break;
+  // Initialization: broadcast the seed values to every lane.
+  for (unsigned j = 0; j < kk; ++j) {
+    write(traj[j].addr, broadcast(traj[j].golden));
   }
-  return latch.finish(t.total_ops());
+
+  // Sweep: each lane's feedback (Eq. 1) comes from its own window
+  // reads, selected by the transcript's feedback mask and accumulated
+  // inline — no window buffer.  Nothing latches during the sweep, so
+  // there is no abort point inside it.
+  for (mem::Addr q = 0; q + kk < n; ++q) {
+    auto fb = zero_feedback();
+    for (unsigned j = 0; j < kk; ++j) {
+      const auto value = read(traj[q + j].addr);
+      if (use_misr) misr_shift(value);
+      if ((it.fb_mask >> j) & 1U) add_tap(fb, value, j);
+    }
+    write(traj[q + kk].addr, fb);
+  }
+
+  // Verdict: Fin read-back against Fin*, Init re-read against the
+  // seed — any lane deviating in any plane is detected.
+  for (unsigned j = 0; j < kk; ++j) read_back(traj[n - kk + j]);
+  for (unsigned j = 0; j < kk; ++j) read_back(traj[j]);
+
+  if (it.has_verify) {
+    // The pause advances the packed clock: retention lanes decay
+    // analytically at the first verify read past the boundary.
+    if (it.pause_ticks != 0) ram.advance_time(it.pause_ticks);
+    const OpRec* img = t.recs.data() + it.verify_begin;
+    for (mem::Addr a = 0; a < n; ++a) {
+      latch.mismatch |= deviates(read(img[a].addr), img[a].golden);
+      // Once every lane has latched, nothing left in the run can
+      // change a verdict (the latch is monotone and verify reads feed
+      // no MISR) — stop.  The lanes are charged the complete
+      // iteration, as the scalar abort run is.
+      if (options.early_abort && latch.retire(it.ops_end())) return true;
+    }
+  }
+  if (use_misr) {
+    // Lanes whose signature differs from the golden scalar signature.
+    for (unsigned b = 0; b < misr_width; ++b) {
+      latch.mismatch |= misr[b] ^ golden_plane(it.misr_expected, b);
+    }
+  }
+  // Lanes that latched this iteration ran, scalar-equivalently, every
+  // iteration up to and including this one — the transcript's
+  // abort-op prefix sum.
+  if (options.early_abort) latch.retire(it.ops_end());
+  // Once every lane has latched, no later iteration can change a
+  // verdict or a charge, early abort or not: stop.
+  return latch.decided();
 }
 
 }  // namespace
+
+template <typename W>
+bool run_prt_packed_iteration(mem::PackedFaultRamT<W>& ram,
+                              const OpTranscript& t, std::size_t iteration,
+                              const PackedRunOptions& options,
+                              PackedScratchT<W>& scratch,
+                              LaneLatch<W>& latch) {
+  assert(iteration < t.iterations.size());
+  assert(t.n == ram.size());
+  assert(t.width == ram.width());
+  const PrtIterSpan& it = t.iterations[iteration];
+  return t.width == 1
+             ? replay_iteration<false>(ram, t, it, options, scratch, latch)
+             : replay_iteration<true>(ram, t, it, options, scratch, latch);
+}
 
 template <typename W>
 PackedVerdictT<W> run_prt_packed(mem::PackedFaultRamT<W>& ram,
@@ -218,12 +227,21 @@ PackedVerdictT<W> run_prt_packed(mem::PackedFaultRamT<W>& ram,
                                  const PackedRunOptions& options,
                                  PackedScratchT<W>& scratch) {
   assert(!t.iterations.empty());
-  assert(t.n == ram.size());
-  assert(t.width == ram.width());
-  return t.width == 1 ? replay<false>(ram, t, options, scratch)
-                      : replay<true>(ram, t, options, scratch);
+  LaneLatch<W> latch(ram.active_mask());
+  for (std::size_t i = 0; i < t.iterations.size(); ++i) {
+    if (run_prt_packed_iteration(ram, t, i, options, scratch, latch)) break;
+  }
+  return latch.finish(t.total_ops());
 }
 
+template bool run_prt_packed_iteration(
+    mem::PackedFaultRamT<mem::LaneWord>&, const OpTranscript&, std::size_t,
+    const PackedRunOptions&, PackedScratchT<mem::LaneWord>&,
+    LaneLatch<mem::LaneWord>&);
+template bool run_prt_packed_iteration(
+    mem::PackedFaultRamT<mem::WideWord<8>>&, const OpTranscript&, std::size_t,
+    const PackedRunOptions&, PackedScratchT<mem::WideWord<8>>&,
+    LaneLatch<mem::WideWord<8>>&);
 template PackedVerdictT<mem::LaneWord> run_prt_packed(
     mem::PackedFaultRamT<mem::LaneWord>&, const OpTranscript&,
     const PackedRunOptions&, PackedScratchT<mem::LaneWord>&);

@@ -40,6 +40,11 @@
 //
 // Per-lane early abort: the replay keeps its lanes in a
 // core::LaneLatch (op_transcript.hpp), shared with the March replay.
+// run_prt_packed_iteration replays one iteration against a latch the
+// caller keeps, so a caller can stop between iterations, move the
+// undecided lanes to another ram and resume them there (the campaign
+// driver's spill loop, DESIGN.md §29); run_prt_packed is its loop over
+// every iteration.
 // With PackedRunOptions::early_abort a latched lane retires no later
 // than the end of its iteration, charged exactly what
 // run_prt(..., {.early_abort = true}) would have issued for it:
@@ -52,6 +57,7 @@
 // run, only the physical op count ram.ops() is smaller.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -82,6 +88,23 @@ struct PackedScratchT {
   std::vector<W> planes;
 };
 
+/// Replays iteration `iteration` of a compiled PRT transcript against
+/// the packed ram, latching mismatches into `latch` and, under early
+/// abort, retiring its latched lanes.  Returns true when the run can
+/// stop (LaneLatch::decided): no later iteration can change a verdict
+/// or a charge.  The lanes' state at the iteration boundary is the
+/// ram's, so iteration i + 1 resumes either on the same ram or on one
+/// the lanes were restored into (mem::PackedFaultRamT::save_lane).
+/// Same preconditions as run_prt_packed, plus iteration <
+/// transcript.iterations.size().
+template <typename W>
+[[nodiscard]] bool run_prt_packed_iteration(mem::PackedFaultRamT<W>& ram,
+                                            const OpTranscript& transcript,
+                                            std::size_t iteration,
+                                            const PackedRunOptions& options,
+                                            PackedScratchT<W>& scratch,
+                                            LaneLatch<W>& latch);
+
 /// Replays a compiled PRT transcript against the packed ram — the
 /// campaign hot loop, one instantiation per lane width — and returns
 /// the core::PackedVerdictT shared with the March replay.
@@ -94,6 +117,14 @@ template <typename W>
                                                const PackedRunOptions& options,
                                                PackedScratchT<W>& scratch);
 
+extern template bool run_prt_packed_iteration(
+    mem::PackedFaultRamT<mem::LaneWord>&, const OpTranscript&, std::size_t,
+    const PackedRunOptions&, PackedScratchT<mem::LaneWord>&,
+    LaneLatch<mem::LaneWord>&);
+extern template bool run_prt_packed_iteration(
+    mem::PackedFaultRamT<mem::WideWord<8>>&, const OpTranscript&, std::size_t,
+    const PackedRunOptions&, PackedScratchT<mem::WideWord<8>>&,
+    LaneLatch<mem::WideWord<8>>&);
 extern template PackedVerdictT<mem::LaneWord> run_prt_packed(
     mem::PackedFaultRamT<mem::LaneWord>&, const OpTranscript&,
     const PackedRunOptions&, PackedScratchT<mem::LaneWord>&);

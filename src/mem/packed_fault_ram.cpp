@@ -271,6 +271,61 @@ unsigned PackedFaultRamT<W>::add_fault(const Fault& fault) {
 }
 
 template <typename W>
+typename PackedFaultRamT<W>::LaneState PackedFaultRamT<W>::save_lane(
+    unsigned lane, const Fault& fault) const {
+  assert(lane < lanes_used_);
+  LaneState state;
+  state.victim =
+      lane_test(data_[site_of(fault.victim.cell, fault.victim.bit)], lane);
+  if (is_coupling(fault.kind)) {
+    state.aggressor = lane_test(
+        data_[site_of(fault.aggressor.cell, fault.aggressor.bit)], lane);
+  }
+  // Bits are packed by shifting the tested bit itself, never a raw
+  // single-lane constant: the lane words stay behind mem/lane_word.hpp.
+  if (fault.kind == FaultKind::kSof) {
+    for (unsigned p = 0; p < width_; ++p) {
+      state.sense |= static_cast<std::uint32_t>(lane_test(last_read_[p], lane))
+                     << p;
+    }
+  }
+  if (fault.kind == FaultKind::kNpsfStatic) {
+    for (unsigned d = 0; d < 4; ++d) {
+      state.neighbours = static_cast<std::uint8_t>(
+          state.neighbours |
+          (static_cast<unsigned>(lane_test(nval_[d], lane)) << d));
+    }
+  }
+  return state;
+}
+
+template <typename W>
+unsigned PackedFaultRamT<W>::add_fault(const Fault& fault,
+                                       const LaneState& state) {
+  // add_fault enforces the fault's conditions against this ram's
+  // contents; the saved bits below overwrite whatever it forced with
+  // the consistent state the lane left.
+  const unsigned lane = add_fault(fault);
+  lane_assign(data_[site_of(fault.victim.cell, fault.victim.bit)], lane,
+              state.victim);
+  if (is_coupling(fault.kind)) {
+    lane_assign(data_[site_of(fault.aggressor.cell, fault.aggressor.bit)],
+                lane, state.aggressor);
+  }
+  if (fault.kind == FaultKind::kSof) {
+    for (unsigned p = 0; p < width_; ++p) {
+      lane_assign(last_read_[p], lane, ((state.sense >> p) & 1U) != 0);
+    }
+  }
+  if (fault.kind == FaultKind::kNpsfStatic) {
+    for (unsigned d = 0; d < 4; ++d) {
+      lane_assign(nval_[d], lane, ((state.neighbours >> d) & 1U) != 0);
+    }
+  }
+  return lane;
+}
+
+template <typename W>
 void PackedFaultRamT<W>::read_word(Addr cell, W* out) {
   assert(cell < size_);
   ++reads_;

@@ -111,6 +111,34 @@ class PackedFaultRamT {
   /// ram before driving it.
   unsigned add_fault(const Fault& fault);
 
+  /// What one lane carries across a PRT iteration boundary, and
+  /// nothing else (DESIGN.md §29).  Every PRT iteration writes each
+  /// cell before it reads it (its trajectory is a permutation of the
+  /// cells), so the rest of a lane's memory, its retention stamp, the
+  /// clock and the decoder's addressed and alias cells are dead there.
+  struct LaneState {
+    /// The lane's bit of its fault's victim site: a transition, write
+    /// disturb or bridge sees it on the next write.
+    bool victim = false;
+    /// The lane's bit of its aggressor site (coupling and bridge lanes).
+    bool aggressor = false;
+    /// Bit p: the lane's sense-amp history of plane p (SOF lanes).
+    std::uint32_t sense = 0;
+    /// Bit d: the lane's cached NPSF neighbour value in direction d,
+    /// N = 0, E = 1, S = 2, W = 3 (NPSF lanes).
+    std::uint8_t neighbours = 0;
+  };
+
+  /// The live state of lane `lane`, which holds `fault`, between two
+  /// PRT iterations.  Precondition: lane < lanes_used() and `fault` is
+  /// the fault add_fault gave that lane.
+  [[nodiscard]] LaneState save_lane(unsigned lane, const Fault& fault) const;
+
+  /// add_fault(fault), then restores `state` into the new lane, so the
+  /// lane resumes a PRT transcript at the iteration boundary where
+  /// save_lane took it.  Throws exactly where add_fault throws.
+  unsigned add_fault(const Fault& fault, const LaneState& state);
+
   /// Reads every lane's bit of cell `addr` at once, applying each
   /// lane's retention decay and read-logic fault (read_site, the step
   /// read_word() runs per plane).  Preconditions: addr < size(),

@@ -19,16 +19,19 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/campaign_driver.hpp"
 #include "analysis/campaign_service.hpp"
 #include "analysis/campaign_shard.hpp"
 #include "analysis/campaign_suite.hpp"
 #include "analysis/march_campaign.hpp"
 #include "core/prt_engine.hpp"
+#include "live_reference.hpp"
 #include "march/march_library.hpp"
 #include "mem/fault_universe.hpp"
 #include "util/fail_point.hpp"
@@ -178,6 +181,120 @@ TEST(CampaignEngine, MalformedUniverseThrowsOnEveryPath) {
                                             {.n = n, .m = 4},
                                             {.threads = threads}),
                    std::invalid_argument);
+    }
+  }
+}
+
+// A worker count past kMaxWorkers throws, naming it, from every
+// surface's constructor, before any pool of that size could exist: the
+// check never runs a campaign, so no pool is started at all.
+TEST(CampaignEngine, WorkerCountAboveTheCeilingThrowsNamingIt) {
+  const CampaignOptions opt{.n = 16};
+  const auto scheme = core::standard_scheme_bom(opt.n);
+  for (const unsigned threads :
+       {kMaxWorkers + 1, static_cast<unsigned>(-1)}) {
+    SCOPED_TRACE(threads);
+    const std::string named = "(got " + std::to_string(threads) + ")";
+    const auto expect_named = [&](const auto& construct) {
+      try {
+        construct();
+        ADD_FAILURE() << "no std::invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+            << e.what();
+      }
+    };
+    const EngineOptions engine{.threads = threads};
+    expect_named([&] { CampaignEngine(scheme, opt, engine); });
+    expect_named([&] { MarchCampaign(march::march_c_minus(), opt, engine); });
+    expect_named([&] {
+      CampaignSuite([](const CampaignOptions& o) {
+        return core::standard_scheme_bom(o.n);
+      }, engine);
+    });
+    expect_named([&] { CampaignSuite(march::march_c_minus(), engine); });
+    expect_named([&] { CampaignService({.threads = threads}); });
+  }
+  // The ceiling itself is a valid count (constructing starts no pool).
+  EXPECT_NO_THROW(CampaignEngine(scheme, opt, {.threads = kMaxWorkers}));
+}
+
+// The PRT pause, pinned to the tick.  A retention fault is caught at
+// the verify read after its iteration's pause exactly when its delay
+// is at most that read's distance from the cell's last write, so per
+// victim the scalar reference's verdict flips at one delay: decaying to
+// 0 in retention_scheme's first iteration (every cell holds 1), to 1 in
+// its second (every cell holds 0).  Faults at that delay and one tick
+// either side must get the reference's verdicts on a batch whose rams
+// spill their survivors (the decay-to-1 lanes resume iteration 2 on
+// another ram, clock and all) and on one-ram batches that never spill.
+TEST(CampaignEngine, RetentionVerdictsFlipAtThePauseBoundary) {
+  const mem::Addr n = 260;
+  const CampaignOptions opt{.n = n};
+  const core::PrtScheme scheme = core::retention_scheme(n, 1, 1000);
+  const TestAlgorithm reference = prt_algorithm(scheme);
+  const auto detected = [&](const std::vector<mem::Fault>& universe) {
+    return run_campaign(universe, reference, opt).overall.detected;
+  };
+  // The largest delay the reference still catches.
+  const auto flip = [&](mem::Addr victim, unsigned decays_to) {
+    std::uint64_t lo = 1;
+    std::uint64_t hi = 1000 + 8 * std::uint64_t{n};
+    EXPECT_EQ(detected({mem::Fault::retention({victim, 0}, decays_to, lo)}), 1u);
+    EXPECT_EQ(detected({mem::Fault::retention({victim, 0}, decays_to, hi)}), 0u);
+    while (hi - lo > 1) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      (detected({mem::Fault::retention({victim, 0}, decays_to, mid)}) == 1
+           ? lo
+           : hi) = mid;
+    }
+    return lo;
+  };
+  // Two rams of 64 lanes: 8 victims each, with their six faults around
+  // the flip, and 16 stuck-at-0 cells the first verify pass catches.
+  // After iteration 1 each ram holds 32 undecided lanes (three decaying
+  // to 1, the decay-to-0 one past its flip, per victim).
+  const mem::Addr victims[] = {0,   1,   2,   63,  64,  97,  128, 129,
+                               130, 191, 200, 230, 255, 257, 258, 259};
+  std::vector<mem::Fault> spilling;
+  for (std::size_t v = 0; v < std::size(victims); ++v) {
+    for (const unsigned decays_to : {0u, 1u}) {
+      const std::uint64_t d = flip(victims[v], decays_to);
+      for (const std::uint64_t delay : {d - 1, d, d + 1}) {
+        spilling.push_back(
+            mem::Fault::retention({victims[v], 0}, decays_to, delay));
+      }
+    }
+    if (v % 8 == 7) {
+      for (mem::Addr c = 0; c < 16; ++c) {
+        spilling.push_back(mem::Fault::saf({3 + 16 * c, 0}, 0));
+      }
+    }
+  }
+  ASSERT_EQ(spilling.size(), 128u);
+  core::PrtScheme first = scheme;
+  first.iterations.resize(1);
+  const std::span<const mem::Fault> all(spilling);
+  const std::uint64_t rest =
+      core::prt_ops(n, 2, 1) + n;  // iteration 2: sweep and verify pass
+  for (const std::span<const mem::Fault> ram : {all.first(64), all.last(64)}) {
+    const auto latched = static_cast<unsigned>(
+        run_campaign(ram, prt_algorithm(first), opt).overall.detected);
+    EXPECT_EQ(latched, 32u);
+    EXPECT_TRUE(detail::spills(64, 64, 64 - latched, spilling.size(), rest));
+    EXPECT_FALSE(detail::spills(64, 64, 64 - latched, ram.size(), rest));
+  }
+  const CampaignResult want = run_campaign(spilling, reference, opt);
+  // Four faults per victim, at and below each flip, and every stuck-at.
+  EXPECT_EQ(want.overall.detected, 96u);
+  for (const bool early_abort : {false, true}) {
+    SCOPED_TRACE(early_abort);
+    const CampaignEngine engine(scheme, opt, {.early_abort = early_abort});
+    const TestAlgorithm live = testref::live_prt(scheme, early_abort);
+    EXPECT_EQ(engine.run(spilling), run_campaign(spilling, live, opt));
+    for (const std::span<const mem::Fault> ram :
+         {all.first(64), all.last(64)}) {
+      EXPECT_EQ(engine.run(ram), run_campaign(ram, live, opt));
     }
   }
 }

@@ -15,9 +15,12 @@
 // 33: the engine and the suite throw std::invalid_argument, and the
 // service fails the request at submit with no batch run and no retry);
 // one-cell (March at n = 1 with intra-word coupling, bridge and
-// retention faults); and coverage, aimed at the cells the others miss.
-// StreamsReachEveryCell generates every draw, runs none, and names each
-// cell of required_cells() that no draw reaches.
+// retention faults); and coverage, aimed at the cells the others miss,
+// PRT batches that spill their survivors among them (DESIGN.md §29).
+// StreamsReachEveryCell generates every draw, runs none through a
+// surface, and names each cell of required_cells() that no draw
+// reaches; for a batch that may spill it replays the first ram on the
+// packed path to see which lanes it spills.
 //
 // A failure prints at once the stream, the seed and the draw (and the
 // schedule), which replays exactly.  A stream stops at its first
@@ -46,6 +49,7 @@
 #include "analysis/march_campaign.hpp"
 #include "analysis/oracle_cache.hpp"
 #include "core/prt_engine.hpp"
+#include "core/prt_packed.hpp"
 #include "gf/gf2_poly.hpp"
 #include "live_reference.hpp"
 #include "march/march_library.hpp"
@@ -65,9 +69,10 @@ constexpr int kGeometryDraws = 20;
 constexpr std::uint64_t kGeometryOpsBudget = 300'000;
 constexpr int kInvalidDraws = 20;
 constexpr int kOneCellDraws = 10;
-/// The coverage stream: the 16 cells of the replay grid, then eight
-/// NPSF and retention draws over several batches.
-constexpr int kCoverageDraws = 24;
+/// The coverage stream: the 16 cells of the replay grid, eight NPSF
+/// and retention draws over several batches, then six PRT batches that
+/// spill.
+constexpr int kCoverageDraws = 30;
 /// Seeds of the geometry, invalid, one-cell and coverage streams: kSeed
 /// mixed with a per-stream constant, so none shares the main stream's
 /// draws.
@@ -196,6 +201,12 @@ unsigned max_k(const core::PrtScheme& scheme) {
   return static_cast<unsigned>(k);
 }
 
+/// Ops one scalar PRT iteration issues on n cells.
+std::uint64_t iteration_ops(const core::SchemeIteration& it, std::uint64_t n) {
+  const std::uint64_t k = it.g.size() - 1;
+  return k + (n - k) * (k + 1) + 2 * k + (it.config.verify_pass ? n : 0);
+}
+
 /// Ops one complete scalar run of the draw's workload issues.
 std::uint64_t ops_per_fault(const Draw& d) {
   const std::uint64_t n = d.opt.n;
@@ -204,8 +215,7 @@ std::uint64_t ops_per_fault(const Draw& d) {
   }
   std::uint64_t ops = 0;
   for (const core::SchemeIteration& it : d.scheme->iterations) {
-    const std::uint64_t k = it.g.size() - 1;
-    ops += k + (n - k) * (k + 1) + 2 * k + (it.config.verify_pass ? n : 0);
+    ops += iteration_ops(it, n);
   }
   return ops;
 }
@@ -451,7 +461,10 @@ Draw make_one_cell_draw(Xoshiro256& rng) {
 /// 16-23 put NPSF and retention lanes under a PRT pause or March G's
 /// Del, bits 0-2 of i - 16 choosing as in the grid, on a grid memory
 /// and two batches (the second on 64 lanes) at 2 or 4 threads.
+Draw make_spill_draw(Xoshiro256& rng, int bits);
+
 Draw make_coverage_draw(Xoshiro256& rng, int i) {
+  if (i >= 24) return make_spill_draw(rng, i - 24);
   Draw d;
   const bool grid = i < 16;
   const int bits = grid ? i : i - 16;
@@ -503,6 +516,111 @@ Draw make_coverage_draw(Xoshiro256& rng, int i) {
     size = wide + pick(rng, top - wide + 1);
   }
   d.universe = random_universe(rng, d.opt.n, m, size, grid ? 0 : cols);
+  return d;
+}
+
+/// A spill draw (bits 0-2 of the coverage stream's draws 24-29): one
+/// batch of two full rams and a tail on 64 lanes, or of one full ram
+/// and a tail on 512 (bit 0), early abort off or on (bit 1), at m = 1
+/// or, on 64 lanes, m > 1 (bit 2).  The scheme is random but for its
+/// first iteration, which writes one non-zero background (a constant
+/// sequence, as retention_scheme's iterations do), so most lanes of
+/// every kind outlive it; n is the least grid memory whose later
+/// iterations still issue the spill gate's ops per lane.  A full ram is
+/// half a fault mix and half stuck-at lanes the first Init re-read
+/// catches, so it spills after iteration 1 whatever the mix does.  The
+/// mix draws coupling, CFst, bridge, NPSF, retention, SOF and the other
+/// kinds alike, and puts some SOF victims at the first cell a later
+/// iteration reads, where the restored sense-amp history is echoed.
+Draw make_spill_draw(Xoshiro256& rng, int bits) {
+  Draw d;
+  const bool wide = (bits & 1) != 0;
+  d.early_abort = (bits & 2) != 0;
+  d.opt.m = (bits & 4) != 0 ? 2 + static_cast<unsigned>(pick(rng, 3)) : 1;
+  const unsigned m = d.opt.m;
+  d.scheme = random_scheme(rng, m);
+  while (d.scheme->iterations.size() < 2) {
+    d.scheme->iterations.push_back(random_scheme(rng, m).iterations.front());
+  }
+  const auto background =
+      static_cast<gf::Elem>(1 + pick(rng, (gf::Elem{1} << m) - 1));
+  core::SchemeIteration& first = d.scheme->iterations.front();
+  first.g = {1, 0, 1};
+  first.config.init = {background, background};
+  const unsigned lanes = wide ? 512 : 64;
+  const auto rest_ops = [&](std::uint64_t n) {
+    std::uint64_t ops = 0;
+    for (std::size_t i = 1; i < d.scheme->iterations.size(); ++i) {
+      ops += iteration_ops(d.scheme->iterations[i], n);
+    }
+    return ops;
+  };
+  const mem::Addr cols = 3 + static_cast<mem::Addr>(pick(rng, 6));
+  mem::Addr n = 3 * cols;
+  while (rest_ops(n) < detail::kSpillMinOpsPerLane * lanes) n += cols;
+  d.opt.n = n;
+  constexpr unsigned kThreads[] = {1, 2, 4};
+  d.threads = kThreads[pick(rng, 3)];
+  d.suite = pick(rng, 3) == 0;
+  d.service = pick(rng, 3) == 0;
+
+  mem::UniverseOptions u;
+  u.npsf = true;
+  u.npsf_grid_cols = cols;
+  u.coupling_pair_limit = 64;
+  u.seed = rng();
+  const std::vector<mem::Fault> universe = mem::make_universe(n, m, u);
+  using mem::FaultKind;
+  const auto is_cfst = [](FaultKind k) {
+    return k == FaultKind::kCfSt0 || k == FaultKind::kCfSt1;
+  };
+  const auto is_bridge = [](FaultKind k) {
+    return k == FaultKind::kBridgeAnd || k == FaultKind::kBridgeOr;
+  };
+  // Coupling (CFin, CFid), CFst, bridges, NPSF and every other kind.
+  std::vector<mem::Fault> kinds[5];
+  for (const mem::Fault& f : universe) {
+    const std::size_t kind =
+        is_cfst(f.kind)                          ? 1
+        : is_bridge(f.kind)                      ? 2
+        : mem::is_coupling(f.kind)               ? 0
+        : f.kind == FaultKind::kNpsfStatic       ? 3
+                                                 : 4;
+    kinds[kind].push_back(f);
+  }
+  const core::OpTranscript& t = *OracleCache::global().prt(*d.scheme, n);
+  const auto bit = [&] { return static_cast<unsigned>(pick(rng, m)); };
+  const auto mix = [&]() -> mem::Fault {
+    const std::uint64_t kind = pick(rng, 8);
+    if (kind < 5) return kinds[kind][pick(rng, kinds[kind].size())];
+    if (kind == 5) {
+      const mem::BitRef victim{static_cast<mem::Addr>(pick(rng, n)), bit()};
+      const std::uint64_t delay = kRetentionDelays[pick(rng, 7)];
+      return mem::Fault::retention(victim, static_cast<unsigned>(pick(rng, 2)),
+                                   delay);
+    }
+    if (kind == 6) {
+      return mem::Fault::sof({static_cast<mem::Addr>(pick(rng, n)), bit()});
+    }
+    const core::PrtIterSpan& later =
+        t.iterations[1 + pick(rng, t.iterations.size() - 1)];
+    return mem::Fault::sof({t.recs[later.traj_begin].addr, bit()});
+  };
+  // Stuck at the opposite of the background, on the cell the first
+  // iteration seeds first and re-reads at its end.
+  const mem::Addr seeded = t.recs[t.iterations.front().traj_begin].addr;
+  const auto caught = [&] {
+    const unsigned p = bit();
+    return mem::Fault::saf({seeded, p}, ((background >> p) & 1U) ^ 1U);
+  };
+  for (int ram = 0; ram < (wide ? 1 : 2); ++ram) {
+    for (unsigned lane = 0; lane < lanes / 2; ++lane) d.universe.push_back(mix());
+    for (unsigned lane = 0; lane < lanes / 2; ++lane) {
+      d.universe.push_back(caught());
+    }
+  }
+  const std::uint64_t tail = 1 + pick(rng, wide ? 64 : lanes / 2);
+  for (std::uint64_t i = 0; i < tail; ++i) d.universe.push_back(mix());
   return d;
 }
 
@@ -910,14 +1028,32 @@ constexpr const char* kNarrowBatch = "64-lane batch";
 constexpr const char* kOtherCells[] = {
     "several batches, the last on 64 lanes", "threads > 1 over several batches",
     "word-path MISR of degree below m", "word-path MISR of degree m",
-    "word-path MISR of degree above m"};
+    "word-path MISR of degree above m", "a word-path batch spills"};
+/// The kinds a spilled lane must hold, each in some draw.
+constexpr const char* kSpilledLanes[] = {
+    "a spilled coupling lane",  "a spilled CFst lane",
+    "a spilled bridge lane",    "a spilled NPSF lane on a grid",
+    "a spilled retention lane", "a spilled SOF lane",
+    "a spilled SOF lane its resume iteration reads first"};
+
+std::string spill_cell(unsigned lanes, bool early_abort) {
+  return "a " + std::to_string(lanes) + "-lane batch spills" +
+         (early_abort ? ", early abort on" : ", early abort off");
+}
 
 /// Every cell some draw must reach: the replay grid, NPSF plus
 /// retention lanes under a PRT pause and a March Del (early abort off
-/// and on), and kOtherCells.
+/// and on), batches that spill at both lane words (early abort off and
+/// on), kOtherCells and kSpilledLanes.
 std::vector<std::string> required_cells() {
   std::vector<std::string> cells(std::begin(kOtherCells),
                                  std::end(kOtherCells));
+  cells.insert(cells.end(), std::begin(kSpilledLanes), std::end(kSpilledLanes));
+  for (const unsigned lanes : {64u, 512u}) {
+    for (const bool early_abort : {false, true}) {
+      cells.push_back(spill_cell(lanes, early_abort));
+    }
+  }
   for (int bits = 0; bits < 16; ++bits) {
     const bool prt = (bits & 1) != 0;
     const bool early_abort = (bits & 2) != 0;
@@ -926,6 +1062,84 @@ std::vector<std::string> required_cells() {
                          (bits & 8) != 0 ? kWideBatch : kNarrowBatch));
   }
   return cells;
+}
+
+/// The faults the first ram of the draw's first batch spills, and the
+/// iteration they resume at: that ram replayed on the packed path
+/// iteration by iteration under the driver's rule (detail::spills).
+/// Empty when it spills none.
+template <typename W>
+std::pair<std::size_t, std::vector<mem::Fault>> first_spill(
+    const Draw& d, const core::OpTranscript& t, std::size_t batch) {
+  constexpr unsigned kLanes = mem::PackedFaultRamT<W>::kLanes;
+  mem::PackedFaultRamT<W> ram(d.opt.n, d.opt.m);
+  const auto loaded = static_cast<unsigned>(std::min<std::size_t>(batch, kLanes));
+  for (unsigned f = 0; f < loaded; ++f) ram.add_fault(d.universe[f]);
+  core::LaneLatch<W> latch(ram.active_mask());
+  core::PackedScratchT<W> scratch;
+  for (std::size_t i = 0; i + 1 < t.iterations.size(); ++i) {
+    if (core::run_prt_packed_iteration(ram, t, i, {.early_abort = d.early_abort},
+                                       scratch, latch)) {
+      break;
+    }
+    const W survivors = latch.pending & ~latch.mismatch;
+    if (detail::spills(kLanes, loaded, mem::lane_popcount(survivors), batch,
+                       t.total_ops() - t.iterations[i].ops_end())) {
+      std::vector<mem::Fault> spilled;
+      mem::for_each_set_lane(survivors, [&](unsigned lane) {
+        spilled.push_back(d.universe[lane]);
+      });
+      return {i + 1, spilled};
+    }
+  }
+  return {};
+}
+
+/// The spill cells of a PRT draw: whether its first batch's first ram
+/// spills, and the kinds of the lanes it spills.  Replays only rams whose
+/// rest after the first iteration reaches the gate.
+void insert_spill_cells(const Draw& d, std::set<std::string>& cells) {
+  const std::size_t batch =
+      std::min(d.universe.size(), detail::kSchedulerBatch);
+  const unsigned lanes = batch >= detail::kWideMinFaults ? 512 : 64;
+  std::uint64_t rest = 0;
+  for (std::size_t i = 1; i < d.scheme->iterations.size(); ++i) {
+    rest += iteration_ops(d.scheme->iterations[i], d.opt.n);
+  }
+  if (batch <= lanes || rest < detail::kSpillMinOpsPerLane * lanes) return;
+  const core::OpTranscript& t = *OracleCache::global().prt(*d.scheme, d.opt.n);
+  const auto [resume, spilled] =
+      lanes == 512 ? first_spill<mem::WideWord<8>>(d, t, batch)
+                   : first_spill<mem::LaneWord>(d, t, batch);
+  if (spilled.empty()) return;
+  cells.insert(spill_cell(lanes, d.early_abort));
+  if (d.opt.m > 1) cells.insert(kOtherCells[5]);
+  const mem::Addr read_first = t.recs[t.iterations[resume].traj_begin].addr;
+  using mem::FaultKind;
+  for (const mem::Fault& f : spilled) {
+    switch (f.kind) {
+      case FaultKind::kCfSt0:
+      case FaultKind::kCfSt1:
+        if (f.state <= 1) cells.insert(kSpilledLanes[1]);
+        break;
+      case FaultKind::kBridgeAnd:
+      case FaultKind::kBridgeOr:
+        cells.insert(kSpilledLanes[2]);
+        break;
+      case FaultKind::kNpsfStatic:
+        if (f.grid_cols != 0) cells.insert(kSpilledLanes[3]);
+        break;
+      case FaultKind::kDrf:
+        cells.insert(kSpilledLanes[4]);
+        break;
+      case FaultKind::kSof:
+        cells.insert(kSpilledLanes[f.victim.cell == read_first ? 6 : 5]);
+        break;
+      default:
+        if (mem::is_coupling(f.kind)) cells.insert(kSpilledLanes[0]);
+        break;
+    }
+  }
 }
 
 /// The cells one draw reaches.
@@ -970,6 +1184,7 @@ std::set<std::string> cells_of(const Draw& d) {
       holds(mem::FaultKind::kDrf)) {
     cells.insert(cell(prt, false, d.early_abort, nullptr));
   }
+  if (prt) insert_spill_cells(d, cells);
   return cells;
 }
 
