@@ -6,7 +6,7 @@ Two layers (DESIGN.md §12):
   1. clang-tidy over compile_commands.json with the repo's .clang-tidy
      profile (bugprone-*, concurrency-*, performance-*, narrowing
      conversions, a tuned modernize subset).
-  2. Custom project lints that encode invariants generic tooling
+  2. Eight custom project lints that encode invariants generic tooling
      cannot know:
        * raw std::mutex / std::condition_variable declarations outside
          src/util/annotations.hpp — all locking must go through the
@@ -41,8 +41,14 @@ Two layers (DESIGN.md §12):
          run_march_packed() in src/analysis/ outside
          src/analysis/campaign_driver.hpp — the one campaign driver
          picks the replay from the cached transcript (DESIGN.md §22)
-         and runs the PRT spill loop (§29), so no other engine-layer
-         file grows a second dispatch.
+         and runs the one shard loop (§30), so no other engine-layer
+         file grows a second dispatch;
+       * orphan headers: a header under src/ that no file under src/,
+         bench/, examples/ or perfbench/ includes (its own .cpp does
+         not count) — library code only tests reach is a candidate for
+         deletion (DESIGN.md §30).  Deleting a header's last includer
+         orphans a header that did not change, so this rule checks
+         every header on every run, --changed-only included.
 
 Exit status is non-zero when any layer reports a finding.
 
@@ -128,6 +134,11 @@ SCALAR_REFERENCE_RE = re.compile(
     r"\brun_march_backgrounds\s*\(")
 PACKED_REPLAY_RE = re.compile(
     r"\brun_(?:prt|march)_packed(?:_iteration)?\s*\(")
+# The trees whose includes keep a src/ header alive.  tests/ is not
+# among them: a header only tests include is an orphan.
+INCLUDER_TOPS = ("src", "bench", "examples", "perfbench")
+HEADER_EXTENSIONS = (".hpp", ".h")
+QUOTED_INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
 
 
 def strip_comments(text: str) -> str:
@@ -318,9 +329,40 @@ CUSTOM_LINTS = (lint_raw_mutex, lint_unordered_iteration, lint_nondeterminism,
                 lint_packed_replay)
 
 
-def iter_source_files(changed: set[str] | None) -> list[str]:
+def lint_orphan_headers(sources: dict[str, str]) -> list[str]:
+    """Tree-wide rule over `sources` (relative path -> comment-stripped
+    text): every header under src/ that no file under INCLUDER_TOPS
+    includes, its own .cpp aside.  An include resolves against src/ and
+    against the including file's directory."""
+    src_prefix = "src" + os.sep
+    included: set[str] = set()
+    for rel, clean in sources.items():
+        if not rel.startswith(tuple(top + os.sep for top in INCLUDER_TOPS)):
+            continue
+        stem = os.path.splitext(rel)[0]
+        for m in QUOTED_INCLUDE_RE.finditer(clean):
+            name = m.group(1).replace("/", os.sep)
+            for path in (os.path.join("src", name),
+                         os.path.join(os.path.dirname(rel), name)):
+                path = os.path.normpath(path)
+                if rel.endswith(".cpp") and \
+                        os.path.splitext(path)[0] == stem:
+                    continue  # a header's own .cpp does not keep it
+                included.add(path)
+    return [
+        f"{rel}:1: orphan header — no file under src/, bench/, examples/ "
+        f"or perfbench/ includes it (tests and its own .cpp do not "
+        f"count); delete it, or include it where a program uses it"
+        for rel in sorted(sources)
+        if rel.startswith(src_prefix) and rel.endswith(HEADER_EXTENSIONS)
+        and rel not in included]
+
+
+def iter_source_files(changed: set[str] | None,
+                      tops: tuple[str, ...] = ("src", "tests", "bench",
+                                               "examples")) -> list[str]:
     files = []
-    for top in ("src", "tests", "bench", "examples"):
+    for top in tops:
         for root, _dirs, names in os.walk(os.path.join(REPO_ROOT, top)):
             for name in sorted(names):
                 if not name.endswith(SRC_EXTENSIONS):
@@ -332,13 +374,21 @@ def iter_source_files(changed: set[str] | None) -> list[str]:
     return sorted(files)
 
 
+def read_clean(rel: str) -> str:
+    with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as f:
+        return strip_comments(f.read())
+
+
 def run_custom_lints(changed: set[str] | None) -> list[str]:
     findings = []
     for rel in iter_source_files(changed):
-        with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as f:
-            clean = strip_comments(f.read())
+        clean = read_clean(rel)
         for lint in CUSTOM_LINTS:
             findings.extend(lint(rel, clean))
+    # Tree-wide, whatever changed.
+    includers = iter_source_files(None, INCLUDER_TOPS)
+    findings.extend(
+        lint_orphan_headers({rel: read_clean(rel) for rel in includers}))
     return findings
 
 
@@ -522,6 +572,20 @@ SELFTEST_CASES = [
 ]
 
 
+# The tree-wide orphan-header rule: (tree of path -> snippet,
+# expect_finding).
+ORPHAN_SELFTEST_CASES = [
+    # Only its own .cpp and a test include it.
+    ({"src/core/widget.hpp": "#pragma once\nint widget();\n",
+      "src/core/widget.cpp": '#include "core/widget.hpp"\n',
+      "tests/test_widget.cpp": '#include "core/widget.hpp"\n'}, True),
+    # A paper program includes it.
+    ({"src/core/widget.hpp": "#pragma once\nint widget();\n",
+      "src/core/widget.cpp": '#include "core/widget.hpp"\n',
+      "bench/tab_widget.cpp": '#include "core/widget.hpp"\n'}, False),
+]
+
+
 def selftest() -> int:
     failures = 0
     for lint, rel, snippet, expect in SELFTEST_CASES:
@@ -530,7 +594,16 @@ def selftest() -> int:
             failures += 1
             print(f"selftest FAIL: {lint.__name__} on {rel!r} expected "
                   f"finding={expect}, got {findings}")
-    print(f"selftest: {len(SELFTEST_CASES)} cases, {failures} failures")
+    for tree, expect in ORPHAN_SELFTEST_CASES:
+        findings = lint_orphan_headers(
+            {rel.replace("/", os.sep): strip_comments(snippet)
+             for rel, snippet in tree.items()})
+        if bool(findings) != expect:
+            failures += 1
+            print(f"selftest FAIL: lint_orphan_headers on {sorted(tree)} "
+                  f"expected finding={expect}, got {findings}")
+    cases = len(SELFTEST_CASES) + len(ORPHAN_SELFTEST_CASES)
+    print(f"selftest: {cases} cases, {failures} failures")
     return failures
 
 

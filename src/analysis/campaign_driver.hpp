@@ -48,6 +48,7 @@
 #include "analysis/oracle_cache.hpp"
 #include "core/prt_packed.hpp"
 #include "march/march_runner.hpp"
+#include "mem/packed_fault_ram.hpp"
 
 namespace prt::analysis::detail {
 
@@ -78,6 +79,22 @@ inline constexpr std::uint64_t kSpillMinOpsPerLane = 16;
                                     std::uint64_t rest_ops) {
   return 2 * loaded > lanes && 2 * survivors <= lanes &&
          batch_faults > lanes && rest_ops >= kSpillMinOpsPerLane * lanes;
+}
+
+/// Records one fault's verdict into the shard result (class + overall
+/// counters, escape index on a miss).
+inline void tally_fault(CampaignResult& out,
+                        std::span<const mem::Fault> universe, std::size_t i,
+                        bool detected) {
+  auto& cls = out.by_class[mem::fault_class(universe[i].kind)];
+  ++cls.total;
+  ++out.overall.total;
+  if (detected) {
+    ++cls.detected;
+    ++out.overall.detected;
+  } else {
+    out.escapes.push_back(i);
+  }
 }
 
 /// One campaign: a cached transcript replayed on packed fault lanes.
@@ -141,43 +158,27 @@ class CampaignDriver {
   }
 
  private:
-  /// The shard loop at one lane width: PRT transcripts through the
-  /// spill loop, any other — a March sweep, even of a test with no
-  /// elements — through lane_batched_shard and run_march_packed.
+  /// The one shard loop, over batch [begin, end) at one lane width on
+  /// one ram.  The batch's faults load kLanes at a time in index order
+  /// and each loaded ram replays.  A March transcript (any transcript
+  /// without PRT iterations, even a test with no elements) runs whole
+  /// through run_march_packed: its lanes' data stays live across
+  /// elements, so they never spill (DESIGN.md §29, §30).  A PRT
+  /// transcript runs iteration by iteration; after each iteration a ram
+  /// the spill rule fires on settles its latched lanes, saves its
+  /// survivors' live state (PackedFaultRamT::save_lane) and queues them
+  /// by the iteration they resume at.  Once the batch's first rams have
+  /// run, the queue reloads kLanes at a time, lowest iteration first — a
+  /// replay from iteration i queues lanes at later iterations only — and
+  /// the rule applies again.  Each ram then charges its ops, marks its
+  /// verdicts by fault offset and resets; the batch is tallied in index
+  /// order at the end.  Every lane is charged what its own latch
+  /// charges, so `out` is bit-identical to a replay of every ram from
+  /// the start to the end.
   template <typename W>
   bool shard(std::span<const mem::Fault> universe, std::size_t begin,
              std::size_t end, CampaignResult& out,
              const util::StopToken& stop) const {
-    const core::OpTranscript& t = *transcript_;
-    if (!t.iterations.empty()) {
-      return prt_shard<W>(universe, begin, end, out, stop);
-    }
-    mem::PackedFaultRamT<W> packed(t.n, t.width);
-    auto run_batch = [&](mem::PackedFaultRamT<W>& batch) {
-      const core::PackedVerdictT<W> v =
-          march::run_march_packed(batch, t, {.early_abort = early_abort_});
-      return std::pair{v.detected & batch.active_mask(), v.scalar_ops};
-    };
-    return lane_batched_shard(universe, begin, end, packed, out, run_batch,
-                              stop);
-  }
-
-  /// The PRT spill loop over batch [begin, end), on one ram.  The
-  /// batch's faults load kLanes at a time in index order and replay
-  /// iteration by iteration; after each iteration a ram the spill rule
-  /// fires on settles its latched lanes, saves its survivors' live
-  /// state (PackedFaultRamT::save_lane) and queues them by the
-  /// iteration they resume at.  Once the batch's first rams have run,
-  /// the queue reloads kLanes at a time, lowest iteration first — a
-  /// replay from iteration i queues lanes at later iterations only — and
-  /// the rule applies again.  Verdicts are kept by fault index and
-  /// tallied in index order at the end, and every lane is charged what
-  /// its own latch charges, so `out` is bit-identical to a replay of
-  /// every ram from iteration 0 to the end.
-  template <typename W>
-  bool prt_shard(std::span<const mem::Fault> universe, std::size_t begin,
-                 std::size_t end, CampaignResult& out,
-                 const util::StopToken& stop) const {
     using Ram = mem::PackedFaultRamT<W>;
     constexpr unsigned kLanes = Ram::kLanes;
     const core::OpTranscript& t = *transcript_;
@@ -192,30 +193,37 @@ class CampaignDriver {
     std::vector<std::vector<Spilled>> queued(t.iterations.size());
     std::vector<bool> detected(size);
     std::array<std::size_t, kLanes> fault_of{};  // lane -> batch offset
+    // Replays the loaded ram from iteration `first` (a March transcript
+    // whole), then charges its ops, marks its verdicts and resets it.
     auto replay_from = [&](std::size_t first) {
-      const unsigned loaded = ram.lanes_used();
-      core::LaneLatch<W> latch(ram.active_mask());
-      for (std::size_t i = first; i < t.iterations.size(); ++i) {
-        if (core::run_prt_packed_iteration(ram, t, i, options, scratch,
-                                           latch)) {
-          break;
+      core::PackedVerdictT<W> v;
+      if (t.iterations.empty()) {
+        v = march::run_march_packed(ram, t, {.early_abort = early_abort_});
+      } else {
+        const unsigned loaded = ram.lanes_used();
+        core::LaneLatch<W> latch(ram.active_mask());
+        for (std::size_t i = first; i < t.iterations.size(); ++i) {
+          if (core::run_prt_packed_iteration(ram, t, i, options, scratch,
+                                             latch)) {
+            break;
+          }
+          const W survivors = latch.pending & ~latch.mismatch;
+          if (i + 1 < t.iterations.size() &&
+              spills(kLanes, loaded, mem::lane_popcount(survivors), size,
+                     t.total_ops() - t.iterations[i].ops_end())) {
+            mem::for_each_set_lane(survivors, [&](unsigned lane) {
+              const std::size_t f = fault_of[lane];
+              queued[i + 1].push_back(
+                  {f, ram.save_lane(lane, universe[begin + f])});
+            });
+            // The survivors leave this latch uncharged; the ram they
+            // resume on charges them.
+            latch.pending &= ~survivors;
+            break;
+          }
         }
-        const W survivors = latch.pending & ~latch.mismatch;
-        if (i + 1 < t.iterations.size() &&
-            spills(kLanes, loaded, mem::lane_popcount(survivors), size,
-                   t.total_ops() - t.iterations[i].ops_end())) {
-          mem::for_each_set_lane(survivors, [&](unsigned lane) {
-            const std::size_t f = fault_of[lane];
-            queued[i + 1].push_back(
-                {f, ram.save_lane(lane, universe[begin + f])});
-          });
-          // The survivors leave this latch uncharged; the ram they
-          // resume on charges them.
-          latch.pending &= ~survivors;
-          break;
-        }
+        v = latch.finish(t.total_ops());
       }
-      const core::PackedVerdictT<W> v = latch.finish(t.total_ops());
       out.ops += v.scalar_ops;
       mem::for_each_set_lane(v.detected & ram.active_mask(),
                              [&](unsigned lane) {

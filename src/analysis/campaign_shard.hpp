@@ -1,10 +1,9 @@
-// Internal shard-loop scaffolding under the one campaign driver
-// (campaign_driver.hpp): per-fault tallying, the lane batching loop
-// every fault runs through, and the one campaign executor — fixed
-// 2048-fault batches as FIFO tasks on the shared pool with the
-// order-deterministic merge.  Keeping every campaign surface on one
-// copy of this machinery is what keeps their bit-identical-to-serial
-// guarantees in lockstep — fix it here, all paths get it.
+// The one campaign executor under the campaign driver
+// (campaign_driver.hpp, which holds the shard loop): fixed 2048-fault
+// batches as FIFO tasks on the shared pool with the order-deterministic
+// merge.  Keeping every campaign surface on one copy of this machinery
+// is what keeps their bit-identical-to-serial guarantees in lockstep —
+// fix it here, all paths get it.
 //
 // Header is internal to analysis/ (included via campaign_driver.hpp
 // by the campaign .cpp files only); the public surfaces are
@@ -12,79 +11,20 @@
 // campaign_service.hpp.
 #pragma once
 
-#include <array>
-#include <cstdint>
+#include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/fault_sim.hpp"
-#include "mem/packed_fault_ram.hpp"
 #include "util/annotations.hpp"
 #include "util/stop_token.hpp"
 #include "util/thread_pool.hpp"
 
 namespace prt::analysis::detail {
-
-/// Records one fault's verdict into the shard result (class + overall
-/// counters, escape index on a miss).
-inline void tally_fault(CampaignResult& out,
-                        std::span<const mem::Fault> universe, std::size_t i,
-                        bool detected) {
-  auto& cls = out.by_class[mem::fault_class(universe[i].kind)];
-  ++cls.total;
-  ++out.overall.total;
-  if (detected) {
-    ++cls.detected;
-    ++out.overall.detected;
-  } else {
-    out.escapes.push_back(i);
-  }
-}
-
-/// Lane-batched shard loop (the March replay's; PRT batches run the
-/// driver's spill loop): the faults of [begin, end) ride the packed
-/// ram kLanes at a time (64 for LaneWord, 512 for WideWord<8>) in index
-/// order.  run_batch(packed) runs one flushed batch and returns
-/// {detected lane word, ops to charge for the whole batch}.  Lanes are
-/// tallied in fill order, so escapes come out ascending and the shard
-/// output is bit-identical to itself at the other lane width (the
-/// per-lane verdicts are width-invariant).  Polls `stop` per fault;
-/// returns false (shard abandoned — `out` is partial and must be
-/// discarded) once a stop is observed, true when the shard ran to
-/// completion.  A default-constructed token never stops, so the poll
-/// is one null check on the non-cancellable paths.
-template <typename W, typename RunBatch>
-bool lane_batched_shard(std::span<const mem::Fault> universe,
-                        std::size_t begin, std::size_t end,
-                        mem::PackedFaultRamT<W>& packed, CampaignResult& out,
-                        RunBatch&& run_batch,
-                        const util::StopToken& stop = {}) {
-  constexpr unsigned kLanes = mem::PackedFaultRamT<W>::kLanes;
-  std::array<std::size_t, kLanes> batch_index{};
-  auto flush = [&]() {
-    const unsigned lanes = packed.lanes_used();
-    if (lanes == 0) return;
-    const auto [detected, ops] = run_batch(packed);
-    out.ops += ops;
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-      tally_fault(out, universe, batch_index[lane],
-                  mem::lane_test(detected, lane));
-    }
-    packed.reset();
-  };
-  for (std::size_t i = begin; i < end; ++i) {
-    if (stop.stop_requested()) return false;
-    batch_index[packed.add_fault(universe[i])] = i;
-    if (packed.lanes_used() == kLanes) flush();
-  }
-  flush();
-  return true;
-}
 
 /// Faults per scheduler batch: the one partition every campaign
 /// surface runs, checkpoints and merges over.  Four 512-lane sweeps —

@@ -247,16 +247,16 @@ TEST(XorNetworkDepth, BalancedTreeDepthIsLogarithmic) {
 }
 
 TEST(FeedbackCost, PaperGenerator) {
-  // g = 1 + 2x + 2x^2 over GF(16): two multiplications by 2 plus one
-  // word adder (4 XORs).  Multiplying by z in GF(16)/z^4+z+1 is one XOR
-  // (bit3 folds into bits 0 and 1 -> matrix rows with 2 taps on two
-  // rows): count whatever CSE finds, but the total must stay small and
-  // the adder contributes exactly (2-1)*4.
+  // g = 1 + 2x + 2x^2 over GF(16), the paper's §4 feedback w = 2*r1 +
+  // 2*r2: two multiplications by 2 plus one word adder.  Multiplying by
+  // z in GF(16)/z^4+z+1 is one XOR (bit 3 folds into bits 0 and 1, and
+  // only bit 1 sums two taps), and the adder is (2-1)*4 XORs: the
+  // 2 + 4 = 6 gates tab_multiplier prints as "TOTAL feedback".
   const GF2m f(0b10011);
   const FeedbackCost cost = feedback_cost(f, {1, 2, 2});
+  EXPECT_EQ(cost.multiplier_gates, 2u);
   EXPECT_EQ(cost.adder_gates, 4u);
-  EXPECT_GT(cost.multiplier_gates, 0u);
-  EXPECT_LE(cost.multiplier_gates, 8u);
+  EXPECT_EQ(cost.total(), 6u);
 }
 
 TEST(FeedbackCost, UnitCoefficientsNeedOnlyAdders) {

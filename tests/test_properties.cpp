@@ -10,7 +10,6 @@
 //     Markov model's "activation == detection" step).
 #include <gtest/gtest.h>
 
-#include "core/bist_controller.hpp"
 #include "core/intra_word.hpp"
 #include "core/prt_engine.hpp"
 #include "core/prt_multiport.hpp"
@@ -90,19 +89,6 @@ TEST_P(NoFalsePositives, MultiPortSchemes) {
   if (n / 2 > 2) {
     mem::SimRam r4b(n, m, 4);
     EXPECT_TRUE(core::run_pi_multilfsr(r4b, tester, cfg).pass);
-  }
-}
-
-TEST_P(NoFalsePositives, BistControllerAllTrajectories) {
-  const auto [n, m] = GetParam();
-  const gf::GF2m field = m == 1 ? gf::GF2m(0b11) : gf::GF2m::standard(m);
-  for (auto traj :
-       {core::TrajectoryKind::kAscending, core::TrajectoryKind::kDescending,
-        core::TrajectoryKind::kRandom}) {
-    mem::SimRam ram(n, m);
-    core::BistController ctrl(field, {1, 1, 1}, {1, 1},
-                              core::Trajectory::make(traj, n, 99));
-    EXPECT_TRUE(ctrl.run(ram)) << core::to_string(traj);
   }
 }
 
